@@ -56,9 +56,8 @@ def main(verbose: bool):
 @click.option("--max-transfer-retries", type=int, default=None)
 @click.option("--file-transfer-type",
               type=click.Choice(["simulated", "local-copy"]), default=None)
-@click.option("--poll-interval", type=float, default=None)
-@click.option("--batch-size", type=int, default=None)
-@click.option("--sched-time-factor", type=float, default=None)
+@click.option("--poll-interval", type=float, default=None,
+              help="Override network.client.poll_interval_s.")
 @click.option("--history", "history_path", type=click.Path(), default=None,
               help="Load/save the execution-profile history file.")
 def run(
@@ -72,8 +71,6 @@ def run(
     max_transfer_retries,
     file_transfer_type,
     poll_interval,
-    batch_size,
-    sched_time_factor,
     history_path,
 ):
     """Simulate one scenario and write metrics CSVs to --out."""
@@ -84,13 +81,12 @@ def run(
             "transfer_concurrency": transfer_concurrency,
             "max_transfer_retries": max_transfer_retries,
             "file_transfer_type": file_transfer_type,
-            "poll_interval_s": poll_interval,
-            "batch_size": batch_size,
-            "sched_time_factor": sched_time_factor,
         }
         overrides = {k: v for k, v in overrides.items() if v is not None}
         if overrides:
             sc.defaults = dataclasses.replace(sc.defaults, **overrides)
+        if poll_interval is not None:
+            sc.network = dataclasses.replace(sc.network, poll_interval_s=poll_interval)
         sim = Simulation(
             sc,
             scheduler_kind=scheduler,

@@ -57,7 +57,6 @@ class CostHint:
 @dataclass(frozen=True)
 class FunctionDef:
     name: str
-    resource_kind: str = "any"
     cost_hint: Optional[CostHint] = None
 
 
@@ -66,15 +65,11 @@ class TaskNode:
     task_id: int
     function: FunctionDef
     deps: set = field(default_factory=set)
-    inline_args_size: int = 0
     file_deps: set = field(default_factory=set)
     output: Optional[str] = None
     state: TaskState = TaskState.PENDING
     assigned_endpoint: Optional[str] = None
     attempt_count: int = 0
-    submit_time: float = 0.0
-    # None until staging has been initiated for the current assignment.
-    staging_pending: Optional[int] = None
 
     def set_state(self, new: TaskState):
         if new not in _LEGAL_TRANSITIONS[self.state]:
@@ -99,7 +94,6 @@ class Dag:
         self.nodes: dict[int, TaskNode] = {}
         self.successors: dict[int, set] = {}
         self._next_id = 0
-        self._function_names: set = set()
 
     def submit_task(
         self,
@@ -107,7 +101,6 @@ class Dag:
         dep_handles: Iterable[int] = (),
         file_deps: Iterable[str] = (),
         inline_args_size: int = 0,
-        submit_time: float = 0.0,
     ) -> int:
         deps = set(dep_handles)
         for dep in deps:
@@ -126,9 +119,7 @@ class Dag:
             task_id=task_id,
             function=function,
             deps=deps,
-            inline_args_size=inline_args_size,
             file_deps=set(file_deps),
-            submit_time=submit_time,
         )
         self.nodes[task_id] = node
         self.successors[task_id] = set()
@@ -139,35 +130,6 @@ class Dag:
     def deps_done(self, task_id: int) -> bool:
         node = self.nodes[task_id]
         return all(self.nodes[d].state == TaskState.DONE for d in node.deps)
-
-    def on_dep_complete(self, task_id: int) -> bool:
-        """Advance a task towards READY after one of its dependencies finished.
-
-        Returns True when the task became READY. Tasks whose staging has not
-        started (or is still in flight) stay PENDING/STAGING. Calls on
-        terminal tasks are no-ops.
-        """
-        node = self.nodes[task_id]
-        if node.terminal or node.state in (
-            TaskState.READY,
-            TaskState.QUEUED,
-            TaskState.RUNNING,
-        ):
-            return False
-        if not self.deps_done(task_id):
-            return False
-        if node.state == TaskState.PENDING:
-            if node.file_deps or node.staging_pending is None:
-                # Needs an assignment (and possibly transfers) first.
-                if node.file_deps:
-                    return False
-                # No file deps at all: pass through STAGING with nothing to do.
-                node.set_state(TaskState.STAGING)
-                node.staging_pending = 0
-        if node.state == TaskState.STAGING and node.staging_pending == 0:
-            node.set_state(TaskState.READY)
-            return True
-        return False
 
     def sources(self) -> list:
         return sorted(t for t, n in self.nodes.items() if not n.deps)

@@ -103,7 +103,6 @@ class DataManager:
         self._blocked: dict = {}  # (data_id, dst) -> job ids parked behind a duplicate
         self._pending_per_task: dict = {}  # task_id -> outstanding job count
         self._bytes_total = 0
-        self.max_active_observed = 0
 
     # -- items -------------------------------------------------------------
 
@@ -226,9 +225,6 @@ class DataManager:
             job.started_at = clock
             self._active[pair] = self._active.get(pair, 0) + 1
             self._active_items[key] = self._active_items.get(key, 0) + 1
-            self.max_active_observed = max(
-                self.max_active_observed, self._active[pair]
-            )
             started.append(job)
         return started, completed
 
@@ -300,11 +296,5 @@ class DataManager:
             ):
                 job.task_id = None
 
-    def staging_pending(self, task_id: int) -> int:
-        return self._pending_per_task.get(task_id, 0)
-
     def transfer_bytes_total(self) -> int:
         return self._bytes_total
-
-    def active_count(self, src: str, dst: str) -> int:
-        return self._active.get((src, dst), 0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 logger = logging.getLogger(__name__)
@@ -23,9 +23,6 @@ class EndpointSpec:
     initial_nodes: int = 0
     idle_timeout_s: float = 30.0
     perf_factor: float = 1.0
-    cores_per_worker: int = 1
-    cpu_freq_ghz: float = 2.4
-    ram_gb: float = 64.0
 
     def __post_init__(self):
         if self.workers_per_node <= 0 or self.max_nodes <= 0:
@@ -120,17 +117,6 @@ class EndpointModel:
             self.pending_reduction += clamped - target
         self.active_workers = clamped
         return self.active_workers
-
-    def grow_to_workers(self, workers: int) -> int:
-        """Grow the pool to at least `workers`, in whole nodes. Returns delta."""
-        wpn = self.spec.workers_per_node
-        target_nodes = min(math.ceil(workers / wpn), self.spec.max_nodes)
-        target = target_nodes * wpn
-        if target <= self.active_workers:
-            return 0
-        delta = target - self.active_workers
-        self.active_workers = target
-        return delta
 
     def release_all(self) -> int:
         """Drop every worker (legal only when fully idle). Returns delta."""

@@ -32,7 +32,6 @@ from .profilers import (
 from .scenario import MB, Scenario
 from .scheduling import (
     STRATEGIES,
-    Assignment,
     DhaStrategy,
     reassignment_endpoint,
     success_rates_for,
@@ -78,16 +77,6 @@ class NetworkModel:
         return latency + size / bandwidth
 
 
-def batch_boundaries(pending_ops: list, batch_size: int) -> list:
-    """Group operations into submission/poll batches of at most batch_size."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    return [
-        list(pending_ops[i : i + batch_size])
-        for i in range(0, len(pending_ops), batch_size)
-    ]
-
-
 def next_poll(t: float, interval: float) -> float:
     """The first poll tick at or after t (t itself when interval is 0)."""
     if interval <= 0:
@@ -111,19 +100,16 @@ class Simulation:
         d = scenario.defaults
         self.scheduler_kind = scheduler_kind or d.scheduler
         self.seed = d.seed if seed is None else seed
-        self.poll_interval = (
-            scenario.network.poll_interval_s or d.poll_interval_s
-        )
-        self.batch_size = d.batch_size
+        self.poll_interval = scenario.network.poll_interval_s
         self.dispatch_latency = scenario.network.dispatch_latency_s
         self.failure_rate = d.transfer_failure_rate
         self.max_task_attempts = d.max_task_attempts or len(scenario.endpoints)
-        self.sched_time_factor = d.sched_time_factor
         self.sync_lag = d.mock_sync_lag_s
 
         self.endpoints = [EndpointModel(spec) for spec in scenario.endpoints]
         self.endpoint_order = [ep.endpoint_id for ep in self.endpoints]
         self._by_id = {ep.endpoint_id: ep for ep in self.endpoints}
+        self._perf_factors = {ep.endpoint_id: ep.spec.perf_factor for ep in self.endpoints}
         self.network = NetworkModel(scenario.network)
 
         backend = SimulatedBackend()
@@ -136,7 +122,7 @@ class Simulation:
         )
 
         truth = {
-            f.name: FunctionTruth(f.true_fixed_s, f.true_rate_s_per_MB, f.output_ratio)
+            f.name: FunctionTruth(f.true_fixed_s, f.true_rate_s_per_MB)
             for f in scenario.functions.values()
         }
         self.exec_profiler = ExecutionProfiler(truth=truth)
@@ -162,7 +148,6 @@ class Simulation:
         self._seq = 0
         self.metrics = MetricsLog(self.endpoint_order)
 
-        self.assignments: dict = {}
         self.reserved: dict = {ep: 0 for ep in self.endpoint_order}
         self._reserved_tasks: set = set()
         self.assigned_undispatched: dict = {ep: set() for ep in self.endpoint_order}
@@ -275,13 +260,12 @@ class Simulation:
 
     def predicted_exec(self, task_id: int, endpoint_id: str) -> float:
         node = self.dag.nodes[task_id]
-        perf = {ep.endpoint_id: ep.spec.perf_factor for ep in self.endpoints}
         return self.exec_profiler.predict_exec(
             node.function,
             self._by_id[endpoint_id].spec,
             self.input_bytes(task_id),
-            perf,
-        )[0]
+            self._perf_factors,
+        )
 
     def staging_time_estimate(self, task_id: int, endpoint_id: str) -> float:
         node = self.dag.nodes[task_id]
@@ -334,9 +318,7 @@ class Simulation:
                 out = self.dag.nodes[dep].output
                 if out is not None:
                     file_deps.append(out)
-            tid = self.dag.submit_task(
-                fn, dep_tids, file_deps, t.inline_args_B, submit_time=self.clock
-            )
+            tid = self.dag.submit_task(fn, dep_tids, file_deps, t.inline_args_B)
             self._spec_by_tid[t.id] = tid
             node = self.dag.nodes[tid]
             fbytes = sum(self.data.items[d].size for d in node.file_deps)
@@ -370,7 +352,6 @@ class Simulation:
         self._backlog_contrib[task_id] = (endpoint_id, pred)
         self._backlog_pred[endpoint_id] += pred
         node.assigned_endpoint = endpoint_id
-        self.assignments[task_id] = Assignment(task_id, endpoint_id, self.clock)
         self.assigned_undispatched[endpoint_id].add(task_id)
         if reserve:
             self.reserved[endpoint_id] += 1
@@ -387,6 +368,12 @@ class Simulation:
             tm = self.metrics.task(task_id)
             if tm.staging_start is None:
                 tm.staging_start = self.clock
+        self._stage(task_id)
+
+    def _stage(self, task_id: int):
+        """Start transfers of the task's inputs to its assigned endpoint and
+        finish staging of every task that no longer waits on one."""
+        node = self.dag.nodes[task_id]
         jobs, started, completed = self.data.stage(
             task_id,
             node.file_deps,
@@ -394,7 +381,6 @@ class Simulation:
             self.endpoint_order,
             self.clock,
         )
-        node.staging_pending = len(jobs)
         for job in started:
             self._schedule_transfer(job)
         if not jobs:
@@ -404,7 +390,6 @@ class Simulation:
 
     def _staging_finished(self, task_id: int):
         node = self.dag.nodes[task_id]
-        node.staging_pending = 0
         self._staging_count -= 1
         self.metrics.record_staging_count(self.clock, self._staging_count)
         self.metrics.task(task_id).staging_end = self.clock
@@ -421,20 +406,7 @@ class Simulation:
             node.set_state(TaskState.STAGING)
         self.data.cancel_task_jobs(task_id)
         self.assign(task_id, endpoint_id)
-        jobs, started, completed = self.data.stage(
-            task_id,
-            node.file_deps,
-            endpoint_id,
-            self.endpoint_order,
-            self.clock,
-        )
-        node.staging_pending = len(jobs)
-        for job in started:
-            self._schedule_transfer(job)
-        if not jobs:
-            self._staging_finished(task_id)
-        for other in completed:
-            self._staging_finished(other)
+        self._stage(task_id)
 
     def dispatch_task(self, task_id: int):
         node = self.dag.nodes[task_id]
@@ -444,7 +416,6 @@ class Simulation:
             self._reserved_tasks.discard(task_id)
             self.reserved[ep.endpoint_id] -= 1
         self.assigned_undispatched[ep.endpoint_id].discard(task_id)
-        self.assignments[task_id].dispatched = True
         self.metrics.task(task_id).dispatch_time = self.clock
         outcome = ep.dispatch(task_id)
         if outcome == "accepted":
@@ -656,9 +627,6 @@ class Simulation:
         task_ids = self._register_batch(specs)
         self._hook(self.strategy.on_batch_submitted, task_ids)
         self._announce_ready(task_ids)
-        self.metrics.dispatch_batches += len(
-            batch_boundaries(task_ids, self.batch_size)
-        )
 
     def _on_transfer_complete(self, job: TransferJob, duration: float):
         success = self._transfer_success(job)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -58,7 +58,6 @@ class MetricsLog:
         self.tasks_failed: int = 0
         self.sched_seconds: float = 0.0
         self.decision_count: int = 0
-        self.dispatch_batches: int = 0
         self.event_count: int = 0
 
     def task(self, task_id: int) -> TaskMetrics:
@@ -87,17 +86,6 @@ class MetricsLog:
             if tm.final_state == "done" and tm.endpoint in counts:
                 counts[tm.endpoint] += 1
         return counts
-
-    def busy_integral(self) -> float:
-        """Integral of busy workers over time, summed across endpoints."""
-        total = 0.0
-        last: dict = {}
-        for time, ep, busy, _active in self.utilization:
-            if ep in last:
-                t0, b0 = last[ep]
-                total += b0 * (time - t0)
-            last[ep] = (time, busy)
-        return total
 
     # -- export ------------------------------------------------------------
 

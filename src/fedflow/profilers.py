@@ -46,7 +46,6 @@ class FunctionTruth:
 
     fixed_s: float
     rate_s_per_mb: float
-    output_ratio: float
 
 
 def _ols(points: list) -> tuple:
@@ -65,7 +64,7 @@ def _ols(points: list) -> tuple:
 
 
 class ExecutionProfiler:
-    """Predicts execution time and output size per function.
+    """Predicts execution time per function.
 
     Prediction precedence: fitted model for the exact (function, endpoint)
     pair; a fit from another endpoint rescaled by the perf-factor ratio; the
@@ -75,15 +74,10 @@ class ExecutionProfiler:
     def __init__(self, truth: Optional[dict] = None):
         self.history: list = []
         self._fits: dict = {}
-        self._output_ratio: dict = {}
         self._stale = False
         self.refit_count = 0
         self.truth = truth or {}
         self._truth_fallback_logged: set = set()
-
-    @property
-    def sample_count(self) -> int:
-        return len(self.history)
 
     def record(self, rec: TaskRecord):
         rec.validate()
@@ -95,25 +89,15 @@ class ExecutionProfiler:
         if not self._stale:
             return
         points: dict = {}
-        ratios: dict = {}
         for rec in self.history:
             if not rec.success:
                 continue  # failures carry no duration signal
             points.setdefault((rec.function, rec.endpoint), []).append(
                 (rec.input_size, rec.exec_time)
             )
-            if rec.input_size > 0:
-                ratios.setdefault(rec.function, []).append(
-                    rec.output_size / rec.input_size
-                )
-        self._fits = {key: _ols(pts) + (len(pts),) for key, pts in points.items()}
-        self._output_ratio = {f: sum(r) / len(r) for f, r in ratios.items()}
+        self._fits = {key: _ols(pts) for key, pts in points.items()}
         self.refit_count += 1
         self._stale = False
-
-    def samples_for(self, function: str, endpoint: str) -> int:
-        fit = self._fits.get((function, endpoint))
-        return fit[2] if fit else 0
 
     def predict_exec(
         self,
@@ -121,8 +105,8 @@ class ExecutionProfiler:
         endpoint: EndpointSpec,
         input_size: int,
         perf_factors: Optional[dict] = None,
-    ) -> tuple:
-        """Predict (execution seconds, output bytes). Always finite."""
+    ) -> float:
+        """Predict execution seconds. Always finite."""
         name = function.name
         time_s = None
         fit = self._fits.get((name, endpoint.endpoint_id))
@@ -153,11 +137,7 @@ class ExecutionProfiler:
             time_s = endpoint.perf_factor * (
                 truth.fixed_s + truth.rate_s_per_mb * input_size / 1e6
             )
-        ratio = self._output_ratio.get(name)
-        if ratio is None:
-            truth = self.truth.get(name)
-            ratio = truth.output_ratio if truth else 0.0
-        return max(time_s, 0.0), max(int(round(ratio * input_size)), 0)
+        return max(time_s, 0.0)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -197,10 +177,9 @@ class TransferProfiler:
     observations fall back to the scenario's bandwidth matrix.
     """
 
-    def __init__(self, fallback: Optional[dict] = None, concurrency_penalty: float = 1.0):
+    def __init__(self, fallback: Optional[dict] = None):
         # fallback: (src, dst) -> (latency_s, bandwidth_Bps)
         self.fallback = fallback or {}
-        self.concurrency_penalty = concurrency_penalty
         self._observations: dict = {}
         self._fits: dict = {}
         self._stale = False
@@ -231,14 +210,11 @@ class TransferProfiler:
             return self.fallback[(src, dst)]
         raise ProfilerError(f"no transfer model or fallback for {src}->{dst}")
 
-    def predict_transfer(self, src: str, dst: str, size: int, concurrent: int = 1) -> float:
+    def predict_transfer(self, src: str, dst: str, size: int) -> float:
         if src == dst:
             raise ProfilerError("predict_transfer called with src == dst")
-        if concurrent < 1:
-            raise ProfilerError("concurrent must be >= 1")
         latency, bandwidth = self.link(src, dst)
-        penalty = self.concurrency_penalty ** (concurrent - 1)
-        return latency + size * penalty / bandwidth
+        return latency + size / bandwidth
 
 
 def average_costs(
@@ -260,7 +236,7 @@ def average_costs(
         raise ProfilerError("endpoint set must be non-empty")
     perf = {ep.endpoint_id: ep.perf_factor for ep in endpoints}
     w_bar = sum(
-        exec_profiler.predict_exec(function, ep, input_bytes, perf)[0]
+        exec_profiler.predict_exec(function, ep, input_bytes, perf)
         for ep in endpoints
     ) / len(endpoints)
     pairs = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -20,6 +20,11 @@ from .endpoints import CapacityEvent, EndpointSpec
 logger = logging.getLogger(__name__)
 
 MB = 1_000_000
+
+# Removed `defaults` keys that older scenario files still carry. They are
+# accepted with one warning and dropped; a nonzero `poll_interval_s` moves to
+# `network.client.poll_interval_s` when that is unset.
+DEPRECATED_DEFAULTS = ("batch_size", "poll_interval_s", "sched_time_factor")
 
 
 class ScenarioError(ValueError):
@@ -33,7 +38,6 @@ class FunctionSpec:
     true_rate_s_per_MB: float = 0.0
     output_ratio: float = 0.0
     noise: float = 0.0
-    resource_kind: str = "any"
     cost_hint_fixed_s: Optional[float] = None
     cost_hint_rate_s_per_B: Optional[float] = None
 
@@ -44,7 +48,7 @@ class FunctionSpec:
                 fixed_s=self.cost_hint_fixed_s or 0.0,
                 rate_s_per_b=self.cost_hint_rate_s_per_B or 0.0,
             )
-        return FunctionDef(self.name, self.resource_kind, hint)
+        return FunctionDef(self.name, hint)
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,11 @@ class Defaults:
     transfer_concurrency: int = 4
     transfer_failure_rate: float = 0.0
     file_transfer_type: str = "simulated"
-    poll_interval_s: float = 0.0
-    batch_size: int = 1
     elastic: bool = False
     scale_tick_s: float = 1.0
     refresh_tick_s: float = 5.0
     reschedule_period_s: float = 10.0
     probe_at_init: bool = False
-    sched_time_factor: float = 0.0
     mock_sync_lag_s: float = 0.0
 
 
@@ -157,9 +158,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 initial_nodes=int(entry.get("initial_nodes", 0)),
                 idle_timeout_s=float(entry.get("idle_timeout_s", 30.0)),
                 perf_factor=float(entry.get("perf_factor", 1.0)),
-                cores_per_worker=int(entry.get("cores_per_worker", 1)),
-                cpu_freq_ghz=float(entry.get("cpu_freq_ghz", 2.4)),
-                ram_gb=float(entry.get("ram_gb", 64.0)),
             )
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
@@ -230,7 +228,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
             ),
             output_ratio=_nonneg(entry.get("output_ratio", 0.0), "output_ratio", where),
             noise=float(entry.get("noise", 0.0)),
-            resource_kind=entry.get("resource_kind", "any"),
             cost_hint_fixed_s=hint.get("fixed_s"),
             cost_hint_rate_s_per_B=hint.get("rate_s_per_B"),
         )
@@ -300,7 +297,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         seen_tasks.add(tid)
 
-    defaults_doc = doc.get("defaults", {})
+    defaults_doc = dict(doc.get("defaults", {}))
+    deprecated = {k: defaults_doc.pop(k) for k in DEPRECATED_DEFAULTS if k in defaults_doc}
+    if deprecated:
+        logger.warning(
+            "defaults: deprecated fields %s are dropped (a nonzero poll_interval_s "
+            "is used as network.client.poll_interval_s when that is 0)",
+            sorted(deprecated),
+        )
+        if not network.poll_interval_s and deprecated.get("poll_interval_s"):
+            network = replace(network, poll_interval_s=deprecated["poll_interval_s"])
     known = set(Defaults.__dataclass_fields__)
     unknown = set(defaults_doc) - known
     if unknown:
@@ -352,7 +358,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "true_rate_s_per_MB": f.true_rate_s_per_MB,
             "output_ratio": f.output_ratio,
             "noise": f.noise,
-            "resource_kind": f.resource_kind,
         }
         if f.cost_hint_fixed_s is not None or f.cost_hint_rate_s_per_B is not None:
             entry["cost_hint"] = {
@@ -371,9 +376,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
                 "initial_nodes": ep.initial_nodes,
                 "idle_timeout_s": ep.idle_timeout_s,
                 "perf_factor": ep.perf_factor,
-                "cores_per_worker": ep.cores_per_worker,
-                "cpu_freq_ghz": ep.cpu_freq_ghz,
-                "ram_gb": ep.ram_gb,
                 "capacity_trace": [
                     {"time_s": ev.time_s, "delta_workers": ev.delta_workers}
                     for ev in sc.capacity_traces.get(ep.endpoint_id, [])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .dag import Dag, TaskState, dfs_order
@@ -24,14 +23,6 @@ logger = logging.getLogger(__name__)
 
 class SchedulerError(RuntimeError):
     pass
-
-
-@dataclass
-class Assignment:
-    task_id: int
-    endpoint_id: str
-    decided_at: float
-    dispatched: bool = False
 
 
 def capacity_partition(task_count: int, capacities: list) -> list:
@@ -299,19 +290,24 @@ class DhaStrategy(BaseStrategy):
 
     # -- endpoint selection ------------------------------------------------
 
-    def select_endpoint(self, task_id: int) -> str:
+    def _earliest_finishing(self, task_id: int, candidates: list) -> str:
+        """The candidate endpoint with the earliest finish time for the task;
+        ties go to the candidate listed first."""
         sim = self.sim
         best_ep, best_eft = None, None
-        for ep in sim.endpoints:
+        for ep_id in candidates:
             eft = earliest_finish_time(
                 sim.clock,
-                sim.staging_time_estimate(task_id, ep.endpoint_id),
-                sim.earliest_idle_estimate(ep.endpoint_id),
-                sim.predicted_exec(task_id, ep.endpoint_id),
+                sim.staging_time_estimate(task_id, ep_id),
+                sim.earliest_idle_estimate(ep_id),
+                sim.predicted_exec(task_id, ep_id),
             )
             if best_eft is None or eft < best_eft:
-                best_ep, best_eft = ep.endpoint_id, eft
+                best_ep, best_eft = ep_id, eft
         return best_ep
+
+    def select_endpoint(self, task_id: int) -> str:
+        return self._earliest_finishing(task_id, self.sim.endpoint_order)
 
     def on_deps_done(self, task_ids: list):
         for tid in sorted(
@@ -378,26 +374,12 @@ class DhaStrategy(BaseStrategy):
         )
         moves = 0
         for tid in movable:
-            node = sim.dag.nodes[tid]
-            incumbent = node.assigned_endpoint
-            incumbent_eft = earliest_finish_time(
-                sim.clock,
-                sim.staging_time_estimate(tid, incumbent),
-                sim.earliest_idle_estimate(incumbent),
-                sim.predicted_exec(tid, incumbent),
-            )
-            best_ep, best_eft = incumbent, incumbent_eft
-            for ep in sim.endpoints:
-                if ep.endpoint_id == incumbent:
-                    continue
-                eft = earliest_finish_time(
-                    sim.clock,
-                    sim.staging_time_estimate(tid, ep.endpoint_id),
-                    sim.earliest_idle_estimate(ep.endpoint_id),
-                    sim.predicted_exec(tid, ep.endpoint_id),
-                )
-                if eft < best_eft:
-                    best_ep, best_eft = ep.endpoint_id, eft
+            incumbent = sim.dag.nodes[tid].assigned_endpoint
+            # The incumbent goes first so that it keeps ties.
+            candidates = [incumbent] + [
+                ep_id for ep_id in sim.endpoint_order if ep_id != incumbent
+            ]
+            best_ep = self._earliest_finishing(tid, candidates)
             if best_ep != incumbent:
                 sim.move_assignment(tid, best_ep)
                 moves += 1

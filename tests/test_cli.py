@@ -96,15 +96,26 @@ class TestRun:
         )
         assert result.exit_code == 1
 
-    def test_option_overrides_are_applied(self, runner, scenario_file, tmp_path):
-        result = runner.invoke(
-            main,
-            ["run", "--scenario", str(scenario_file), "--scheduler", "capacity",
-             "--poll-interval", "5", "--batch-size", "2",
-             "--out", str(tmp_path / "o")],
-        )
-        assert result.exit_code == 0, result.output
-        assert "scheduler:     capacity" in result.output
+    def test_option_overrides_are_applied(self, runner, tmp_path):
+        def summary(file_poll_s, *options):
+            client = {"poll_interval_s": file_poll_s}
+            doc = dict(SMALL, network=dict(SMALL["network"], client=client))
+            name = f"poll{file_poll_s:g}" + "".join(options)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            result = runner.invoke(
+                main,
+                ["run", "--scenario", str(path), "--scheduler", "capacity",
+                 *options, "--out", str(tmp_path / name)],
+            )
+            assert result.exit_code == 0, result.output
+            assert "scheduler:     capacity" in result.output
+            return (tmp_path / name / "summary.csv").read_text()
+
+        # --poll-interval replaces the interval the scenario file sets.
+        overridden = summary(3.0, "--poll-interval", "5")
+        assert overridden != summary(3.0)
+        assert overridden == summary(5.0)
 
 
 class TestGen:

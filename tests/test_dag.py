@@ -99,25 +99,6 @@ class TestReadiness:
         dag.nodes[0].state = TaskState.DONE
         assert dag.deps_done(1)
 
-    def test_on_dep_complete_no_file_deps(self):
-        dag = build([(0, 1)], 2)
-        dag.nodes[0].state = TaskState.DONE
-        assert dag.on_dep_complete(1)
-        assert dag.nodes[1].state == TaskState.READY
-
-    def test_on_dep_complete_waits_for_staging(self):
-        dag = Dag()
-        a = dag.submit_task(FN)
-        b = dag.submit_task(FN, [a], file_deps=["d"])
-        dag.nodes[a].state = TaskState.DONE
-        assert not dag.on_dep_complete(b)
-        assert dag.nodes[b].state == TaskState.PENDING
-        dag.nodes[b].state = TaskState.STAGING
-        dag.nodes[b].staging_pending = 1
-        assert not dag.on_dep_complete(b)
-        dag.nodes[b].staging_pending = 0
-        assert dag.on_dep_complete(b)
-
 
 class TestTopologicalOrder:
     def test_parents_first(self):

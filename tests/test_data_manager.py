@@ -51,15 +51,15 @@ class TestStage:
     def test_resident_and_empty_items_skipped(self):
         dm = manager()
         jobs, started, completed = dm.stage(1, ["x", "z"], "a", ORDER, 0.0)
+        # No jobs: staging of task 1 is already complete.
         assert jobs == [] and started == [] and completed == []
-        assert dm.staging_pending(1) == 0
 
     def test_nonresident_item_creates_job(self):
         dm = manager()
         jobs, started, _ = dm.stage(1, ["x", "y"], "a", ORDER, 0.0)
         assert len(jobs) == 1 and jobs[0].data_id == "y"
         assert started == jobs
-        assert dm.staging_pending(1) == 1
+        assert jobs[0].task_id == 1 and jobs[0].state == JobState.ACTIVE
 
     def test_completion_releases_task(self):
         dm = manager()
@@ -84,12 +84,13 @@ class TestConcurrencyCap:
         dm = DataManager(concurrency_cap=2)
         for i in range(5):
             dm.register_item(f"d{i}", 10, {"a"})
-        all_started = []
+        all_jobs, all_started = [], []
         for i in range(5):
-            _, started, _ = dm.stage(i, [f"d{i}"], "b", ORDER, 0.0)
+            jobs, started, _ = dm.stage(i, [f"d{i}"], "b", ORDER, 0.0)
+            all_jobs.extend(jobs)
             all_started.extend(started)
         assert len(all_started) == 2
-        assert dm.active_count("a", "b") == 2
+        assert [j.state for j in all_jobs].count(JobState.ACTIVE) == 2
 
     def test_waiting_jobs_admitted_fifo(self):
         dm = DataManager(concurrency_cap=1)

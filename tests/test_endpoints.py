@@ -85,20 +85,13 @@ class TestCapacityEvents:
 
 
 class TestGrowRelease:
-    def test_grow_in_whole_nodes(self):
-        ep = make(20, 5, 0)
-        assert ep.grow_to_workers(50) == 60
-        assert ep.active_workers == 60
-
     def test_grow_caps_at_max_nodes(self):
+        # A share beyond max_nodes grows the pool to max_nodes only.
         ep = make(20, 2, 0)
-        ep.grow_to_workers(500)
+        decisions = scale_decision(0.0, [ep], 500, {"ep": 500})
+        assert decisions == [(ep, 40)]
+        ep.apply_capacity_event(CapacityEvent(0.0, decisions[0][1]))
         assert ep.active_workers == 40
-
-    def test_grow_never_shrinks(self):
-        ep = make(10, 4, 3)
-        assert ep.grow_to_workers(5) == 0
-        assert ep.active_workers == 30
 
     def test_release_requires_idle(self):
         ep = make(10, 1, 1)
@@ -155,7 +148,7 @@ def test_worker_invariants_hold_under_any_op_sequence(ops):
             if ep.busy_workers > 0:
                 ep.complete(clock)
         elif op == "grow":
-            ep.grow_to_workers(ep.active_workers + 5)
+            ep.apply_capacity_event(CapacityEvent(clock, 5))
         else:
             ep.apply_capacity_event(CapacityEvent(clock, -3))
         assert 0 <= ep.busy_workers <= ep.active_workers <= ep.spec.max_workers

@@ -7,7 +7,6 @@ import pytest
 from fedflow.engine import (
     DeadlockError,
     Simulation,
-    batch_boundaries,
     next_poll,
     run_scenario,
 )
@@ -73,12 +72,6 @@ class TestHelpers:
         assert next_poll(42.6, 7.0) == 49.0
         assert next_poll(49.0, 7.0) == 49.0
         assert next_poll(3.2, 0.0) == 3.2
-
-    def test_batch_boundaries(self):
-        assert batch_boundaries([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-        assert batch_boundaries([], 3) == []
-        with pytest.raises(ValueError):
-            batch_boundaries([1], 0)
 
 
 class TestTimingOracle:

@@ -1,0 +1,189 @@
+"""Golden outputs: the CSVs of a fixed matrix of runs, pinned byte for byte.
+
+Each case pins the full `summary.csv` text and a SHA-256 of
+`utilization.csv`, `transfers.csv` and `staging.csv`. A change that is meant
+to keep behaviour must leave every value here untouched; a change that moves
+one on purpose re-pins it and records the before and after values, with the
+reason, in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from fedflow.builtins import BUILTIN_NAMES, generate_builtin_scenario
+from fedflow.engine import Simulation
+
+SEED = 7
+HASHED = ("utilization.csv", "transfers.csv", "staging.csv")
+
+# elasticity x locality never terminates: locality holds ready tasks
+# unassigned, so the elasticity policy never grows a pool.
+CASES = [
+    (name, 0.05 if name == "elasticity" else 0.02, scheduler, "")
+    for name in BUILTIN_NAMES
+    for scheduler in ("capacity", "locality", "dha")
+    if (name, scheduler) != ("elasticity", "locality")
+]
+# Probe transfers at start, transfer retries and a client poll interval:
+# paths the builtins leave at their defaults.
+CASES.append(("dynamic-drug", 0.02, "dha", "probe-retry-poll"))
+
+
+def _scenario(name, scale, variant):
+    sc = generate_builtin_scenario(name, scale)
+    if variant == "probe-retry-poll":
+        sc.defaults = dataclasses.replace(
+            sc.defaults, probe_at_init=True, transfer_failure_rate=0.3
+        )
+        sc.network = dataclasses.replace(sc.network, poll_interval_s=5.0)
+    return sc
+
+
+def run_case(name, scale, scheduler, variant, out_dir):
+    """(summary.csv text, {csv name: SHA-256}) of one seeded run."""
+    sim = Simulation(_scenario(name, scale, variant), scheduler_kind=scheduler, seed=SEED)
+    sim.run().emit(out_dir)
+    summary = (out_dir / "summary.csv").read_text()
+    digests = {
+        csv_name: hashlib.sha256((out_dir / csv_name).read_bytes()).hexdigest()
+        for csv_name in HASHED
+    }
+    return summary, digests
+
+
+GOLDEN = {
+    ('drug-like', 0.02, 'capacity', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n3319.383991,0.529000,0,385,77,10,9\n',
+        {
+            'utilization.csv': '092f68574bf130a2d0fb038c2f73884535cdc868f38574161fbec0632df8c50b',
+            'transfers.csv': '422c29636db17845c47c27238c5d43826215e86cdad125e7a4693bc4e1b77a41',
+            'staging.csv': 'fd9d51339cc506e663a69d8b269d65c5bbea8b58e08bb78983ffc3df289a50a0',
+        },
+    ),
+    ('drug-like', 0.02, 'locality', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2522.837066,1.336000,0,410,54,9,8\n',
+        {
+            'utilization.csv': '14428f4f68038175cf6c7fb07f57dd76b5aa8374732912ce3a3baf80d7b4a9fb',
+            'transfers.csv': 'd63cde191d6a94f4e7c756075707eb457a644cd1ee767509a7b708f1cad602fc',
+            'staging.csv': 'd7e632b3ad693516fa0fb52007b9a67f02db69434fbc64ff02ead276f0256d91',
+        },
+    ),
+    ('drug-like', 0.02, 'dha', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2394.228986,1.227000,0,411,55,9,6\n',
+        {
+            'utilization.csv': 'ab24299815889109395d7175326dc78a5f067fa673ff4e8d7f27812f33212953',
+            'transfers.csv': '691e8daaa140f72145bd8cceeb23b0cfdb4b91d4432ce1b0987cc97f91a568f8',
+            'staging.csv': 'c65a0734049e77d88764e0ebdc9cb535f23c283877b97976d62405da73196795',
+        },
+    ),
+    ('montage-like', 0.02, 'capacity', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n310.176058,1.560000,0,51,127,25,25\n',
+        {
+            'utilization.csv': 'f864269316771c4f41dc3d19b09fd1710303a670142c2fb1f7605bfc5e78e090',
+            'transfers.csv': '4fb66d8988b980b697eff61f0825c1d93f602c5a77531c285480ec74c658a8a7',
+            'staging.csv': '37945ea0283f31b19e9f518007965f14c793205fd568d5719f2ca1c2acd47b88',
+        },
+    ),
+    ('montage-like', 0.02, 'locality', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n259.153481,3.980000,0,44,145,19,20\n',
+        {
+            'utilization.csv': 'e787e1c2883b1db1f3f71d87aa5f76e08bfa680cb12d577ec344d88f8b9c23a5',
+            'transfers.csv': 'bd04c0fc4c5c64ef07c281a9bfc14200980e0c3afa981a10d6f16ad6949b9305',
+            'staging.csv': '0b4d4d20b9a71cb8a8cad7d8e85d20bc2b0b503abf0c53fb34dc6bcf166a3fc9',
+        },
+    ),
+    ('montage-like', 0.02, 'dha', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n256.311745,4.425000,0,46,141,19,22\n',
+        {
+            'utilization.csv': '9b0d90eeaed0d8690eebbf8d3f0a93794dc4b6b9658f0d6f359bce5cc1d91603',
+            'transfers.csv': '6f16fbaf0808fed592526d02f8f2598b8a125cca93c8016210fdb7cc7ba0e3fd',
+            'staging.csv': '113c62b264e7ae94956f177ed3d84af65e31c4aa5d93835e60c34ea352fc1427',
+        },
+    ),
+    ('dynamic-drug', 0.02, 'capacity', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n7339.588812,0.838000,0,88,131,11,11\n',
+        {
+            'utilization.csv': '1dd225f4dff9c99603b901966635f6337184c89ff332cd33229142440f9818ec',
+            'transfers.csv': 'c1516949fc8243e9ebe6b837e3e307dfc08e1f998ddfbdaa874a76c23973acd7',
+            'staging.csv': 'f78c696fa72536f024a78304302b8ee1ad4299cd53b6666e267ceda15c822354',
+        },
+    ),
+    ('dynamic-drug', 0.02, 'locality', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2704.390886,1.535000,0,44,179,9,9\n',
+        {
+            'utilization.csv': '51c0273ee792cbbe5c7fdd5813d50448b0c041c9a97cfd68b849e71628d67ca5',
+            'transfers.csv': 'fe817d3738f255e7df9575f1cb12d006d74aad6db51f85d296c6b3e735c770c9',
+            'staging.csv': 'cb7108bb6aac7e85768ed26712928b4fbc61f2fe789b2e4fb03c3b1073b6bd08',
+        },
+    ),
+    ('dynamic-drug', 0.02, 'dha', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2707.274354,4.966000,0,45,175,11,10\n',
+        {
+            'utilization.csv': '94c6e7f5914734f2732111b506506c42a0d7b65f09964f32f0fa2dc773db037d',
+            'transfers.csv': '359caa2239cedee8ed7a6d8d8c36226b460a4beb1f8c805def930bc45a44674a',
+            'staging.csv': '6d96a9f3465a371adee26f54c768f6553e7b0c2dbfcb1942f024f61d4d44a978',
+        },
+    ),
+    ('dynamic-montage', 0.02, 'capacity', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n332.303028,1.480000,0,29,143,28,28\n',
+        {
+            'utilization.csv': '766c0b36ed5eb1df085674d5cb5165f8898abd3f1305e9e8d3c6630c003b7685',
+            'transfers.csv': 'e26e24dfe3099e915dc19b796d2ae7e32b4c200b57b81e11fa70b3c3b0122ee7',
+            'staging.csv': '77ad1629209fff16f87c6c7c1d9c22e22bdd5a1e114456beb65999d2874fd969',
+        },
+    ),
+    ('dynamic-montage', 0.02, 'locality', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n270.487897,3.940000,0,34,152,20,22\n',
+        {
+            'utilization.csv': '26a8a1572bdf8c68435e36025e6932626b1af19f2ca2c71bb92ec83fbe4446ef',
+            'transfers.csv': '96cb2220eeffa22bd519821232411cc90a236fc9d3819fb5f315a8cf8c5b1c19',
+            'staging.csv': 'd8c0b1383635943f1e4749ffdbfc34b1c0a7b588bde0f21acd83ace5f5160c77',
+        },
+    ),
+    ('dynamic-montage', 0.02, 'dha', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n276.338479,4.305000,0,36,149,20,23\n',
+        {
+            'utilization.csv': 'da92a9458d9d66a90c5ac35722dca2ff2c8526f7894a8dfbebe78265923ae079',
+            'transfers.csv': 'ae67d3c6150f4bb2922c412a5868fe56bccf3219b9ca8beffd3a2b553722fa0a',
+            'staging.csv': '7c279cce521bd9ff76a226f8903c4e0dd88c6013f9a9f9d6d5f16f6d7dbb52b3',
+        },
+    ),
+    ('elasticity', 0.05, 'capacity', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_ep1,tasks_ep2,tasks_ep3\n1090.500000,300.000000,0,11,9,0\n',
+        {
+            'utilization.csv': '86dee13ab3fc2f33bfdbc1f5993c94ebb2be41d0e1ce340f2ebd8a5593bab2bb',
+            'transfers.csv': 'e9743d8b17e92a927b6a0828e64750418be51e1f18dd95d53289245c8ff29ba1',
+            'staging.csv': '6fc025dfc7fb829d1a2f8a1cece5b0dae44b6817f34ed336ea0aecce3c07bfb5',
+        },
+    ),
+    ('elasticity', 0.05, 'dha', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_ep1,tasks_ep2,tasks_ep3\n131.000000,0.000000,0,12,5,3\n',
+        {
+            'utilization.csv': '2e4e9fb359ee25e298095ea7b267a513109a607f4895908e2bec2e600ff08f1d',
+            'transfers.csv': 'a15d71528e47821b32df8c2cff21ff968809d5612d6919a5f3fb76d4053deb65',
+            'staging.csv': 'e4a4179ba37e7f171e0be3fb2d0f0b1266d7d577a4ab879ea5033c13096c17f4',
+        },
+    ),
+    ('dynamic-drug', 0.02, 'dha', 'probe-retry-poll'): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2775.000000,4.997829,0,43,177,11,10\n',
+        {
+            'utilization.csv': '39df04b5968ed765aec5d9bb2dbe171295a470f513dd2d175645dbb5f17222d7',
+            'transfers.csv': '95e539bb91810e0bcef3745d1738d074e01829c048265ce6986077e7af0700a3',
+            'staging.csv': '0de36849ee782608c5f9f58e042931c0c2652bea765dbfc2a30ceb0168611d52',
+        },
+    ),
+}
+
+
+def test_every_case_is_pinned():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(str(p) for p in c if p))
+def test_outputs_match_golden(case, tmp_path):
+    summary, digests = run_case(*case, tmp_path)
+    want_summary, want_digests = GOLDEN[case]
+    assert summary == want_summary
+    assert digests == want_digests

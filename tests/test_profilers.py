@@ -54,7 +54,7 @@ class TestExecutionProfiler:
         for size, t in ((0, 10.0), (100, 20.0), (200, 30.0)):
             p.record(rec(input_size=size, exec_time=t))
         p.refresh()
-        t, _ = p.predict_exec(FunctionDef("f"), ep("a"), 50)
+        t = p.predict_exec(FunctionDef("f"), ep("a"), 50)
         assert math.isclose(t, 15.0)
 
     def test_failures_excluded_from_time_fit(self):
@@ -62,14 +62,14 @@ class TestExecutionProfiler:
         p.record(rec(exec_time=10.0))
         p.record(rec(exec_time=0.0, success=False))
         p.refresh()
-        t, _ = p.predict_exec(FunctionDef("f"), ep("a"), 100)
+        t = p.predict_exec(FunctionDef("f"), ep("a"), 100)
         assert math.isclose(t, 10.0)
 
     def test_donor_endpoint_rescaled_by_perf(self):
         p = ExecutionProfiler()
         p.record(rec(endpoint="a", exec_time=10.0))
         p.refresh()
-        t, _ = p.predict_exec(
+        t = p.predict_exec(
             FunctionDef("f"), ep("b", perf=3.0), 100, {"a": 1.0, "b": 3.0}
         )
         assert math.isclose(t, 30.0)
@@ -77,26 +77,17 @@ class TestExecutionProfiler:
     def test_cost_hint_fallback(self):
         p = ExecutionProfiler()
         fn = FunctionDef("f", cost_hint=CostHint(fixed_s=5.0, rate_s_per_b=0.01))
-        t, _ = p.predict_exec(fn, ep("a", perf=2.0), 100)
+        t = p.predict_exec(fn, ep("a", perf=2.0), 100)
         assert math.isclose(t, 2.0 * (5.0 + 1.0))
 
     def test_truth_fallback(self):
-        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 2.0, 0.5)})
-        t, out = p.predict_exec(FunctionDef("f"), ep("a", perf=1.5), 2_000_000)
+        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 2.0)})
+        t = p.predict_exec(FunctionDef("f"), ep("a", perf=1.5), 2_000_000)
         assert math.isclose(t, 1.5 * (10.0 + 4.0))
-        assert out == 1_000_000
 
     def test_no_source_of_estimate_raises(self):
         with pytest.raises(ProfilerError):
             ExecutionProfiler().predict_exec(FunctionDef("f"), ep("a"), 1)
-
-    def test_output_ratio_from_history(self):
-        p = ExecutionProfiler()
-        p.record(rec(input_size=100, output_size=50))
-        p.record(rec(input_size=100, output_size=150))
-        p.refresh()
-        _, out = p.predict_exec(FunctionDef("f"), ep("a"), 1000)
-        assert out == 1000
 
     def test_refresh_idempotent(self):
         p = ExecutionProfiler()
@@ -146,11 +137,6 @@ class TestTransferProfiler:
         tp.observe("a", "b", 1, 1.0)
         assert not tp.needs_probe("a", "b")
 
-    def test_concurrency_penalty(self):
-        tp = TransferProfiler(fallback={("a", "b"): (0.0, 1e6)},
-                              concurrency_penalty=2.0)
-        assert tp.predict_transfer("a", "b", 1e6, concurrent=3) == pytest.approx(4.0)
-
     def test_same_endpoint_rejected(self):
         with pytest.raises(ProfilerError):
             TransferProfiler().predict_transfer("a", "a", 1)
@@ -158,19 +144,19 @@ class TestTransferProfiler:
 
 class TestAverageCosts:
     def test_single_endpoint_has_no_staging_term(self):
-        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 0.0, 0.0)})
+        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 0.0)})
         d, w = average_costs(100, FunctionDef("f"), [ep("a")], p, TransferProfiler())
         assert d == 0.0 and math.isclose(w, 10.0)
 
     def test_execution_mean_over_endpoints(self):
-        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 0.0, 0.0)})
+        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 0.0)})
         tp = TransferProfiler(fallback={("a", "b"): (0.0, 1e6), ("b", "a"): (0.0, 1e6)})
         d, w = average_costs(0, FunctionDef("f"), [ep("a"), ep("b", 2.0)], p, tp)
         assert math.isclose(w, 15.0)
         assert d == 0.0  # no bytes to stage
 
     def test_staging_uses_file_bytes_and_link_means(self):
-        p = ExecutionProfiler(truth={"f": FunctionTruth(1.0, 0.0, 0.0)})
+        p = ExecutionProfiler(truth={"f": FunctionTruth(1.0, 0.0)})
         tp = TransferProfiler(fallback={("a", "b"): (1.0, 1e6), ("b", "a"): (3.0, 1e6)})
         d, _ = average_costs(
             10**6, FunctionDef("f"), [ep("a"), ep("b")], p, tp, staging_bytes=2 * 10**6

@@ -1,9 +1,12 @@
 """Scenario parsing, validation diagnostics, and round-tripping."""
 
 import copy
+import logging
 
 import pytest
 
+from fedflow.builtins import generate_builtin_scenario
+from fedflow.engine import Simulation
 from fedflow.scenario import (
     MB,
     ScenarioError,
@@ -167,6 +170,53 @@ class TestRoundTrip:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             load_scenario(path)
 
+
+
+class TestDeprecatedFields:
+    """Files written before the inert knobs were removed still load."""
+
+    @staticmethod
+    def legacy(new_doc, poll_interval_s):
+        """`new_doc` in the older format: 16 `defaults` keys, and the removed
+        endpoint and function fields."""
+        old = copy.deepcopy(new_doc)
+        old["defaults"].update(
+            poll_interval_s=poll_interval_s, batch_size=5, sched_time_factor=5.0
+        )
+        assert len(old["defaults"]) == 16
+        for ep in old["endpoints"]:
+            ep.update(cores_per_worker=4, cpu_freq_ghz=3.1, ram_gb=128.0)
+        for fn in old["functions"]:
+            fn["resource_kind"] = "gpu"
+        return old
+
+    @staticmethod
+    def csvs(sc, out):
+        Simulation(sc, scheduler_kind="dha", seed=3).run().emit(out)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_legacy_file_loads_and_runs_the_same(self, tmp_path, caplog):
+        new = scenario_to_dict(generate_builtin_scenario("montage-like", 0.02))
+        new["network"]["client"]["poll_interval_s"] = 7.0
+        # The same interval as a legacy `defaults` key, with the client's unset.
+        old = self.legacy(new, poll_interval_s=7.0)
+        old["network"]["client"]["poll_interval_s"] = 0.0
+        with caplog.at_level(logging.WARNING, logger="fedflow.scenario"):
+            sc_old = scenario_from_dict(old)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1
+        for key in ("batch_size", "poll_interval_s", "sched_time_factor"):
+            assert key in warnings[0]
+        sc_new = scenario_from_dict(new)
+        assert sc_old == sc_new
+        assert self.csvs(sc_old, tmp_path / "old") == self.csvs(sc_new, tmp_path / "new")
+
+    def test_client_poll_interval_wins_over_legacy(self):
+        d = self.legacy(scenario_to_dict(scenario_from_dict(doc())), poll_interval_s=7.0)
+        d["network"]["client"] = {"poll_interval_s": 3.0}
+        assert scenario_from_dict(d).network.poll_interval_s == 3.0
+        d["network"]["client"] = {}
+        assert scenario_from_dict(d).network.poll_interval_s == 7.0
 
 class TestBuiltins:
     @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01])

@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedflow.dag import Dag, FunctionDef
+from fedflow.dag import Dag, FunctionDef, TaskState
 from fedflow.data_manager import DataItem
 from fedflow.scheduling import (
+    DhaStrategy,
     SchedulerError,
     capacity_blocks,
     capacity_partition,
@@ -137,6 +138,56 @@ class TestEarliestFinishTime:
 
     def test_availability_bound(self):
         assert earliest_finish_time(10.0, 1.0, 20.0, 3.0) == 23.0
+
+
+class FakeSim:
+    """One READY task, assigned to `incumbent`, whose finish time on each
+    endpoint is its predicted execution time there."""
+
+    def __init__(self, exec_s: dict, incumbent: str):
+        self.clock = 0.0
+        self.endpoint_order = list(exec_s)
+        self.exec_s = exec_s
+        self.dag = Dag()
+        node = self.dag.nodes[self.dag.submit_task(FN)]
+        node.state = TaskState.READY
+        node.assigned_endpoint = incumbent
+        self.evaluated = []
+        self.moves = []
+
+    def staging_time_estimate(self, task_id, endpoint_id):
+        return 0.0
+
+    def earliest_idle_estimate(self, endpoint_id):
+        return self.clock
+
+    def predicted_exec(self, task_id, endpoint_id):
+        self.evaluated.append(endpoint_id)
+        return self.exec_s[endpoint_id]
+
+    def undispatched_tasks(self):
+        return [0]
+
+    def move_assignment(self, task_id, endpoint_id):
+        self.moves.append((task_id, endpoint_id))
+
+
+class TestDhaEndpointChoice:
+    def test_select_tie_prefers_declaration_order(self):
+        sim = FakeSim({"a": 5.0, "b": 5.0, "c": 5.0}, incumbent="b")
+        assert DhaStrategy(sim).select_endpoint(0) == "a"
+        assert sim.evaluated == ["a", "b", "c"]
+
+    def test_reschedule_keeps_incumbent_on_tie(self):
+        sim = FakeSim({"a": 5.0, "b": 5.0, "c": 6.0}, incumbent="b")
+        assert DhaStrategy(sim).reschedule_pass() == 0
+        assert sim.moves == []
+        assert sim.evaluated == ["b", "a", "c"]
+
+    def test_reschedule_moves_on_strict_gain(self):
+        sim = FakeSim({"a": 5.0, "b": 5.0, "c": 4.0}, incumbent="b")
+        assert DhaStrategy(sim).reschedule_pass() == 1
+        assert sim.moves == [(0, "c")]
 
 
 class TestReassignment:
