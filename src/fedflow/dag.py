@@ -127,10 +127,6 @@ class Dag:
             self.successors[dep].add(task_id)
         return task_id
 
-    def deps_done(self, task_id: int) -> bool:
-        node = self.nodes[task_id]
-        return all(self.nodes[d].state == TaskState.DONE for d in node.deps)
-
     def sources(self) -> list:
         return sorted(t for t, n in self.nodes.items() if not n.deps)
 

@@ -101,7 +101,11 @@ class DataManager:
         self._waiting: dict = {}  # (src, dst) -> heap of job ids
         self._active_items: dict = {}  # (data_id, dst) -> active job count
         self._blocked: dict = {}  # (data_id, dst) -> job ids parked behind a duplicate
-        self._pending_per_task: dict = {}  # task_id -> outstanding job count
+        # task_id -> outstanding job count, and the jobs of its latest stage();
+        # both entries go when the count reaches 0 or the task is cancelled.
+        self._pending_per_task: dict = {}
+        self._task_jobs: dict = {}
+        self.open_jobs = 0  # jobs WAITING or ACTIVE
         self._bytes_total = 0
 
     # -- items -------------------------------------------------------------
@@ -159,7 +163,11 @@ class DataManager:
             self._next_job_id += 1
             self.jobs[job.job_id] = job
             jobs.append(job)
-        self._pending_per_task[task_id] = len(jobs)
+        if jobs:
+            # Re-staging always follows cancel_task_jobs, so these are the
+            # task's only open jobs.
+            self._pending_per_task[task_id] = len(jobs)
+            self._task_jobs[task_id] = jobs
         started, completed = [], []
         for job in jobs:
             s, c = self._enqueue(job, clock)
@@ -186,17 +194,22 @@ class DataManager:
         return job, started, completed
 
     def _enqueue(self, job: TransferJob, clock: float) -> tuple:
+        self.open_jobs += 1
         pair = (job.src, job.dst)
         heapq.heappush(self._waiting.setdefault(pair, []), job.job_id)
         return self._start_waiting(pair, clock)
 
     def _job_satisfied(self, job: TransferJob) -> list:
         """Account one finished (or obviated) job; returns completed tasks."""
-        if job.task_id is None:
+        self.open_jobs -= 1
+        task_id = job.task_id
+        if task_id is None:
             return []
-        self._pending_per_task[job.task_id] -= 1
-        if self._pending_per_task[job.task_id] == 0:
-            return [job.task_id]
+        self._pending_per_task[task_id] -= 1
+        if self._pending_per_task[task_id] == 0:
+            del self._pending_per_task[task_id]
+            del self._task_jobs[task_id]
+            return [task_id]
         return []
 
     def _start_waiting(self, pair, clock: float) -> tuple:
@@ -258,6 +271,7 @@ class DataManager:
         else:
             job.state = JobState.FAILED
             job.finished_at = clock
+            self.open_jobs -= 1
             failed_task = job.task_id
             logger.warning(
                 "transfer %d (%s %s->%s) failed after %d retries",
@@ -285,15 +299,13 @@ class DataManager:
     def cancel_task_jobs(self, task_id: int):
         """Forget bookkeeping for a task being re-staged elsewhere.
 
-        Active jobs are left to finish (their replicas stay useful); the
-        outstanding counter is reset by the next stage() call.
+        Only the task's own jobs are visited. Open ones lose their owner:
+        active jobs are left to finish (their replicas stay useful) and
+        waiting ones still run when admitted.
         """
         self._pending_per_task.pop(task_id, None)
-        for job in self.jobs.values():
-            if job.task_id == task_id and job.state in (
-                JobState.WAITING,
-                JobState.ACTIVE,
-            ):
+        for job in self._task_jobs.pop(task_id, ()):
+            if job.state in (JobState.WAITING, JobState.ACTIVE):
                 job.task_id = None
 
     def transfer_bytes_total(self) -> int:

@@ -16,7 +16,6 @@ from typing import Optional
 from .dag import Dag, TaskState, WorkflowError
 from .data_manager import (
     DataManager,
-    JobState,
     LocalCopyBackend,
     SimulatedBackend,
     TransferJob,
@@ -34,7 +33,6 @@ from .scheduling import (
     STRATEGIES,
     DhaStrategy,
     reassignment_endpoint,
-    success_rates_for,
 )
 
 logger = logging.getLogger(__name__)
@@ -163,6 +161,10 @@ class Simulation:
         self._failed_endpoints: dict = {}
         self._announced: set = set()
         self.unrunnable: set = set()
+        # Registered tasks that are not DONE, FAILED or unrunnable.
+        self._live = 0
+        # task_id -> deps not yet DONE, for tasks that still have any.
+        self._deps_left: dict = {}
         self._staging_count = 0
         self._resched_armed_until = -1.0
         self._spec_by_tid: dict = {}
@@ -332,6 +334,10 @@ class Simulation:
                     node.output = out_id
             self.metrics.task(tid).submit_time = self.clock
             self._failed_endpoints[tid] = set()
+            self._live += 1
+            left = sum(1 for d in node.deps if self.dag.nodes[d].state != TaskState.DONE)
+            if left:
+                self._deps_left[tid] = left
             task_ids.append(tid)
         return task_ids
 
@@ -362,6 +368,8 @@ class Simulation:
     def begin_staging(self, task_id: int):
         node = self.dag.nodes[task_id]
         if node.state in (TaskState.PENDING, TaskState.FAILED):
+            if node.state == TaskState.FAILED:
+                self._live += 1  # a retry
             node.set_state(TaskState.STAGING)
             self._staging_count += 1
             self.metrics.record_staging_count(self.clock, self._staging_count)
@@ -448,6 +456,7 @@ class Simulation:
                 self._staging_count -= 1
                 self.metrics.record_staging_count(self.clock, self._staging_count)
             node.set_state(TaskState.FAILED)
+            self._live -= 1
         self._failed_endpoints[task_id].add(ep_id)
         self._drop_backlog(task_id)
         if task_id in self._reserved_tasks:
@@ -462,7 +471,7 @@ class Simulation:
             self._terminal_failure(task_id)
             return
         node.attempt_count += 1
-        rates = success_rates_for(node.function.name, self.exec_profiler.history)
+        rates = self.exec_profiler.success_rates(node.function.name)
         choice = reassignment_endpoint(
             node.attempt_count,
             self._failed_endpoints[task_id],
@@ -500,7 +509,9 @@ class Simulation:
             t = stack.pop()
             for s in sorted(self.dag.successors[t]):
                 if s not in self.unrunnable:
+                    # Its chain never finishes, so it never left PENDING.
                     self.unrunnable.add(s)
+                    self._live -= 1
                     self.metrics.task(s).final_state = "unrunnable"
                     logger.error(
                         "task %d is unrunnable: dependency chain failed at task %d",
@@ -548,13 +559,8 @@ class Simulation:
             self.schedule(when, EventKind.RESCHEDULE_TICK, None)
 
     def _pending_count(self) -> int:
-        return sum(
-            1
-            for tid, node in self.dag.nodes.items()
-            if not node.terminal
-            and node.state != TaskState.RUNNING
-            and tid not in self.unrunnable
-        )
+        """Live tasks that are not running."""
+        return self._live - len(self._running_endpoint)
 
     def _queue_share(self) -> dict:
         share = {ep: 0 for ep in self.endpoint_order}
@@ -565,10 +571,7 @@ class Simulation:
 
     @property
     def finished(self) -> bool:
-        return self._pending_batches == 0 and all(
-            node.terminal or tid in self.unrunnable
-            for tid, node in self.dag.nodes.items()
-        )
+        return self._pending_batches == 0 and self._live == 0
 
     def _ticks_can_help(self) -> bool:
         """Whether periodic ticks can still lead to forward progress.
@@ -580,10 +583,7 @@ class Simulation:
             return True
         if any(ep.busy_workers > 0 for ep in self.endpoints):
             return True
-        if any(
-            job.state in (JobState.ACTIVE, JobState.WAITING)
-            for job in self.data.jobs.values()
-        ):
+        if self.data.open_jobs:
             return True
         if (
             self.scenario.defaults.elastic
@@ -612,7 +612,7 @@ class Simulation:
                 tid in self._announced
                 or tid in self.unrunnable
                 or node.terminal
-                or not self.dag.deps_done(tid)
+                or tid in self._deps_left
             ):
                 continue
             self._announced.add(tid)
@@ -647,6 +647,11 @@ class Simulation:
         node = self.dag.nodes[task_id]
         ep = self._by_id[self._running_endpoint.pop(task_id)]
         node.set_state(TaskState.DONE)
+        self._live -= 1
+        for s in self.dag.successors[task_id]:
+            self._deps_left[s] -= 1
+            if not self._deps_left[s]:
+                del self._deps_left[s]
         self._running_pred_finish[ep.endpoint_id].pop(task_id, None)
         tm = self.metrics.task(task_id)
         tm.end_time = self.clock

@@ -4,7 +4,8 @@ Observed task records are appended to a history store and folded into
 per-function regression models at periodic refresh ticks. The default
 execution model is an ordinary least-squares fit of execution time on input
 size, per (function, endpoint); the model family is pluggable behind
-`predict_exec`.
+`predict_exec`. A refresh refits only the keys observed since the last one,
+so its cost follows the new records, not the whole history.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class ProfilerError(ValueError):
     """Raised on malformed records or history files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     function: str
     endpoint: str
@@ -73,6 +74,12 @@ class ExecutionProfiler:
 
     def __init__(self, truth: Optional[dict] = None):
         self.history: list = []
+        # (function, endpoint) -> its successful records, in history order;
+        # failures carry no duration signal.
+        self._successes: dict = {}
+        self._dirty: set = set()  # keys recorded since the last refit
+        # function -> {endpoint: [attempts, successes]}
+        self._tallies: dict = {}
         self._fits: dict = {}
         self._stale = False
         self.refit_count = 0
@@ -82,22 +89,33 @@ class ExecutionProfiler:
     def record(self, rec: TaskRecord):
         rec.validate()
         self.history.append(rec)
+        tally = self._tallies.setdefault(rec.function, {}).setdefault(rec.endpoint, [0, 0])
+        tally[0] += 1
+        if rec.success:
+            tally[1] += 1
+            key = (rec.function, rec.endpoint)
+            self._successes.setdefault(key, []).append(rec)
+            self._dirty.add(key)
         self._stale = True
 
     def refresh(self):
-        """Refit all models from the accumulated history. Idempotent."""
+        """Refit the models of the keys recorded since the last refresh.
+        Idempotent."""
         if not self._stale:
             return
-        points: dict = {}
-        for rec in self.history:
-            if not rec.success:
-                continue  # failures carry no duration signal
-            points.setdefault((rec.function, rec.endpoint), []).append(
-                (rec.input_size, rec.exec_time)
+        for key in self._dirty:
+            self._fits[key] = _ols(
+                [(r.input_size, r.exec_time) for r in self._successes[key]]
             )
-        self._fits = {key: _ols(pts) for key, pts in points.items()}
+        self._dirty.clear()
         self.refit_count += 1
         self._stale = False
+
+    def success_rates(self, function_name: str) -> dict:
+        """Fraction of recorded attempts of a function that succeeded, per
+        endpoint that has any."""
+        tallies = self._tallies.get(function_name, {})
+        return {ep: wins / n for ep, (n, wins) in tallies.items()}
 
     def predict_exec(
         self,
@@ -181,23 +199,28 @@ class TransferProfiler:
         # fallback: (src, dst) -> (latency_s, bandwidth_Bps)
         self.fallback = fallback or {}
         self._observations: dict = {}
+        self._dirty: set = set()  # pairs observed since the last refit
         self._fits: dict = {}
-        self._stale = False
+
+    @property
+    def _stale(self) -> bool:
+        """Whether a refit is due (read by bench/tracer.py)."""
+        return bool(self._dirty)
 
     def observe(self, src: str, dst: str, size: int, duration: float):
-        self._observations.setdefault((src, dst), []).append((size, duration))
-        self._stale = True
+        pair = (src, dst)
+        self._observations.setdefault(pair, []).append((size, duration))
+        self._dirty.add(pair)
 
     def refresh(self):
-        if not self._stale:
-            return
-        for pair, obs in self._observations.items():
-            intercept, slope = _ols(obs)
+        """Refit the pairs observed since the last refresh."""
+        for pair in self._dirty:
+            intercept, slope = _ols(self._observations[pair])
             if slope > 0:
                 self._fits[pair] = (max(intercept, 0.0), 1.0 / slope)
             elif pair in self.fallback:
                 self._fits[pair] = self.fallback[pair]
-        self._stale = False
+        self._dirty.clear()
 
     def needs_probe(self, src: str, dst: str) -> bool:
         return (src, dst) not in self._observations

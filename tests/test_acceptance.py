@@ -5,6 +5,7 @@ shared across criteria so the whole gate stays inside its runtime budgets.
 """
 
 import contextlib
+import gc
 import math
 import random
 import time
@@ -31,6 +32,15 @@ def verdict(name, budget_s):
 
 
 _RUNS = {}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_cached_runs():
+    """Free the cached runs when the gate ends: their large heap would
+    otherwise stay alive and slow every later collection of the test run."""
+    yield
+    _RUNS.clear()
+    gc.collect()
 
 
 def run(name, scale, scheduler, seed=0, **kwargs):

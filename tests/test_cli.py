@@ -1,11 +1,15 @@
 """Command-line interface: commands, outputs, and exit codes."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from fedflow.cli import main
+from fedflow.scenario import Defaults
 
 SMALL = {
     "name": "small",
@@ -182,3 +186,16 @@ class TestDeterministicOutputs:
                          + (out / "utilization.csv").read_bytes()
                          + (out / "transfers.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_schema_doc_maps_each_default_to_its_run_flag():
+    """docs/scenario-schema.md names the `fedflow run` flag of every
+    `defaults` key that has one and lists the others as file-only."""
+    doc = (Path(__file__).parents[1] / "docs" / "scenario-schema.md").read_text()
+    table = dict(re.findall(r"^\| `(\w+)` \| `(--[\w-]+)` \|$", doc, re.M))
+    flags = {opt for param in main.commands["run"].params for opt in param.opts}
+    not_defaults = {"--scenario", "--out", "--poll-interval", "--history"}
+    assert set(table.values()) == flags - not_defaults
+    file_only = doc.split("The rest (", 1)[1].split(")", 1)[0]
+    keys = {f.name for f in dataclasses.fields(Defaults)}
+    assert set(re.findall(r"`(\w+)`", file_only)) == keys - set(table)

@@ -92,14 +92,6 @@ class TestStateMachine:
             node.set_state(TaskState.STAGING)
 
 
-class TestReadiness:
-    def test_deps_done(self):
-        dag = build([(0, 1)], 2)
-        assert not dag.deps_done(1)
-        dag.nodes[0].state = TaskState.DONE
-        assert dag.deps_done(1)
-
-
 class TestTopologicalOrder:
     def test_parents_first(self):
         dag = build([(0, 2), (1, 2), (2, 3)], 4)

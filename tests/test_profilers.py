@@ -1,10 +1,13 @@
 """Execution/transfer profiling: fits, fallbacks, and persistence."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fedflow import profilers
 from fedflow.dag import CostHint, FunctionDef
 from fedflow.endpoints import EndpointSpec
 from fedflow.profilers import (
@@ -16,6 +19,7 @@ from fedflow.profilers import (
     _ols,
     average_costs,
 )
+from fedflow.scheduling import success_rates_for
 
 
 def ep(eid, perf=1.0):
@@ -166,3 +170,144 @@ class TestAverageCosts:
     def test_empty_endpoint_set_rejected(self):
         with pytest.raises(ProfilerError):
             average_costs(1, FunctionDef("f"), [], ExecutionProfiler(), TransferProfiler())
+
+
+# -- incremental refits ------------------------------------------------------
+
+FUNCS = ("f", "g")
+ENDPOINTS = ("a", "b", "c")
+PAIRS = (("a", "b"), ("b", "a"), ("a", "c"))
+FALLBACK = {pair: (0.5, 1e7) for pair in PAIRS}
+
+records = st.builds(
+    rec,
+    function=st.sampled_from(FUNCS),
+    endpoint=st.sampled_from(ENDPOINTS),
+    input_size=st.integers(0, 10**8),
+    exec_time=st.floats(0.0, 1e4, allow_nan=False),
+    success=st.booleans(),
+)
+profiler_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), records),
+        st.tuples(
+            st.just("observe"),
+            st.sampled_from(PAIRS),
+            st.integers(1, 10**9),
+            st.floats(0.001, 1e4, allow_nan=False),
+        ),
+        st.tuples(st.just("refresh")),
+        st.tuples(st.just("link"), st.sampled_from(PAIRS)),
+        st.tuples(st.just("load"), st.lists(records, max_size=4)),
+    ),
+    max_size=40,
+)
+
+
+def full_exec_fits(history):
+    """Every (function, endpoint) fit, refitted from the whole history."""
+    points = {}
+    for r in history:
+        if r.success:
+            points.setdefault((r.function, r.endpoint), []).append(
+                (r.input_size, r.exec_time)
+            )
+    return {key: _ols(pts) for key, pts in points.items()}
+
+
+def full_transfer_fits(observations, fallback):
+    """The fits of a new transfer profiler given every observation at once."""
+    tp = TransferProfiler(fallback=fallback)
+    for (src, dst), obs in observations.items():
+        for size, duration in obs:
+            tp.observe(src, dst, size, duration)
+    tp.refresh()
+    return tp._fits
+
+
+class TestIncrementalRefit:
+    @settings(max_examples=150, deadline=None)
+    @given(profiler_ops)
+    def test_fits_equal_a_full_refit(self, ops):
+        p = ExecutionProfiler()
+        tp = TransferProfiler(fallback=FALLBACK)
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, (op, *args) in enumerate(ops):
+                if op == "record":
+                    p.record(args[0])
+                elif op == "observe":
+                    tp.observe(*args[0], args[1], args[2])
+                elif op == "link":
+                    tp.link(*args[0])
+                elif op == "load":
+                    path = Path(tmp) / f"history-{i}.csv"
+                    source = ExecutionProfiler()
+                    for r in args[0]:
+                        source.record(r)
+                    source.save(path)
+                    p.load(path)
+                else:
+                    p.refresh()
+                    tp.refresh()
+                    assert p._fits == full_exec_fits(p.history)
+                    assert tp._fits == full_transfer_fits(tp._observations, FALLBACK)
+        p.refresh()
+        tp.refresh()
+        assert p._fits == full_exec_fits(p.history)
+        assert tp._fits == full_transfer_fits(tp._observations, FALLBACK)
+        for function in FUNCS:
+            assert p.success_rates(function) == success_rates_for(function, p.history)
+
+    def test_refresh_refits_only_recorded_keys(self, monkeypatch):
+        p = ExecutionProfiler()
+        tp = TransferProfiler()
+        p.record(rec(endpoint="a"))
+        p.record(rec(endpoint="b"))
+        tp.observe("a", "b", 10, 1.0)
+        tp.observe("b", "a", 10, 1.0)
+        p.refresh()
+        tp.refresh()
+        fitted = []
+        real = profilers._ols
+
+        def spy(points):
+            fitted.append(list(points))
+            return real(points)
+
+        monkeypatch.setattr(profilers, "_ols", spy)
+        p.record(rec(endpoint="a", input_size=200, exec_time=2.0))
+        p.record(rec(endpoint="b", success=False))  # no duration signal
+        p.refresh()
+        assert fitted == [[(100, 1.0), (200, 2.0)]]
+        fitted.clear()
+        tp.observe("a", "b", 20, 2.0)
+        tp.refresh()
+        assert fitted == [[(10, 1.0), (20, 2.0)]]
+        fitted.clear()
+        p.refresh()
+        tp.refresh()
+        assert fitted == []
+
+    def test_pair_without_fallback_keeps_last_fit(self):
+        tp = TransferProfiler()
+        tp.observe("a", "b", 10, 1.0)
+        tp.observe("a", "b", 20, 2.0)
+        fit = tp.link("a", "b")
+        tp.observe("a", "b", 30, 0.5)  # the slope turns negative
+        assert tp.link("a", "b") == fit
+
+    def test_success_tallies_match_history_walk(self, tmp_path):
+        saved = ExecutionProfiler()
+        saved.record(rec(endpoint="a"))
+        saved.record(rec(endpoint="a", exec_time=0.0, success=False))
+        saved.record(rec(function="g", endpoint="b", exec_time=0.0, success=False))
+        path = tmp_path / "history.csv"
+        saved.save(path)
+        p = ExecutionProfiler()
+        p.load(path)
+        p.record(rec(endpoint="b"))
+        p.record(rec(endpoint="a", exec_time=0.0, success=False))
+        p.record(rec(function="g", endpoint="b"))
+        assert p.success_rates("f") == {"a": 1 / 3, "b": 1.0}
+        for function in ("f", "g", "h"):
+            assert p.success_rates(function) == success_rates_for(function, p.history)
