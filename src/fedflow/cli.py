@@ -1,8 +1,8 @@
 """Command-line interface: run a scenario, generate a builtin one, or
 compare two result directories.
 
-Exit codes: 0 success, 1 scenario validation error, 2 simulation deadlock,
-3 I/O error.
+Exit codes: 0 success, 1 scenario validation or command-line usage error,
+2 simulation deadlock, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,26 @@ EXIT_DEADLOCK = 2
 EXIT_IO = 3
 
 
-@click.group()
+class _Cli(click.Group):
+    """Exits with EXIT_VALIDATION on a usage error of the group or of a
+    subcommand; click's own code for those, 2, means a deadlock here."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_VALIDATION
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_VALIDATION
+            raise
+
+
+@click.group(cls=_Cli)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
     """Federated workflow scheduling simulator."""
@@ -54,8 +73,6 @@ def main(verbose: bool):
 @click.option("--max-task-attempts", type=int, default=None)
 @click.option("--transfer-concurrency", type=int, default=None)
 @click.option("--max-transfer-retries", type=int, default=None)
-@click.option("--file-transfer-type",
-              type=click.Choice(["simulated", "local-copy"]), default=None)
 @click.option("--poll-interval", type=float, default=None,
               help="Override network.client.poll_interval_s.")
 @click.option("--history", "history_path", type=click.Path(), default=None,
@@ -69,7 +86,6 @@ def run(
     max_task_attempts,
     transfer_concurrency,
     max_transfer_retries,
-    file_transfer_type,
     poll_interval,
     history_path,
 ):
@@ -77,23 +93,17 @@ def run(
     try:
         sc = load_scenario(scenario_path)
         overrides = {
+            "reschedule_period_s": reschedule_period,
             "max_task_attempts": max_task_attempts,
             "transfer_concurrency": transfer_concurrency,
             "max_transfer_retries": max_transfer_retries,
-            "file_transfer_type": file_transfer_type,
         }
         overrides = {k: v for k, v in overrides.items() if v is not None}
         if overrides:
             sc.defaults = dataclasses.replace(sc.defaults, **overrides)
         if poll_interval is not None:
             sc.network = dataclasses.replace(sc.network, poll_interval_s=poll_interval)
-        sim = Simulation(
-            sc,
-            scheduler_kind=scheduler,
-            seed=seed,
-            reschedule_period=reschedule_period,
-            history_path=history_path,
-        )
+        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed, history_path=history_path)
         metrics = sim.run()
         metrics.emit(out_dir)
     except (ScenarioError, WorkflowError) as exc:

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import heapq
 import logging
-import shutil
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 logger = logging.getLogger(__name__)
@@ -34,7 +32,6 @@ class DataItem:
     data_id: str
     size: int
     locations: set = field(default_factory=set)
-    producer_task: Optional[int] = None
 
 
 @dataclass
@@ -51,49 +48,12 @@ class TransferJob:
     finished_at: Optional[float] = None
 
 
-class SimulatedBackend:
-    """Duration-and-outcome oracle; no side effects."""
-
-    kind = "simulated"
-
-    def execute(self, job: TransferJob):
-        pass
-
-
-class LocalCopyBackend:
-    """Copies real files between per-endpoint directories under a root.
-
-    Exists to exercise the backend interface end to end; simulated time is
-    still driven by the network model.
-    """
-
-    kind = "local-copy"
-
-    def __init__(self, root):
-        self.root = Path(root)
-
-    def path_for(self, endpoint: str, data_id: str) -> Path:
-        return self.root / endpoint / data_id
-
-    def execute(self, job: TransferJob):
-        src = self.path_for(job.src, job.data_id)
-        dst = self.path_for(job.dst, job.data_id)
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(src, dst)
-
-
 class DataManager:
-    def __init__(
-        self,
-        concurrency_cap: int = 4,
-        max_transfer_retries: int = 3,
-        backend=None,
-    ):
+    def __init__(self, concurrency_cap: int = 4, max_transfer_retries: int = 3):
         if concurrency_cap < 1:
             raise DataError("concurrency cap must be >= 1")
         self.concurrency_cap = concurrency_cap
         self.max_transfer_retries = max_transfer_retries
-        self.backend = backend or SimulatedBackend()
         self.items: dict = {}
         self.jobs: dict = {}
         self._next_job_id = 0
@@ -110,14 +70,12 @@ class DataManager:
 
     # -- items -------------------------------------------------------------
 
-    def register_item(
-        self, data_id: str, size: int, locations=(), producer_task=None
-    ) -> DataItem:
+    def register_item(self, data_id: str, size: int, locations=()) -> DataItem:
         if size < 0:
             raise DataError(f"{data_id}: negative size")
         if data_id in self.items:
             raise DataError(f"duplicate data item {data_id}")
-        item = DataItem(data_id, size, set(locations), producer_task)
+        item = DataItem(data_id, size, set(locations))
         self.items[data_id] = item
         return item
 
@@ -259,7 +217,6 @@ class DataManager:
         if success:
             job.state = JobState.DONE
             job.finished_at = clock
-            self.backend.execute(job)
             self.add_replica(job.data_id, job.dst)
             self._bytes_total += job.size
             completed.extend(self._job_satisfied(job))

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event core: clock, event queue, network model,
+"""Deterministic discrete-event core: clock, event queue, link table,
 duration sampling, and orchestration of scheduler, endpoints, and data
 manager."""
 
@@ -14,12 +14,7 @@ from enum import IntEnum
 from typing import Optional
 
 from .dag import Dag, TaskState, WorkflowError
-from .data_manager import (
-    DataManager,
-    LocalCopyBackend,
-    SimulatedBackend,
-    TransferJob,
-)
+from .data_manager import DataManager, TransferJob
 from .endpoints import CapacityEvent, EndpointModel, scale_decision
 from .metrics import MetricsLog
 from .profilers import (
@@ -29,11 +24,7 @@ from .profilers import (
     TransferProfiler,
 )
 from .scenario import MB, Scenario
-from .scheduling import (
-    STRATEGIES,
-    DhaStrategy,
-    reassignment_endpoint,
-)
+from .scheduling import STRATEGIES, reassignment_endpoint
 
 logger = logging.getLogger(__name__)
 
@@ -62,19 +53,6 @@ class SimEvent:
     payload: object = field(compare=False, default=None)
 
 
-class NetworkModel:
-    def __init__(self, spec):
-        self._spec = spec
-
-    def link(self, src: str, dst: str):
-        link = self._spec.link(src, dst)
-        return link.latency_s, link.bandwidth_MBps * MB
-
-    def duration(self, src: str, dst: str, size: int) -> float:
-        latency, bandwidth = self.link(src, dst)
-        return latency + size / bandwidth
-
-
 def next_poll(t: float, interval: float) -> float:
     """The first poll tick at or after t (t itself when interval is 0)."""
     if interval <= 0:
@@ -90,9 +68,7 @@ class Simulation:
         scenario: Scenario,
         scheduler_kind: Optional[str] = None,
         seed: Optional[int] = None,
-        reschedule_period: Optional[float] = None,
         history_path=None,
-        transfer_root=None,
     ):
         self.scenario = scenario
         d = scenario.defaults
@@ -108,15 +84,18 @@ class Simulation:
         self.endpoint_order = [ep.endpoint_id for ep in self.endpoints]
         self._by_id = {ep.endpoint_id: ep for ep in self.endpoints}
         self._perf_factors = {ep.endpoint_id: ep.spec.perf_factor for ep in self.endpoints}
-        self.network = NetworkModel(scenario.network)
+        # (src, dst) -> (latency_s, bandwidth_Bps): the true network, which
+        # times every transfer and is the transfer profiler's fallback.
+        self.links = {}
+        for a in self.endpoint_order:
+            for b in self.endpoint_order:
+                if a != b:
+                    link = scenario.network.link(a, b)
+                    self.links[(a, b)] = (link.latency_s, link.bandwidth_MBps * MB)
 
-        backend = SimulatedBackend()
-        if d.file_transfer_type == "local-copy":
-            backend = LocalCopyBackend(transfer_root or ".fedflow-transfers")
         self.data = DataManager(
             concurrency_cap=d.transfer_concurrency,
             max_transfer_retries=d.max_transfer_retries,
-            backend=backend,
         )
 
         truth = {
@@ -127,13 +106,7 @@ class Simulation:
         if history_path:
             self.exec_profiler.load(history_path)
         self.history_path = history_path
-        fallback = {}
-        for a in self.endpoint_order:
-            for b in self.endpoint_order:
-                if a != b:
-                    latency, bandwidth = self.network.link(a, b)
-                    fallback[(a, b)] = (latency, bandwidth)
-        self.transfer_profiler = TransferProfiler(fallback=fallback)
+        self.transfer_profiler = TransferProfiler(fallback=self.links)
 
         self.dag = Dag()
         self.functions = {
@@ -172,15 +145,7 @@ class Simulation:
 
         if self.scheduler_kind not in STRATEGIES:
             raise WorkflowError(f"unknown scheduler '{self.scheduler_kind}'")
-        if self.scheduler_kind == "dha":
-            period = (
-                d.reschedule_period_s
-                if reschedule_period is None
-                else reschedule_period
-            )
-            self.strategy = DhaStrategy(self, reschedule_period=period)
-        else:
-            self.strategy = STRATEGIES[self.scheduler_kind](self)
+        self.strategy = STRATEGIES[self.scheduler_kind](self)
 
         self._build_initial_events()
 
@@ -228,7 +193,8 @@ class Simulation:
         heapq.heappush(self._events, SimEvent(when, kind, self._seq, payload))
 
     def _schedule_transfer(self, job: TransferJob):
-        duration = self.network.duration(job.src, job.dst, job.size)
+        latency, bandwidth = self.links[(job.src, job.dst)]
+        duration = latency + job.size / bandwidth
         self.schedule(self.clock + duration, EventKind.TRANSFER_COMPLETE, (job, duration))
 
     # -- deterministic randomness -----------------------------------------
@@ -330,7 +296,7 @@ class Simulation:
                 out_id = f"out:{tid}"
                 out_size = int(round(fspec.output_ratio * self._input_bytes[tid]))
                 if out_size > 0:
-                    self.data.register_item(out_id, out_size, (), producer_task=tid)
+                    self.data.register_item(out_id, out_size)
                     node.output = out_id
             self.metrics.task(tid).submit_time = self.clock
             self._failed_endpoints[tid] = set()
@@ -665,24 +631,24 @@ class Simulation:
             self._start_running(next_task, ep)
         observed = next_poll(self.clock, self.poll_interval)
         if observed > self.clock:
-            self.schedule(observed, EventKind.RESULT_OBSERVED, task_id)
+            self.schedule(observed, EventKind.RESULT_OBSERVED, (self._result_seen, task_id))
         else:
-            self._on_result_observed(task_id)
+            self._result_seen(task_id)
         if ep.idle_workers > 0:
             if self.sync_lag > 0:
                 self.schedule(
                     self.clock + self.sync_lag,
                     EventKind.RESULT_OBSERVED,
-                    ("worker-free", ep.endpoint_id),
+                    (self._hook, self.strategy.on_worker_free, ep.endpoint_id),
                 )
             else:
                 self._hook(self.strategy.on_worker_free, ep.endpoint_id)
 
-    def _on_result_observed(self, payload):
-        if isinstance(payload, tuple) and payload[0] == "worker-free":
-            self._hook(self.strategy.on_worker_free, payload[1])
-            return
-        task_id = payload
+    def _on_result_observed(self, seen, *args):
+        """The client sees a task's result, or a freed worker after the sync lag."""
+        seen(*args)
+
+    def _result_seen(self, task_id: int):
         self.metrics.task(task_id).observed_time = self.clock
         self._announce_ready(self.dag.successors[task_id])
 
@@ -727,11 +693,7 @@ class Simulation:
             )
 
     def _on_reschedule_tick(self):
-        moved = self._hook(self.strategy.on_reschedule_tick)
-        if moved and isinstance(self.strategy, DhaStrategy):
-            period = self.strategy.reschedule_period
-            if period > 0:
-                self.arm_reschedule(period)
+        self._hook(self.strategy.on_reschedule_tick)
 
     # -- main loop ---------------------------------------------------------
 
@@ -740,7 +702,7 @@ class Simulation:
             EventKind.SUBMIT_BATCH: lambda p: self._on_submit_batch(p),
             EventKind.TRANSFER_COMPLETE: lambda p: self._on_transfer_complete(*p),
             EventKind.TASK_COMPLETE: lambda p: self._on_task_complete(p),
-            EventKind.RESULT_OBSERVED: lambda p: self._on_result_observed(p),
+            EventKind.RESULT_OBSERVED: lambda p: self._on_result_observed(*p),
             EventKind.CAPACITY_CHANGE: lambda p: self._on_capacity_change(*p),
             EventKind.SCALE_TICK: lambda p: self._on_scale_tick(),
             EventKind.REFRESH_TICK: lambda p: self._on_refresh_tick(),

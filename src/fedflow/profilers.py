@@ -1,11 +1,13 @@
 """Execution and transfer profilers: the observe-predict half of the system.
 
-Observed task records are appended to a history store and folded into
-per-function regression models at periodic refresh ticks. The default
-execution model is an ordinary least-squares fit of execution time on input
-size, per (function, endpoint); the model family is pluggable behind
-`predict_exec`. A refresh refits only the keys observed since the last one,
-so its cost follows the new records, not the whole history.
+Observed task records and transfers are appended to history stores and
+folded into regression models at refresh ticks (`refresh_tick_s`); both
+profilers refit then and only then, so a prediction between two ticks reads
+the fit of the last one. The default execution model is an ordinary
+least-squares fit of execution time on input size, per (function, endpoint);
+the model family is pluggable behind `predict_exec`. A refresh refits only
+the keys observed since the last one, so its cost follows the new records,
+not the whole history.
 """
 
 from __future__ import annotations
@@ -191,8 +193,10 @@ class ExecutionProfiler:
 class TransferProfiler:
     """Predicts inter-endpoint transfer times from observed transfers.
 
-    Each ordered endpoint pair gets a latency/bandwidth fit; pairs without
-    observations fall back to the scenario's bandwidth matrix.
+    Each ordered endpoint pair gets a latency/bandwidth fit at each
+    `refresh()`; a pair not yet fitted falls back to the scenario's bandwidth
+    matrix. Queries never refit: observations made since the last refresh
+    take effect at the next one.
     """
 
     def __init__(self, fallback: Optional[dict] = None):
@@ -226,7 +230,6 @@ class TransferProfiler:
         return (src, dst) not in self._observations
 
     def link(self, src: str, dst: str) -> tuple:
-        self.refresh()
         if (src, dst) in self._fits:
             return self._fits[(src, dst)]
         if (src, dst) in self.fallback:

@@ -22,9 +22,12 @@ logger = logging.getLogger(__name__)
 MB = 1_000_000
 
 # Removed `defaults` keys that older scenario files still carry. They are
-# accepted with one warning and dropped; a nonzero `poll_interval_s` moves to
-# `network.client.poll_interval_s` when that is unset.
-DEPRECATED_DEFAULTS = ("batch_size", "poll_interval_s", "sched_time_factor")
+# accepted with one warning and dropped, whatever their value; a nonzero
+# `poll_interval_s` moves to `network.client.poll_interval_s` when that is
+# unset.
+DEPRECATED_DEFAULTS = (
+    "batch_size", "file_transfer_type", "poll_interval_s", "sched_time_factor"
+)
 
 
 class ScenarioError(ValueError):
@@ -97,7 +100,6 @@ class Defaults:
     max_task_attempts: int = 0  # 0: one attempt per endpoint
     transfer_concurrency: int = 4
     transfer_failure_rate: float = 0.0
-    file_transfer_type: str = "simulated"
     elastic: bool = False
     scale_tick_s: float = 1.0
     refresh_tick_s: float = 5.0

@@ -170,8 +170,8 @@ class BaseStrategy:
     def on_capacity_change(self, endpoint_id: str):
         pass
 
-    def on_reschedule_tick(self) -> int:
-        return 0
+    def on_reschedule_tick(self):
+        pass
 
     def retry_choice(self, task_id: int) -> Optional[str]:
         """Normal selection used for a failed task's first retry."""
@@ -262,11 +262,10 @@ class DhaStrategy(BaseStrategy):
 
     name = "dha"
 
-    def __init__(self, sim, reschedule_period: float = 10.0):
+    def __init__(self, sim):
         super().__init__(sim)
         self.priorities: dict = {}
         self.delay_queues: dict = {}  # endpoint_id -> heap of (-priority, tid)
-        self.reschedule_period = reschedule_period
 
     # -- priorities --------------------------------------------------------
 
@@ -349,15 +348,19 @@ class DhaStrategy(BaseStrategy):
     def on_capacity_change(self, endpoint_id: str):
         for ep in self.sim.endpoints:
             self.delay_dispatch(ep.endpoint_id)
-        if self.reschedule_period > 0:
+        # Seconds between re-scheduling passes; 0 disables them.
+        period = self.sim.scenario.defaults.reschedule_period_s
+        if period > 0:
             self.reschedule_pass()
-            self.sim.arm_reschedule(self.reschedule_period)
+            self.sim.arm_reschedule(period)
 
-    def on_reschedule_tick(self) -> int:
+    def on_reschedule_tick(self):
+        """A pass that moves a task arms the next tick."""
         moved = self.reschedule_pass()
         for ep in self.sim.endpoints:
             self.delay_dispatch(ep.endpoint_id)
-        return moved
+        if moved:
+            self.sim.arm_reschedule(self.sim.scenario.defaults.reschedule_period_s)
 
     def reschedule_pass(self) -> int:
         """Re-run endpoint selection for undispatched tasks; steal when the

@@ -5,6 +5,7 @@ shared across criteria so the whole gate stays inside its runtime budgets.
 """
 
 import contextlib
+import dataclasses
 import gc
 import math
 import random
@@ -43,12 +44,14 @@ def _drop_cached_runs():
     gc.collect()
 
 
-def run(name, scale, scheduler, seed=0, **kwargs):
-    """Run a builtin scenario once and cache the finished Simulation."""
-    key = (name, scale, scheduler, seed, tuple(sorted(kwargs.items())))
+def run(name, scale, scheduler, seed=0, **defaults):
+    """Run a builtin scenario once, with `defaults` overriding its
+    `Defaults`, and cache the finished Simulation."""
+    key = (name, scale, scheduler, seed, tuple(sorted(defaults.items())))
     if key not in _RUNS:
         sc = generate_builtin_scenario(name, scale)
-        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed, **kwargs)
+        sc.defaults = dataclasses.replace(sc.defaults, **defaults)
+        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed)
         sim.run()
         _RUNS[key] = sim
     return _RUNS[key]
@@ -136,7 +139,7 @@ def test_dynamic_capacity_ordering():
         locality = run("dynamic-drug", 0.1, "locality").metrics.makespan
         dha = run("dynamic-drug", 0.1, "dha").metrics.makespan
         frozen = run(
-            "dynamic-drug", 0.1, "dha", reschedule_period=0.0
+            "dynamic-drug", 0.1, "dha", reschedule_period_s=0.0
         ).metrics.makespan
         assert locality < 0.80 * capacity  # >= 20% better under churn
         assert dha < 0.90 * frozen  # re-scheduling worth >= 10%
@@ -189,8 +192,6 @@ def test_scheduler_decision_overhead():
 def test_fault_tolerance_contract():
     with verdict("fault-tolerance-contract", budget_s=60.0):
         sc = generate_builtin_scenario("drug-like", 0.01)
-        import dataclasses
-
         sc.defaults = dataclasses.replace(
             sc.defaults, transfer_failure_rate=0.3, max_transfer_retries=3
         )

@@ -1,5 +1,6 @@
 """Command-line interface: commands, outputs, and exit codes."""
 
+import copy
 import dataclasses
 import json
 import re
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from fedflow.builtins import generate_builtin_scenario
 from fedflow.cli import main
-from fedflow.scenario import Defaults
+from fedflow.scenario import Defaults, scenario_to_dict
 
 SMALL = {
     "name": "small",
@@ -120,6 +122,58 @@ class TestRun:
         overridden = summary(3.0, "--poll-interval", "5")
         assert overridden != summary(3.0)
         assert overridden == summary(5.0)
+
+    def test_reschedule_period_override(self, runner, tmp_path):
+        sc = generate_builtin_scenario("dynamic-drug", 0.01)
+        base = scenario_to_dict(sc)
+        assert base["defaults"]["reschedule_period_s"] == 10.0
+
+        def summary(file_period_s, *options):
+            doc = copy.deepcopy(base)
+            doc["defaults"]["reschedule_period_s"] = file_period_s
+            name = f"period{file_period_s:g}" + "".join(options)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            result = runner.invoke(
+                main,
+                ["run", "--scenario", str(path), "--scheduler", "dha",
+                 *options, "--out", str(tmp_path / name)],
+            )
+            assert result.exit_code == 0, result.output
+            return (tmp_path / name / "summary.csv").read_text()
+
+        # --reschedule-period replaces the period the scenario file sets.
+        disabled = summary(10.0, "--reschedule-period", "0")
+        assert disabled == summary(0.0)
+        assert disabled != summary(10.0)
+
+    def test_removed_transfer_type_flag_exits_1(self, runner, scenario_file, tmp_path):
+        result = runner.invoke(
+            main,
+            ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
+             "--file-transfer-type", "simulated"],
+        )
+        assert result.exit_code == 1
+        assert "No such option" in result.output
+
+    def test_bad_scheduler_choice_exits_1(self, runner, scenario_file, tmp_path):
+        result = runner.invoke(
+            main,
+            ["run", "--scenario", str(scenario_file), "--scheduler", "bogus",
+             "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1
+        assert "Invalid value for '--scheduler'" in result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["bogus"], "No such command"), (["--bogus", "run"], "No such option")],
+    )
+    def test_group_usage_errors_exit_1(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert message in result.output
 
 
 class TestGen:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from fedflow.data_manager import (
-    DataError,
-    DataManager,
-    JobState,
-    LocalCopyBackend,
-)
+from fedflow.data_manager import DataError, DataManager, JobState
 
 ORDER = ["a", "b", "c"]
 
@@ -170,16 +165,3 @@ class TestProbe:
         assert job.task_id is None and started == [job]
         completed, failed, _ = dm.on_transfer_finished(job, True, 1.0)
         assert completed == [] and failed is None
-
-
-class TestLocalCopyBackend:
-    def test_file_is_copied(self, tmp_path):
-        backend = LocalCopyBackend(tmp_path)
-        src = backend.path_for("a", "d")
-        src.parent.mkdir(parents=True)
-        src.write_bytes(b"payload")
-        dm = DataManager(backend=backend)
-        dm.register_item("d", 7, {"a"})
-        jobs, _, _ = dm.stage(1, ["d"], "b", ORDER, 0.0)
-        dm.on_transfer_finished(jobs[0], True, 1.0)
-        assert backend.path_for("b", "d").read_bytes() == b"payload"

@@ -123,9 +123,26 @@ class TestTransferProfiler:
         tp = TransferProfiler()
         for size in (10**6, 10**7, 10**8):
             tp.observe("a", "b", size, 0.5 + size / 1e8)
+        tp.refresh()
         latency, bandwidth = tp.link("a", "b")
         assert math.isclose(latency, 0.5, abs_tol=1e-6)
         assert math.isclose(bandwidth, 1e8, rel_tol=1e-6)
+
+    def test_queries_read_the_last_refresh(self):
+        """Observations take effect at the next refresh, never at a query."""
+        tp = TransferProfiler(fallback={("a", "b"): (1.0, 5e7)})
+        tp.observe("a", "b", 10**6, 0.5 + 10**6 / 1e8)
+        tp.observe("a", "b", 10**7, 0.5 + 10**7 / 1e8)
+        assert tp.link("a", "b") == (1.0, 5e7)
+        assert tp.predict_transfer("a", "b", 5e7) == pytest.approx(2.0)
+        tp.refresh()
+        fit = tp.link("a", "b")
+        assert fit[0] == pytest.approx(0.5) and fit[1] == pytest.approx(1e8)
+        tp.observe("a", "b", 10**8, 2.0)
+        assert tp.link("a", "b") == fit
+        assert tp.predict_transfer("a", "b", 10**8) == fit[0] + 10**8 / fit[1]
+        tp.refresh()
+        assert tp.link("a", "b") != fit
 
     def test_fallback_matrix(self):
         tp = TransferProfiler(fallback={("a", "b"): (1.0, 5e7)})
@@ -292,8 +309,10 @@ class TestIncrementalRefit:
         tp = TransferProfiler()
         tp.observe("a", "b", 10, 1.0)
         tp.observe("a", "b", 20, 2.0)
+        tp.refresh()
         fit = tp.link("a", "b")
         tp.observe("a", "b", 30, 0.5)  # the slope turns negative
+        tp.refresh()
         assert tp.link("a", "b") == fit
 
     def test_success_tallies_match_history_walk(self, tmp_path):

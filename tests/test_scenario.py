@@ -178,10 +178,14 @@ class TestDeprecatedFields:
     @staticmethod
     def legacy(new_doc, poll_interval_s):
         """`new_doc` in the older format: 16 `defaults` keys, and the removed
-        endpoint and function fields."""
+        endpoint and function fields. `file_transfer_type` is dropped whatever
+        its value, so it is given the one that never completed a transfer."""
         old = copy.deepcopy(new_doc)
         old["defaults"].update(
-            poll_interval_s=poll_interval_s, batch_size=5, sched_time_factor=5.0
+            poll_interval_s=poll_interval_s,
+            batch_size=5,
+            sched_time_factor=5.0,
+            file_transfer_type="local-copy",
         )
         assert len(old["defaults"]) == 16
         for ep in old["endpoints"]:
@@ -205,7 +209,9 @@ class TestDeprecatedFields:
             sc_old = scenario_from_dict(old)
         warnings = [r.getMessage() for r in caplog.records]
         assert len(warnings) == 1
-        for key in ("batch_size", "poll_interval_s", "sched_time_factor"):
+        for key in (
+            "batch_size", "file_transfer_type", "poll_interval_s", "sched_time_factor"
+        ):
             assert key in warnings[0]
         sc_new = scenario_from_dict(new)
         assert sc_old == sc_new
