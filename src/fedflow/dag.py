@@ -151,16 +151,15 @@ class Dag:
 def dfs_order(dag: Dag) -> list:
     """Depth-first traversal from the source tasks.
 
-    Children are visited in ascending task id; disconnected components are
-    entered in ascending smallest-task-id order. The fixed rule keeps block
-    cuts over this order deterministic.
+    Sources are entered, and children visited, in ascending task id. The
+    fixed rule keeps block cuts over this order deterministic. Every
+    dependency chain ends at a source, so the walk reaches every task.
     """
     if not dag.nodes:
         raise WorkflowError("dfs_order on empty graph")
     visited: set = set()
     order: list = []
-
-    def visit(root: int):
+    for root in dag.sources():
         stack = [root]
         while stack:
             t = stack.pop()
@@ -171,12 +170,4 @@ def dfs_order(dag: Dag) -> list:
             for child in sorted(dag.successors[t], reverse=True):
                 if child not in visited:
                     stack.append(child)
-
-    for root in dag.sources():
-        visit(root)
-    # Defensive: tasks unreachable from sources (cannot happen while deps
-    # reference existing tasks only).
-    for t in sorted(dag.nodes):
-        if t not in visited:
-            visit(t)
     return order

@@ -118,14 +118,6 @@ class EndpointModel:
         self.active_workers = clamped
         return self.active_workers
 
-    def release_all(self) -> int:
-        """Drop every worker (legal only when fully idle). Returns delta."""
-        if self.busy_workers > 0 or self.queued:
-            raise EndpointError(f"{self.endpoint_id}: cannot release busy endpoint")
-        delta = -self.active_workers
-        self.active_workers = 0
-        return delta
-
 
 def scale_decision(
     clock: float,

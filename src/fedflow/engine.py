@@ -9,7 +9,6 @@ import logging
 import math
 import random
 import time as _time
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
@@ -34,7 +33,9 @@ class DeadlockError(RuntimeError):
 
 
 class EventKind(IntEnum):
-    # Numeric order is the tie-break for events at the same timestamp.
+    # Numeric order is the tie-break for events at the same timestamp; the
+    # kind also names the event for counting. What an event does is its
+    # payload, `(callback, *args)`.
     SUBMIT_BATCH = 0
     TRANSFER_COMPLETE = 1
     TASK_COMPLETE = 2
@@ -43,14 +44,6 @@ class EventKind(IntEnum):
     RESCHEDULE_TICK = 5
     SCALE_TICK = 6
     REFRESH_TICK = 7
-
-
-@dataclass(order=True)
-class SimEvent:
-    time: float
-    kind: EventKind
-    seq: int
-    payload: object = field(compare=False, default=None)
 
 
 def next_poll(t: float, interval: float) -> float:
@@ -119,19 +112,20 @@ class Simulation:
         self._seq = 0
         self.metrics = MetricsLog(self.endpoint_order)
 
-        self.reserved: dict = {ep: 0 for ep in self.endpoint_order}
-        self._reserved_tasks: set = set()
+        # The work each endpoint has committed: tasks assigned to it and not
+        # yet dispatched, a retry included.
         self.assigned_undispatched: dict = {ep: set() for ep in self.endpoint_order}
         # Predicted seconds of not-yet-running work per endpoint, kept as a
         # running sum so the idle estimate stays O(1) per query.
         self._backlog_pred: dict = {ep: 0.0 for ep in self.endpoint_order}
         self._backlog_contrib: dict = {}  # task_id -> (endpoint, seconds)
-        self._running_pred_finish: dict = {ep: {} for ep in self.endpoint_order}
+        # Per endpoint, a heap of (predicted finish, task_id) of tasks started
+        # there; earliest_idle_estimate pops the entries of finished tasks.
         self._finish_heap: dict = {ep: [] for ep in self.endpoint_order}
-        self._running_endpoint: dict = {}
+        self._running = 0
         self._input_bytes: dict = {}
         self._file_bytes: dict = {}
-        self._failed_endpoints: dict = {}
+        self._failed_endpoints: dict = {}  # task_id -> endpoints it failed on
         self._announced: set = set()
         self.unrunnable: set = set()
         # Registered tasks that are not DONE, FAILED or unrunnable.
@@ -162,14 +156,17 @@ class Simulation:
         for t in sc.workflow:
             batches.setdefault(t.submit_time_s, []).append(t)
         self._pending_batches = len(batches)
-        for when in sorted(batches):
-            self.schedule(when, EventKind.SUBMIT_BATCH, batches[when])
+        for when, specs in sorted(batches.items()):
+            self.schedule(when, EventKind.SUBMIT_BATCH, (self._on_submit_batch, specs))
         for ep_id, trace in sc.capacity_traces.items():
             for ev in trace:
-                self.schedule(ev.time_s, EventKind.CAPACITY_CHANGE, (ep_id, ev))
+                payload = (self._on_capacity_change, ep_id, ev)
+                self.schedule(ev.time_s, EventKind.CAPACITY_CHANGE, payload)
         if sc.defaults.elastic:
-            self.schedule(0.0, EventKind.SCALE_TICK, None)
-        self.schedule(sc.defaults.refresh_tick_s, EventKind.REFRESH_TICK, None)
+            self.schedule(0.0, EventKind.SCALE_TICK, (self._on_scale_tick,))
+        self.schedule(
+            sc.defaults.refresh_tick_s, EventKind.REFRESH_TICK, (self._on_refresh_tick,)
+        )
         if sc.defaults.probe_at_init:
             self._issue_probes()
         for ep in self.endpoints:
@@ -188,14 +185,17 @@ class Simulation:
 
     # -- event plumbing ----------------------------------------------------
 
-    def schedule(self, when: float, kind: EventKind, payload=None):
+    def schedule(self, when: float, kind: EventKind, payload):
+        """Queue `payload`, a `(callback, *args)` tuple, to run at `when`.
+        Events at the same time run in kind order, then in scheduling order."""
         self._seq += 1
-        heapq.heappush(self._events, SimEvent(when, kind, self._seq, payload))
+        heapq.heappush(self._events, (when, kind, self._seq, payload))
 
     def _schedule_transfer(self, job: TransferJob):
         latency, bandwidth = self.links[(job.src, job.dst)]
         duration = latency + job.size / bandwidth
-        self.schedule(self.clock + duration, EventKind.TRANSFER_COMPLETE, (job, duration))
+        payload = (self._on_transfer_complete, job, duration)
+        self.schedule(self.clock + duration, EventKind.TRANSFER_COMPLETE, payload)
 
     # -- deterministic randomness -----------------------------------------
 
@@ -259,15 +259,13 @@ class Simulation:
         ep = self._by_id[endpoint_id]
         if ep.active_workers == 0:
             return self.clock
-        committed = max(
-            self.reserved.get(endpoint_id, 0),
-            len(self.assigned_undispatched[endpoint_id]) + len(ep.queued),
-        )
+        committed = len(self.assigned_undispatched[endpoint_id]) + len(ep.queued)
         if ep.idle_workers > committed:
             return self.clock
-        running = self._running_pred_finish[endpoint_id]
         heap = self._finish_heap[endpoint_id]
-        while heap and (heap[0][1] not in running or running[heap[0][1]] != heap[0][0]):
+        # A task runs at most once (only staging fails), so an entry whose
+        # task is no longer RUNNING is stale.
+        while heap and self.dag.nodes[heap[0][1]].state is not TaskState.RUNNING:
             heapq.heappop(heap)
         base = heap[0][0] if heap else self.clock
         backlog = self._backlog_pred[endpoint_id]
@@ -299,7 +297,6 @@ class Simulation:
                     self.data.register_item(out_id, out_size)
                     node.output = out_id
             self.metrics.task(tid).submit_time = self.clock
-            self._failed_endpoints[tid] = set()
             self._live += 1
             left = sum(1 for d in node.deps if self.dag.nodes[d].state != TaskState.DONE)
             if left:
@@ -314,20 +311,20 @@ class Simulation:
         if entry is not None:
             self._backlog_pred[entry[0]] -= entry[1]
 
-    def assign(self, task_id: int, endpoint_id: str, reserve: bool = False):
-        node = self.dag.nodes[task_id]
-        old = node.assigned_endpoint
-        if old is not None and task_id in self.assigned_undispatched.get(old, ()):
-            self.assigned_undispatched[old].discard(task_id)
+    def _unassign(self, task_id: int):
+        """Release the task's claim on its endpoint's committed work."""
+        ep_id = self.dag.nodes[task_id].assigned_endpoint
+        if ep_id is not None:
+            self.assigned_undispatched[ep_id].discard(task_id)
+
+    def assign(self, task_id: int, endpoint_id: str):
+        self._unassign(task_id)
         self._drop_backlog(task_id)
         pred = self.predicted_exec(task_id, endpoint_id)
         self._backlog_contrib[task_id] = (endpoint_id, pred)
         self._backlog_pred[endpoint_id] += pred
-        node.assigned_endpoint = endpoint_id
+        self.dag.nodes[task_id].assigned_endpoint = endpoint_id
         self.assigned_undispatched[endpoint_id].add(task_id)
-        if reserve:
-            self.reserved[endpoint_id] += 1
-            self._reserved_tasks.add(task_id)
         self.metrics.decision_count += 1
         self.metrics.task(task_id).endpoint = endpoint_id
 
@@ -386,10 +383,7 @@ class Simulation:
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
         node.set_state(TaskState.QUEUED)
-        if task_id in self._reserved_tasks:
-            self._reserved_tasks.discard(task_id)
-            self.reserved[ep.endpoint_id] -= 1
-        self.assigned_undispatched[ep.endpoint_id].discard(task_id)
+        self._unassign(task_id)
         self.metrics.task(task_id).dispatch_time = self.clock
         outcome = ep.dispatch(task_id)
         if outcome == "accepted":
@@ -399,6 +393,7 @@ class Simulation:
     def _start_running(self, task_id: int, ep: EndpointModel):
         node = self.dag.nodes[task_id]
         node.set_state(TaskState.RUNNING)
+        self._running += 1
         duration = self.sample_exec_duration(
             task_id, ep.endpoint_id, node.attempt_count
         )
@@ -406,11 +401,9 @@ class Simulation:
         self._drop_backlog(task_id)
         end = self.clock + self.dispatch_latency + duration
         pred_finish = self.clock + self.predicted_exec(task_id, ep.endpoint_id)
-        self._running_pred_finish[ep.endpoint_id][task_id] = pred_finish
         heapq.heappush(self._finish_heap[ep.endpoint_id], (pred_finish, task_id))
-        self._running_endpoint[task_id] = ep.endpoint_id
         self.metrics.task(task_id).start_time = self.clock
-        self.schedule(end, EventKind.TASK_COMPLETE, task_id)
+        self.schedule(end, EventKind.TASK_COMPLETE, (self._on_task_complete, task_id))
 
     # -- failure handling --------------------------------------------------
 
@@ -423,12 +416,9 @@ class Simulation:
                 self.metrics.record_staging_count(self.clock, self._staging_count)
             node.set_state(TaskState.FAILED)
             self._live -= 1
-        self._failed_endpoints[task_id].add(ep_id)
+        self._failed_endpoints.setdefault(task_id, set()).add(ep_id)
+        self._unassign(task_id)
         self._drop_backlog(task_id)
-        if task_id in self._reserved_tasks:
-            self._reserved_tasks.discard(task_id)
-            self.reserved[ep_id] -= 1
-        self.assigned_undispatched[ep_id].discard(task_id)
         self._record_task_outcome(task_id, ep_id, success=False)
         if len(self._failed_endpoints[task_id]) >= len(self.endpoints):
             self._terminal_failure(task_id)
@@ -522,11 +512,12 @@ class Simulation:
         when = self.clock + period
         if when > self._resched_armed_until:
             self._resched_armed_until = when
-            self.schedule(when, EventKind.RESCHEDULE_TICK, None)
+            payload = (self._hook, self.strategy.on_reschedule_tick)
+            self.schedule(when, EventKind.RESCHEDULE_TICK, payload)
 
     def _pending_count(self) -> int:
         """Live tasks that are not running."""
-        return self._live - len(self._running_endpoint)
+        return self._live - self._running
 
     def _queue_share(self) -> dict:
         share = {ep: 0 for ep in self.endpoint_order}
@@ -586,7 +577,7 @@ class Simulation:
         if batch:
             self._hook(self.strategy.on_deps_done, batch)
 
-    # -- event handlers ----------------------------------------------------
+    # -- event handlers: callbacks named by event payloads -----------------
 
     def _on_submit_batch(self, specs: list):
         self._pending_batches -= 1
@@ -611,14 +602,14 @@ class Simulation:
 
     def _on_task_complete(self, task_id: int):
         node = self.dag.nodes[task_id]
-        ep = self._by_id[self._running_endpoint.pop(task_id)]
+        ep = self._by_id[node.assigned_endpoint]
         node.set_state(TaskState.DONE)
         self._live -= 1
+        self._running -= 1
         for s in self.dag.successors[task_id]:
             self._deps_left[s] -= 1
             if not self._deps_left[s]:
                 del self._deps_left[s]
-        self._running_pred_finish[ep.endpoint_id].pop(task_id, None)
         tm = self.metrics.task(task_id)
         tm.end_time = self.clock
         tm.final_state = "done"
@@ -644,10 +635,6 @@ class Simulation:
             else:
                 self._hook(self.strategy.on_worker_free, ep.endpoint_id)
 
-    def _on_result_observed(self, seen, *args):
-        """The client sees a task's result, or a freed worker after the sync lag."""
-        seen(*args)
-
     def _result_seen(self, task_id: int):
         self.metrics.task(task_id).observed_time = self.clock
         self._announce_ready(self.dag.successors[task_id])
@@ -662,16 +649,12 @@ class Simulation:
         decisions = scale_decision(
             self.clock, self.endpoints, self._pending_count(), self._queue_share()
         )
-        grown = []
+        for ep, delta in decisions:
+            ep.apply_capacity_event(CapacityEvent(self.clock, delta))
+            self._record_workers(ep)
         for ep, delta in decisions:
             if delta > 0:
-                ep.active_workers += delta
-                grown.append(ep)
-            else:
-                ep.release_all()
-            self._record_workers(ep)
-        for ep in grown:
-            self._hook(self.strategy.on_worker_free, ep.endpoint_id)
+                self._hook(self.strategy.on_worker_free, ep.endpoint_id)
         rearm = (not self.finished and self._ticks_can_help()) or (
             self.finished and any(ep.active_workers > 0 for ep in self.endpoints)
         )
@@ -679,7 +662,7 @@ class Simulation:
             self.schedule(
                 self.clock + self.scenario.defaults.scale_tick_s,
                 EventKind.SCALE_TICK,
-                None,
+                (self._on_scale_tick,),
             )
 
     def _on_refresh_tick(self):
@@ -689,32 +672,19 @@ class Simulation:
             self.schedule(
                 self.clock + self.scenario.defaults.refresh_tick_s,
                 EventKind.REFRESH_TICK,
-                None,
+                (self._on_refresh_tick,),
             )
-
-    def _on_reschedule_tick(self):
-        self._hook(self.strategy.on_reschedule_tick)
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> MetricsLog:
-        handlers = {
-            EventKind.SUBMIT_BATCH: lambda p: self._on_submit_batch(p),
-            EventKind.TRANSFER_COMPLETE: lambda p: self._on_transfer_complete(*p),
-            EventKind.TASK_COMPLETE: lambda p: self._on_task_complete(p),
-            EventKind.RESULT_OBSERVED: lambda p: self._on_result_observed(*p),
-            EventKind.CAPACITY_CHANGE: lambda p: self._on_capacity_change(*p),
-            EventKind.SCALE_TICK: lambda p: self._on_scale_tick(),
-            EventKind.REFRESH_TICK: lambda p: self._on_refresh_tick(),
-            EventKind.RESCHEDULE_TICK: lambda p: self._on_reschedule_tick(),
-        }
         while self._events:
-            event = heapq.heappop(self._events)
-            if event.time < self.clock - 1e-9:
+            when, _, _, (callback, *args) = heapq.heappop(self._events)
+            if when < self.clock - 1e-9:
                 raise RuntimeError("event time moved backwards")
-            self.clock = max(self.clock, event.time)
+            self.clock = max(self.clock, when)
             self.metrics.event_count += 1
-            handlers[event.kind](event.payload)
+            callback(*args)
         if not self.finished:
             self._raise_deadlock()
         self._finalize_metrics()

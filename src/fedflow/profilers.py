@@ -83,7 +83,6 @@ class ExecutionProfiler:
         # function -> {endpoint: [attempts, successes]}
         self._tallies: dict = {}
         self._fits: dict = {}
-        self._stale = False
         self.refit_count = 0
         self.truth = truth or {}
         self._truth_fallback_logged: set = set()
@@ -98,12 +97,16 @@ class ExecutionProfiler:
             key = (rec.function, rec.endpoint)
             self._successes.setdefault(key, []).append(rec)
             self._dirty.add(key)
-        self._stale = True
+
+    @property
+    def _stale(self) -> bool:
+        """Whether a refit is due (read by bench/tracer.py)."""
+        return bool(self._dirty)
 
     def refresh(self):
         """Refit the models of the keys recorded since the last refresh.
         Idempotent."""
-        if not self._stale:
+        if not self._dirty:
             return
         for key in self._dirty:
             self._fits[key] = _ols(
@@ -111,7 +114,6 @@ class ExecutionProfiler:
             )
         self._dirty.clear()
         self.refit_count += 1
-        self._stale = False
 
     def success_rates(self, function_name: str) -> dict:
         """Fraction of recorded attempts of a function that succeeded, per

@@ -302,11 +302,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     defaults_doc = dict(doc.get("defaults", {}))
     deprecated = {k: defaults_doc.pop(k) for k in DEPRECATED_DEFAULTS if k in defaults_doc}
     if deprecated:
-        logger.warning(
-            "defaults: deprecated fields %s are dropped (a nonzero poll_interval_s "
-            "is used as network.client.poll_interval_s when that is 0)",
-            sorted(deprecated),
-        )
+        note = ""
+        if "poll_interval_s" in deprecated:
+            note = (
+                " (a nonzero poll_interval_s is used as network.client.poll_interval_s"
+                " when that is 0)"
+            )
+        logger.warning("defaults: deprecated fields %s are dropped%s", sorted(deprecated), note)
         if not network.poll_interval_s and deprecated.get("poll_interval_s"):
             network = replace(network, poll_interval_s=deprecated["poll_interval_s"])
     known = set(Defaults.__dataclass_fields__)

@@ -208,7 +208,11 @@ class CapacityStrategy(BaseStrategy):
 
 
 class LocalityStrategy(BaseStrategy):
-    """Real-time minimum-transfer placement, gated on idle workers."""
+    """Real-time minimum-transfer placement, gated on idle workers.
+
+    An endpoint is feasible while it has an idle worker that no assigned,
+    undispatched task (a retry included) has already taken.
+    """
 
     name = "locality"
 
@@ -218,8 +222,9 @@ class LocalityStrategy(BaseStrategy):
 
     def _feasible(self):
         out = []
+        committed = self.sim.assigned_undispatched
         for index, ep in enumerate(self.sim.endpoints):
-            free = ep.idle_workers - self.sim.reserved.get(ep.endpoint_id, 0)
+            free = ep.idle_workers - len(committed[ep.endpoint_id])
             if free > 0:
                 out.append((ep.endpoint_id, free, index))
         return out
@@ -237,7 +242,7 @@ class LocalityStrategy(BaseStrategy):
             if choice is None:
                 return
             tid = self.waiting.popleft()
-            sim.assign(tid, choice, reserve=True)
+            sim.assign(tid, choice)
             sim.begin_staging(tid)
 
     def on_deps_done(self, task_ids: list):

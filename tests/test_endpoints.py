@@ -93,14 +93,18 @@ class TestGrowRelease:
         ep.apply_capacity_event(CapacityEvent(0.0, decisions[0][1]))
         assert ep.active_workers == 40
 
-    def test_release_requires_idle(self):
-        ep = make(10, 1, 1)
+    def test_release_waits_for_idle(self):
+        # Scale-in waits for an idle pool; applied as a capacity event, the
+        # decision leaves no workers and no deferred reduction.
+        ep = make(10, 1, 1, idle_timeout_s=30.0)
         ep.dispatch(0)
-        with pytest.raises(EndpointError):
-            ep.release_all()
-        ep.complete(1.0)
-        assert ep.release_all() == -10
-        assert ep.active_workers == 0
+        assert scale_decision(100.0, [ep], 0, {"ep": 0}) == []
+        ep.complete(100.0)
+        assert scale_decision(129.9, [ep], 0, {"ep": 0}) == []
+        decisions = scale_decision(130.0, [ep], 0, {"ep": 0})
+        assert decisions == [(ep, -10)]
+        ep.apply_capacity_event(CapacityEvent(130.0, decisions[0][1]))
+        assert ep.active_workers == 0 and ep.pending_reduction == 0
 
 
 class TestScaleDecision:

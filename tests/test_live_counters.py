@@ -1,11 +1,12 @@
 """The engine's and data manager's live counters equal the full scans they
 replace, after every event of every golden run.
 
-The counters are `Simulation.finished`, `Simulation._pending_count()`,
+The counters are `Simulation.finished`, `Simulation._pending_count()`, the
+running count, each endpoint's assigned-but-undispatched set,
 `DataManager.open_jobs`, the per-task remaining-deps counts and the per-task
 job index that `cancel_task_jobs` walks. A subclass of `Simulation` checks
-them against scans of the task graph and the job table after each top-level
-event handler; the run itself is unchanged.
+them against scans of the task graph, the endpoints and the job table after
+each event; the run itself is unchanged.
 """
 
 import dataclasses
@@ -21,16 +22,7 @@ from fedflow.engine import Simulation
 from test_golden import CASES, SEED, _scenario
 
 OPEN = (JobState.WAITING, JobState.ACTIVE)
-HANDLERS = (
-    "_on_submit_batch",
-    "_on_transfer_complete",
-    "_on_task_complete",
-    "_on_result_observed",
-    "_on_capacity_change",
-    "_on_scale_tick",
-    "_on_refresh_tick",
-    "_on_reschedule_tick",
-)
+UNDISPATCHED = (TaskState.PENDING, TaskState.STAGING, TaskState.READY)
 # Half of all transfer attempts fail and each job retries once, so tasks are
 # retried elsewhere, fail for good and leave unrunnable successors.
 LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "locality", "dha")]
@@ -38,10 +30,14 @@ LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "localit
 
 def check_counters(sim):
     nodes, unrunnable = sim.dag.nodes, sim.unrunnable
-    live = pending = 0
+    live = pending = running = 0
     not_done = []
+    undispatched = {ep: set() for ep in sim.endpoint_order}
     for tid, node in nodes.items():
         state = node.state
+        running += state is TaskState.RUNNING
+        if state in UNDISPATCHED and node.assigned_endpoint is not None:
+            undispatched[node.assigned_endpoint].add(tid)
         if state is not TaskState.DONE:
             not_done.append(tid)
             if state is not TaskState.FAILED and tid not in unrunnable:
@@ -49,6 +45,8 @@ def check_counters(sim):
                 pending += state is not TaskState.RUNNING
     assert sim.finished == (sim._pending_batches == 0 and live == 0)
     assert sim._pending_count() == pending
+    assert sim._running == running == sum(ep.busy_workers for ep in sim.endpoints)
+    assert sim.assigned_undispatched == undispatched
     deps_left = Counter(s for t in not_done for s in sim.dag.successors[t])
     assert sim._deps_left == deps_left
 
@@ -64,29 +62,18 @@ def check_counters(sim):
             assert (j.task_id, j.job_id) in indexed
 
 
-def _checked(name):
-    handler = getattr(Simulation, name)
-
-    def run_then_check(self, *args):
-        self.depth += 1
-        try:
-            handler(self, *args)
-        finally:
-            self.depth -= 1
-        if not self.depth:
-            check_counters(self)
-            self.checks += 1
-
-    return run_then_check
-
-
 class ScanCheckedSimulation(Simulation):
-    depth = 0
+    """Runs the scans after each event's callback."""
+
     checks = 0
 
+    def schedule(self, when, kind, payload):
+        super().schedule(when, kind, (self._run_then_check, *payload))
 
-for _name in HANDLERS:
-    setattr(ScanCheckedSimulation, _name, _checked(_name))
+    def _run_then_check(self, callback, *args):
+        callback(*args)
+        check_counters(self)
+        self.checks += 1
 
 
 def _case_scenario(name, scale, variant):

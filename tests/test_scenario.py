@@ -217,6 +217,16 @@ class TestDeprecatedFields:
         assert sc_old == sc_new
         assert self.csvs(sc_old, tmp_path / "old") == self.csvs(sc_new, tmp_path / "new")
 
+    def test_warning_notes_poll_interval_only_when_present(self, caplog):
+        d = scenario_to_dict(scenario_from_dict(doc()))
+        d["defaults"]["file_transfer_type"] = "simulated"
+        with caplog.at_level(logging.WARNING, logger="fedflow.scenario"):
+            scenario_from_dict(d)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1
+        assert "file_transfer_type" in warnings[0]
+        assert "poll_interval_s" not in warnings[0]
+
     def test_client_poll_interval_wins_over_legacy(self):
         d = self.legacy(scenario_to_dict(scenario_from_dict(doc())), poll_interval_s=7.0)
         d["network"]["client"] = {"poll_interval_s": 3.0}

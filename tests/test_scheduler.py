@@ -1,15 +1,19 @@
 """Scheduling algorithms: proportional partitioning, priorities, selection."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import Dag, FunctionDef, TaskState
 from fedflow.data_manager import DataItem
+from fedflow.engine import Simulation
 from fedflow.scheduling import (
     DhaStrategy,
+    LocalityStrategy,
     SchedulerError,
     capacity_blocks,
     capacity_partition,
@@ -130,6 +134,33 @@ class TestLocalitySelect:
 
     def test_no_feasible_endpoint(self):
         assert locality_select(["x"], self.items(), []) is None
+
+
+@pytest.mark.parametrize("name,scale", [("montage-like", 0.02), ("dynamic-montage", 0.05)])
+def test_locality_picks_only_uncommitted_idle_workers(name, scale, monkeypatch):
+    """Every endpoint locality picks, for a first placement or a retry, has
+    an idle worker that no assigned, undispatched task has taken. Failed
+    transfers make tasks retry, and a retry commits work like any other
+    assignment."""
+    sc = generate_builtin_scenario(name, scale)
+    sc.defaults = dataclasses.replace(
+        sc.defaults, transfer_failure_rate=0.3, max_transfer_retries=1
+    )
+    select = LocalityStrategy._select
+    picks = []
+
+    def checked_select(self, task_id):
+        choice = select(self, task_id)
+        if choice is not None:
+            committed = len(self.sim.assigned_undispatched[choice])
+            picks.append(self.sim.endpoint_by_id(choice).idle_workers > committed)
+        return choice
+
+    monkeypatch.setattr(LocalityStrategy, "_select", checked_select)
+    sim = Simulation(sc, scheduler_kind="locality", seed=7)
+    sim.run()
+    assert any(node.attempt_count for node in sim.dag.nodes.values()), "no retry"
+    assert picks and all(picks), f"{picks.count(False)} of {len(picks)} picks overcommit"
 
 
 class TestEarliestFinishTime:
