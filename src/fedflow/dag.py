@@ -29,14 +29,15 @@ class TaskState(Enum):
 
 
 # FAILED -> STAGING is the retry path; STAGING -> FAILED covers exhausted
-# transfer retries, which fail a task that never reached a worker; READY ->
-# STAGING happens when re-scheduling moves a staged task to a new endpoint.
+# transfer retries, the only way a task fails, so a failed task never reached
+# a worker; READY -> STAGING happens when re-scheduling moves a staged task to
+# a new endpoint.
 _LEGAL_TRANSITIONS = {
     TaskState.PENDING: {TaskState.STAGING},
     TaskState.STAGING: {TaskState.READY, TaskState.FAILED},
     TaskState.READY: {TaskState.QUEUED, TaskState.STAGING},
     TaskState.QUEUED: {TaskState.RUNNING},
-    TaskState.RUNNING: {TaskState.DONE, TaskState.FAILED},
+    TaskState.RUNNING: {TaskState.DONE},
     TaskState.DONE: set(),
     TaskState.FAILED: {TaskState.STAGING},
 }
@@ -65,7 +66,7 @@ class TaskNode:
     task_id: int
     function: FunctionDef
     deps: set = field(default_factory=set)
-    file_deps: set = field(default_factory=set)
+    file_deps: tuple = ()  # data ids, sorted
     output: Optional[str] = None
     state: TaskState = TaskState.PENDING
     assigned_endpoint: Optional[str] = None
@@ -119,7 +120,7 @@ class Dag:
             task_id=task_id,
             function=function,
             deps=deps,
-            file_deps=set(file_deps),
+            file_deps=tuple(sorted(set(file_deps))),
         )
         self.nodes[task_id] = node
         self.successors[task_id] = set()

@@ -65,7 +65,6 @@ class DataManager:
         # both entries go when the count reaches 0 or the task is cancelled.
         self._pending_per_task: dict = {}
         self._task_jobs: dict = {}
-        self.open_jobs = 0  # jobs WAITING or ACTIVE
         self._bytes_total = 0
 
     # -- items -------------------------------------------------------------
@@ -99,14 +98,16 @@ class DataManager:
         endpoint_order: list,
         clock: float,
     ) -> tuple:
-        """Create one transfer job per non-resident dependency.
+        """Create one transfer job per non-resident dependency, in the order
+        of `file_deps` (a task's are sorted at submit).
 
-        Returns (jobs, started) where `started` are the jobs admitted under
-        the concurrency cap right away. An empty job list means staging for
-        this task is already complete.
+        Returns (jobs, started, completed): `started` are the jobs admitted
+        under the concurrency cap right away, and `completed` the tasks whose
+        staging those admissions finished. An empty job list means staging
+        for this task is already complete.
         """
         jobs = []
-        for data_id in sorted(file_deps):
+        for data_id in file_deps:
             item = self.items[data_id]
             if target in item.locations or item.size == 0:
                 continue
@@ -152,14 +153,12 @@ class DataManager:
         return job, started, completed
 
     def _enqueue(self, job: TransferJob, clock: float) -> tuple:
-        self.open_jobs += 1
         pair = (job.src, job.dst)
         heapq.heappush(self._waiting.setdefault(pair, []), job.job_id)
         return self._start_waiting(pair, clock)
 
     def _job_satisfied(self, job: TransferJob) -> list:
         """Account one finished (or obviated) job; returns completed tasks."""
-        self.open_jobs -= 1
         task_id = job.task_id
         if task_id is None:
             return []
@@ -228,7 +227,6 @@ class DataManager:
         else:
             job.state = JobState.FAILED
             job.finished_at = clock
-            self.open_jobs -= 1
             failed_task = job.task_id
             logger.warning(
                 "transfer %d (%s %s->%s) failed after %d retries",
@@ -254,7 +252,7 @@ class DataManager:
         return completed, failed_task, started
 
     def cancel_task_jobs(self, task_id: int):
-        """Forget bookkeeping for a task being re-staged elsewhere.
+        """Forget bookkeeping for a task being re-staged elsewhere or failed.
 
         Only the task's own jobs are visited. Open ones lose their owner:
         active jobs are left to finish (their replicas stay useful) and

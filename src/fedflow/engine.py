@@ -20,6 +20,7 @@ from .profilers import (
     PROBE_SIZE_BYTES,
     ExecutionProfiler,
     FunctionTruth,
+    TaskRecord,
     TransferProfiler,
 )
 from .scenario import MB, Scenario
@@ -46,6 +47,10 @@ class EventKind(IntEnum):
     REFRESH_TICK = 7
 
 
+# Periodic ticks; any other queued event is work that can still move a run.
+_TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
+
+
 def next_poll(t: float, interval: float) -> float:
     """The first poll tick at or after t (t itself when interval is 0)."""
     if interval <= 0:
@@ -70,13 +75,14 @@ class Simulation:
         self.poll_interval = scenario.network.poll_interval_s
         self.dispatch_latency = scenario.network.dispatch_latency_s
         self.failure_rate = d.transfer_failure_rate
-        self.max_task_attempts = d.max_task_attempts or len(scenario.endpoints)
+        # Attempts per task, each on an endpoint the task has not failed on.
+        n_eps = len(scenario.endpoints)
+        self.max_task_attempts = min(d.max_task_attempts or n_eps, n_eps)
         self.sync_lag = d.mock_sync_lag_s
 
         self.endpoints = [EndpointModel(spec) for spec in scenario.endpoints]
         self.endpoint_order = [ep.endpoint_id for ep in self.endpoints]
         self._by_id = {ep.endpoint_id: ep for ep in self.endpoints}
-        self._perf_factors = {ep.endpoint_id: ep.spec.perf_factor for ep in self.endpoints}
         # (src, dst) -> (latency_s, bandwidth_Bps): the true network, which
         # times every transfer and is the transfer profiler's fallback.
         self.links = {}
@@ -95,7 +101,8 @@ class Simulation:
             f.name: FunctionTruth(f.true_fixed_s, f.true_rate_s_per_MB)
             for f in scenario.functions.values()
         }
-        self.exec_profiler = ExecutionProfiler(truth=truth)
+        perf_factors = {ep.endpoint_id: ep.spec.perf_factor for ep in self.endpoints}
+        self.exec_profiler = ExecutionProfiler(truth, perf_factors)
         if history_path:
             self.exec_profiler.load(history_path)
         self.history_path = history_path
@@ -110,6 +117,7 @@ class Simulation:
         self.clock = 0.0
         self._events: list = []
         self._seq = 0
+        self._queued_work = 0  # queued events other than _TICKS
         self.metrics = MetricsLog(self.endpoint_order)
 
         # The work each endpoint has committed: tasks assigned to it and not
@@ -135,7 +143,6 @@ class Simulation:
         self._staging_count = 0
         self._resched_armed_until = -1.0
         self._spec_by_tid: dict = {}
-        self._actual_durations: dict = {}
 
         if self.scheduler_kind not in STRATEGIES:
             raise WorkflowError(f"unknown scheduler '{self.scheduler_kind}'")
@@ -189,6 +196,8 @@ class Simulation:
         """Queue `payload`, a `(callback, *args)` tuple, to run at `when`.
         Events at the same time run in kind order, then in scheduling order."""
         self._seq += 1
+        if kind not in _TICKS:
+            self._queued_work += 1
         heapq.heappush(self._events, (when, kind, self._seq, payload))
 
     def _schedule_transfer(self, job: TransferJob):
@@ -232,18 +241,15 @@ class Simulation:
             node.function,
             self._by_id[endpoint_id].spec,
             self.input_bytes(task_id),
-            self._perf_factors,
         )
 
     def staging_time_estimate(self, task_id: int, endpoint_id: str) -> float:
         node = self.dag.nodes[task_id]
         total = 0.0
-        for did in sorted(node.file_deps):
+        for did in node.file_deps:
             item = self.data.items[did]
             if endpoint_id in item.locations or item.size == 0:
                 continue
-            if not item.locations:
-                continue  # not produced yet; cost unknown
             src = self.data.choose_source(item, self.endpoint_order)
             total += self.transfer_profiler.predict_transfer(src, endpoint_id, item.size)
         return total
@@ -253,12 +259,13 @@ class Simulation:
 
         Uses the proxy's live counts plus predicted remaining runtimes; the
         backlog of queued and staged-but-undispatched work is spread evenly
-        over the pool. Endpoints with zero workers are treated as available,
-        on the assumption that elasticity will provision them.
+        over the pool. An endpoint with zero workers is available now when
+        the scenario is elastic, on the assumption that elasticity will
+        provision it, and never otherwise.
         """
         ep = self._by_id[endpoint_id]
         if ep.active_workers == 0:
-            return self.clock
+            return self.clock if self.scenario.defaults.elastic else math.inf
         committed = len(self.assigned_undispatched[endpoint_id]) + len(ep.queued)
         if ep.idle_workers > committed:
             return self.clock
@@ -397,47 +404,48 @@ class Simulation:
         duration = self.sample_exec_duration(
             task_id, ep.endpoint_id, node.attempt_count
         )
-        self._actual_durations[task_id] = duration
         self._drop_backlog(task_id)
         end = self.clock + self.dispatch_latency + duration
         pred_finish = self.clock + self.predicted_exec(task_id, ep.endpoint_id)
         heapq.heappush(self._finish_heap[ep.endpoint_id], (pred_finish, task_id))
         self.metrics.task(task_id).start_time = self.clock
-        self.schedule(end, EventKind.TASK_COMPLETE, (self._on_task_complete, task_id))
+        self.schedule(end, EventKind.TASK_COMPLETE, (self._on_task_complete, task_id, duration))
 
     # -- failure handling --------------------------------------------------
 
     def _fail_task(self, task_id: int):
+        """End the attempt of a STAGING task whose transfer ran out of retries
+        (only staging fails); retry elsewhere or give up."""
         node = self.dag.nodes[task_id]
         ep_id = node.assigned_endpoint
-        if node.state != TaskState.FAILED:
-            if node.state == TaskState.STAGING:
-                self._staging_count -= 1
-                self.metrics.record_staging_count(self.clock, self._staging_count)
-            node.set_state(TaskState.FAILED)
-            self._live -= 1
-        self._failed_endpoints.setdefault(task_id, set()).add(ep_id)
+        self.data.cancel_task_jobs(task_id)
+        self._staging_count -= 1
+        self.metrics.record_staging_count(self.clock, self._staging_count)
+        node.set_state(TaskState.FAILED)
+        self._live -= 1
+        failed = self._failed_endpoints.setdefault(task_id, set())
+        failed.add(ep_id)
         self._unassign(task_id)
         self._drop_backlog(task_id)
         self._record_task_outcome(task_id, ep_id, success=False)
-        if len(self._failed_endpoints[task_id]) >= len(self.endpoints):
-            self._terminal_failure(task_id)
-            return
-        if node.attempt_count + 1 > self.max_task_attempts:
-            self._terminal_failure(task_id)
+        if len(failed) >= self.max_task_attempts:
+            logger.error(
+                "task %d failed on all attempted endpoints (%s); giving up",
+                task_id,
+                sorted(failed),
+            )
+            self.metrics.task(task_id).final_state = "failed"
+            self._cascade_unrunnable(task_id)
             return
         node.attempt_count += 1
         rates = self.exec_profiler.success_rates(node.function.name)
         choice = reassignment_endpoint(
             node.attempt_count,
-            self._failed_endpoints[task_id],
+            failed,
             rates,
             self.endpoint_order,
             lambda: self.strategy.retry_choice(task_id),
         )
-        if choice is None:
-            self._terminal_failure(task_id)
-            return
         logger.info(
             "task %d failed on %s; retrying on %s (attempt %d)",
             task_id,
@@ -445,19 +453,8 @@ class Simulation:
             choice,
             node.attempt_count,
         )
-        self.data.cancel_task_jobs(task_id)
         self.assign(task_id, choice)
         self.begin_staging(task_id)
-
-    def _terminal_failure(self, task_id: int):
-        node = self.dag.nodes[task_id]
-        logger.error(
-            "task %d failed on all attempted endpoints (%s); giving up",
-            task_id,
-            sorted(self._failed_endpoints[task_id]),
-        )
-        self.metrics.task(task_id).final_state = "failed"
-        self._cascade_unrunnable(task_id)
 
     def _cascade_unrunnable(self, root: int):
         stack = [root]
@@ -465,9 +462,12 @@ class Simulation:
             t = stack.pop()
             for s in sorted(self.dag.successors[t]):
                 if s not in self.unrunnable:
-                    # Its chain never finishes, so it never left PENDING.
+                    # Its chain never finishes, so it never left PENDING;
+                    # give back the assignment capacity made at submit.
                     self.unrunnable.add(s)
                     self._live -= 1
+                    self._unassign(s)
+                    self._drop_backlog(s)
                     self.metrics.task(s).final_state = "unrunnable"
                     logger.error(
                         "task %d is unrunnable: dependency chain failed at task %d",
@@ -483,9 +483,9 @@ class Simulation:
             self.clock, ep.endpoint_id, ep.busy_workers, ep.active_workers
         )
 
-    def _record_task_outcome(self, task_id: int, endpoint_id: str, success: bool):
-        from .profilers import TaskRecord
-
+    def _record_task_outcome(
+        self, task_id: int, endpoint_id: str, success: bool, exec_time: float = 0.0
+    ):
         node = self.dag.nodes[task_id]
         out_size = 0
         if success and node.output is not None:
@@ -495,7 +495,7 @@ class Simulation:
                 function=node.function.name,
                 endpoint=endpoint_id,
                 input_size=self.input_bytes(task_id),
-                exec_time=self._actual_durations.get(task_id, 0.0) if success else 0.0,
+                exec_time=exec_time,
                 output_size=out_size,
                 success=success,
                 timestamp=self.clock,
@@ -531,26 +531,18 @@ class Simulation:
         return self._pending_batches == 0 and self._live == 0
 
     def _ticks_can_help(self) -> bool:
-        """Whether periodic ticks can still lead to forward progress.
-
-        Without this guard a stuck run would re-arm its refresh/scale ticks
+        """Whether periodic ticks can still lead to forward progress: while
+        another event is queued, or while an elastic pool can grow for
+        pending work. Without this guard a stuck run would re-arm its ticks
         forever instead of draining the queue and raising a deadlock.
         """
-        if self._pending_batches > 0:
+        if self._queued_work:
             return True
-        if any(ep.busy_workers > 0 for ep in self.endpoints):
-            return True
-        if self.data.open_jobs:
-            return True
-        if (
+        return (
             self.scenario.defaults.elastic
             and self._pending_count() > 0
-            and any(
-                ep.active_workers < ep.spec.max_workers for ep in self.endpoints
-            )
-        ):
-            return True
-        return False
+            and any(ep.active_workers < ep.spec.max_workers for ep in self.endpoints)
+        )
 
     def _hook(self, fn, *args):
         t0 = _time.perf_counter()
@@ -600,7 +592,7 @@ class Simulation:
         if failed_task is not None:
             self._fail_task(failed_task)
 
-    def _on_task_complete(self, task_id: int):
+    def _on_task_complete(self, task_id: int, exec_time: float):
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
         node.set_state(TaskState.DONE)
@@ -613,7 +605,7 @@ class Simulation:
         tm = self.metrics.task(task_id)
         tm.end_time = self.clock
         tm.final_state = "done"
-        self._record_task_outcome(task_id, ep.endpoint_id, success=True)
+        self._record_task_outcome(task_id, ep.endpoint_id, True, exec_time)
         if node.output is not None:
             self.data.add_replica(node.output, ep.endpoint_id)
         next_task = ep.complete(self.clock)
@@ -679,7 +671,9 @@ class Simulation:
 
     def run(self) -> MetricsLog:
         while self._events:
-            when, _, _, (callback, *args) = heapq.heappop(self._events)
+            when, kind, _, (callback, *args) = heapq.heappop(self._events)
+            if kind not in _TICKS:
+                self._queued_work -= 1
             if when < self.clock - 1e-9:
                 raise RuntimeError("event time moved backwards")
             self.clock = max(self.clock, when)

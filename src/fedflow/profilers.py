@@ -70,11 +70,14 @@ class ExecutionProfiler:
     """Predicts execution time per function.
 
     Prediction precedence: fitted model for the exact (function, endpoint)
-    pair; a fit from another endpoint rescaled by the perf-factor ratio; the
-    function's cost hint; finally the scenario-declared true mean.
+    pair; the fit of the function's donor endpoint rescaled by the
+    perf-factor ratio; the function's cost hint; finally the
+    scenario-declared true mean. The donor is the least endpoint id that has
+    a fit and a known perf factor. `perf_factors` (endpoint id -> factor) is
+    given once, at construction; without it no fit is transferred.
     """
 
-    def __init__(self, truth: Optional[dict] = None):
+    def __init__(self, truth: Optional[dict] = None, perf_factors: Optional[dict] = None):
         self.history: list = []
         # (function, endpoint) -> its successful records, in history order;
         # failures carry no duration signal.
@@ -83,8 +86,12 @@ class ExecutionProfiler:
         # function -> {endpoint: [attempts, successes]}
         self._tallies: dict = {}
         self._fits: dict = {}
+        # function -> its donor endpoint. Fits are never dropped, so a donor
+        # only ever gives way to a smaller id, set at refresh.
+        self._donors: dict = {}
         self.refit_count = 0
         self.truth = truth or {}
+        self.perf_factors = perf_factors or {}
         self._truth_fallback_logged: set = set()
 
     def record(self, rec: TaskRecord):
@@ -112,6 +119,10 @@ class ExecutionProfiler:
             self._fits[key] = _ols(
                 [(r.input_size, r.exec_time) for r in self._successes[key]]
             )
+            name, ep = key
+            donor = self._donors.get(name)
+            if ep in self.perf_factors and (donor is None or ep < donor):
+                self._donors[name] = ep
         self._dirty.clear()
         self.refit_count += 1
 
@@ -122,11 +133,7 @@ class ExecutionProfiler:
         return {ep: wins / n for ep, (n, wins) in tallies.items()}
 
     def predict_exec(
-        self,
-        function: FunctionDef,
-        endpoint: EndpointSpec,
-        input_size: int,
-        perf_factors: Optional[dict] = None,
+        self, function: FunctionDef, endpoint: EndpointSpec, input_size: int
     ) -> float:
         """Predict execution seconds. Always finite."""
         name = function.name
@@ -134,16 +141,12 @@ class ExecutionProfiler:
         fit = self._fits.get((name, endpoint.endpoint_id))
         if fit:
             time_s = fit[0] + fit[1] * input_size
-        else:
-            # Transfer a fit from another endpoint, rescaled by perf factors.
-            donors = sorted(
-                (ep for (f, ep) in self._fits if f == name and perf_factors and ep in perf_factors)
-            )
-            if donors and perf_factors:
-                donor = donors[0]
-                dfit = self._fits[(name, donor)]
-                base = dfit[0] + dfit[1] * input_size
-                time_s = base * endpoint.perf_factor / perf_factors[donor]
+        elif name in self._donors:
+            # Transfer the donor's fit, rescaled by perf factors.
+            donor = self._donors[name]
+            dfit = self._fits[(name, donor)]
+            base = dfit[0] + dfit[1] * input_size
+            time_s = base * endpoint.perf_factor / self.perf_factors[donor]
         if time_s is None and function.cost_hint is not None:
             hint = function.cost_hint
             time_s = endpoint.perf_factor * (
@@ -262,10 +265,8 @@ def average_costs(
     """
     if not endpoints:
         raise ProfilerError("endpoint set must be non-empty")
-    perf = {ep.endpoint_id: ep.perf_factor for ep in endpoints}
     w_bar = sum(
-        exec_profiler.predict_exec(function, ep, input_bytes, perf)
-        for ep in endpoints
+        exec_profiler.predict_exec(function, ep, input_bytes) for ep in endpoints
     ) / len(endpoints)
     pairs = [
         (a.endpoint_id, b.endpoint_id)

@@ -81,7 +81,7 @@ def compute_priorities(dag: Dag, costs: dict) -> dict:
 
 
 def locality_select(
-    file_deps: list,
+    file_deps,
     items: dict,
     feasible: list,
 ) -> Optional[str]:
@@ -231,9 +231,7 @@ class LocalityStrategy(BaseStrategy):
 
     def _select(self, task_id: int) -> Optional[str]:
         node = self.sim.dag.nodes[task_id]
-        return locality_select(
-            sorted(node.file_deps), self.sim.data.items, self._feasible()
-        )
+        return locality_select(node.file_deps, self.sim.data.items, self._feasible())
 
     def _pump(self):
         sim = self.sim
@@ -373,16 +371,16 @@ class DhaStrategy(BaseStrategy):
         extra transfers of already-staged inputs."""
         sim = self.sim
         movable = sorted(
-            (
-                tid
-                for tid in sim.undispatched_tasks()
-                if sim.dag.nodes[tid].state in (TaskState.STAGING, TaskState.READY)
-            ),
-            key=lambda t: (-self.priorities.get(t, 0.0), t),
+            sim.undispatched_tasks(), key=lambda t: (-self.priorities.get(t, 0.0), t)
         )
         moves = 0
         for tid in movable:
-            incumbent = sim.dag.nodes[tid].assigned_endpoint
+            node = sim.dag.nodes[tid]
+            # An earlier move in this pass may have finished this task's
+            # staging and let it be dispatched.
+            if node.state not in (TaskState.STAGING, TaskState.READY):
+                continue
+            incumbent = node.assigned_endpoint
             # The incumbent goes first so that it keeps ties.
             candidates = [incumbent] + [
                 ep_id for ep_id in sim.endpoint_order if ep_id != incumbent

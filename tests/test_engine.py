@@ -127,6 +127,12 @@ class TestTimingOracle:
         assert m.makespan == pytest.approx(56.6)
 
 
+def recorded_exec_time(sim, function="f"):
+    """The execution time recorded for the oracle's only task of `function`."""
+    (rec,) = [r for r in sim.exec_profiler.history if r.function == function]
+    return rec.exec_time
+
+
 class TestExecutionSampling:
     def test_noise_bounds_and_determinism(self):
         doc_overrides = {
@@ -139,7 +145,7 @@ class TestExecutionSampling:
         for _ in range(2):
             sim = Simulation(oracle(**doc_overrides), seed=7)
             sim.run()
-            d = sim._actual_durations[0]
+            d = recorded_exec_time(sim)
             assert 2.0 * 10.0 * 0.8 <= d <= 2.0 * 10.0 * 1.2
             durations.add(round(d, 12))
         assert len(durations) == 1  # same seed, same draw
@@ -155,7 +161,7 @@ class TestExecutionSampling:
         a.run()
         b = Simulation(oracle(**doc_overrides), seed=2)
         b.run()
-        assert a._actual_durations[0] != b._actual_durations[0]
+        assert recorded_exec_time(a) != recorded_exec_time(b)
 
 
 class TestCapacityEventMidRun:

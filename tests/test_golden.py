@@ -29,6 +29,9 @@ CASES = [
 # Probe transfers at start, transfer retries and a client poll interval:
 # paths the builtins leave at their defaults.
 CASES.append(("dynamic-drug", 0.02, "dha", "probe-retry-poll"))
+# The scheduler hears of a freed worker 5 s late (`mock_sync_lag_s`), so a
+# DHA re-scheduling pass can dispatch a task it has yet to visit.
+CASES.append(("dynamic-drug", 0.02, "dha", "sync-lag"))
 
 
 def _scenario(name, scale, variant):
@@ -38,6 +41,8 @@ def _scenario(name, scale, variant):
             sc.defaults, probe_at_init=True, transfer_failure_rate=0.3
         )
         sc.network = dataclasses.replace(sc.network, poll_interval_s=5.0)
+    elif variant == "sync-lag":
+        sc.defaults = dataclasses.replace(sc.defaults, mock_sync_lag_s=5.0)
     return sc
 
 
@@ -172,6 +177,14 @@ GOLDEN = {
             'utilization.csv': '39df04b5968ed765aec5d9bb2dbe171295a470f513dd2d175645dbb5f17222d7',
             'transfers.csv': '95e539bb91810e0bcef3745d1738d074e01829c048265ce6986077e7af0700a3',
             'staging.csv': '0de36849ee782608c5f9f58e042931c0c2652bea765dbfc2a30ceb0168611d52',
+        },
+    ),
+    ('dynamic-drug', 0.02, 'dha', 'sync-lag'): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2732.236123,4.922000,0,43,179,10,9\n',
+        {
+            'utilization.csv': '49235001cc9d384e080f2b58617aeb29601b056ce69ab4ceb65ec420b6998c75',
+            'transfers.csv': '84c2fb2d706f67cf6502703ad3c7204d58a04e29b76d798ee8bf59c7648e1efd',
+            'staging.csv': '4d6bc7093a24f327a82cdc71f75f3485e395bc815e5d254ed9c17048c03d6045',
         },
     ),
 }

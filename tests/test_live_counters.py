@@ -2,9 +2,9 @@
 replace, after every event of every golden run.
 
 The counters are `Simulation.finished`, `Simulation._pending_count()`, the
-running count, each endpoint's assigned-but-undispatched set,
-`DataManager.open_jobs`, the per-task remaining-deps counts and the per-task
-job index that `cancel_task_jobs` walks. A subclass of `Simulation` checks
+running count, each endpoint's assigned-but-undispatched set, the count of
+queued events other than ticks, the per-task remaining-deps counts and the
+per-task job index that `cancel_task_jobs` walks. A subclass of `Simulation` checks
 them against scans of the task graph, the endpoints and the job table after
 each event; the run itself is unchanged.
 """
@@ -18,11 +18,12 @@ import pytest
 from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import TaskState
 from fedflow.data_manager import JobState
-from fedflow.engine import Simulation
+from fedflow.engine import EventKind, Simulation
 from test_golden import CASES, SEED, _scenario
 
 OPEN = (JobState.WAITING, JobState.ACTIVE)
 UNDISPATCHED = (TaskState.PENDING, TaskState.STAGING, TaskState.READY)
+TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 # Half of all transfer attempts fail and each job retries once, so tasks are
 # retried elsewhere, fail for good and leave unrunnable successors.
 LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "locality", "dha")]
@@ -36,7 +37,11 @@ def check_counters(sim):
     for tid, node in nodes.items():
         state = node.state
         running += state is TaskState.RUNNING
-        if state in UNDISPATCHED and node.assigned_endpoint is not None:
+        if (
+            state in UNDISPATCHED
+            and node.assigned_endpoint is not None
+            and tid not in unrunnable
+        ):
             undispatched[node.assigned_endpoint].add(tid)
         if state is not TaskState.DONE:
             not_done.append(tid)
@@ -49,10 +54,10 @@ def check_counters(sim):
     assert sim.assigned_undispatched == undispatched
     deps_left = Counter(s for t in not_done for s in sim.dag.successors[t])
     assert sim._deps_left == deps_left
+    assert sim._queued_work == sum(1 for e in sim._events if e[1] not in TICKS)
 
     data = sim.data
     jobs = data.jobs.values()
-    assert data.open_jobs == sum(1 for j in jobs if j.state in OPEN)
     index = data._task_jobs
     assert all(index.values()), "empty index entry"
     assert index.keys() == data._pending_per_task.keys()

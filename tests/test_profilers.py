@@ -70,12 +70,10 @@ class TestExecutionProfiler:
         assert math.isclose(t, 10.0)
 
     def test_donor_endpoint_rescaled_by_perf(self):
-        p = ExecutionProfiler()
+        p = ExecutionProfiler(perf_factors={"a": 1.0, "b": 3.0})
         p.record(rec(endpoint="a", exec_time=10.0))
         p.refresh()
-        t = p.predict_exec(
-            FunctionDef("f"), ep("b", perf=3.0), 100, {"a": 1.0, "b": 3.0}
-        )
+        t = p.predict_exec(FunctionDef("f"), ep("b", perf=3.0), 100)
         assert math.isclose(t, 30.0)
 
     def test_cost_hint_fallback(self):

@@ -1,0 +1,152 @@
+"""Runs end, ticks live exactly as long as work is queued, and a task that
+stops releases what it holds.
+
+Every run here is bounded in events, so a run that would spin forever fails
+instead of hanging the suite.
+"""
+
+import dataclasses
+import logging
+from collections import Counter
+
+import pytest
+
+from fedflow.builtins import generate_builtin_scenario
+from fedflow.endpoints import CapacityEvent
+from fedflow.engine import DeadlockError, Simulation
+
+SEED = 7
+MAX_EVENTS = 50_000
+
+
+class BoundedSimulation(Simulation):
+    """Fails once it has handled `MAX_EVENTS` events, and records every
+    refresh tick, task completion and task outcome."""
+
+    def __init__(self, *args, **kwargs):
+        self.refresh_ticks = []
+        self.completions = []
+        self.outcomes = []  # (task_id, endpoint, success), one per attempt
+        super().__init__(*args, **kwargs)
+
+    def schedule(self, when, kind, payload):
+        if self.metrics.event_count > MAX_EVENTS:
+            pytest.fail(f"no end after {MAX_EVENTS} events (t={self.clock:.0f} s)")
+        super().schedule(when, kind, payload)
+
+    def _on_refresh_tick(self):
+        self.refresh_ticks.append(self.clock)
+        super()._on_refresh_tick()
+
+    def _on_task_complete(self, task_id, exec_time):
+        self.completions.append(self.clock)
+        super()._on_task_complete(task_id, exec_time)
+
+    def _record_task_outcome(self, task_id, endpoint_id, success, exec_time=0.0):
+        self.outcomes.append((task_id, endpoint_id, success))
+        super()._record_task_outcome(task_id, endpoint_id, success, exec_time)
+
+
+def lossy(name, scale, **defaults):
+    sc = generate_builtin_scenario(name, scale)
+    sc.defaults = dataclasses.replace(sc.defaults, **defaults)
+    return sc
+
+
+@pytest.fixture
+def quiet():
+    logging.disable(logging.WARNING)  # lossy runs log every failure
+    yield
+    logging.disable(logging.NOTSET)
+
+
+def test_refresh_ticks_run_until_the_last_task_completes():
+    # With a 30 s poll interval, results wait in queued RESULT_OBSERVED
+    # events while no worker is busy and no transfer is open.
+    sc = generate_builtin_scenario("montage-like", 0.02)
+    sc.network = dataclasses.replace(sc.network, poll_interval_s=30.0)
+    sim = BoundedSimulation(sc, scheduler_kind="dha", seed=SEED)
+    sim.run()
+    assert sim.refresh_ticks[-1] >= max(sim.completions)
+
+
+def test_elastic_run_with_unrunnable_tasks_ends(quiet):
+    # Capacity assigns every task at submit; an unrunnable task must give
+    # that claim back, or its endpoint is never idle and scale ticks go on.
+    sc = lossy(
+        "drug-like",
+        0.02,
+        scheduler="capacity",
+        elastic=True,
+        transfer_failure_rate=0.5,
+        max_transfer_retries=0,
+    )
+    sim = BoundedSimulation(sc, seed=SEED)
+    metrics = sim.run()
+    assert sim.finished and sim.unrunnable
+    assert metrics.tasks_failed > 0
+    assert not any(sim.assigned_undispatched.values())
+
+
+def test_each_failed_attempt_is_recorded_once(caplog):
+    sc = lossy(
+        "drug-like",
+        0.02,
+        scheduler="capacity",
+        transfer_failure_rate=0.5,
+        max_transfer_retries=1,
+    )
+    with caplog.at_level(logging.ERROR, logger="fedflow.engine"):
+        sim = BoundedSimulation(sc, seed=SEED)
+        metrics = sim.run()
+    gave_up = Counter(
+        r.args[0] for r in caplog.records if r.getMessage().endswith("giving up")
+    )
+    failed = [t for t, tm in metrics.tasks.items() if tm.final_state == "failed"]
+    assert failed and gave_up == Counter(failed)
+    failures = Counter(t for t, _, success in sim.outcomes if not success)
+    for tid, endpoints in sim._failed_endpoints.items():
+        assert failures[tid] == len(endpoints), tid
+    for tid in failed:
+        assert failures[tid] == sim.dag.nodes[tid].attempt_count + 1, tid
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_max_task_attempts_caps_attempts(limit, quiet):
+    sc = lossy(
+        "montage-like",
+        0.02,
+        scheduler="capacity",
+        transfer_failure_rate=0.6,
+        max_transfer_retries=0,
+        max_task_attempts=limit,
+    )
+    sim = BoundedSimulation(sc, seed=SEED)
+    sim.run()
+    attempts = Counter(t for t, _, _ in sim.outcomes)
+    assert max(attempts.values()) == limit
+
+
+def taiyi_goes_offline():
+    """dynamic-drug 0.02 with taiyi taken to 0 workers at 540 s."""
+    sc = generate_builtin_scenario("dynamic-drug", 0.02)
+    sc.capacity_traces = dict(sc.capacity_traces, taiyi=[CapacityEvent(540.0, -10_000)])
+    return sc
+
+
+@pytest.mark.parametrize(
+    "scheduler, makespan", [("dha", 2971.1), ("locality", 2966.7)]
+)
+def test_work_leaves_an_endpoint_with_no_workers(scheduler, makespan):
+    sim = BoundedSimulation(taiyi_goes_offline(), scheduler_kind=scheduler, seed=SEED)
+    metrics = sim.run()
+    assert metrics.tasks_failed == 0
+    assert metrics.makespan == pytest.approx(makespan, abs=0.05)
+
+
+def test_capacity_deadlocks_on_an_endpoint_with_no_workers():
+    # Capacity's partition is fixed offline, so taiyi's share has nowhere to
+    # run; the run stops with a deadlock instead of spinning.
+    sim = BoundedSimulation(taiyi_goes_offline(), scheduler_kind="capacity", seed=SEED)
+    with pytest.raises(DeadlockError, match=r"\[queued\] on taiyi"):
+        sim.run()
