@@ -61,8 +61,12 @@ class FunctionDef:
     cost_hint: Optional[CostHint] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskNode:
+    """The one record of a task: its place in the graph, its run-time state
+    and the times it entered each state. The simulation owns every field
+    below `attempt_count`."""
+
     task_id: int
     function: FunctionDef
     deps: set = field(default_factory=set)
@@ -71,6 +75,20 @@ class TaskNode:
     state: TaskState = TaskState.PENDING
     assigned_endpoint: Optional[str] = None
     attempt_count: int = 0
+    file_bytes: int = 0  # sum of the sizes of file_deps
+    input_bytes: int = 0  # file_bytes plus the inline arguments
+    deps_left: int = 0  # deps not yet DONE
+    announced: bool = False  # handed to the scheduler as ready
+    failed_endpoints: frozenset = frozenset()
+    # Predicted seconds this task adds to its assigned endpoint's backlog
+    # until it starts running.
+    backlog_s: float = 0.0
+    submit_time: float = 0.0
+    staging_end: Optional[float] = None
+    dispatch_time: Optional[float] = None
+    start_time: Optional[float] = None
+    end_time: Optional[float] = None
+    observed_time: Optional[float] = None
 
     def set_state(self, new: TaskState):
         if new not in _LEGAL_TRANSITIONS[self.state]:

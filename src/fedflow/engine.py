@@ -50,6 +50,14 @@ class EventKind(IntEnum):
 # Periodic ticks; any other queued event is work that can still move a run.
 _TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 
+# The TaskNode timestamp that entering each of these states sets.
+_STAMPS = {
+    TaskState.READY: "staging_end",
+    TaskState.QUEUED: "dispatch_time",
+    TaskState.RUNNING: "start_time",
+    TaskState.DONE: "end_time",
+}
+
 
 def next_poll(t: float, interval: float) -> float:
     """The first poll tick at or after t (t itself when interval is 0)."""
@@ -118,7 +126,7 @@ class Simulation:
         self._events: list = []
         self._seq = 0
         self._queued_work = 0  # queued events other than _TICKS
-        self.metrics = MetricsLog(self.endpoint_order)
+        self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes)
 
         # The work each endpoint has committed: tasks assigned to it and not
         # yet dispatched, a retry included.
@@ -126,21 +134,12 @@ class Simulation:
         # Predicted seconds of not-yet-running work per endpoint, kept as a
         # running sum so the idle estimate stays O(1) per query.
         self._backlog_pred: dict = {ep: 0.0 for ep in self.endpoint_order}
-        self._backlog_contrib: dict = {}  # task_id -> (endpoint, seconds)
         # Per endpoint, a heap of (predicted finish, task_id) of tasks started
         # there; earliest_idle_estimate pops the entries of finished tasks.
         self._finish_heap: dict = {ep: [] for ep in self.endpoint_order}
-        self._running = 0
-        self._input_bytes: dict = {}
-        self._file_bytes: dict = {}
-        self._failed_endpoints: dict = {}  # task_id -> endpoints it failed on
-        self._announced: set = set()
+        # Registered tasks per state; _enter moves a task between them.
+        self._state_counts: dict = dict.fromkeys(TaskState, 0)
         self.unrunnable: set = set()
-        # Registered tasks that are not DONE, FAILED or unrunnable.
-        self._live = 0
-        # task_id -> deps not yet DONE, for tasks that still have any.
-        self._deps_left: dict = {}
-        self._staging_count = 0
         self._resched_armed_until = -1.0
         self._spec_by_tid: dict = {}
 
@@ -215,7 +214,7 @@ class Simulation:
         node = self.dag.nodes[task_id]
         fn = self._function_spec[node.function.name]
         ep = self._by_id[endpoint_id].spec
-        base = fn.true_fixed_s + fn.true_rate_s_per_MB * self.input_bytes(task_id) / MB
+        base = fn.true_fixed_s + fn.true_rate_s_per_MB * node.input_bytes / MB
         noise = 0.0
         if fn.noise > 0:
             noise = self._stream("exec", task_id, attempt).uniform(-fn.noise, fn.noise)
@@ -229,18 +228,12 @@ class Simulation:
 
     # -- sizes and predictions --------------------------------------------
 
-    def file_bytes(self, task_id: int) -> int:
-        return self._file_bytes[task_id]
-
-    def input_bytes(self, task_id: int) -> int:
-        return self._input_bytes[task_id]
-
     def predicted_exec(self, task_id: int, endpoint_id: str) -> float:
         node = self.dag.nodes[task_id]
         return self.exec_profiler.predict_exec(
             node.function,
             self._by_id[endpoint_id].spec,
-            self.input_bytes(task_id),
+            node.input_bytes,
         )
 
     def staging_time_estimate(self, task_id: int, endpoint_id: str) -> float:
@@ -294,58 +287,63 @@ class Simulation:
             tid = self.dag.submit_task(fn, dep_tids, file_deps, t.inline_args_B)
             self._spec_by_tid[t.id] = tid
             node = self.dag.nodes[tid]
-            fbytes = sum(self.data.items[d].size for d in node.file_deps)
-            self._file_bytes[tid] = fbytes
-            self._input_bytes[tid] = fbytes + t.inline_args_B
+            node.file_bytes = sum(self.data.items[d].size for d in node.file_deps)
+            node.input_bytes = node.file_bytes + t.inline_args_B
             if fspec.output_ratio > 0:
                 out_id = f"out:{tid}"
-                out_size = int(round(fspec.output_ratio * self._input_bytes[tid]))
+                out_size = int(round(fspec.output_ratio * node.input_bytes))
                 if out_size > 0:
                     self.data.register_item(out_id, out_size)
                     node.output = out_id
-            self.metrics.task(tid).submit_time = self.clock
-            self._live += 1
-            left = sum(1 for d in node.deps if self.dag.nodes[d].state != TaskState.DONE)
-            if left:
-                self._deps_left[tid] = left
+            node.submit_time = self.clock
+            node.deps_left = sum(
+                1 for d in node.deps if self.dag.nodes[d].state is not TaskState.DONE
+            )
+            self._state_counts[TaskState.PENDING] += 1
             task_ids.append(tid)
         return task_ids
 
+    # -- task state --------------------------------------------------------
+
+    def _enter(self, node, new: TaskState):
+        """Move a task to `new`: the only caller of TaskNode.set_state. Keeps
+        the per-state counts, stamps the time the state is entered and
+        samples the staging series whenever the STAGING count changes."""
+        old = node.state
+        node.set_state(new)
+        counts = self._state_counts
+        counts[old] -= 1
+        counts[new] += 1
+        stamp = _STAMPS.get(new)
+        if stamp is not None:
+            setattr(node, stamp, self.clock)
+        if TaskState.STAGING in (old, new):
+            self.metrics.record_staging_count(self.clock, counts[TaskState.STAGING])
+
     # -- scheduler callbacks ----------------------------------------------
 
-    def _drop_backlog(self, task_id: int):
-        entry = self._backlog_contrib.pop(task_id, None)
-        if entry is not None:
-            self._backlog_pred[entry[0]] -= entry[1]
+    def _drop_backlog(self, node):
+        if node.backlog_s:
+            self._backlog_pred[node.assigned_endpoint] -= node.backlog_s
+            node.backlog_s = 0.0
 
-    def _unassign(self, task_id: int):
+    def _unassign(self, node):
         """Release the task's claim on its endpoint's committed work."""
-        ep_id = self.dag.nodes[task_id].assigned_endpoint
-        if ep_id is not None:
-            self.assigned_undispatched[ep_id].discard(task_id)
+        if node.assigned_endpoint is not None:
+            self.assigned_undispatched[node.assigned_endpoint].discard(node.task_id)
 
     def assign(self, task_id: int, endpoint_id: str):
-        self._unassign(task_id)
-        self._drop_backlog(task_id)
-        pred = self.predicted_exec(task_id, endpoint_id)
-        self._backlog_contrib[task_id] = (endpoint_id, pred)
-        self._backlog_pred[endpoint_id] += pred
-        self.dag.nodes[task_id].assigned_endpoint = endpoint_id
+        node = self.dag.nodes[task_id]
+        self._unassign(node)
+        self._drop_backlog(node)
+        node.backlog_s = self.predicted_exec(task_id, endpoint_id)
+        self._backlog_pred[endpoint_id] += node.backlog_s
+        node.assigned_endpoint = endpoint_id
         self.assigned_undispatched[endpoint_id].add(task_id)
         self.metrics.decision_count += 1
-        self.metrics.task(task_id).endpoint = endpoint_id
 
     def begin_staging(self, task_id: int):
-        node = self.dag.nodes[task_id]
-        if node.state in (TaskState.PENDING, TaskState.FAILED):
-            if node.state == TaskState.FAILED:
-                self._live += 1  # a retry
-            node.set_state(TaskState.STAGING)
-            self._staging_count += 1
-            self.metrics.record_staging_count(self.clock, self._staging_count)
-            tm = self.metrics.task(task_id)
-            if tm.staging_start is None:
-                tm.staging_start = self.clock
+        self._enter(self.dag.nodes[task_id], TaskState.STAGING)
         self._stage(task_id)
 
     def _stage(self, task_id: int):
@@ -367,21 +365,16 @@ class Simulation:
             self._staging_finished(other)
 
     def _staging_finished(self, task_id: int):
-        node = self.dag.nodes[task_id]
-        self._staging_count -= 1
-        self.metrics.record_staging_count(self.clock, self._staging_count)
-        self.metrics.task(task_id).staging_end = self.clock
-        node.set_state(TaskState.READY)
+        self._enter(self.dag.nodes[task_id], TaskState.READY)
         self._hook(self.strategy.on_staging_complete, task_id)
 
     def move_assignment(self, task_id: int, endpoint_id: str):
         """Re-scheduling: point an undispatched task at a new endpoint and
         restart staging there (already-staged replicas stay where they are)."""
         node = self.dag.nodes[task_id]
-        if node.state == TaskState.READY:
+        if node.state is TaskState.READY:
             # Back into STAGING for the new target.
-            self._staging_count += 1
-            node.set_state(TaskState.STAGING)
+            self._enter(node, TaskState.STAGING)
         self.data.cancel_task_jobs(task_id)
         self.assign(task_id, endpoint_id)
         self._stage(task_id)
@@ -389,9 +382,8 @@ class Simulation:
     def dispatch_task(self, task_id: int):
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
-        node.set_state(TaskState.QUEUED)
-        self._unassign(task_id)
-        self.metrics.task(task_id).dispatch_time = self.clock
+        self._enter(node, TaskState.QUEUED)
+        self._unassign(node)
         outcome = ep.dispatch(task_id)
         if outcome == "accepted":
             self._start_running(task_id, ep)
@@ -399,16 +391,14 @@ class Simulation:
 
     def _start_running(self, task_id: int, ep: EndpointModel):
         node = self.dag.nodes[task_id]
-        node.set_state(TaskState.RUNNING)
-        self._running += 1
+        self._enter(node, TaskState.RUNNING)
         duration = self.sample_exec_duration(
             task_id, ep.endpoint_id, node.attempt_count
         )
-        self._drop_backlog(task_id)
+        self._drop_backlog(node)
         end = self.clock + self.dispatch_latency + duration
         pred_finish = self.clock + self.predicted_exec(task_id, ep.endpoint_id)
         heapq.heappush(self._finish_heap[ep.endpoint_id], (pred_finish, task_id))
-        self.metrics.task(task_id).start_time = self.clock
         self.schedule(end, EventKind.TASK_COMPLETE, (self._on_task_complete, task_id, duration))
 
     # -- failure handling --------------------------------------------------
@@ -419,14 +409,10 @@ class Simulation:
         node = self.dag.nodes[task_id]
         ep_id = node.assigned_endpoint
         self.data.cancel_task_jobs(task_id)
-        self._staging_count -= 1
-        self.metrics.record_staging_count(self.clock, self._staging_count)
-        node.set_state(TaskState.FAILED)
-        self._live -= 1
-        failed = self._failed_endpoints.setdefault(task_id, set())
-        failed.add(ep_id)
-        self._unassign(task_id)
-        self._drop_backlog(task_id)
+        self._enter(node, TaskState.FAILED)
+        failed = node.failed_endpoints = node.failed_endpoints | {ep_id}
+        self._unassign(node)
+        self._drop_backlog(node)
         self._record_task_outcome(task_id, ep_id, success=False)
         if len(failed) >= self.max_task_attempts:
             logger.error(
@@ -434,7 +420,6 @@ class Simulation:
                 task_id,
                 sorted(failed),
             )
-            self.metrics.task(task_id).final_state = "failed"
             self._cascade_unrunnable(task_id)
             return
         node.attempt_count += 1
@@ -465,10 +450,9 @@ class Simulation:
                     # Its chain never finishes, so it never left PENDING;
                     # give back the assignment capacity made at submit.
                     self.unrunnable.add(s)
-                    self._live -= 1
-                    self._unassign(s)
-                    self._drop_backlog(s)
-                    self.metrics.task(s).final_state = "unrunnable"
+                    node = self.dag.nodes[s]
+                    self._unassign(node)
+                    self._drop_backlog(node)
                     logger.error(
                         "task %d is unrunnable: dependency chain failed at task %d",
                         s,
@@ -494,7 +478,7 @@ class Simulation:
             TaskRecord(
                 function=node.function.name,
                 endpoint=endpoint_id,
-                input_size=self.input_bytes(task_id),
+                input_size=node.input_bytes,
                 exec_time=exec_time,
                 output_size=out_size,
                 success=success,
@@ -515,9 +499,19 @@ class Simulation:
             payload = (self._hook, self.strategy.on_reschedule_tick)
             self.schedule(when, EventKind.RESCHEDULE_TICK, payload)
 
+    def _live_count(self) -> int:
+        """Registered tasks that are not DONE, FAILED or unrunnable."""
+        counts = self._state_counts
+        return (
+            len(self.dag.nodes)
+            - counts[TaskState.DONE]
+            - counts[TaskState.FAILED]
+            - len(self.unrunnable)
+        )
+
     def _pending_count(self) -> int:
         """Live tasks that are not running."""
-        return self._live - self._running
+        return self._live_count() - self._state_counts[TaskState.RUNNING]
 
     def _queue_share(self) -> dict:
         share = {ep: 0 for ep in self.endpoint_order}
@@ -528,7 +522,7 @@ class Simulation:
 
     @property
     def finished(self) -> bool:
-        return self._pending_batches == 0 and self._live == 0
+        return self._pending_batches == 0 and self._live_count() == 0
 
     def _ticks_can_help(self) -> bool:
         """Whether periodic ticks can still lead to forward progress: while
@@ -557,14 +551,9 @@ class Simulation:
         batch = []
         for tid in sorted(set(candidates)):
             node = self.dag.nodes[tid]
-            if (
-                tid in self._announced
-                or tid in self.unrunnable
-                or node.terminal
-                or tid in self._deps_left
-            ):
+            if node.announced or node.deps_left or node.terminal or tid in self.unrunnable:
                 continue
-            self._announced.add(tid)
+            node.announced = True
             batch.append(tid)
         if batch:
             self._hook(self.strategy.on_deps_done, batch)
@@ -595,16 +584,9 @@ class Simulation:
     def _on_task_complete(self, task_id: int, exec_time: float):
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
-        node.set_state(TaskState.DONE)
-        self._live -= 1
-        self._running -= 1
+        self._enter(node, TaskState.DONE)
         for s in self.dag.successors[task_id]:
-            self._deps_left[s] -= 1
-            if not self._deps_left[s]:
-                del self._deps_left[s]
-        tm = self.metrics.task(task_id)
-        tm.end_time = self.clock
-        tm.final_state = "done"
+            self.dag.nodes[s].deps_left -= 1
         self._record_task_outcome(task_id, ep.endpoint_id, True, exec_time)
         if node.output is not None:
             self.data.add_replica(node.output, ep.endpoint_id)
@@ -628,7 +610,7 @@ class Simulation:
                 self._hook(self.strategy.on_worker_free, ep.endpoint_id)
 
     def _result_seen(self, task_id: int):
-        self.metrics.task(task_id).observed_time = self.clock
+        self.dag.nodes[task_id].observed_time = self.clock
         self._announce_ready(self.dag.successors[task_id])
 
     def _on_capacity_change(self, endpoint_id: str, event: CapacityEvent):
@@ -705,17 +687,17 @@ class Simulation:
 
     def _finalize_metrics(self):
         m = self.metrics
+        nodes = self.dag.nodes.values()
         completions = [
-            tm.observed_time if tm.observed_time is not None else tm.end_time
-            for tm in m.tasks.values()
-            if tm.end_time is not None
+            n.observed_time if n.observed_time is not None else n.end_time
+            for n in nodes
+            if n.end_time is not None
         ]
-        submits = [tm.submit_time for tm in m.tasks.values()]
+        submits = [n.submit_time for n in nodes]
         m.makespan = (max(completions) - min(submits)) if completions else 0.0
         m.transfer_bytes = self.data.transfer_bytes_total()
-        m.tasks_failed = sum(
-            1 for tm in m.tasks.values() if tm.final_state in ("failed", "unrunnable")
-        )
+        # Gave up (FAILED is terminal only then) or never ran (unrunnable).
+        m.tasks_failed = self._state_counts[TaskState.FAILED] + len(self.unrunnable)
         for job in self.data.jobs.values():
             m.transfers.append(
                 (

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+
+from .dag import TaskState
 
 logger = logging.getLogger(__name__)
 
@@ -32,24 +32,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class TaskMetrics:
-    task_id: int
-    endpoint: Optional[str] = None
-    submit_time: float = 0.0
-    staging_start: Optional[float] = None
-    staging_end: Optional[float] = None
-    dispatch_time: Optional[float] = None
-    start_time: Optional[float] = None
-    end_time: Optional[float] = None
-    observed_time: Optional[float] = None
-    final_state: str = "pending"
-
-
 class MetricsLog:
-    def __init__(self, endpoint_ids: list):
+    def __init__(self, endpoint_ids: list, tasks: dict):
         self.endpoint_ids = list(endpoint_ids)
-        self.tasks: dict = {}
+        self.tasks = tasks  # task_id -> TaskNode, timestamps included
         self.utilization: list = []  # (time, endpoint, busy, active)
         self.staging_series: list = []  # (time, tasks_in_staging)
         self.transfers: list = []  # rows matching TRANSFERS_COLUMNS
@@ -59,11 +45,6 @@ class MetricsLog:
         self.sched_seconds: float = 0.0
         self.decision_count: int = 0
         self.event_count: int = 0
-
-    def task(self, task_id: int) -> TaskMetrics:
-        if task_id not in self.tasks:
-            self.tasks[task_id] = TaskMetrics(task_id)
-        return self.tasks[task_id]
 
     def record_workers(self, time: float, endpoint: str, busy: int, active: int):
         self.utilization.append((time, endpoint, busy, active))
@@ -82,9 +63,9 @@ class MetricsLog:
 
     def per_endpoint_task_counts(self) -> dict:
         counts = {ep: 0 for ep in self.endpoint_ids}
-        for tm in self.tasks.values():
-            if tm.final_state == "done" and tm.endpoint in counts:
-                counts[tm.endpoint] += 1
+        for node in self.tasks.values():
+            if node.state is TaskState.DONE:
+                counts[node.assigned_endpoint] += 1
         return counts
 
     # -- export ------------------------------------------------------------

@@ -117,9 +117,10 @@ def reassignment_endpoint(
 ) -> Optional[str]:
     """Endpoint for a failed task's next attempt, or None when out of options.
 
-    The first retry goes through the scheduler's normal selection; later
-    retries go to the untried endpoint with the best historical success
-    rate. A task that has failed everywhere is terminal.
+    The first retry goes to `normal_choice()`, the scheduler's own pick,
+    when the task has not failed there; capacity has no pick (None). Every
+    other retry goes to the untried endpoint with the best historical
+    success rate. A task that has failed everywhere is terminal.
     """
     candidates = [ep for ep in endpoint_order if ep not in failed_endpoints]
     if not candidates:
@@ -174,8 +175,9 @@ class BaseStrategy:
         pass
 
     def retry_choice(self, task_id: int) -> Optional[str]:
-        """Normal selection used for a failed task's first retry."""
-        raise NotImplementedError
+        """The scheduler's own pick for a failed task's first retry; None
+        when it has none."""
+        return None
 
 
 class CapacityStrategy(BaseStrategy):
@@ -202,9 +204,6 @@ class CapacityStrategy(BaseStrategy):
 
     def on_staging_complete(self, task_id: int):
         self.sim.dispatch_task(task_id)
-
-    def retry_choice(self, task_id: int) -> Optional[str]:
-        return self.sim.dag.nodes[task_id].assigned_endpoint
 
 
 class LocalityStrategy(BaseStrategy):
@@ -277,12 +276,12 @@ class DhaStrategy(BaseStrategy):
         costs = {}
         for tid, node in sim.dag.nodes.items():
             d_bar, w_bar = average_costs(
-                sim.input_bytes(tid),
+                node.input_bytes,
                 node.function,
                 [ep.spec for ep in sim.endpoints],
                 sim.exec_profiler,
                 sim.transfer_profiler,
-                staging_bytes=sim.file_bytes(tid),
+                staging_bytes=node.file_bytes,
             )
             costs[tid] = (d_bar, w_bar)
         self.priorities = compute_priorities(sim.dag, costs)

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from fedflow.builtins import generate_builtin_scenario, single_endpoint_variant
-from fedflow.dag import Dag, FunctionDef
+from fedflow.dag import Dag, FunctionDef, TaskState
 from fedflow.engine import Simulation
 from fedflow.scheduling import capacity_partition, compute_priorities
 
@@ -193,19 +193,23 @@ def test_fault_tolerance_contract():
     with verdict("fault-tolerance-contract", budget_s=60.0):
         sc = generate_builtin_scenario("drug-like", 0.01)
         sc.defaults = dataclasses.replace(
-            sc.defaults, transfer_failure_rate=0.3, max_transfer_retries=3
+            sc.defaults, transfer_failure_rate=0.5, max_transfer_retries=3
         )
         sim = Simulation(sc, scheduler_kind="dha", seed=3)
         sim.run()
         failed_rows = [row for row in sim.metrics.transfers if row[5] == "failed"]
         assert all(row[6] <= 3 for row in failed_rows)
         assert any(row[6] > 0 for row in sim.metrics.transfers)  # retries happened
-        for tid, tm in sim.metrics.tasks.items():
-            if tm.final_state == "failed":
-                # One attempt per endpoint it failed on, up to the cap.
-                attempts = sim.dag.nodes[tid].attempt_count + 1
-                failed_on = len(sim._failed_endpoints[tid])
-                assert attempts == failed_on == sim.max_task_attempts, tid
+        # At this failure rate some task gives up, so the loop checks a task.
+        gave_up = [
+            node for node in sim.dag.nodes.values() if node.state is TaskState.FAILED
+        ]
+        assert gave_up
+        for node in gave_up:
+            # One attempt per endpoint it failed on, up to the cap.
+            attempts = node.attempt_count + 1
+            failed_on = len(node.failed_endpoints)
+            assert attempts == failed_on == sim.max_task_attempts, node.task_id
         clean = Simulation(
             generate_builtin_scenario("drug-like", 0.01),
             scheduler_kind="dha",

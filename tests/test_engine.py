@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fedflow.dag import TaskState
 from fedflow.engine import (
     DeadlockError,
     Simulation,
@@ -97,7 +98,7 @@ class TestTimingOracle:
         assert t0.end_time == pytest.approx(42.6)
         assert t1.start_time == pytest.approx(42.6)
         assert t1.end_time == pytest.approx(52.6)
-        assert t0.endpoint == t1.endpoint == "a"
+        assert t0.assigned_endpoint == t1.assigned_endpoint == "a"
 
     def test_output_item_registered_with_predicted_size(self):
         sim = Simulation(oracle())
@@ -229,10 +230,11 @@ class TestFailures:
         }
 
     def test_exhausted_transfers_fail_task_and_cascade(self):
-        m = run_scenario(scenario_from_dict(self.failure_doc()))
+        sim = Simulation(scenario_from_dict(self.failure_doc()))
+        m = sim.run()
         assert m.tasks_failed == 2
-        assert m.tasks[0].final_state == "failed"
-        assert m.tasks[1].final_state == "unrunnable"
+        assert m.tasks[0].state is TaskState.FAILED
+        assert m.tasks[1].state is TaskState.PENDING and sim.unrunnable == {1}
         assert m.transfer_bytes == 0  # nothing ever landed
 
     def test_transfer_rows_record_retries(self):
@@ -252,7 +254,7 @@ class TestFailures:
         doc = self.failure_doc(split_data=False)
         m = run_scenario(scenario_from_dict(doc))
         assert m.tasks_failed == 0
-        assert m.tasks[0].endpoint == "b"
+        assert m.tasks[0].assigned_endpoint == "b"
 
 
 class TestDeadlock:

@@ -128,7 +128,7 @@ GOLDEN = {
         {
             'utilization.csv': '94c6e7f5914734f2732111b506506c42a0d7b65f09964f32f0fa2dc773db037d',
             'transfers.csv': '359caa2239cedee8ed7a6d8d8c36226b460a4beb1f8c805def930bc45a44674a',
-            'staging.csv': '6d96a9f3465a371adee26f54c768f6553e7b0c2dbfcb1942f024f61d4d44a978',
+            'staging.csv': '923a495124e1d76a0a191d9b550fcba6e0b60f27902b077f4cb84d4ab839d9f1',
         },
     ),
     ('dynamic-montage', 0.02, 'capacity', ''): (
@@ -152,7 +152,7 @@ GOLDEN = {
         {
             'utilization.csv': 'da92a9458d9d66a90c5ac35722dca2ff2c8526f7894a8dfbebe78265923ae079',
             'transfers.csv': 'ae67d3c6150f4bb2922c412a5868fe56bccf3219b9ca8beffd3a2b553722fa0a',
-            'staging.csv': '7c279cce521bd9ff76a226f8903c4e0dd88c6013f9a9f9d6d5f16f6d7dbb52b3',
+            'staging.csv': '5e5587accedc5a7828a31ae24a3204fb43f23dd885e53141cd1316dff3aab60c',
         },
     ),
     ('elasticity', 0.05, 'capacity', ''): (
@@ -176,7 +176,7 @@ GOLDEN = {
         {
             'utilization.csv': '39df04b5968ed765aec5d9bb2dbe171295a470f513dd2d175645dbb5f17222d7',
             'transfers.csv': '95e539bb91810e0bcef3745d1738d074e01829c048265ce6986077e7af0700a3',
-            'staging.csv': '0de36849ee782608c5f9f58e042931c0c2652bea765dbfc2a30ceb0168611d52',
+            'staging.csv': 'bf49684460412fe770aed8647cdc3d55e7e47d6e21b93b1b8cc7d6be01c91bd2',
         },
     ),
     ('dynamic-drug', 0.02, 'dha', 'sync-lag'): (
@@ -184,7 +184,7 @@ GOLDEN = {
         {
             'utilization.csv': '49235001cc9d384e080f2b58617aeb29601b056ce69ab4ceb65ec420b6998c75',
             'transfers.csv': '84c2fb2d706f67cf6502703ad3c7204d58a04e29b76d798ee8bf59c7648e1efd',
-            'staging.csv': '4d6bc7093a24f327a82cdc71f75f3485e395bc815e5d254ed9c17048c03d6045',
+            'staging.csv': '405e4c015f7c8e20b0eff4b9403524eb20e4c4ac28617d561a6c9b88ca6b3590',
         },
     ),
 }

@@ -2,9 +2,10 @@
 replace, after every event of every golden run.
 
 The counters are `Simulation.finished`, `Simulation._pending_count()`, the
-running count, each endpoint's assigned-but-undispatched set, the count of
-queued events other than ticks, the per-task remaining-deps counts and the
-per-task job index that `cancel_task_jobs` walks. A subclass of `Simulation` checks
+per-state task counts, the last staging-series sample, each endpoint's
+assigned-but-undispatched set and predicted backlog, the count of queued
+events other than ticks, each node's remaining-deps count and the per-task
+job index that `cancel_task_jobs` walks. A subclass of `Simulation` checks
 them against scans of the task graph, the endpoints and the job table after
 each event; the run itself is unchanged.
 """
@@ -24,6 +25,9 @@ from test_golden import CASES, SEED, _scenario
 OPEN = (JobState.WAITING, JobState.ACTIVE)
 UNDISPATCHED = (TaskState.PENDING, TaskState.STAGING, TaskState.READY)
 TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
+# `_backlog_pred` is a running sum of adds and subtracts, so it drifts from a
+# fresh sum by float rounding: under 1e-10 s over the runs below.
+BACKLOG_TOLERANCE_S = 1e-6
 # Half of all transfer attempts fail and each job retries once, so tasks are
 # retried elsewhere, fail for good and leave unrunnable successors.
 LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "locality", "dha")]
@@ -31,12 +35,14 @@ LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "localit
 
 def check_counters(sim):
     nodes, unrunnable = sim.dag.nodes, sim.unrunnable
-    live = pending = running = 0
+    live = pending = 0
     not_done = []
     undispatched = {ep: set() for ep in sim.endpoint_order}
+    backlog = {ep: 0.0 for ep in sim.endpoint_order}
     for tid, node in nodes.items():
         state = node.state
-        running += state is TaskState.RUNNING
+        if node.backlog_s:
+            backlog[node.assigned_endpoint] += node.backlog_s
         if (
             state in UNDISPATCHED
             and node.assigned_endpoint is not None
@@ -50,10 +56,17 @@ def check_counters(sim):
                 pending += state is not TaskState.RUNNING
     assert sim.finished == (sim._pending_batches == 0 and live == 0)
     assert sim._pending_count() == pending
-    assert sim._running == running == sum(ep.busy_workers for ep in sim.endpoints)
+    states = Counter(node.state for node in nodes.values())
+    assert sim._state_counts == {s: states[s] for s in TaskState}
+    running = sum(ep.busy_workers for ep in sim.endpoints)
+    assert states[TaskState.RUNNING] == running
+    series = sim.metrics.staging_series
+    assert (series[-1][1] if series else 0) == states[TaskState.STAGING]
     assert sim.assigned_undispatched == undispatched
+    for ep, pred in sim._backlog_pred.items():
+        assert abs(pred - backlog[ep]) <= BACKLOG_TOLERANCE_S, ep
     deps_left = Counter(s for t in not_done for s in sim.dag.successors[t])
-    assert sim._deps_left == deps_left
+    assert all(node.deps_left == deps_left[tid] for tid, node in nodes.items())
     assert sim._queued_work == sum(1 for e in sim._events if e[1] not in TICKS)
 
     data = sim.data

@@ -232,6 +232,13 @@ class TestReassignment:
         )
         assert got == "b"
 
+    def test_first_retry_without_own_pick_uses_success_rate(self):
+        # Capacity has no own pick for a retry.
+        got = reassignment_endpoint(
+            1, {"a"}, {"b": 0.2, "c": 0.8}, ["a", "b", "c"], lambda: None
+        )
+        assert got == "c"
+
     def test_later_retries_use_success_rate(self):
         got = reassignment_endpoint(
             2, {"a"}, {"b": 0.2, "c": 0.8}, ["a", "b", "c"], lambda: "b"

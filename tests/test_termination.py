@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from fedflow.builtins import generate_builtin_scenario
+from fedflow.dag import TaskState
 from fedflow.endpoints import CapacityEvent
 from fedflow.engine import DeadlockError, Simulation
 
@@ -102,11 +103,11 @@ def test_each_failed_attempt_is_recorded_once(caplog):
     gave_up = Counter(
         r.args[0] for r in caplog.records if r.getMessage().endswith("giving up")
     )
-    failed = [t for t, tm in metrics.tasks.items() if tm.final_state == "failed"]
+    failed = [t for t, node in metrics.tasks.items() if node.state is TaskState.FAILED]
     assert failed and gave_up == Counter(failed)
     failures = Counter(t for t, _, success in sim.outcomes if not success)
-    for tid, endpoints in sim._failed_endpoints.items():
-        assert failures[tid] == len(endpoints), tid
+    for tid, node in sim.dag.nodes.items():
+        assert failures[tid] == len(node.failed_endpoints), tid
     for tid in failed:
         assert failures[tid] == sim.dag.nodes[tid].attempt_count + 1, tid
 
