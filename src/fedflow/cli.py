@@ -1,8 +1,8 @@
 """Command-line interface: run a scenario, generate a builtin one, or
 compare two result directories.
 
-Exit codes: 0 success, 1 scenario validation or command-line usage error,
-2 simulation deadlock, 3 I/O error.
+Exit codes: 0 success, 1 scenario, history-file or command-line usage
+error, 2 simulation deadlock, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .builtins import BUILTIN_NAMES, generate_builtin_scenario
 from .dag import WorkflowError
 from .engine import DeadlockError, Simulation
 from .metrics import MetricsIOError
+from .profilers import ProfilerError
 from .scenario import ScenarioError, load_scenario, save_scenario
 
 logger = logging.getLogger(__name__)
@@ -76,7 +77,8 @@ def main(verbose: bool):
 @click.option("--poll-interval", type=float, default=None,
               help="Override network.client.poll_interval_s.")
 @click.option("--history", "history_path", type=click.Path(), default=None,
-              help="Load/save the execution-profile history file.")
+              help="Execution-profile history: loaded if the file exists, "
+                   "written at the end of the run.")
 def run(
     scenario_path,
     scheduler,
@@ -106,7 +108,7 @@ def run(
         sim = Simulation(sc, scheduler_kind=scheduler, seed=seed, history_path=history_path)
         metrics = sim.run()
         metrics.emit(out_dir)
-    except (ScenarioError, WorkflowError) as exc:
+    except (ScenarioError, WorkflowError, ProfilerError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     except DeadlockError as exc:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import os
 import random
 import time as _time
 from enum import IntEnum
@@ -111,7 +112,8 @@ class Simulation:
         }
         perf_factors = {ep.endpoint_id: ep.spec.perf_factor for ep in self.endpoints}
         self.exec_profiler = ExecutionProfiler(truth, perf_factors)
-        if history_path:
+        # A history file is loaded if present and written at the end of run().
+        if history_path and os.path.exists(history_path):
             self.exec_profiler.load(history_path)
         self.history_path = history_path
         self.transfer_profiler = TransferProfiler(fallback=self.links)

@@ -1,18 +1,20 @@
 """Execution and transfer profilers: the observe-predict half of the system.
 
-Observed task records and transfers are appended to history stores and
-folded into regression models at refresh ticks (`refresh_tick_s`); both
-profilers refit then and only then, so a prediction between two ticks reads
-the fit of the last one. The default execution model is an ordinary
+Each observed task record and transfer is folded, as it arrives, into the
+running co-moments of its key (`_Moments`); both profilers refit at refresh
+ticks (`refresh_tick_s`) and only then, so a prediction between two ticks
+reads the fit of the last one. The default execution model is an ordinary
 least-squares fit of execution time on input size, per (function, endpoint);
 the model family is pluggable behind `predict_exec`. A refresh refits only
-the keys observed since the last one, so its cost follows the new records,
-not the whole history.
+the keys observed since the last one, and each refit reads O(1) state, so a
+refresh costs O(keys changed), whatever the length of the history.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +43,9 @@ class TaskRecord:
     def validate(self):
         if self.exec_time < 0 or self.input_size < 0 or self.output_size < 0:
             raise ProfilerError(f"negative field in record for {self.function}")
+        # A running sum never washes a non-finite value out again.
+        if not (math.isfinite(self.exec_time) and math.isfinite(self.timestamp)):
+            raise ProfilerError(f"non-finite field in record for {self.function}")
 
 
 @dataclass(frozen=True)
@@ -51,19 +56,37 @@ class FunctionTruth:
     rate_s_per_mb: float
 
 
-def _ols(points: list) -> tuple:
-    """Least-squares (intercept, slope) for [(x, y), ...]; slope 0 if degenerate."""
-    n = len(points)
-    if n == 1:
-        return points[0][1], 0.0
-    mx = sum(p[0] for p in points) / n
-    my = sum(p[1] for p in points) / n
-    sxx = sum((p[0] - mx) ** 2 for p in points)
-    if sxx == 0:
-        return my, 0.0
-    sxy = sum((p[0] - mx) * (p[1] - my) for p in points)
-    slope = sxy / sxx
-    return my - slope * mx, slope
+class _Moments:
+    """Running co-moments of (x, y) points, for a least-squares line.
+
+    Each point is folded in once, with Welford's update (Technometrics 4(3),
+    1962); `fit()` reads O(1) state. Equal x values leave `sxx` exactly 0.
+    """
+
+    __slots__ = ("n", "mx", "my", "sxx", "sxy")
+
+    def __init__(self):
+        self.n = 0
+        self.mx = self.my = self.sxx = self.sxy = 0.0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def add(self, x, y):
+        self.n += 1
+        dx = x - self.mx
+        self.mx += dx / self.n
+        self.my += (y - self.my) / self.n
+        self.sxx += dx * (x - self.mx)
+        self.sxy += dx * (y - self.my)
+
+    def fit(self) -> tuple:
+        """Least-squares (intercept, slope); (mean y, 0.0) for a single
+        point or equal x values."""
+        if self.sxx == 0:
+            return self.my, 0.0
+        slope = self.sxy / self.sxx
+        return self.my - slope * self.mx, slope
 
 
 class ExecutionProfiler:
@@ -79,9 +102,9 @@ class ExecutionProfiler:
 
     def __init__(self, truth: Optional[dict] = None, perf_factors: Optional[dict] = None):
         self.history: list = []
-        # (function, endpoint) -> its successful records, in history order;
+        # (function, endpoint) -> the moments of its successful records;
         # failures carry no duration signal.
-        self._successes: dict = {}
+        self._moments: dict = defaultdict(_Moments)
         self._dirty: set = set()  # keys recorded since the last refit
         # function -> {endpoint: [attempts, successes]}
         self._tallies: dict = {}
@@ -102,7 +125,7 @@ class ExecutionProfiler:
         if rec.success:
             tally[1] += 1
             key = (rec.function, rec.endpoint)
-            self._successes.setdefault(key, []).append(rec)
+            self._moments[key].add(rec.input_size, rec.exec_time)
             self._dirty.add(key)
 
     @property
@@ -116,9 +139,7 @@ class ExecutionProfiler:
         if not self._dirty:
             return
         for key in self._dirty:
-            self._fits[key] = _ols(
-                [(r.input_size, r.exec_time) for r in self._successes[key]]
-            )
+            self._fits[key] = self._moments[key].fit()
             name, ep = key
             donor = self._donors.get(name)
             if ep in self.perf_factors and (donor is None or ep < donor):
@@ -181,17 +202,20 @@ class ExecutionProfiler:
                 parts = line.split(",")
                 if len(parts) != 7:
                     raise ProfilerError(f"{path}:{lineno}: expected 7 fields")
-                self.record(
-                    TaskRecord(
-                        function=parts[0],
-                        endpoint=parts[1],
-                        input_size=int(parts[2]),
-                        exec_time=float(parts[3]),
-                        output_size=int(parts[4]),
-                        success=bool(int(parts[5])),
-                        timestamp=float(parts[6]),
+                try:
+                    self.record(
+                        TaskRecord(
+                            function=parts[0],
+                            endpoint=parts[1],
+                            input_size=int(parts[2]),
+                            exec_time=float(parts[3]),
+                            output_size=int(parts[4]),
+                            success=bool(int(parts[5])),
+                            timestamp=float(parts[6]),
+                        )
                     )
-                )
+                except ValueError as exc:  # a parse error or a ProfilerError
+                    raise ProfilerError(f"{path}:{lineno}: {exc}") from exc
         self.refresh()
 
 
@@ -207,7 +231,8 @@ class TransferProfiler:
     def __init__(self, fallback: Optional[dict] = None):
         # fallback: (src, dst) -> (latency_s, bandwidth_Bps)
         self.fallback = fallback or {}
-        self._observations: dict = {}
+        # (src, dst) -> the moments of its observed (size, duration) points
+        self._observations: dict = defaultdict(_Moments)
         self._dirty: set = set()  # pairs observed since the last refit
         self._fits: dict = {}
 
@@ -218,13 +243,13 @@ class TransferProfiler:
 
     def observe(self, src: str, dst: str, size: int, duration: float):
         pair = (src, dst)
-        self._observations.setdefault(pair, []).append((size, duration))
+        self._observations[pair].add(size, duration)
         self._dirty.add(pair)
 
     def refresh(self):
         """Refit the pairs observed since the last refresh."""
         for pair in self._dirty:
-            intercept, slope = _ols(self._observations[pair])
+            intercept, slope = self._observations[pair].fit()
             if slope > 0:
                 self._fits[pair] = (max(intercept, 0.0), 1.0 / slope)
             elif pair in self.fallback:

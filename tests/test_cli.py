@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from fedflow import cli
 from fedflow.builtins import generate_builtin_scenario
 from fedflow.cli import main
-from fedflow.scenario import Defaults, scenario_to_dict
+from fedflow.profilers import ExecutionProfiler
+from fedflow.scenario import Defaults, save_scenario, scenario_to_dict
 
 SMALL = {
     "name": "small",
@@ -174,6 +176,70 @@ class TestRun:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert message in result.output
+
+
+class TestHistory:
+    @staticmethod
+    def run(runner, monkeypatch, scenario, out, history):
+        """One `fedflow run --history`; returns its Simulation and the fits
+        its execution profiler had before the run."""
+        runs = []
+
+        class Recorded(cli.Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append((self, dict(self.exec_profiler._fits)))
+
+        monkeypatch.setattr(cli, "Simulation", Recorded)
+        result = runner.invoke(
+            main,
+            ["run", "--scenario", str(scenario), "--scheduler", "capacity",
+             "--seed", "3", "--out", str(out), "--history", str(history)],
+        )
+        assert result.exit_code == 0, result.output
+        (recorded,) = runs
+        return recorded
+
+    def test_first_run_starts_the_file_and_the_next_loads_it(
+        self, runner, monkeypatch, tmp_path
+    ):
+        scenario = tmp_path / "drug.json"
+        save_scenario(generate_builtin_scenario("drug-like", 0.01), scenario)
+        history = tmp_path / "history.csv"
+
+        first, fits = self.run(runner, monkeypatch, scenario, tmp_path / "o1", history)
+        assert fits == {}
+        lines = history.read_text().splitlines()
+        assert len(lines) == len(first.exec_profiler.history) > 0
+        started = tmp_path / "started.csv"
+        started.write_text(history.read_text())
+
+        second, fits = self.run(runner, monkeypatch, scenario, tmp_path / "o2", history)
+        fresh = ExecutionProfiler()
+        fresh.load(started)
+        assert fits and fits == fresh._fits  # same records, same fold order
+        assert second.exec_profiler.history[: len(lines)] == fresh.history
+        assert history.read_text().splitlines()[: len(lines)] == lines
+        assert len(history.read_text().splitlines()) == len(second.exec_profiler.history)
+
+    @pytest.mark.parametrize("line, message", [
+        ("f,a,100", ":1: expected 7 fields"),
+        ("f,a,100,nan,0,1,0.0", ":1: non-finite field"),
+        ("f,a,100,1.0,0,yes,0.0", ":1: invalid literal"),
+    ])
+    def test_bad_history_exits_1(self, runner, scenario_file, tmp_path, line, message):
+        history = tmp_path / "history.csv"
+        history.write_text(line + "\n")
+        result = runner.invoke(
+            main,
+            ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
+             "--history", str(history)],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {history}:") and message in result.output
+        assert "Traceback" not in result.output
+        assert history.read_text() == line + "\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestGen:

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedflow import profilers
 from fedflow.dag import CostHint, FunctionDef
 from fedflow.endpoints import EndpointSpec
 from fedflow.profilers import (
@@ -16,7 +15,7 @@ from fedflow.profilers import (
     ProfilerError,
     TaskRecord,
     TransferProfiler,
-    _ols,
+    _Moments,
     average_costs,
 )
 from fedflow.scheduling import success_rates_for
@@ -32,24 +31,99 @@ def rec(function="f", endpoint="a", input_size=100, exec_time=1.0,
                       output_size, success, timestamp)
 
 
+def _ols(points: list) -> tuple:
+    """Two-pass least-squares (intercept, slope) for [(x, y), ...]: the
+    reference the profilers' running moments are checked against."""
+    n = len(points)
+    if n == 1:
+        return points[0][1], 0.0
+    mx = sum(p[0] for p in points) / n
+    my = sum(p[1] for p in points) / n
+    sxx = sum((p[0] - mx) ** 2 for p in points)
+    if sxx == 0:
+        return my, 0.0
+    sxy = sum((p[0] - mx) * (p[1] - my) for p in points)
+    slope = sxy / sxx
+    return my - slope * mx, slope
+
+
+def moments_fit(points) -> tuple:
+    acc = _Moments()
+    for x, y in points:
+        acc.add(x, y)
+    assert len(acc) == len(points)
+    return acc.fit()
+
+
+# One pass and two passes round differently, so fits from running moments
+# agree with `_ols` to within this fraction of each coefficient's scale: the
+# largest |y| for the intercept, that over the spread of x for the slope.
+# A single point matches exactly, and equal x values give a slope of exactly
+# 0.0 (the mean of y is then within the tolerance).
+FIT_REL_TOL = 1e-9
+
+
+def assert_fit_close(fit, points):
+    ref = _ols(points)
+    xs = [x for x, _ in points]
+    y_scale = max(abs(y) for _, y in points)
+    x_spread = max(xs) - min(xs)
+    if len(points) == 1:
+        assert fit == ref
+    if x_spread == 0:
+        assert fit[1] == ref[1] == 0.0
+        assert math.isclose(fit[0], ref[0], rel_tol=FIT_REL_TOL,
+                            abs_tol=FIT_REL_TOL * y_scale), (fit, ref)
+        return
+    slope_scale = y_scale / x_spread
+    intercept_scale = y_scale + slope_scale * max(abs(x) for x in xs)
+    assert math.isclose(fit[1], ref[1], rel_tol=FIT_REL_TOL,
+                        abs_tol=FIT_REL_TOL * slope_scale), (fit, ref)
+    assert math.isclose(fit[0], ref[0], rel_tol=FIT_REL_TOL,
+                        abs_tol=FIT_REL_TOL * intercept_scale), (fit, ref)
+
+
 class TestOls:
+    """`_Moments.fit` against the two-pass reference `_ols`."""
+
     def test_exact_line(self):
-        intercept, slope = _ols([(0, 2.0), (10, 4.0), (20, 6.0)])
+        points = [(0, 2.0), (10, 4.0), (20, 6.0)]
+        intercept, slope = moments_fit(points)
         assert math.isclose(intercept, 2.0) and math.isclose(slope, 0.2)
+        assert_fit_close((intercept, slope), points)
 
     def test_single_point(self):
-        assert _ols([(5, 3.0)]) == (3.0, 0.0)
+        assert moments_fit([(5, 3.0)]) == _ols([(5, 3.0)]) == (3.0, 0.0)
+        assert moments_fit([(10**9, 0.1)]) == _ols([(10**9, 0.1)]) == (0.1, 0.0)
 
     def test_degenerate_x(self):
-        intercept, slope = _ols([(5, 2.0), (5, 4.0)])
-        assert slope == 0.0 and math.isclose(intercept, 3.0)
+        points = [(5, 2.0), (5, 4.0)]
+        assert moments_fit(points) == _ols(points) == (3.0, 0.0)
 
     @given(st.floats(-100, 100), st.floats(-1, 1),
            st.lists(st.integers(0, 10**6), min_size=2, max_size=20, unique=True))
     def test_recovers_noiseless_linear_model(self, b, m, xs):
-        intercept, slope = _ols([(x, b + m * x) for x in xs])
+        points = [(x, b + m * x) for x in xs]
+        intercept, slope = moments_fit(points)
         assert math.isclose(intercept, b, abs_tol=1e-6 * (1 + abs(b)) + 1e-4)
         assert math.isclose(slope, m, abs_tol=1e-6)
+        assert_fit_close((intercept, slope), points)
+
+    @given(st.lists(st.tuples(st.integers(10**8, 10**9),
+                              st.floats(0.0, 1e4, allow_nan=False)),
+                    min_size=1, max_size=40))
+    def test_matches_reference_on_large_inputs(self, points):
+        """Input sizes of 1e8-1e9 bytes, as transfers and large tasks have."""
+        assert_fit_close(moments_fit(points), points)
+
+    @given(st.integers(0, 10**9),
+           st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=20))
+    def test_equal_x_gives_exactly_zero_sxx(self, x, ys):
+        acc = _Moments()
+        for y in ys:
+            acc.add(x, y)
+        assert acc.sxx == 0.0
+        assert_fit_close(acc.fit(), [(x, y) for y in ys])
 
 
 class TestExecutionProfiler:
@@ -102,6 +176,32 @@ class TestExecutionProfiler:
     def test_negative_record_rejected(self):
         with pytest.raises(ProfilerError):
             ExecutionProfiler().record(rec(exec_time=-1.0))
+
+    @pytest.mark.parametrize("field", ["exec_time", "timestamp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_record_rejected(self, field, value):
+        p = ExecutionProfiler()
+        with pytest.raises(ProfilerError, match="non-finite"):
+            p.record(rec(**{field: value}))
+        assert p.history == [] and p._moments == {}
+
+    def test_non_finite_history_line_rejected(self, tmp_path):
+        path = tmp_path / "history.csv"
+        path.write_text("f,a,100,1.0,0,1,0.0\nf,a,100,nan,0,1,0.0\n")
+        with pytest.raises(ProfilerError, match=r"history\.csv:2: non-finite"):
+            ExecutionProfiler().load(path)
+
+    @pytest.mark.parametrize("line", [
+        "f,a,1e3,1.0,0,1,0.0",  # input size not an int
+        "f,a,100,slow,0,1,0.0",
+        "f,a,100,1.0,0,yes,0.0",
+        "f,a,100,1.0,0,1,",
+    ])
+    def test_unparsable_history_field_names_its_line(self, tmp_path, line):
+        path = tmp_path / "history.csv"
+        path.write_text(f"f,a,100,1.0,0,1,0.0\n\n{line}\n")
+        with pytest.raises(ProfilerError, match=r"history\.csv:3: "):
+            ExecutionProfiler().load(path)
 
     def test_save_load_round_trip(self, tmp_path):
         p = ExecutionProfiler()
@@ -219,25 +319,30 @@ profiler_ops = st.lists(
 )
 
 
-def full_exec_fits(history):
-    """Every (function, endpoint) fit, refitted from the whole history."""
-    points = {}
-    for r in history:
-        if r.success:
-            points.setdefault((r.function, r.endpoint), []).append(
-                (r.input_size, r.exec_time)
-            )
-    return {key: _ols(pts) for key, pts in points.items()}
+def assert_exec_fits(p, points):
+    """Every (function, endpoint) fit is the least-squares line of the
+    successful points fed to it."""
+    assert p._fits.keys() == points.keys()
+    for key, pts in points.items():
+        assert len(p._moments[key]) == len(pts)
+        assert_fit_close(p._fits[key], pts)
 
 
-def full_transfer_fits(observations, fallback):
-    """The fits of a new transfer profiler given every observation at once."""
-    tp = TransferProfiler(fallback=fallback)
-    for (src, dst), obs in observations.items():
-        for size, duration in obs:
-            tp.observe(src, dst, size, duration)
-    tp.refresh()
-    return tp._fits
+def assert_transfer_fits(tp, points, fallback):
+    """Every observed pair's raw fit is the least-squares line of its points,
+    and its link is that fit when the slope is positive, else the fallback.
+    The branch is read from the moments' own fit, so a slope near 0 cannot
+    take one side in the profiler and the other in `_ols`."""
+    assert tp._observations.keys() == points.keys() == tp._fits.keys()
+    for pair, pts in points.items():
+        moments = tp._observations[pair]
+        assert len(moments) == len(pts)
+        intercept, slope = moments.fit()
+        assert_fit_close((intercept, slope), pts)
+        if slope > 0:
+            assert tp._fits[pair] == (max(intercept, 0.0), 1.0 / slope)
+        else:
+            assert tp._fits[pair] == fallback[pair]
 
 
 class TestIncrementalRefit:
@@ -246,12 +351,22 @@ class TestIncrementalRefit:
     def test_fits_equal_a_full_refit(self, ops):
         p = ExecutionProfiler()
         tp = TransferProfiler(fallback=FALLBACK)
+        exec_points = {}  # (function, endpoint) -> successful (size, time)
+        transfer_points = {}  # (src, dst) -> observed (size, duration)
+
+        def record(r):
+            if r.success:
+                key = (r.function, r.endpoint)
+                exec_points.setdefault(key, []).append((r.input_size, r.exec_time))
+
         with tempfile.TemporaryDirectory() as tmp:
             for i, (op, *args) in enumerate(ops):
                 if op == "record":
                     p.record(args[0])
+                    record(args[0])
                 elif op == "observe":
                     tp.observe(*args[0], args[1], args[2])
+                    transfer_points.setdefault(args[0], []).append((args[1], args[2]))
                 elif op == "link":
                     tp.link(*args[0])
                 elif op == "load":
@@ -261,15 +376,17 @@ class TestIncrementalRefit:
                         source.record(r)
                     source.save(path)
                     p.load(path)
+                    for r in args[0]:
+                        record(r)
                 else:
                     p.refresh()
                     tp.refresh()
-                    assert p._fits == full_exec_fits(p.history)
-                    assert tp._fits == full_transfer_fits(tp._observations, FALLBACK)
+                    assert_exec_fits(p, exec_points)
+                    assert_transfer_fits(tp, transfer_points, FALLBACK)
         p.refresh()
         tp.refresh()
-        assert p._fits == full_exec_fits(p.history)
-        assert tp._fits == full_transfer_fits(tp._observations, FALLBACK)
+        assert_exec_fits(p, exec_points)
+        assert_transfer_fits(tp, transfer_points, FALLBACK)
         for function in FUNCS:
             assert p.success_rates(function) == success_rates_for(function, p.history)
 
@@ -283,21 +400,22 @@ class TestIncrementalRefit:
         p.refresh()
         tp.refresh()
         fitted = []
-        real = profilers._ols
+        real = _Moments.fit
 
-        def spy(points):
-            fitted.append(list(points))
-            return real(points)
+        def spy(moments):
+            fitted.append(moments)
+            return real(moments)
 
-        monkeypatch.setattr(profilers, "_ols", spy)
+        monkeypatch.setattr(_Moments, "fit", spy)
         p.record(rec(endpoint="a", input_size=200, exec_time=2.0))
         p.record(rec(endpoint="b", success=False))  # no duration signal
         p.refresh()
-        assert fitted == [[(100, 1.0), (200, 2.0)]]
+        assert fitted == [p._moments[("f", "a")]] and len(fitted[0]) == 2
+        assert p._fits[("f", "a")] == pytest.approx((0.0, 0.01))
         fitted.clear()
         tp.observe("a", "b", 20, 2.0)
         tp.refresh()
-        assert fitted == [[(10, 1.0), (20, 2.0)]]
+        assert fitted == [tp._observations[("a", "b")]] and len(fitted[0]) == 2
         fitted.clear()
         p.refresh()
         tp.refresh()
