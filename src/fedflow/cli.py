@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def main(verbose: bool):
               help="Override network.client.poll_interval_s.")
 @click.option("--history", "history_path", type=click.Path(), default=None,
               help="Execution-profile history: loaded if the file exists, "
-                   "written at the end of the run.")
+                   "written after the CSVs.")
 def run(
     scenario_path,
     scheduler,
@@ -105,9 +106,13 @@ def run(
             sc.defaults = dataclasses.replace(sc.defaults, **overrides)
         if poll_interval is not None:
             sc.network = dataclasses.replace(sc.network, poll_interval_s=poll_interval)
-        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed, history_path=history_path)
+        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed)
+        if history_path and os.path.exists(history_path):
+            sim.exec_profiler.load(history_path)
         metrics = sim.run()
         metrics.emit(out_dir)
+        if history_path:
+            sim.exec_profiler.save(history_path)
     except (ScenarioError, WorkflowError, ProfilerError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)

@@ -44,21 +44,25 @@ _LEGAL_TRANSITIONS = {
 
 
 @dataclass(frozen=True)
-class CostHint:
-    """Fallback cost estimate used before any profile history exists."""
-
-    fixed_s: float = 0.0
-    rate_s_per_b: float = 0.0
-
-    def __post_init__(self):
-        if self.fixed_s < 0 or self.rate_s_per_b < 0:
-            raise WorkflowError("cost hint components must be non-negative")
-
-
-@dataclass(frozen=True)
 class FunctionDef:
+    """The one record of a declared function.
+
+    Its true cost drives both the sampled execution time and the execution
+    profiler's last fallback. The cost hint is the profiler's estimate
+    before it has a fit: both of its fields are set, or neither is.
+    """
+
     name: str
-    cost_hint: Optional[CostHint] = None
+    true_fixed_s: float
+    true_rate_s_per_MB: float = 0.0
+    output_ratio: float = 0.0
+    noise: float = 0.0
+    cost_hint_fixed_s: Optional[float] = None
+    cost_hint_rate_s_per_B: Optional[float] = None
+
+    def true_seconds(self, input_bytes: int) -> float:
+        """True execution seconds at reference speed, before noise."""
+        return self.true_fixed_s + self.true_rate_s_per_MB * input_bytes / 1e6
 
 
 @dataclass(slots=True)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import os
 import random
 import time as _time
 from enum import IntEnum
@@ -20,7 +19,6 @@ from .metrics import MetricsLog
 from .profilers import (
     PROBE_SIZE_BYTES,
     ExecutionProfiler,
-    FunctionTruth,
     TaskRecord,
     TransferProfiler,
 )
@@ -75,7 +73,6 @@ class Simulation:
         scenario: Scenario,
         scheduler_kind: Optional[str] = None,
         seed: Optional[int] = None,
-        history_path=None,
     ):
         self.scenario = scenario
         d = scenario.defaults
@@ -106,23 +103,11 @@ class Simulation:
             max_transfer_retries=d.max_transfer_retries,
         )
 
-        truth = {
-            f.name: FunctionTruth(f.true_fixed_s, f.true_rate_s_per_MB)
-            for f in scenario.functions.values()
-        }
         perf_factors = {ep.endpoint_id: ep.spec.perf_factor for ep in self.endpoints}
-        self.exec_profiler = ExecutionProfiler(truth, perf_factors)
-        # A history file is loaded if present and written at the end of run().
-        if history_path and os.path.exists(history_path):
-            self.exec_profiler.load(history_path)
-        self.history_path = history_path
+        self.exec_profiler = ExecutionProfiler(perf_factors)
         self.transfer_profiler = TransferProfiler(fallback=self.links)
 
         self.dag = Dag()
-        self.functions = {
-            name: spec.function_def() for name, spec in scenario.functions.items()
-        }
-        self._function_spec = scenario.functions
 
         self.clock = 0.0
         self._events: list = []
@@ -214,13 +199,12 @@ class Simulation:
 
     def sample_exec_duration(self, task_id: int, endpoint_id: str, attempt: int) -> float:
         node = self.dag.nodes[task_id]
-        fn = self._function_spec[node.function.name]
+        fn = node.function
         ep = self._by_id[endpoint_id].spec
-        base = fn.true_fixed_s + fn.true_rate_s_per_MB * node.input_bytes / MB
         noise = 0.0
         if fn.noise > 0:
             noise = self._stream("exec", task_id, attempt).uniform(-fn.noise, fn.noise)
-        return ep.perf_factor * base * (1.0 + noise)
+        return ep.perf_factor * fn.true_seconds(node.input_bytes) * (1.0 + noise)
 
     def _transfer_success(self, job: TransferJob) -> bool:
         if self.failure_rate <= 0:
@@ -278,8 +262,7 @@ class Simulation:
     def _register_batch(self, specs: list) -> list:
         task_ids = []
         for t in sorted(specs, key=lambda s: s.id):
-            fn = self.functions[t.function]
-            fspec = self._function_spec[t.function]
+            fn = self.scenario.functions[t.function]
             file_deps = list(t.file_deps)
             dep_tids = [self._spec_by_tid[d] for d in t.deps]
             for dep in dep_tids:
@@ -291,9 +274,9 @@ class Simulation:
             node = self.dag.nodes[tid]
             node.file_bytes = sum(self.data.items[d].size for d in node.file_deps)
             node.input_bytes = node.file_bytes + t.inline_args_B
-            if fspec.output_ratio > 0:
+            if fn.output_ratio > 0:
                 out_id = f"out:{tid}"
-                out_size = int(round(fspec.output_ratio * node.input_bytes))
+                out_size = int(round(fn.output_ratio * node.input_bytes))
                 if out_size > 0:
                     self.data.register_item(out_id, out_size)
                     node.output = out_id
@@ -666,8 +649,6 @@ class Simulation:
         if not self.finished:
             self._raise_deadlock()
         self._finalize_metrics()
-        if self.history_path:
-            self.exec_profiler.save(self.history_path)
         return self.metrics
 
     def _raise_deadlock(self):

@@ -48,14 +48,6 @@ class TaskRecord:
             raise ProfilerError(f"non-finite field in record for {self.function}")
 
 
-@dataclass(frozen=True)
-class FunctionTruth:
-    """Scenario-declared ground-truth cost of a function (oracle fallback)."""
-
-    fixed_s: float
-    rate_s_per_mb: float
-
-
 class _Moments:
     """Running co-moments of (x, y) points, for a least-squares line.
 
@@ -94,13 +86,13 @@ class ExecutionProfiler:
 
     Prediction precedence: fitted model for the exact (function, endpoint)
     pair; the fit of the function's donor endpoint rescaled by the
-    perf-factor ratio; the function's cost hint; finally the
-    scenario-declared true mean. The donor is the least endpoint id that has
-    a fit and a known perf factor. `perf_factors` (endpoint id -> factor) is
-    given once, at construction; without it no fit is transferred.
+    perf-factor ratio; the function's cost hint; finally the function's
+    true cost. The donor is the least endpoint id that has a fit and a known
+    perf factor. `perf_factors` (endpoint id -> factor) is given once, at
+    construction; without it no fit is transferred.
     """
 
-    def __init__(self, truth: Optional[dict] = None, perf_factors: Optional[dict] = None):
+    def __init__(self, perf_factors: Optional[dict] = None):
         self.history: list = []
         # (function, endpoint) -> the moments of its successful records;
         # failures carry no duration signal.
@@ -113,7 +105,6 @@ class ExecutionProfiler:
         # only ever gives way to a smaller id, set at refresh.
         self._donors: dict = {}
         self.refit_count = 0
-        self.truth = truth or {}
         self.perf_factors = perf_factors or {}
         self._truth_fallback_logged: set = set()
 
@@ -158,7 +149,6 @@ class ExecutionProfiler:
     ) -> float:
         """Predict execution seconds. Always finite."""
         name = function.name
-        time_s = None
         fit = self._fits.get((name, endpoint.endpoint_id))
         if fit:
             time_s = fit[0] + fit[1] * input_size
@@ -168,21 +158,15 @@ class ExecutionProfiler:
             dfit = self._fits[(name, donor)]
             base = dfit[0] + dfit[1] * input_size
             time_s = base * endpoint.perf_factor / self.perf_factors[donor]
-        if time_s is None and function.cost_hint is not None:
-            hint = function.cost_hint
+        elif function.cost_hint_fixed_s is not None:
             time_s = endpoint.perf_factor * (
-                hint.fixed_s + hint.rate_s_per_b * input_size
+                function.cost_hint_fixed_s + function.cost_hint_rate_s_per_B * input_size
             )
-        if time_s is None:
-            truth = self.truth.get(name)
-            if truth is None:
-                raise ProfilerError(f"no history, hint, or truth for {name}")
+        else:
             if name not in self._truth_fallback_logged:
-                logger.info("no profile for %s: falling back to declared true mean", name)
+                logger.info("no profile for %s: falling back to declared true cost", name)
                 self._truth_fallback_logged.add(name)
-            time_s = endpoint.perf_factor * (
-                truth.fixed_s + truth.rate_s_per_mb * input_size / 1e6
-            )
+            time_s = endpoint.perf_factor * function.true_seconds(input_size)
         return max(time_s, 0.0)
 
     def save(self, path):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .dag import INLINE_ARGS_LIMIT, CostHint, FunctionDef
+from .dag import INLINE_ARGS_LIMIT, FunctionDef
 from .endpoints import CapacityEvent, EndpointSpec
 
 logger = logging.getLogger(__name__)
@@ -32,26 +33,6 @@ DEPRECATED_DEFAULTS = (
 
 class ScenarioError(ValueError):
     """Validation failure; the message names the offending field and entry."""
-
-
-@dataclass(frozen=True)
-class FunctionSpec:
-    name: str
-    true_fixed_s: float
-    true_rate_s_per_MB: float = 0.0
-    output_ratio: float = 0.0
-    noise: float = 0.0
-    cost_hint_fixed_s: Optional[float] = None
-    cost_hint_rate_s_per_B: Optional[float] = None
-
-    def function_def(self) -> FunctionDef:
-        hint = None
-        if self.cost_hint_fixed_s is not None or self.cost_hint_rate_s_per_B is not None:
-            hint = CostHint(
-                fixed_s=self.cost_hint_fixed_s or 0.0,
-                rate_s_per_b=self.cost_hint_rate_s_per_B or 0.0,
-            )
-        return FunctionDef(self.name, hint)
 
 
 @dataclass(frozen=True)
@@ -114,13 +95,10 @@ class Scenario:
     endpoints: list  # EndpointSpec
     capacity_traces: dict  # endpoint_id -> [CapacityEvent]
     network: NetworkSpec
-    functions: dict  # name -> FunctionSpec
+    functions: dict  # name -> FunctionDef
     data: dict  # data_id -> DataSpec
     workflow: list  # TaskSpec, ordered by (submit_time_s, id)
     defaults: Defaults = field(default_factory=Defaults)
-
-    def endpoint_ids(self) -> list:
-        return [ep.endpoint_id for ep in self.endpoints]
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +113,23 @@ def _require(obj: dict, key: str, where: str):
 
 
 def _nonneg(value, name: str, where: str):
-    if value is None or value < 0:
-        raise ScenarioError(f"{where}: negative size/time in '{name}' ({value})")
-    return value
+    """`value` unchanged, if it is a finite, non-negative number."""
+    try:
+        if 0 <= value < math.inf:
+            return value
+    except TypeError:  # not a number
+        pass
+    else:
+        if value < 0:
+            raise ScenarioError(f"{where}: negative size/time in '{name}' ({value})")
+    raise ScenarioError(f"{where}: '{name}' must be a finite number ({value!r})")
+
+
+def _int(value, name: str, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{where}: '{name}' must be an integer ({value!r})") from None
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -167,7 +159,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         traces[ep_id] = [
             CapacityEvent(
                 time_s=_nonneg(ev.get("time_s"), "time_s", f"{where}.capacity_trace"),
-                delta_workers=int(_require(ev, "delta_workers", f"{where}.capacity_trace")),
+                delta_workers=_int(
+                    _require(ev, "delta_workers", f"{where}.capacity_trace"),
+                    "delta_workers",
+                    f"{where}.capacity_trace",
+                ),
             )
             for ev in entry.get("capacity_trace", [])
         ]
@@ -221,39 +217,49 @@ def scenario_from_dict(doc: dict) -> Scenario:
         fname = _require(entry, "name", where)
         if fname in functions:
             raise ScenarioError(f"{where}: duplicate function name '{fname}'")
+        # A hint with one component declared gets 0 for the other.
         hint = entry.get("cost_hint") or {}
-        spec = FunctionSpec(
+        hint_fixed = hint_rate = None
+        if "fixed_s" in hint or "rate_s_per_B" in hint:
+            hint_where = f"{where}.cost_hint"
+            hint_fixed = _nonneg(hint.get("fixed_s", 0.0), "fixed_s", hint_where)
+            hint_rate = _nonneg(hint.get("rate_s_per_B", 0.0), "rate_s_per_B", hint_where)
+        noise = entry.get("noise", 0.0)
+        if _nonneg(noise, "noise", where) >= 1.0:
+            raise ScenarioError(f"{where}: noise must be in [0, 1)")
+        functions[fname] = FunctionDef(
             name=fname,
             true_fixed_s=_nonneg(entry.get("true_fixed_s"), "true_fixed_s", where),
             true_rate_s_per_MB=_nonneg(
                 entry.get("true_rate_s_per_MB", 0.0), "true_rate_s_per_MB", where
             ),
             output_ratio=_nonneg(entry.get("output_ratio", 0.0), "output_ratio", where),
-            noise=float(entry.get("noise", 0.0)),
-            cost_hint_fixed_s=hint.get("fixed_s"),
-            cost_hint_rate_s_per_B=hint.get("rate_s_per_B"),
+            noise=noise,
+            cost_hint_fixed_s=hint_fixed,
+            cost_hint_rate_s_per_B=hint_rate,
         )
-        if not 0.0 <= spec.noise < 1.0:
-            raise ScenarioError(f"{where}: noise must be in [0, 1)")
-        functions[fname] = spec
 
     data: dict = {}
     workflow: list = []
     seen_tasks: set = set()
-    all_ids = {int(t["id"]) for t in doc.get("workflow", []) if "id" in t}
     for m, entry in enumerate(doc.get("workflow", [])):
         where = f"workflow[{m}]"
-        tid = int(_require(entry, "id", where))
+        tid = _int(_require(entry, "id", where), "id", where)
         if tid in seen_tasks:
             raise ScenarioError(f"{where}: duplicate task id {tid}")
         fname = _require(entry, "function", where)
         if fname not in functions:
             raise ScenarioError(f"{where}: dangling reference to function '{fname}'")
-        deps = tuple(int(d) for d in entry.get("deps", []))
+        deps = tuple(_int(d, "deps", where) for d in entry.get("deps", []))
         for d in deps:
             if d == tid:
                 raise ScenarioError(f"{where}: cycle in workflow (task {tid} depends on itself)")
             if d not in seen_tasks:
+                all_ids = {
+                    _int(t["id"], "id", f"workflow[{k}]")
+                    for k, t in enumerate(doc["workflow"])
+                    if "id" in t
+                }
                 if d in all_ids:
                     raise ScenarioError(
                         f"{where}: cycle in workflow (task {tid} depends on later task {d})"
@@ -281,8 +287,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     )
             data[did] = DataSpec(did, size, locations)
             file_deps.append(did)
-        inline = int(entry.get("inline_args_B", 0))
-        _nonneg(inline, "inline_args_B", where)
+        inline = _nonneg(
+            _int(entry.get("inline_args_B", 0), "inline_args_B", where), "inline_args_B", where
+        )
         if inline > INLINE_ARGS_LIMIT:
             raise ScenarioError(
                 f"{where}: inline_args_B exceeds the 10 MB limit ({INLINE_ARGS_LIMIT} B)"
@@ -355,7 +362,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "submit_time_s": t.submit_time_s,
         }
 
-    def func_entry(f: FunctionSpec) -> dict:
+    def func_entry(f: FunctionDef) -> dict:
         entry = {
             "name": f.name,
             "true_fixed_s": f.true_fixed_s,
@@ -363,10 +370,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "output_ratio": f.output_ratio,
             "noise": f.noise,
         }
-        if f.cost_hint_fixed_s is not None or f.cost_hint_rate_s_per_B is not None:
+        if f.cost_hint_fixed_s is not None:
             entry["cost_hint"] = {
-                "fixed_s": f.cost_hint_fixed_s or 0.0,
-                "rate_s_per_B": f.cost_hint_rate_s_per_B or 0.0,
+                "fixed_s": f.cost_hint_fixed_s,
+                "rate_s_per_B": f.cost_hint_rate_s_per_B,
             }
         return entry
 

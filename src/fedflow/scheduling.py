@@ -163,7 +163,8 @@ class BaseStrategy:
         raise NotImplementedError
 
     def on_staging_complete(self, task_id: int):
-        raise NotImplementedError
+        """Dispatch a staged task at once."""
+        self.sim.dispatch_task(task_id)
 
     def on_worker_free(self, endpoint_id: str):
         pass
@@ -201,9 +202,6 @@ class CapacityStrategy(BaseStrategy):
         # fixed offline.
         for tid in sorted(task_ids):
             self.sim.begin_staging(tid)
-
-    def on_staging_complete(self, task_id: int):
-        self.sim.dispatch_task(task_id)
 
 
 class LocalityStrategy(BaseStrategy):
@@ -245,9 +243,6 @@ class LocalityStrategy(BaseStrategy):
     def on_deps_done(self, task_ids: list):
         self.waiting.extend(sorted(task_ids))
         self._pump()
-
-    def on_staging_complete(self, task_id: int):
-        self.sim.dispatch_task(task_id)
 
     def on_worker_free(self, endpoint_id: str):
         self._pump()

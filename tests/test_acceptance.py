@@ -82,7 +82,7 @@ def _brute_force(succ, costs, t):
 
 def test_priority_oracle_equivalence():
     with verdict("priority-oracle-equivalence", budget_s=10.0):
-        fn = FunctionDef("f")
+        fn = FunctionDef("f", true_fixed_s=1.0)
         rng = random.Random(20240817)
         for _ in range(500):
             n = rng.randint(1, 20)

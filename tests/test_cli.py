@@ -182,13 +182,13 @@ class TestHistory:
     @staticmethod
     def run(runner, monkeypatch, scenario, out, history):
         """One `fedflow run --history`; returns its Simulation and the fits
-        its execution profiler had before the run."""
+        its execution profiler had when the run started."""
         runs = []
 
         class Recorded(cli.Simulation):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
+            def run(self):
                 runs.append((self, dict(self.exec_profiler._fits)))
+                return super().run()
 
         monkeypatch.setattr(cli, "Simulation", Recorded)
         result = runner.invoke(
@@ -221,6 +221,19 @@ class TestHistory:
         assert second.exec_profiler.history[: len(lines)] == fresh.history
         assert history.read_text().splitlines()[: len(lines)] == lines
         assert len(history.read_text().splitlines()) == len(second.exec_profiler.history)
+
+    def test_unwritable_history_keeps_the_csvs(self, runner, scenario_file, tmp_path):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["run", "--scenario", str(scenario_file), "--out", str(out),
+             "--history", str(tmp_path / "nodir" / "h.csv")],
+        )
+        assert result.exit_code == 3
+        assert result.output.startswith("error:")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "staging.csv", "summary.csv", "transfers.csv", "utilization.csv"
+        ]
 
     @pytest.mark.parametrize("line, message", [
         ("f,a,100", ":1: expected 7 fields"),

@@ -12,7 +12,7 @@ from fedflow.dag import (
     dfs_order,
 )
 
-FN = FunctionDef("f")
+FN = FunctionDef("f", true_fixed_s=1.0)
 
 
 def build(edges, n):

@@ -32,6 +32,9 @@ CASES.append(("dynamic-drug", 0.02, "dha", "probe-retry-poll"))
 # The scheduler hears of a freed worker 5 s late (`mock_sync_lag_s`), so a
 # DHA re-scheduling pass can dispatch a task it has yet to visit.
 CASES.append(("dynamic-drug", 0.02, "dha", "sync-lag"))
+# Every function declares a cost hint, so DHA's first predictions come from
+# the hint rather than the true cost.
+CASES.append(("drug-like", 0.02, "dha", "cost-hint"))
 
 
 def _scenario(name, scale, variant):
@@ -43,6 +46,13 @@ def _scenario(name, scale, variant):
         sc.network = dataclasses.replace(sc.network, poll_interval_s=5.0)
     elif variant == "sync-lag":
         sc.defaults = dataclasses.replace(sc.defaults, mock_sync_lag_s=5.0)
+    elif variant == "cost-hint":
+        sc.functions = {
+            name: dataclasses.replace(
+                fn, cost_hint_fixed_s=0.5 * fn.true_fixed_s, cost_hint_rate_s_per_B=1e-7
+            )
+            for name, fn in sc.functions.items()
+        }
     return sc
 
 
@@ -185,6 +195,14 @@ GOLDEN = {
             'utilization.csv': '49235001cc9d384e080f2b58617aeb29601b056ce69ab4ceb65ec420b6998c75',
             'transfers.csv': '84c2fb2d706f67cf6502703ad3c7204d58a04e29b76d798ee8bf59c7648e1efd',
             'staging.csv': '405e4c015f7c8e20b0eff4b9403524eb20e4c4ac28617d561a6c9b88ca6b3590',
+        },
+    ),
+    ('drug-like', 0.02, 'dha', 'cost-hint'): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2396.099631,1.137000,0,413,50,10,8\n',
+        {
+            'utilization.csv': '76041cb11197640a6fc2ca2ac588eeb8b19b92b292edb8eb5911d760e5c93a78',
+            'transfers.csv': '2ad1e1ba3b4c2a66b94950d5d23262d2cc51430ef20f6f8efaeac037ad2e5ba3',
+            'staging.csv': '4b6f4e58cffa396fc8fca093ddba47d9b95f8592ac7694b99664c1f44949024a',
         },
     ),
 }

@@ -7,11 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedflow.dag import CostHint, FunctionDef
+from fedflow.dag import FunctionDef
 from fedflow.endpoints import EndpointSpec
 from fedflow.profilers import (
     ExecutionProfiler,
-    FunctionTruth,
     ProfilerError,
     TaskRecord,
     TransferProfiler,
@@ -23,6 +22,10 @@ from fedflow.scheduling import success_rates_for
 
 def ep(eid, perf=1.0):
     return EndpointSpec(eid, 10, 1, 1, perf_factor=perf)
+
+
+# A true cost far from every fitted value, so a missed fit shows.
+FN = FunctionDef("f", true_fixed_s=1000.0)
 
 
 def rec(function="f", endpoint="a", input_size=100, exec_time=1.0,
@@ -132,7 +135,7 @@ class TestExecutionProfiler:
         for size, t in ((0, 10.0), (100, 20.0), (200, 30.0)):
             p.record(rec(input_size=size, exec_time=t))
         p.refresh()
-        t = p.predict_exec(FunctionDef("f"), ep("a"), 50)
+        t = p.predict_exec(FN, ep("a"), 50)
         assert math.isclose(t, 15.0)
 
     def test_failures_excluded_from_time_fit(self):
@@ -140,30 +143,29 @@ class TestExecutionProfiler:
         p.record(rec(exec_time=10.0))
         p.record(rec(exec_time=0.0, success=False))
         p.refresh()
-        t = p.predict_exec(FunctionDef("f"), ep("a"), 100)
+        t = p.predict_exec(FN, ep("a"), 100)
         assert math.isclose(t, 10.0)
 
     def test_donor_endpoint_rescaled_by_perf(self):
         p = ExecutionProfiler(perf_factors={"a": 1.0, "b": 3.0})
         p.record(rec(endpoint="a", exec_time=10.0))
         p.refresh()
-        t = p.predict_exec(FunctionDef("f"), ep("b", perf=3.0), 100)
+        t = p.predict_exec(FN, ep("b", perf=3.0), 100)
         assert math.isclose(t, 30.0)
 
     def test_cost_hint_fallback(self):
         p = ExecutionProfiler()
-        fn = FunctionDef("f", cost_hint=CostHint(fixed_s=5.0, rate_s_per_b=0.01))
+        fn = FunctionDef(
+            "f", true_fixed_s=1000.0, cost_hint_fixed_s=5.0, cost_hint_rate_s_per_B=0.01
+        )
         t = p.predict_exec(fn, ep("a", perf=2.0), 100)
         assert math.isclose(t, 2.0 * (5.0 + 1.0))
 
     def test_truth_fallback(self):
-        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 2.0)})
-        t = p.predict_exec(FunctionDef("f"), ep("a", perf=1.5), 2_000_000)
+        p = ExecutionProfiler()
+        fn = FunctionDef("f", true_fixed_s=10.0, true_rate_s_per_MB=2.0)
+        t = p.predict_exec(fn, ep("a", perf=1.5), 2_000_000)
         assert math.isclose(t, 1.5 * (10.0 + 4.0))
-
-    def test_no_source_of_estimate_raises(self):
-        with pytest.raises(ProfilerError):
-            ExecutionProfiler().predict_exec(FunctionDef("f"), ep("a"), 1)
 
     def test_refresh_idempotent(self):
         p = ExecutionProfiler()
@@ -263,28 +265,28 @@ class TestTransferProfiler:
 
 class TestAverageCosts:
     def test_single_endpoint_has_no_staging_term(self):
-        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 0.0)})
-        d, w = average_costs(100, FunctionDef("f"), [ep("a")], p, TransferProfiler())
+        p = ExecutionProfiler()
+        d, w = average_costs(100, FunctionDef("f", 10.0), [ep("a")], p, TransferProfiler())
         assert d == 0.0 and math.isclose(w, 10.0)
 
     def test_execution_mean_over_endpoints(self):
-        p = ExecutionProfiler(truth={"f": FunctionTruth(10.0, 0.0)})
+        p = ExecutionProfiler()
         tp = TransferProfiler(fallback={("a", "b"): (0.0, 1e6), ("b", "a"): (0.0, 1e6)})
-        d, w = average_costs(0, FunctionDef("f"), [ep("a"), ep("b", 2.0)], p, tp)
+        d, w = average_costs(0, FunctionDef("f", 10.0), [ep("a"), ep("b", 2.0)], p, tp)
         assert math.isclose(w, 15.0)
         assert d == 0.0  # no bytes to stage
 
     def test_staging_uses_file_bytes_and_link_means(self):
-        p = ExecutionProfiler(truth={"f": FunctionTruth(1.0, 0.0)})
+        p = ExecutionProfiler()
         tp = TransferProfiler(fallback={("a", "b"): (1.0, 1e6), ("b", "a"): (3.0, 1e6)})
         d, _ = average_costs(
-            10**6, FunctionDef("f"), [ep("a"), ep("b")], p, tp, staging_bytes=2 * 10**6
+            10**6, FunctionDef("f", 1.0), [ep("a"), ep("b")], p, tp, staging_bytes=2 * 10**6
         )
         assert math.isclose(d, 2.0 + 2.0)  # 2 MB at 1 MB/s + mean latency 2 s
 
     def test_empty_endpoint_set_rejected(self):
         with pytest.raises(ProfilerError):
-            average_costs(1, FunctionDef("f"), [], ExecutionProfiler(), TransferProfiler())
+            average_costs(1, FN, [], ExecutionProfiler(), TransferProfiler())
 
 
 # -- incremental refits ------------------------------------------------------

@@ -1,11 +1,15 @@
 """Scenario parsing, validation diagnostics, and round-tripping."""
 
 import copy
+import json
 import logging
+import math
 
 import pytest
+from click.testing import CliRunner
 
 from fedflow.builtins import generate_builtin_scenario
+from fedflow.cli import main
 from fedflow.engine import Simulation
 from fedflow.scenario import (
     MB,
@@ -42,7 +46,7 @@ def doc():
 class TestParsing:
     def test_base_parses(self):
         sc = scenario_from_dict(doc())
-        assert sc.endpoint_ids() == ["a", "b"]
+        assert [e.endpoint_id for e in sc.endpoints] == ["a", "b"]
         assert sc.data["d"].size_MB == 5.0
         assert len(sc.workflow) == 2
 
@@ -56,6 +60,17 @@ class TestParsing:
         d["workflow"][1]["deps"] = []
         sc = scenario_from_dict(d)
         assert [t.id for t in sc.workflow] == [1, 0]
+
+    def test_cost_hint_components_are_both_set_or_neither(self):
+        d = doc()
+        d["functions"][0]["cost_hint"] = {"fixed_s": 2.0}
+        sc = scenario_from_dict(d)
+        fn = sc.functions["f"]
+        assert (fn.cost_hint_fixed_s, fn.cost_hint_rate_s_per_B) == (2.0, 0.0)
+        assert scenario_from_dict(scenario_to_dict(sc)) == sc
+        d["functions"][0]["cost_hint"] = {}
+        fn = scenario_from_dict(d).functions["f"]
+        assert (fn.cost_hint_fixed_s, fn.cost_hint_rate_s_per_B) == (None, None)
 
 
 class TestDiagnostics:
@@ -146,6 +161,47 @@ class TestDiagnostics:
         d = doc()
         d["workflow"][0]["file_deps"][0].pop("locations")
         self.named(d, "no initial locations")
+
+
+# (path into the document, value, the field the error must name). Each one
+# used to escape as a TypeError, ValueError or OverflowError, or to load a
+# value no run can use.
+BAD_NUMBERS = [
+    (("functions", 0, "cost_hint"), {"fixed_s": "abc"}, "'fixed_s'"),
+    (("functions", 0, "cost_hint"), {"rate_s_per_B": -1.0}, "'rate_s_per_B'"),
+    (("functions", 0, "noise"), "abc", "'noise'"),
+    (("functions", 0, "true_fixed_s"), math.nan, "'true_fixed_s'"),
+    (("workflow", 0, "id"), "x", "'id'"),
+    (("workflow", 1, "deps"), ["x"], "'deps'"),
+    (("workflow", 1, "inline_args_B"), "x", "'inline_args_B'"),
+    (("workflow", 0, "file_deps", 0, "size_MB"), math.inf, "'size_MB'"),
+    (
+        ("endpoints", 0, "capacity_trace"),
+        [{"time_s": 1.0, "delta_workers": "x"}],
+        "'delta_workers'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, field", BAD_NUMBERS, ids=[f"{p[-1]}={v!r}" for p, v, _ in BAD_NUMBERS]
+)
+def test_bad_number_is_rejected_at_load(path, value, field, tmp_path):
+    d = doc()
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ScenarioError, match=field):
+        scenario_from_dict(d)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(d))
+    result = CliRunner().invoke(
+        main, ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 1
+    assert result.output.startswith("error:") and field in result.output
+    assert "Traceback" not in result.output
 
 
 class TestRoundTrip:

@@ -24,7 +24,7 @@ from fedflow.scheduling import (
     success_rates_for,
 )
 
-FN = FunctionDef("f")
+FN = FunctionDef("f", true_fixed_s=1.0)
 
 
 class TestCapacityPartition:
