@@ -89,7 +89,8 @@ class ExecutionProfiler:
     perf-factor ratio; the function's cost hint; finally the function's
     true cost. The donor is the least endpoint id that has a fit and a known
     perf factor. `perf_factors` (endpoint id -> factor) is given once, at
-    construction; without it no fit is transferred.
+    construction; without it no fit is transferred. A prediction is computed
+    once per (function, endpoint, input size) between two refits.
     """
 
     def __init__(self, perf_factors: Optional[dict] = None):
@@ -104,6 +105,9 @@ class ExecutionProfiler:
         # function -> its donor endpoint. Fits are never dropped, so a donor
         # only ever gives way to a smaller id, set at refresh.
         self._donors: dict = {}
+        # (function, endpoint, input size) -> predicted seconds. Fits and
+        # donors change only at refresh, which empties it.
+        self._predictions: dict = {}
         self.refit_count = 0
         self.perf_factors = perf_factors or {}
         self._truth_fallback_logged: set = set()
@@ -136,6 +140,7 @@ class ExecutionProfiler:
             if ep in self.perf_factors and (donor is None or ep < donor):
                 self._donors[name] = ep
         self._dirty.clear()
+        self._predictions.clear()
         self.refit_count += 1
 
     def success_rates(self, function_name: str) -> dict:
@@ -148,6 +153,13 @@ class ExecutionProfiler:
         self, function: FunctionDef, endpoint: EndpointSpec, input_size: int
     ) -> float:
         """Predict execution seconds. Always finite."""
+        key = (function.name, endpoint.endpoint_id, input_size)
+        time_s = self._predictions.get(key)
+        if time_s is None:
+            time_s = self._predictions[key] = self._predict(function, endpoint, input_size)
+        return time_s
+
+    def _predict(self, function: FunctionDef, endpoint: EndpointSpec, input_size: int) -> float:
         name = function.name
         fit = self._fits.get((name, endpoint.endpoint_id))
         if fit:

@@ -30,6 +30,9 @@ DEPRECATED_DEFAULTS = (
     "batch_size", "file_transfer_type", "poll_interval_s", "sched_time_factor"
 )
 
+# `defaults` keys that hold integers.
+_INT_DEFAULTS = ("seed", "max_transfer_retries", "max_task_attempts", "transfer_concurrency")
+
 
 class ScenarioError(ValueError):
     """Validation failure; the message names the offending field and entry."""
@@ -144,15 +147,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if ep_id in seen_eps:
             raise ScenarioError(f"{where}: duplicate endpoint_id '{ep_id}'")
         seen_eps.add(ep_id)
+        numbers = {
+            "workers_per_node": _int(
+                _require(entry, "workers_per_node", where), "workers_per_node", where
+            ),
+            "max_nodes": _int(_require(entry, "max_nodes", where), "max_nodes", where),
+            "initial_nodes": _int(entry.get("initial_nodes", 0), "initial_nodes", where),
+            "idle_timeout_s": float(
+                _nonneg(entry.get("idle_timeout_s", 30.0), "idle_timeout_s", where)
+            ),
+            "perf_factor": float(_nonneg(entry.get("perf_factor", 1.0), "perf_factor", where)),
+        }
         try:
-            spec = EndpointSpec(
-                endpoint_id=ep_id,
-                workers_per_node=int(_require(entry, "workers_per_node", where)),
-                max_nodes=int(_require(entry, "max_nodes", where)),
-                initial_nodes=int(entry.get("initial_nodes", 0)),
-                idle_timeout_s=float(entry.get("idle_timeout_s", 30.0)),
-                perf_factor=float(entry.get("perf_factor", 1.0)),
-            )
+            spec = EndpointSpec(endpoint_id=ep_id, **numbers)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         endpoints.append(spec)
@@ -325,6 +332,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     defaults = Defaults(**defaults_doc)
     if defaults.scheduler not in ("capacity", "locality", "dha"):
         raise ScenarioError(f"defaults.scheduler: unknown scheduler '{defaults.scheduler}'")
+    defaults = replace(
+        defaults, **{k: _int(getattr(defaults, k), k, "defaults") for k in _INT_DEFAULTS}
+    )
+    for key in ("scale_tick_s", "refresh_tick_s", "reschedule_period_s", "mock_sync_lag_s"):
+        _nonneg(getattr(defaults, key), key, "defaults")
+    # A tick re-arms itself one period on, so a period of 0 never advances
+    # the clock.
+    for key in ("scale_tick_s", "refresh_tick_s"):
+        if getattr(defaults, key) == 0:
+            raise ScenarioError(f"defaults: '{key}' must be positive")
+    if _nonneg(defaults.transfer_failure_rate, "transfer_failure_rate", "defaults") > 1:
+        raise ScenarioError("defaults: 'transfer_failure_rate' must be in [0, 1]")
 
     workflow.sort(key=lambda t: (t.submit_time_s, t.id))
     return Scenario(

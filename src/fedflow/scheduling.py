@@ -286,17 +286,32 @@ class DhaStrategy(BaseStrategy):
 
     # -- endpoint selection ------------------------------------------------
 
-    def _earliest_finishing(self, task_id: int, candidates: list) -> str:
+    def _earliest_finishing(
+        self, task_id: int, candidates: list, idle: Optional[dict] = None
+    ) -> str:
         """The candidate endpoint with the earliest finish time for the task;
-        ties go to the candidate listed first."""
+        ties go to the candidate listed first.
+
+        `idle` maps endpoints to idle estimates already read; the caller
+        clears it when their inputs change. A candidate is staged only when
+        its finish time without staging beats the best so far: staging is
+        non-negative and float `+` and `max` are monotone, so that bound is
+        never above the full finish time, and only a strict gain wins.
+        """
         sim = self.sim
+        clock = sim.clock
+        if idle is None:
+            idle = {}
         best_ep, best_eft = None, None
         for ep_id in candidates:
+            ready = idle.get(ep_id)
+            if ready is None:
+                ready = idle[ep_id] = sim.earliest_idle_estimate(ep_id)
+            exec_s = sim.predicted_exec(task_id, ep_id)
+            if best_eft is not None and max(clock, ready) + exec_s >= best_eft:
+                continue
             eft = earliest_finish_time(
-                sim.clock,
-                sim.staging_time_estimate(task_id, ep_id),
-                sim.earliest_idle_estimate(ep_id),
-                sim.predicted_exec(task_id, ep_id),
+                clock, sim.staging_time_estimate(task_id, ep_id), ready, exec_s
             )
             if best_eft is None or eft < best_eft:
                 best_ep, best_eft = ep_id, eft
@@ -368,6 +383,8 @@ class DhaStrategy(BaseStrategy):
             sim.undispatched_tasks(), key=lambda t: (-self.priorities.get(t, 0.0), t)
         )
         moves = 0
+        # Idle estimates per endpoint; only a move changes their inputs.
+        idle: dict = {}
         for tid in movable:
             node = sim.dag.nodes[tid]
             # An earlier move in this pass may have finished this task's
@@ -379,9 +396,10 @@ class DhaStrategy(BaseStrategy):
             candidates = [incumbent] + [
                 ep_id for ep_id in sim.endpoint_order if ep_id != incumbent
             ]
-            best_ep = self._earliest_finishing(tid, candidates)
+            best_ep = self._earliest_finishing(tid, candidates, idle)
             if best_ep != incumbent:
                 sim.move_assignment(tid, best_ep)
+                idle.clear()
                 moves += 1
         if moves:
             logger.debug("re-scheduling moved %d tasks", moves)

@@ -167,6 +167,22 @@ class TestExecutionProfiler:
         t = p.predict_exec(fn, ep("a", perf=1.5), 2_000_000)
         assert math.isclose(t, 1.5 * (10.0 + 4.0))
 
+    def test_predictions_change_only_at_refresh(self):
+        p = ExecutionProfiler(perf_factors={"a": 1.0, "b": 2.0})
+        assert p.predict_exec(FN, ep("a"), 100) == 1000.0
+        assert p.predict_exec(FN, ep("b", perf=2.0), 100) == 2000.0
+        p.record(rec(endpoint="a", exec_time=10.0))
+        assert p.predict_exec(FN, ep("a"), 100) == 1000.0
+        assert p.predict_exec(FN, ep("b", perf=2.0), 100) == 2000.0
+        p.refresh()
+        assert math.isclose(p.predict_exec(FN, ep("a"), 100), 10.0)
+        # "b" has no fit of its own and borrows the new one from "a".
+        assert math.isclose(p.predict_exec(FN, ep("b", perf=2.0), 100), 20.0)
+        p.record(rec(endpoint="b", exec_time=50.0))
+        assert math.isclose(p.predict_exec(FN, ep("b", perf=2.0), 100), 20.0)
+        p.refresh()
+        assert math.isclose(p.predict_exec(FN, ep("b", perf=2.0), 100), 50.0)
+
     def test_refresh_idempotent(self):
         p = ExecutionProfiler()
         p.record(rec())

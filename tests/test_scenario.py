@@ -36,6 +36,7 @@ BASE = {
         },
         {"id": 1, "function": "f", "deps": [0], "file_deps": ["d"]},
     ],
+    "defaults": {},
 }
 
 
@@ -71,6 +72,19 @@ class TestParsing:
         d["functions"][0]["cost_hint"] = {}
         fn = scenario_from_dict(d).functions["f"]
         assert (fn.cost_hint_fixed_s, fn.cost_hint_rate_s_per_B) == (None, None)
+
+    def test_defaults_at_their_bounds_load(self):
+        d = doc()
+        d["defaults"] = {
+            "seed": "7",
+            "transfer_failure_rate": 1.0,  # every transfer fails; retries end
+            "reschedule_period_s": 0.0,  # no re-scheduling passes
+            "mock_sync_lag_s": 0,
+            "refresh_tick_s": 1e-3,
+        }
+        defaults = scenario_from_dict(d).defaults
+        assert defaults.seed == 7
+        assert (defaults.transfer_failure_rate, defaults.refresh_tick_s) == (1.0, 1e-3)
 
 
 class TestDiagnostics:
@@ -180,6 +194,24 @@ BAD_NUMBERS = [
         [{"time_s": 1.0, "delta_workers": "x"}],
         "'delta_workers'",
     ),
+    (("endpoints", 0, "workers_per_node"), None, "'workers_per_node'"),
+    (("endpoints", 0, "max_nodes"), "x", "'max_nodes'"),
+    (("endpoints", 1, "initial_nodes"), [1], "'initial_nodes'"),
+    (("endpoints", 0, "perf_factor"), math.nan, "'perf_factor'"),
+    (("endpoints", 1, "idle_timeout_s"), None, "'idle_timeout_s'"),
+    # A tick re-armed at `clock + 0` would keep the clock at 0 for ever.
+    (("defaults", "refresh_tick_s"), 0.0, "'refresh_tick_s'"),
+    (("defaults", "refresh_tick_s"), "abc", "'refresh_tick_s'"),
+    (("defaults", "scale_tick_s"), 0, "'scale_tick_s'"),
+    (("defaults", "scale_tick_s"), math.inf, "'scale_tick_s'"),
+    (("defaults", "reschedule_period_s"), -1.0, "'reschedule_period_s'"),
+    (("defaults", "mock_sync_lag_s"), math.nan, "'mock_sync_lag_s'"),
+    (("defaults", "transfer_failure_rate"), 1.5, "'transfer_failure_rate'"),
+    (("defaults", "transfer_failure_rate"), -0.1, "'transfer_failure_rate'"),
+    (("defaults", "seed"), "abc", "'seed'"),
+    (("defaults", "max_transfer_retries"), None, "'max_transfer_retries'"),
+    (("defaults", "max_task_attempts"), math.inf, "'max_task_attempts'"),
+    (("defaults", "transfer_concurrency"), "x", "'transfer_concurrency'"),
 ]
 
 

@@ -221,6 +221,131 @@ class TestDhaEndpointChoice:
         assert sim.moves == [(0, "c")]
 
 
+class TableSim:
+    """One task whose staging, idle and execution times on each endpoint
+    come from a table; records the endpoints it stages."""
+
+    def __init__(self, clock: float, table: dict):
+        self.clock = clock
+        self.table = table  # endpoint -> (staging, idle, exec)
+        self.staged = []
+
+    def staging_time_estimate(self, task_id, endpoint_id):
+        self.staged.append(endpoint_id)
+        return self.table[endpoint_id][0]
+
+    def earliest_idle_estimate(self, endpoint_id):
+        return self.table[endpoint_id][1]
+
+    def predicted_exec(self, task_id, endpoint_id):
+        return self.table[endpoint_id][2]
+
+
+# Few distinct values, so that ties are common.
+times = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 100.0, allow_nan=False)
+)
+candidate_tables = st.lists(
+    st.tuples(times, st.one_of(times, st.just(math.inf)), times), min_size=1, max_size=6
+)
+
+
+class TestEarliestFinishingBound:
+    @settings(max_examples=500, deadline=None)
+    @given(times, candidate_tables, st.data())
+    def test_matches_full_scoring(self, clock, rows, data):
+        """The choice is the first candidate of minimal finish time, as a full
+        score of every candidate gives; a candidate is staged exactly when
+        its finish time without staging beats every earlier one."""
+        declared = [f"e{i}" for i in range(len(rows))]
+        incumbent = data.draw(st.sampled_from(declared))
+        incumbent_first = [incumbent] + [e for e in declared if e != incumbent]
+        table = dict(zip(declared, rows))
+        for candidates in (declared, incumbent_first):
+            sim = TableSim(clock, table)
+            got = DhaStrategy(sim)._earliest_finishing(0, candidates)
+            efts = [earliest_finish_time(clock, *table[e]) for e in candidates]
+            assert got == candidates[efts.index(min(efts))]
+            expect_staged = [
+                e
+                for i, e in enumerate(candidates)
+                if i == 0
+                or max(clock, table[e][1]) + table[e][2] < min(efts[:i])
+            ]
+            assert sim.staged == expect_staged
+
+
+class PassSim(FakeSim):
+    """Two READY tasks on "a", which is busy until t=10; "b" has one idle
+    worker, so it is idle now until a task is moved there."""
+
+    def __init__(self):
+        super().__init__({"a": 5.0, "b": 5.0}, incumbent="a")
+        node = self.dag.nodes[self.dag.submit_task(FN)]
+        node.state = TaskState.READY
+        node.assigned_endpoint = "a"
+        self.b_idle = True
+        self.idle_reads = []
+
+    def earliest_idle_estimate(self, endpoint_id):
+        self.idle_reads.append(endpoint_id)
+        if endpoint_id == "b" and self.b_idle:
+            return self.clock
+        return 10.0
+
+    def undispatched_tasks(self):
+        return [0, 1]
+
+    def move_assignment(self, task_id, endpoint_id):
+        super().move_assignment(task_id, endpoint_id)
+        self.dag.nodes[task_id].assigned_endpoint = endpoint_id
+        self.b_idle = False
+
+
+class TestReschedulePass:
+    def test_move_refreshes_idle_estimates(self):
+        """The first move fills "b", so the second task no longer gains by
+        going there and keeps its incumbent on the tie."""
+        sim = PassSim()
+        assert DhaStrategy(sim).reschedule_pass() == 1
+        assert sim.moves == [(0, "b")]
+        assert sim.idle_reads == ["a", "b", "a", "b"]
+
+    def test_idle_estimates_reused_without_a_move(self):
+        sim = PassSim()
+        sim.b_idle = False
+        assert DhaStrategy(sim).reschedule_pass() == 0
+        assert sim.idle_reads == ["a", "b"]
+
+
+def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
+    """A pass reads each endpoint's idle estimate at most once before its
+    first move and once after each move."""
+    sc = generate_builtin_scenario("dynamic-drug", 0.02)
+    reads = []
+    passes = []  # (idle estimates read, moves) per pass
+    idle = Simulation.earliest_idle_estimate
+    reschedule = DhaStrategy.reschedule_pass
+
+    def counted_idle(self, endpoint_id):
+        reads.append(endpoint_id)
+        return idle(self, endpoint_id)
+
+    def counted_pass(self):
+        before = len(reads)
+        moves = reschedule(self)
+        passes.append((len(reads) - before, moves))
+        return moves
+
+    monkeypatch.setattr(Simulation, "earliest_idle_estimate", counted_idle)
+    monkeypatch.setattr(DhaStrategy, "reschedule_pass", counted_pass)
+    sim = Simulation(sc, scheduler_kind="dha", seed=7)
+    sim.run()
+    n_eps = len(sim.endpoints)
+    assert sum(moves for _, moves in passes) > 0, "no pass moved a task"
+    assert all(n <= n_eps * (moves + 1) for n, moves in passes), passes
+
+
 class TestReassignment:
     def test_first_retry_uses_normal_choice(self):
         got = reassignment_endpoint(1, {"a"}, {}, ["a", "b", "c"], lambda: "c")
