@@ -8,7 +8,6 @@ error, 2 simulation deadlock, 3 I/O error.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import logging
 import os
 import sys
@@ -19,9 +18,9 @@ import click
 from .builtins import BUILTIN_NAMES, generate_builtin_scenario
 from .dag import WorkflowError
 from .engine import DeadlockError, Simulation
-from .metrics import MetricsIOError
+from .metrics import SUMMARY_BASE_COLUMNS, MetricsIOError
 from .profilers import ProfilerError
-from .scenario import ScenarioError, load_scenario, save_scenario
+from .scenario import ScenarioError, apply_overrides, load_scenario, save_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -95,17 +94,14 @@ def run(
     """Simulate one scenario and write metrics CSVs to --out."""
     try:
         sc = load_scenario(scenario_path)
-        overrides = {
-            "reschedule_period_s": reschedule_period,
-            "max_task_attempts": max_task_attempts,
-            "transfer_concurrency": transfer_concurrency,
-            "max_transfer_retries": max_transfer_retries,
-        }
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        if overrides:
-            sc.defaults = dataclasses.replace(sc.defaults, **overrides)
-        if poll_interval is not None:
-            sc.network = dataclasses.replace(sc.network, poll_interval_s=poll_interval)
+        apply_overrides(
+            sc,
+            poll_interval_s=poll_interval,
+            reschedule_period_s=reschedule_period,
+            max_task_attempts=max_task_attempts,
+            transfer_concurrency=transfer_concurrency,
+            max_transfer_retries=max_transfer_retries,
+        )
         sim = Simulation(sc, scheduler_kind=scheduler, seed=seed)
         if history_path and os.path.exists(history_path):
             sim.exec_profiler.load(history_path)
@@ -152,12 +148,22 @@ def gen(name, scale, out_path):
 
 
 def _read_summary(out_dir) -> dict:
+    """The summary row, with makespan_s and transfer_GB as numbers."""
     path = Path(out_dir) / "summary.csv"
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise OSError(f"{path}: empty summary")
-    return rows[0]
+    row = rows[0]
+    for key in SUMMARY_BASE_COLUMNS:
+        if row.get(key) is None:
+            raise OSError(f"{path}: no {key} value")
+    for key in ("makespan_s", "transfer_GB"):
+        try:
+            row[key] = float(row[key])
+        except ValueError:
+            raise OSError(f"{path}: {key} is not a number ({row[key]!r})") from None
+    return row
 
 
 @main.command()
@@ -172,7 +178,7 @@ def compare(out_a, out_b):
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
     for key in ("makespan_s", "transfer_GB"):
-        va, vb = float(a[key]), float(b[key])
+        va, vb = a[key], b[key]
         delta = vb - va
         rel = f" ({delta / va * 100:+.2f}%)" if va else ""
         click.echo(f"{key}: A={va:.3f} B={vb:.3f} delta={delta:+.3f}{rel}")

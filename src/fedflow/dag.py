@@ -19,28 +19,35 @@ class WorkflowError(ValueError):
 
 
 class TaskState(Enum):
-    PENDING = "pending"
-    STAGING = "staging"
-    READY = "ready"
-    QUEUED = "queued"
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
+    """A task's states, with what a state change reads: `index`, the
+    position in the per-state counts; `stamp`, the TaskNode time that
+    entering sets; `terminal`; and `successors`, the legal next states.
+    FAILED -> STAGING is the retry path, STAGING -> FAILED exhausted transfer
+    retries (the only way a task fails), READY -> STAGING a re-scheduling
+    move, and PENDING -> UNRUNNABLE a dependency that failed for good."""
+
+    PENDING = "pending", None, False, ("STAGING", "UNRUNNABLE")
+    STAGING = "staging", None, False, ("READY", "FAILED")
+    READY = "ready", "staging_end", False, ("QUEUED", "STAGING")
+    QUEUED = "queued", "dispatch_time", False, ("RUNNING",)
+    RUNNING = "running", "start_time", False, ("DONE",)
+    DONE = "done", "end_time", True, ()
+    FAILED = "failed", None, True, ("STAGING",)
+    UNRUNNABLE = "unrunnable", None, True, ()
+
+    def __new__(cls, value, stamp, terminal, successors):
+        state = object.__new__(cls)
+        state._value_ = value
+        state.index = len(cls.__members__)
+        state.stamp = stamp
+        state.terminal = terminal
+        state.successors = successors  # names until the class exists
+        return state
 
 
-# FAILED -> STAGING is the retry path; STAGING -> FAILED covers exhausted
-# transfer retries, the only way a task fails, so a failed task never reached
-# a worker; READY -> STAGING happens when re-scheduling moves a staged task to
-# a new endpoint.
-_LEGAL_TRANSITIONS = {
-    TaskState.PENDING: {TaskState.STAGING},
-    TaskState.STAGING: {TaskState.READY, TaskState.FAILED},
-    TaskState.READY: {TaskState.QUEUED, TaskState.STAGING},
-    TaskState.QUEUED: {TaskState.RUNNING},
-    TaskState.RUNNING: {TaskState.DONE},
-    TaskState.DONE: set(),
-    TaskState.FAILED: {TaskState.STAGING},
-}
+# Tuples, not sets: a membership test compares by identity, with no hashing.
+for _state in TaskState:
+    _state.successors = tuple(TaskState[name] for name in _state.successors)
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ class TaskNode:
     observed_time: Optional[float] = None
 
     def set_state(self, new: TaskState):
-        if new not in _LEGAL_TRANSITIONS[self.state]:
+        if new not in self.state.successors:
             raise WorkflowError(
                 f"task {self.task_id}: illegal transition {self.state.value} -> {new.value}"
             )
@@ -103,7 +110,7 @@ class TaskNode:
 
     @property
     def terminal(self) -> bool:
-        return self.state in (TaskState.DONE, TaskState.FAILED)
+        return self.state.terminal
 
 
 class Dag:

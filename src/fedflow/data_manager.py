@@ -59,8 +59,9 @@ class DataManager:
         self._next_job_id = 0
         self._active: dict = {}  # (src, dst) -> count
         self._waiting: dict = {}  # (src, dst) -> heap of job ids
-        self._active_items: dict = {}  # (data_id, dst) -> active job count
-        self._blocked: dict = {}  # (data_id, dst) -> job ids parked behind a duplicate
+        # (data_id, dst) -> ids of the jobs parked behind the one active
+        # transfer of that item to that endpoint; present only while it runs.
+        self._in_flight: dict = {}
         # task_id -> outstanding job count, and the jobs of its latest stage();
         # both entries go when the count reaches 0 or the task is cancelled.
         self._pending_per_task: dict = {}
@@ -111,17 +112,8 @@ class DataManager:
             item = self.items[data_id]
             if target in item.locations or item.size == 0:
                 continue
-            job = TransferJob(
-                job_id=self._next_job_id,
-                data_id=data_id,
-                src=self.choose_source(item, endpoint_order),
-                dst=target,
-                size=item.size,
-                task_id=task_id,
-            )
-            self._next_job_id += 1
-            self.jobs[job.job_id] = job
-            jobs.append(job)
+            src = self.choose_source(item, endpoint_order)
+            jobs.append(self._new_job(data_id, src, target, item.size, task_id))
         if jobs:
             # Re-staging always follows cancel_task_jobs, so these are the
             # task's only open jobs.
@@ -139,18 +131,16 @@ class DataManager:
         data_id = f"__probe__{src}__{dst}"
         if data_id not in self.items:
             self.register_item(data_id, size, locations={src})
-        job = TransferJob(
-            job_id=self._next_job_id,
-            data_id=data_id,
-            src=src,
-            dst=dst,
-            size=size,
-            task_id=None,
-        )
-        self._next_job_id += 1
-        self.jobs[job.job_id] = job
+        job = self._new_job(data_id, src, dst, size, None)
         started, completed = self._enqueue(job, clock)
         return job, started, completed
+
+    def _new_job(self, data_id: str, src: str, dst: str, size: int, task_id) -> TransferJob:
+        """Register a WAITING job under the next job id."""
+        job = TransferJob(self._next_job_id, data_id, src, dst, size, task_id)
+        self._next_job_id += 1
+        self.jobs[job.job_id] = job
+        return job
 
     def _enqueue(self, job: TransferJob, clock: float) -> tuple:
         pair = (job.src, job.dst)
@@ -188,13 +178,14 @@ class DataManager:
                 job.finished_at = clock
                 completed.extend(self._job_satisfied(job))
                 continue
-            if self._active_items.get(key, 0) > 0:
-                self._blocked.setdefault(key, []).append(job.job_id)
+            parked = self._in_flight.get(key)
+            if parked is not None:
+                parked.append(job.job_id)
                 continue
             job.state = JobState.ACTIVE
             job.started_at = clock
             self._active[pair] = self._active.get(pair, 0) + 1
-            self._active_items[key] = self._active_items.get(key, 0) + 1
+            self._in_flight[key] = []
             started.append(job)
         return started, completed
 
@@ -208,9 +199,8 @@ class DataManager:
         if job.state != JobState.ACTIVE:
             raise DataError(f"job {job.job_id} is not active")
         pair = (job.src, job.dst)
-        key = (job.data_id, job.dst)
+        parked_ids = self._in_flight.pop((job.data_id, job.dst))
         self._active[pair] -= 1
-        self._active_items[key] -= 1
         completed = []
         failed_task = None
         if success:
@@ -237,7 +227,7 @@ class DataManager:
                 job.retries_used,
             )
         pairs = {pair}
-        for jid in self._blocked.pop(key, []):
+        for jid in parked_ids:
             parked = self.jobs[jid]
             if parked.state != JobState.WAITING:
                 continue

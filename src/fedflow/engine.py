@@ -49,13 +49,8 @@ class EventKind(IntEnum):
 # Periodic ticks; any other queued event is work that can still move a run.
 _TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 
-# The TaskNode timestamp that entering each of these states sets.
-_STAMPS = {
-    TaskState.READY: "staging_end",
-    TaskState.QUEUED: "dispatch_time",
-    TaskState.RUNNING: "start_time",
-    TaskState.DONE: "end_time",
-}
+# Positions of the terminal states in the per-state counts.
+_DONE, _FAILED, _UNRUNNABLE = (TaskState[n].index for n in ("DONE", "FAILED", "UNRUNNABLE"))
 
 
 def next_poll(t: float, interval: float) -> float:
@@ -124,9 +119,8 @@ class Simulation:
         # Per endpoint, a heap of (predicted finish, task_id) of tasks started
         # there; earliest_idle_estimate pops the entries of finished tasks.
         self._finish_heap: dict = {ep: [] for ep in self.endpoint_order}
-        # Registered tasks per state; _enter moves a task between them.
-        self._state_counts: dict = dict.fromkeys(TaskState, 0)
-        self.unrunnable: set = set()
+        # Registered tasks per TaskState.index; _enter moves a task between them.
+        self._state_counts: list = [0] * len(TaskState)
         self._resched_armed_until = -1.0
         self._spec_by_tid: dict = {}
 
@@ -284,7 +278,7 @@ class Simulation:
             node.deps_left = sum(
                 1 for d in node.deps if self.dag.nodes[d].state is not TaskState.DONE
             )
-            self._state_counts[TaskState.PENDING] += 1
+            self._state_counts[TaskState.PENDING.index] += 1
             task_ids.append(tid)
         return task_ids
 
@@ -297,13 +291,12 @@ class Simulation:
         old = node.state
         node.set_state(new)
         counts = self._state_counts
-        counts[old] -= 1
-        counts[new] += 1
-        stamp = _STAMPS.get(new)
-        if stamp is not None:
-            setattr(node, stamp, self.clock)
+        counts[old.index] -= 1
+        counts[new.index] += 1
+        if new.stamp is not None:
+            setattr(node, new.stamp, self.clock)
         if TaskState.STAGING in (old, new):
-            self.metrics.record_staging_count(self.clock, counts[TaskState.STAGING])
+            self.metrics.record_staging_count(self.clock, counts[TaskState.STAGING.index])
 
     # -- scheduler callbacks ----------------------------------------------
 
@@ -431,11 +424,11 @@ class Simulation:
         while stack:
             t = stack.pop()
             for s in sorted(self.dag.successors[t]):
-                if s not in self.unrunnable:
+                node = self.dag.nodes[s]
+                if node.state is not TaskState.UNRUNNABLE:
                     # Its chain never finishes, so it never left PENDING;
                     # give back the assignment capacity made at submit.
-                    self.unrunnable.add(s)
-                    node = self.dag.nodes[s]
+                    self._enter(node, TaskState.UNRUNNABLE)
                     self._unassign(node)
                     self._drop_backlog(node)
                     logger.error(
@@ -484,19 +477,19 @@ class Simulation:
             payload = (self._hook, self.strategy.on_reschedule_tick)
             self.schedule(when, EventKind.RESCHEDULE_TICK, payload)
 
+    @property
+    def unrunnable(self) -> frozenset:
+        """Tasks that never ran because a dependency failed for good."""
+        return frozenset(t for t, n in self.dag.nodes.items() if n.state is TaskState.UNRUNNABLE)
+
     def _live_count(self) -> int:
-        """Registered tasks that are not DONE, FAILED or unrunnable."""
-        counts = self._state_counts
-        return (
-            len(self.dag.nodes)
-            - counts[TaskState.DONE]
-            - counts[TaskState.FAILED]
-            - len(self.unrunnable)
-        )
+        """Registered tasks that are not in a terminal state."""
+        c = self._state_counts
+        return len(self.dag.nodes) - c[_DONE] - c[_FAILED] - c[_UNRUNNABLE]
 
     def _pending_count(self) -> int:
         """Live tasks that are not running."""
-        return self._live_count() - self._state_counts[TaskState.RUNNING]
+        return self._live_count() - self._state_counts[TaskState.RUNNING.index]
 
     def _queue_share(self) -> dict:
         share = {ep: 0 for ep in self.endpoint_order}
@@ -536,7 +529,7 @@ class Simulation:
         batch = []
         for tid in sorted(set(candidates)):
             node = self.dag.nodes[tid]
-            if node.announced or node.deps_left or node.terminal or tid in self.unrunnable:
+            if node.announced or node.deps_left or node.terminal:
                 continue
             node.announced = True
             batch.append(tid)
@@ -549,6 +542,12 @@ class Simulation:
         self._pending_batches -= 1
         task_ids = self._register_batch(specs)
         self._hook(self.strategy.on_batch_submitted, task_ids)
+        # Between events a FAILED task has failed for good, so a task that
+        # depends on one, or on an unrunnable one, can never run.
+        for tid in task_ids:
+            for dep in self.dag.nodes[tid].deps:
+                if self.dag.nodes[dep].state in (TaskState.FAILED, TaskState.UNRUNNABLE):
+                    self._cascade_unrunnable(dep)
         self._announce_ready(task_ids)
 
     def _on_transfer_complete(self, job: TransferJob, duration: float):
@@ -654,7 +653,7 @@ class Simulation:
     def _raise_deadlock(self):
         stuck = []
         for tid, node in sorted(self.dag.nodes.items()):
-            if node.terminal or tid in self.unrunnable:
+            if node.terminal:
                 continue
             missing = sorted(
                 d for d in node.deps if self.dag.nodes[d].state != TaskState.DONE
@@ -679,8 +678,8 @@ class Simulation:
         submits = [n.submit_time for n in nodes]
         m.makespan = (max(completions) - min(submits)) if completions else 0.0
         m.transfer_bytes = self.data.transfer_bytes_total()
-        # Gave up (FAILED is terminal only then) or never ran (unrunnable).
-        m.tasks_failed = self._state_counts[TaskState.FAILED] + len(self.unrunnable)
+        # Gave up (FAILED is terminal only then) or never ran.
+        m.tasks_failed = self._state_counts[_FAILED] + self._state_counts[_UNRUNNABLE]
         for job in self.data.jobs.values():
             m.transfers.append(
                 (

@@ -30,8 +30,14 @@ DEPRECATED_DEFAULTS = (
     "batch_size", "file_transfer_type", "poll_interval_s", "sched_time_factor"
 )
 
-# `defaults` keys that hold integers.
-_INT_DEFAULTS = ("seed", "max_transfer_retries", "max_task_attempts", "transfer_concurrency")
+# `defaults` keys that hold integers, with the least value each may take
+# (None: any).
+_INT_DEFAULTS = {
+    "seed": None,
+    "max_transfer_retries": 0,
+    "max_task_attempts": 0,
+    "transfer_concurrency": 1,
+}
 
 
 class ScenarioError(ValueError):
@@ -329,21 +335,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     unknown = set(defaults_doc) - known
     if unknown:
         raise ScenarioError(f"defaults: unknown fields {sorted(unknown)}")
-    defaults = Defaults(**defaults_doc)
-    if defaults.scheduler not in ("capacity", "locality", "dha"):
-        raise ScenarioError(f"defaults.scheduler: unknown scheduler '{defaults.scheduler}'")
-    defaults = replace(
-        defaults, **{k: _int(getattr(defaults, k), k, "defaults") for k in _INT_DEFAULTS}
-    )
-    for key in ("scale_tick_s", "refresh_tick_s", "reschedule_period_s", "mock_sync_lag_s"):
-        _nonneg(getattr(defaults, key), key, "defaults")
-    # A tick re-arms itself one period on, so a period of 0 never advances
-    # the clock.
-    for key in ("scale_tick_s", "refresh_tick_s"):
-        if getattr(defaults, key) == 0:
-            raise ScenarioError(f"defaults: '{key}' must be positive")
-    if _nonneg(defaults.transfer_failure_rate, "transfer_failure_rate", "defaults") > 1:
-        raise ScenarioError("defaults: 'transfer_failure_rate' must be in [0, 1]")
+    defaults = _checked_defaults(Defaults(**defaults_doc))
 
     workflow.sort(key=lambda t: (t.submit_time_s, t.id))
     return Scenario(
@@ -356,6 +348,39 @@ def scenario_from_dict(doc: dict) -> Scenario:
         workflow=workflow,
         defaults=defaults,
     )
+
+
+def _checked_defaults(defaults: Defaults) -> Defaults:
+    """`defaults` with its integer keys as ints, if every value is in bounds."""
+    if defaults.scheduler not in ("capacity", "locality", "dha"):
+        raise ScenarioError(f"defaults.scheduler: unknown scheduler '{defaults.scheduler}'")
+    ints = {}
+    for key, least in _INT_DEFAULTS.items():
+        value = ints[key] = _int(getattr(defaults, key), key, "defaults")
+        if least is not None and value < least:
+            raise ScenarioError(f"defaults: '{key}' must be at least {least} ({value})")
+    defaults = replace(defaults, **ints)
+    for key in ("scale_tick_s", "refresh_tick_s", "reschedule_period_s", "mock_sync_lag_s"):
+        _nonneg(getattr(defaults, key), key, "defaults")
+    # A tick re-arms itself one period on, so a period of 0 never advances
+    # the clock.
+    for key in ("scale_tick_s", "refresh_tick_s"):
+        if getattr(defaults, key) == 0:
+            raise ScenarioError(f"defaults: '{key}' must be positive")
+    if _nonneg(defaults.transfer_failure_rate, "transfer_failure_rate", "defaults") > 1:
+        raise ScenarioError("defaults: 'transfer_failure_rate' must be in [0, 1]")
+    return defaults
+
+
+def apply_overrides(sc: Scenario, poll_interval_s=None, **defaults):
+    """Set the given `defaults` keys and the client poll interval of `sc`,
+    each under the checks of a scenario file; None leaves a value as it is."""
+    changes = {k: v for k, v in defaults.items() if v is not None}
+    if changes:
+        sc.defaults = _checked_defaults(replace(sc.defaults, **changes))
+    if poll_interval_s is not None:
+        poll = _nonneg(poll_interval_s, "poll_interval_s", "network.client")
+        sc.network = replace(sc.network, poll_interval_s=poll)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -149,6 +149,29 @@ class TestRun:
         assert disabled == summary(0.0)
         assert disabled != summary(10.0)
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--transfer-concurrency", "0", "'transfer_concurrency'"),
+            ("--max-transfer-retries", "-1", "'max_transfer_retries'"),
+            ("--max-task-attempts", "-1", "'max_task_attempts'"),
+            ("--reschedule-period", "-3", "'reschedule_period_s'"),
+            ("--poll-interval", "-5", "'poll_interval_s'"),
+        ],
+    )
+    def test_out_of_range_override_exits_1(
+        self, runner, scenario_file, tmp_path, flag, value, field
+    ):
+        # An override gets the checks of the scenario-file value it replaces.
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["run", "--scenario", str(scenario_file), flag, value, "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("error:") and field in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
     def test_removed_transfer_type_flag_exits_1(self, runner, scenario_file, tmp_path):
         result = runner.invoke(
             main,
@@ -302,6 +325,35 @@ class TestCompare:
              "--out-b", str(tmp_path / "nope2")],
         )
         assert result.exit_code == 3
+
+
+    @pytest.mark.parametrize(
+        "summary, message",
+        [
+            ("transfer_GB,tasks_failed\n1.0,0\n", "no makespan_s value"),
+            (
+                "makespan_s,transfer_GB,tasks_failed\nabc,1.0,0\n",
+                "makespan_s is not a number",
+            ),
+        ],
+        ids=["no-makespan", "not-a-number"],
+    )
+    def test_compare_bad_summary_exits_3(
+        self, runner, scenario_file, tmp_path, summary, message
+    ):
+        result = runner.invoke(
+            main, ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "a")]
+        )
+        assert result.exit_code == 0
+        bad = tmp_path / "b"
+        bad.mkdir()
+        (bad / "summary.csv").write_text(summary)
+        result = runner.invoke(
+            main, ["compare", "--out-a", str(tmp_path / "a"), "--out-b", str(bad)]
+        )
+        assert result.exit_code == 3
+        assert result.output.startswith("error:")
+        assert str(bad / "summary.csv") in result.output and message in result.output
 
 
 class TestDeterministicOutputs:

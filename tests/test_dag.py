@@ -7,12 +7,27 @@ from fedflow.dag import (
     INLINE_ARGS_LIMIT,
     Dag,
     FunctionDef,
+    TaskNode,
     TaskState,
     WorkflowError,
     dfs_order,
 )
 
 FN = FunctionDef("f", true_fixed_s=1.0)
+
+S = TaskState
+# Every legal (from, to) move; every other pair of states is illegal.
+LEGAL = {
+    (S.PENDING, S.STAGING),
+    (S.PENDING, S.UNRUNNABLE),
+    (S.STAGING, S.READY),
+    (S.STAGING, S.FAILED),
+    (S.READY, S.QUEUED),
+    (S.READY, S.STAGING),
+    (S.QUEUED, S.RUNNING),
+    (S.RUNNING, S.DONE),
+    (S.FAILED, S.STAGING),
+}
 
 
 def build(edges, n):
@@ -90,6 +105,40 @@ class TestStateMachine:
             node.set_state(s)
         with pytest.raises(WorkflowError):
             node.set_state(TaskState.STAGING)
+
+
+    def test_every_pair_of_states(self):
+        for old in TaskState:
+            for new in TaskState:
+                node = TaskNode(0, FN, state=old)
+                if (old, new) in LEGAL:
+                    node.set_state(new)
+                    assert node.state is new
+                else:
+                    with pytest.raises(WorkflowError, match="illegal transition"):
+                        node.set_state(new)
+                    assert node.state is old
+
+    def test_unrunnable_is_final(self):
+        node = TaskNode(0, FN)
+        node.set_state(TaskState.UNRUNNABLE)
+        assert node.terminal
+        for s in TaskState:
+            with pytest.raises(WorkflowError):
+                node.set_state(s)
+
+    def test_state_facts(self):
+        assert [s.index for s in TaskState] == list(range(len(TaskState)))
+        terminal = {s for s in TaskState if s.terminal}
+        assert terminal == {S.DONE, S.FAILED, S.UNRUNNABLE}
+        stamps = {s: s.stamp for s in TaskState if s.stamp}
+        assert stamps == {
+            S.READY: "staging_end",
+            S.QUEUED: "dispatch_time",
+            S.RUNNING: "start_time",
+            S.DONE: "end_time",
+        }
+        assert all(hasattr(TaskNode(0, FN), stamp) for stamp in stamps.values())
 
 
 class TestTopologicalOrder:

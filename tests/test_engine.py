@@ -1,9 +1,12 @@
 """End-to-end simulation oracles with hand-computed timing arithmetic."""
 
+import dataclasses
+import logging
 import math
 
 import pytest
 
+from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import TaskState
 from fedflow.engine import (
     DeadlockError,
@@ -234,8 +237,19 @@ class TestFailures:
         m = sim.run()
         assert m.tasks_failed == 2
         assert m.tasks[0].state is TaskState.FAILED
-        assert m.tasks[1].state is TaskState.PENDING and sim.unrunnable == {1}
+        assert m.tasks[1].state is TaskState.UNRUNNABLE and sim.unrunnable == {1}
+        assert m.tasks[1].terminal
         assert m.transfer_bytes == 0  # nothing ever landed
+
+    def test_task_submitted_after_its_dependency_failed_is_unrunnable(self):
+        # Task 0 has failed for good by t=100, when task 1 is submitted.
+        doc = self.failure_doc()
+        doc["workflow"][1]["submit_time_s"] = 100.0
+        sim = Simulation(scenario_from_dict(doc))
+        m = sim.run()
+        assert m.tasks_failed == 2
+        assert m.tasks[1].state is TaskState.UNRUNNABLE
+        assert not any(sim.assigned_undispatched.values())
 
     def test_transfer_rows_record_retries(self):
         m = run_scenario(scenario_from_dict(self.failure_doc()))
@@ -255,6 +269,30 @@ class TestFailures:
         m = run_scenario(scenario_from_dict(doc))
         assert m.tasks_failed == 0
         assert m.tasks[0].assigned_endpoint == "b"
+
+
+class TestStateBookkeeping:
+    def test_dha_run_hashes_no_task_state(self, monkeypatch):
+        # A state change reads the per-state facts off the state itself, so
+        # it never hashes one. Lossy transfers add retries, tasks that fail
+        # for good and unrunnable successors to the re-scheduling moves.
+        sc = generate_builtin_scenario("dynamic-drug", 0.02)
+        sc.defaults = dataclasses.replace(
+            sc.defaults, transfer_failure_rate=0.3, max_transfer_retries=0
+        )
+        hashes = []
+        original = TaskState.__hash__
+        monkeypatch.setattr(
+            TaskState, "__hash__", lambda s: hashes.append(s) or original(s)
+        )
+        logging.disable(logging.ERROR)
+        try:
+            sim = Simulation(sc, scheduler_kind="dha", seed=7)
+            m = sim.run()
+        finally:
+            logging.disable(logging.NOTSET)
+        assert m.tasks_failed > 0 and sim.unrunnable
+        assert hashes == []
 
 
 class TestDeadlock:

@@ -4,10 +4,10 @@ replace, after every event of every golden run.
 The counters are `Simulation.finished`, `Simulation._pending_count()`, the
 per-state task counts, the last staging-series sample, each endpoint's
 assigned-but-undispatched set and predicted backlog, the count of queued
-events other than ticks, each node's remaining-deps count and the per-task
-job index that `cancel_task_jobs` walks. A subclass of `Simulation` checks
-them against scans of the task graph, the endpoints and the job table after
-each event; the run itself is unchanged.
+events other than ticks, each node's remaining-deps count, the per-task job
+index that `cancel_task_jobs` walks and the data manager's in-flight table.
+A subclass of `Simulation` checks them against scans of the task graph, the
+endpoints and the job table after each event; the run itself is unchanged.
 """
 
 import dataclasses
@@ -34,7 +34,7 @@ LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "localit
 
 
 def check_counters(sim):
-    nodes, unrunnable = sim.dag.nodes, sim.unrunnable
+    nodes = sim.dag.nodes
     live = pending = 0
     not_done = []
     undispatched = {ep: set() for ep in sim.endpoint_order}
@@ -43,21 +43,17 @@ def check_counters(sim):
         state = node.state
         if node.backlog_s:
             backlog[node.assigned_endpoint] += node.backlog_s
-        if (
-            state in UNDISPATCHED
-            and node.assigned_endpoint is not None
-            and tid not in unrunnable
-        ):
+        if state in UNDISPATCHED and node.assigned_endpoint is not None:
             undispatched[node.assigned_endpoint].add(tid)
         if state is not TaskState.DONE:
             not_done.append(tid)
-            if state is not TaskState.FAILED and tid not in unrunnable:
+            if state not in (TaskState.FAILED, TaskState.UNRUNNABLE):
                 live += 1
                 pending += state is not TaskState.RUNNING
     assert sim.finished == (sim._pending_batches == 0 and live == 0)
     assert sim._pending_count() == pending
     states = Counter(node.state for node in nodes.values())
-    assert sim._state_counts == {s: states[s] for s in TaskState}
+    assert sim._state_counts == [states[s] for s in TaskState]
     running = sum(ep.busy_workers for ep in sim.endpoints)
     assert states[TaskState.RUNNING] == running
     series = sim.metrics.staging_series
@@ -74,6 +70,8 @@ def check_counters(sim):
     index = data._task_jobs
     assert all(index.values()), "empty index entry"
     assert index.keys() == data._pending_per_task.keys()
+    active = [(j.data_id, j.dst) for j in jobs if j.state is JobState.ACTIVE]
+    assert sorted(data._in_flight) == sorted(active), "one in-flight entry per active job"
     indexed = {(t, j.job_id) for t, js in index.items() for j in js}
     for j in jobs:
         if j.state in OPEN and j.task_id is not None:

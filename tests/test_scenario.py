@@ -212,6 +212,11 @@ BAD_NUMBERS = [
     (("defaults", "max_transfer_retries"), None, "'max_transfer_retries'"),
     (("defaults", "max_task_attempts"), math.inf, "'max_task_attempts'"),
     (("defaults", "transfer_concurrency"), "x", "'transfer_concurrency'"),
+    # A DataError traceback at run time; the next two ran as 0 and as one
+    # attempt per endpoint.
+    (("defaults", "transfer_concurrency"), 0, "'transfer_concurrency'"),
+    (("defaults", "max_transfer_retries"), -1, "'max_transfer_retries'"),
+    (("defaults", "max_task_attempts"), -1, "'max_task_attempts'"),
 ]
 
 
@@ -233,7 +238,8 @@ def test_bad_number_is_rejected_at_load(path, value, field, tmp_path):
     )
     assert result.exit_code == 1
     assert result.output.startswith("error:") and field in result.output
-    assert "Traceback" not in result.output
+    # The runner keeps an uncaught exception here, not in the output.
+    assert isinstance(result.exception, SystemExit)
 
 
 class TestRoundTrip:
