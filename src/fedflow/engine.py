@@ -49,6 +49,9 @@ class EventKind(IntEnum):
 # Periodic ticks; any other queued event is work that can still move a run.
 _TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 
+# States read on hot paths: an attribute of an Enum class takes about ten
+# times as long to read as a module global on CPython 3.11.
+_STAGING, _READY, _RUNNING = TaskState.STAGING, TaskState.READY, TaskState.RUNNING
 # Positions of the terminal states in the per-state counts.
 _DONE, _FAILED, _UNRUNNABLE = (TaskState[n].index for n in ("DONE", "FAILED", "UNRUNNABLE"))
 
@@ -83,6 +86,7 @@ class Simulation:
 
         self.endpoints = [EndpointModel(spec) for spec in scenario.endpoints]
         self.endpoint_order = [ep.endpoint_id for ep in self.endpoints]
+        self._specs = tuple(ep.spec for ep in self.endpoints)
         self._by_id = {ep.endpoint_id: ep for ep in self.endpoints}
         # (src, dst) -> (latency_s, bandwidth_Bps): the true network, which
         # times every transfer and is the transfer profiler's fallback.
@@ -216,6 +220,12 @@ class Simulation:
             node.input_bytes,
         )
 
+    def exec_row(self, task_id: int) -> dict:
+        """The task's predicted execution seconds on every endpoint, by
+        endpoint id; each equals `predicted_exec` there."""
+        node = self.dag.nodes[task_id]
+        return self.exec_profiler.exec_row(node.function, self._specs, node.input_bytes)
+
     def staging_time_estimate(self, task_id: int, endpoint_id: str) -> float:
         node = self.dag.nodes[task_id]
         total = 0.0
@@ -245,7 +255,7 @@ class Simulation:
         heap = self._finish_heap[endpoint_id]
         # A task runs at most once (only staging fails), so an entry whose
         # task is no longer RUNNING is stale.
-        while heap and self.dag.nodes[heap[0][1]].state is not TaskState.RUNNING:
+        while heap and self.dag.nodes[heap[0][1]].state is not _RUNNING:
             heapq.heappop(heap)
         base = heap[0][0] if heap else self.clock
         backlog = self._backlog_pred[endpoint_id]
@@ -295,8 +305,8 @@ class Simulation:
         counts[new.index] += 1
         if new.stamp is not None:
             setattr(node, new.stamp, self.clock)
-        if TaskState.STAGING in (old, new):
-            self.metrics.record_staging_count(self.clock, counts[TaskState.STAGING.index])
+        if old is _STAGING or new is _STAGING:
+            self.metrics.record_staging_count(self.clock, counts[_STAGING.index])
 
     # -- scheduler callbacks ----------------------------------------------
 
@@ -321,7 +331,7 @@ class Simulation:
         self.metrics.decision_count += 1
 
     def begin_staging(self, task_id: int):
-        self._enter(self.dag.nodes[task_id], TaskState.STAGING)
+        self._enter(self.dag.nodes[task_id], _STAGING)
         self._stage(task_id)
 
     def _stage(self, task_id: int):
@@ -343,16 +353,16 @@ class Simulation:
             self._staging_finished(other)
 
     def _staging_finished(self, task_id: int):
-        self._enter(self.dag.nodes[task_id], TaskState.READY)
+        self._enter(self.dag.nodes[task_id], _READY)
         self._hook(self.strategy.on_staging_complete, task_id)
 
     def move_assignment(self, task_id: int, endpoint_id: str):
         """Re-scheduling: point an undispatched task at a new endpoint and
         restart staging there (already-staged replicas stay where they are)."""
         node = self.dag.nodes[task_id]
-        if node.state is TaskState.READY:
+        if node.state is _READY:
             # Back into STAGING for the new target.
-            self._enter(node, TaskState.STAGING)
+            self._enter(node, _STAGING)
         self.data.cancel_task_jobs(task_id)
         self.assign(task_id, endpoint_id)
         self._stage(task_id)
@@ -465,10 +475,11 @@ class Simulation:
         )
 
     def undispatched_tasks(self) -> list:
+        """Tasks assigned and not yet dispatched, in no particular order."""
         out = []
         for ep in self.endpoint_order:
             out.extend(self.assigned_undispatched[ep])
-        return sorted(out)
+        return out
 
     def arm_reschedule(self, period: float):
         when = self.clock + period

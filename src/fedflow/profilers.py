@@ -90,7 +90,8 @@ class ExecutionProfiler:
     true cost. The donor is the least endpoint id that has a fit and a known
     perf factor. `perf_factors` (endpoint id -> factor) is given once, at
     construction; without it no fit is transferred. A prediction is computed
-    once per (function, endpoint, input size) between two refits.
+    once per (function, endpoint, input size) between two refits, and so is
+    the row of one function's predictions on every endpoint (`exec_row`).
     """
 
     def __init__(self, perf_factors: Optional[dict] = None):
@@ -105,9 +106,11 @@ class ExecutionProfiler:
         # function -> its donor endpoint. Fits are never dropped, so a donor
         # only ever gives way to a smaller id, set at refresh.
         self._donors: dict = {}
-        # (function, endpoint, input size) -> predicted seconds. Fits and
-        # donors change only at refresh, which empties it.
+        # (function, endpoint, input size) -> predicted seconds, and
+        # (function, input size) -> {endpoint: predicted seconds}. Fits and
+        # donors change only at refresh, which empties both.
         self._predictions: dict = {}
+        self._rows: dict = {}
         self.refit_count = 0
         self.perf_factors = perf_factors or {}
         self._truth_fallback_logged: set = set()
@@ -141,6 +144,7 @@ class ExecutionProfiler:
                 self._donors[name] = ep
         self._dirty.clear()
         self._predictions.clear()
+        self._rows.clear()
         self.refit_count += 1
 
     def success_rates(self, function_name: str) -> dict:
@@ -158,6 +162,18 @@ class ExecutionProfiler:
         if time_s is None:
             time_s = self._predictions[key] = self._predict(function, endpoint, input_size)
         return time_s
+
+    def exec_row(self, function: FunctionDef, endpoints: tuple, input_size: int) -> dict:
+        """What `predict_exec` gives on each of `endpoints`, by endpoint id,
+        computed once per (function, input size) between two refits. The key
+        leaves the endpoints out: a caller passes the same ones every time."""
+        key = (function.name, input_size)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = {
+                ep.endpoint_id: self._predict(function, ep, input_size) for ep in endpoints
+            }
+        return row
 
     def _predict(self, function: FunctionDef, endpoint: EndpointSpec, input_size: int) -> float:
         name = function.name

@@ -135,10 +135,19 @@ def _nonneg(value, name: str, where: str):
 
 
 def _int(value, name: str, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{where}: '{name}' must be an integer ({value!r})") from None
+    """`value` as an int, if it is an integral number or a string of one;
+    never a bool, and never a truncated fraction."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or number == value:
+                return number
+    raise ScenarioError(f"{where}: '{name}' must be an integer ({value!r})")
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -67,16 +67,19 @@ def capacity_blocks(dag: Dag, task_ids: list, capacities: list) -> list:
 
 
 def compute_priorities(dag: Dag, costs: dict) -> dict:
-    """Recursive upward cost: own staging + execution means plus the largest
-    successor priority, evaluated in reverse topological order."""
-    order = dag.topological_order()
+    """Recursive upward cost of each task in `costs`: own staging + execution
+    means plus the largest successor priority. `costs` holds every successor
+    of every task it holds. Tasks are visited in reverse submission order,
+    which is reverse topological, since a task's deps exist when it is
+    submitted."""
     priority: dict = {}
-    for t in reversed(order):
-        d_bar, w_bar = costs[t]
-        succ_max = max(
-            (priority[s] for s in dag.successors[t]), default=0.0
-        )
-        priority[t] = d_bar + w_bar + succ_max
+    successors = dag.successors
+    for t in reversed(dag.nodes):
+        cost = costs.get(t)
+        if cost is None:
+            continue
+        succ_max = max((priority[s] for s in successors[t]), default=0.0)
+        priority[t] = cost[0] + cost[1] + succ_max
     return priority
 
 
@@ -130,18 +133,6 @@ def reassignment_endpoint(
         if choice in candidates:
             return choice
     return max(candidates, key=lambda ep: (success_rates.get(ep, 0.0), -endpoint_order.index(ep)))
-
-
-def success_rates_for(function_name: str, history) -> dict:
-    totals: dict = {}
-    wins: dict = {}
-    for rec in history:
-        if rec.function != function_name:
-            continue
-        totals[rec.endpoint] = totals.get(rec.endpoint, 0) + 1
-        if rec.success:
-            wins[rec.endpoint] = wins.get(rec.endpoint, 0) + 1
-    return {ep: wins.get(ep, 0) / n for ep, n in totals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +254,39 @@ class DhaStrategy(BaseStrategy):
         super().__init__(sim)
         self.priorities: dict = {}
         self.delay_queues: dict = {}  # endpoint_id -> heap of (-priority, tid)
+        # Per incumbent, every endpoint with the incumbent first, so that
+        # it keeps ties.
+        order = sim.endpoint_order
+        self._incumbent_first = {
+            ep: (ep,) + tuple(e for e in order if e != ep) for ep in order
+        }
 
     # -- priorities --------------------------------------------------------
 
     def _recompute_priorities(self):
+        """Upward ranks of the tasks not DONE; every successor of such a
+        task is not DONE either. Tasks that share a function, input size and
+        file bytes share their cost means, so each such class is averaged
+        once: the profilers do not change during the call."""
         sim = self.sim
+        specs = [ep.spec for ep in sim.endpoints]
+        by_class: dict = {}
         costs = {}
         for tid, node in sim.dag.nodes.items():
-            d_bar, w_bar = average_costs(
-                node.input_bytes,
-                node.function,
-                [ep.spec for ep in sim.endpoints],
-                sim.exec_profiler,
-                sim.transfer_profiler,
-                staging_bytes=node.file_bytes,
-            )
-            costs[tid] = (d_bar, w_bar)
+            if node.state is TaskState.DONE:
+                continue
+            key = (node.function.name, node.input_bytes, node.file_bytes)
+            cost = by_class.get(key)
+            if cost is None:
+                cost = by_class[key] = average_costs(
+                    node.input_bytes,
+                    node.function,
+                    specs,
+                    sim.exec_profiler,
+                    sim.transfer_profiler,
+                    staging_bytes=node.file_bytes,
+                )
+            costs[tid] = cost
         self.priorities = compute_priorities(sim.dag, costs)
 
     def on_batch_submitted(self, task_ids: list):
@@ -286,47 +294,54 @@ class DhaStrategy(BaseStrategy):
 
     # -- endpoint selection ------------------------------------------------
 
-    def _earliest_finishing(
-        self, task_id: int, candidates: list, idle: Optional[dict] = None
-    ) -> str:
+    def _earliest_finishing(self, node, candidates, idle: dict) -> str:
         """The candidate endpoint with the earliest finish time for the task;
         ties go to the candidate listed first.
 
-        `idle` maps endpoints to idle estimates already read; the caller
-        clears it when their inputs change. A candidate is staged only when
-        its finish time without staging beats the best so far: staging is
-        non-negative and float `+` and `max` are monotone, so that bound is
-        never above the full finish time, and only a strict gain wins.
+        `idle` maps endpoints to idle estimates already read, and is filled
+        with each candidate's; the caller drops the entries whose inputs
+        change. A candidate is staged only when its finish time without
+        staging beats the best so far: staging is non-negative and float
+        `+` and `max` are monotone, so that bound is never above the full
+        finish time, and only a strict gain wins.
         """
         sim = self.sim
         clock = sim.clock
-        if idle is None:
-            idle = {}
-        best_ep, best_eft = None, None
+        task_id = node.task_id
+        row = sim.exec_row(task_id)
+        best_ep = best_eft = None
         for ep_id in candidates:
             ready = idle.get(ep_id)
             if ready is None:
                 ready = idle[ep_id] = sim.earliest_idle_estimate(ep_id)
-            exec_s = sim.predicted_exec(task_id, ep_id)
-            if best_eft is not None and max(clock, ready) + exec_s >= best_eft:
+            exec_s = row[ep_id]
+            if best_ep is not None and (ready if ready > clock else clock) + exec_s >= best_eft:
                 continue
             eft = earliest_finish_time(
                 clock, sim.staging_time_estimate(task_id, ep_id), ready, exec_s
             )
-            if best_eft is None or eft < best_eft:
+            if best_ep is None or eft < best_eft:
                 best_ep, best_eft = ep_id, eft
         return best_ep
 
-    def select_endpoint(self, task_id: int) -> str:
-        return self._earliest_finishing(task_id, self.sim.endpoint_order)
+    def select_endpoint(self, task_id: int, idle: Optional[dict] = None) -> str:
+        """`idle` as in `_earliest_finishing`; a fresh table when None."""
+        sim = self.sim
+        node = sim.dag.nodes[task_id]
+        return self._earliest_finishing(node, sim.endpoint_order, {} if idle is None else idle)
 
     def on_deps_done(self, task_ids: list):
-        for tid in sorted(
-            task_ids, key=lambda t: (-self.priorities.get(t, 0.0), t)
-        ):
-            target = self.select_endpoint(tid)
-            self.sim.assign(tid, target)
-            self.sim.begin_staging(tid)
+        sim = self.sim
+        priorities = self.priorities
+        # One table for the whole call: the clock is fixed, and a placement
+        # changes the committed work, backlog and workers of its target only
+        # (a first placement has no incumbent).
+        idle: dict = {}
+        for tid in sorted(task_ids, key=lambda t: (-priorities.get(t, 0.0), t)):
+            target = self.select_endpoint(tid, idle)
+            sim.assign(tid, target)
+            sim.begin_staging(tid)
+            idle.pop(target, None)
 
     # -- delayed dispatch --------------------------------------------------
 
@@ -344,11 +359,12 @@ class DhaStrategy(BaseStrategy):
         sim = self.sim
         ep = sim.endpoint_by_id(endpoint_id)
         queue = self.delay_queues.get(endpoint_id, [])
+        ready_state = TaskState.READY
         while queue and ep.idle_workers > 0:
             _, tid = heapq.heappop(queue)
             node = sim.dag.nodes[tid]
             # Lazy deletion: skip entries invalidated by re-scheduling.
-            if node.state != TaskState.READY or node.assigned_endpoint != endpoint_id:
+            if node.state is not ready_state or node.assigned_endpoint != endpoint_id:
                 continue
             sim.dispatch_task(tid)
 
@@ -379,27 +395,29 @@ class DhaStrategy(BaseStrategy):
         earliest finish time strictly improves even after paying for the
         extra transfers of already-staged inputs."""
         sim = self.sim
-        movable = sorted(
-            sim.undispatched_tasks(), key=lambda t: (-self.priorities.get(t, 0.0), t)
-        )
+        nodes = sim.dag.nodes
+        priorities = self.priorities
+        movable = sorted((-priorities.get(t, 0.0), t) for t in sim.undispatched_tasks())
         moves = 0
-        # Idle estimates per endpoint; only a move changes their inputs.
+        # One table for the whole pass: the clock is fixed, and a move
+        # changes the committed work and backlog of its two endpoints only.
+        # The staging it finishes and the dispatches that follow land on
+        # the target too: its admitted jobs all go there, and an orphaned
+        # job finishes no task.
         idle: dict = {}
-        for tid in movable:
-            node = sim.dag.nodes[tid]
+        undispatched = (TaskState.STAGING, TaskState.READY)
+        for _, tid in movable:
+            node = nodes[tid]
             # An earlier move in this pass may have finished this task's
             # staging and let it be dispatched.
-            if node.state not in (TaskState.STAGING, TaskState.READY):
+            if node.state not in undispatched:
                 continue
             incumbent = node.assigned_endpoint
-            # The incumbent goes first so that it keeps ties.
-            candidates = [incumbent] + [
-                ep_id for ep_id in sim.endpoint_order if ep_id != incumbent
-            ]
-            best_ep = self._earliest_finishing(tid, candidates, idle)
+            best_ep = self._earliest_finishing(node, self._incumbent_first[incumbent], idle)
             if best_ep != incumbent:
                 sim.move_assignment(tid, best_ep)
-                idle.clear()
+                idle.pop(incumbent, None)
+                idle.pop(best_ep, None)
                 moves += 1
         if moves:
             logger.debug("re-scheduling moved %d tasks", moves)

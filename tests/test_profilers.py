@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedflow.dag import FunctionDef
 from fedflow.endpoints import EndpointSpec
@@ -17,7 +17,6 @@ from fedflow.profilers import (
     _Moments,
     average_costs,
 )
-from fedflow.scheduling import success_rates_for
 
 
 def ep(eid, perf=1.0):
@@ -50,6 +49,21 @@ def _ols(points: list) -> tuple:
     return my - slope * mx, slope
 
 
+def success_rates_for(function_name: str, history) -> dict:
+    """Fraction of a function's records that succeeded, per endpoint, from
+    a walk over the whole history: the reference for the profiler's running
+    tallies."""
+    totals: dict = {}
+    wins: dict = {}
+    for rec in history:
+        if rec.function != function_name:
+            continue
+        totals[rec.endpoint] = totals.get(rec.endpoint, 0) + 1
+        if rec.success:
+            wins[rec.endpoint] = wins.get(rec.endpoint, 0) + 1
+    return {ep: wins.get(ep, 0) / n for ep, n in totals.items()}
+
+
 def moments_fit(points) -> tuple:
     acc = _Moments()
     for x, y in points:
@@ -62,8 +76,11 @@ def moments_fit(points) -> tuple:
 # agree with `_ols` to within this fraction of each coefficient's scale: the
 # largest |y| for the intercept, that over the spread of x for the slope.
 # A single point matches exactly, and equal x values give a slope of exactly
-# 0.0 (the mean of y is then within the tolerance).
+# 0.0 (the mean of y is then within the tolerance). A scale in the subnormal
+# range would make that tolerance 0, so it is never below a few units in the
+# last place of 0.0.
 FIT_REL_TOL = 1e-9
+FIT_ABS_FLOOR = 4 * math.ulp(0.0)
 
 
 def assert_fit_close(fit, points):
@@ -76,14 +93,14 @@ def assert_fit_close(fit, points):
     if x_spread == 0:
         assert fit[1] == ref[1] == 0.0
         assert math.isclose(fit[0], ref[0], rel_tol=FIT_REL_TOL,
-                            abs_tol=FIT_REL_TOL * y_scale), (fit, ref)
+                            abs_tol=max(FIT_REL_TOL * y_scale, FIT_ABS_FLOOR)), (fit, ref)
         return
     slope_scale = y_scale / x_spread
     intercept_scale = y_scale + slope_scale * max(abs(x) for x in xs)
     assert math.isclose(fit[1], ref[1], rel_tol=FIT_REL_TOL,
-                        abs_tol=FIT_REL_TOL * slope_scale), (fit, ref)
+                        abs_tol=max(FIT_REL_TOL * slope_scale, FIT_ABS_FLOOR)), (fit, ref)
     assert math.isclose(fit[0], ref[0], rel_tol=FIT_REL_TOL,
-                        abs_tol=FIT_REL_TOL * intercept_scale), (fit, ref)
+                        abs_tol=max(FIT_REL_TOL * intercept_scale, FIT_ABS_FLOOR)), (fit, ref)
 
 
 class TestOls:
@@ -105,6 +122,10 @@ class TestOls:
 
     @given(st.floats(-100, 100), st.floats(-1, 1),
            st.lists(st.integers(0, 10**6), min_size=2, max_size=20, unique=True))
+    # Subnormal slopes: their scales alone would give each coefficient a
+    # tolerance of 0.
+    @example(b=0.0, m=5e-324, xs=[3, 0])
+    @example(b=0.0, m=5e-324, xs=[0, 1])
     def test_recovers_noiseless_linear_model(self, b, m, xs):
         points = [(x, b + m * x) for x in xs]
         intercept, slope = moments_fit(points)
@@ -407,6 +428,26 @@ class TestIncrementalRefit:
         assert_transfer_fits(tp, transfer_points, FALLBACK)
         for function in FUNCS:
             assert p.success_rates(function) == success_rates_for(function, p.history)
+
+    @settings(max_examples=100)
+    @given(st.lists(records, max_size=12), st.lists(records, max_size=12),
+           st.lists(st.integers(0, 10**8), min_size=1, max_size=3))
+    def test_exec_rows_equal_predictions(self, first, second, sizes):
+        """A row holds `predict_exec` on every endpoint, before and after
+        each refresh: a refit empties the row cache with the predictions."""
+        specs = tuple(ep(name, perf=1.0 + i) for i, name in enumerate(ENDPOINTS))
+        p = ExecutionProfiler({s.endpoint_id: s.perf_factor for s in specs})
+        functions = [FunctionDef(name, true_fixed_s=1000.0) for name in FUNCS]
+        for batch in (first, second):
+            for r in batch:
+                p.record(r)
+            for refresh in (False, True):
+                if refresh:
+                    p.refresh()
+                for fn in functions:
+                    for size in sizes:
+                        row = p.exec_row(fn, specs, size)
+                        assert row == {s.endpoint_id: p.predict_exec(fn, s, size) for s in specs}
 
     def test_refresh_refits_only_recorded_keys(self, monkeypatch):
         p = ExecutionProfiler()

@@ -212,6 +212,10 @@ BAD_NUMBERS = [
     (("defaults", "max_transfer_retries"), None, "'max_transfer_retries'"),
     (("defaults", "max_task_attempts"), math.inf, "'max_task_attempts'"),
     (("defaults", "transfer_concurrency"), "x", "'transfer_concurrency'"),
+    # These three loaded as 2, 1 and 1.
+    (("defaults", "transfer_concurrency"), 2.5, "'transfer_concurrency'"),
+    (("defaults", "max_task_attempts"), 1.9, "'max_task_attempts'"),
+    (("defaults", "seed"), True, "'seed'"),
     # A DataError traceback at run time; the next two ran as 0 and as one
     # attempt per endpoint.
     (("defaults", "transfer_concurrency"), 0, "'transfer_concurrency'"),

@@ -3,14 +3,17 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedflow import scheduling
 from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import Dag, FunctionDef, TaskState
 from fedflow.data_manager import DataItem
 from fedflow.engine import Simulation
+from fedflow.profilers import ExecutionProfiler, TaskRecord
 from fedflow.scheduling import (
     DhaStrategy,
     LocalityStrategy,
@@ -21,7 +24,6 @@ from fedflow.scheduling import (
     earliest_finish_time,
     locality_select,
     reassignment_endpoint,
-    success_rates_for,
 )
 
 FN = FunctionDef("f", true_fixed_s=1.0)
@@ -173,7 +175,8 @@ class TestEarliestFinishTime:
 
 class FakeSim:
     """One READY task, assigned to `incumbent`, whose finish time on each
-    endpoint is its predicted execution time there."""
+    endpoint is its predicted execution time there; records the endpoints
+    whose idle estimates are read and the endpoints staged."""
 
     def __init__(self, exec_s: dict, incumbent: str):
         self.clock = 0.0
@@ -183,18 +186,20 @@ class FakeSim:
         node = self.dag.nodes[self.dag.submit_task(FN)]
         node.state = TaskState.READY
         node.assigned_endpoint = incumbent
-        self.evaluated = []
+        self.idle_reads = []
+        self.staged = []
         self.moves = []
 
     def staging_time_estimate(self, task_id, endpoint_id):
+        self.staged.append(endpoint_id)
         return 0.0
 
     def earliest_idle_estimate(self, endpoint_id):
+        self.idle_reads.append(endpoint_id)
         return self.clock
 
-    def predicted_exec(self, task_id, endpoint_id):
-        self.evaluated.append(endpoint_id)
-        return self.exec_s[endpoint_id]
+    def exec_row(self, task_id):
+        return self.exec_s
 
     def undispatched_tasks(self):
         return [0]
@@ -207,18 +212,21 @@ class TestDhaEndpointChoice:
     def test_select_tie_prefers_declaration_order(self):
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 5.0}, incumbent="b")
         assert DhaStrategy(sim).select_endpoint(0) == "a"
-        assert sim.evaluated == ["a", "b", "c"]
+        assert sim.idle_reads == ["a", "b", "c"]
+        assert sim.staged == ["a"]
 
     def test_reschedule_keeps_incumbent_on_tie(self):
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 6.0}, incumbent="b")
         assert DhaStrategy(sim).reschedule_pass() == 0
         assert sim.moves == []
-        assert sim.evaluated == ["b", "a", "c"]
+        assert sim.idle_reads == ["b", "a", "c"]
+        assert sim.staged == ["b"]
 
     def test_reschedule_moves_on_strict_gain(self):
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 4.0}, incumbent="b")
         assert DhaStrategy(sim).reschedule_pass() == 1
         assert sim.moves == [(0, "c")]
+        assert sim.staged == ["b", "c"]
 
 
 class TableSim:
@@ -228,6 +236,9 @@ class TableSim:
     def __init__(self, clock: float, table: dict):
         self.clock = clock
         self.table = table  # endpoint -> (staging, idle, exec)
+        self.endpoint_order = list(table)
+        self.dag = Dag()
+        self.dag.submit_task(FN)
         self.staged = []
 
     def staging_time_estimate(self, task_id, endpoint_id):
@@ -237,8 +248,8 @@ class TableSim:
     def earliest_idle_estimate(self, endpoint_id):
         return self.table[endpoint_id][1]
 
-    def predicted_exec(self, task_id, endpoint_id):
-        return self.table[endpoint_id][2]
+    def exec_row(self, task_id):
+        return {ep: row[2] for ep, row in self.table.items()}
 
 
 # Few distinct values, so that ties are common.
@@ -263,7 +274,8 @@ class TestEarliestFinishingBound:
         table = dict(zip(declared, rows))
         for candidates in (declared, incumbent_first):
             sim = TableSim(clock, table)
-            got = DhaStrategy(sim)._earliest_finishing(0, candidates)
+            idle = {}
+            got = DhaStrategy(sim)._earliest_finishing(sim.dag.nodes[0], tuple(candidates), idle)
             efts = [earliest_finish_time(clock, *table[e]) for e in candidates]
             assert got == candidates[efts.index(min(efts))]
             expect_staged = [
@@ -273,6 +285,7 @@ class TestEarliestFinishingBound:
                 or max(clock, table[e][1]) + table[e][2] < min(efts[:i])
             ]
             assert sim.staged == expect_staged
+            assert idle == {e: table[e][1] for e in candidates}
 
 
 class PassSim(FakeSim):
@@ -285,7 +298,6 @@ class PassSim(FakeSim):
         node.state = TaskState.READY
         node.assigned_endpoint = "a"
         self.b_idle = True
-        self.idle_reads = []
 
     def earliest_idle_estimate(self, endpoint_id):
         self.idle_reads.append(endpoint_id)
@@ -294,7 +306,7 @@ class PassSim(FakeSim):
         return 10.0
 
     def undispatched_tasks(self):
-        return [0, 1]
+        return [1, 0]
 
     def move_assignment(self, task_id, endpoint_id):
         super().move_assignment(task_id, endpoint_id)
@@ -305,7 +317,8 @@ class PassSim(FakeSim):
 class TestReschedulePass:
     def test_move_refreshes_idle_estimates(self):
         """The first move fills "b", so the second task no longer gains by
-        going there and keeps its incumbent on the tie."""
+        going there and keeps its incumbent on the tie. The move drops the
+        estimates of its two endpoints only."""
         sim = PassSim()
         assert DhaStrategy(sim).reschedule_pass() == 1
         assert sim.moves == [(0, "b")]
@@ -317,10 +330,17 @@ class TestReschedulePass:
         assert DhaStrategy(sim).reschedule_pass() == 0
         assert sim.idle_reads == ["a", "b"]
 
+    def test_staged_set_rule_holds_in_a_pass(self):
+        """Equal priorities go in task id order; the second task's bound on
+        "b" (10 + 5) ties its incumbent's finish time, so "b" is not staged."""
+        sim = PassSim()
+        DhaStrategy(sim).reschedule_pass()
+        assert sim.staged == ["a", "b", "a"]
+
 
 def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
-    """A pass reads each endpoint's idle estimate at most once before its
-    first move and once after each move."""
+    """A pass reads each endpoint's idle estimate once, and again only for
+    the two endpoints of each move."""
     sc = generate_builtin_scenario("dynamic-drug", 0.02)
     reads = []
     passes = []  # (idle estimates read, moves) per pass
@@ -343,7 +363,117 @@ def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
     sim.run()
     n_eps = len(sim.endpoints)
     assert sum(moves for _, moves in passes) > 0, "no pass moved a task"
-    assert all(n <= n_eps * (moves + 1) for n, moves in passes), passes
+    assert all(n <= n_eps + 2 * moves for n, moves in passes), passes
+
+
+def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
+    """Each idle estimate a placement or a pass reuses from its table equals
+    the engine's estimate at that moment, and each cost row read equals
+    `predicted_exec` on every endpoint."""
+    sc = generate_builtin_scenario("dynamic-drug", 0.02)
+    score = DhaStrategy._earliest_finishing
+    reused = Counter()
+
+    def checked_score(self, node, candidates, idle):
+        sim = self.sim
+        kind = "pass" if node.assigned_endpoint is not None else "placement"
+        for ep_id in candidates:
+            if ep_id in idle:
+                assert idle[ep_id] == sim.earliest_idle_estimate(ep_id), (kind, ep_id)
+                reused[kind] += 1
+        row = sim.exec_row(node.task_id)
+        assert row == {ep: sim.predicted_exec(node.task_id, ep) for ep in sim.endpoint_order}
+        return score(self, node, candidates, idle)
+
+    monkeypatch.setattr(DhaStrategy, "_earliest_finishing", checked_score)
+    sim = Simulation(sc, scheduler_kind="dha", seed=7)
+    sim.run()
+    assert reused["placement"] > 0 and reused["pass"] > 0, reused
+
+
+def topological_priorities(dag, costs):
+    """Upward ranks walked over `dag.topological_order()`: the reference for
+    the reverse-submission-order walk of `compute_priorities`."""
+    priority = {}
+    for t in reversed(dag.topological_order()):
+        d_bar, w_bar = costs[t]
+        succ_max = max((priority[s] for s in dag.successors[t]), default=0.0)
+        priority[t] = d_bar + w_bar + succ_max
+    return priority
+
+
+costs_st = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e6, allow_nan=False))
+
+
+class TestPriorityWalk:
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_reverse_submission_order_matches_topological_order(self, data):
+        """Bit for bit, over the whole graph and over its tasks not DONE; a
+        task is DONE only once all of its deps are."""
+        n = data.draw(st.integers(1, 25))
+        dag = Dag()
+        done = set()
+        for t in range(n):
+            deps = data.draw(st.sets(st.integers(0, t - 1), max_size=4)) if t else set()
+            dag.submit_task(FN, deps)
+            if deps <= done and data.draw(st.booleans()):
+                done.add(t)
+        costs = {t: (data.draw(costs_st), data.draw(costs_st)) for t in range(n)}
+        reference = topological_priorities(dag, costs)
+        assert compute_priorities(dag, costs) == reference
+        live = {t: c for t, c in costs.items() if t not in done}
+        assert all(s in live for t in live for s in dag.successors[t])
+        assert compute_priorities(dag, live) == {t: reference[t] for t in live}
+
+
+@pytest.mark.parametrize(
+    "name,scale", [("montage-like", 0.05), ("dynamic-drug", 0.02), ("elasticity", 0.05)]
+)
+def test_average_costs_once_per_cost_class(name, scale, monkeypatch):
+    """A recompute averages each (function, input size, file bytes) class of
+    the tasks not DONE once, and gives each of them the priority that one
+    `average_costs` call per task over the topological order gives."""
+    sc = generate_builtin_scenario(name, scale)
+    average_costs = scheduling.average_costs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return average_costs(*args, **kwargs)
+
+    recompute = DhaStrategy._recompute_priorities
+    checked = []
+
+    def checked_recompute(self):
+        sim = self.sim
+        live = [n for n in sim.dag.nodes.values() if n.state is not TaskState.DONE]
+        classes = {(n.function.name, n.input_bytes, n.file_bytes) for n in live}
+        before = len(calls)
+        recompute(self)
+        assert len(calls) - before == len(classes)
+        specs = [ep.spec for ep in sim.endpoints]
+        costs = {
+            tid: average_costs(
+                n.input_bytes,
+                n.function,
+                specs,
+                sim.exec_profiler,
+                sim.transfer_profiler,
+                staging_bytes=n.file_bytes,
+            )
+            for tid, n in sim.dag.nodes.items()
+        }
+        reference = topological_priorities(sim.dag, costs)
+        assert self.priorities == {n.task_id: reference[n.task_id] for n in live}
+        checked.append(len(sim.dag.nodes) - len(live))
+
+    monkeypatch.setattr(scheduling, "average_costs", counted)
+    monkeypatch.setattr(DhaStrategy, "_recompute_priorities", checked_recompute)
+    Simulation(sc, scheduler_kind="dha", seed=7).run()
+    assert checked, "no recompute"
+    if name == "elasticity":
+        assert checked[-1] > 0, "no task was DONE at a later batch"
 
 
 class TestReassignment:
@@ -381,9 +511,7 @@ class TestReassignment:
         )
 
     def test_success_rates(self):
-        recs = [
-            type("R", (), {"function": "f", "endpoint": "a", "success": True})(),
-            type("R", (), {"function": "f", "endpoint": "a", "success": False})(),
-            type("R", (), {"function": "g", "endpoint": "a", "success": False})(),
-        ]
-        assert success_rates_for("f", recs) == {"a": 0.5}
+        p = ExecutionProfiler()
+        for function, success in (("f", True), ("f", False), ("g", False)):
+            p.record(TaskRecord(function, "a", 1, 1.0, 0, success, 0.0))
+        assert p.success_rates("f") == {"a": 0.5}
