@@ -1,8 +1,8 @@
 """Data items, replica tracking, and staging transfers with retry.
 
 Transfers between each ordered endpoint pair run under a concurrency cap;
-jobs past the cap wait FIFO by job id. Every successfully moved byte is
-accounted in a global counter (failed attempts contribute nothing).
+jobs past the cap wait FIFO by job id. The bytes moved are those of the
+jobs that finished a transfer (failed attempts contribute nothing).
 """
 
 from __future__ import annotations
@@ -62,11 +62,9 @@ class DataManager:
         # (data_id, dst) -> ids of the jobs parked behind the one active
         # transfer of that item to that endpoint; present only while it runs.
         self._in_flight: dict = {}
-        # task_id -> outstanding job count, and the jobs of its latest stage();
-        # both entries go when the count reaches 0 or the task is cancelled.
-        self._pending_per_task: dict = {}
+        # task_id -> ids of the unresolved jobs of its latest stage(); the
+        # entry goes when the set empties or the task is cancelled.
         self._task_jobs: dict = {}
-        self._bytes_total = 0
 
     # -- items -------------------------------------------------------------
 
@@ -117,8 +115,7 @@ class DataManager:
         if jobs:
             # Re-staging always follows cancel_task_jobs, so these are the
             # task's only open jobs.
-            self._pending_per_task[task_id] = len(jobs)
-            self._task_jobs[task_id] = jobs
+            self._task_jobs[task_id] = {job.job_id for job in jobs}
         started, completed = [], []
         for job in jobs:
             s, c = self._enqueue(job, clock)
@@ -152,12 +149,12 @@ class DataManager:
         task_id = job.task_id
         if task_id is None:
             return []
-        self._pending_per_task[task_id] -= 1
-        if self._pending_per_task[task_id] == 0:
-            del self._pending_per_task[task_id]
-            del self._task_jobs[task_id]
-            return [task_id]
-        return []
+        pending = self._task_jobs[task_id]
+        pending.remove(job.job_id)
+        if pending:
+            return []
+        del self._task_jobs[task_id]
+        return [task_id]
 
     def _start_waiting(self, pair, clock: float) -> tuple:
         """Admit waiting jobs under the cap; returns (started, completed_tasks).
@@ -207,7 +204,6 @@ class DataManager:
             job.state = JobState.DONE
             job.finished_at = clock
             self.add_replica(job.data_id, job.dst)
-            self._bytes_total += job.size
             completed.extend(self._job_satisfied(job))
         elif job.retries_used < self.max_transfer_retries:
             job.retries_used += 1
@@ -248,10 +244,16 @@ class DataManager:
         active jobs are left to finish (their replicas stay useful) and
         waiting ones still run when admitted.
         """
-        self._pending_per_task.pop(task_id, None)
-        for job in self._task_jobs.pop(task_id, ()):
+        for job_id in self._task_jobs.pop(task_id, ()):
+            job = self.jobs[job_id]
             if job.state in (JobState.WAITING, JobState.ACTIVE):
                 job.task_id = None
 
     def transfer_bytes_total(self) -> int:
-        return self._bytes_total
+        """Bytes of the DONE jobs that started a transfer: a retry resets
+        `started_at`, and a job satisfied by a replica never sets it."""
+        return sum(
+            job.size
+            for job in self.jobs.values()
+            if job.state is JobState.DONE and job.started_at is not None
+        )

@@ -49,11 +49,9 @@ class EventKind(IntEnum):
 # Periodic ticks; any other queued event is work that can still move a run.
 _TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 
-# States read on hot paths: an attribute of an Enum class takes about ten
-# times as long to read as a module global on CPython 3.11.
-_STAGING, _READY, _RUNNING = TaskState.STAGING, TaskState.READY, TaskState.RUNNING
-# Positions of the terminal states in the per-state counts.
-_DONE, _FAILED, _UNRUNNABLE = (TaskState[n].index for n in ("DONE", "FAILED", "UNRUNNABLE"))
+# An attribute of an Enum class takes about ten times as long to read as a
+# module global on CPython 3.11, so the engine reads the states from here.
+_PENDING, _STAGING, _READY, _QUEUED, _RUNNING, _DONE, _FAILED, _UNRUNNABLE = TaskState
 
 
 def next_poll(t: float, interval: float) -> float:
@@ -114,15 +112,6 @@ class Simulation:
         self._queued_work = 0  # queued events other than _TICKS
         self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes)
 
-        # The work each endpoint has committed: tasks assigned to it and not
-        # yet dispatched, a retry included.
-        self.assigned_undispatched: dict = {ep: set() for ep in self.endpoint_order}
-        # Predicted seconds of not-yet-running work per endpoint, kept as a
-        # running sum so the idle estimate stays O(1) per query.
-        self._backlog_pred: dict = {ep: 0.0 for ep in self.endpoint_order}
-        # Per endpoint, a heap of (predicted finish, task_id) of tasks started
-        # there; earliest_idle_estimate pops the entries of finished tasks.
-        self._finish_heap: dict = {ep: [] for ep in self.endpoint_order}
         # Registered tasks per TaskState.index; _enter moves a task between them.
         self._state_counts: list = [0] * len(TaskState)
         self._resched_armed_until = -1.0
@@ -249,17 +238,15 @@ class Simulation:
         ep = self._by_id[endpoint_id]
         if ep.active_workers == 0:
             return self.clock if self.scenario.defaults.elastic else math.inf
-        committed = len(self.assigned_undispatched[endpoint_id]) + len(ep.queued)
-        if ep.idle_workers > committed:
+        if ep.idle_workers > ep.waiting_work:
             return self.clock
-        heap = self._finish_heap[endpoint_id]
+        heap = ep.finish_heap
         # A task runs at most once (only staging fails), so an entry whose
         # task is no longer RUNNING is stale.
         while heap and self.dag.nodes[heap[0][1]].state is not _RUNNING:
             heapq.heappop(heap)
         base = heap[0][0] if heap else self.clock
-        backlog = self._backlog_pred[endpoint_id]
-        return max(self.clock, base) + backlog / ep.active_workers
+        return max(self.clock, base) + ep.backlog_s / ep.active_workers
 
     # -- task graph construction ------------------------------------------
 
@@ -286,9 +273,9 @@ class Simulation:
                     node.output = out_id
             node.submit_time = self.clock
             node.deps_left = sum(
-                1 for d in node.deps if self.dag.nodes[d].state is not TaskState.DONE
+                1 for d in node.deps if self.dag.nodes[d].state is not _DONE
             )
-            self._state_counts[TaskState.PENDING.index] += 1
+            self._state_counts[_PENDING.index] += 1
             task_ids.append(tid)
         return task_ids
 
@@ -312,22 +299,23 @@ class Simulation:
 
     def _drop_backlog(self, node):
         if node.backlog_s:
-            self._backlog_pred[node.assigned_endpoint] -= node.backlog_s
+            self._by_id[node.assigned_endpoint].backlog_s -= node.backlog_s
             node.backlog_s = 0.0
 
     def _unassign(self, node):
         """Release the task's claim on its endpoint's committed work."""
         if node.assigned_endpoint is not None:
-            self.assigned_undispatched[node.assigned_endpoint].discard(node.task_id)
+            self._by_id[node.assigned_endpoint].committed.discard(node.task_id)
 
     def assign(self, task_id: int, endpoint_id: str):
         node = self.dag.nodes[task_id]
         self._unassign(node)
         self._drop_backlog(node)
+        ep = self._by_id[endpoint_id]
         node.backlog_s = self.predicted_exec(task_id, endpoint_id)
-        self._backlog_pred[endpoint_id] += node.backlog_s
+        ep.backlog_s += node.backlog_s
         node.assigned_endpoint = endpoint_id
-        self.assigned_undispatched[endpoint_id].add(task_id)
+        ep.committed.add(task_id)
         self.metrics.decision_count += 1
 
     def begin_staging(self, task_id: int):
@@ -370,7 +358,7 @@ class Simulation:
     def dispatch_task(self, task_id: int):
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
-        self._enter(node, TaskState.QUEUED)
+        self._enter(node, _QUEUED)
         self._unassign(node)
         outcome = ep.dispatch(task_id)
         if outcome == "accepted":
@@ -379,14 +367,14 @@ class Simulation:
 
     def _start_running(self, task_id: int, ep: EndpointModel):
         node = self.dag.nodes[task_id]
-        self._enter(node, TaskState.RUNNING)
+        self._enter(node, _RUNNING)
         duration = self.sample_exec_duration(
             task_id, ep.endpoint_id, node.attempt_count
         )
         self._drop_backlog(node)
         end = self.clock + self.dispatch_latency + duration
         pred_finish = self.clock + self.predicted_exec(task_id, ep.endpoint_id)
-        heapq.heappush(self._finish_heap[ep.endpoint_id], (pred_finish, task_id))
+        heapq.heappush(ep.finish_heap, (pred_finish, task_id))
         self.schedule(end, EventKind.TASK_COMPLETE, (self._on_task_complete, task_id, duration))
 
     # -- failure handling --------------------------------------------------
@@ -397,7 +385,7 @@ class Simulation:
         node = self.dag.nodes[task_id]
         ep_id = node.assigned_endpoint
         self.data.cancel_task_jobs(task_id)
-        self._enter(node, TaskState.FAILED)
+        self._enter(node, _FAILED)
         failed = node.failed_endpoints = node.failed_endpoints | {ep_id}
         self._unassign(node)
         self._drop_backlog(node)
@@ -435,10 +423,10 @@ class Simulation:
             t = stack.pop()
             for s in sorted(self.dag.successors[t]):
                 node = self.dag.nodes[s]
-                if node.state is not TaskState.UNRUNNABLE:
+                if node.state is not _UNRUNNABLE:
                     # Its chain never finishes, so it never left PENDING;
                     # give back the assignment capacity made at submit.
-                    self._enter(node, TaskState.UNRUNNABLE)
+                    self._enter(node, _UNRUNNABLE)
                     self._unassign(node)
                     self._drop_backlog(node)
                     logger.error(
@@ -477,8 +465,8 @@ class Simulation:
     def undispatched_tasks(self) -> list:
         """Tasks assigned and not yet dispatched, in no particular order."""
         out = []
-        for ep in self.endpoint_order:
-            out.extend(self.assigned_undispatched[ep])
+        for ep in self.endpoints:
+            out.extend(ep.committed)
         return out
 
     def arm_reschedule(self, period: float):
@@ -491,23 +479,16 @@ class Simulation:
     @property
     def unrunnable(self) -> frozenset:
         """Tasks that never ran because a dependency failed for good."""
-        return frozenset(t for t, n in self.dag.nodes.items() if n.state is TaskState.UNRUNNABLE)
+        return frozenset(t for t, n in self.dag.nodes.items() if n.state is _UNRUNNABLE)
 
     def _live_count(self) -> int:
         """Registered tasks that are not in a terminal state."""
         c = self._state_counts
-        return len(self.dag.nodes) - c[_DONE] - c[_FAILED] - c[_UNRUNNABLE]
+        return len(self.dag.nodes) - c[_DONE.index] - c[_FAILED.index] - c[_UNRUNNABLE.index]
 
     def _pending_count(self) -> int:
         """Live tasks that are not running."""
-        return self._live_count() - self._state_counts[TaskState.RUNNING.index]
-
-    def _queue_share(self) -> dict:
-        share = {ep: 0 for ep in self.endpoint_order}
-        for ep_id in self.endpoint_order:
-            share[ep_id] += len(self.assigned_undispatched[ep_id])
-            share[ep_id] += len(self._by_id[ep_id].queued)
-        return share
+        return self._live_count() - self._state_counts[_RUNNING.index]
 
     @property
     def finished(self) -> bool:
@@ -557,7 +538,7 @@ class Simulation:
         # depends on one, or on an unrunnable one, can never run.
         for tid in task_ids:
             for dep in self.dag.nodes[tid].deps:
-                if self.dag.nodes[dep].state in (TaskState.FAILED, TaskState.UNRUNNABLE):
+                if self.dag.nodes[dep].state in (_FAILED, _UNRUNNABLE):
                     self._cascade_unrunnable(dep)
         self._announce_ready(task_ids)
 
@@ -571,7 +552,7 @@ class Simulation:
         for j in started:
             self._schedule_transfer(j)
         for task_id in completed:
-            if self.dag.nodes[task_id].state == TaskState.STAGING:
+            if self.dag.nodes[task_id].state is _STAGING:
                 self._staging_finished(task_id)
         if failed_task is not None:
             self._fail_task(failed_task)
@@ -579,16 +560,13 @@ class Simulation:
     def _on_task_complete(self, task_id: int, exec_time: float):
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
-        self._enter(node, TaskState.DONE)
+        self._enter(node, _DONE)
         for s in self.dag.successors[task_id]:
             self.dag.nodes[s].deps_left -= 1
         self._record_task_outcome(task_id, ep.endpoint_id, True, exec_time)
         if node.output is not None:
             self.data.add_replica(node.output, ep.endpoint_id)
-        next_task = ep.complete(self.clock)
-        self._record_workers(ep)
-        if next_task is not None:
-            self._start_running(next_task, ep)
+        self._start_queued(ep, ep.complete(self.clock))
         observed = next_poll(self.clock, self.poll_interval)
         if observed > self.clock:
             self.schedule(observed, EventKind.RESULT_OBSERVED, (self._result_seen, task_id))
@@ -608,19 +586,22 @@ class Simulation:
         self.dag.nodes[task_id].observed_time = self.clock
         self._announce_ready(self.dag.successors[task_id])
 
+    def _start_queued(self, ep: EndpointModel, started: list):
+        """Record the endpoint's workers after a change to them, then run
+        the queued tasks that the change started."""
+        self._record_workers(ep)
+        for task_id in started:
+            self._start_running(task_id, ep)
+
     def _on_capacity_change(self, endpoint_id: str, event: CapacityEvent):
         ep = self._by_id[endpoint_id]
-        ep.apply_capacity_event(event)
-        self._record_workers(ep)
+        self._start_queued(ep, ep.apply_capacity_event(event))
         self._hook(self.strategy.on_capacity_change, endpoint_id)
 
     def _on_scale_tick(self):
-        decisions = scale_decision(
-            self.clock, self.endpoints, self._pending_count(), self._queue_share()
-        )
+        decisions = scale_decision(self.clock, self.endpoints, self._pending_count())
         for ep, delta in decisions:
-            ep.apply_capacity_event(CapacityEvent(self.clock, delta))
-            self._record_workers(ep)
+            self._start_queued(ep, ep.apply_capacity_event(CapacityEvent(self.clock, delta)))
         for ep, delta in decisions:
             if delta > 0:
                 self._hook(self.strategy.on_worker_free, ep.endpoint_id)
@@ -667,7 +648,7 @@ class Simulation:
             if node.terminal:
                 continue
             missing = sorted(
-                d for d in node.deps if self.dag.nodes[d].state != TaskState.DONE
+                d for d in node.deps if self.dag.nodes[d].state is not _DONE
             )
             stuck.append(
                 f"task {tid} [{node.state.value}] on {node.assigned_endpoint}: "
@@ -690,7 +671,7 @@ class Simulation:
         m.makespan = (max(completions) - min(submits)) if completions else 0.0
         m.transfer_bytes = self.data.transfer_bytes_total()
         # Gave up (FAILED is terminal only then) or never ran.
-        m.tasks_failed = self._state_counts[_FAILED] + self._state_counts[_UNRUNNABLE]
+        m.tasks_failed = self._state_counts[_FAILED.index] + self._state_counts[_UNRUNNABLE.index]
         for job in self.data.jobs.values():
             m.transfers.append(
                 (
@@ -711,6 +692,5 @@ def run_scenario(
     scenario: Scenario,
     scheduler_kind: Optional[str] = None,
     seed: Optional[int] = None,
-    **kwargs,
 ) -> MetricsLog:
-    return Simulation(scenario, scheduler_kind, seed, **kwargs).run()
+    return Simulation(scenario, scheduler_kind, seed).run()

@@ -20,6 +20,9 @@ from .profilers import average_costs
 
 logger = logging.getLogger(__name__)
 
+# Module globals: an attribute of an Enum class is slow to read.
+_STAGING, _READY, _DONE = TaskState.STAGING, TaskState.READY, TaskState.DONE
+
 
 class SchedulerError(RuntimeError):
     pass
@@ -198,8 +201,8 @@ class CapacityStrategy(BaseStrategy):
 class LocalityStrategy(BaseStrategy):
     """Real-time minimum-transfer placement, gated on idle workers.
 
-    An endpoint is feasible while it has an idle worker that no assigned,
-    undispatched task (a retry included) has already taken.
+    An endpoint is feasible while it has more idle workers than waiting
+    work: tasks committed to it (a retry included) or queued there.
     """
 
     name = "locality"
@@ -210,9 +213,8 @@ class LocalityStrategy(BaseStrategy):
 
     def _feasible(self):
         out = []
-        committed = self.sim.assigned_undispatched
         for index, ep in enumerate(self.sim.endpoints):
-            free = ep.idle_workers - len(committed[ep.endpoint_id])
+            free = ep.idle_workers - ep.waiting_work
             if free > 0:
                 out.append((ep.endpoint_id, free, index))
         return out
@@ -273,7 +275,7 @@ class DhaStrategy(BaseStrategy):
         by_class: dict = {}
         costs = {}
         for tid, node in sim.dag.nodes.items():
-            if node.state is TaskState.DONE:
+            if node.state is _DONE:
                 continue
             key = (node.function.name, node.input_bytes, node.file_bytes)
             cost = by_class.get(key)
@@ -359,12 +361,11 @@ class DhaStrategy(BaseStrategy):
         sim = self.sim
         ep = sim.endpoint_by_id(endpoint_id)
         queue = self.delay_queues.get(endpoint_id, [])
-        ready_state = TaskState.READY
         while queue and ep.idle_workers > 0:
             _, tid = heapq.heappop(queue)
             node = sim.dag.nodes[tid]
             # Lazy deletion: skip entries invalidated by re-scheduling.
-            if node.state is not ready_state or node.assigned_endpoint != endpoint_id:
+            if node.state is not _READY or node.assigned_endpoint != endpoint_id:
                 continue
             sim.dispatch_task(tid)
 
@@ -405,12 +406,12 @@ class DhaStrategy(BaseStrategy):
         # the target too: its admitted jobs all go there, and an orphaned
         # job finishes no task.
         idle: dict = {}
-        undispatched = (TaskState.STAGING, TaskState.READY)
         for _, tid in movable:
             node = nodes[tid]
             # An earlier move in this pass may have finished this task's
             # staging and let it be dispatched.
-            if node.state not in undispatched:
+            state = node.state
+            if state is not _STAGING and state is not _READY:
                 continue
             incumbent = node.assigned_endpoint
             best_ep = self._earliest_finishing(node, self._incumbent_first[incumbent], idle)

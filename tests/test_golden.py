@@ -120,9 +120,9 @@ GOLDEN = {
     ('dynamic-drug', 0.02, 'capacity', ''): (
         'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n7339.588812,0.838000,0,88,131,11,11\n',
         {
-            'utilization.csv': '1dd225f4dff9c99603b901966635f6337184c89ff332cd33229142440f9818ec',
-            'transfers.csv': 'c1516949fc8243e9ebe6b837e3e307dfc08e1f998ddfbdaa874a76c23973acd7',
-            'staging.csv': 'f78c696fa72536f024a78304302b8ee1ad4299cd53b6666e267ceda15c822354',
+            'utilization.csv': '7294682d47931997b3ad1cc49e90851088ae709b82e2c5e42e4401a29fc2b4fc',
+            'transfers.csv': 'd32460b4b4114b9e927c344bf1deeae9123416f7993533038b21004c11222e8e',
+            'staging.csv': 'e8a4be89537c93181d2e392792b5bef61afe1493ac82dbcabe9c21483276c94b',
         },
     ),
     ('dynamic-drug', 0.02, 'locality', ''): (
@@ -144,9 +144,9 @@ GOLDEN = {
     ('dynamic-montage', 0.02, 'capacity', ''): (
         'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n332.303028,1.480000,0,29,143,28,28\n',
         {
-            'utilization.csv': '766c0b36ed5eb1df085674d5cb5165f8898abd3f1305e9e8d3c6630c003b7685',
-            'transfers.csv': 'e26e24dfe3099e915dc19b796d2ae7e32b4c200b57b81e11fa70b3c3b0122ee7',
-            'staging.csv': '77ad1629209fff16f87c6c7c1d9c22e22bdd5a1e114456beb65999d2874fd969',
+            'utilization.csv': 'c2942bd244a1532b1fbecee2cfbfd168a110393235fba31d6ca3176c95f8c344',
+            'transfers.csv': '08a6ae63ab1319cb6a431094af1f5f389bfdf4cdfd43ca976725de8bb4e27623',
+            'staging.csv': '1a659e229d193288820a92f4ed074dfb348bf508e04febe30e532372525f7b8e',
         },
     ),
     ('dynamic-montage', 0.02, 'locality', ''): (
@@ -168,7 +168,7 @@ GOLDEN = {
     ('elasticity', 0.05, 'capacity', ''): (
         'makespan_s,transfer_GB,tasks_failed,tasks_ep1,tasks_ep2,tasks_ep3\n1090.500000,300.000000,0,11,9,0\n',
         {
-            'utilization.csv': '86dee13ab3fc2f33bfdbc1f5993c94ebb2be41d0e1ce340f2ebd8a5593bab2bb',
+            'utilization.csv': 'bbd4c7ee6585851d54be66ad5b1adcd6006c60f1998503fb6a45feb1113e9c72',
             'transfers.csv': 'e9743d8b17e92a927b6a0828e64750418be51e1f18dd95d53289245c8ff29ba1',
             'staging.csv': '6fc025dfc7fb829d1a2f8a1cece5b0dae44b6817f34ed336ea0aecce3c07bfb5',
         },

@@ -3,11 +3,13 @@ replace, after every event of every golden run.
 
 The counters are `Simulation.finished`, `Simulation._pending_count()`, the
 per-state task counts, the last staging-series sample, each endpoint's
-assigned-but-undispatched set and predicted backlog, the count of queued
-events other than ticks, each node's remaining-deps count, the per-task job
-index that `cancel_task_jobs` walks and the data manager's in-flight table.
-A subclass of `Simulation` checks them against scans of the task graph, the
-endpoints and the job table after each event; the run itself is unchanged.
+committed set and predicted backlog, the count of queued events other than
+ticks, each node's remaining-deps count, the per-task index of unresolved
+jobs that staging and `cancel_task_jobs` read and the data manager's
+in-flight table. A subclass of `Simulation` checks them against scans of the
+task graph, the endpoints and the job table after each event, together with
+the rule that no endpoint holds a queued task beside an idle worker; the run
+itself is unchanged.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ from test_golden import CASES, SEED, _scenario
 OPEN = (JobState.WAITING, JobState.ACTIVE)
 UNDISPATCHED = (TaskState.PENDING, TaskState.STAGING, TaskState.READY)
 TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
-# `_backlog_pred` is a running sum of adds and subtracts, so it drifts from a
+# `EndpointModel.backlog_s` is a running sum of adds and subtracts, so it drifts from a
 # fresh sum by float rounding: under 1e-10 s over the runs below.
 BACKLOG_TOLERANCE_S = 1e-6
 # Half of all transfer attempts fail and each job retries once, so tasks are
@@ -58,24 +60,25 @@ def check_counters(sim):
     assert states[TaskState.RUNNING] == running
     series = sim.metrics.staging_series
     assert (series[-1][1] if series else 0) == states[TaskState.STAGING]
-    assert sim.assigned_undispatched == undispatched
-    for ep, pred in sim._backlog_pred.items():
-        assert abs(pred - backlog[ep]) <= BACKLOG_TOLERANCE_S, ep
+    for ep in sim.endpoints:
+        assert ep.committed == undispatched[ep.endpoint_id], ep.endpoint_id
+        assert abs(ep.backlog_s - backlog[ep.endpoint_id]) <= BACKLOG_TOLERANCE_S, ep.endpoint_id
+        assert not ep.queued or ep.idle_workers == 0, f"{ep.endpoint_id}: queued beside idle"
     deps_left = Counter(s for t in not_done for s in sim.dag.successors[t])
     assert all(node.deps_left == deps_left[tid] for tid, node in nodes.items())
     assert sim._queued_work == sum(1 for e in sim._events if e[1] not in TICKS)
 
     data = sim.data
     jobs = data.jobs.values()
-    index = data._task_jobs
-    assert all(index.values()), "empty index entry"
-    assert index.keys() == data._pending_per_task.keys()
-    active = [(j.data_id, j.dst) for j in jobs if j.state is JobState.ACTIVE]
-    assert sorted(data._in_flight) == sorted(active), "one in-flight entry per active job"
-    indexed = {(t, j.job_id) for t, js in index.items() for j in js}
+    # Between events a task's unresolved jobs are its open ones: a job that
+    # fails for good fails its task in the same event.
+    unresolved = {}
     for j in jobs:
         if j.state in OPEN and j.task_id is not None:
-            assert (j.task_id, j.job_id) in indexed
+            unresolved.setdefault(j.task_id, set()).add(j.job_id)
+    assert data._task_jobs == unresolved
+    active = [(j.data_id, j.dst) for j in jobs if j.state is JobState.ACTIVE]
+    assert sorted(data._in_flight) == sorted(active), "one in-flight entry per active job"
 
 
 class ScanCheckedSimulation(Simulation):

@@ -154,8 +154,8 @@ def test_locality_picks_only_uncommitted_idle_workers(name, scale, monkeypatch):
     def checked_select(self, task_id):
         choice = select(self, task_id)
         if choice is not None:
-            committed = len(self.sim.assigned_undispatched[choice])
-            picks.append(self.sim.endpoint_by_id(choice).idle_workers > committed)
+            ep = self.sim.endpoint_by_id(choice)
+            picks.append(ep.idle_workers > len(ep.committed))
         return choice
 
     monkeypatch.setattr(LocalityStrategy, "_select", checked_select)

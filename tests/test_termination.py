@@ -86,7 +86,7 @@ def test_elastic_run_with_unrunnable_tasks_ends(quiet):
     metrics = sim.run()
     assert sim.finished and sim.unrunnable
     assert metrics.tasks_failed > 0
-    assert not any(sim.assigned_undispatched.values())
+    assert not any(ep.committed for ep in sim.endpoints)
 
 
 def test_each_failed_attempt_is_recorded_once(caplog):
