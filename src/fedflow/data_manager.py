@@ -49,9 +49,13 @@ class TransferJob:
 
 
 class DataManager:
-    def __init__(self, concurrency_cap: int = 4, max_transfer_retries: int = 3):
+    def __init__(
+        self, endpoint_order, concurrency_cap: int = 4, max_transfer_retries: int = 3
+    ):
         if concurrency_cap < 1:
             raise DataError("concurrency cap must be >= 1")
+        # Endpoint ids in declaration order: the order replicas are chosen in.
+        self.endpoint_order = tuple(endpoint_order)
         self.concurrency_cap = concurrency_cap
         self.max_transfer_retries = max_transfer_retries
         self.items: dict = {}
@@ -82,21 +86,14 @@ class DataManager:
 
     # -- staging -----------------------------------------------------------
 
-    def choose_source(self, item: DataItem, endpoint_order: list) -> str:
+    def choose_source(self, item: DataItem) -> str:
         """Deterministic replica choice: first location in declaration order."""
-        for ep in endpoint_order:
+        for ep in self.endpoint_order:
             if ep in item.locations:
                 return ep
         raise DataError(f"{item.data_id}: no replica available")
 
-    def stage(
-        self,
-        task_id: int,
-        file_deps,
-        target: str,
-        endpoint_order: list,
-        clock: float,
-    ) -> tuple:
+    def stage(self, task_id: int, file_deps, target: str, clock: float) -> tuple:
         """Create one transfer job per non-resident dependency, in the order
         of `file_deps` (a task's are sorted at submit).
 
@@ -110,7 +107,7 @@ class DataManager:
             item = self.items[data_id]
             if target in item.locations or item.size == 0:
                 continue
-            src = self.choose_source(item, endpoint_order)
+            src = self.choose_source(item)
             jobs.append(self._new_job(data_id, src, target, item.size, task_id))
         if jobs:
             # Re-staging always follows cancel_task_jobs, so these are the

@@ -84,7 +84,6 @@ class Simulation:
 
         self.endpoints = [EndpointModel(spec) for spec in scenario.endpoints]
         self.endpoint_order = [ep.endpoint_id for ep in self.endpoints]
-        self._specs = tuple(ep.spec for ep in self.endpoints)
         self._by_id = {ep.endpoint_id: ep for ep in self.endpoints}
         # (src, dst) -> (latency_s, bandwidth_Bps): the true network, which
         # times every transfer and is the transfer profiler's fallback.
@@ -96,12 +95,12 @@ class Simulation:
                     self.links[(a, b)] = (link.latency_s, link.bandwidth_MBps * MB)
 
         self.data = DataManager(
+            self.endpoint_order,
             concurrency_cap=d.transfer_concurrency,
             max_transfer_retries=d.max_transfer_retries,
         )
 
-        perf_factors = {ep.endpoint_id: ep.spec.perf_factor for ep in self.endpoints}
-        self.exec_profiler = ExecutionProfiler(perf_factors)
+        self.exec_profiler = ExecutionProfiler(scenario.endpoints)
         self.transfer_profiler = TransferProfiler(fallback=self.links)
 
         self.dag = Dag()
@@ -203,17 +202,14 @@ class Simulation:
 
     def predicted_exec(self, task_id: int, endpoint_id: str) -> float:
         node = self.dag.nodes[task_id]
-        return self.exec_profiler.predict_exec(
-            node.function,
-            self._by_id[endpoint_id].spec,
-            node.input_bytes,
-        )
+        return self.exec_profiler.predict_exec(node.function, endpoint_id, node.input_bytes)
 
     def exec_row(self, task_id: int) -> dict:
-        """The task's predicted execution seconds on every endpoint, by
-        endpoint id; each equals `predicted_exec` there."""
+        """The task's cost row: its predicted execution seconds on every
+        endpoint, by endpoint id in declaration order, as the execution
+        profiler caches it; `predicted_exec` reads the same row."""
         node = self.dag.nodes[task_id]
-        return self.exec_profiler.exec_row(node.function, self._specs, node.input_bytes)
+        return self.exec_profiler.exec_row(node.function, node.input_bytes)
 
     def staging_time_estimate(self, task_id: int, endpoint_id: str) -> float:
         node = self.dag.nodes[task_id]
@@ -222,7 +218,7 @@ class Simulation:
             item = self.data.items[did]
             if endpoint_id in item.locations or item.size == 0:
                 continue
-            src = self.data.choose_source(item, self.endpoint_order)
+            src = self.data.choose_source(item)
             total += self.transfer_profiler.predict_transfer(src, endpoint_id, item.size)
         return total
 
@@ -327,11 +323,7 @@ class Simulation:
         finish staging of every task that no longer waits on one."""
         node = self.dag.nodes[task_id]
         jobs, started, completed = self.data.stage(
-            task_id,
-            node.file_deps,
-            node.assigned_endpoint,
-            self.endpoint_order,
-            self.clock,
+            task_id, node.file_deps, node.assigned_endpoint, self.clock
         )
         for job in started:
             self._schedule_transfer(job)
@@ -552,8 +544,7 @@ class Simulation:
         for j in started:
             self._schedule_transfer(j)
         for task_id in completed:
-            if self.dag.nodes[task_id].state is _STAGING:
-                self._staging_finished(task_id)
+            self._staging_finished(task_id)
         if failed_task is not None:
             self._fail_task(failed_task)
 

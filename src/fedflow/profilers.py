@@ -5,7 +5,7 @@ running co-moments of its key (`_Moments`); both profilers refit at refresh
 ticks (`refresh_tick_s`) and only then, so a prediction between two ticks
 reads the fit of the last one. The default execution model is an ordinary
 least-squares fit of execution time on input size, per (function, endpoint);
-the model family is pluggable behind `predict_exec`. A refresh refits only
+the model family is pluggable behind `exec_row`. A refresh refits only
 the keys observed since the last one, and each refit reads O(1) state, so a
 refresh costs O(keys changed), whatever the length of the history.
 """
@@ -82,19 +82,22 @@ class _Moments:
 
 
 class ExecutionProfiler:
-    """Predicts execution time per function.
+    """Predicts execution time per function on each endpoint of a federation.
 
     Prediction precedence: fitted model for the exact (function, endpoint)
     pair; the fit of the function's donor endpoint rescaled by the
     perf-factor ratio; the function's cost hint; finally the function's
-    true cost. The donor is the least endpoint id that has a fit and a known
-    perf factor. `perf_factors` (endpoint id -> factor) is given once, at
-    construction; without it no fit is transferred. A prediction is computed
-    once per (function, endpoint, input size) between two refits, and so is
-    the row of one function's predictions on every endpoint (`exec_row`).
+    true cost. The federation's `EndpointSpec`s are given once, at
+    construction, in declaration order; the donor is the least endpoint id
+    in the federation that has a fit, so history records of any other
+    endpoint never donate. The one cache is the cost row (`exec_row`): a
+    function's predictions on every endpoint of the federation, computed
+    once per (function, input size) between two refits.
     """
 
-    def __init__(self, perf_factors: Optional[dict] = None):
+    def __init__(self, endpoints: tuple = ()):
+        self.endpoints = tuple(endpoints)
+        self._perf_factors = {ep.endpoint_id: ep.perf_factor for ep in self.endpoints}
         self.history: list = []
         # (function, endpoint) -> the moments of its successful records;
         # failures carry no duration signal.
@@ -106,13 +109,10 @@ class ExecutionProfiler:
         # function -> its donor endpoint. Fits are never dropped, so a donor
         # only ever gives way to a smaller id, set at refresh.
         self._donors: dict = {}
-        # (function, endpoint, input size) -> predicted seconds, and
         # (function, input size) -> {endpoint: predicted seconds}. Fits and
-        # donors change only at refresh, which empties both.
-        self._predictions: dict = {}
+        # donors change only at refresh, which empties it.
         self._rows: dict = {}
         self.refit_count = 0
-        self.perf_factors = perf_factors or {}
         self._truth_fallback_logged: set = set()
 
     def record(self, rec: TaskRecord):
@@ -140,10 +140,9 @@ class ExecutionProfiler:
             self._fits[key] = self._moments[key].fit()
             name, ep = key
             donor = self._donors.get(name)
-            if ep in self.perf_factors and (donor is None or ep < donor):
+            if ep in self._perf_factors and (donor is None or ep < donor):
                 self._donors[name] = ep
         self._dirty.clear()
-        self._predictions.clear()
         self._rows.clear()
         self.refit_count += 1
 
@@ -153,25 +152,20 @@ class ExecutionProfiler:
         tallies = self._tallies.get(function_name, {})
         return {ep: wins / n for ep, (n, wins) in tallies.items()}
 
-    def predict_exec(
-        self, function: FunctionDef, endpoint: EndpointSpec, input_size: int
-    ) -> float:
-        """Predict execution seconds. Always finite."""
-        key = (function.name, endpoint.endpoint_id, input_size)
-        time_s = self._predictions.get(key)
-        if time_s is None:
-            time_s = self._predictions[key] = self._predict(function, endpoint, input_size)
-        return time_s
+    def predict_exec(self, function: FunctionDef, endpoint_id: str, input_size: int) -> float:
+        """Predicted execution seconds on one endpoint of the federation, read
+        from the cost row. Always finite."""
+        return self.exec_row(function, input_size)[endpoint_id]
 
-    def exec_row(self, function: FunctionDef, endpoints: tuple, input_size: int) -> dict:
-        """What `predict_exec` gives on each of `endpoints`, by endpoint id,
-        computed once per (function, input size) between two refits. The key
-        leaves the endpoints out: a caller passes the same ones every time."""
+    def exec_row(self, function: FunctionDef, input_size: int) -> dict:
+        """The function's predicted execution seconds on every endpoint of
+        the federation, by endpoint id in declaration order; computed once
+        per (function, input size) between two refits."""
         key = (function.name, input_size)
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = {
-                ep.endpoint_id: self._predict(function, ep, input_size) for ep in endpoints
+                ep.endpoint_id: self._predict(function, ep, input_size) for ep in self.endpoints
             }
         return row
 
@@ -185,7 +179,7 @@ class ExecutionProfiler:
             donor = self._donors[name]
             dfit = self._fits[(name, donor)]
             base = dfit[0] + dfit[1] * input_size
-            time_s = base * endpoint.perf_factor / self.perf_factors[donor]
+            time_s = base * endpoint.perf_factor / self._perf_factors[donor]
         elif function.cost_hint_fixed_s is not None:
             time_s = endpoint.perf_factor * (
                 function.cost_hint_fixed_s + function.cost_hint_rate_s_per_B * input_size
@@ -286,33 +280,25 @@ class TransferProfiler:
 
 
 def average_costs(
-    input_bytes: int,
     function: FunctionDef,
-    endpoints: list,
+    input_bytes: int,
+    staging_bytes: int,
     exec_profiler: ExecutionProfiler,
     transfer_profiler: TransferProfiler,
-    staging_bytes: Optional[int] = None,
 ) -> tuple:
     """Placement-independent (staging, execution) cost means for one task.
 
-    The execution term averages predictions over all endpoints. The staging
-    term assumes the task's input bytes cross a representative link: total
-    bytes times the mean inverse bandwidth over ordered endpoint pairs, plus
-    the mean latency (zero with a single endpoint or no input data).
+    The execution term is the mean of the task's cost row over the
+    federation. The staging term assumes the task's staging bytes cross a
+    representative link: those bytes times the mean inverse bandwidth over
+    ordered endpoint pairs, plus the mean latency (zero with a single
+    endpoint or no bytes to stage).
     """
-    if not endpoints:
+    row = exec_profiler.exec_row(function, input_bytes)
+    if not row:
         raise ProfilerError("endpoint set must be non-empty")
-    w_bar = sum(
-        exec_profiler.predict_exec(function, ep, input_bytes) for ep in endpoints
-    ) / len(endpoints)
-    pairs = [
-        (a.endpoint_id, b.endpoint_id)
-        for a in endpoints
-        for b in endpoints
-        if a.endpoint_id != b.endpoint_id
-    ]
-    if staging_bytes is None:
-        staging_bytes = input_bytes
+    w_bar = sum(row.values()) / len(row)
+    pairs = [(a, b) for a in row for b in row if a != b]
     if not pairs or staging_bytes <= 0:
         return 0.0, w_bar
     inv_bw = 0.0

@@ -271,7 +271,6 @@ class DhaStrategy(BaseStrategy):
         file bytes share their cost means, so each such class is averaged
         once: the profilers do not change during the call."""
         sim = self.sim
-        specs = [ep.spec for ep in sim.endpoints]
         by_class: dict = {}
         costs = {}
         for tid, node in sim.dag.nodes.items():
@@ -281,12 +280,11 @@ class DhaStrategy(BaseStrategy):
             cost = by_class.get(key)
             if cost is None:
                 cost = by_class[key] = average_costs(
-                    node.input_bytes,
                     node.function,
-                    specs,
+                    node.input_bytes,
+                    node.file_bytes,
                     sim.exec_profiler,
                     sim.transfer_profiler,
-                    staging_bytes=node.file_bytes,
                 )
             costs[tid] = cost
         self.priorities = compute_priorities(sim.dag, costs)

@@ -152,57 +152,77 @@ class TestOls:
 
 class TestExecutionProfiler:
     def test_exact_fit_preferred(self):
-        p = ExecutionProfiler()
+        p = ExecutionProfiler((ep("a"),))
         for size, t in ((0, 10.0), (100, 20.0), (200, 30.0)):
             p.record(rec(input_size=size, exec_time=t))
         p.refresh()
-        t = p.predict_exec(FN, ep("a"), 50)
+        t = p.predict_exec(FN, "a", 50)
         assert math.isclose(t, 15.0)
 
     def test_failures_excluded_from_time_fit(self):
-        p = ExecutionProfiler()
+        p = ExecutionProfiler((ep("a"),))
         p.record(rec(exec_time=10.0))
         p.record(rec(exec_time=0.0, success=False))
         p.refresh()
-        t = p.predict_exec(FN, ep("a"), 100)
+        t = p.predict_exec(FN, "a", 100)
         assert math.isclose(t, 10.0)
 
     def test_donor_endpoint_rescaled_by_perf(self):
-        p = ExecutionProfiler(perf_factors={"a": 1.0, "b": 3.0})
+        p = ExecutionProfiler((ep("a"), ep("b", perf=3.0)))
         p.record(rec(endpoint="a", exec_time=10.0))
         p.refresh()
-        t = p.predict_exec(FN, ep("b", perf=3.0), 100)
+        t = p.predict_exec(FN, "b", 100)
         assert math.isclose(t, 30.0)
 
+    def test_donor_rule_depends_on_the_federation(self, tmp_path):
+        """History of an endpoint outside the federation, as `--history` can
+        load, neither donates a fit nor adds a row entry, even with the least
+        id; rows list the federation in declaration order."""
+        outside = ExecutionProfiler()
+        outside.record(rec(endpoint="a", exec_time=10.0))
+        path = tmp_path / "history.csv"
+        outside.save(path)
+        p = ExecutionProfiler((ep("c"), ep("b", perf=2.0)))
+        p.load(path)
+        row = p.exec_row(FN, 100)
+        assert list(row) == ["c", "b"]
+        assert row == {"c": 1000.0, "b": 2000.0}
+        p.record(rec(endpoint="c", exec_time=7.0))
+        p.refresh()
+        row = p.exec_row(FN, 100)
+        assert list(row) == ["c", "b"]
+        assert math.isclose(row["c"], 7.0) and math.isclose(row["b"], 14.0)
+        assert p.predict_exec(FN, "b", 100) == row["b"]
+
     def test_cost_hint_fallback(self):
-        p = ExecutionProfiler()
+        p = ExecutionProfiler((ep("a", perf=2.0),))
         fn = FunctionDef(
             "f", true_fixed_s=1000.0, cost_hint_fixed_s=5.0, cost_hint_rate_s_per_B=0.01
         )
-        t = p.predict_exec(fn, ep("a", perf=2.0), 100)
+        t = p.predict_exec(fn, "a", 100)
         assert math.isclose(t, 2.0 * (5.0 + 1.0))
 
     def test_truth_fallback(self):
-        p = ExecutionProfiler()
+        p = ExecutionProfiler((ep("a", perf=1.5),))
         fn = FunctionDef("f", true_fixed_s=10.0, true_rate_s_per_MB=2.0)
-        t = p.predict_exec(fn, ep("a", perf=1.5), 2_000_000)
+        t = p.predict_exec(fn, "a", 2_000_000)
         assert math.isclose(t, 1.5 * (10.0 + 4.0))
 
     def test_predictions_change_only_at_refresh(self):
-        p = ExecutionProfiler(perf_factors={"a": 1.0, "b": 2.0})
-        assert p.predict_exec(FN, ep("a"), 100) == 1000.0
-        assert p.predict_exec(FN, ep("b", perf=2.0), 100) == 2000.0
+        p = ExecutionProfiler((ep("a"), ep("b", perf=2.0)))
+        assert p.predict_exec(FN, "a", 100) == 1000.0
+        assert p.predict_exec(FN, "b", 100) == 2000.0
         p.record(rec(endpoint="a", exec_time=10.0))
-        assert p.predict_exec(FN, ep("a"), 100) == 1000.0
-        assert p.predict_exec(FN, ep("b", perf=2.0), 100) == 2000.0
+        assert p.predict_exec(FN, "a", 100) == 1000.0
+        assert p.predict_exec(FN, "b", 100) == 2000.0
         p.refresh()
-        assert math.isclose(p.predict_exec(FN, ep("a"), 100), 10.0)
+        assert math.isclose(p.predict_exec(FN, "a", 100), 10.0)
         # "b" has no fit of its own and borrows the new one from "a".
-        assert math.isclose(p.predict_exec(FN, ep("b", perf=2.0), 100), 20.0)
+        assert math.isclose(p.predict_exec(FN, "b", 100), 20.0)
         p.record(rec(endpoint="b", exec_time=50.0))
-        assert math.isclose(p.predict_exec(FN, ep("b", perf=2.0), 100), 20.0)
+        assert math.isclose(p.predict_exec(FN, "b", 100), 20.0)
         p.refresh()
-        assert math.isclose(p.predict_exec(FN, ep("b", perf=2.0), 100), 50.0)
+        assert math.isclose(p.predict_exec(FN, "b", 100), 50.0)
 
     def test_refresh_idempotent(self):
         p = ExecutionProfiler()
@@ -302,28 +322,26 @@ class TestTransferProfiler:
 
 class TestAverageCosts:
     def test_single_endpoint_has_no_staging_term(self):
-        p = ExecutionProfiler()
-        d, w = average_costs(100, FunctionDef("f", 10.0), [ep("a")], p, TransferProfiler())
+        p = ExecutionProfiler((ep("a"),))
+        d, w = average_costs(FunctionDef("f", 10.0), 100, 100, p, TransferProfiler())
         assert d == 0.0 and math.isclose(w, 10.0)
 
     def test_execution_mean_over_endpoints(self):
-        p = ExecutionProfiler()
+        p = ExecutionProfiler((ep("a"), ep("b", 2.0)))
         tp = TransferProfiler(fallback={("a", "b"): (0.0, 1e6), ("b", "a"): (0.0, 1e6)})
-        d, w = average_costs(0, FunctionDef("f", 10.0), [ep("a"), ep("b", 2.0)], p, tp)
+        d, w = average_costs(FunctionDef("f", 10.0), 0, 0, p, tp)
         assert math.isclose(w, 15.0)
         assert d == 0.0  # no bytes to stage
 
     def test_staging_uses_file_bytes_and_link_means(self):
-        p = ExecutionProfiler()
+        p = ExecutionProfiler((ep("a"), ep("b")))
         tp = TransferProfiler(fallback={("a", "b"): (1.0, 1e6), ("b", "a"): (3.0, 1e6)})
-        d, _ = average_costs(
-            10**6, FunctionDef("f", 1.0), [ep("a"), ep("b")], p, tp, staging_bytes=2 * 10**6
-        )
+        d, _ = average_costs(FunctionDef("f", 1.0), 10**6, 2 * 10**6, p, tp)
         assert math.isclose(d, 2.0 + 2.0)  # 2 MB at 1 MB/s + mean latency 2 s
 
     def test_empty_endpoint_set_rejected(self):
         with pytest.raises(ProfilerError):
-            average_costs(1, FN, [], ExecutionProfiler(), TransferProfiler())
+            average_costs(FN, 1, 1, ExecutionProfiler(), TransferProfiler())
 
 
 # -- incremental refits ------------------------------------------------------
@@ -432,22 +450,29 @@ class TestIncrementalRefit:
     @settings(max_examples=100)
     @given(st.lists(records, max_size=12), st.lists(records, max_size=12),
            st.lists(st.integers(0, 10**8), min_size=1, max_size=3))
-    def test_exec_rows_equal_predictions(self, first, second, sizes):
-        """A row holds `predict_exec` on every endpoint, before and after
-        each refresh: a refit empties the row cache with the predictions."""
-        specs = tuple(ep(name, perf=1.0 + i) for i, name in enumerate(ENDPOINTS))
-        p = ExecutionProfiler({s.endpoint_id: s.perf_factor for s in specs})
+    def test_exec_rows_equal_a_fresh_profiler(self, first, second, sizes):
+        """Before and after each refresh, every row is that of a fresh
+        profiler fed the records of the last refresh: a refit empties the
+        row cache, and records between refreshes leave it alone."""
+        # Declared against id order, so the donor (least id) is not first.
+        specs = tuple(ep(name, perf=1.0 + i) for i, name in enumerate(reversed(ENDPOINTS)))
+        p = ExecutionProfiler(specs)
         functions = [FunctionDef(name, true_fixed_s=1000.0) for name in FUNCS]
+        fitted = []  # the records of the last refresh
         for batch in (first, second):
             for r in batch:
                 p.record(r)
             for refresh in (False, True):
                 if refresh:
                     p.refresh()
+                    fitted = list(p.history)
+                fresh = ExecutionProfiler(specs)
+                for r in fitted:
+                    fresh.record(r)
+                fresh.refresh()
                 for fn in functions:
                     for size in sizes:
-                        row = p.exec_row(fn, specs, size)
-                        assert row == {s.endpoint_id: p.predict_exec(fn, s, size) for s in specs}
+                        assert p.exec_row(fn, size) == fresh.exec_row(fn, size)
 
     def test_refresh_refits_only_recorded_keys(self, monkeypatch):
         p = ExecutionProfiler()

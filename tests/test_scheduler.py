@@ -452,15 +452,13 @@ def test_average_costs_once_per_cost_class(name, scale, monkeypatch):
         before = len(calls)
         recompute(self)
         assert len(calls) - before == len(classes)
-        specs = [ep.spec for ep in sim.endpoints]
         costs = {
             tid: average_costs(
-                n.input_bytes,
                 n.function,
-                specs,
+                n.input_bytes,
+                n.file_bytes,
                 sim.exec_profiler,
                 sim.transfer_profiler,
-                staging_bytes=n.file_bytes,
             )
             for tid, n in sim.dag.nodes.items()
         }
