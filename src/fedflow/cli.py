@@ -124,6 +124,7 @@ def run(
     click.echo(f"transfer_GB:   {metrics.transfer_bytes / 1e9:.3f}")
     click.echo(f"tasks_failed:  {metrics.tasks_failed}")
     click.echo(f"decision_ms:   {metrics.mean_decision_seconds * 1e3:.4f}")
+    click.echo(f"moves:         {metrics.move_count}")
 
 
 @main.command()

@@ -23,7 +23,7 @@ from .profilers import (
     TransferProfiler,
 )
 from .scenario import MB, Scenario
-from .scheduling import STRATEGIES, reassignment_endpoint
+from .scheduling import STRATEGIES, idle_estimate, reassignment_endpoint
 
 logger = logging.getLogger(__name__)
 
@@ -114,6 +114,7 @@ class Simulation:
         # Registered tasks per TaskState.index; _enter moves a task between them.
         self._state_counts: list = [0] * len(TaskState)
         self._resched_armed_until = -1.0
+        self._in_hook = False
         self._spec_by_tid: dict = {}
 
         if self.scheduler_kind not in STRATEGIES:
@@ -222,27 +223,41 @@ class Simulation:
             total += self.transfer_profiler.predict_transfer(src, endpoint_id, item.size)
         return total
 
-    def earliest_idle_estimate(self, endpoint_id: str) -> float:
+    def idle_terms(self, endpoint_id: str) -> tuple:
+        """The terms of the endpoint's idle estimate, for `idle_estimate`:
+        (idle workers less waiting work, when the first running task is
+        predicted to finish but not before now, predicted backlog seconds,
+        active workers)."""
+        ep = self._by_id[endpoint_id]
+        clock = self.clock
+        if ep.active_workers == 0:
+            return (0, clock if self.scenario.defaults.elastic else math.inf, 0.0, 0)
+        heap = ep.finish_heap
+        # A task runs at most once (only staging fails), so an entry whose
+        # task is no longer RUNNING is stale.
+        while heap and self.dag.nodes[heap[0][1]].state is not _RUNNING:
+            heapq.heappop(heap)
+        first = heap[0][0] if heap else clock
+        return (
+            ep.idle_workers - ep.waiting_work,
+            first if first > clock else clock,
+            ep.backlog_s,
+            ep.active_workers,
+        )
+
+    def earliest_idle_estimate(self, endpoint_id: str, leave_out=None) -> float:
         """When the endpoint is next expected to have an idle worker.
 
         Uses the proxy's live counts plus predicted remaining runtimes; the
         backlog of queued and staged-but-undispatched work is spread evenly
         over the pool. An endpoint with zero workers is available now when
         the scenario is elastic, on the assumption that elasticity will
-        provision it, and never otherwise.
+        provision it, and never otherwise. `leave_out`, a task node
+        committed to the endpoint, is left out of its waiting work and
+        backlog: the estimate the task's own incumbent gives it.
         """
-        ep = self._by_id[endpoint_id]
-        if ep.active_workers == 0:
-            return self.clock if self.scenario.defaults.elastic else math.inf
-        if ep.idle_workers > ep.waiting_work:
-            return self.clock
-        heap = ep.finish_heap
-        # A task runs at most once (only staging fails), so an entry whose
-        # task is no longer RUNNING is stale.
-        while heap and self.dag.nodes[heap[0][1]].state is not _RUNNING:
-            heapq.heappop(heap)
-        base = heap[0][0] if heap else self.clock
-        return max(self.clock, base) + ep.backlog_s / ep.active_workers
+        left_out_s = None if leave_out is None else leave_out.backlog_s
+        return idle_estimate(self.clock, self.idle_terms(endpoint_id), left_out_s)
 
     # -- task graph construction ------------------------------------------
 
@@ -303,7 +318,9 @@ class Simulation:
         if node.assigned_endpoint is not None:
             self._by_id[node.assigned_endpoint].committed.discard(node.task_id)
 
-    def assign(self, task_id: int, endpoint_id: str):
+    def _commit(self, task_id: int, endpoint_id: str):
+        """Point the task at the endpoint, moving its committed work and
+        backlog there."""
         node = self.dag.nodes[task_id]
         self._unassign(node)
         self._drop_backlog(node)
@@ -312,6 +329,10 @@ class Simulation:
         ep.backlog_s += node.backlog_s
         node.assigned_endpoint = endpoint_id
         ep.committed.add(task_id)
+
+    def assign(self, task_id: int, endpoint_id: str):
+        """A scheduling decision: a first placement or a retry."""
+        self._commit(task_id, endpoint_id)
         self.metrics.decision_count += 1
 
     def begin_staging(self, task_id: int):
@@ -344,7 +365,8 @@ class Simulation:
             # Back into STAGING for the new target.
             self._enter(node, _STAGING)
         self.data.cancel_task_jobs(task_id)
-        self.assign(task_id, endpoint_id)
+        self._commit(task_id, endpoint_id)
+        self.metrics.move_count += 1
         self._stage(task_id)
 
     def dispatch_task(self, task_id: int):
@@ -462,9 +484,11 @@ class Simulation:
         return out
 
     def arm_reschedule(self, period: float):
-        when = self.clock + period
-        if when > self._resched_armed_until:
-            self._resched_armed_until = when
+        """Queue a re-scheduling tick one period from now, unless one is
+        already queued for a later time: one chain of ticks, which ends when
+        a tick does not re-arm."""
+        if self._resched_armed_until <= self.clock:
+            self._resched_armed_until = when = self.clock + period
             payload = (self._hook, self.strategy.on_reschedule_tick)
             self.schedule(when, EventKind.RESCHEDULE_TICK, payload)
 
@@ -501,11 +525,17 @@ class Simulation:
         )
 
     def _hook(self, fn, *args):
+        """Run a strategy hook. Hooks nest (a re-scheduling tick moves a task
+        whose staging completes), so only the outermost one is timed."""
+        if self._in_hook:
+            return fn(*args)
+        self._in_hook = True
         t0 = _time.perf_counter()
         try:
             return fn(*args)
         finally:
             self.metrics.sched_seconds += _time.perf_counter() - t0
+            self._in_hook = False
 
     # -- readiness ---------------------------------------------------------
 

@@ -43,7 +43,8 @@ class MetricsLog:
         self.transfer_bytes: int = 0
         self.tasks_failed: int = 0
         self.sched_seconds: float = 0.0
-        self.decision_count: int = 0
+        self.decision_count: int = 0  # first placements and retries
+        self.move_count: int = 0  # re-scheduling moves
         self.event_count: int = 0
 
     def record_workers(self, time: float, endpoint: str, busy: int, active: int):

@@ -114,6 +114,22 @@ def earliest_finish_time(
     return max(clock + staging_time, earliest_idle) + exec_time
 
 
+def idle_estimate(clock: float, terms: tuple, left_out_s: Optional[float] = None) -> float:
+    """When an endpoint is next expected to have an idle worker, from the
+    terms `Simulation.idle_terms` reads. With `left_out_s`, one committed
+    task whose backlog is `left_out_s` seconds is left out of the waiting
+    work and the backlog."""
+    spare, start, backlog_s, workers = terms
+    if not workers:
+        return start
+    if left_out_s is not None:
+        spare += 1
+        backlog_s -= left_out_s
+    if spare > 0:
+        return clock
+    return start + backlog_s / workers
+
+
 def reassignment_endpoint(
     attempt_count: int,
     failed_endpoints: set,
@@ -256,12 +272,9 @@ class DhaStrategy(BaseStrategy):
         super().__init__(sim)
         self.priorities: dict = {}
         self.delay_queues: dict = {}  # endpoint_id -> heap of (-priority, tid)
-        # Per incumbent, every endpoint with the incumbent first, so that
-        # it keeps ties.
+        # Per incumbent, every other endpoint: candidates to steal a task.
         order = sim.endpoint_order
-        self._incumbent_first = {
-            ep: (ep,) + tuple(e for e in order if e != ep) for ep in order
-        }
+        self._others = {ep: tuple(e for e in order if e != ep) for ep in order}
 
     # -- priorities --------------------------------------------------------
 
@@ -294,9 +307,12 @@ class DhaStrategy(BaseStrategy):
 
     # -- endpoint selection ------------------------------------------------
 
-    def _earliest_finishing(self, node, candidates, idle: dict) -> str:
+    def _earliest_finishing(
+        self, node, candidates, idle: dict, best_ep=None, best_eft=None
+    ) -> str:
         """The candidate endpoint with the earliest finish time for the task;
-        ties go to the candidate listed first.
+        ties go to the candidate listed first, and to `best_ep`, already
+        scored at `best_eft`, before any candidate.
 
         `idle` maps endpoints to idle estimates already read, and is filled
         with each candidate's; the caller drops the entries whose inputs
@@ -309,7 +325,6 @@ class DhaStrategy(BaseStrategy):
         clock = sim.clock
         task_id = node.task_id
         row = sim.exec_row(task_id)
-        best_ep = best_eft = None
         for ep_id in candidates:
             ready = idle.get(ep_id)
             if ready is None:
@@ -382,28 +397,63 @@ class DhaStrategy(BaseStrategy):
             self.sim.arm_reschedule(period)
 
     def on_reschedule_tick(self):
-        """A pass that moves a task arms the next tick."""
-        moved = self.reschedule_pass()
-        for ep in self.sim.endpoints:
+        """The tick stays armed while undispatched work waits and some other
+        event is queued: with none queued, no pass can find new capacity,
+        and the run ends or deadlocks instead of spinning."""
+        sim = self.sim
+        self.reschedule_pass()
+        for ep in sim.endpoints:
             self.delay_dispatch(ep.endpoint_id)
-        if moved:
-            self.sim.arm_reschedule(self.sim.scenario.defaults.reschedule_period_s)
+        if sim._queued_work and any(ep.committed for ep in sim.endpoints):
+            sim.arm_reschedule(sim.scenario.defaults.reschedule_period_s)
+
+    def _decision_class(self, node, dep_keys: dict) -> tuple:
+        """What a pass's decision for an undispatched task reads besides the
+        idle estimates: its cost row (function and input bytes), incumbent,
+        own backlog, and the size and locations of each file dependency, in
+        order. `dep_keys` caches each item's (size, locations) for the pass,
+        in which no transfer lands."""
+        items = self.sim.data.items
+        deps = []
+        for did in node.file_deps:
+            key = dep_keys.get(did)
+            if key is None:
+                item = items[did]
+                key = dep_keys[did] = (item.size, frozenset(item.locations))
+            deps.append(key)
+        return (
+            node.function.name,
+            node.input_bytes,
+            node.assigned_endpoint,
+            node.backlog_s,
+            tuple(deps),
+        )
 
     def reschedule_pass(self) -> int:
         """Re-run endpoint selection for undispatched tasks; steal when the
         earliest finish time strictly improves even after paying for the
-        extra transfers of already-staged inputs."""
+        extra transfers of already-staged inputs. The incumbent is scored
+        with the task left out of its waiting work and backlog, so the task
+        does not count against the endpoint it already holds."""
         sim = self.sim
         nodes = sim.dag.nodes
         priorities = self.priorities
         movable = sorted((-priorities.get(t, 0.0), t) for t in sim.undispatched_tasks())
+        if not movable:
+            return 0
+        clock = sim.clock
         moves = 0
-        # One table for the whole pass: the clock is fixed, and a move
-        # changes the committed work and backlog of its two endpoints only.
-        # The staging it finishes and the dispatches that follow land on
-        # the target too: its admitted jobs all go there, and an orphaned
-        # job finishes no task.
-        idle: dict = {}
+        # One table of idle terms and one of estimates for the whole pass:
+        # the clock is fixed, and a move changes the committed work and
+        # backlog of its two endpoints only. The staging it finishes and
+        # the dispatches that follow land on the target too: its admitted
+        # jobs all go there, and an orphaned job finishes no task.
+        terms = {ep: sim.idle_terms(ep) for ep in sim.endpoint_order}
+        idle = {ep: idle_estimate(clock, t) for ep, t in terms.items()}
+        # Decision classes known to keep their incumbent while the tables
+        # stand; a move empties it.
+        stays: set = set()
+        dep_keys: dict = {}
         for _, tid in movable:
             node = nodes[tid]
             # An earlier move in this pass may have finished this task's
@@ -411,13 +461,28 @@ class DhaStrategy(BaseStrategy):
             state = node.state
             if state is not _STAGING and state is not _READY:
                 continue
+            decision = self._decision_class(node, dep_keys)
+            if decision in stays:
+                continue
             incumbent = node.assigned_endpoint
-            best_ep = self._earliest_finishing(node, self._incumbent_first[incumbent], idle)
-            if best_ep != incumbent:
-                sim.move_assignment(tid, best_ep)
-                idle.pop(incumbent, None)
-                idle.pop(best_ep, None)
-                moves += 1
+            eft = earliest_finish_time(
+                clock,
+                sim.staging_time_estimate(tid, incumbent),
+                idle_estimate(clock, terms[incumbent], node.backlog_s),
+                sim.exec_row(tid)[incumbent],
+            )
+            best_ep = self._earliest_finishing(
+                node, self._others[incumbent], idle, incumbent, eft
+            )
+            if best_ep == incumbent:
+                stays.add(decision)
+                continue
+            sim.move_assignment(tid, best_ep)
+            for ep in (incumbent, best_ep):
+                terms[ep] = sim.idle_terms(ep)
+                idle[ep] = idle_estimate(clock, terms[ep])
+            stays.clear()
+            moves += 1
         if moves:
             logger.debug("re-scheduling moved %d tasks", moves)
         return moves

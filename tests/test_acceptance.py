@@ -145,6 +145,15 @@ def test_dynamic_capacity_ordering():
         assert dha < 0.90 * frozen  # re-scheduling worth >= 10%
 
 
+def test_dynamic_reschedule_churn():
+    with verdict("dynamic-reschedule-churn", budget_s=60.0):
+        metrics = run("dynamic-drug", 0.1, "dha", seed=7).metrics
+        # A task counted against its own incumbent ping-ponged: 16,816
+        # moves for 1,201 tasks and 19.0 GB moved. Allow 10% of those moves.
+        assert metrics.move_count < 1682, metrics.move_count
+        assert metrics.transfer_bytes / 1e9 < 19.0, metrics.transfer_bytes
+
+
 def test_federation_beats_largest_single_endpoint():
     with verdict("federated-vs-single-endpoint", budget_s=120.0):
         federated = run("drug-like", 0.05, "dha").metrics.makespan

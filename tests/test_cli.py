@@ -142,12 +142,16 @@ class TestRun:
                  *options, "--out", str(tmp_path / name)],
             )
             assert result.exit_code == 0, result.output
-            return (tmp_path / name / "summary.csv").read_text()
+            moves = re.search(r"^moves: +(\d+)$", result.output, re.M)
+            return (tmp_path / name / "summary.csv").read_text(), int(moves[1])
 
         # --reschedule-period replaces the period the scenario file sets.
         disabled = summary(10.0, "--reschedule-period", "0")
         assert disabled == summary(0.0)
-        assert disabled != summary(10.0)
+        enabled = summary(10.0)
+        assert disabled[0] != enabled[0]
+        # Re-scheduling moves are reported on their own line.
+        assert disabled[1] == 0 and enabled[1] > 0
 
     @pytest.mark.parametrize(
         "flag, value, field",

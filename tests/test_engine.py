@@ -3,9 +3,11 @@
 import dataclasses
 import logging
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from fedflow import engine
 from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import TaskState
 from fedflow.engine import (
@@ -337,3 +339,31 @@ class TestDeterminism:
         m = run_scenario(oracle(), scheduler_kind=kind)
         assert m.tasks_failed == 0
         assert m.makespan > 0
+
+
+class TestSchedulerCounters:
+    def test_nested_hooks_are_timed_once(self, monkeypatch):
+        # Each clock read is one second later than the last.
+        reads = iter(range(100))
+        clock = SimpleNamespace(perf_counter=lambda: float(next(reads)))
+        monkeypatch.setattr(engine, "_time", clock)
+        sim = Simulation(oracle(), scheduler_kind="dha")
+        sim._hook(sim._hook, lambda: None)
+        assert sim.metrics.sched_seconds == 1.0
+
+    def test_moves_are_not_decisions(self):
+        # dynamic-drug moves tasks off an endpoint that loses most of its
+        # workers; every task is placed once and none is retried.
+        sc = generate_builtin_scenario("dynamic-drug", 0.02)
+        sim = Simulation(sc, scheduler_kind="dha", seed=7)
+        moved = []
+        move_assignment = sim.move_assignment
+
+        def recorded_move(task_id, endpoint_id):
+            moved.append(task_id)
+            move_assignment(task_id, endpoint_id)
+
+        sim.move_assignment = recorded_move
+        metrics = sim.run()
+        assert moved and metrics.move_count == len(moved)
+        assert metrics.decision_count == len(sim.dag.nodes)

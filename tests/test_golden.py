@@ -134,11 +134,11 @@ GOLDEN = {
         },
     ),
     ('dynamic-drug', 0.02, 'dha', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2707.274354,4.966000,0,45,175,11,10\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2749.918119,1.897000,0,43,180,10,8\n',
         {
-            'utilization.csv': '94c6e7f5914734f2732111b506506c42a0d7b65f09964f32f0fa2dc773db037d',
-            'transfers.csv': '359caa2239cedee8ed7a6d8d8c36226b460a4beb1f8c805def930bc45a44674a',
-            'staging.csv': '923a495124e1d76a0a191d9b550fcba6e0b60f27902b077f4cb84d4ab839d9f1',
+            'utilization.csv': '3e7833eee40e8a4e0fb1a1e80fc6edf443f1c911439a8623e6bce95a885ddd84',
+            'transfers.csv': 'a1f35835c5b6cebbd8ea8d0aa9729df5995e056069e5e65caaa44098603444ab',
+            'staging.csv': '850ad707a408dca7249a78cdb685696e7a271a60be1f0634cfaf3c809df077fc',
         },
     ),
     ('dynamic-montage', 0.02, 'capacity', ''): (
@@ -158,11 +158,11 @@ GOLDEN = {
         },
     ),
     ('dynamic-montage', 0.02, 'dha', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n276.338479,4.305000,0,36,149,20,23\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n267.858241,3.990000,0,36,149,21,22\n',
         {
-            'utilization.csv': 'da92a9458d9d66a90c5ac35722dca2ff2c8526f7894a8dfbebe78265923ae079',
-            'transfers.csv': 'ae67d3c6150f4bb2922c412a5868fe56bccf3219b9ca8beffd3a2b553722fa0a',
-            'staging.csv': '5e5587accedc5a7828a31ae24a3204fb43f23dd885e53141cd1316dff3aab60c',
+            'utilization.csv': '77b7bbc79a208c34b7ad8a3de80955befef092155d5f4003b22619853ff93401',
+            'transfers.csv': '47257f627f869eddfa2c639fb08d9996c0efc270a2c5ddd9dc5b68bcca657ece',
+            'staging.csv': '7fefc50e05a775149cb10b47d278cc465b9003a900e37c4c85eb2630453de44d',
         },
     ),
     ('elasticity', 0.05, 'capacity', ''): (
@@ -182,19 +182,19 @@ GOLDEN = {
         },
     ),
     ('dynamic-drug', 0.02, 'dha', 'probe-retry-poll'): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2775.000000,4.997829,0,43,177,11,10\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2775.000000,1.984829,0,43,180,10,8\n',
         {
-            'utilization.csv': '39df04b5968ed765aec5d9bb2dbe171295a470f513dd2d175645dbb5f17222d7',
-            'transfers.csv': '95e539bb91810e0bcef3745d1738d074e01829c048265ce6986077e7af0700a3',
-            'staging.csv': 'bf49684460412fe770aed8647cdc3d55e7e47d6e21b93b1b8cc7d6be01c91bd2',
+            'utilization.csv': '678120255ca69b8f34bbd9640f3f75d5a9b70314ed4bdb459fb265a72f56af73',
+            'transfers.csv': 'aad069dc4ae35ea41bdac8461c69ebe7ca6920482371f58ba0ec7f724f9402a0',
+            'staging.csv': '98f2cf4aaaa8ecfa29fc6b7eaaab496c067b97b1ef6389cb675e2b280646027c',
         },
     ),
     ('dynamic-drug', 0.02, 'dha', 'sync-lag'): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2732.236123,4.922000,0,43,179,10,9\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2780.837063,1.922000,0,42,181,10,8\n',
         {
-            'utilization.csv': '49235001cc9d384e080f2b58617aeb29601b056ce69ab4ceb65ec420b6998c75',
-            'transfers.csv': '84c2fb2d706f67cf6502703ad3c7204d58a04e29b76d798ee8bf59c7648e1efd',
-            'staging.csv': '405e4c015f7c8e20b0eff4b9403524eb20e4c4ac28617d561a6c9b88ca6b3590',
+            'utilization.csv': '9ad2fe878b08a41eb1ea1926e5308594858088d86ac8722e17aea8f5fce3e119',
+            'transfers.csv': '11acdaadd21e40edee1ce56ad5c557ee1b1306c481f874ed7467228cf9ca11d7',
+            'staging.csv': '3a486897ce76b4478ca211fca31205c97da9e9aa4dec1619c37415926e91ba37',
         },
     ),
     ('drug-like', 0.02, 'dha', 'cost-hint'): (

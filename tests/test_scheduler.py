@@ -1,6 +1,7 @@
 """Scheduling algorithms: proportional partitioning, priorities, selection."""
 
 import dataclasses
+import heapq
 import math
 import random
 from collections import Counter
@@ -11,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from fedflow import scheduling
 from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import Dag, FunctionDef, TaskState
-from fedflow.data_manager import DataItem
+from fedflow.data_manager import DataItem, DataManager
 from fedflow.engine import Simulation
 from fedflow.profilers import ExecutionProfiler, TaskRecord
+from fedflow.scenario import scenario_from_dict
 from fedflow.scheduling import (
     DhaStrategy,
     LocalityStrategy,
@@ -22,6 +24,7 @@ from fedflow.scheduling import (
     capacity_partition,
     compute_priorities,
     earliest_finish_time,
+    idle_estimate,
     locality_select,
     reassignment_endpoint,
 )
@@ -173,15 +176,23 @@ class TestEarliestFinishTime:
         assert earliest_finish_time(10.0, 1.0, 20.0, 3.0) == 23.0
 
 
+# Idle terms (see `idle_estimate`) of an endpoint with an idle worker and no
+# waiting work, and of one whose single worker is predicted busy until t=10
+# with one more task waiting than it has idle workers.
+IDLE_NOW = (1, 0.0, 0.0, 1)
+BUSY_TO_10 = (-1, 10.0, 0.0, 1)
+
+
 class FakeSim:
     """One READY task, assigned to `incumbent`, whose finish time on each
     endpoint is its predicted execution time there; records the endpoints
-    whose idle estimates are read and the endpoints staged."""
+    whose idle estimates or idle terms are read and the endpoints staged."""
 
     def __init__(self, exec_s: dict, incumbent: str):
         self.clock = 0.0
         self.endpoint_order = list(exec_s)
         self.exec_s = exec_s
+        self.data = DataManager(self.endpoint_order, concurrency_cap=1, max_transfer_retries=0)
         self.dag = Dag()
         node = self.dag.nodes[self.dag.submit_task(FN)]
         node.state = TaskState.READY
@@ -194,9 +205,12 @@ class FakeSim:
         self.staged.append(endpoint_id)
         return 0.0
 
-    def earliest_idle_estimate(self, endpoint_id):
+    def idle_terms(self, endpoint_id):
         self.idle_reads.append(endpoint_id)
-        return self.clock
+        return IDLE_NOW
+
+    def earliest_idle_estimate(self, endpoint_id):
+        return idle_estimate(self.clock, self.idle_terms(endpoint_id))
 
     def exec_row(self, task_id):
         return self.exec_s
@@ -219,7 +233,7 @@ class TestDhaEndpointChoice:
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 6.0}, incumbent="b")
         assert DhaStrategy(sim).reschedule_pass() == 0
         assert sim.moves == []
-        assert sim.idle_reads == ["b", "a", "c"]
+        assert sim.idle_reads == ["a", "b", "c"]
         assert sim.staged == ["b"]
 
     def test_reschedule_moves_on_strict_gain(self):
@@ -289,8 +303,9 @@ class TestEarliestFinishingBound:
 
 
 class PassSim(FakeSim):
-    """Two READY tasks on "a", which is busy until t=10; "b" has one idle
-    worker, so it is idle now until a task is moved there."""
+    """Two READY tasks on "a", which is busy until t=10 with either task
+    left out; "b" has one idle worker, so it is idle now until a task is
+    moved there."""
 
     def __init__(self):
         super().__init__({"a": 5.0, "b": 5.0}, incumbent="a")
@@ -299,11 +314,11 @@ class PassSim(FakeSim):
         node.assigned_endpoint = "a"
         self.b_idle = True
 
-    def earliest_idle_estimate(self, endpoint_id):
+    def idle_terms(self, endpoint_id):
         self.idle_reads.append(endpoint_id)
         if endpoint_id == "b" and self.b_idle:
-            return self.clock
-        return 10.0
+            return IDLE_NOW
+        return BUSY_TO_10
 
     def undispatched_tasks(self):
         return [1, 0]
@@ -338,18 +353,78 @@ class TestReschedulePass:
         assert sim.staged == ["a", "b", "a"]
 
 
+class ClassSim(FakeSim):
+    """Two READY tasks that share a function and input size, and so a cost
+    row (5 s everywhere), given as (incumbent, own backlog, file deps);
+    `terms` gives each endpoint's idle terms, and a task's staging time on
+    an endpoint is the size of its file deps held elsewhere, in seconds."""
+
+    def __init__(self, terms: dict, tasks: list, items=()):
+        super().__init__(dict.fromkeys(terms, 5.0), incumbent=tasks[0][0])
+        self.terms = terms
+        for data_id, size, where in items:
+            self.data.register_item(data_id, size, [where])
+        self.dag.submit_task(FN)
+        for node, (incumbent, backlog_s, file_deps) in zip(self.dag.nodes.values(), tasks):
+            node.state = TaskState.READY
+            node.assigned_endpoint = incumbent
+            node.backlog_s = backlog_s
+            node.file_deps = file_deps
+
+    def idle_terms(self, endpoint_id):
+        return self.terms[endpoint_id]
+
+    def staging_time_estimate(self, task_id, endpoint_id):
+        items = self.data.items
+        deps = self.dag.nodes[task_id].file_deps
+        return float(sum(items[d].size for d in deps if endpoint_id not in items[d].locations))
+
+    def undispatched_tasks(self):
+        return list(self.dag.nodes)
+
+
+@pytest.mark.parametrize(
+    "terms, tasks, items, target",
+    [
+        # Task 1 waits behind "b" until 10; task 0 holds idle "a".
+        ({"a": IDLE_NOW, "b": BUSY_TO_10}, [("a", 0.0, ()), ("b", 0.0, ())], (), "a"),
+        # Left out of "a", task 0 leaves no backlog and task 1 leaves 10 s.
+        (
+            {"a": (-1, 0.0, 10.0, 1), "b": (0, 4.0, 0.0, 1)},
+            [("a", 10.0, ()), ("a", 0.0, ())],
+            (),
+            "b",
+        ),
+        # Task 0's input is on "a", task 1's on "b", 20 s away.
+        (
+            {"a": IDLE_NOW, "b": (0, 3.0, 0.0, 1)},
+            [("a", 0.0, ("x",)), ("a", 0.0, ("y",))],
+            (("x", 20, "a"), ("y", 20, "b")),
+            "b",
+        ),
+    ],
+    ids=["incumbent", "own-backlog", "file-deps"],
+)
+def test_decision_class_tells_tasks_apart(terms, tasks, items, target):
+    """Two tasks that differ only in one part of their decision class:
+    task 0 keeps its incumbent, and task 1 must still be scored and moved."""
+    sim = ClassSim(terms, tasks, items)
+    assert DhaStrategy(sim).reschedule_pass() == 1
+    assert sim.moves == [(1, target)]
+
+
 def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
-    """A pass reads each endpoint's idle estimate once, and again only for
-    the two endpoints of each move."""
+    """A pass reads each endpoint's idle terms once, and again only for the
+    two endpoints of each move."""
     sc = generate_builtin_scenario("dynamic-drug", 0.02)
     reads = []
-    passes = []  # (idle estimates read, moves) per pass
-    idle = Simulation.earliest_idle_estimate
+    passes = []  # (idle terms read, moves) per pass
+    terms = Simulation.idle_terms
     reschedule = DhaStrategy.reschedule_pass
 
-    def counted_idle(self, endpoint_id):
+    def counted_terms(self, endpoint_id):
         reads.append(endpoint_id)
-        return idle(self, endpoint_id)
+        return terms(self, endpoint_id)
 
     def counted_pass(self):
         before = len(reads)
@@ -357,7 +432,7 @@ def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
         passes.append((len(reads) - before, moves))
         return moves
 
-    monkeypatch.setattr(Simulation, "earliest_idle_estimate", counted_idle)
+    monkeypatch.setattr(Simulation, "idle_terms", counted_terms)
     monkeypatch.setattr(DhaStrategy, "reschedule_pass", counted_pass)
     sim = Simulation(sc, scheduler_kind="dha", seed=7)
     sim.run()
@@ -368,13 +443,14 @@ def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
 
 def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
     """Each idle estimate a placement or a pass reuses from its table equals
-    the engine's estimate at that moment, and each cost row read equals
-    `predicted_exec` on every endpoint."""
+    the engine's estimate at that moment, each incumbent a pass scores is
+    scored with the engine's estimate that leaves the task out, and each
+    cost row read equals `predicted_exec` on every endpoint."""
     sc = generate_builtin_scenario("dynamic-drug", 0.02)
     score = DhaStrategy._earliest_finishing
     reused = Counter()
 
-    def checked_score(self, node, candidates, idle):
+    def checked_score(self, node, candidates, idle, best_ep=None, best_eft=None):
         sim = self.sim
         kind = "pass" if node.assigned_endpoint is not None else "placement"
         for ep_id in candidates:
@@ -383,12 +459,101 @@ def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
                 reused[kind] += 1
         row = sim.exec_row(node.task_id)
         assert row == {ep: sim.predicted_exec(node.task_id, ep) for ep in sim.endpoint_order}
-        return score(self, node, candidates, idle)
+        if best_ep is not None:
+            assert best_ep == node.assigned_endpoint
+            assert best_eft == earliest_finish_time(
+                sim.clock,
+                sim.staging_time_estimate(node.task_id, best_ep),
+                sim.earliest_idle_estimate(best_ep, leave_out=node),
+                row[best_ep],
+            )
+            reused["incumbent"] += 1
+        return score(self, node, candidates, idle, best_ep, best_eft)
 
     monkeypatch.setattr(DhaStrategy, "_earliest_finishing", checked_score)
     sim = Simulation(sc, scheduler_kind="dha", seed=7)
     sim.run()
-    assert reused["placement"] > 0 and reused["pass"] > 0, reused
+    assert all(reused[k] > 0 for k in ("placement", "pass", "incumbent")), reused
+
+
+def _run_recording_moves(monkeypatch, tmp_path):
+    """Run dynamic-drug 0.02 under DHA; returns (moves in order, tasks a
+    pass scored, bytes of each CSV)."""
+    moves, scores = [], []
+    move_assignment = Simulation.move_assignment
+    score = DhaStrategy._earliest_finishing
+
+    def recorded_move(self, task_id, endpoint_id):
+        moves.append((self.clock, task_id, endpoint_id))
+        return move_assignment(self, task_id, endpoint_id)
+
+    def counted_score(self, node, candidates, idle, best_ep=None, best_eft=None):
+        if best_ep is not None:
+            scores.append(node.task_id)
+        return score(self, node, candidates, idle, best_ep, best_eft)
+
+    monkeypatch.setattr(Simulation, "move_assignment", recorded_move)
+    monkeypatch.setattr(DhaStrategy, "_earliest_finishing", counted_score)
+    sc = generate_builtin_scenario("dynamic-drug", 0.02)
+    Simulation(sc, scheduler_kind="dha", seed=7).run().emit(tmp_path)
+    monkeypatch.undo()
+    csvs = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    return moves, len(scores), csvs
+
+
+def test_decision_memo_is_exact(monkeypatch, tmp_path):
+    """A pass reuses a "stays" verdict for every task of the same decision
+    class until a move; with every task in a class of its own, so that
+    each is scored in full, the run makes the same moves and the same
+    CSVs, byte for byte."""
+    memo = _run_recording_moves(monkeypatch, tmp_path / "memo")
+    monkeypatch.setattr(DhaStrategy, "_decision_class", lambda self, node, dep_keys: node.task_id)
+    full = _run_recording_moves(monkeypatch, tmp_path / "full")
+    assert memo[0] and memo[0] == full[0]
+    assert memo[2] == full[2]
+    assert memo[1] < full[1], "the memo saved no score"
+
+
+# Two endpoints with one worker each. Task 0 (12 s) starts on "a" and task 1
+# (10 s) on "b"; task 2 (5 s) waits, so each endpoint is busy until its
+# running task's predicted finish.
+PING_PONG = {
+    "name": "ping-pong",
+    "endpoints": [
+        {"endpoint_id": ep, "workers_per_node": 1, "max_nodes": 1, "initial_nodes": 1}
+        for ep in ("a", "b")
+    ],
+    "network": {"default": {"bandwidth_MBps": 100.0, "latency_s": 0.5}},
+    "functions": [
+        {"name": "long", "true_fixed_s": 12.0},
+        {"name": "mid", "true_fixed_s": 10.0},
+        {"name": "short", "true_fixed_s": 5.0},
+    ],
+    "workflow": [
+        {"id": 0, "function": "long"},
+        {"id": 1, "function": "mid"},
+        {"id": 2, "function": "short"},
+    ],
+    "defaults": {"scheduler": "dha"},
+}
+
+
+def test_second_pass_at_one_clock_moves_nothing():
+    """Task 2 waits on "b" (finish 10 + 5) rather than "a" (12 + 5). Counted
+    against its own incumbent it would look like 10 + 5 + 5 there, move to
+    "a", and at once look 12 + 5 + 5 there and move back; left out of its
+    incumbent's estimate, it stays in both passes."""
+    sim = Simulation(scenario_from_dict(PING_PONG), seed=7)
+    _, _, _, (submit, *args) = heapq.heappop(sim._events)
+    submit(*args)
+    node = sim.dag.nodes[2]
+    assert [sim.dag.nodes[t].assigned_endpoint for t in range(3)] == ["a", "b", "b"]
+    assert node.state is TaskState.READY
+    assert sim.earliest_idle_estimate("b") == 15.0
+    assert sim.earliest_idle_estimate("b", leave_out=node) == 10.0
+    dha = sim.strategy
+    assert [dha.reschedule_pass(), dha.reschedule_pass()] == [0, 0]
+    assert sim.metrics.move_count == 0 and node.assigned_endpoint == "b"
 
 
 def topological_priorities(dag, costs):

@@ -136,7 +136,7 @@ def taiyi_goes_offline():
 
 
 @pytest.mark.parametrize(
-    "scheduler, makespan", [("dha", 2971.1), ("locality", 2966.7)]
+    "scheduler, makespan", [("dha", 3004.6), ("locality", 2966.7)]
 )
 def test_work_leaves_an_endpoint_with_no_workers(scheduler, makespan):
     sim = BoundedSimulation(taiyi_goes_offline(), scheduler_kind=scheduler, seed=SEED)
@@ -151,3 +151,21 @@ def test_capacity_deadlocks_on_an_endpoint_with_no_workers():
     sim = BoundedSimulation(taiyi_goes_offline(), scheduler_kind="capacity", seed=SEED)
     with pytest.raises(DeadlockError, match=r"\[queued\] on taiyi"):
         sim.run()
+
+
+def test_dha_deadlocks_when_every_endpoint_loses_its_workers():
+    # Each endpoint drops to 0 workers at its own time, off the 10 s tick
+    # grid, while tasks wait undispatched. The re-scheduling tick stays
+    # armed while other events are queued, and stops once none is: the run
+    # raises instead of spinning. Two tick chains, one per capacity change,
+    # would keep each other armed forever.
+    sc = generate_builtin_scenario("dynamic-drug", 0.02)
+    sc.capacity_traces = {
+        ep.endpoint_id: [CapacityEvent(540.0 + 65.0 * i, -10_000)]
+        for i, ep in enumerate(sc.endpoints)
+    }
+    sim = BoundedSimulation(sc, scheduler_kind="dha", seed=SEED)
+    with pytest.raises(DeadlockError, match=r"\[ready\]"):
+        sim.run()
+    assert any(ep.committed for ep in sim.endpoints)
+    assert all(ep.active_workers == 0 for ep in sim.endpoints)
