@@ -76,7 +76,7 @@ class FunctionDef:
 class TaskNode:
     """The one record of a task: its place in the graph, its run-time state
     and the times it entered each state. The simulation owns every field
-    below `attempt_count`."""
+    below `assigned_endpoint`."""
 
     task_id: int
     function: FunctionDef
@@ -85,11 +85,11 @@ class TaskNode:
     output: Optional[str] = None
     state: TaskState = TaskState.PENDING
     assigned_endpoint: Optional[str] = None
-    attempt_count: int = 0
     file_bytes: int = 0  # sum of the sizes of file_deps
     input_bytes: int = 0  # file_bytes plus the inline arguments
     deps_left: int = 0  # deps not yet DONE
     announced: bool = False  # handed to the scheduler as ready
+    # Endpoints the task failed on, one per failed attempt.
     failed_endpoints: frozenset = frozenset()
     # Predicted seconds this task adds to its assigned endpoint's backlog
     # until it starts running.

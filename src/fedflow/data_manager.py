@@ -1,4 +1,6 @@
-"""Data items, replica tracking, and staging transfers with retry.
+"""Data items, replica tracking, and staging: which inputs move to an
+endpoint and from which replica, their transfers with retry, and what moving
+them costs, all read from one rule (`DataManager._source`).
 
 Transfers between each ordered endpoint pair run under a concurrency cap;
 jobs past the cap wait FIFO by job id. The bytes moved are those of the
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -31,7 +33,8 @@ class JobState(Enum):
 class DataItem:
     data_id: str
     size: int
-    locations: set = field(default_factory=set)
+    # A new replica replaces the set, so a reader may keep it as a key.
+    locations: frozenset = frozenset()
 
 
 @dataclass
@@ -50,12 +53,14 @@ class TransferJob:
 
 class DataManager:
     def __init__(
-        self, endpoint_order, concurrency_cap: int = 4, max_transfer_retries: int = 3
+        self, endpoint_order, transfer_profiler, concurrency_cap=4, max_transfer_retries=3
     ):
         if concurrency_cap < 1:
             raise DataError("concurrency cap must be >= 1")
         # Endpoint ids in declaration order: the order replicas are chosen in.
         self.endpoint_order = tuple(endpoint_order)
+        # Prices staging, and tells which links still need a probe.
+        self.transfer_profiler = transfer_profiler
         self.concurrency_cap = concurrency_cap
         self.max_transfer_retries = max_transfer_retries
         self.items: dict = {}
@@ -69,6 +74,8 @@ class DataManager:
         # task_id -> ids of the unresolved jobs of its latest stage(); the
         # entry goes when the set empties or the task is cancelled.
         self._task_jobs: dict = {}
+        # One object per replica set value, which many items share.
+        self._replica_sets: dict = {}
 
     # -- items -------------------------------------------------------------
 
@@ -77,12 +84,16 @@ class DataManager:
             raise DataError(f"{data_id}: negative size")
         if data_id in self.items:
             raise DataError(f"duplicate data item {data_id}")
-        item = DataItem(data_id, size, set(locations))
+        item = DataItem(data_id, size, self._replica_set(frozenset(locations)))
         self.items[data_id] = item
         return item
 
+    def _replica_set(self, locations: frozenset) -> frozenset:
+        return self._replica_sets.setdefault(locations, locations)
+
     def add_replica(self, data_id: str, endpoint: str):
-        self.items[data_id].locations.add(endpoint)
+        item = self.items[data_id]
+        item.locations = self._replica_set(item.locations | {endpoint})
 
     # -- staging -----------------------------------------------------------
 
@@ -93,9 +104,35 @@ class DataManager:
                 return ep
         raise DataError(f"{item.data_id}: no replica available")
 
+    def _source(self, item: DataItem, target: str) -> Optional[str]:
+        """The replica `item` is copied from to `target`, or None when it is
+        empty or already there: the one rule of what staging moves."""
+        if target in item.locations or item.size == 0:
+            return None
+        return self.choose_source(item)
+
+    def staging_estimate(self, file_deps, target: str) -> float:
+        """Predicted seconds to move the inputs `stage` would move to
+        `target`, summed in `file_deps` order."""
+        items = self.items
+        predict = self.transfer_profiler.predict_transfer
+        total = 0.0
+        for data_id in file_deps:
+            item = items[data_id]
+            src = self._source(item, target)
+            if src is not None:
+                total += predict(src, target, item.size)
+        return total
+
+    def bytes_to_move(self, file_deps, target: str) -> int:
+        """Bytes of the inputs `stage` would move to `target`."""
+        items = self.items
+        deps = (items[d] for d in file_deps)
+        return sum(item.size for item in deps if self._source(item, target) is not None)
+
     def stage(self, task_id: int, file_deps, target: str, clock: float) -> tuple:
-        """Create one transfer job per non-resident dependency, in the order
-        of `file_deps` (a task's are sorted at submit).
+        """Create one transfer job per input that moves (`_source`), in the
+        order of `file_deps` (a task's are sorted at submit).
 
         Returns (jobs, started, completed): `started` are the jobs admitted
         under the concurrency cap right away, and `completed` the tasks whose
@@ -105,29 +142,33 @@ class DataManager:
         jobs = []
         for data_id in file_deps:
             item = self.items[data_id]
-            if target in item.locations or item.size == 0:
-                continue
-            src = self.choose_source(item)
-            jobs.append(self._new_job(data_id, src, target, item.size, task_id))
+            src = self._source(item, target)
+            if src is not None:
+                jobs.append(self._new_job(data_id, src, target, item.size, task_id))
         if jobs:
             # Re-staging always follows cancel_task_jobs, so these are the
             # task's only open jobs.
             self._task_jobs[task_id] = {job.job_id for job in jobs}
         started, completed = [], []
         for job in jobs:
-            s, c = self._enqueue(job, clock)
+            s, c = self._start_waiting(self._enqueue(job), clock)
             started.extend(s)
             completed.extend(c)
         return jobs, started, completed
 
-    def probe_job(self, src: str, dst: str, size: int, clock: float) -> tuple:
-        """A bandwidth-probe transfer owned by no task."""
-        data_id = f"__probe__{src}__{dst}"
-        if data_id not in self.items:
-            self.register_item(data_id, size, locations={src})
-        job = self._new_job(data_id, src, dst, size, None)
-        started, completed = self._enqueue(job, clock)
-        return job, started, completed
+    def issue_probes(self, size: int, clock: float) -> list:
+        """Queue a `size`-byte probe, owned by no task, on each link the
+        transfer profiler has not observed; returns the jobs admitted."""
+        needs_probe = self.transfer_profiler.needs_probe
+        started = []
+        for src in self.endpoint_order:
+            for dst in self.endpoint_order:
+                if src == dst or not needs_probe(src, dst):
+                    continue
+                item = self.register_item(f"__probe__{src}__{dst}", size, {src})
+                job = self._new_job(item.data_id, src, dst, size, None)
+                started.extend(self._start_waiting(self._enqueue(job), clock)[0])
+        return started
 
     def _new_job(self, data_id: str, src: str, dst: str, size: int, task_id) -> TransferJob:
         """Register a WAITING job under the next job id."""
@@ -136,10 +177,11 @@ class DataManager:
         self.jobs[job.job_id] = job
         return job
 
-    def _enqueue(self, job: TransferJob, clock: float) -> tuple:
+    def _enqueue(self, job: TransferJob) -> tuple:
+        """Queue a WAITING job on its link; returns the link, (src, dst)."""
         pair = (job.src, job.dst)
         heapq.heappush(self._waiting.setdefault(pair, []), job.job_id)
-        return self._start_waiting(pair, clock)
+        return pair
 
     def _job_satisfied(self, job: TransferJob) -> list:
         """Account one finished (or obviated) job; returns completed tasks."""
@@ -159,13 +201,13 @@ class DataManager:
         A job whose destination has meanwhile received the replica is
         satisfied without moving bytes; a job duplicating an in-flight
         (data, destination) transfer parks until that transfer resolves.
+        Every job in a waiting heap or a parked list is WAITING: cancelling
+        a task only takes its jobs' owner away.
         """
         started, completed = [], []
         waiting = self._waiting.get(pair, [])
         while waiting and self._active.get(pair, 0) < self.concurrency_cap:
             job = self.jobs[heapq.heappop(waiting)]
-            if job.state != JobState.WAITING:
-                continue  # orphaned or already resolved
             key = (job.data_id, job.dst)
             if job.dst in self.items[job.data_id].locations:
                 job.state = JobState.DONE
@@ -206,7 +248,7 @@ class DataManager:
             job.retries_used += 1
             job.state = JobState.WAITING
             job.started_at = None
-            heapq.heappush(self._waiting.setdefault(pair, []), job.job_id)
+            self._enqueue(job)
         else:
             job.state = JobState.FAILED
             job.finished_at = clock
@@ -221,12 +263,7 @@ class DataManager:
             )
         pairs = {pair}
         for jid in parked_ids:
-            parked = self.jobs[jid]
-            if parked.state != JobState.WAITING:
-                continue
-            park_pair = (parked.src, parked.dst)
-            heapq.heappush(self._waiting.setdefault(park_pair, []), jid)
-            pairs.add(park_pair)
+            pairs.add(self._enqueue(self.jobs[jid]))
         started = []
         for p in sorted(pairs):
             s, c = self._start_waiting(p, clock)

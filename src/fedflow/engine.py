@@ -94,14 +94,14 @@ class Simulation:
                     link = scenario.network.link(a, b)
                     self.links[(a, b)] = (link.latency_s, link.bandwidth_MBps * MB)
 
+        self.exec_profiler = ExecutionProfiler(scenario.endpoints)
+        self.transfer_profiler = TransferProfiler(fallback=self.links)
         self.data = DataManager(
             self.endpoint_order,
+            self.transfer_profiler,
             concurrency_cap=d.transfer_concurrency,
             max_transfer_retries=d.max_transfer_retries,
         )
-
-        self.exec_profiler = ExecutionProfiler(scenario.endpoints)
-        self.transfer_profiler = TransferProfiler(fallback=self.links)
 
         self.dag = Dag()
 
@@ -148,20 +148,12 @@ class Simulation:
             sc.defaults.refresh_tick_s, EventKind.REFRESH_TICK, (self._on_refresh_tick,)
         )
         if sc.defaults.probe_at_init:
-            self._issue_probes()
+            for job in self.data.issue_probes(PROBE_SIZE_BYTES, 0.0):
+                self._schedule_transfer(job)
         for ep in self.endpoints:
             self.metrics.record_workers(
                 0.0, ep.endpoint_id, ep.busy_workers, ep.active_workers
             )
-
-    def _issue_probes(self):
-        for src in self.endpoint_order:
-            for dst in self.endpoint_order:
-                if src == dst or not self.transfer_profiler.needs_probe(src, dst):
-                    continue
-                job, started, _ = self.data.probe_job(src, dst, PROBE_SIZE_BYTES, 0.0)
-                for j in started:
-                    self._schedule_transfer(j)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -213,15 +205,7 @@ class Simulation:
         return self.exec_profiler.exec_row(node.function, node.input_bytes)
 
     def staging_time_estimate(self, task_id: int, endpoint_id: str) -> float:
-        node = self.dag.nodes[task_id]
-        total = 0.0
-        for did in node.file_deps:
-            item = self.data.items[did]
-            if endpoint_id in item.locations or item.size == 0:
-                continue
-            src = self.data.choose_source(item)
-            total += self.transfer_profiler.predict_transfer(src, endpoint_id, item.size)
-        return total
+        return self.data.staging_estimate(self.dag.nodes[task_id].file_deps, endpoint_id)
 
     def idle_terms(self, endpoint_id: str) -> tuple:
         """The terms of the endpoint's idle estimate, for `idle_estimate`:
@@ -382,9 +366,8 @@ class Simulation:
     def _start_running(self, task_id: int, ep: EndpointModel):
         node = self.dag.nodes[task_id]
         self._enter(node, _RUNNING)
-        duration = self.sample_exec_duration(
-            task_id, ep.endpoint_id, node.attempt_count
-        )
+        attempt = len(node.failed_endpoints)  # each earlier one failed on its own endpoint
+        duration = self.sample_exec_duration(task_id, ep.endpoint_id, attempt)
         self._drop_backlog(node)
         end = self.clock + self.dispatch_latency + duration
         pred_finish = self.clock + self.predicted_exec(task_id, ep.endpoint_id)
@@ -412,21 +395,14 @@ class Simulation:
             )
             self._cascade_unrunnable(task_id)
             return
-        node.attempt_count += 1
+        attempt = len(failed)
         rates = self.exec_profiler.success_rates(node.function.name)
         choice = reassignment_endpoint(
-            node.attempt_count,
-            failed,
-            rates,
-            self.endpoint_order,
+            attempt, failed, rates, self.endpoint_order,
             lambda: self.strategy.retry_choice(task_id),
         )
         logger.info(
-            "task %d failed on %s; retrying on %s (attempt %d)",
-            task_id,
-            ep_id,
-            choice,
-            node.attempt_count,
+            "task %d failed on %s; retrying on %s (attempt %d)", task_id, ep_id, choice, attempt
         )
         self.assign(task_id, choice)
         self.begin_staging(task_id)
@@ -526,7 +502,8 @@ class Simulation:
 
     def _hook(self, fn, *args):
         """Run a strategy hook. Hooks nest (a re-scheduling tick moves a task
-        whose staging completes), so only the outermost one is timed."""
+        whose staging completes), so only the outermost one is timed, and
+        its time is re-scheduling time when it is a re-scheduling hook."""
         if self._in_hook:
             return fn(*args)
         self._in_hook = True
@@ -534,7 +511,10 @@ class Simulation:
         try:
             return fn(*args)
         finally:
-            self.metrics.sched_seconds += _time.perf_counter() - t0
+            elapsed = _time.perf_counter() - t0
+            self.metrics.sched_seconds += elapsed
+            if fn.__name__ in ("on_capacity_change", "on_reschedule_tick"):
+                self.metrics.resched_seconds += elapsed
             self._in_hook = False
 
     # -- readiness ---------------------------------------------------------

@@ -86,12 +86,9 @@ def compute_priorities(dag: Dag, costs: dict) -> dict:
     return priority
 
 
-def locality_select(
-    file_deps,
-    items: dict,
-    feasible: list,
-) -> Optional[str]:
-    """Pick the feasible endpoint minimizing non-resident dependency bytes.
+def locality_select(file_deps, data, feasible: list) -> Optional[str]:
+    """Pick the feasible endpoint minimizing the dependency bytes the data
+    manager `data` would move there.
 
     `feasible` is a list of (endpoint_id, free_slots, declaration_index) for
     endpoints with at least one assignable idle worker. Ties prefer more
@@ -99,10 +96,7 @@ def locality_select(
     """
     best = None
     for ep_id, free, index in feasible:
-        moved = sum(
-            items[d].size for d in file_deps if ep_id not in items[d].locations
-        )
-        key = (moved, -free, index)
+        key = (data.bytes_to_move(file_deps, ep_id), -free, index)
         if best is None or key < best[0]:
             best = (key, ep_id)
     return best[1] if best else None
@@ -237,7 +231,7 @@ class LocalityStrategy(BaseStrategy):
 
     def _select(self, task_id: int) -> Optional[str]:
         node = self.sim.dag.nodes[task_id]
-        return locality_select(node.file_deps, self.sim.data.items, self._feasible())
+        return locality_select(node.file_deps, self.sim.data, self._feasible())
 
     def _pump(self):
         sim = self.sim
@@ -407,27 +401,15 @@ class DhaStrategy(BaseStrategy):
         if sim._queued_work and any(ep.committed for ep in sim.endpoints):
             sim.arm_reschedule(sim.scenario.defaults.reschedule_period_s)
 
-    def _decision_class(self, node, dep_keys: dict) -> tuple:
+    def _decision_class(self, node) -> tuple:
         """What a pass's decision for an undispatched task reads besides the
         idle estimates: its cost row (function and input bytes), incumbent,
         own backlog, and the size and locations of each file dependency, in
-        order. `dep_keys` caches each item's (size, locations) for the pass,
-        in which no transfer lands."""
+        order. An item's locations are a frozenset that a new replica
+        replaces, so they serve as a key as they stand."""
         items = self.sim.data.items
-        deps = []
-        for did in node.file_deps:
-            key = dep_keys.get(did)
-            if key is None:
-                item = items[did]
-                key = dep_keys[did] = (item.size, frozenset(item.locations))
-            deps.append(key)
-        return (
-            node.function.name,
-            node.input_bytes,
-            node.assigned_endpoint,
-            node.backlog_s,
-            tuple(deps),
-        )
+        deps = tuple([(items[d].size, items[d].locations) for d in node.file_deps])
+        return (node.function.name, node.input_bytes, node.assigned_endpoint, node.backlog_s, deps)
 
     def reschedule_pass(self) -> int:
         """Re-run endpoint selection for undispatched tasks; steal when the
@@ -453,7 +435,6 @@ class DhaStrategy(BaseStrategy):
         # Decision classes known to keep their incumbent while the tables
         # stand; a move empties it.
         stays: set = set()
-        dep_keys: dict = {}
         for _, tid in movable:
             node = nodes[tid]
             # An earlier move in this pass may have finished this task's
@@ -461,7 +442,7 @@ class DhaStrategy(BaseStrategy):
             state = node.state
             if state is not _STAGING and state is not _READY:
                 continue
-            decision = self._decision_class(node, dep_keys)
+            decision = self._decision_class(node)
             if decision in stays:
                 continue
             incumbent = node.assigned_endpoint

@@ -1,14 +1,29 @@
-"""Data items, staging transfers, the concurrency cap, and retries."""
+"""Data items, staging transfers, the concurrency cap, retries, and the
+one rule that staging, its estimate and locality's byte count share."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedflow.data_manager import DataError, DataManager, JobState
+from fedflow.profilers import TransferProfiler
 
 ORDER = ["a", "b", "c"]
 
 
+def new_manager(order=ORDER, **kw):
+    """A data manager whose transfer profiler prices every link of `order`
+    from a distinct (latency, bandwidth) fallback."""
+    links = {
+        (src, dst): (0.1 * (i + 1), 1e6 * (j + 1))
+        for i, src in enumerate(order)
+        for j, dst in enumerate(order)
+        if src != dst
+    }
+    return DataManager(order, TransferProfiler(fallback=links), **kw)
+
+
 def manager(**kw):
-    dm = DataManager(ORDER, **kw)
+    dm = new_manager(**kw)
     dm.register_item("x", 100, {"a"})
     dm.register_item("y", 50, {"b"})
     dm.register_item("z", 0, {"a"})
@@ -23,7 +38,7 @@ class TestItems:
 
     def test_negative_size_rejected(self):
         with pytest.raises(DataError):
-            DataManager(ORDER).register_item("n", -1)
+            new_manager().register_item("n", -1)
 
     def test_replicas_only_grow(self):
         dm = manager()
@@ -36,7 +51,7 @@ class TestItems:
         assert dm.choose_source(dm.items["y"]) == "a"
 
     def test_choose_source_no_replica(self):
-        dm = DataManager(ORDER)
+        dm = new_manager()
         item = dm.register_item("q", 1)
         with pytest.raises(DataError):
             dm.choose_source(item)
@@ -76,7 +91,7 @@ class TestStage:
 
 class TestConcurrencyCap:
     def test_cap_enforced_per_pair(self):
-        dm = DataManager(ORDER, concurrency_cap=2)
+        dm = new_manager(concurrency_cap=2)
         for i in range(5):
             dm.register_item(f"d{i}", 10, {"a"})
         all_jobs, all_started = [], []
@@ -88,7 +103,7 @@ class TestConcurrencyCap:
         assert [j.state for j in all_jobs].count(JobState.ACTIVE) == 2
 
     def test_waiting_jobs_admitted_fifo(self):
-        dm = DataManager(ORDER, concurrency_cap=1)
+        dm = new_manager(concurrency_cap=1)
         for i in range(3):
             dm.register_item(f"d{i}", 10, {"a"})
         jobs = []
@@ -99,7 +114,7 @@ class TestConcurrencyCap:
         assert [j.job_id for j in started] == [jobs[1].job_id]
 
     def test_independent_pairs_do_not_share_cap(self):
-        dm = DataManager(ORDER, concurrency_cap=1)
+        dm = new_manager(concurrency_cap=1)
         dm.register_item("p", 10, {"a"})
         dm.register_item("q", 10, {"b"})
         _, s1, _ = dm.stage(0, ["p"], "c", 0.0)
@@ -108,12 +123,12 @@ class TestConcurrencyCap:
 
     def test_cap_must_be_positive(self):
         with pytest.raises(DataError):
-            DataManager(ORDER, concurrency_cap=0)
+            new_manager(concurrency_cap=0)
 
 
 class TestRetries:
     def test_exhaustion_fails_task(self):
-        dm = DataManager(ORDER, max_transfer_retries=2)
+        dm = new_manager(max_transfer_retries=2)
         dm.register_item("d", 10, {"a"})
         jobs, _, _ = dm.stage(7, ["d"], "b", 0.0)
         job = jobs[0]
@@ -127,7 +142,7 @@ class TestRetries:
 
 class TestDuplicateSuppression:
     def test_concurrent_requests_share_one_transfer(self):
-        dm = DataManager(ORDER)
+        dm = new_manager()
         dm.register_item("d", 10, {"a"})
         j1, s1, _ = dm.stage(1, ["d"], "b", 0.0)
         j2, s2, _ = dm.stage(2, ["d"], "b", 0.0)
@@ -138,7 +153,7 @@ class TestDuplicateSuppression:
         assert dm.transfer_bytes_total() == 10
 
     def test_parked_job_transfers_if_first_attempt_dies(self):
-        dm = DataManager(ORDER, max_transfer_retries=0)
+        dm = new_manager(max_transfer_retries=0)
         dm.register_item("d", 10, {"a"})
         j1, _, _ = dm.stage(1, ["d"], "b", 0.0)
         j2, _, _ = dm.stage(2, ["d"], "b", 0.0)
@@ -160,8 +175,67 @@ class TestCancel:
 
 class TestProbe:
     def test_probe_owned_by_no_task(self):
-        dm = DataManager(ORDER)
-        job, started, _ = dm.probe_job("a", "b", 10**7, 0.0)
-        assert job.task_id is None and started == [job]
+        dm = new_manager()
+        started = dm.issue_probes(10**7, 0.0)
+        assert [(j.src, j.dst) for j in started] == [
+            (a, b) for a in ORDER for b in ORDER if a != b
+        ]
+        job = started[0]
+        assert job.task_id is None and job.state is JobState.ACTIVE
         completed, failed, _ = dm.on_transfer_finished(job, True, 1.0)
         assert completed == [] and failed is None
+
+    def test_observed_links_are_not_probed(self):
+        dm = new_manager()
+        dm.transfer_profiler.observe("a", "b", 10**7, 1.0)
+        started = dm.issue_probes(10**7, 0.0)
+        assert ("a", "b") not in {(j.src, j.dst) for j in started}
+        assert len(started) == len(ORDER) * (len(ORDER) - 1) - 1
+
+
+# A placement: per item, its size (0 included) and the endpoints holding a
+# replica (one or more), drawn over 2-4 endpoints.
+@st.composite
+def placements(draw):
+    order = [f"e{i}" for i in range(draw(st.integers(2, 4)))]
+    n_items = draw(st.integers(0, 6))
+    items = [
+        (
+            f"d{i}",
+            draw(st.sampled_from([0, 1, 10**6]) | st.integers(0, 10**9)),
+            draw(st.sets(st.sampled_from(order), min_size=1)),
+        )
+        for i in range(n_items)
+    ]
+    file_deps = draw(st.permutations([d for d, _, _ in items]))
+    target = draw(st.sampled_from(order))
+    return order, items, file_deps, target
+
+
+class TestOneRule:
+    @settings(max_examples=300, deadline=None)
+    @given(placements())
+    def test_stage_moves_what_is_priced(self, placement):
+        """`stage` creates exactly the (item, source) jobs that
+        `staging_estimate` prices and `bytes_to_move` counts, and the
+        estimate is the `file_deps`-ordered sum of `predict_transfer`."""
+        order, items, file_deps, target = placement
+        dm = new_manager(order)
+        for data_id, size, where in items:
+            dm.register_item(data_id, size, where)
+        estimate = dm.staging_estimate(file_deps, target)
+        moved = dm.bytes_to_move(file_deps, target)
+        jobs, _, _ = dm.stage(0, file_deps, target, 0.0)
+        expected = [
+            (d, next(ep for ep in order if ep in where))
+            for d in file_deps
+            for data_id, size, where in items
+            if d == data_id and size > 0 and target not in where
+        ]
+        assert [(j.data_id, j.src) for j in jobs] == expected
+        assert all(j.dst == target for j in jobs)
+        assert moved == sum(j.size for j in jobs)
+        predicted = 0.0
+        for j in jobs:
+            predicted += dm.transfer_profiler.predict_transfer(j.src, target, j.size)
+        assert estimate == predicted

@@ -351,6 +351,23 @@ class TestSchedulerCounters:
         sim._hook(sim._hook, lambda: None)
         assert sim.metrics.sched_seconds == 1.0
 
+    def test_decision_time_leaves_out_rescheduling(self, monkeypatch):
+        """Re-scheduling hooks count toward `sched_seconds` but not toward
+        the time per placement decision, nested hooks included."""
+        reads = iter(range(100))
+        clock = SimpleNamespace(perf_counter=lambda: float(next(reads)))
+        monkeypatch.setattr(engine, "_time", clock)
+        sim = Simulation(oracle(), scheduler_kind="dha")
+        strategy = sim.strategy
+        sim._hook(strategy.on_reschedule_tick)
+        sim._hook(strategy.on_capacity_change, "a")
+        sim._hook(strategy.on_deps_done, [])
+        sim._hook(strategy.on_worker_free, "a")
+        m = sim.metrics
+        assert (m.sched_seconds, m.resched_seconds) == (4.0, 2.0)
+        m.decision_count = 4
+        assert m.mean_decision_seconds == 0.5
+
     def test_moves_are_not_decisions(self):
         # dynamic-drug moves tasks off an endpoint that loses most of its
         # workers; every task is placed once and none is retried.

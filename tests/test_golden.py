@@ -29,6 +29,9 @@ CASES = [
 # Probe transfers at start, transfer retries and a client poll interval:
 # paths the builtins leave at their defaults.
 CASES.append(("dynamic-drug", 0.02, "dha", "probe-retry-poll"))
+# The same paths under locality: one task runs out of transfer retries, so
+# locality's own retry choice and its probes at start are both exercised.
+CASES.append(("montage-like", 0.02, "locality", "probe-retry-poll"))
 # The scheduler hears of a freed worker 5 s late (`mock_sync_lag_s`), so a
 # DHA re-scheduling pass can dispatch a task it has yet to visit.
 CASES.append(("dynamic-drug", 0.02, "dha", "sync-lag"))
@@ -187,6 +190,14 @@ GOLDEN = {
             'utilization.csv': '678120255ca69b8f34bbd9640f3f75d5a9b70314ed4bdb459fb265a72f56af73',
             'transfers.csv': 'aad069dc4ae35ea41bdac8461c69ebe7ca6920482371f58ba0ec7f724f9402a0',
             'staging.csv': '98f2cf4aaaa8ecfa29fc6b7eaaab496c067b97b1ef6389cb675e2b280646027c',
+        },
+    ),
+    ('montage-like', 0.02, 'locality', 'probe-retry-poll'): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n280.000000,4.155829,0,43,145,19,21\n',
+        {
+            'utilization.csv': '7d4f201e030cf9f36b3d0c510117e1bc791de72f9c3d17bfd9553c0a4f15fb2d',
+            'transfers.csv': '0672a760f09aacf27842df986e76665aee43c8747430ee23c7f3d647fa69d69d',
+            'staging.csv': '613c2a43b47cd13e3dd65b2acc88e2425bdd8e9391ec60736ab0c447947dd089',
         },
     ),
     ('dynamic-drug', 0.02, 'dha', 'sync-lag'): (

@@ -6,7 +6,8 @@ per-state task counts, the last staging-series sample, each endpoint's
 committed set and predicted backlog, the count of queued events other than
 ticks, each node's remaining-deps count, the per-task index of unresolved
 jobs that staging and `cancel_task_jobs` read and the data manager's
-in-flight table. A subclass of `Simulation` checks them against scans of the
+in-flight table, whose parked jobs, like those in its waiting heaps, are
+all WAITING. A subclass of `Simulation` checks them against scans of the
 task graph, the endpoints and the job table after each event, together with
 the rule that no endpoint holds a queued task beside an idle worker; the run
 itself is unchanged.
@@ -79,6 +80,9 @@ def check_counters(sim):
     assert data._task_jobs == unresolved
     active = [(j.data_id, j.dst) for j in jobs if j.state is JobState.ACTIVE]
     assert sorted(data._in_flight) == sorted(active), "one in-flight entry per active job"
+    queued = [jid for heap in data._waiting.values() for jid in heap]
+    queued += [jid for parked in data._in_flight.values() for jid in parked]
+    assert all(data.jobs[jid].state is JobState.WAITING for jid in queued)
 
 
 class ScanCheckedSimulation(Simulation):

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from fedflow import scheduling
 from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import Dag, FunctionDef, TaskState
-from fedflow.data_manager import DataItem, DataManager
+from fedflow.data_manager import DataManager
 from fedflow.engine import Simulation
-from fedflow.profilers import ExecutionProfiler, TaskRecord
+from fedflow.profilers import ExecutionProfiler, TaskRecord, TransferProfiler
 from fedflow.scenario import scenario_from_dict
 from fedflow.scheduling import (
     DhaStrategy,
@@ -118,27 +118,26 @@ class TestPriorities:
 
 
 class TestLocalitySelect:
-    def items(self):
-        return {
-            "x": DataItem("x", 100, {"a"}),
-            "y": DataItem("y", 10, {"b"}),
-        }
+    def data(self, *items):
+        dm = DataManager(["a", "b"], TransferProfiler())
+        for data_id, size, where in items:
+            dm.register_item(data_id, size, {where})
+        return dm
 
     def test_prefers_fewest_bytes_moved(self):
-        choice = locality_select(
-            ["x", "y"], self.items(), [("a", 1, 0), ("b", 1, 1)]
-        )
+        data = self.data(("x", 100, "a"), ("y", 10, "b"))
+        choice = locality_select(["x", "y"], data, [("a", 1, 0), ("b", 1, 1)])
         assert choice == "a"
 
     def test_tie_prefers_more_free_workers(self):
-        items = {"x": DataItem("x", 0, {"a"})}
-        assert locality_select(["x"], items, [("a", 1, 0), ("b", 5, 1)]) == "b"
+        data = self.data(("x", 0, "a"))
+        assert locality_select(["x"], data, [("a", 1, 0), ("b", 5, 1)]) == "b"
 
     def test_final_tie_prefers_declaration_order(self):
-        assert locality_select([], {}, [("b", 1, 1), ("a", 1, 0)]) == "a"
+        assert locality_select([], self.data(), [("b", 1, 1), ("a", 1, 0)]) == "a"
 
     def test_no_feasible_endpoint(self):
-        assert locality_select(["x"], self.items(), []) is None
+        assert locality_select(["x"], self.data(("x", 100, "a")), []) is None
 
 
 @pytest.mark.parametrize("name,scale", [("montage-like", 0.02), ("dynamic-montage", 0.05)])
@@ -164,7 +163,7 @@ def test_locality_picks_only_uncommitted_idle_workers(name, scale, monkeypatch):
     monkeypatch.setattr(LocalityStrategy, "_select", checked_select)
     sim = Simulation(sc, scheduler_kind="locality", seed=7)
     sim.run()
-    assert any(node.attempt_count for node in sim.dag.nodes.values()), "no retry"
+    assert any(node.failed_endpoints for node in sim.dag.nodes.values()), "no retry"
     assert picks and all(picks), f"{picks.count(False)} of {len(picks)} picks overcommit"
 
 
@@ -192,7 +191,9 @@ class FakeSim:
         self.clock = 0.0
         self.endpoint_order = list(exec_s)
         self.exec_s = exec_s
-        self.data = DataManager(self.endpoint_order, concurrency_cap=1, max_transfer_retries=0)
+        self.data = DataManager(
+            self.endpoint_order, TransferProfiler(), concurrency_cap=1, max_transfer_retries=0
+        )
         self.dag = Dag()
         node = self.dag.nodes[self.dag.submit_task(FN)]
         node.state = TaskState.READY
@@ -507,7 +508,7 @@ def test_decision_memo_is_exact(monkeypatch, tmp_path):
     each is scored in full, the run makes the same moves and the same
     CSVs, byte for byte."""
     memo = _run_recording_moves(monkeypatch, tmp_path / "memo")
-    monkeypatch.setattr(DhaStrategy, "_decision_class", lambda self, node, dep_keys: node.task_id)
+    monkeypatch.setattr(DhaStrategy, "_decision_class", lambda self, node: node.task_id)
     full = _run_recording_moves(monkeypatch, tmp_path / "full")
     assert memo[0] and memo[0] == full[0]
     assert memo[2] == full[2]
