@@ -2,6 +2,8 @@
 endpoint and from which replica, their transfers with retry, and what moving
 them costs, all read from one rule (`DataManager._source`).
 
+At most one transfer job is open (waiting or active) per item and
+destination, and every task that needs the item there waits on that job.
 Transfers between each ordered endpoint pair run under a concurrency cap;
 jobs past the cap wait FIFO by job id. The bytes moved are those of the
 jobs that finished a transfer (failed attempts contribute nothing).
@@ -37,18 +39,27 @@ class DataItem:
     locations: frozenset = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferJob:
     job_id: int
     data_id: str
     src: str
     dst: str
     size: int
-    task_id: Optional[int]
+    # The tasks waiting on the job, in the order they began to; a cancelled
+    # task leaves while the job is open, and the tuple is kept once it ends.
+    # Every job lives to the end of the run, so it is kept small: a slotted
+    # record, and a tuple (most jobs hold one task), not a list.
+    tasks: tuple = ()
     state: JobState = JobState.WAITING
     retries_used: int = 0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
+
+    @property
+    def task_id(self) -> Optional[int]:
+        """The first task waiting on the job, or None when none is."""
+        return self.tasks[0] if self.tasks else None
 
 
 class DataManager:
@@ -68,10 +79,10 @@ class DataManager:
         self._next_job_id = 0
         self._active: dict = {}  # (src, dst) -> count
         self._waiting: dict = {}  # (src, dst) -> heap of job ids
-        # (data_id, dst) -> ids of the jobs parked behind the one active
-        # transfer of that item to that endpoint; present only while it runs.
-        self._in_flight: dict = {}
-        # task_id -> ids of the unresolved jobs of its latest stage(); the
+        # (data_id, dst) -> the one WAITING or ACTIVE job landing that item
+        # on that endpoint.
+        self._open: dict = {}
+        # task_id -> ids of the open jobs its latest stage() waits on; the
         # entry goes when the set empties or the task is cancelled.
         self._task_jobs: dict = {}
         # One object per replica set value, which many items share.
@@ -131,30 +142,31 @@ class DataManager:
         return sum(item.size for item in deps if self._source(item, target) is not None)
 
     def stage(self, task_id: int, file_deps, target: str, clock: float) -> tuple:
-        """Create one transfer job per input that moves (`_source`), in the
-        order of `file_deps` (a task's are sorted at submit).
+        """Make the task wait on the open transfer of each input that moves
+        (`_source`) to `target`, opening one where none is, in the order of
+        `file_deps` (a task's are sorted at submit).
 
-        Returns (jobs, started, completed): `started` are the jobs admitted
-        under the concurrency cap right away, and `completed` the tasks whose
-        staging those admissions finished. An empty job list means staging
-        for this task is already complete.
+        Returns (waited_on, started): the jobs the task now waits on, and
+        the jobs admitted under the concurrency cap right away. An empty
+        `waited_on` means staging for this task is already complete.
         """
-        jobs = []
+        waited_on, started = [], []
         for data_id in file_deps:
             item = self.items[data_id]
             src = self._source(item, target)
-            if src is not None:
-                jobs.append(self._new_job(data_id, src, target, item.size, task_id))
-        if jobs:
+            if src is None:
+                continue
+            job = self._open.get((data_id, target))
+            if job is None:
+                job, admitted = self._open_job(data_id, src, target, item.size, clock)
+                started.extend(admitted)
+            job.tasks += (task_id,)
+            waited_on.append(job)
+        if waited_on:
             # Re-staging always follows cancel_task_jobs, so these are the
             # task's only open jobs.
-            self._task_jobs[task_id] = {job.job_id for job in jobs}
-        started, completed = [], []
-        for job in jobs:
-            s, c = self._start_waiting(self._enqueue(job), clock)
-            started.extend(s)
-            completed.extend(c)
-        return jobs, started, completed
+            self._task_jobs[task_id] = {job.job_id for job in waited_on}
+        return waited_on, started
 
     def issue_probes(self, size: int, clock: float) -> list:
         """Queue a `size`-byte probe, owned by no task, on each link the
@@ -166,16 +178,17 @@ class DataManager:
                 if src == dst or not needs_probe(src, dst):
                     continue
                 item = self.register_item(f"__probe__{src}__{dst}", size, {src})
-                job = self._new_job(item.data_id, src, dst, size, None)
-                started.extend(self._start_waiting(self._enqueue(job), clock)[0])
+                started.extend(self._open_job(item.data_id, src, dst, size, clock)[1])
         return started
 
-    def _new_job(self, data_id: str, src: str, dst: str, size: int, task_id) -> TransferJob:
-        """Register a WAITING job under the next job id."""
-        job = TransferJob(self._next_job_id, data_id, src, dst, size, task_id)
+    def _open_job(self, data_id: str, src: str, dst: str, size: int, clock: float) -> tuple:
+        """Open a job under the next job id and queue it on its link;
+        returns (job, jobs admitted on that link)."""
+        job = TransferJob(self._next_job_id, data_id, src, dst, size)
         self._next_job_id += 1
         self.jobs[job.job_id] = job
-        return job
+        self._open[(data_id, dst)] = job
+        return job, self._start_waiting(self._enqueue(job), clock)
 
     def _enqueue(self, job: TransferJob) -> tuple:
         """Queue a WAITING job on its link; returns the link, (src, dst)."""
@@ -183,67 +196,43 @@ class DataManager:
         heapq.heappush(self._waiting.setdefault(pair, []), job.job_id)
         return pair
 
-    def _job_satisfied(self, job: TransferJob) -> list:
-        """Account one finished (or obviated) job; returns completed tasks."""
-        task_id = job.task_id
-        if task_id is None:
-            return []
-        pending = self._task_jobs[task_id]
-        pending.remove(job.job_id)
-        if pending:
-            return []
-        del self._task_jobs[task_id]
-        return [task_id]
-
-    def _start_waiting(self, pair, clock: float) -> tuple:
-        """Admit waiting jobs under the cap; returns (started, completed_tasks).
-
-        A job whose destination has meanwhile received the replica is
-        satisfied without moving bytes; a job duplicating an in-flight
-        (data, destination) transfer parks until that transfer resolves.
-        Every job in a waiting heap or a parked list is WAITING: cancelling
-        a task only takes its jobs' owner away.
-        """
-        started, completed = [], []
+    def _start_waiting(self, pair, clock: float) -> list:
+        """Admit the link's waiting jobs under the cap, FIFO by job id;
+        returns them. Every job in a waiting heap is WAITING: cancelling a
+        task leaves its jobs open."""
+        started = []
         waiting = self._waiting.get(pair, [])
         while waiting and self._active.get(pair, 0) < self.concurrency_cap:
             job = self.jobs[heapq.heappop(waiting)]
-            key = (job.data_id, job.dst)
-            if job.dst in self.items[job.data_id].locations:
-                job.state = JobState.DONE
-                job.finished_at = clock
-                completed.extend(self._job_satisfied(job))
-                continue
-            parked = self._in_flight.get(key)
-            if parked is not None:
-                parked.append(job.job_id)
-                continue
             job.state = JobState.ACTIVE
             job.started_at = clock
             self._active[pair] = self._active.get(pair, 0) + 1
-            self._in_flight[key] = []
             started.append(job)
-        return started, completed
+        return started
 
     def on_transfer_finished(self, job: TransferJob, success: bool, clock: float):
         """Finish an active job; retry on failure until retries are exhausted.
 
-        Returns (completed_tasks, failed_task, started_jobs): tasks whose last
-        outstanding job just resolved, the task failed by retry exhaustion (if
-        any), and jobs newly admitted under the cap.
+        Returns (completed_tasks, failed_tasks, started_jobs): tasks whose
+        last open job just landed, the tasks that waited on a job that ran
+        out of retries, and jobs newly admitted under the cap.
         """
         if job.state != JobState.ACTIVE:
             raise DataError(f"job {job.job_id} is not active")
         pair = (job.src, job.dst)
-        parked_ids = self._in_flight.pop((job.data_id, job.dst))
         self._active[pair] -= 1
-        completed = []
-        failed_task = None
+        completed, failed = [], []
         if success:
             job.state = JobState.DONE
             job.finished_at = clock
+            del self._open[(job.data_id, job.dst)]
             self.add_replica(job.data_id, job.dst)
-            completed.extend(self._job_satisfied(job))
+            for task_id in job.tasks:
+                pending = self._task_jobs[task_id]
+                pending.remove(job.job_id)
+                if not pending:
+                    del self._task_jobs[task_id]
+                    completed.append(task_id)
         elif job.retries_used < self.max_transfer_retries:
             job.retries_used += 1
             job.state = JobState.WAITING
@@ -252,7 +241,8 @@ class DataManager:
         else:
             job.state = JobState.FAILED
             job.finished_at = clock
-            failed_task = job.task_id
+            del self._open[(job.data_id, job.dst)]
+            failed = list(job.tasks)
             logger.warning(
                 "transfer %d (%s %s->%s) failed after %d retries",
                 job.job_id,
@@ -261,33 +251,21 @@ class DataManager:
                 job.dst,
                 job.retries_used,
             )
-        pairs = {pair}
-        for jid in parked_ids:
-            pairs.add(self._enqueue(self.jobs[jid]))
-        started = []
-        for p in sorted(pairs):
-            s, c = self._start_waiting(p, clock)
-            started.extend(s)
-            completed.extend(c)
-        return completed, failed_task, started
+        return completed, failed, self._start_waiting(pair, clock)
 
     def cancel_task_jobs(self, task_id: int):
         """Forget bookkeeping for a task being re-staged elsewhere or failed.
 
-        Only the task's own jobs are visited. Open ones lose their owner:
-        active jobs are left to finish (their replicas stay useful) and
-        waiting ones still run when admitted.
+        Only the task's own jobs are visited. The task stops waiting on the
+        open ones, which stay open: active jobs are left to finish (their
+        replicas stay useful) and waiting ones still run when admitted.
         """
         for job_id in self._task_jobs.pop(task_id, ()):
             job = self.jobs[job_id]
             if job.state in (JobState.WAITING, JobState.ACTIVE):
-                job.task_id = None
+                job.tasks = tuple(t for t in job.tasks if t != task_id)
 
     def transfer_bytes_total(self) -> int:
-        """Bytes of the DONE jobs that started a transfer: a retry resets
-        `started_at`, and a job satisfied by a replica never sets it."""
-        return sum(
-            job.size
-            for job in self.jobs.values()
-            if job.state is JobState.DONE and job.started_at is not None
-        )
+        """Bytes of the DONE jobs: each moved its bytes once (a retry
+        restarts the transfer)."""
+        return sum(job.size for job in self.jobs.values() if job.state is JobState.DONE)

@@ -324,18 +324,16 @@ class Simulation:
         self._stage(task_id)
 
     def _stage(self, task_id: int):
-        """Start transfers of the task's inputs to its assigned endpoint and
-        finish staging of every task that no longer waits on one."""
+        """Start transfers of the task's inputs to its assigned endpoint, or
+        finish its staging when it waits on none."""
         node = self.dag.nodes[task_id]
-        jobs, started, completed = self.data.stage(
+        waited_on, started = self.data.stage(
             task_id, node.file_deps, node.assigned_endpoint, self.clock
         )
         for job in started:
             self._schedule_transfer(job)
-        if not jobs:
+        if not waited_on:
             self._staging_finished(task_id)
-        for other in completed:
-            self._staging_finished(other)
 
     def _staging_finished(self, task_id: int):
         self._enter(self.dag.nodes[task_id], _READY)
@@ -488,16 +486,20 @@ class Simulation:
 
     def _ticks_can_help(self) -> bool:
         """Whether periodic ticks can still lead to forward progress: while
-        another event is queued, or while an elastic pool can grow for
-        pending work. Without this guard a stuck run would re-arm its ticks
-        forever instead of draining the queue and raising a deadlock.
+        another event is queued, or, in an elastic run, while the next scale
+        tick would grow a pool or a pool with workers has no running or
+        waiting work and so can still idle out. Without this guard a stuck
+        run would re-arm its ticks forever instead of draining the queue and
+        raising a deadlock.
         """
         if self._queued_work:
             return True
-        return (
-            self.scenario.defaults.elastic
-            and self._pending_count() > 0
-            and any(ep.active_workers < ep.spec.max_workers for ep in self.endpoints)
+        if not self.scenario.defaults.elastic:
+            return False
+        decisions = scale_decision(self.clock, self.endpoints, self._pending_count())
+        return any(delta > 0 for _, delta in decisions) or any(
+            ep.active_workers > 0 and ep.busy_workers == 0 and ep.waiting_work == 0
+            for ep in self.endpoints
         )
 
     def _hook(self, fn, *args):
@@ -546,17 +548,15 @@ class Simulation:
 
     def _on_transfer_complete(self, job: TransferJob, duration: float):
         success = self._transfer_success(job)
-        completed, failed_task, started = self.data.on_transfer_finished(
-            job, success, self.clock
-        )
+        completed, failed, started = self.data.on_transfer_finished(job, success, self.clock)
         if success:
             self.transfer_profiler.observe(job.src, job.dst, job.size, duration)
         for j in started:
             self._schedule_transfer(j)
         for task_id in completed:
             self._staging_finished(task_id)
-        if failed_task is not None:
-            self._fail_task(failed_task)
+        for task_id in failed:
+            self._fail_task(task_id)
 
     def _on_task_complete(self, task_id: int, exec_time: float):
         node = self.dag.nodes[task_id]

@@ -202,14 +202,15 @@ def test_fault_tolerance_contract():
     with verdict("fault-tolerance-contract", budget_s=60.0):
         sc = generate_builtin_scenario("drug-like", 0.01)
         sc.defaults = dataclasses.replace(
-            sc.defaults, transfer_failure_rate=0.5, max_transfer_retries=3
+            sc.defaults, transfer_failure_rate=0.8, max_transfer_retries=3
         )
         sim = Simulation(sc, scheduler_kind="dha", seed=3)
         sim.run()
         failed_rows = [row for row in sim.metrics.transfers if row[5] == "failed"]
         assert all(row[6] <= 3 for row in failed_rows)
         assert any(row[6] > 0 for row in sim.metrics.transfers)  # retries happened
-        # At this failure rate some task gives up, so the loop checks a task.
+        # At this failure rate some task gives up at every seed from 1 to 12,
+        # so the loop checks a task whatever the seed.
         gave_up = [
             node for node in sim.dag.nodes.values() if node.state is TaskState.FAILED
         ]
@@ -241,9 +242,11 @@ def test_data_manager_trace_invariants():
         ):
             assert src != dst
             assert dst not in initial.get(data_id, set())
-            if t0 >= 0:  # rows that never started moved no bytes
-                per_dest.setdefault((data_id, dst), []).append((t0, t1, state))
-                per_pair.setdefault((src, dst), []).append((t0, t1))
+            # A task that needs an item already on its way waits on that
+            # transfer, so every job, DONE ones included, reached its link.
+            assert t0 >= 0, job_id
+            per_dest.setdefault((data_id, dst), []).append((t0, t1, state))
+            per_pair.setdefault((src, dst), []).append((t0, t1))
         # At most one transfer ever lands a given item on a given endpoint,
         # and no transfer for the pair starts after one already succeeded.
         for (data_id, dst), rows in per_dest.items():

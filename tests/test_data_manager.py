@@ -1,5 +1,6 @@
-"""Data items, staging transfers, the concurrency cap, retries, and the
-one rule that staging, its estimate and locality's byte count share."""
+"""Data items, staging transfers, the one open job per item and
+destination, the concurrency cap, retries, and the one rule that staging,
+its estimate and locality's byte count share."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,28 +61,29 @@ class TestItems:
 class TestStage:
     def test_resident_and_empty_items_skipped(self):
         dm = manager()
-        jobs, started, completed = dm.stage(1, ["x", "z"], "a", 0.0)
+        waited_on, started = dm.stage(1, ["x", "z"], "a", 0.0)
         # No jobs: staging of task 1 is already complete.
-        assert jobs == [] and started == [] and completed == []
+        assert waited_on == [] and started == []
 
     def test_nonresident_item_creates_job(self):
         dm = manager()
-        jobs, started, _ = dm.stage(1, ["x", "y"], "a", 0.0)
+        jobs, started = dm.stage(1, ["x", "y"], "a", 0.0)
         assert len(jobs) == 1 and jobs[0].data_id == "y"
         assert started == jobs
-        assert jobs[0].task_id == 1 and jobs[0].state == JobState.ACTIVE
+        assert jobs[0].tasks == (1,) and jobs[0].task_id == 1
+        assert jobs[0].state == JobState.ACTIVE
 
     def test_completion_releases_task(self):
         dm = manager()
-        jobs, _, _ = dm.stage(1, ["y"], "a", 0.0)
+        jobs, _ = dm.stage(1, ["y"], "a", 0.0)
         completed, failed, _ = dm.on_transfer_finished(jobs[0], True, 2.0)
-        assert completed == [1] and failed is None
+        assert completed == [1] and failed == []
         assert dm.items["y"].locations == {"a", "b"}
         assert dm.transfer_bytes_total() == 50
 
     def test_bytes_counted_only_on_success(self):
         dm = manager()
-        jobs, _, _ = dm.stage(1, ["y"], "a", 0.0)
+        jobs, _ = dm.stage(1, ["y"], "a", 0.0)
         _, _, started = dm.on_transfer_finished(jobs[0], False, 1.0)
         assert dm.transfer_bytes_total() == 0
         # The retry re-enters the (uncontended) link immediately.
@@ -96,7 +98,7 @@ class TestConcurrencyCap:
             dm.register_item(f"d{i}", 10, {"a"})
         all_jobs, all_started = [], []
         for i in range(5):
-            jobs, started, _ = dm.stage(i, [f"d{i}"], "b", 0.0)
+            jobs, started = dm.stage(i, [f"d{i}"], "b", 0.0)
             all_jobs.extend(jobs)
             all_started.extend(started)
         assert len(all_started) == 2
@@ -108,7 +110,7 @@ class TestConcurrencyCap:
             dm.register_item(f"d{i}", 10, {"a"})
         jobs = []
         for i in range(3):
-            j, started, _ = dm.stage(i, [f"d{i}"], "b", 0.0)
+            j, started = dm.stage(i, [f"d{i}"], "b", 0.0)
             jobs.extend(j)
         _, _, started = dm.on_transfer_finished(jobs[0], True, 1.0)
         assert [j.job_id for j in started] == [jobs[1].job_id]
@@ -117,8 +119,8 @@ class TestConcurrencyCap:
         dm = new_manager(concurrency_cap=1)
         dm.register_item("p", 10, {"a"})
         dm.register_item("q", 10, {"b"})
-        _, s1, _ = dm.stage(0, ["p"], "c", 0.0)
-        _, s2, _ = dm.stage(1, ["q"], "c", 0.0)
+        _, s1 = dm.stage(0, ["p"], "c", 0.0)
+        _, s2 = dm.stage(1, ["q"], "c", 0.0)
         assert len(s1) == len(s2) == 1
 
     def test_cap_must_be_positive(self):
@@ -130,13 +132,13 @@ class TestRetries:
     def test_exhaustion_fails_task(self):
         dm = new_manager(max_transfer_retries=2)
         dm.register_item("d", 10, {"a"})
-        jobs, _, _ = dm.stage(7, ["d"], "b", 0.0)
+        jobs, _ = dm.stage(7, ["d"], "b", 0.0)
         job = jobs[0]
         for _ in range(2):
             completed, failed, _ = dm.on_transfer_finished(job, False, 1.0)
-            assert failed is None
+            assert failed == []
         completed, failed, _ = dm.on_transfer_finished(job, False, 1.0)
-        assert failed == 7
+        assert failed == [7]
         assert job.state == JobState.FAILED and job.retries_used == 2
 
 
@@ -144,32 +146,60 @@ class TestDuplicateSuppression:
     def test_concurrent_requests_share_one_transfer(self):
         dm = new_manager()
         dm.register_item("d", 10, {"a"})
-        j1, s1, _ = dm.stage(1, ["d"], "b", 0.0)
-        j2, s2, _ = dm.stage(2, ["d"], "b", 0.0)
-        assert len(s1) == 1 and s2 == []  # second parks behind the first
+        j1, s1 = dm.stage(1, ["d"], "b", 0.0)
+        j2, s2 = dm.stage(2, ["d"], "b", 0.0)
+        assert len(s1) == 1 and s2 == []
+        assert j2 == j1 and j1[0].tasks == (1, 2) and len(dm.jobs) == 1
         completed, _, started = dm.on_transfer_finished(j1[0], True, 1.0)
-        assert sorted(completed) == [1, 2]
+        assert completed == [1, 2]
         assert started == []  # nothing re-transferred
         assert dm.transfer_bytes_total() == 10
 
-    def test_parked_job_transfers_if_first_attempt_dies(self):
+    def test_exhausted_shared_transfer_fails_every_waiting_task(self):
         dm = new_manager(max_transfer_retries=0)
         dm.register_item("d", 10, {"a"})
-        j1, _, _ = dm.stage(1, ["d"], "b", 0.0)
-        j2, _, _ = dm.stage(2, ["d"], "b", 0.0)
+        j1, _ = dm.stage(1, ["d"], "b", 0.0)
+        dm.stage(2, ["d"], "b", 0.0)
         completed, failed, started = dm.on_transfer_finished(j1[0], False, 1.0)
-        assert failed == 1 and completed == []
-        assert [j.job_id for j in started] == [j2[0].job_id]
+        assert failed == [1, 2] and completed == [] and started == []
+        assert j1[0].state is JobState.FAILED
+        # The failed job is closed: the next stage of the item opens a new one.
+        j3, s3 = dm.stage(3, ["d"], "b", 1.0)
+        assert j3 == s3 and j3[0].job_id != j1[0].job_id
+
+    def test_landing_releases_a_task_that_joined_behind_a_queue(self):
+        # Cap 1: X is moving, Y waits on the same link, and only then does
+        # task 2 ask for X; it waits on X's transfer, not behind Y.
+        dm = new_manager(concurrency_cap=1)
+        dm.register_item("X", 10, {"a"})
+        dm.register_item("Y", 10, {"a"})
+        jx, sx = dm.stage(1, ["X"], "b", 0.0)
+        _, sy = dm.stage(3, ["Y"], "b", 0.0)
+        dm.stage(2, ["X"], "b", 0.5)
+        assert sx == jx and sy == []
+        completed, failed, started = dm.on_transfer_finished(jx[0], True, 1.0)
+        assert completed == [1, 2] and failed == []
+        assert [j.data_id for j in started] == ["Y"]
+
+    def test_cancelled_task_stops_waiting_and_the_job_stays_open(self):
+        dm = new_manager()
+        dm.register_item("d", 10, {"a"})
+        jobs, _ = dm.stage(1, ["d"], "b", 0.0)
+        dm.stage(2, ["d"], "b", 0.0)
+        dm.cancel_task_jobs(1)
+        assert jobs[0].tasks == (2,) and jobs[0].state is JobState.ACTIVE
+        completed, _, _ = dm.on_transfer_finished(jobs[0], True, 1.0)
+        assert completed == [2]
 
 
 class TestCancel:
     def test_active_job_orphaned(self):
         dm = manager()
-        jobs, _, _ = dm.stage(1, ["y"], "a", 0.0)
+        jobs, _ = dm.stage(1, ["y"], "a", 0.0)
         dm.cancel_task_jobs(1)
         assert jobs[0].task_id is None
         completed, failed, _ = dm.on_transfer_finished(jobs[0], True, 1.0)
-        assert completed == [] and failed is None
+        assert completed == [] and failed == []
         assert dm.items["y"].locations == {"a", "b"}  # replica still lands
 
 
@@ -183,7 +213,7 @@ class TestProbe:
         job = started[0]
         assert job.task_id is None and job.state is JobState.ACTIVE
         completed, failed, _ = dm.on_transfer_finished(job, True, 1.0)
-        assert completed == [] and failed is None
+        assert completed == [] and failed == []
 
     def test_observed_links_are_not_probed(self):
         dm = new_manager()
@@ -225,7 +255,7 @@ class TestOneRule:
             dm.register_item(data_id, size, where)
         estimate = dm.staging_estimate(file_deps, target)
         moved = dm.bytes_to_move(file_deps, target)
-        jobs, _, _ = dm.stage(0, file_deps, target, 0.0)
+        jobs, _ = dm.stage(0, file_deps, target, 0.0)
         expected = [
             (d, next(ep for ep in order if ep in where))
             for d in file_deps

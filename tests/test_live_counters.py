@@ -4,13 +4,13 @@ replace, after every event of every golden run.
 The counters are `Simulation.finished`, `Simulation._pending_count()`, the
 per-state task counts, the last staging-series sample, each endpoint's
 committed set and predicted backlog, the count of queued events other than
-ticks, each node's remaining-deps count, the per-task index of unresolved
-jobs that staging and `cancel_task_jobs` read and the data manager's
-in-flight table, whose parked jobs, like those in its waiting heaps, are
-all WAITING. A subclass of `Simulation` checks them against scans of the
-task graph, the endpoints and the job table after each event, together with
-the rule that no endpoint holds a queued task beside an idle worker; the run
-itself is unchanged.
+ticks, each node's remaining-deps count, the data manager's table of open
+jobs (one per item and destination), its per-task index of the jobs a task
+waits on, which must invert each job's record of its waiting tasks, and its
+waiting heaps, which hold only WAITING jobs. A subclass of `Simulation`
+checks them against scans of the task graph, the endpoints and the job
+table after each event, together with the rule that no endpoint holds a
+queued task beside an idle worker; the run itself is unchanged.
 """
 
 import dataclasses
@@ -70,18 +70,18 @@ def check_counters(sim):
     assert sim._queued_work == sum(1 for e in sim._events if e[1] not in TICKS)
 
     data = sim.data
-    jobs = data.jobs.values()
-    # Between events a task's unresolved jobs are its open ones: a job that
-    # fails for good fails its task in the same event.
-    unresolved = {}
-    for j in jobs:
-        if j.state in OPEN and j.task_id is not None:
-            unresolved.setdefault(j.task_id, set()).add(j.job_id)
-    assert data._task_jobs == unresolved
-    active = [(j.data_id, j.dst) for j in jobs if j.state is JobState.ACTIVE]
-    assert sorted(data._in_flight) == sorted(active), "one in-flight entry per active job"
+    open_jobs = [j for j in data.jobs.values() if j.state in OPEN]
+    assert len({(j.data_id, j.dst) for j in open_jobs}) == len(open_jobs), "one open job per key"
+    assert data._open == {(j.data_id, j.dst): j for j in open_jobs}
+    # Between events a task waits only on open jobs: a job that fails for
+    # good fails its tasks in the same event.
+    waiting_on = {}
+    for j in open_jobs:
+        assert len(set(j.tasks)) == len(j.tasks), j.job_id
+        for tid in j.tasks:
+            waiting_on.setdefault(tid, set()).add(j.job_id)
+    assert data._task_jobs == waiting_on
     queued = [jid for heap in data._waiting.values() for jid in heap]
-    queued += [jid for parked in data._in_flight.values() for jid in parked]
     assert all(data.jobs[jid].state is JobState.WAITING for jid in queued)
 
 

@@ -15,6 +15,7 @@ from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import TaskState
 from fedflow.endpoints import CapacityEvent
 from fedflow.engine import DeadlockError, Simulation
+from fedflow.scenario import scenario_from_dict
 
 SEED = 7
 MAX_EVENTS = 50_000
@@ -169,3 +170,52 @@ def test_dha_deadlocks_when_every_endpoint_loses_its_workers():
         sim.run()
     assert any(ep.committed for ep in sim.endpoints)
     assert all(ep.active_workers == 0 for ep in sim.endpoints)
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.1, 1.0])
+def test_elastic_locality_deadlocks_instead_of_spinning(scale):
+    # Locality holds ready tasks unassigned, so no pool has waiting work to
+    # grow for, and no pool has workers left to idle out: the scale and
+    # refresh ticks stop and the drained queue raises.
+    sc = generate_builtin_scenario("elasticity", scale)
+    sim = BoundedSimulation(sc, scheduler_kind="locality", seed=SEED)
+    with pytest.raises(DeadlockError, match=r"\[pending\]"):
+        sim.run()
+    assert all(ep.active_workers == 0 for ep in sim.endpoints)
+
+
+def test_elastic_run_lives_until_an_idle_pool_releases_its_workers():
+    # Capacity commits 2 of the 20 tasks to a, which loses its workers at
+    # 0.1 s while their input is still moving. b runs its 18 by 20 s; with
+    # 100 workers against 2 pending tasks no tick grows a pool, but b idles
+    # out 30 s later, and then a grows for its 2 tasks. Ticks that waited
+    # only for growth would stop at 20 s and end the run in a deadlock.
+    doc = {
+        "name": "idle-out",
+        "endpoints": [
+            {
+                "endpoint_id": "a",
+                "workers_per_node": 10,
+                "max_nodes": 1,
+                "initial_nodes": 1,
+                "capacity_trace": [{"time_s": 0.1, "delta_workers": -10}],
+            },
+            {"endpoint_id": "b", "workers_per_node": 100, "max_nodes": 1, "initial_nodes": 1},
+        ],
+        "network": {"default": {"bandwidth_MBps": 100.0, "latency_s": 0.1}},
+        "functions": [{"name": "f", "true_fixed_s": 20.0}],
+        "workflow": [
+            {
+                "id": i,
+                "function": "f",
+                "file_deps": [{"data_id": "d", "size_MB": 100.0, "locations": ["b"]}],
+            }
+            for i in range(20)
+        ],
+        "defaults": {"scheduler": "capacity", "elastic": True},
+    }
+    sim = BoundedSimulation(scenario_from_dict(doc), seed=SEED)
+    metrics = sim.run()
+    assert metrics.tasks_failed == 0
+    assert metrics.makespan == pytest.approx(71.0)
+    assert sim.completions[-1] > 50.0  # a ran its tasks after b idled out
