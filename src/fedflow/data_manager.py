@@ -5,8 +5,9 @@ them costs, all read from one rule (`DataManager._source`).
 At most one transfer job is open (waiting or active) per item and
 destination, and every task that needs the item there waits on that job.
 Transfers between each ordered endpoint pair run under a concurrency cap;
-jobs past the cap wait FIFO by job id. The bytes moved are those of the
-jobs that finished a transfer (failed attempts contribute nothing).
+jobs past the cap wait FIFO by job id, and the staging estimate charges for
+that queue. The bytes moved are those of the jobs that finished a transfer
+(failed attempts contribute nothing).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class DataItem:
     size: int
     # A new replica replaces the set, so a reader may keep it as a key.
     locations: frozenset = frozenset()
+    # The destinations with an open job for the item; replaced the same way.
+    inbound: frozenset = frozenset()
 
 
 @dataclass(slots=True)
@@ -79,13 +82,16 @@ class DataManager:
         self._next_job_id = 0
         self._active: dict = {}  # (src, dst) -> count
         self._waiting: dict = {}  # (src, dst) -> heap of job ids
+        # (src, dst) -> [count, bytes] of the WAITING jobs in that heap.
+        self._queued: dict = {}
         # (data_id, dst) -> the one WAITING or ACTIVE job landing that item
         # on that endpoint.
         self._open: dict = {}
         # task_id -> ids of the open jobs its latest stage() waits on; the
         # entry goes when the set empties or the task is cancelled.
         self._task_jobs: dict = {}
-        # One object per replica set value, which many items share.
+        # One object per endpoint set value, which many items share as
+        # their replica and inbound sets.
         self._replica_sets: dict = {}
 
     # -- items -------------------------------------------------------------
@@ -124,15 +130,29 @@ class DataManager:
 
     def staging_estimate(self, file_deps, target: str) -> float:
         """Predicted seconds to move the inputs `stage` would move to
-        `target`, summed in `file_deps` order."""
+        `target`, summed in `file_deps` order.
+
+        An input with an open job to `target` adds nothing: the task would
+        wait on that job. Any other moved input adds its predicted transfer,
+        and, when its link has every slot busy, its share of the link's
+        queue: the predicted seconds of the WAITING jobs over the cap.
+        """
         items = self.items
-        predict = self.transfer_profiler.predict_transfer
+        link = self.transfer_profiler.link
+        active = self._active
+        cap = self.concurrency_cap
         total = 0.0
         for data_id in file_deps:
             item = items[data_id]
             src = self._source(item, target)
-            if src is not None:
-                total += predict(src, target, item.size)
+            if src is None or target in item.inbound:
+                continue
+            latency, bandwidth = link(src, target)
+            total += latency + item.size / bandwidth
+            pair = (src, target)
+            if active.get(pair, 0) >= cap:
+                count, waiting_bytes = self._queued[pair]
+                total += (count * latency + waiting_bytes / bandwidth) / cap
         return total
 
     def bytes_to_move(self, file_deps, target: str) -> int:
@@ -188,12 +208,17 @@ class DataManager:
         self._next_job_id += 1
         self.jobs[job.job_id] = job
         self._open[(data_id, dst)] = job
+        item = self.items[data_id]
+        item.inbound = self._replica_set(item.inbound | {dst})
         return job, self._start_waiting(self._enqueue(job), clock)
 
     def _enqueue(self, job: TransferJob) -> tuple:
         """Queue a WAITING job on its link; returns the link, (src, dst)."""
         pair = (job.src, job.dst)
         heapq.heappush(self._waiting.setdefault(pair, []), job.job_id)
+        queued = self._queued.setdefault(pair, [0, 0])
+        queued[0] += 1
+        queued[1] += job.size
         return pair
 
     def _start_waiting(self, pair, clock: float) -> list:
@@ -204,6 +229,9 @@ class DataManager:
         waiting = self._waiting.get(pair, [])
         while waiting and self._active.get(pair, 0) < self.concurrency_cap:
             job = self.jobs[heapq.heappop(waiting)]
+            queued = self._queued[pair]
+            queued[0] -= 1
+            queued[1] -= job.size
             job.state = JobState.ACTIVE
             job.started_at = clock
             self._active[pair] = self._active.get(pair, 0) + 1
@@ -225,7 +253,7 @@ class DataManager:
         if success:
             job.state = JobState.DONE
             job.finished_at = clock
-            del self._open[(job.data_id, job.dst)]
+            self._close(job)
             self.add_replica(job.data_id, job.dst)
             for task_id in job.tasks:
                 pending = self._task_jobs[task_id]
@@ -241,7 +269,7 @@ class DataManager:
         else:
             job.state = JobState.FAILED
             job.finished_at = clock
-            del self._open[(job.data_id, job.dst)]
+            self._close(job)
             failed = list(job.tasks)
             logger.warning(
                 "transfer %d (%s %s->%s) failed after %d retries",
@@ -252,6 +280,12 @@ class DataManager:
                 job.retries_used,
             )
         return completed, failed, self._start_waiting(pair, clock)
+
+    def _close(self, job: TransferJob):
+        """Forget a job that ended DONE or FAILED as its item's open one."""
+        del self._open[(job.data_id, job.dst)]
+        item = self.items[job.data_id]
+        item.inbound = self._replica_set(item.inbound - {job.dst})
 
     def cancel_task_jobs(self, task_id: int):
         """Forget bookkeeping for a task being re-staged elsewhere or failed.

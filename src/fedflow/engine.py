@@ -77,6 +77,8 @@ class Simulation:
         self.poll_interval = scenario.network.poll_interval_s
         self.dispatch_latency = scenario.network.dispatch_latency_s
         self.failure_rate = d.transfer_failure_rate
+        # (data_id, dst) -> transfer attempts made so far to land the item there.
+        self._landing_attempts: dict = {}
         # Attempts per task, each on an endpoint the task has not failed on.
         n_eps = len(scenario.endpoints)
         self.max_task_attempts = min(d.max_task_attempts or n_eps, n_eps)
@@ -186,9 +188,16 @@ class Simulation:
         return ep.perf_factor * fn.true_seconds(node.input_bytes) * (1.0 + noise)
 
     def _transfer_success(self, job: TransferJob) -> bool:
+        """Whether a finished transfer attempt succeeded. The draw is keyed
+        by the transfer and by how many attempts to land its item on its
+        destination came before, over retries and re-opened jobs alike, so
+        it does not depend on how many other jobs were opened."""
         if self.failure_rate <= 0:
             return True
-        draw = self._stream("xfer", job.job_id, job.retries_used).random()
+        key = (job.data_id, job.dst)
+        attempt = self._landing_attempts.get(key, 0)
+        self._landing_attempts[key] = attempt + 1
+        draw = self._stream("xfer", job.data_id, job.src, job.dst, attempt).random()
         return draw >= self.failure_rate
 
     # -- sizes and predictions --------------------------------------------

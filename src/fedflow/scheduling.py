@@ -403,13 +403,23 @@ class DhaStrategy(BaseStrategy):
 
     def _decision_class(self, node) -> tuple:
         """What a pass's decision for an undispatched task reads besides the
-        idle estimates: its cost row (function and input bytes), incumbent,
-        own backlog, and the size and locations of each file dependency, in
-        order. An item's locations are a frozenset that a new replica
-        replaces, so they serve as a key as they stand."""
+        idle estimates and the link queues: its cost row (function and input
+        bytes), incumbent, own backlog, and the size, locations and open
+        destinations (`inbound`) of each file dependency, in order. An
+        item's locations and inbound are frozensets that a change replaces,
+        so they serve as a key as they stand."""
         items = self.sim.data.items
-        deps = tuple([(items[d].size, items[d].locations) for d in node.file_deps])
-        return (node.function.name, node.input_bytes, node.assigned_endpoint, node.backlog_s, deps)
+        deps = []
+        for data_id in node.file_deps:
+            item = items[data_id]
+            deps.append((item.size, item.locations, item.inbound))
+        return (
+            node.function.name,
+            node.input_bytes,
+            node.assigned_endpoint,
+            node.backlog_s,
+            tuple(deps),
+        )
 
     def reschedule_pass(self) -> int:
         """Re-run endpoint selection for undispatched tasks; steal when the

@@ -192,6 +192,87 @@ class TestDuplicateSuppression:
         assert completed == [2]
 
 
+class TestQueueEstimate:
+    """What `staging_estimate` charges for a link's queue and for an input
+    already on its way. Link a->b has latency 0.1 s and bandwidth 2e6 B/s."""
+
+    LAT, BW = 0.1, 2e6
+
+    def loaded(self, cap, n_jobs):
+        """A manager with `n_jobs` items of 10, 20, ... bytes staged from
+        "a" to "b", one task each, and an item "q" of 1,000 bytes on "a"."""
+        dm = new_manager(concurrency_cap=cap)
+        for i in range(n_jobs):
+            dm.register_item(f"d{i}", 10 * (i + 1), {"a"})
+            dm.stage(i, [f"d{i}"], "b", 0.0)
+        dm.register_item("q", 1000, {"a"})
+        return dm
+
+    def test_idle_link_adds_no_queue_term(self):
+        dm = self.loaded(cap=2, n_jobs=1)
+        assert dm.staging_estimate(["q"], "b") == dm.transfer_profiler.predict_transfer(
+            "a", "b", 1000
+        )
+
+    def test_saturated_link_adds_its_queue_over_the_cap(self):
+        dm = self.loaded(cap=2, n_jobs=5)
+        n, waiting_bytes = 3, 30 + 40 + 50
+        lat, bw = self.LAT, self.BW
+        transfer, queue = lat + 1000 / bw, (n * lat + waiting_bytes / bw) / 2
+        assert dm.staging_estimate(["q"], "b") == transfer + queue
+        # Once per input: a second input on the same link pays it again.
+        dm.register_item("r", 1000, {"a"})
+        assert dm.staging_estimate(["q", "r"], "b") == transfer + queue + transfer + queue
+
+    def test_full_link_with_an_empty_queue_adds_nothing(self):
+        dm = self.loaded(cap=2, n_jobs=2)
+        assert dm.staging_estimate(["q"], "b") == self.LAT + 1000 / self.BW
+
+    def test_input_with_an_open_job_adds_nothing(self):
+        dm = self.loaded(cap=1, n_jobs=3)
+        assert dm.items["d0"].inbound == {"b"}
+        # d0 is moving and d2 waits behind d1: neither adds anything.
+        assert dm.staging_estimate(["d0", "d2"], "b") == 0.0
+        assert dm.staging_estimate(["d0", "q"], "b") == dm.staging_estimate(["q"], "b")
+        # Elsewhere the item is priced as usual.
+        assert dm.staging_estimate(["d0"], "c") == dm.transfer_profiler.predict_transfer(
+            "a", "c", 10
+        )
+
+    def test_inbound_follows_the_open_jobs(self):
+        dm = new_manager(max_transfer_retries=0)
+        dm.register_item("d", 10, {"a"})
+        done, _ = dm.stage(1, ["d"], "b", 0.0)
+        failed, _ = dm.stage(2, ["d"], "c", 0.0)
+        assert dm.items["d"].inbound == {"b", "c"}
+        dm.on_transfer_finished(done[0], True, 1.0)
+        assert dm.items["d"].inbound == {"c"}
+        dm.on_transfer_finished(failed[0], False, 1.0)
+        assert dm.items["d"].inbound == frozenset()
+        assert dm.items["d"].locations == {"a", "b"}
+
+    def test_retried_job_is_counted_again_while_it_waits(self):
+        # Cap 1: X moves and Y waits. X fails and re-enters the queue; it
+        # holds the lower job id, so it is admitted again at once.
+        dm = new_manager(concurrency_cap=1)
+        dm.register_item("X", 10, {"a"})
+        dm.register_item("Y", 30, {"a"})
+        jx, _ = dm.stage(1, ["X"], "b", 0.0)
+        dm.stage(2, ["Y"], "b", 0.0)
+        assert dm._queued[("a", "b")] == [1, 30]
+        seen = []
+        start_waiting = dm._start_waiting
+
+        def spy(pair, clock):
+            seen.append(list(dm._queued[pair]))
+            return start_waiting(pair, clock)
+
+        dm._start_waiting = spy
+        _, _, started = dm.on_transfer_finished(jx[0], False, 1.0)
+        assert seen == [[2, 40]]
+        assert started == jx and dm._queued[("a", "b")] == [1, 30]
+
+
 class TestCancel:
     def test_active_job_orphaned(self):
         dm = manager()

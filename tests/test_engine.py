@@ -10,6 +10,7 @@ import pytest
 from fedflow import engine
 from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import TaskState
+from fedflow.data_manager import JobState
 from fedflow.engine import (
     DeadlockError,
     Simulation,
@@ -263,6 +264,35 @@ class TestFailures:
         doc["defaults"]["transfer_failure_rate"] = 0.0
         m = run_scenario(scenario_from_dict(doc))
         assert m.tasks_failed == 0
+
+    def test_failure_draws_follow_the_transfer_not_the_job_id(self):
+        """Which attempts of a transfer fail depends on the transfer and on
+        the attempts made before to land its item there, not on how many
+        other jobs were opened first: probes opened earlier shift every job
+        id and change nothing. A job re-opened after one ran out of retries
+        draws afresh, so each item lands in the end."""
+
+        def outcomes(probe_first):
+            doc = self.failure_doc()
+            doc["defaults"].update(transfer_failure_rate=0.7, max_transfer_retries=1)
+            sim = Simulation(scenario_from_dict(doc), seed=7)
+            if probe_first:
+                assert len(sim.data.issue_probes(10**6, 0.0)) == 2
+            seen = []
+            for task_id, (data_id, dst) in enumerate((("d1", "a"), ("d2", "b"))):
+                while dst not in sim.data.items[data_id].locations:
+                    (job,), _ = sim.data.stage(task_id, [data_id], dst, 0.0)
+                    while job.state is JobState.ACTIVE:
+                        success = sim._transfer_success(job)
+                        seen.append((data_id, job.job_id, success))
+                        sim.data.on_transfer_finished(job, success, 0.0)
+            return seen
+
+        plain, probed = outcomes(False), outcomes(True)
+        assert [(d, ok) for d, _, ok in plain] == [(d, ok) for d, _, ok in probed]
+        assert [j for _, j, _ in plain] != [j for _, j, _ in probed]
+        # Some item needed a second job: its first ran out of retries.
+        assert len({(d, j) for d, j, _ in plain}) > 2, plain
 
     def test_retry_succeeds_on_second_endpoint(self):
         # The single input lives on "b", so the retry there needs no

@@ -30,8 +30,7 @@ CASES = [
 # Probe transfers at start, transfer retries and a client poll interval:
 # paths the builtins leave at their defaults.
 CASES.append(("dynamic-drug", 0.02, "dha", "probe-retry-poll"))
-# The same paths under locality: one task runs out of transfer retries, so
-# locality's own retry choice and its probes at start are both exercised.
+# The same paths under locality, its probes at start included.
 CASES.append(("montage-like", 0.02, "locality", "probe-retry-poll"))
 # The scheduler hears of a freed worker 5 s late (`mock_sync_lag_s`), so a
 # DHA re-scheduling pass can dispatch a task it has yet to visit.
@@ -39,6 +38,9 @@ CASES.append(("dynamic-drug", 0.02, "dha", "sync-lag"))
 # Every function declares a cost hint, so DHA's first predictions come from
 # the hint rather than the true cost.
 CASES.append(("drug-like", 0.02, "dha", "cost-hint"))
+# Transfers queue behind the concurrency cap long enough that DHA's staging
+# estimate, which charges for each link's queue, changes where tasks go.
+CASES.append(("montage-like", 0.1, "dha", ""))
 
 
 def _scenario(name, scale, variant):
@@ -186,19 +188,19 @@ GOLDEN = {
         },
     ),
     ('dynamic-drug', 0.02, 'dha', 'probe-retry-poll'): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2775.000000,1.992829,0,44,179,10,8\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2755.000000,1.995829,0,44,179,10,8\n',
         {
-            'utilization.csv': '8d6ac3f58d5605c1acb875a9837fb8d05f9b1696ec8061ef347014b61a395850',
-            'transfers.csv': 'e7d79d7f4a9e3f09673d28afbbc55a14bc79adb527949096e8e512f2e75919ea',
-            'staging.csv': '8ead050b99379674119e7910fce3f982added4670bd4d093c39b677359b152c4',
+            'utilization.csv': 'a6e43ed910a5843c68e67e14db70e9a078311ccea4e9520a1e93b541804bd10b',
+            'transfers.csv': '971f87339e89cd024f986ba3a867bc5978ec05232507334301b4133342feddb7',
+            'staging.csv': '004532d55c4194b1f8fc6f6e572df94cb0b20e96924af21ffc214ae41a92c6d2',
         },
     ),
     ('montage-like', 0.02, 'locality', 'probe-retry-poll'): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n280.000000,4.025829,0,43,146,18,21\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n275.000000,4.260829,0,44,145,19,20\n',
         {
-            'utilization.csv': '1ddeafdee4005f5a1f610c4abcdbf11c710dbec1d9a98601a6b3b1e5ac5a751b',
-            'transfers.csv': 'c5600b240be0d13f892e7c10109348b50dd0a164bdd5d3ab9bc0955d79305189',
-            'staging.csv': '1c6dd8140d41ffd6348477ce2aaae456e6dbb392f7e1676d88d36917350c430a',
+            'utilization.csv': '9e0f157a2b04944301155bfd975f3f059f94d6dc64d3c90b1a602587c6977a5e',
+            'transfers.csv': '1b0f4591e5a9da5fe3d97225f6888353cc6568b2275fe50432b32e07de22f1a5',
+            'staging.csv': '0584fbcc912cbc84c664fb12705c149ac73ac3b07e501487d04baeab572ee13e',
         },
     ),
     ('dynamic-drug', 0.02, 'dha', 'sync-lag'): (
@@ -215,6 +217,14 @@ GOLDEN = {
             'utilization.csv': '76041cb11197640a6fc2ca2ac588eeb8b19b92b292edb8eb5911d760e5c93a78',
             'transfers.csv': 'c007e5b515c4095934a0978349d3201f081e09f6a53c2cbb62ac2c423409b206',
             'staging.csv': '4b6f4e58cffa396fc8fca093ddba47d9b95f8592ac7694b99664c1f44949024a',
+        },
+    ),
+    ('montage-like', 0.1, 'dha', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n250.705638,19.400000,0,268,667,95,105\n',
+        {
+            'utilization.csv': '0d8b61f20aa69aac591aa0dbd662191c4604bddd6bb27382a930527558711ecd',
+            'transfers.csv': 'd49b25a15ad860657dec9f2982303a94e36bdc3919538daddbdf7ce775944f26',
+            'staging.csv': '5aff57dcbc7bbb79dc919743e2250de0dc0015da91e7cc68b7a139f5abe8fd1b',
         },
     ),
 }

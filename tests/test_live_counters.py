@@ -5,12 +5,14 @@ The counters are `Simulation.finished`, `Simulation._pending_count()`, the
 per-state task counts, the last staging-series sample, each endpoint's
 committed set and predicted backlog, the count of queued events other than
 ticks, each node's remaining-deps count, the data manager's table of open
-jobs (one per item and destination), its per-task index of the jobs a task
-waits on, which must invert each job's record of its waiting tasks, and its
-waiting heaps, which hold only WAITING jobs. A subclass of `Simulation`
-checks them against scans of the task graph, the endpoints and the job
-table after each event, together with the rule that no endpoint holds a
-queued task beside an idle worker; the run itself is unchanged.
+jobs (one per item and destination), each item's set of destinations with
+an open job, its per-task index of the jobs a task waits on, which must
+invert each job's record of its waiting tasks, its waiting heaps, which
+hold only WAITING jobs, and each link's count and byte sum of the jobs in
+its heap. A subclass of `Simulation` checks them against scans of the task
+graph, the endpoints and the job table after each event, together with the
+rule that no endpoint holds a queued task beside an idle worker; the run
+itself is unchanged.
 """
 
 import dataclasses
@@ -81,8 +83,15 @@ def check_counters(sim):
         for tid in j.tasks:
             waiting_on.setdefault(tid, set()).add(j.job_id)
     assert data._task_jobs == waiting_on
+    inbound = {}
+    for data_id, dst in data._open:
+        inbound.setdefault(data_id, set()).add(dst)
+    assert all(item.inbound == inbound.get(d, set()) for d, item in data.items.items())
     queued = [jid for heap in data._waiting.values() for jid in heap]
     assert all(data.jobs[jid].state is JobState.WAITING for jid in queued)
+    assert data._queued.keys() == data._waiting.keys()
+    for pair, heap in data._waiting.items():
+        assert data._queued[pair] == [len(heap), sum(data.jobs[j].size for j in heap)], pair
 
 
 class ScanCheckedSimulation(Simulation):

@@ -358,13 +358,17 @@ class ClassSim(FakeSim):
     """Two READY tasks that share a function and input size, and so a cost
     row (5 s everywhere), given as (incumbent, own backlog, file deps);
     `terms` gives each endpoint's idle terms, and a task's staging time on
-    an endpoint is the size of its file deps held elsewhere, in seconds."""
+    an endpoint is the size of its file deps held elsewhere and not on
+    their way there, in seconds. Each item is (data id, size, endpoint
+    holding it, endpoints another task's open job lands it on)."""
 
     def __init__(self, terms: dict, tasks: list, items=()):
         super().__init__(dict.fromkeys(terms, 5.0), incumbent=tasks[0][0])
         self.terms = terms
-        for data_id, size, where in items:
+        for data_id, size, where, inbound in items:
             self.data.register_item(data_id, size, [where])
+            for dst in inbound:
+                self.data.stage(99, [data_id], dst, 0.0)
         self.dag.submit_task(FN)
         for node, (incumbent, backlog_s, file_deps) in zip(self.dag.nodes.values(), tasks):
             node.state = TaskState.READY
@@ -378,7 +382,13 @@ class ClassSim(FakeSim):
     def staging_time_estimate(self, task_id, endpoint_id):
         items = self.data.items
         deps = self.dag.nodes[task_id].file_deps
-        return float(sum(items[d].size for d in deps if endpoint_id not in items[d].locations))
+        return float(
+            sum(
+                items[d].size
+                for d in deps
+                if endpoint_id not in items[d].locations | items[d].inbound
+            )
+        )
 
     def undispatched_tasks(self):
         return list(self.dag.nodes)
@@ -400,11 +410,19 @@ class ClassSim(FakeSim):
         (
             {"a": IDLE_NOW, "b": (0, 3.0, 0.0, 1)},
             [("a", 0.0, ("x",)), ("a", 0.0, ("y",))],
-            (("x", 20, "a"), ("y", 20, "b")),
+            (("x", 20, "a", ()), ("y", 20, "b", ())),
+            "b",
+        ),
+        # Both inputs are on "a", busy until 10; task 1's is already on its
+        # way to idle "b", so moving there costs it no staging.
+        (
+            {"a": BUSY_TO_10, "b": IDLE_NOW},
+            [("a", 0.0, ("x",)), ("a", 0.0, ("y",))],
+            (("x", 20, "a", ()), ("y", 20, "a", ("b",))),
             "b",
         ),
     ],
-    ids=["incumbent", "own-backlog", "file-deps"],
+    ids=["incumbent", "own-backlog", "file-deps", "inbound"],
 )
 def test_decision_class_tells_tasks_apart(terms, tasks, items, target):
     """Two tasks that differ only in one part of their decision class:
