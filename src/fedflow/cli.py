@@ -125,6 +125,7 @@ def run(
     click.echo(f"tasks_failed:  {metrics.tasks_failed}")
     click.echo(f"decision_ms:   {metrics.mean_decision_seconds * 1e3:.4f}")
     click.echo(f"moves:         {metrics.move_count}")
+    click.echo(f"scored:        {metrics.pass_scores}")
 
 
 @main.command()

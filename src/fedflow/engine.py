@@ -46,6 +46,9 @@ class EventKind(IntEnum):
     REFRESH_TICK = 7
 
 
+# A task's output item is named after the task (`Simulation.producer`).
+_OUTPUT_PREFIX = "out:"
+
 # Periodic ticks; any other queued event is work that can still move a run.
 _TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 
@@ -118,6 +121,15 @@ class Simulation:
         self._resched_armed_until = -1.0
         self._in_hook = False
         self._spec_by_tid: dict = {}
+        # Ids of the tasks committed, un-assigned or dispatched since a
+        # strategy last read them (`_unassign`, which `_commit` calls, adds
+        # them), like the data manager's `changed_items`; None while no
+        # strategy watches.
+        self.changed_tasks: Optional[set] = None
+        # With the two set below, the instance holds 29 attributes. A 30th
+        # makes CPython 3.11 stop sharing its dict's keys, and every
+        # attribute read of a run gets slower (dynamic-montage 1.0 DHA
+        # measured 3% slower in all).
 
         if self.scheduler_kind not in STRATEGIES:
             raise WorkflowError(f"unknown scheduler '{self.scheduler_kind}'")
@@ -270,7 +282,7 @@ class Simulation:
             node.file_bytes = sum(self.data.items[d].size for d in node.file_deps)
             node.input_bytes = node.file_bytes + t.inline_args_B
             if fn.output_ratio > 0:
-                out_id = f"out:{tid}"
+                out_id = f"{_OUTPUT_PREFIX}{tid}"
                 out_size = int(round(fn.output_ratio * node.input_bytes))
                 if out_size > 0:
                     self.data.register_item(out_id, out_size)
@@ -310,6 +322,8 @@ class Simulation:
         """Release the task's claim on its endpoint's committed work."""
         if node.assigned_endpoint is not None:
             self._by_id[node.assigned_endpoint].committed.discard(node.task_id)
+        if self.changed_tasks is not None:
+            self.changed_tasks.add(node.task_id)
 
     def _commit(self, task_id: int, endpoint_id: str):
         """Point the task at the endpoint, moving its committed work and
@@ -458,6 +472,13 @@ class Simulation:
                 timestamp=self.clock,
             )
         )
+
+    def producer(self, data_id: str) -> Optional[int]:
+        """The task whose output the item is; None for an item the scenario
+        declares, or a probe."""
+        if data_id in self.scenario.data or not data_id.startswith(_OUTPUT_PREFIX):
+            return None
+        return int(data_id[len(_OUTPUT_PREFIX):])
 
     def undispatched_tasks(self) -> list:
         """Tasks assigned and not yet dispatched, in no particular order."""

@@ -46,6 +46,7 @@ class MetricsLog:
         self.resched_seconds: float = 0.0  # the re-scheduling hooks among them
         self.decision_count: int = 0  # first placements and retries
         self.move_count: int = 0  # re-scheduling moves
+        self.pass_scores: int = 0  # tasks a re-scheduling pass scored
         self.event_count: int = 0
 
     def record_workers(self, time: float, endpoint: str, busy: int, active: int):

@@ -10,6 +10,7 @@ tasks when capacity changes.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import logging
 from collections import deque
@@ -257,6 +258,19 @@ class LocalityStrategy(BaseStrategy):
         return self._select(task_id)
 
 
+class _DecisionClass:
+    """The committed tasks of one decision class, as (-priority, task id)
+    in the order a pass takes them, and the member a pass's heap holds for
+    the class (None when it holds none)."""
+
+    __slots__ = ("key", "members", "head")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.members: list = []
+        self.head: Optional[int] = None
+
+
 class DhaStrategy(BaseStrategy):
     """Priority-ordered earliest-finish-time selection with delayed dispatch."""
 
@@ -269,6 +283,14 @@ class DhaStrategy(BaseStrategy):
         # Per incumbent, every other endpoint: candidates to steal a task.
         order = sim.endpoint_order
         self._others = {ep: tuple(e for e in order if e != ep) for ep in order}
+        # The committed tasks by decision class, kept up to date from the
+        # changes the engine and the data manager record (`_flush`): each is
+        # filed under its class, or pending, its class not known yet.
+        # Started at the first pass, so a run without one never starts it.
+        self._classes: Optional[dict] = None  # decision class key -> _DecisionClass
+        self._class_of: dict = {}  # filed task id -> its _DecisionClass
+        self._pending: set = set()
+        self._declared: Optional[dict] = None  # see `_readers`
 
     # -- priorities --------------------------------------------------------
 
@@ -298,6 +320,7 @@ class DhaStrategy(BaseStrategy):
 
     def on_batch_submitted(self, task_ids: list):
         self._recompute_priorities()
+        self._drop_index()
 
     # -- endpoint selection ------------------------------------------------
 
@@ -409,32 +432,133 @@ class DhaStrategy(BaseStrategy):
         item's locations and inbound are frozensets that a change replaces,
         so they serve as a key as they stand."""
         items = self.sim.data.items
-        deps = []
+        key = (node.function.name, node.input_bytes, node.assigned_endpoint, node.backlog_s)
         for data_id in node.file_deps:
             item = items[data_id]
-            deps.append((item.size, item.locations, item.inbound))
-        return (
-            node.function.name,
-            node.input_bytes,
-            node.assigned_endpoint,
-            node.backlog_s,
-            tuple(deps),
-        )
+            key += (item.size, item.locations, item.inbound)
+        return key
+
+    # -- the index of committed tasks by decision class ----------------------
+
+    def _drop_index(self):
+        """Forget the index and stop watching: member order reads the
+        priorities, so the next pass starts it again."""
+        sim = self.sim
+        self._classes = None
+        self._class_of = {}
+        self._pending = set()
+        self._declared = None
+        sim.changed_tasks = sim.data.changed_items = None
+
+    def _flush(self, cursor: Optional[tuple] = None, heap: Optional[list] = None) -> list:
+        """Take in what changed since the last flush; returns the classes
+        whose members changed.
+
+        A task is unfiled when it was committed, un-assigned or dispatched,
+        or when an item it reads changed its locations or inbound, and is
+        pending while it stays committed. Within a pass, at `cursor`, a
+        task that becomes pending ahead of the cursor joins the pass's
+        `heap`.
+        """
+        sim = self.sim
+        tids = sim.changed_tasks
+        class_of = self._class_of
+        changed_items = sim.data.changed_items
+        if changed_items:
+            for data_id in changed_items:
+                for tid in self._readers(data_id):
+                    if tid in class_of:
+                        tids.add(tid)
+            changed_items.clear()
+        classes = self._classes
+        nodes = sim.dag.nodes
+        priorities = self.priorities
+        pending = self._pending
+        touched: list = []
+        for tid in tids:
+            cls = class_of.pop(tid, None)
+            entry = (-priorities.get(tid, 0.0), tid)
+            if cls is not None:
+                members = cls.members
+                del members[bisect.bisect_left(members, entry)]
+                if not members:
+                    del classes[cls.key]
+                touched.append(cls)
+            # DHA commits a task as it starts staging.
+            state = nodes[tid].state
+            if state is not _STAGING and state is not _READY:
+                pending.discard(tid)
+            elif tid not in pending:
+                pending.add(tid)
+                if heap is not None and entry > cursor:
+                    heapq.heappush(heap, entry)
+        tids.clear()
+        return touched
+
+    def _readers(self, data_id: str):
+        """Ids of the tasks that read the item: a task output's are its
+        producer's successors. The readers of an item the scenario declares
+        come from a table of the tasks not done, made at the first call
+        after the last batch."""
+        sim = self.sim
+        producer = sim.producer(data_id)
+        if producer is not None:
+            return sim.dag.successors[producer]
+        if self._declared is None:
+            self._declared = {}
+            declared = sim.scenario.data
+            for tid, node in sim.dag.nodes.items():
+                if node.state is not _DONE:
+                    for d in node.file_deps:
+                        if d in declared:
+                            self._declared.setdefault(d, []).append(tid)
+        return self._declared.get(data_id, ())
+
+    def _start_index(self):
+        """Start the index over with every committed task pending, and
+        watch for changes from here on."""
+        sim = self.sim
+        self._classes = {}
+        self._class_of = {}
+        self._pending = set(sim.undispatched_tasks())
+        sim.changed_tasks = set()
+        sim.data.changed_items = set()
 
     def reschedule_pass(self) -> int:
         """Re-run endpoint selection for undispatched tasks; steal when the
         earliest finish time strictly improves even after paying for the
         extra transfers of already-staged inputs. The incumbent is scored
         with the task left out of its waiting work and backlog, so the task
-        does not count against the endpoint it already holds."""
+        does not count against the endpoint it already holds.
+
+        Tasks are taken in priority order, and a task is scored unless a
+        task of its decision class has kept its incumbent since the last
+        move: while the tables stand, it would too. A task keeps its class
+        until it changes, so the pass walks filed classes by their heads
+        and pending tasks one by one: a pending task is keyed when reached
+        and filed unless it moves, a class that keeps its incumbent retires
+        until the next move, and after a move the retired classes and those
+        whose members changed come back at their next member.
+        """
         sim = self.sim
-        nodes = sim.dag.nodes
-        priorities = self.priorities
-        movable = sorted((-priorities.get(t, 0.0), t) for t in sim.undispatched_tasks())
-        if not movable:
+        # Taking in the changes since the last pass costs a step per change,
+        # starting over a step per committed task: the pass takes the cheaper.
+        if self._classes is None or (
+            len(sim.changed_tasks) + len(sim.data.changed_items)
+            > sum(len(ep.committed) for ep in sim.endpoints)
+        ):
+            self._start_index()
+        else:
+            self._flush()
+        classes = self._classes
+        pending = self._pending
+        if not classes and not pending:
             return 0
+        nodes = sim.dag.nodes
+        class_of = self._class_of
+        priorities = self.priorities
         clock = sim.clock
-        moves = 0
+        moves = scores = 0
         # One table of idle terms and one of estimates for the whole pass:
         # the clock is fixed, and a move changes the committed work and
         # backlog of its two endpoints only. The staging it finishes and
@@ -442,38 +566,83 @@ class DhaStrategy(BaseStrategy):
         # jobs all go there, and an orphaned job finishes no task.
         terms = {ep: sim.idle_terms(ep) for ep in sim.endpoint_order}
         idle = {ep: idle_estimate(clock, t) for ep, t in terms.items()}
-        # Decision classes known to keep their incumbent while the tables
-        # stand; a move empties it.
-        stays: set = set()
-        for _, tid in movable:
+        # The pending tasks in order, merged with a heap of class heads and
+        # of tasks that become pending ahead of the walk.
+        order = sorted((-priorities.get(tid, 0.0), tid) for tid in pending)
+        n = len(order)
+        i = 0
+        heap = []
+        for cls in classes.values():
+            entry = cls.members[0]
+            cls.head = entry[1]
+            heap.append(entry)
+        heapq.heapify(heap)
+        stays: set = set()  # classes retired since the last move
+        cursor = None
+        while True:
+            if i < n and (not heap or order[i] < heap[0]):
+                entry = order[i]
+                i += 1
+            elif heap:
+                entry = heapq.heappop(heap)
+                if entry == cursor:
+                    continue  # a task pushed twice
+            else:
+                break
+            tid = entry[1]
             node = nodes[tid]
-            # An earlier move in this pass may have finished this task's
-            # staging and let it be dispatched.
-            state = node.state
-            if state is not _STAGING and state is not _READY:
-                continue
-            decision = self._decision_class(node)
-            if decision in stays:
-                continue
-            incumbent = node.assigned_endpoint
-            eft = earliest_finish_time(
-                clock,
-                sim.staging_time_estimate(tid, incumbent),
-                idle_estimate(clock, terms[incumbent], node.backlog_s),
-                sim.exec_row(tid)[incumbent],
-            )
-            best_ep = self._earliest_finishing(
-                node, self._others[incumbent], idle, incumbent, eft
-            )
-            if best_ep == incumbent:
-                stays.add(decision)
-                continue
-            sim.move_assignment(tid, best_ep)
-            for ep in (incumbent, best_ep):
-                terms[ep] = sim.idle_terms(ep)
-                idle[ep] = idle_estimate(clock, terms[ep])
-            stays.clear()
-            moves += 1
+            is_pending = tid in pending
+            if is_pending:
+                key = self._decision_class(node)
+                cls = classes.get(key) or _DecisionClass(key)
+            else:
+                cls = class_of.get(tid)
+                if cls is None or cls.head != tid:
+                    continue  # dispatched, or its class came back at another member
+            if cls not in stays:
+                cursor = entry
+                cls.head = None
+                incumbent = node.assigned_endpoint
+                scores += 1
+                eft = earliest_finish_time(
+                    clock,
+                    sim.staging_time_estimate(tid, incumbent),
+                    idle_estimate(clock, terms[incumbent], node.backlog_s),
+                    sim.exec_row(tid)[incumbent],
+                )
+                best_ep = self._earliest_finishing(
+                    node, self._others[incumbent], idle, incumbent, eft
+                )
+                if best_ep != incumbent:
+                    sim.move_assignment(tid, best_ep)
+                    for ep in (incumbent, best_ep):
+                        terms[ep] = sim.idle_terms(ep)
+                        idle[ep] = idle_estimate(clock, terms[ep])
+                    moves += 1
+                    # Classes the heap holds and the move left alone keep
+                    # their next member; every other class comes back at
+                    # its next member after this task.
+                    stays.add(cls)
+                    stays.update(self._flush(entry, heap))
+                    for back in stays:
+                        members = back.members
+                        j = bisect.bisect_right(members, entry)
+                        head = members[j][1] if j < len(members) else None
+                        if head != back.head:
+                            back.head = head
+                            if head is not None:
+                                heapq.heappush(heap, members[j])
+                    stays.clear()
+                    continue
+                stays.add(cls)
+            if is_pending:
+                # It keeps its incumbent, or its class already did.
+                pending.discard(tid)
+                if not cls.members:
+                    classes[cls.key] = cls
+                bisect.insort(cls.members, entry)
+                class_of[tid] = cls
+        sim.metrics.pass_scores += scores
         if moves:
             logger.debug("re-scheduling moved %d tasks", moves)
         return moves

@@ -143,15 +143,17 @@ class TestRun:
             )
             assert result.exit_code == 0, result.output
             moves = re.search(r"^moves: +(\d+)$", result.output, re.M)
-            return (tmp_path / name / "summary.csv").read_text(), int(moves[1])
+            scored = re.search(r"^scored: +(\d+)$", result.output, re.M)
+            return (tmp_path / name / "summary.csv").read_text(), int(moves[1]), int(scored[1])
 
         # --reschedule-period replaces the period the scenario file sets.
         disabled = summary(10.0, "--reschedule-period", "0")
         assert disabled == summary(0.0)
         enabled = summary(10.0)
         assert disabled[0] != enabled[0]
-        # Re-scheduling moves are reported on their own line.
-        assert disabled[1] == 0 and enabled[1] > 0
+        # Re-scheduling moves, and the tasks the passes scored, are reported
+        # on their own lines.
+        assert disabled[1:] == (0, 0) and 0 < enabled[1] < enabled[2]
 
     @pytest.mark.parametrize(
         "flag, value, field",

@@ -12,7 +12,8 @@ hold only WAITING jobs, and each link's count and byte sum of the jobs in
 its heap. A subclass of `Simulation` checks them against scans of the task
 graph, the endpoints and the job table after each event, together with the
 rule that no endpoint holds a queued task beside an idle worker; the run
-itself is unchanged.
+itself is unchanged. Under DHA, once a pass has started it, the index of
+committed tasks by decision class is checked against one built afresh.
 """
 
 import dataclasses
@@ -94,6 +95,37 @@ def check_counters(sim):
         assert data._queued[pair] == [len(heap), sum(data.jobs[j].size for j in heap)], pair
 
 
+def check_class_index(sim):
+    """DHA's index, with the changes since its last flush taken in and its
+    pending tasks filed, holds the committed tasks under the classes a
+    fresh build gives them, each class in walk order. Taking the changes in
+    early changes nothing a pass decides: a pass takes them in first."""
+    dha = sim.strategy
+    if getattr(dha, "_classes", None) is None:
+        return
+    dha._flush()
+    nodes = sim.dag.nodes
+
+    def by_class(tids):
+        classes = {}
+        for tid in tids:
+            entry = (-dha.priorities.get(tid, 0.0), tid)
+            classes.setdefault(dha._decision_class(nodes[tid]), []).append(entry)
+        return {key: sorted(members) for key, members in classes.items()}
+
+    rebuilt = by_class(t for ep in sim.endpoints for t in ep.committed)
+    index = {key: list(cls.members) for key, cls in dha._classes.items()}
+    assert all(index.values()), "an empty class"
+    assert all(members == sorted(members) for members in index.values())
+    for key, members in by_class(dha._pending).items():
+        index[key] = sorted(index.get(key, []) + members)
+    assert index == rebuilt
+    filed = {tid: cls for cls in dha._classes.values() for _, tid in cls.members}
+    assert filed.keys() == dha._class_of.keys()
+    assert all(dha._class_of[tid] is cls for tid, cls in filed.items())
+    assert not dha._pending & filed.keys()
+
+
 class ScanCheckedSimulation(Simulation):
     """Runs the scans after each event's callback."""
 
@@ -105,6 +137,7 @@ class ScanCheckedSimulation(Simulation):
     def _run_then_check(self, callback, *args):
         callback(*args)
         check_counters(self)
+        check_class_index(self)
         self.checks += 1
 
 

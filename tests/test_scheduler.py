@@ -14,6 +14,7 @@ from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import Dag, FunctionDef, TaskState
 from fedflow.data_manager import DataManager
 from fedflow.engine import Simulation
+from fedflow.metrics import MetricsLog
 from fedflow.profilers import ExecutionProfiler, TaskRecord, TransferProfiler
 from fedflow.scenario import scenario_from_dict
 from fedflow.scheduling import (
@@ -28,6 +29,7 @@ from fedflow.scheduling import (
     locality_select,
     reassignment_endpoint,
 )
+from test_golden import CASES, _scenario
 
 FN = FunctionDef("f", true_fixed_s=1.0)
 
@@ -198,6 +200,7 @@ class FakeSim:
         node = self.dag.nodes[self.dag.submit_task(FN)]
         node.state = TaskState.READY
         node.assigned_endpoint = incumbent
+        self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes)
         self.idle_reads = []
         self.staged = []
         self.moves = []
@@ -426,10 +429,12 @@ class ClassSim(FakeSim):
 )
 def test_decision_class_tells_tasks_apart(terms, tasks, items, target):
     """Two tasks that differ only in one part of their decision class:
-    task 0 keeps its incumbent, and task 1 must still be scored and moved."""
-    sim = ClassSim(terms, tasks, items)
-    assert DhaStrategy(sim).reschedule_pass() == 1
-    assert sim.moves == [(1, target)]
+    task 0 keeps its incumbent, and task 1 must still be scored and moved,
+    by the class index's walk and by the reference walk."""
+    for walk in (DhaStrategy.reschedule_pass, reference_pass):
+        sim = ClassSim(terms, tasks, items)
+        assert walk(DhaStrategy(sim)) == 1
+        assert sim.moves == [(1, target)]
 
 
 def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
@@ -495,9 +500,71 @@ def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
     assert all(reused[k] > 0 for k in ("placement", "pass", "incumbent")), reused
 
 
-def _run_recording_moves(monkeypatch, tmp_path):
-    """Run dynamic-drug 0.02 under DHA; returns (moves in order, tasks a
-    pass scored, bytes of each CSV)."""
+def reference_pass(self) -> int:
+    """`DhaStrategy.reschedule_pass` as one walk over every undispatched
+    task: the reference the class index is checked against. Tasks go in
+    priority order, each is keyed by `_decision_class` when reached, and a
+    task is skipped when a task of its class has kept its incumbent since
+    the last move."""
+    sim = self.sim
+    nodes = sim.dag.nodes
+    priorities = self.priorities
+    movable = sorted((-priorities.get(t, 0.0), t) for t in sim.undispatched_tasks())
+    if not movable:
+        return 0
+    clock = sim.clock
+    moves = 0
+    terms = {ep: sim.idle_terms(ep) for ep in sim.endpoint_order}
+    idle = {ep: idle_estimate(clock, t) for ep, t in terms.items()}
+    stays: set = set()
+    for _, tid in movable:
+        node = nodes[tid]
+        # An earlier move may have finished this task's staging and let it
+        # be dispatched.
+        if node.state not in (TaskState.STAGING, TaskState.READY):
+            continue
+        decision = self._decision_class(node)
+        if decision in stays:
+            continue
+        incumbent = node.assigned_endpoint
+        sim.metrics.pass_scores += 1
+        eft = earliest_finish_time(
+            clock,
+            sim.staging_time_estimate(tid, incumbent),
+            idle_estimate(clock, terms[incumbent], node.backlog_s),
+            sim.exec_row(tid)[incumbent],
+        )
+        best_ep = self._earliest_finishing(node, self._others[incumbent], idle, incumbent, eft)
+        if best_ep == incumbent:
+            stays.add(decision)
+            continue
+        sim.move_assignment(tid, best_ep)
+        for ep in (incumbent, best_ep):
+            terms[ep] = sim.idle_terms(ep)
+            idle[ep] = idle_estimate(clock, terms[ep])
+        stays.clear()
+        moves += 1
+    return moves
+
+
+def _case_scenario(name, scale, variant):
+    if variant != "two-batch":
+        return _scenario(name, scale, variant)
+    # The last two stages arrive at 600 s, after both capacity changes, so
+    # the index is dropped and started again in the middle of the run.
+    sc = generate_builtin_scenario(name, scale)
+    sc.workflow = [
+        dataclasses.replace(t, submit_time_s=600.0) if t.function in ("refine", "aggregate") else t
+        for t in sc.workflow
+    ]
+    return sc
+
+
+def _run_recording_moves(monkeypatch, tmp_path, case=("dynamic-drug", 0.02, "")):
+    """Run a case under DHA; returns (moves in order, tasks the passes
+    scored, bytes of each CSV). A task counts as scored when its incumbent
+    is passed to `_earliest_finishing`, which is the engine's
+    `pass_scores` too."""
     moves, scores = [], []
     move_assignment = Simulation.move_assignment
     score = DhaStrategy._earliest_finishing
@@ -513,9 +580,10 @@ def _run_recording_moves(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Simulation, "move_assignment", recorded_move)
     monkeypatch.setattr(DhaStrategy, "_earliest_finishing", counted_score)
-    sc = generate_builtin_scenario("dynamic-drug", 0.02)
-    Simulation(sc, scheduler_kind="dha", seed=7).run().emit(tmp_path)
+    metrics = Simulation(_case_scenario(*case), scheduler_kind="dha", seed=7).run()
+    metrics.emit(tmp_path)
     monkeypatch.undo()
+    assert metrics.pass_scores == len(scores)
     csvs = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
     return moves, len(scores), csvs
 
@@ -531,6 +599,29 @@ def test_decision_memo_is_exact(monkeypatch, tmp_path):
     assert memo[0] and memo[0] == full[0]
     assert memo[2] == full[2]
     assert memo[1] < full[1], "the memo saved no score"
+
+
+# Every DHA golden case, and larger runs with more passes, classes and
+# moves; "two-batch" submits a second batch between passes.
+REFERENCE_CASES = [(name, scale, variant) for name, scale, kind, variant in CASES if kind == "dha"]
+REFERENCE_CASES += [
+    ("dynamic-drug", 0.1, ""),
+    ("dynamic-drug", 0.1, "two-batch"),
+    ("dynamic-montage", 0.1, ""),
+    ("elasticity", 0.1, ""),
+]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda c: "-".join(str(p) for p in c if p))
+def test_class_index_walk_equals_reference_walk(case, monkeypatch, tmp_path):
+    """The pass over the class index makes the moves, scores the tasks and
+    writes the CSVs of the reference walk, byte for byte."""
+    indexed = _run_recording_moves(monkeypatch, tmp_path / "index", case)
+    monkeypatch.setattr(DhaStrategy, "reschedule_pass", reference_pass)
+    reference = _run_recording_moves(monkeypatch, tmp_path / "reference", case)
+    assert indexed == reference
+    if case[0].startswith("dynamic"):
+        assert indexed[0], "no move to compare"
 
 
 # Two endpoints with one worker each. Task 0 (12 s) starts on "a" and task 1

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from fedflow.builtins import generate_builtin_scenario
+from fedflow.builtins import BUILTIN_NAMES, generate_builtin_scenario
 from fedflow.dag import TaskState
 from fedflow.endpoints import CapacityEvent
 from fedflow.engine import DeadlockError, Simulation
@@ -60,6 +60,24 @@ def quiet():
     logging.disable(logging.WARNING)  # lossy runs log every failure
     yield
     logging.disable(logging.NOTSET)
+
+
+@pytest.mark.parametrize("scheduler", ["capacity", "locality", "dha"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_builtin_ends_under_every_scheduler(name, scheduler):
+    # Each run finishes, or stops with a deadlock, within the event bound;
+    # the dynamic builtins under DHA run re-scheduling passes while
+    # capacity changes.
+    sim = BoundedSimulation(generate_builtin_scenario(name, 0.01), scheduler_kind=scheduler, seed=SEED)
+    if (name, scheduler) == ("elasticity", "locality"):
+        # See test_elastic_locality_deadlocks_instead_of_spinning.
+        with pytest.raises(DeadlockError):
+            sim.run()
+        return
+    metrics = sim.run()
+    assert sim.finished and metrics.tasks_failed == 0
+    if name.startswith("dynamic") and scheduler == "dha":
+        assert metrics.pass_scores > 0
 
 
 def test_refresh_ticks_run_until_the_last_task_completes():
