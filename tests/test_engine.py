@@ -3,6 +3,10 @@
 import dataclasses
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -134,6 +138,15 @@ class TestTimingOracle:
         assert m.makespan == pytest.approx(56.6)
 
 
+# The oracle with a noisy `f`.
+NOISY = {
+    "functions": [
+        {"name": "f", "true_fixed_s": 10.0, "noise": 0.2},
+        {"name": "g", "true_fixed_s": 5.0},
+    ]
+}
+
+
 def recorded_exec_time(sim, function="f"):
     """The execution time recorded for the oracle's only task of `function`."""
     (rec,) = [r for r in sim.exec_profiler.history if r.function == function]
@@ -142,15 +155,9 @@ def recorded_exec_time(sim, function="f"):
 
 class TestExecutionSampling:
     def test_noise_bounds_and_determinism(self):
-        doc_overrides = {
-            "functions": [
-                {"name": "f", "true_fixed_s": 10.0, "noise": 0.2},
-                {"name": "g", "true_fixed_s": 5.0},
-            ]
-        }
         durations = set()
         for _ in range(2):
-            sim = Simulation(oracle(**doc_overrides), seed=7)
+            sim = Simulation(oracle(**NOISY), seed=7)
             sim.run()
             d = recorded_exec_time(sim)
             assert 2.0 * 10.0 * 0.8 <= d <= 2.0 * 10.0 * 1.2
@@ -158,17 +165,59 @@ class TestExecutionSampling:
         assert len(durations) == 1  # same seed, same draw
 
     def test_different_seeds_differ(self):
-        doc_overrides = {
-            "functions": [
-                {"name": "f", "true_fixed_s": 10.0, "noise": 0.2},
-                {"name": "g", "true_fixed_s": 5.0},
-            ]
-        }
-        a = Simulation(oracle(**doc_overrides), seed=1)
+        a = Simulation(oracle(**NOISY), seed=1)
         a.run()
-        b = Simulation(oracle(**doc_overrides), seed=2)
+        b = Simulation(oracle(**NOISY), seed=2)
         b.run()
         assert recorded_exec_time(a) != recorded_exec_time(b)
+
+
+class TestDraw:
+    """`Simulation._draw`, the keyed hash behind every noisy or lossy draw."""
+
+    def test_same_key_same_value_in_unit_interval(self):
+        a, b = Simulation(oracle(), seed=7), Simulation(oracle(), seed=7)
+        for key in [("exec", 0, 0), ("exec", 1, 3), ("xfer", "d1", "a", "b", 0)]:
+            assert a._draw(*key) == a._draw(*key) == b._draw(*key)
+        values = [a._draw("exec", tid, 0) for tid in range(1000)]
+        assert all(0.0 <= u < 1.0 for u in values)
+
+    def test_keys_differing_in_one_field_differ(self):
+        sim = Simulation(oracle(), seed=7)
+        base = ("xfer", "d1", "a", "b", 0)
+        variants = [
+            ("exec", "d1", "a", "b", 0),
+            ("xfer", "d2", "a", "b", 0),
+            ("xfer", "d1", "b", "b", 0),
+            ("xfer", "d1", "a", "a", 0),
+            ("xfer", "d1", "a", "b", 1),
+        ]
+        values = {sim._draw(*key) for key in [base] + variants}
+        values.add(Simulation(oracle(), seed=8)._draw(*base))
+        assert len(values) == len(variants) + 2
+
+    def test_exec_noise_is_bounded_and_centred(self):
+        sim = Simulation(oracle(**NOISY), seed=7)
+        sim.run()
+        node = sim.dag.nodes[0]
+        fn = node.function
+        base = sim.endpoint_by_id("b").spec.perf_factor * fn.true_seconds(node.input_bytes)
+        noise = [
+            sim.sample_exec_duration(0, "b", attempt) / base - 1.0
+            for attempt in range(20_000)
+        ]
+        assert all(-fn.noise <= x < fn.noise for x in noise)
+        assert abs(sum(noise) / len(noise) / fn.noise) <= 0.02
+
+    def test_transfer_failure_frequency_matches_rate(self):
+        sim = Simulation(oracle(defaults={"transfer_failure_rate": 0.3}), seed=7)
+        # 10,000 items, two landing attempts each: 20,000 transfer keys.
+        jobs = [
+            SimpleNamespace(data_id=f"d{i}", src="a", dst="b")
+            for i in range(10_000)
+        ]
+        failures = sum(not sim._transfer_success(job) for job in jobs + jobs)
+        assert abs(failures / 20_000 - 0.3) <= 0.02
 
 
 class TestCapacityEventMidRun:
@@ -349,6 +398,14 @@ class TestDeadlock:
             run_scenario(sc)
 
 
+def run_python(script, *args, **env):
+    """Run `script` in a fresh interpreter that imports this fedflow."""
+    src = str(Path(engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    subprocess.run([sys.executable, "-c", script, *args], env=env, check=True)
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_metrics(self):
         runs = []
@@ -363,6 +420,33 @@ class TestDeterminism:
                 )
             )
         assert runs[0] == runs[1]
+
+    def test_lossy_run_is_byte_identical_across_hash_seeds(self, tmp_path):
+        # A draw keyed through `hash()` would differ between these processes.
+        script = (
+            "import dataclasses, sys\n"
+            "from fedflow.builtins import generate_builtin_scenario\n"
+            "from fedflow.engine import Simulation\n"
+            "sc = generate_builtin_scenario('dynamic-drug', 0.02)\n"
+            "sc.defaults = dataclasses.replace(sc.defaults, transfer_failure_rate=0.3)\n"
+            "Simulation(sc, scheduler_kind='dha', seed=7).run().emit(sys.argv[1])\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            run_python(script, str(out), PYTHONHASHSEED=hash_seed)
+            outputs.append({
+                name: (out / name).read_bytes()
+                for name in ("summary.csv", "utilization.csv", "transfers.csv", "staging.csv")
+            })
+        assert outputs[0] == outputs[1]
+
+    def test_package_does_not_load_openssl(self):
+        # `_hashlib` (OpenSSL) would add about 2 MB to the benchmark's peak_rss_mb.
+        run_python(
+            "import sys, fedflow, fedflow.cli\n"
+            "assert '_hashlib' not in sys.modules\n"
+        )
 
     @pytest.mark.parametrize("kind", ["capacity", "locality", "dha"])
     def test_all_schedulers_complete_oracle(self, kind):

@@ -76,99 +76,99 @@ def run_case(name, scale, scheduler, variant, out_dir):
 
 GOLDEN = {
     ('drug-like', 0.02, 'capacity', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n3319.383991,0.529000,0,385,77,10,9\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n3301.811959,0.529000,0,385,77,10,9\n',
         {
-            'utilization.csv': '092f68574bf130a2d0fb038c2f73884535cdc868f38574161fbec0632df8c50b',
-            'transfers.csv': '422c29636db17845c47c27238c5d43826215e86cdad125e7a4693bc4e1b77a41',
-            'staging.csv': 'fd9d51339cc506e663a69d8b269d65c5bbea8b58e08bb78983ffc3df289a50a0',
+            'utilization.csv': 'bd15545b96ea904d1679bdcda4ed61cf6a57a511eab4942d8e7c114134557dac',
+            'transfers.csv': 'fc51b66705267be2fdd012429fd041d9099b989e369cd952b25273a6e224e3bb',
+            'staging.csv': '860fd8a16ca52dd946dfacafea39399a90ce58d81f72af0371c5bdea603609f0',
         },
     ),
     ('drug-like', 0.02, 'locality', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2522.837066,1.336000,0,410,54,9,8\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2528.234533,1.423000,0,405,61,9,6\n',
         {
-            'utilization.csv': '14428f4f68038175cf6c7fb07f57dd76b5aa8374732912ce3a3baf80d7b4a9fb',
-            'transfers.csv': '990d01827b24d4a7e85c641396c5456855f17f897602e80edc04fd11aadc8d7c',
-            'staging.csv': 'd7e632b3ad693516fa0fb52007b9a67f02db69434fbc64ff02ead276f0256d91',
+            'utilization.csv': 'd6a51c8b551badce05db9c08043363f1373e5acba294956a1f95393b5929c4c9',
+            'transfers.csv': 'a77db2fb2c139be61eaba86f15501ed549489281fcd915997f3cf15ee03b29bd',
+            'staging.csv': 'd0af7a6fa5d045f51f054667cced93604aad901412692faf4f9017a52054bf2e',
         },
     ),
     ('drug-like', 0.02, 'dha', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2394.228986,1.227000,0,411,55,9,6\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2378.774449,1.136000,0,416,50,9,6\n',
         {
-            'utilization.csv': 'ab24299815889109395d7175326dc78a5f067fa673ff4e8d7f27812f33212953',
-            'transfers.csv': 'a3b607c2affbf51fc71e483dfdea62f1b941ab32eedf21ce08ba96177c7b36a2',
-            'staging.csv': 'c65a0734049e77d88764e0ebdc9cb535f23c283877b97976d62405da73196795',
+            'utilization.csv': 'eba24a37a17261cfe6f75f4f9170554e3bb1bde2c0a3a21db3f37be968efbf45',
+            'transfers.csv': '162011f7250669b4ba53f764fb7669209e60c9e5aeb7f7a7c60b6a8069ff299a',
+            'staging.csv': 'c9b73d8e0d4f7b43e0fbb35af3fd3f0f5bc946d98741b71151109df9cb1f4a40',
         },
     ),
     ('montage-like', 0.02, 'capacity', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n310.176058,1.560000,0,51,127,25,25\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n307.640715,1.560000,0,51,127,25,25\n',
         {
-            'utilization.csv': 'f864269316771c4f41dc3d19b09fd1710303a670142c2fb1f7605bfc5e78e090',
-            'transfers.csv': '4fb66d8988b980b697eff61f0825c1d93f602c5a77531c285480ec74c658a8a7',
-            'staging.csv': '37945ea0283f31b19e9f518007965f14c793205fd568d5719f2ca1c2acd47b88',
+            'utilization.csv': '457cca16962a024bc41c9a5fe8e3f1df749418ce05bba5fbbfd13bba97d362a3',
+            'transfers.csv': '4fcbc8307f32675959734d4cd6a90b89684eba71bde939ba741e5e573cad3566',
+            'staging.csv': 'dafeb4f6572c7e6ee22be150e1bf35e0ce49919fa487145ce296edd088733688',
         },
     ),
     ('montage-like', 0.02, 'locality', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n259.153481,3.980000,0,44,145,19,20\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n263.144322,4.410000,0,44,144,19,21\n',
         {
-            'utilization.csv': 'e787e1c2883b1db1f3f71d87aa5f76e08bfa680cb12d577ec344d88f8b9c23a5',
-            'transfers.csv': '2b15e7f73818e6ef8da469aa77fcedca85943f88a190c0e71f8c3367b2fc66fb',
-            'staging.csv': '0b4d4d20b9a71cb8a8cad7d8e85d20bc2b0b503abf0c53fb34dc6bcf166a3fc9',
+            'utilization.csv': 'e87e5592f412c4569c1443d8e84cae615e966bd6ddfa2c9f187b51e7fc28bb41',
+            'transfers.csv': '5a3871f088b737928c10f244fc153e03de3bd8515afb3781da5370e8b47b862c',
+            'staging.csv': '4bd9f7e339c9ddc4d0e2f4d14605961e85c1a448cec7b1c48b45933a169a6403',
         },
     ),
     ('montage-like', 0.02, 'dha', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n256.311745,4.425000,0,46,141,19,22\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n250.562058,4.265000,0,46,142,19,21\n',
         {
-            'utilization.csv': '9b0d90eeaed0d8690eebbf8d3f0a93794dc4b6b9658f0d6f359bce5cc1d91603',
-            'transfers.csv': 'fda84d30f12ec003a638b6b4a09c6b918829feae258cae4026146ef6773d45d9',
-            'staging.csv': '113c62b264e7ae94956f177ed3d84af65e31c4aa5d93835e60c34ea352fc1427',
+            'utilization.csv': 'ee04092993f9d91a00199818988cce69b4a9e22d11b8b14b8526cfdbb9b3aa02',
+            'transfers.csv': 'a0430d63ede8d257c56603d38c2670e0e4a7b6693ea43c21810a1d00d8b8604e',
+            'staging.csv': '316e35ed99e620aded303dc439212e21ec6aa364d8fcd613262ba77389d7809f',
         },
     ),
     ('dynamic-drug', 0.02, 'capacity', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n7339.588812,0.838000,0,88,131,11,11\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n7373.656725,0.838000,0,88,131,11,11\n',
         {
-            'utilization.csv': '7294682d47931997b3ad1cc49e90851088ae709b82e2c5e42e4401a29fc2b4fc',
-            'transfers.csv': 'd32460b4b4114b9e927c344bf1deeae9123416f7993533038b21004c11222e8e',
-            'staging.csv': 'e8a4be89537c93181d2e392792b5bef61afe1493ac82dbcabe9c21483276c94b',
+            'utilization.csv': '7fb78eb103abb6ace65ee1c3125d780688c78c852158564d757d4502b613f8b0',
+            'transfers.csv': '6a55925fb745e72187ae3d962d57958629c2cd26f3157a590946f09160dd43e2',
+            'staging.csv': 'ac74c71609f586ed39af37160e5eccad227485b511bde8b457b1a174dbc7b234',
         },
     ),
     ('dynamic-drug', 0.02, 'locality', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2704.390886,1.535000,0,44,179,9,9\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2751.873543,1.505000,0,43,180,9,9\n',
         {
-            'utilization.csv': '51c0273ee792cbbe5c7fdd5813d50448b0c041c9a97cfd68b849e71628d67ca5',
-            'transfers.csv': 'aadc7767c8a84d16531b38e49b69f64027af1c6f31a72891edf01e0aacb24059',
-            'staging.csv': 'cb7108bb6aac7e85768ed26712928b4fbc61f2fe789b2e4fb03c3b1073b6bd08',
+            'utilization.csv': '3e2de4b6387f8d5260abfb594812e6ec95925fedc7d6ef60a4bfe600bfc3a304',
+            'transfers.csv': 'bee1afde4e5bb022599c0e62fc70401d95d49c553d1bf65c135bf0aa3a7bdcad',
+            'staging.csv': '254c5e2cdaef25054d5c41a7e4b7b04e118c52c70590814030d139637a843173',
         },
     ),
     ('dynamic-drug', 0.02, 'dha', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2749.918119,1.897000,0,43,180,10,8\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2753.604298,1.940000,0,44,179,10,8\n',
         {
-            'utilization.csv': '3e7833eee40e8a4e0fb1a1e80fc6edf443f1c911439a8623e6bce95a885ddd84',
-            'transfers.csv': 'ee6618757499b97b07bd9924025a96a2ff75dadac1a7c26e2dbbdc62c1803aa2',
-            'staging.csv': '850ad707a408dca7249a78cdb685696e7a271a60be1f0634cfaf3c809df077fc',
+            'utilization.csv': 'e6efccc817911378454bb39529637887938bca8c9e04b2f393d64f6bc5c8fe2f',
+            'transfers.csv': '641d582aa31f3d57e9e183d4368f8aa4ae4655cacb93355da95dcb8bc7bc103f',
+            'staging.csv': '55a89d4df5009985d8fdf3895090b721e9091c6cc3243a6bed390c7824abc2b6',
         },
     ),
     ('dynamic-montage', 0.02, 'capacity', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n332.303028,1.480000,0,29,143,28,28\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n331.276908,1.480000,0,29,143,28,28\n',
         {
-            'utilization.csv': 'c2942bd244a1532b1fbecee2cfbfd168a110393235fba31d6ca3176c95f8c344',
-            'transfers.csv': '08a6ae63ab1319cb6a431094af1f5f389bfdf4cdfd43ca976725de8bb4e27623',
-            'staging.csv': '1a659e229d193288820a92f4ed074dfb348bf508e04febe30e532372525f7b8e',
+            'utilization.csv': 'a97d737d3525df1b559f4bfcd7df254ee11bbbe96c301cc58b6551869cb69b80',
+            'transfers.csv': '245833209cb6ef9dc491ab634631916ea1ab952f2591d96529adf4a2f90aa343',
+            'staging.csv': 'a22762b827b3f441cefdc7540bde0c17e66ae5a6baa2f22511bbd90e3d2fb98b',
         },
     ),
     ('dynamic-montage', 0.02, 'locality', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n270.487897,3.940000,0,34,152,20,22\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n268.936325,3.725000,0,34,152,20,22\n',
         {
-            'utilization.csv': '26a8a1572bdf8c68435e36025e6932626b1af19f2ca2c71bb92ec83fbe4446ef',
-            'transfers.csv': 'af168db62fcf0a58be7153b00dabd59f8bf9c753a20ceef24a04f179f119da77',
-            'staging.csv': 'd8c0b1383635943f1e4749ffdbfc34b1c0a7b588bde0f21acd83ace5f5160c77',
+            'utilization.csv': '60470be7a19a26aefcda7e48cbddc2114b72eafbd8a3ff8a99ad1f3cc451bb47',
+            'transfers.csv': 'c5e397fa3888beffdb6b8567fe9487a080b540009d78827717df517577b45b62',
+            'staging.csv': '5747c28cac2eb6f5982994143b5791c1df901c7aa81612068b58a84e641d2496',
         },
     ),
     ('dynamic-montage', 0.02, 'dha', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n267.858241,3.990000,0,36,149,21,22\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n258.958348,3.690000,0,35,151,20,22\n',
         {
-            'utilization.csv': '77b7bbc79a208c34b7ad8a3de80955befef092155d5f4003b22619853ff93401',
-            'transfers.csv': '8f942a461851c6ff38946fd04968ddd47326876c84321d762400a50cddda15e5',
-            'staging.csv': '7fefc50e05a775149cb10b47d278cc465b9003a900e37c4c85eb2630453de44d',
+            'utilization.csv': '93706ba03fe6a9a7b55137133ac9d13d669849cb8517ac15ca83a24d19667990',
+            'transfers.csv': 'a02430098356d7c3b762e3a384e6e15dcb9ac45d265ebc2ce446b05c82f1c840',
+            'staging.csv': 'e64aaff28856400291a30f93b16cb0d48345876c58faed381b95f50b51199227',
         },
     ),
     ('elasticity', 0.05, 'capacity', ''): (
@@ -188,43 +188,43 @@ GOLDEN = {
         },
     ),
     ('dynamic-drug', 0.02, 'dha', 'probe-retry-poll'): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2755.000000,1.995829,0,44,179,10,8\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2735.000000,2.059829,0,42,180,11,8\n',
         {
-            'utilization.csv': 'a6e43ed910a5843c68e67e14db70e9a078311ccea4e9520a1e93b541804bd10b',
-            'transfers.csv': '971f87339e89cd024f986ba3a867bc5978ec05232507334301b4133342feddb7',
-            'staging.csv': '004532d55c4194b1f8fc6f6e572df94cb0b20e96924af21ffc214ae41a92c6d2',
+            'utilization.csv': '34dab4741e468ca5ccfb139a7a93c08deb9ba48dd67e30270ecf2190c0cb6d8b',
+            'transfers.csv': 'a773258a2e96bbf0d78aa7611549eec87b575cc403485f6a3fb5e6a98992b95b',
+            'staging.csv': 'f0a60f50a1d15fbbcce3c9220f87eebc9ad7acbc9cc1a53c56b2bd095e5e4e50',
         },
     ),
     ('montage-like', 0.02, 'locality', 'probe-retry-poll'): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n275.000000,4.260829,0,44,145,19,20\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n270.000000,4.120829,0,42,147,19,20\n',
         {
-            'utilization.csv': '9e0f157a2b04944301155bfd975f3f059f94d6dc64d3c90b1a602587c6977a5e',
-            'transfers.csv': '1b0f4591e5a9da5fe3d97225f6888353cc6568b2275fe50432b32e07de22f1a5',
-            'staging.csv': '0584fbcc912cbc84c664fb12705c149ac73ac3b07e501487d04baeab572ee13e',
+            'utilization.csv': '7264f905f4631a98f43699e14ddb882d2fac01e8fc99bdbc210f3ab31dabbb83',
+            'transfers.csv': 'ec2beb67d7846bca417348afeddbeb508b1af4cdc94efdb539ee2d5be9a8476b',
+            'staging.csv': 'e5cfa7950427f10673afbbc2e619b69d754070f17153f15fc3d17303cf03d5d2',
         },
     ),
     ('dynamic-drug', 0.02, 'dha', 'sync-lag'): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2780.837063,1.922000,0,42,181,10,8\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2704.255324,1.897000,0,42,181,10,8\n',
         {
-            'utilization.csv': '9ad2fe878b08a41eb1ea1926e5308594858088d86ac8722e17aea8f5fce3e119',
-            'transfers.csv': '538600a3b6b2c784efd61c4c460dc0a5df8c009d9be275a9dbf0fb273084bd55',
-            'staging.csv': '3a486897ce76b4478ca211fca31205c97da9e9aa4dec1619c37415926e91ba37',
+            'utilization.csv': '2870829e5b6060a9ae077341cb3093e6bcbe64a2e4b6ce8832c9a5b88d75d643',
+            'transfers.csv': '8fb97e06b81e998cbb838fff239e15d3151a6541e2a1b4eb597fb1985338760c',
+            'staging.csv': '0c1b3276198a11386c677510bb1e4092f149a65cb82ee50ede9065e2aeae58e1',
         },
     ),
     ('drug-like', 0.02, 'dha', 'cost-hint'): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2396.099631,1.137000,0,413,50,10,8\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2367.706094,1.142000,0,414,50,9,8\n',
         {
-            'utilization.csv': '76041cb11197640a6fc2ca2ac588eeb8b19b92b292edb8eb5911d760e5c93a78',
-            'transfers.csv': 'c007e5b515c4095934a0978349d3201f081e09f6a53c2cbb62ac2c423409b206',
-            'staging.csv': '4b6f4e58cffa396fc8fca093ddba47d9b95f8592ac7694b99664c1f44949024a',
+            'utilization.csv': '1b70d03abdd45df86a44e330d77a46d3b2de2eef5233ac3bb67a709d49dfb196',
+            'transfers.csv': '130a2efafb1fa8294658157a58181ffcf80b9ef0411a137825f01018307ded28',
+            'staging.csv': '506221d850315e691ad5a364face436e4c01b86739472b948d8e6584dd3bbd79',
         },
     ),
     ('montage-like', 0.1, 'dha', ''): (
-        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n250.705638,19.400000,0,268,667,95,105\n',
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n256.454524,19.505000,0,268,667,96,104\n',
         {
-            'utilization.csv': '0d8b61f20aa69aac591aa0dbd662191c4604bddd6bb27382a930527558711ecd',
-            'transfers.csv': 'd49b25a15ad860657dec9f2982303a94e36bdc3919538daddbdf7ce775944f26',
-            'staging.csv': '5aff57dcbc7bbb79dc919743e2250de0dc0015da91e7cc68b7a139f5abe8fd1b',
+            'utilization.csv': '9e0920ecb2e5288b750ab937bf0c13793cc10a80ec450547dc60f6a1e096d104',
+            'transfers.csv': '610472871dc6c51cb0c3f17827dc1f8a3b75f698c26f4bf2635bfbcb2b02c5a4',
+            'staging.csv': '2206d493a9c83ff1d310e3346540202ebc0fbf9b5e41bcbb3ffc40acd55a89fc',
         },
     ),
 }

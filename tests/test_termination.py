@@ -154,14 +154,16 @@ def taiyi_goes_offline():
     return sc
 
 
-@pytest.mark.parametrize(
-    "scheduler, makespan", [("dha", 3004.6), ("locality", 2966.7)]
-)
-def test_work_leaves_an_endpoint_with_no_workers(scheduler, makespan):
+# Makespans at SEED; keyed by scheduler alone, so a re-pin keeps the test ids.
+MAKESPAN_WITHOUT_TAIYI = {"dha": 2970.6, "locality": 2976.1}
+
+
+@pytest.mark.parametrize("scheduler", MAKESPAN_WITHOUT_TAIYI)
+def test_work_leaves_an_endpoint_with_no_workers(scheduler):
     sim = BoundedSimulation(taiyi_goes_offline(), scheduler_kind=scheduler, seed=SEED)
     metrics = sim.run()
     assert metrics.tasks_failed == 0
-    assert metrics.makespan == pytest.approx(makespan, abs=0.05)
+    assert metrics.makespan == pytest.approx(MAKESPAN_WITHOUT_TAIYI[scheduler], abs=0.05)
 
 
 def test_capacity_deadlocks_on_an_endpoint_with_no_workers():
