@@ -21,6 +21,7 @@ from .engine import DeadlockError, Simulation
 from .metrics import SUMMARY_BASE_COLUMNS, MetricsIOError
 from .profilers import ProfilerError
 from .scenario import ScenarioError, apply_overrides, load_scenario, save_scenario
+from .scheduling import STRATEGIES
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +64,7 @@ def main(verbose: bool):
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 @click.option(
     "--scheduler",
-    type=click.Choice(["capacity", "locality", "dha"]),
+    type=click.Choice(list(STRATEGIES)),
     default=None,
     help="Override the scenario's scheduling algorithm.",
 )

@@ -82,8 +82,8 @@ class DataManager:
         self._next_job_id = 0
         self._active: dict = {}  # (src, dst) -> count
         self._waiting: dict = {}  # (src, dst) -> heap of job ids
-        # (src, dst) -> [count, bytes] of the WAITING jobs in that heap.
-        self._queued: dict = {}
+        # (src, dst) -> bytes of the WAITING jobs in that heap.
+        self._waiting_bytes: dict = {}
         # (data_id, dst) -> the one WAITING or ACTIVE job landing that item
         # on that endpoint.
         self._open: dict = {}
@@ -157,8 +157,8 @@ class DataManager:
             total += latency + item.size / bandwidth
             pair = (src, target)
             if active.get(pair, 0) >= cap:
-                count, waiting_bytes = self._queued[pair]
-                total += (count * latency + waiting_bytes / bandwidth) / cap
+                count = len(self._waiting[pair])
+                total += (count * latency + self._waiting_bytes[pair] / bandwidth) / cap
         return total
 
     def bytes_to_move(self, file_deps, target: str) -> int:
@@ -224,9 +224,7 @@ class DataManager:
         """Queue a WAITING job on its link; returns the link, (src, dst)."""
         pair = (job.src, job.dst)
         heapq.heappush(self._waiting.setdefault(pair, []), job.job_id)
-        queued = self._queued.setdefault(pair, [0, 0])
-        queued[0] += 1
-        queued[1] += job.size
+        self._waiting_bytes[pair] = self._waiting_bytes.get(pair, 0) + job.size
         return pair
 
     def _start_waiting(self, pair, clock: float) -> list:
@@ -237,9 +235,7 @@ class DataManager:
         waiting = self._waiting.get(pair, [])
         while waiting and self._active.get(pair, 0) < self.concurrency_cap:
             job = self.jobs[heapq.heappop(waiting)]
-            queued = self._queued[pair]
-            queued[0] -= 1
-            queued[1] -= job.size
+            self._waiting_bytes[pair] -= job.size
             job.state = JobState.ACTIVE
             job.started_at = clock
             self._active[pair] = self._active.get(pair, 0) + 1

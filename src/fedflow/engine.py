@@ -258,19 +258,16 @@ class Simulation:
             ep.active_workers,
         )
 
-    def earliest_idle_estimate(self, endpoint_id: str, leave_out=None) -> float:
+    def earliest_idle_estimate(self, endpoint_id: str) -> float:
         """When the endpoint is next expected to have an idle worker.
 
         Uses the proxy's live counts plus predicted remaining runtimes; the
         backlog of queued and staged-but-undispatched work is spread evenly
         over the pool. An endpoint with zero workers is available now when
         the scenario is elastic, on the assumption that elasticity will
-        provision it, and never otherwise. `leave_out`, a task node
-        committed to the endpoint, is left out of its waiting work and
-        backlog: the estimate the task's own incumbent gives it.
+        provision it, and never otherwise.
         """
-        left_out_s = None if leave_out is None else leave_out.backlog_s
-        return idle_estimate(self.clock, self.idle_terms(endpoint_id), left_out_s)
+        return idle_estimate(self.clock, self.idle_terms(endpoint_id))
 
     # -- task graph construction ------------------------------------------
 

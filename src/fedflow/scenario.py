@@ -17,6 +17,7 @@ from typing import Optional
 
 from .dag import INLINE_ARGS_LIMIT, FunctionDef
 from .endpoints import CapacityEvent, EndpointSpec
+from .scheduling import STRATEGIES
 
 logger = logging.getLogger(__name__)
 
@@ -361,7 +362,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def _checked_defaults(defaults: Defaults) -> Defaults:
     """`defaults` with its integer keys as ints, if every value is in bounds."""
-    if defaults.scheduler not in ("capacity", "locality", "dha"):
+    if defaults.scheduler not in STRATEGIES:
         raise ScenarioError(f"defaults.scheduler: unknown scheduler '{defaults.scheduler}'")
     ints = {}
     for key, least in _INT_DEFAULTS.items():

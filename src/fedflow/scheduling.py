@@ -284,12 +284,11 @@ class DhaStrategy(BaseStrategy):
         order = sim.endpoint_order
         self._others = {ep: tuple(e for e in order if e != ep) for ep in order}
         # The committed tasks by decision class, kept up to date from the
-        # changes the engine and the data manager record (`_flush`): each is
-        # filed under its class, or pending, its class not known yet.
-        # Started at the first pass, so a run without one never starts it.
+        # changes the engine and the data manager record (`_flush`), each
+        # filed under its class. Started at the first pass, so a run without
+        # one never starts it.
         self._classes: Optional[dict] = None  # decision class key -> _DecisionClass
-        self._class_of: dict = {}  # filed task id -> its _DecisionClass
-        self._pending: set = set()
+        self._class_of: dict = {}  # committed task id -> its _DecisionClass
         self._declared: Optional[dict] = None  # see `_readers`
 
     # -- priorities --------------------------------------------------------
@@ -446,19 +445,16 @@ class DhaStrategy(BaseStrategy):
         sim = self.sim
         self._classes = None
         self._class_of = {}
-        self._pending = set()
         self._declared = None
         sim.changed_tasks = sim.data.changed_items = None
 
-    def _flush(self, cursor: Optional[tuple] = None, heap: Optional[list] = None) -> list:
+    def _flush(self) -> list:
         """Take in what changed since the last flush; returns the classes
         whose members changed.
 
         A task is unfiled when it was committed, un-assigned or dispatched,
         or when an item it reads changed its locations or inbound, and is
-        pending while it stays committed. Within a pass, at `cursor`, a
-        task that becomes pending ahead of the cursor joins the pass's
-        `heap`.
+        filed again under its class while it stays committed.
         """
         sim = self.sim
         tids = sim.changed_tasks
@@ -473,7 +469,6 @@ class DhaStrategy(BaseStrategy):
         classes = self._classes
         nodes = sim.dag.nodes
         priorities = self.priorities
-        pending = self._pending
         touched: list = []
         for tid in tids:
             cls = class_of.pop(tid, None)
@@ -485,13 +480,16 @@ class DhaStrategy(BaseStrategy):
                     del classes[cls.key]
                 touched.append(cls)
             # DHA commits a task as it starts staging.
-            state = nodes[tid].state
-            if state is not _STAGING and state is not _READY:
-                pending.discard(tid)
-            elif tid not in pending:
-                pending.add(tid)
-                if heap is not None and entry > cursor:
-                    heapq.heappush(heap, entry)
+            node = nodes[tid]
+            state = node.state
+            if state is _STAGING or state is _READY:
+                key = self._decision_class(node)
+                cls = classes.get(key)
+                if cls is None:
+                    cls = classes[key] = _DecisionClass(key)
+                bisect.insort(cls.members, entry)
+                class_of[tid] = cls
+                touched.append(cls)
         tids.clear()
         return touched
 
@@ -514,16 +512,6 @@ class DhaStrategy(BaseStrategy):
                             self._declared.setdefault(d, []).append(tid)
         return self._declared.get(data_id, ())
 
-    def _start_index(self):
-        """Start the index over with every committed task pending, and
-        watch for changes from here on."""
-        sim = self.sim
-        self._classes = {}
-        self._class_of = {}
-        self._pending = set(sim.undispatched_tasks())
-        sim.changed_tasks = set()
-        sim.data.changed_items = set()
-
     def reschedule_pass(self) -> int:
         """Re-run endpoint selection for undispatched tasks; steal when the
         earliest finish time strictly improves even after paying for the
@@ -534,11 +522,10 @@ class DhaStrategy(BaseStrategy):
         Tasks are taken in priority order, and a task is scored unless a
         task of its decision class has kept its incumbent since the last
         move: while the tables stand, it would too. A task keeps its class
-        until it changes, so the pass walks filed classes by their heads
-        and pending tasks one by one: a pending task is keyed when reached
-        and filed unless it moves, a class that keeps its incumbent retires
-        until the next move, and after a move the retired classes and those
-        whose members changed come back at their next member.
+        until it changes, so the pass walks one heap of class heads: a
+        class that keeps its incumbent retires until the next move, and
+        after a move the retired classes and those whose members changed
+        come back at their next member.
         """
         sim = self.sim
         # Taking in the changes since the last pass costs a step per change,
@@ -547,16 +534,16 @@ class DhaStrategy(BaseStrategy):
             len(sim.changed_tasks) + len(sim.data.changed_items)
             > sum(len(ep.committed) for ep in sim.endpoints)
         ):
-            self._start_index()
-        else:
-            self._flush()
+            self._classes = {}
+            self._class_of = {}
+            sim.changed_tasks = set(sim.undispatched_tasks())
+            sim.data.changed_items = set()
+        self._flush()
         classes = self._classes
-        pending = self._pending
-        if not classes and not pending:
+        if not classes:
             return 0
         nodes = sim.dag.nodes
         class_of = self._class_of
-        priorities = self.priorities
         clock = sim.clock
         moves = scores = 0
         # One table of idle terms and one of estimates for the whole pass:
@@ -566,11 +553,6 @@ class DhaStrategy(BaseStrategy):
         # jobs all go there, and an orphaned job finishes no task.
         terms = {ep: sim.idle_terms(ep) for ep in sim.endpoint_order}
         idle = {ep: idle_estimate(clock, t) for ep, t in terms.items()}
-        # The pending tasks in order, merged with a heap of class heads and
-        # of tasks that become pending ahead of the walk.
-        order = sorted((-priorities.get(tid, 0.0), tid) for tid in pending)
-        n = len(order)
-        i = 0
         heap = []
         for cls in classes.values():
             entry = cls.members[0]
@@ -578,70 +560,44 @@ class DhaStrategy(BaseStrategy):
             heap.append(entry)
         heapq.heapify(heap)
         stays: set = set()  # classes retired since the last move
-        cursor = None
-        while True:
-            if i < n and (not heap or order[i] < heap[0]):
-                entry = order[i]
-                i += 1
-            elif heap:
-                entry = heapq.heappop(heap)
-                if entry == cursor:
-                    continue  # a task pushed twice
-            else:
-                break
+        while heap:
+            entry = heapq.heappop(heap)
             tid = entry[1]
+            cls = class_of.get(tid)
+            if cls is None or cls.head != tid:
+                continue  # dispatched, or its class came back at another member
+            cls.head = None
+            stays.add(cls)
             node = nodes[tid]
-            is_pending = tid in pending
-            if is_pending:
-                key = self._decision_class(node)
-                cls = classes.get(key) or _DecisionClass(key)
-            else:
-                cls = class_of.get(tid)
-                if cls is None or cls.head != tid:
-                    continue  # dispatched, or its class came back at another member
-            if cls not in stays:
-                cursor = entry
-                cls.head = None
-                incumbent = node.assigned_endpoint
-                scores += 1
-                eft = earliest_finish_time(
-                    clock,
-                    sim.staging_time_estimate(tid, incumbent),
-                    idle_estimate(clock, terms[incumbent], node.backlog_s),
-                    sim.exec_row(tid)[incumbent],
-                )
-                best_ep = self._earliest_finishing(
-                    node, self._others[incumbent], idle, incumbent, eft
-                )
-                if best_ep != incumbent:
-                    sim.move_assignment(tid, best_ep)
-                    for ep in (incumbent, best_ep):
-                        terms[ep] = sim.idle_terms(ep)
-                        idle[ep] = idle_estimate(clock, terms[ep])
-                    moves += 1
-                    # Classes the heap holds and the move left alone keep
-                    # their next member; every other class comes back at
-                    # its next member after this task.
-                    stays.add(cls)
-                    stays.update(self._flush(entry, heap))
-                    for back in stays:
-                        members = back.members
-                        j = bisect.bisect_right(members, entry)
-                        head = members[j][1] if j < len(members) else None
-                        if head != back.head:
-                            back.head = head
-                            if head is not None:
-                                heapq.heappush(heap, members[j])
-                    stays.clear()
-                    continue
-                stays.add(cls)
-            if is_pending:
-                # It keeps its incumbent, or its class already did.
-                pending.discard(tid)
-                if not cls.members:
-                    classes[cls.key] = cls
-                bisect.insort(cls.members, entry)
-                class_of[tid] = cls
+            incumbent = node.assigned_endpoint
+            scores += 1
+            eft = earliest_finish_time(
+                clock,
+                sim.staging_time_estimate(tid, incumbent),
+                idle_estimate(clock, terms[incumbent], node.backlog_s),
+                sim.exec_row(tid)[incumbent],
+            )
+            best_ep = self._earliest_finishing(node, self._others[incumbent], idle, incumbent, eft)
+            if best_ep == incumbent:
+                continue
+            sim.move_assignment(tid, best_ep)
+            for ep in (incumbent, best_ep):
+                terms[ep] = sim.idle_terms(ep)
+                idle[ep] = idle_estimate(clock, terms[ep])
+            moves += 1
+            # Classes the heap holds and the move left alone keep their next
+            # member; every other class comes back at its next member after
+            # this task.
+            stays.update(self._flush())
+            for back in stays:
+                members = back.members
+                j = bisect.bisect_right(members, entry)
+                head = members[j][1] if j < len(members) else None
+                if head != back.head:
+                    back.head = head
+                    if head is not None:
+                        heapq.heappush(heap, members[j])
+            stays.clear()
         sim.metrics.pass_scores += scores
         if moves:
             logger.debug("re-scheduling moved %d tasks", moves)

@@ -259,18 +259,19 @@ class TestQueueEstimate:
         dm.register_item("Y", 30, {"a"})
         jx, _ = dm.stage(1, ["X"], "b", 0.0)
         dm.stage(2, ["Y"], "b", 0.0)
-        assert dm._queued[("a", "b")] == [1, 30]
+        pair = ("a", "b")
+        assert (len(dm._waiting[pair]), dm._waiting_bytes[pair]) == (1, 30)
         seen = []
         start_waiting = dm._start_waiting
 
         def spy(pair, clock):
-            seen.append(list(dm._queued[pair]))
+            seen.append((len(dm._waiting[pair]), dm._waiting_bytes[pair]))
             return start_waiting(pair, clock)
 
         dm._start_waiting = spy
         _, _, started = dm.on_transfer_finished(jx[0], False, 1.0)
-        assert seen == [[2, 40]]
-        assert started == jx and dm._queued[("a", "b")] == [1, 30]
+        assert seen == [(2, 40)]
+        assert started == jx and (len(dm._waiting[pair]), dm._waiting_bytes[pair]) == (1, 30)
 
 
 class TestCancel:

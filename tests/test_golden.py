@@ -59,6 +59,13 @@ def _scenario(name, scale, variant):
             )
             for name, fn in sc.functions.items()
         }
+    elif variant == "lossy":
+        # Half of all transfer attempts fail and each job retries once, so
+        # tasks are retried elsewhere, fail for good and leave unrunnable
+        # successors.
+        sc.defaults = dataclasses.replace(
+            sc.defaults, transfer_failure_rate=0.5, max_transfer_retries=1
+        )
     return sc
 
 

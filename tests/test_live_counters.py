@@ -8,21 +8,19 @@ ticks, each node's remaining-deps count, the data manager's table of open
 jobs (one per item and destination), each item's set of destinations with
 an open job, its per-task index of the jobs a task waits on, which must
 invert each job's record of its waiting tasks, its waiting heaps, which
-hold only WAITING jobs, and each link's count and byte sum of the jobs in
-its heap. A subclass of `Simulation` checks them against scans of the task
-graph, the endpoints and the job table after each event, together with the
-rule that no endpoint holds a queued task beside an idle worker; the run
-itself is unchanged. Under DHA, once a pass has started it, the index of
+hold only WAITING jobs, and each link's byte sum of the jobs in its heap. A
+subclass of `Simulation` checks them against scans of the task graph, the
+endpoints and the job table after each event, together with the rule that
+no endpoint holds a queued task beside an idle worker; the run itself is
+unchanged. Under DHA, once a pass has started it, the index of
 committed tasks by decision class is checked against one built afresh.
 """
 
-import dataclasses
 import logging
 from collections import Counter
 
 import pytest
 
-from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import TaskState
 from fedflow.data_manager import JobState
 from fedflow.engine import EventKind, Simulation
@@ -34,9 +32,11 @@ TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 # `EndpointModel.backlog_s` is a running sum of adds and subtracts, so it drifts from a
 # fresh sum by float rounding: under 1e-10 s over the runs below.
 BACKLOG_TOLERANCE_S = 1e-6
-# Half of all transfer attempts fail and each job retries once, so tasks are
-# retried elsewhere, fail for good and leave unrunnable successors.
+# Lossy runs (see `_scenario`): tasks fail, are retried and leave unrunnable
+# successors. Under DHA the dynamic ones also re-schedule, so the class index
+# sees tasks leave it by failure.
 LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "locality", "dha")]
+LOSSY_CASES += [("dynamic-drug", 0.02, "dha", "lossy"), ("dynamic-montage", 0.02, "dha", "lossy")]
 
 
 def check_counters(sim):
@@ -90,40 +90,32 @@ def check_counters(sim):
     assert all(item.inbound == inbound.get(d, set()) for d, item in data.items.items())
     queued = [jid for heap in data._waiting.values() for jid in heap]
     assert all(data.jobs[jid].state is JobState.WAITING for jid in queued)
-    assert data._queued.keys() == data._waiting.keys()
+    assert data._waiting_bytes.keys() == data._waiting.keys()
     for pair, heap in data._waiting.items():
-        assert data._queued[pair] == [len(heap), sum(data.jobs[j].size for j in heap)], pair
+        assert data._waiting_bytes[pair] == sum(data.jobs[j].size for j in heap), pair
 
 
 def check_class_index(sim):
-    """DHA's index, with the changes since its last flush taken in and its
-    pending tasks filed, holds the committed tasks under the classes a
-    fresh build gives them, each class in walk order. Taking the changes in
-    early changes nothing a pass decides: a pass takes them in first."""
+    """DHA's index, with the changes since its last flush taken in, holds
+    the committed tasks under the classes a fresh build gives them, each
+    class in walk order. Taking the changes in early changes nothing a
+    pass decides: a pass takes them in first."""
     dha = sim.strategy
     if getattr(dha, "_classes", None) is None:
         return
     dha._flush()
     nodes = sim.dag.nodes
-
-    def by_class(tids):
-        classes = {}
-        for tid in tids:
+    rebuilt = {}
+    for ep in sim.endpoints:
+        for tid in ep.committed:
             entry = (-dha.priorities.get(tid, 0.0), tid)
-            classes.setdefault(dha._decision_class(nodes[tid]), []).append(entry)
-        return {key: sorted(members) for key, members in classes.items()}
-
-    rebuilt = by_class(t for ep in sim.endpoints for t in ep.committed)
-    index = {key: list(cls.members) for key, cls in dha._classes.items()}
-    assert all(index.values()), "an empty class"
-    assert all(members == sorted(members) for members in index.values())
-    for key, members in by_class(dha._pending).items():
-        index[key] = sorted(index.get(key, []) + members)
-    assert index == rebuilt
+            rebuilt.setdefault(dha._decision_class(nodes[tid]), []).append(entry)
+    assert {key: cls.members for key, cls in dha._classes.items()} == {
+        key: sorted(members) for key, members in rebuilt.items()
+    }
     filed = {tid: cls for cls in dha._classes.values() for _, tid in cls.members}
     assert filed.keys() == dha._class_of.keys()
     assert all(dha._class_of[tid] is cls for tid, cls in filed.items())
-    assert not dha._pending & filed.keys()
 
 
 class ScanCheckedSimulation(Simulation):
@@ -141,16 +133,6 @@ class ScanCheckedSimulation(Simulation):
         self.checks += 1
 
 
-def _case_scenario(name, scale, variant):
-    if variant != "lossy":
-        return _scenario(name, scale, variant)
-    sc = generate_builtin_scenario(name, scale)
-    sc.defaults = dataclasses.replace(
-        sc.defaults, transfer_failure_rate=0.5, max_transfer_retries=1
-    )
-    return sc
-
-
 @pytest.mark.parametrize(
     "case", CASES + LOSSY_CASES, ids=lambda c: "-".join(str(p) for p in c if p)
 )
@@ -159,7 +141,7 @@ def test_counters_equal_scans_after_every_event(case):
     logging.disable(logging.WARNING)  # the lossy runs log every failure
     try:
         sim = ScanCheckedSimulation(
-            _case_scenario(name, scale, variant), scheduler_kind=scheduler, seed=SEED
+            _scenario(name, scale, variant), scheduler_kind=scheduler, seed=SEED
         )
         metrics = sim.run()
     finally:
@@ -167,3 +149,5 @@ def test_counters_equal_scans_after_every_event(case):
     assert sim.checks == metrics.event_count
     if variant == "lossy":
         assert metrics.tasks_failed > 0 and sim.unrunnable
+        if name.startswith("dynamic"):
+            assert metrics.move_count > 0, "no pass moved a task"

@@ -468,8 +468,8 @@ def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
 def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
     """Each idle estimate a placement or a pass reuses from its table equals
     the engine's estimate at that moment, each incumbent a pass scores is
-    scored with the engine's estimate that leaves the task out, and each
-    cost row read equals `predicted_exec` on every endpoint."""
+    scored with `idle_estimate` over the engine's idle terms, the task left
+    out, and each cost row read equals `predicted_exec` on every endpoint."""
     sc = generate_builtin_scenario("dynamic-drug", 0.02)
     score = DhaStrategy._earliest_finishing
     reused = Counter()
@@ -488,7 +488,7 @@ def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
             assert best_eft == earliest_finish_time(
                 sim.clock,
                 sim.staging_time_estimate(node.task_id, best_ep),
-                sim.earliest_idle_estimate(best_ep, leave_out=node),
+                idle_estimate(sim.clock, sim.idle_terms(best_ep), node.backlog_s),
                 row[best_ep],
             )
             reused["incumbent"] += 1
@@ -602,9 +602,11 @@ def test_decision_memo_is_exact(monkeypatch, tmp_path):
 
 
 # Every DHA golden case, and larger runs with more passes, classes and
-# moves; "two-batch" submits a second batch between passes.
+# moves; "two-batch" submits a second batch between passes, and under
+# "lossy" committed tasks fail between passes.
 REFERENCE_CASES = [(name, scale, variant) for name, scale, kind, variant in CASES if kind == "dha"]
 REFERENCE_CASES += [
+    ("dynamic-drug", 0.02, "lossy"),
     ("dynamic-drug", 0.1, ""),
     ("dynamic-drug", 0.1, "two-batch"),
     ("dynamic-montage", 0.1, ""),
@@ -660,7 +662,7 @@ def test_second_pass_at_one_clock_moves_nothing():
     assert [sim.dag.nodes[t].assigned_endpoint for t in range(3)] == ["a", "b", "b"]
     assert node.state is TaskState.READY
     assert sim.earliest_idle_estimate("b") == 15.0
-    assert sim.earliest_idle_estimate("b", leave_out=node) == 10.0
+    assert idle_estimate(sim.clock, sim.idle_terms("b"), node.backlog_s) == 10.0
     dha = sim.strategy
     assert [dha.reschedule_pass(), dha.reschedule_pass()] == [0, 0]
     assert sim.metrics.move_count == 0 and node.assigned_endpoint == "b"
