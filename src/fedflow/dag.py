@@ -49,6 +49,19 @@ class TaskState(Enum):
 for _state in TaskState:
     _state.successors = tuple(TaskState[name] for name in _state.successors)
 
+# MOVES[old.index][new.index]: None for an illegal move; for a legal one,
+# what the move does beyond the state itself: (the TaskNode time that
+# entering `new` stamps, or None; whether the move changes the STAGING
+# count). Indexes, not Enum attribute reads: TaskNode.set_state reads it on
+# every state change of a run.
+MOVES = tuple(
+    tuple(
+        (new.stamp, TaskState.STAGING in (old, new)) if new in old.successors else None
+        for new in TaskState
+    )
+    for old in TaskState
+)
+
 
 @dataclass(frozen=True)
 class FunctionDef:
@@ -101,12 +114,16 @@ class TaskNode:
     end_time: Optional[float] = None
     observed_time: Optional[float] = None
 
-    def set_state(self, new: TaskState):
-        if new not in self.state.successors:
+    def set_state(self, new: TaskState) -> tuple:
+        """Move to `new` and return the move's entry in MOVES; an illegal
+        move raises and changes nothing."""
+        move = MOVES[self.state.index][new.index]
+        if move is None:
             raise WorkflowError(
                 f"task {self.task_id}: illegal transition {self.state.value} -> {new.value}"
             )
         self.state = new
+        return move
 
     @property
     def terminal(self) -> bool:

@@ -4,6 +4,8 @@ manager."""
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import logging
 import math
@@ -57,6 +59,13 @@ _TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 # An attribute of an Enum class takes about ten times as long to read as a
 # module global on CPython 3.11, so the engine reads the states from here.
 _PENDING, _STAGING, _READY, _QUEUED, _RUNNING, _DONE, _FAILED, _UNRUNNABLE = TaskState
+
+
+@functools.lru_cache(maxsize=16)
+def _seeded_hash(seed):
+    """A BLAKE2b state fed with the seed and its ':' separator; `_draw`
+    copies it for each draw."""
+    return blake2b(f"{seed}:".encode(), digest_size=8)
 
 
 def next_poll(t: float, interval: float) -> float:
@@ -167,9 +176,7 @@ class Simulation:
             for job in self.data.issue_probes(PROBE_SIZE_BYTES, 0.0):
                 self._schedule_transfer(job)
         for ep in self.endpoints:
-            self.metrics.record_workers(
-                0.0, ep.endpoint_id, ep.busy_workers, ep.active_workers
-            )
+            self._record_workers(ep)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -194,9 +201,9 @@ class Simulation:
         8-byte BLAKE2b hash of the seed and the key, joined by ':', times
         2**-53, the resolution of `random.random()`. One keyed hash costs
         about a sixth of seeding a generator for the draw."""
-        text = ":".join(map(str, (self.seed,) + key)).encode()
-        bits = int.from_bytes(blake2b(text, digest_size=8).digest(), "big")
-        return (bits >> 11) * 2.0**-53
+        h = _seeded_hash(self.seed).copy()
+        h.update(":".join(map(str, key)).encode())
+        return (int.from_bytes(h.digest(), "big") >> 11) * 2.0**-53
 
     def sample_exec_duration(self, task_id: int, endpoint_id: str, attempt: int) -> float:
         node = self.dag.nodes[task_id]
@@ -273,47 +280,60 @@ class Simulation:
 
     def _register_batch(self, specs: list) -> list:
         task_ids = []
+        functions = self.scenario.functions
+        spec_by_tid = self._spec_by_tid
+        nodes = self.dag.nodes
+        submit_task = self.dag.submit_task
+        data = self.data
+        items = data.items
+        clock = self.clock
         for t in sorted(specs, key=lambda s: s.id):
-            fn = self.scenario.functions[t.function]
+            fn = functions[t.function]
             file_deps = list(t.file_deps)
-            dep_tids = [self._spec_by_tid[d] for d in t.deps]
+            dep_tids = [spec_by_tid[d] for d in t.deps]
             for dep in dep_tids:
-                out = self.dag.nodes[dep].output
+                out = nodes[dep].output
                 if out is not None:
                     file_deps.append(out)
-            tid = self.dag.submit_task(fn, dep_tids, file_deps, t.inline_args_B)
-            self._spec_by_tid[t.id] = tid
-            node = self.dag.nodes[tid]
-            node.file_bytes = sum(self.data.items[d].size for d in node.file_deps)
-            node.input_bytes = node.file_bytes + t.inline_args_B
+            tid = submit_task(fn, dep_tids, file_deps, t.inline_args_B)
+            spec_by_tid[t.id] = tid
+            node = nodes[tid]
+            file_bytes = 0
+            for d in node.file_deps:
+                file_bytes += items[d].size
+            node.file_bytes = file_bytes
+            node.input_bytes = input_bytes = file_bytes + t.inline_args_B
             if fn.output_ratio > 0:
                 out_id = f"{_OUTPUT_PREFIX}{tid}"
-                out_size = int(round(fn.output_ratio * node.input_bytes))
+                out_size = int(round(fn.output_ratio * input_bytes))
                 if out_size > 0:
-                    self.data.register_item(out_id, out_size)
+                    data.register_item(out_id, out_size)
                     node.output = out_id
-            node.submit_time = self.clock
-            node.deps_left = sum(
-                1 for d in node.deps if self.dag.nodes[d].state is not _DONE
-            )
-            self._state_counts[_PENDING.index] += 1
+            node.submit_time = clock
+            deps_left = 0
+            for d in node.deps:
+                if nodes[d].state is not _DONE:
+                    deps_left += 1
+            node.deps_left = deps_left
             task_ids.append(tid)
+        self._state_counts[_PENDING.index] += len(task_ids)
         return task_ids
 
     # -- task state --------------------------------------------------------
 
     def _enter(self, node, new: TaskState):
-        """Move a task to `new`: the only caller of TaskNode.set_state. Keeps
-        the per-state counts, stamps the time the state is entered and
-        samples the staging series whenever the STAGING count changes."""
+        """Move a task to `new`, the only way the simulation changes a
+        task's state: TaskNode.set_state checks the move, and this keeps the
+        per-state counts, stamps the time the state is entered and samples
+        the staging series whenever the STAGING count changes."""
         old = node.state
-        node.set_state(new)
+        stamp, staging_changes = node.set_state(new)
         counts = self._state_counts
         counts[old.index] -= 1
         counts[new.index] += 1
-        if new.stamp is not None:
-            setattr(node, new.stamp, self.clock)
-        if old is _STAGING or new is _STAGING:
+        if stamp is not None:
+            setattr(node, stamp, self.clock)
+        if staging_changes:
             self.metrics.record_staging_count(self.clock, counts[_STAGING.index])
 
     # -- scheduler callbacks ----------------------------------------------
@@ -337,7 +357,8 @@ class Simulation:
         self._unassign(node)
         self._drop_backlog(node)
         ep = self._by_id[endpoint_id]
-        node.backlog_s = self.predicted_exec(task_id, endpoint_id)
+        row = self.exec_profiler.exec_row(node.function, node.input_bytes)
+        node.backlog_s = row[endpoint_id]
         ep.backlog_s += node.backlog_s
         node.assigned_endpoint = endpoint_id
         ep.committed.add(task_id)
@@ -396,8 +417,8 @@ class Simulation:
         duration = self.sample_exec_duration(task_id, ep.endpoint_id, attempt)
         self._drop_backlog(node)
         end = self.clock + self.dispatch_latency + duration
-        pred_finish = self.clock + self.predicted_exec(task_id, ep.endpoint_id)
-        heapq.heappush(ep.finish_heap, (pred_finish, task_id))
+        row = self.exec_profiler.exec_row(node.function, node.input_bytes)
+        heapq.heappush(ep.finish_heap, (self.clock + row[ep.endpoint_id], task_id))
         self.schedule(end, EventKind.TASK_COMPLETE, (self._on_task_complete, task_id, duration))
 
     # -- failure handling --------------------------------------------------
@@ -455,8 +476,8 @@ class Simulation:
     # -- bookkeeping -------------------------------------------------------
 
     def _record_workers(self, ep: EndpointModel):
-        self.metrics.record_workers(
-            self.clock, ep.endpoint_id, ep.busy_workers, ep.active_workers
+        self.metrics.utilization.append(
+            (self.clock, ep.endpoint_id, ep.busy_workers, ep.active_workers)
         )
 
     def _record_task_outcome(
@@ -466,15 +487,12 @@ class Simulation:
         out_size = 0
         if success and node.output is not None:
             out_size = self.data.items[node.output].size
+        # Positional, in TaskRecord's field order: function, endpoint,
+        # input_size, exec_time, output_size, success, timestamp.
         self.exec_profiler.record(
             TaskRecord(
-                function=node.function.name,
-                endpoint=endpoint_id,
-                input_size=node.input_bytes,
-                exec_time=exec_time,
-                output_size=out_size,
-                success=success,
-                timestamp=self.clock,
+                node.function.name, endpoint_id, node.input_bytes, exec_time,
+                out_size, success, self.clock,
             )
         )
 
@@ -498,7 +516,7 @@ class Simulation:
         a tick does not re-arm."""
         if self._resched_armed_until <= self.clock:
             self._resched_armed_until = when = self.clock + period
-            payload = (self._hook, self.strategy.on_reschedule_tick)
+            payload = (self._resched_hook, self.strategy.on_reschedule_tick)
             self.schedule(when, EventKind.RESCHEDULE_TICK, payload)
 
     @property
@@ -539,8 +557,8 @@ class Simulation:
 
     def _hook(self, fn, *args):
         """Run a strategy hook. Hooks nest (a re-scheduling tick moves a task
-        whose staging completes), so only the outermost one is timed, and
-        its time is re-scheduling time when it is a re-scheduling hook."""
+        whose staging completes), so only the outermost one is timed, into
+        `sched_seconds`."""
         if self._in_hook:
             return fn(*args)
         self._in_hook = True
@@ -548,11 +566,21 @@ class Simulation:
         try:
             return fn(*args)
         finally:
-            elapsed = _time.perf_counter() - t0
-            self.metrics.sched_seconds += elapsed
-            if fn.__name__ in ("on_capacity_change", "on_reschedule_tick"):
-                self.metrics.resched_seconds += elapsed
+            self.metrics.sched_seconds += _time.perf_counter() - t0
             self._in_hook = False
+
+    def _resched_hook(self, fn, *args):
+        """Run a re-scheduling hook (`on_capacity_change`,
+        `on_reschedule_tick`) as `_hook` does; when it is the outermost
+        hook, its time also counts into `resched_seconds`."""
+        if self._in_hook:
+            return fn(*args)
+        m = self.metrics
+        before = m.sched_seconds
+        try:
+            return self._hook(fn, *args)
+        finally:
+            m.resched_seconds += m.sched_seconds - before
 
     # -- readiness ---------------------------------------------------------
 
@@ -632,7 +660,7 @@ class Simulation:
     def _on_capacity_change(self, endpoint_id: str, event: CapacityEvent):
         ep = self._by_id[endpoint_id]
         self._start_queued(ep, ep.apply_capacity_event(event))
-        self._hook(self.strategy.on_capacity_change, endpoint_id)
+        self._resched_hook(self.strategy.on_capacity_change, endpoint_id)
 
     def _on_scale_tick(self):
         decisions = scale_decision(self.clock, self.endpoints, self._pending_count())
@@ -664,19 +692,46 @@ class Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> MetricsLog:
-        while self._events:
-            when, kind, _, (callback, *args) = heapq.heappop(self._events)
+        """Run the events to the end and return the metrics.
+
+        The cyclic garbage collector is paused for the run, and left as the
+        caller had it, however the run ends. A run makes no reference
+        cycles, so a collector pass finds nothing to free; yet each task
+        adds tracked objects that live to the end of the run, and with the
+        collector on a drug-like 0.5 run starts 169 passes, about a tenth
+        of its time (tests/test_collector.py pins both facts). Those
+        objects are still young when the run returns, so the caller's next
+        collection scans them once: the pause defers that part of the
+        collector's work."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._loop()
+            if not self.finished:
+                self._raise_deadlock()
+            self._finalize_metrics()
+        finally:
+            if collecting:
+                gc.enable()
+        return self.metrics
+
+    def _loop(self):
+        """Handle the queued events in (time, kind, sequence) order until
+        none is left."""
+        events = self._events
+        heappop = heapq.heappop
+        metrics = self.metrics
+        clock = self.clock
+        while events:
+            when, kind, _, payload = heappop(events)
             if kind not in _TICKS:
                 self._queued_work -= 1
-            if when < self.clock - 1e-9:
+            if when < clock - 1e-9:
                 raise RuntimeError("event time moved backwards")
-            self.clock = max(self.clock, when)
-            self.metrics.event_count += 1
-            callback(*args)
-        if not self.finished:
-            self._raise_deadlock()
-        self._finalize_metrics()
-        return self.metrics
+            if when > clock:
+                self.clock = clock = when
+            metrics.event_count += 1
+            payload[0](*payload[1:])
 
     def _raise_deadlock(self):
         stuck = []

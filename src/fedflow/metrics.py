@@ -49,9 +49,6 @@ class MetricsLog:
         self.pass_scores: int = 0  # tasks a re-scheduling pass scored
         self.event_count: int = 0
 
-    def record_workers(self, time: float, endpoint: str, busy: int, active: int):
-        self.utilization.append((time, endpoint, busy, active))
-
     def record_staging_count(self, time: float, count: int):
         if self.staging_series and self.staging_series[-1][0] == time:
             self.staging_series[-1] = (time, count)

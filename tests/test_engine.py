@@ -13,10 +13,12 @@ import pytest
 
 from fedflow import engine
 from fedflow.builtins import generate_builtin_scenario
-from fedflow.dag import TaskState
+from fedflow.dag import TaskState, WorkflowError
 from fedflow.data_manager import JobState
+from fedflow.endpoints import CapacityEvent
 from fedflow.engine import (
     DeadlockError,
+    EventKind,
     Simulation,
     next_poll,
     run_scenario,
@@ -354,8 +356,8 @@ class TestFailures:
 
 class TestStateBookkeeping:
     def test_dha_run_hashes_no_task_state(self, monkeypatch):
-        # A state change reads the per-state facts off the state itself, so
-        # it never hashes one. Lossy transfers add retries, tasks that fail
+        # A state change reads the per-state facts by the states' indexes,
+        # so it never hashes one. Lossy transfers add retries, tasks that fail
         # for good and unrunnable successors to the re-scheduling moves.
         sc = generate_builtin_scenario("dynamic-drug", 0.02)
         sc.defaults = dataclasses.replace(
@@ -374,6 +376,41 @@ class TestStateBookkeeping:
             logging.disable(logging.NOTSET)
         assert m.tasks_failed > 0 and sim.unrunnable
         assert hashes == []
+
+    @pytest.mark.parametrize("old", list(TaskState), ids=lambda s: s.value)
+    def test_every_move_is_the_one_task_state_declares(self, old):
+        """`_enter` accepts exactly `old.successors`, stamps `new.stamp`
+        and samples the staging series exactly when STAGING is left or
+        entered; any other move changes nothing and raises."""
+        stamps = [s.stamp for s in TaskState if s.stamp]
+        staging_index = TaskState.STAGING.index
+        for new in TaskState:
+            sim = Simulation(oracle())
+            node = sim.dag.nodes[sim.dag.submit_task(sim.scenario.functions["f"])]
+            node.state = old
+            sim._state_counts[old.index] = 1
+            sim.clock = 12.5
+            counts = list(sim._state_counts)
+            stamped = dict.fromkeys(stamps)
+            staging = []
+            legal = new in old.successors
+            if legal:
+                sim._enter(node, new)
+                counts[old.index] -= 1
+                counts[new.index] += 1
+                if new.stamp:
+                    stamped[new.stamp] = 12.5
+                if TaskState.STAGING in (old, new):
+                    staging = [(12.5, counts[staging_index])]
+            else:
+                with pytest.raises(WorkflowError) as excinfo:
+                    sim._enter(node, new)
+                message = f"task {node.task_id}: illegal transition {old.value} -> {new.value}"
+                assert str(excinfo.value) == message
+            assert node.state is (new if legal else old)
+            assert sim._state_counts == counts
+            assert {s: getattr(node, s) for s in stamps} == stamped
+            assert sim.metrics.staging_series == staging
 
 
 class TestDeadlock:
@@ -466,21 +503,33 @@ class TestSchedulerCounters:
         assert sim.metrics.sched_seconds == 1.0
 
     def test_decision_time_leaves_out_rescheduling(self, monkeypatch):
-        """Re-scheduling hooks count toward `sched_seconds` but not toward
-        the time per placement decision, nested hooks included."""
+        """The engine's re-scheduling hooks, a capacity change and the tick
+        that `arm_reschedule` queues, count toward `sched_seconds` but not
+        toward the time per placement decision, nested hooks included."""
         reads = iter(range(100))
         clock = SimpleNamespace(perf_counter=lambda: float(next(reads)))
         monkeypatch.setattr(engine, "_time", clock)
         sim = Simulation(oracle(), scheduler_kind="dha")
         strategy = sim.strategy
-        sim._hook(strategy.on_reschedule_tick)
-        sim._hook(strategy.on_capacity_change, "a")
+        sim._on_capacity_change("a", CapacityEvent(0.0, 1))
+        sim.arm_reschedule(5.0)
+        [tick] = [p for _, kind, _, p in sim._events if kind == EventKind.RESCHEDULE_TICK]
+        tick[0](*tick[1:])
         sim._hook(strategy.on_deps_done, [])
         sim._hook(strategy.on_worker_free, "a")
+        # Nested: only the outermost hook is timed, and it names the kind.
+        sim._resched_hook(sim._hook, strategy.on_worker_free, "a")
+        sim._hook(sim._resched_hook, strategy.on_reschedule_tick)
         m = sim.metrics
-        assert (m.sched_seconds, m.resched_seconds) == (4.0, 2.0)
-        m.decision_count = 4
+        assert (m.sched_seconds, m.resched_seconds) == (6.0, 3.0)
+        m.decision_count = 6
         assert m.mean_decision_seconds == 0.5
+
+    def test_a_run_times_rescheduling(self):
+        # dynamic-drug's capacity events and DHA's ticks re-schedule.
+        sc = generate_builtin_scenario("dynamic-drug", 0.02)
+        m = Simulation(sc, scheduler_kind="dha", seed=7).run()
+        assert 0.0 < m.resched_seconds < m.sched_seconds
 
     def test_moves_are_not_decisions(self):
         # dynamic-drug moves tasks off an endpoint that loses most of its

@@ -150,6 +150,29 @@ class TestOls:
         assert_fit_close(acc.fit(), [(x, y) for y in ys])
 
 
+class TestTaskRecord:
+    """What a caller of the exported TaskRecord may rely on: the fields in
+    this order, by keyword or by position, read by name, and no field can
+    be changed. (It is a named tuple, so it also compares equal to a plain
+    tuple of the same values.)"""
+
+    def test_fields(self):
+        r = TaskRecord(function="f", endpoint="a", input_size=100, exec_time=1.5,
+                       output_size=7, success=False, timestamp=3.0)
+        assert TaskRecord._fields == ("function", "endpoint", "input_size", "exec_time",
+                                      "output_size", "success", "timestamp")
+        assert r == rec(exec_time=1.5, output_size=7, success=False, timestamp=3.0)
+        assert (r.function, r.endpoint, r.input_size, r.exec_time,
+                r.output_size, r.success, r.timestamp) == ("f", "a", 100, 1.5, 7, False, 3.0)
+
+    @pytest.mark.parametrize("field", TaskRecord._fields)
+    def test_immutable(self, field):
+        r = rec()
+        with pytest.raises(AttributeError):
+            setattr(r, field, 0)
+        assert r == rec()
+
+
 class TestExecutionProfiler:
     def test_exact_fit_preferred(self):
         p = ExecutionProfiler((ep("a"),))
