@@ -32,7 +32,9 @@ class JobState(Enum):
     FAILED = "failed"
 
 
-@dataclass
+# The run makes one per task output and keeps it to the end, so it is a
+# slotted record, like TransferJob.
+@dataclass(slots=True)
 class DataItem:
     data_id: str
     size: int

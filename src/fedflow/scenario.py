@@ -12,6 +12,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -41,18 +42,25 @@ _INT_DEFAULTS = {
 }
 
 
+# The default of a field whose absence is an error.
+_MISSING = object()
+_INT_ONLY = {int}
+
+
 class ScenarioError(ValueError):
     """Validation failure; the message names the offending field and entry."""
 
 
-@dataclass(frozen=True)
+# A scenario holds one TaskSpec per task and one DataSpec per declared item,
+# so both are slotted records. Nothing sets a field after the load.
+@dataclass(slots=True)
 class DataSpec:
     data_id: str
     size_MB: float
     locations: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TaskSpec:
     id: int
     function: str
@@ -122,16 +130,32 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _object(value, where: str) -> dict:
+    """`value`, if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: must be an object ({value!r})")
+    return value
+
+
+def _list(value, name: str, where: str) -> list:
+    """`value`, if it is a JSON list."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: '{name}' must be a list ({value!r})")
+    return value
+
+
 def _nonneg(value, name: str, where: str):
-    """`value` unchanged, if it is a finite, non-negative number."""
-    try:
-        if 0 <= value < math.inf:
-            return value
-    except TypeError:  # not a number
-        pass
-    else:
-        if value < 0:
-            raise ScenarioError(f"{where}: negative size/time in '{name}' ({value})")
+    """`value` unchanged, if it is a finite, non-negative number; never a
+    bool."""
+    if not isinstance(value, bool):
+        try:
+            if 0 <= value < math.inf:
+                return value
+        except TypeError:  # not a number
+            pass
+        else:
+            if value < 0:
+                raise ScenarioError(f"{where}: negative size/time in '{name}' ({value})")
     raise ScenarioError(f"{where}: '{name}' must be a finite number ({value!r})")
 
 
@@ -151,15 +175,54 @@ def _int(value, name: str, where: str) -> int:
     raise ScenarioError(f"{where}: '{name}' must be an integer ({value!r})")
 
 
+def _declared_data(fd: dict, did, m: int, seen_eps: set) -> DataSpec:
+    """The item that the `file_deps` entry `fd` of `workflow[m]` declares."""
+    size = fd.get("size_MB")
+    if type(size) is not float or not 0.0 <= size < math.inf:
+        size = _nonneg(size, "size_MB", f"workflow[{m}].file_deps")
+    locations = fd.get("locations", [])
+    if type(locations) is not list:
+        _list(locations, "locations", f"workflow[{m}].file_deps")
+    if not locations:
+        raise ScenarioError(f"workflow[{m}]: data '{did}' has no initial locations")
+    if not seen_eps.issuperset(locations):
+        for loc in locations:
+            if loc not in seen_eps:
+                raise ScenarioError(
+                    f"workflow[{m}]: dangling reference to endpoint '{loc}' in data '{did}'"
+                )
+    return DataSpec(did, size, tuple(locations))
+
+
+def _raise_bad_dep(doc: dict, m: int, tid: int, deps, seen_tasks: set):
+    """Raise the error for the first of `deps`, the integer deps of
+    `workflow[m]`, that is not an earlier task."""
+    where = f"workflow[{m}]"
+    for d in deps:
+        if d == tid:
+            raise ScenarioError(f"{where}: cycle in workflow (task {tid} depends on itself)")
+        if d not in seen_tasks:
+            all_ids = {
+                _int(t["id"], "id", f"workflow[{k}]")
+                for k, t in enumerate(doc["workflow"])
+                if isinstance(t, dict) and "id" in t
+            }
+            if d in all_ids:
+                raise ScenarioError(
+                    f"{where}: cycle in workflow (task {tid} depends on later task {d})"
+                )
+            raise ScenarioError(f"{where}: dangling reference to task {d}")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    name = doc.get("name", "scenario")
+    name = _object(doc, "scenario").get("name", "scenario")
 
     endpoints = []
     traces: dict = {}
     seen_eps: set = set()
-    for i, entry in enumerate(doc.get("endpoints", [])):
+    for i, entry in enumerate(_list(doc.get("endpoints", []), "endpoints", "scenario")):
         where = f"endpoints[{i}]"
-        ep_id = _require(entry, "endpoint_id", where)
+        ep_id = _require(_object(entry, where), "endpoint_id", where)
         if ep_id in seen_eps:
             raise ScenarioError(f"{where}: duplicate endpoint_id '{ep_id}'")
         seen_eps.add(ep_id)
@@ -179,24 +242,27 @@ def scenario_from_dict(doc: dict) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         endpoints.append(spec)
-        traces[ep_id] = [
-            CapacityEvent(
-                time_s=_nonneg(ev.get("time_s"), "time_s", f"{where}.capacity_trace"),
-                delta_workers=_int(
-                    _require(ev, "delta_workers", f"{where}.capacity_trace"),
-                    "delta_workers",
-                    f"{where}.capacity_trace",
-                ),
+        trace_where = f"{where}.capacity_trace"
+        events = traces[ep_id] = []
+        for n, ev in enumerate(
+            _list(entry.get("capacity_trace", []), "capacity_trace", where)
+        ):
+            _object(ev, f"{trace_where}[{n}]")
+            events.append(
+                CapacityEvent(
+                    time_s=_nonneg(ev.get("time_s"), "time_s", trace_where),
+                    delta_workers=_int(
+                        _require(ev, "delta_workers", trace_where), "delta_workers", trace_where
+                    ),
+                )
             )
-            for ev in entry.get("capacity_trace", [])
-        ]
     if not endpoints:
         raise ScenarioError("endpoints: at least one endpoint is required")
 
-    net = doc.get("network", {})
+    net = _object(doc.get("network", {}), "network")
     default = None
     if "default" in net:
-        d = net["default"]
+        d = _object(net["default"], "network.default")
         default = LinkSpec(
             bandwidth_MBps=_nonneg(d.get("bandwidth_MBps"), "bandwidth_MBps", "network.default"),
             latency_s=_nonneg(d.get("latency_s", 0.0), "latency_s", "network.default"),
@@ -204,9 +270,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if default.bandwidth_MBps == 0:
             raise ScenarioError("network.default: bandwidth must be positive")
     pairs = {}
-    for j, p in enumerate(net.get("pairs", [])):
+    for j, p in enumerate(_list(net.get("pairs", []), "pairs", "network")):
         where = f"network.pairs[{j}]"
-        src, dst = _require(p, "src", where), _require(p, "dst", where)
+        src, dst = _require(_object(p, where), "src", where), _require(p, "dst", where)
         for ep in (src, dst):
             if ep not in seen_eps:
                 raise ScenarioError(f"{where}: dangling reference to endpoint '{ep}'")
@@ -217,7 +283,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             bandwidth_MBps=bw,
             latency_s=_nonneg(p.get("latency_s", 0.0), "latency_s", where),
         )
-    client = net.get("client", {})
+    client = _object(net.get("client", {}), "network.client")
     network = NetworkSpec(
         default=default,
         pairs=pairs,
@@ -235,13 +301,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     raise ScenarioError(f"network: missing network pair {a}->{b}")
 
     functions: dict = {}
-    for k, entry in enumerate(doc.get("functions", [])):
+    for k, entry in enumerate(_list(doc.get("functions", []), "functions", "scenario")):
         where = f"functions[{k}]"
-        fname = _require(entry, "name", where)
+        fname = _require(_object(entry, where), "name", where)
         if fname in functions:
             raise ScenarioError(f"{where}: duplicate function name '{fname}'")
         # A hint with one component declared gets 0 for the other.
-        hint = entry.get("cost_hint") or {}
+        hint = _object(entry.get("cost_hint") or {}, f"{where}.cost_hint")
         hint_fixed = hint_rate = None
         if "fixed_s" in hint or "rate_s_per_B" in hint:
             hint_where = f"{where}.cost_hint"
@@ -265,71 +331,68 @@ def scenario_from_dict(doc: dict) -> Scenario:
     data: dict = {}
     workflow: list = []
     seen_tasks: set = set()
-    for m, entry in enumerate(doc.get("workflow", [])):
-        where = f"workflow[{m}]"
-        tid = _int(_require(entry, "id", where), "id", where)
+    # A scenario has one entry per task, so each check tests the common
+    # valid form inline and hands anything else to the helper that coerces
+    # it or raises the field's error; the location text is formatted only
+    # then.
+    for m, entry in enumerate(_list(doc.get("workflow", []), "workflow", "scenario")):
+        if type(entry) is not dict:
+            entry = _object(entry, f"workflow[{m}]")
+        tid = entry.get("id")
+        if type(tid) is not int:
+            where = f"workflow[{m}]"
+            tid = _int(_require(entry, "id", where), "id", where)
         if tid in seen_tasks:
-            raise ScenarioError(f"{where}: duplicate task id {tid}")
-        fname = _require(entry, "function", where)
+            raise ScenarioError(f"workflow[{m}]: duplicate task id {tid}")
+        fname = entry.get("function", _MISSING)
         if fname not in functions:
+            where = f"workflow[{m}]"
+            _require(entry, "function", where)
             raise ScenarioError(f"{where}: dangling reference to function '{fname}'")
-        deps = tuple(_int(d, "deps", where) for d in entry.get("deps", []))
-        for d in deps:
-            if d == tid:
-                raise ScenarioError(f"{where}: cycle in workflow (task {tid} depends on itself)")
-            if d not in seen_tasks:
-                all_ids = {
-                    _int(t["id"], "id", f"workflow[{k}]")
-                    for k, t in enumerate(doc["workflow"])
-                    if "id" in t
-                }
-                if d in all_ids:
-                    raise ScenarioError(
-                        f"{where}: cycle in workflow (task {tid} depends on later task {d})"
-                    )
-                raise ScenarioError(f"{where}: dangling reference to task {d}")
+        deps = entry.get("deps", ())
+        if type(deps) is not list and deps != ():
+            _list(deps, "deps", f"workflow[{m}]")
+        if deps:
+            if not set(map(type, deps)) <= _INT_ONLY:
+                deps = [_int(d, "deps", f"workflow[{m}]") for d in deps]
+            if not seen_tasks.issuperset(deps):
+                _raise_bad_dep(doc, m, tid, deps, seen_tasks)
+        deps = tuple(deps)
+        fds = entry.get("file_deps", ())
+        if type(fds) is not list and fds != ():
+            _list(fds, "file_deps", f"workflow[{m}]")
         file_deps = []
-        for fd in entry.get("file_deps", []):
+        for fd in fds:
             if isinstance(fd, str):
                 if fd not in data:
-                    raise ScenarioError(f"{where}: dangling reference to data '{fd}'")
+                    raise ScenarioError(f"workflow[{m}]: dangling reference to data '{fd}'")
                 file_deps.append(fd)
                 continue
-            did = _require(fd, "data_id", where)
-            if did in data:
-                file_deps.append(did)
-                continue
-            size = _nonneg(fd.get("size_MB"), "size_MB", f"{where}.file_deps")
-            locations = tuple(fd.get("locations", []))
-            if not locations:
-                raise ScenarioError(f"{where}: data '{did}' has no initial locations")
-            for loc in locations:
-                if loc not in seen_eps:
-                    raise ScenarioError(
-                        f"{where}: dangling reference to endpoint '{loc}' in data '{did}'"
-                    )
-            data[did] = DataSpec(did, size, locations)
+            if not isinstance(fd, dict):
+                raise ScenarioError(
+                    f"workflow[{m}]: 'file_deps' entries must be data ids or objects ({fd!r})"
+                )
+            did = fd.get("data_id", _MISSING)
+            if did is _MISSING:
+                _require(fd, "data_id", f"workflow[{m}]")
+            if did not in data:
+                data[did] = _declared_data(fd, did, m, seen_eps)
             file_deps.append(did)
-        inline = _nonneg(
-            _int(entry.get("inline_args_B", 0), "inline_args_B", where), "inline_args_B", where
-        )
-        if inline > INLINE_ARGS_LIMIT:
-            raise ScenarioError(
-                f"{where}: inline_args_B exceeds the 10 MB limit ({INLINE_ARGS_LIMIT} B)"
-            )
-        workflow.append(
-            TaskSpec(
-                id=tid,
-                function=fname,
-                deps=deps,
-                file_deps=tuple(file_deps),
-                inline_args_B=inline,
-                submit_time_s=_nonneg(entry.get("submit_time_s", 0.0), "submit_time_s", where),
-            )
-        )
+        inline = entry.get("inline_args_B", 0)
+        if type(inline) is not int or not 0 <= inline <= INLINE_ARGS_LIMIT:
+            where = f"workflow[{m}]"
+            inline = _nonneg(_int(inline, "inline_args_B", where), "inline_args_B", where)
+            if inline > INLINE_ARGS_LIMIT:
+                raise ScenarioError(
+                    f"{where}: inline_args_B exceeds the 10 MB limit ({INLINE_ARGS_LIMIT} B)"
+                )
+        submit = entry.get("submit_time_s", 0.0)
+        if type(submit) is not float or not 0.0 <= submit < math.inf:
+            submit = _nonneg(submit, "submit_time_s", f"workflow[{m}]")
+        workflow.append(TaskSpec(tid, fname, deps, tuple(file_deps), inline, submit))
         seen_tasks.add(tid)
 
-    defaults_doc = dict(doc.get("defaults", {}))
+    defaults_doc = dict(_object(doc.get("defaults", {}), "defaults"))
     deprecated = {k: defaults_doc.pop(k) for k in DEPRECATED_DEFAULTS if k in defaults_doc}
     if deprecated:
         note = ""
@@ -347,7 +410,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError(f"defaults: unknown fields {sorted(unknown)}")
     defaults = _checked_defaults(Defaults(**defaults_doc))
 
-    workflow.sort(key=lambda t: (t.submit_time_s, t.id))
+    workflow.sort(key=attrgetter("submit_time_s", "id"))
     return Scenario(
         name=name,
         endpoints=endpoints,

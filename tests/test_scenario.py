@@ -4,6 +4,7 @@ import copy
 import json
 import logging
 import math
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -42,6 +43,16 @@ BASE = {
 
 def doc():
     return copy.deepcopy(BASE)
+
+
+def doc_with(path, value):
+    """`doc()` with the field at `path` set to `value`."""
+    d = doc()
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return d
 
 
 class TestParsing:
@@ -85,6 +96,59 @@ class TestParsing:
         defaults = scenario_from_dict(d).defaults
         assert defaults.seed == 7
         assert (defaults.transfer_failure_rate, defaults.refresh_tick_s) == (1.0, 1e-3)
+
+    @pytest.mark.parametrize(
+        "path, value, loaded",
+        [
+            (("workflow", 0, "id"), "0", 0),
+            (("workflow", 0, "id"), 0.0, 0),
+            (("workflow", 1, "deps"), [0.0], (0,)),
+            (("workflow", 1, "deps"), ["0"], (0,)),
+            (("workflow", 1, "inline_args_B"), "5", 5),
+        ],
+    )
+    def test_integral_forms_load_as_plain_ints(self, path, value, loaded):
+        _, index, name = path
+        task = scenario_from_dict(doc_with(path, value)).workflow[index]
+        # repr tells 0 from 0.0 and from "0".
+        assert repr(getattr(task, name)) == repr(loaded)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("workflow", 0, "id"), True, "workflow[0]: 'id' must be an integer (True)"),
+            (("workflow", 1, "deps"), [0.5], "workflow[1]: 'deps' must be an integer (0.5)"),
+            (
+                ("workflow", 1, "inline_args_B"),
+                2.5,
+                "workflow[1]: 'inline_args_B' must be an integer (2.5)",
+            ),
+            (
+                ("workflow", 1, "inline_args_B"),
+                -1,
+                "workflow[1]: negative size/time in 'inline_args_B' (-1)",
+            ),
+            (
+                ("workflow", 1, "submit_time_s"),
+                math.nan,
+                "workflow[1]: 'submit_time_s' must be a finite number (nan)",
+            ),
+        ],
+    )
+    def test_workflow_rejections_keep_their_messages(self, path, value, message):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc_with(path, value))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("scheduler", ["capacity", "locality", "dha"])
+    def test_run_leaves_the_scenario_as_loaded(self, scheduler, tmp_path):
+        # The spec records are not frozen, so this checks that no run sets
+        # a field of one.
+        path = tmp_path / "s.json"
+        save_scenario(generate_builtin_scenario("dynamic-drug", 0.05), path)
+        sc = load_scenario(path)
+        Simulation(sc, scheduler_kind=scheduler, seed=3).run()
+        assert sc == load_scenario(path)
 
 
 class TestDiagnostics:
@@ -221,19 +285,39 @@ BAD_NUMBERS = [
     (("defaults", "transfer_concurrency"), 0, "'transfer_concurrency'"),
     (("defaults", "max_transfer_retries"), -1, "'max_transfer_retries'"),
     (("defaults", "max_task_attempts"), -1, "'max_task_attempts'"),
+    # These three loaded as True, 1 MB and True.
+    (("workflow", 0, "submit_time_s"), True, "'submit_time_s'"),
+    (("workflow", 0, "file_deps", 0, "size_MB"), True, "'size_MB'"),
+    (("functions", 0, "true_fixed_s"), True, "'true_fixed_s'"),
+]
+
+# The same for a list field given a string or a number, and for an entry
+# that is not an object. The first three loaded as (0,), ("d",) and
+# ("a", "b"), and the fourth failed as a missing 'endpoint_id'; the rest
+# escaped as a TypeError, ValueError or AttributeError.
+BAD_SHAPES = [
+    (("workflow", 1, "deps"), "0", "'deps'"),
+    (("workflow", 1, "file_deps"), "d", "'file_deps'"),
+    (("workflow", 0, "file_deps", 0, "locations"), "ab", "'locations'"),
+    (("endpoints",), "ab", "'endpoints'"),
+    (("workflow", 1, "deps"), 0, "'deps'"),
+    (("workflow", 1, "file_deps"), [5], "'file_deps'"),
+    (("workflow", 1), 5, "workflow[1]:"),
+    (("functions", 0), 5, "functions[0]:"),
+    (("endpoints", 0, "capacity_trace"), [5], "capacity_trace[0]:"),
+    (("network",), 5, "network:"),
+    (("defaults",), "x", "defaults:"),
 ]
 
 
 @pytest.mark.parametrize(
-    "path, value, field", BAD_NUMBERS, ids=[f"{p[-1]}={v!r}" for p, v, _ in BAD_NUMBERS]
+    "path, value, field",
+    BAD_NUMBERS + BAD_SHAPES,
+    ids=[f"{p[-1]}={v!r}" for p, v, _ in BAD_NUMBERS + BAD_SHAPES],
 )
 def test_bad_number_is_rejected_at_load(path, value, field, tmp_path):
-    d = doc()
-    target = d
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    with pytest.raises(ScenarioError, match=field):
+    d = doc_with(path, value)
+    with pytest.raises(ScenarioError, match=re.escape(field)):
         scenario_from_dict(d)
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps(d))
