@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -93,7 +93,7 @@ class TaskNode:
 
     task_id: int
     function: FunctionDef
-    deps: set = field(default_factory=set)
+    deps: tuple = ()  # task ids, ascending and unique
     file_deps: tuple = ()  # data ids, sorted
     output: Optional[str] = None
     state: TaskState = TaskState.PENDING
@@ -139,7 +139,8 @@ class Dag:
 
     def __init__(self):
         self.nodes: dict[int, TaskNode] = {}
-        self.successors: dict[int, set] = {}
+        # Ascending, append-only lists: a task joins its deps' lists at submit.
+        self.successors: dict[int, list] = {}
         self._next_id = 0
 
     def submit_task(
@@ -165,17 +166,14 @@ class Dag:
         node = TaskNode(
             task_id=task_id,
             function=function,
-            deps=deps,
+            deps=tuple(sorted(deps)),
             file_deps=tuple(sorted(set(file_deps))),
         )
         self.nodes[task_id] = node
-        self.successors[task_id] = set()
+        self.successors[task_id] = []
         for dep in deps:
-            self.successors[dep].add(task_id)
+            self.successors[dep].append(task_id)
         return task_id
-
-    def sources(self) -> list:
-        return sorted(t for t, n in self.nodes.items() if not n.deps)
 
     def topological_order(self) -> list:
         """Kahn's algorithm with a min-heap frontier (ascending ids on ties)."""
@@ -206,7 +204,7 @@ def dfs_order(dag: Dag) -> list:
         raise WorkflowError("dfs_order on empty graph")
     visited: set = set()
     order: list = []
-    for root in dag.sources():
+    for root in [t for t, node in dag.nodes.items() if not node.deps]:
         stack = [root]
         while stack:
             t = stack.pop()
@@ -214,7 +212,7 @@ def dfs_order(dag: Dag) -> list:
                 continue
             visited.add(t)
             order.append(t)
-            for child in sorted(dag.successors[t], reverse=True):
+            for child in reversed(dag.successors[t]):
                 if child not in visited:
                     stack.append(child)
     return order

@@ -9,6 +9,7 @@ import gc
 import heapq
 import logging
 import math
+import operator
 import time as _time
 # The C type `hashlib.blake2b` returns. Importing `hashlib` itself also loads
 # OpenSSL, about 2-4 MB more RSS in every process that imports fedflow.
@@ -278,8 +279,9 @@ class Simulation:
 
     # -- task graph construction ------------------------------------------
 
-    def _register_batch(self, specs: list) -> list:
+    def _register_batch(self, specs: list) -> tuple:
         task_ids = []
+        dead_deps = []  # deps met FAILED or UNRUNNABLE, in the order met
         functions = self.scenario.functions
         spec_by_tid = self._spec_by_tid
         nodes = self.dag.nodes
@@ -287,7 +289,7 @@ class Simulation:
         data = self.data
         items = data.items
         clock = self.clock
-        for t in sorted(specs, key=lambda s: s.id):
+        for t in sorted(specs, key=operator.attrgetter("id")):
             fn = functions[t.function]
             file_deps = list(t.file_deps)
             dep_tids = [spec_by_tid[d] for d in t.deps]
@@ -312,12 +314,15 @@ class Simulation:
             node.submit_time = clock
             deps_left = 0
             for d in node.deps:
-                if nodes[d].state is not _DONE:
+                state = nodes[d].state
+                if state is not _DONE:
                     deps_left += 1
+                    if state is _FAILED or state is _UNRUNNABLE:
+                        dead_deps.append(d)
             node.deps_left = deps_left
             task_ids.append(tid)
         self._state_counts[_PENDING.index] += len(task_ids)
-        return task_ids
+        return task_ids, dead_deps
 
     # -- task state --------------------------------------------------------
 
@@ -458,7 +463,7 @@ class Simulation:
         stack = [root]
         while stack:
             t = stack.pop()
-            for s in sorted(self.dag.successors[t]):
+            for s in self.dag.successors[t]:
                 node = self.dag.nodes[s]
                 if node.state is not _UNRUNNABLE:
                     # Its chain never finishes, so it never left PENDING;
@@ -585,8 +590,10 @@ class Simulation:
     # -- readiness ---------------------------------------------------------
 
     def _announce_ready(self, candidates):
+        """Announce, in order, the candidates that are ready; they must be
+        unique and ascending (a new batch's ids, or one successor list)."""
         batch = []
-        for tid in sorted(set(candidates)):
+        for tid in candidates:
             node = self.dag.nodes[tid]
             if node.announced or node.deps_left or node.terminal:
                 continue
@@ -599,14 +606,13 @@ class Simulation:
 
     def _on_submit_batch(self, specs: list):
         self._pending_batches -= 1
-        task_ids = self._register_batch(specs)
+        task_ids, dead_deps = self._register_batch(specs)
         self._hook(self.strategy.on_batch_submitted, task_ids)
         # Between events a FAILED task has failed for good, so a task that
-        # depends on one, or on an unrunnable one, can never run.
-        for tid in task_ids:
-            for dep in self.dag.nodes[tid].deps:
-                if self.dag.nodes[dep].state in (_FAILED, _UNRUNNABLE):
-                    self._cascade_unrunnable(dep)
+        # depends on one, or on an unrunnable one, can never run (no hook
+        # fails a task, so the states read at registration still hold).
+        for dep in dead_deps:
+            self._cascade_unrunnable(dep)
         self._announce_ready(task_ids)
 
     def _on_transfer_complete(self, job: TransferJob, duration: float):
@@ -698,7 +704,7 @@ class Simulation:
         caller had it, however the run ends. A run makes no reference
         cycles, so a collector pass finds nothing to free; yet each task
         adds tracked objects that live to the end of the run, and with the
-        collector on a drug-like 0.5 run starts 169 passes, about a tenth
+        collector on a drug-like 0.5 run starts 165 passes, about a tenth
         of its time (tests/test_collector.py pins both facts). Those
         objects are still young when the run returns, so the caller's next
         collection scans them once: the pause defers that part of the
@@ -735,12 +741,10 @@ class Simulation:
 
     def _raise_deadlock(self):
         stuck = []
-        for tid, node in sorted(self.dag.nodes.items()):
+        for tid, node in self.dag.nodes.items():
             if node.terminal:
                 continue
-            missing = sorted(
-                d for d in node.deps if self.dag.nodes[d].state is not _DONE
-            )
+            missing = [d for d in node.deps if self.dag.nodes[d].state is not _DONE]
             stuck.append(
                 f"task {tid} [{node.state.value}] on {node.assigned_endpoint}: "
                 f"unfinished deps {missing}"

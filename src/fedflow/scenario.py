@@ -41,9 +41,6 @@ _INT_DEFAULTS = {
     "transfer_concurrency": 1,
 }
 
-
-# The default of a field whose absence is an error.
-_MISSING = object()
 _INT_ONLY = {int}
 
 
@@ -144,6 +141,13 @@ def _list(value, name: str, where: str) -> list:
     return value
 
 
+def _id(value, name: str, where: str) -> str:
+    """`value`, if it is a string: ids are dict and set keys."""
+    if type(value) is not str:
+        raise ScenarioError(f"{where}: '{name}' must be a string ({value!r})")
+    return value
+
+
 def _nonneg(value, name: str, where: str):
     """`value` unchanged, if it is a finite, non-negative number; never a
     bool."""
@@ -185,9 +189,13 @@ def _declared_data(fd: dict, did, m: int, seen_eps: set) -> DataSpec:
         _list(locations, "locations", f"workflow[{m}].file_deps")
     if not locations:
         raise ScenarioError(f"workflow[{m}]: data '{did}' has no initial locations")
-    if not seen_eps.issuperset(locations):
+    try:
+        known = seen_eps.issuperset(locations)
+    except TypeError:  # an unhashable location, which the loop names
+        known = False
+    if not known:
         for loc in locations:
-            if loc not in seen_eps:
+            if _id(loc, "locations", f"workflow[{m}].file_deps") not in seen_eps:
                 raise ScenarioError(
                     f"workflow[{m}]: dangling reference to endpoint '{loc}' in data '{did}'"
                 )
@@ -222,7 +230,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     seen_eps: set = set()
     for i, entry in enumerate(_list(doc.get("endpoints", []), "endpoints", "scenario")):
         where = f"endpoints[{i}]"
-        ep_id = _require(_object(entry, where), "endpoint_id", where)
+        ep_id = _id(_require(_object(entry, where), "endpoint_id", where), "endpoint_id", where)
         if ep_id in seen_eps:
             raise ScenarioError(f"{where}: duplicate endpoint_id '{ep_id}'")
         seen_eps.add(ep_id)
@@ -272,7 +280,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     pairs = {}
     for j, p in enumerate(_list(net.get("pairs", []), "pairs", "network")):
         where = f"network.pairs[{j}]"
-        src, dst = _require(_object(p, where), "src", where), _require(p, "dst", where)
+        src = _id(_require(_object(p, where), "src", where), "src", where)
+        dst = _id(_require(p, "dst", where), "dst", where)
         for ep in (src, dst):
             if ep not in seen_eps:
                 raise ScenarioError(f"{where}: dangling reference to endpoint '{ep}'")
@@ -303,11 +312,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     functions: dict = {}
     for k, entry in enumerate(_list(doc.get("functions", []), "functions", "scenario")):
         where = f"functions[{k}]"
-        fname = _require(_object(entry, where), "name", where)
+        fname = _id(_require(_object(entry, where), "name", where), "name", where)
         if fname in functions:
             raise ScenarioError(f"{where}: duplicate function name '{fname}'")
         # A hint with one component declared gets 0 for the other.
-        hint = _object(entry.get("cost_hint") or {}, f"{where}.cost_hint")
+        hint = entry.get("cost_hint")
+        hint = {} if hint is None else _object(hint, f"{where}.cost_hint")
         hint_fixed = hint_rate = None
         if "fixed_s" in hint or "rate_s_per_B" in hint:
             hint_where = f"{where}.cost_hint"
@@ -344,10 +354,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
             tid = _int(_require(entry, "id", where), "id", where)
         if tid in seen_tasks:
             raise ScenarioError(f"workflow[{m}]: duplicate task id {tid}")
-        fname = entry.get("function", _MISSING)
-        if fname not in functions:
+        fname = entry.get("function")
+        if type(fname) is not str or fname not in functions:
             where = f"workflow[{m}]"
-            _require(entry, "function", where)
+            _id(_require(entry, "function", where), "function", where)
             raise ScenarioError(f"{where}: dangling reference to function '{fname}'")
         deps = entry.get("deps", ())
         if type(deps) is not list and deps != ():
@@ -372,9 +382,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise ScenarioError(
                     f"workflow[{m}]: 'file_deps' entries must be data ids or objects ({fd!r})"
                 )
-            did = fd.get("data_id", _MISSING)
-            if did is _MISSING:
-                _require(fd, "data_id", f"workflow[{m}]")
+            did = fd.get("data_id")
+            if type(did) is not str:
+                _id(_require(fd, "data_id", f"workflow[{m}]"), "data_id", f"workflow[{m}]")
             if did not in data:
                 data[did] = _declared_data(fd, did, m, seen_eps)
             file_deps.append(did)

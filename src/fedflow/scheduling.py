@@ -82,7 +82,7 @@ def compute_priorities(dag: Dag, costs: dict) -> dict:
         cost = costs.get(t)
         if cost is None:
             continue
-        succ_max = max((priority[s] for s in successors[t]), default=0.0)
+        succ_max = max(map(priority.__getitem__, successors[t]), default=0.0)
         priority[t] = cost[0] + cost[1] + succ_max
     return priority
 
@@ -165,6 +165,7 @@ class BaseStrategy:
         pass
 
     def on_deps_done(self, task_ids: list):
+        """Take the tasks that just became ready, in ascending id."""
         raise NotImplementedError
 
     def on_staging_complete(self, task_id: int):
@@ -205,7 +206,7 @@ class CapacityStrategy(BaseStrategy):
     def on_deps_done(self, task_ids: list):
         # Staging starts the moment dependencies finish; the assignment was
         # fixed offline.
-        for tid in sorted(task_ids):
+        for tid in task_ids:
             self.sim.begin_staging(tid)
 
 
@@ -245,7 +246,7 @@ class LocalityStrategy(BaseStrategy):
             sim.begin_staging(tid)
 
     def on_deps_done(self, task_ids: list):
-        self.waiting.extend(sorted(task_ids))
+        self.waiting.extend(task_ids)
         self._pump()
 
     def on_worker_free(self, endpoint_id: str):

@@ -105,6 +105,20 @@ def test_no_collection_runs_inside_a_run(name, scale, scheduler, collector):
     assert gc.isenabled()
 
 
+@pytest.mark.parametrize(
+    "name,scale,scheduler", [("drug-like", 0.05, "capacity"), ("montage-like", 0.1, "dha")]
+)
+def test_task_deps_are_untracked_after_one_young_pass(name, scale, scheduler):
+    # A deps tuple holds only ints, so the first collection that sees it
+    # stops tracking it; a set of ids would stay tracked for good.
+    sim = Simulation(generate_builtin_scenario(name, scale), scheduler_kind=scheduler, seed=SEED)
+    sim.run()
+    gc.collect(0)
+    nodes = sim.dag.nodes.values()
+    assert any(node.deps for node in nodes)
+    assert not any(gc.is_tracked(node.deps) for node in nodes)
+
+
 class TestCollectorSetting:
     """`run()` leaves the collector on or off, as the caller had it."""
 

@@ -1,5 +1,7 @@
 """Task graph construction, state machine, and traversal order."""
 
+from itertools import pairwise
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,7 +66,7 @@ class TestSubmit:
 
     def test_successors_tracked(self):
         dag = build([(0, 1), (0, 2)], 3)
-        assert dag.successors[0] == {1, 2}
+        assert dag.successors[0] == [1, 2]
 
 
 class TestStateMachine:
@@ -149,8 +151,8 @@ class TestTopologicalOrder:
 
     def test_cycle_detected(self):
         dag = build([(0, 1)], 2)
-        dag.nodes[0].deps.add(1)  # force a cycle behind the API's back
-        dag.successors[1].add(0)
+        dag.nodes[0].deps = (1,)  # force a cycle behind the API's back
+        dag.successors[1].append(0)
         with pytest.raises(WorkflowError, match="cycle"):
             dag.topological_order()
 
@@ -192,3 +194,53 @@ class TestDfsOrder:
     def test_deterministic(self):
         dag = build([(0, 1), (0, 2), (1, 3)], 5)
         assert dfs_order(dag) == dfs_order(dag)
+
+
+def parent_dfs_order(dag):
+    """`dfs_order` as it was over successor sets: the sources and each
+    task's children sorted at every visit. The reference the walk over
+    ascending successor lists must match."""
+    visited, order = set(), []
+    for root in sorted(t for t, n in dag.nodes.items() if not n.deps):
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if t in visited:
+                continue
+            visited.add(t)
+            order.append(t)
+            for child in sorted(set(dag.successors[t]), reverse=True):
+                if child not in visited:
+                    stack.append(child)
+    return order
+
+
+class TestGraphShape:
+    """The graph is kept as ascending id sequences: each task's deps a
+    sorted tuple without duplicates, each successor list strictly ascending
+    and the exact inverse of the deps, so no walk needs to sort."""
+
+    @given(st.data())
+    def test_submitted_graph_is_sorted_and_inverse(self, data):
+        n = data.draw(st.integers(1, 60))
+        dag = Dag()
+        handles = [[]]
+        dag.submit_task(FN)
+        for b in range(1, n):
+            # Duplicate and unordered handles, passed as any iterable.
+            drawn = data.draw(st.lists(st.integers(0, b - 1), max_size=5))
+            handles.append(drawn)
+            assert dag.submit_task(FN, iter(drawn)) == b
+        edges = set()
+        for t, node in dag.nodes.items():
+            assert type(node.deps) is tuple
+            assert node.deps == tuple(sorted(set(handles[t])))
+            edges.update((d, t) for d in node.deps)
+        inverse = [(t, s) for t, succ in dag.successors.items() for s in succ]
+        assert all(type(succ) is list for succ in dag.successors.values())
+        assert all(a < b for succ in dag.successors.values() for a, b in pairwise(succ))
+        assert len(inverse) == len(edges) and set(inverse) == edges
+        assert dfs_order(dag) == parent_dfs_order(dag)
+        # Every edge points from a lower id to a higher one, so Kahn's walk
+        # with ascending ties is the submission order.
+        assert dag.topological_order() == list(range(n))

@@ -14,10 +14,16 @@ endpoints and the job table after each event, together with the rule that
 no endpoint holds a queued task beside an idle worker; the run itself is
 unchanged. Under DHA, once a pass has started it, the index of
 committed tasks by decision class is checked against one built afresh.
+
+Each task's successor list must stay strictly ascending, since the
+readiness, cascade and placement walks over it no longer sort; the lossy
+dynamic-drug DHA run takes that through retries, unrunnable cascades and
+re-scheduling moves.
 """
 
 import logging
 from collections import Counter
+from itertools import pairwise
 
 import pytest
 
@@ -68,7 +74,9 @@ def check_counters(sim):
         assert ep.committed == undispatched[ep.endpoint_id], ep.endpoint_id
         assert abs(ep.backlog_s - backlog[ep.endpoint_id]) <= BACKLOG_TOLERANCE_S, ep.endpoint_id
         assert not ep.queued or ep.idle_workers == 0, f"{ep.endpoint_id}: queued beside idle"
-    deps_left = Counter(s for t in not_done for s in sim.dag.successors[t])
+    successors = sim.dag.successors
+    assert all(a < b for succ in successors.values() for a, b in pairwise(succ))
+    deps_left = Counter(s for t in not_done for s in successors[t])
     assert all(node.deps_left == deps_left[tid] for tid, node in nodes.items())
     assert sim._queued_work == sum(1 for e in sim._events if e[1] not in TICKS)
 

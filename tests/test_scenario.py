@@ -80,9 +80,10 @@ class TestParsing:
         fn = sc.functions["f"]
         assert (fn.cost_hint_fixed_s, fn.cost_hint_rate_s_per_B) == (2.0, 0.0)
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
-        d["functions"][0]["cost_hint"] = {}
-        fn = scenario_from_dict(d).functions["f"]
-        assert (fn.cost_hint_fixed_s, fn.cost_hint_rate_s_per_B) == (None, None)
+        for no_hint in ({}, None):
+            d["functions"][0]["cost_hint"] = no_hint
+            fn = scenario_from_dict(d).functions["f"]
+            assert (fn.cost_hint_fixed_s, fn.cost_hint_rate_s_per_B) == (None, None)
 
     def test_defaults_at_their_bounds_load(self):
         d = doc()
@@ -307,6 +308,19 @@ BAD_SHAPES = [
     (("endpoints", 0, "capacity_trace"), [5], "capacity_trace[0]:"),
     (("network",), 5, "network:"),
     (("defaults",), "x", "defaults:"),
+    # An id is a dict or set key, so one that cannot be hashed is named
+    # before it is used as one.
+    (("workflow", 0, "function"), ["f"], "'function'"),
+    (("workflow", 0, "file_deps", 0, "data_id"), ["d"], "'data_id'"),
+    (("workflow", 0, "file_deps", 0, "locations"), [["a"]], "'locations'"),
+    (("endpoints", 0, "endpoint_id"), ["a"], "'endpoint_id'"),
+    (("functions", 0, "name"), ["f"], "'name'"),
+    (("network", "pairs"), [{"src": ["a"], "dst": "b", "bandwidth_MBps": 1.0}], "'src'"),
+    # Only a missing key, null or {} means no hint.
+    (("functions", 0, "cost_hint"), 0, "functions[0].cost_hint: must be an object"),
+    (("functions", 0, "cost_hint"), False, "functions[0].cost_hint: must be an object"),
+    (("functions", 0, "cost_hint"), "", "functions[0].cost_hint: must be an object"),
+    (("functions", 0, "cost_hint"), [], "functions[0].cost_hint: must be an object"),
 ]
 
 
