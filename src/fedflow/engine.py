@@ -48,14 +48,11 @@ class EventKind(IntEnum):
     CAPACITY_CHANGE = 4
     RESCHEDULE_TICK = 5
     SCALE_TICK = 6
-    REFRESH_TICK = 7
+    REFRESH_TICK = 7  # never queued: `_loop` refits at refresh boundaries
 
 
 # A task's output item is named after the task (`Simulation.producer`).
 _OUTPUT_PREFIX = "out:"
-
-# Periodic ticks; any other queued event is work that can still move a run.
-_TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 
 # An attribute of an Enum class takes about ten times as long to read as a
 # module global on CPython 3.11, so the engine reads the states from here.
@@ -125,7 +122,6 @@ class Simulation:
         self.clock = 0.0
         self._events: list = []
         self._seq = 0
-        self._queued_work = 0  # queued events other than _TICKS
         self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes)
 
         # Registered tasks per TaskState.index; _enter moves a task between them.
@@ -138,10 +134,10 @@ class Simulation:
         # them), like the data manager's `changed_items`; None while no
         # strategy watches.
         self.changed_tasks: Optional[set] = None
-        # With the two set below, the instance holds 29 attributes. A 30th
+        # With the one set below, the instance holds 27 attributes. A 30th
         # makes CPython 3.11 stop sharing its dict's keys, and every
         # attribute read of a run gets slower (dynamic-montage 1.0 DHA
-        # measured 3% slower in all).
+        # measured 3% slower in all); tests/test_engine.py checks the count.
 
         if self.scheduler_kind not in STRATEGIES:
             raise WorkflowError(f"unknown scheduler '{self.scheduler_kind}'")
@@ -161,7 +157,6 @@ class Simulation:
         batches: dict = {}
         for t in sc.workflow:
             batches.setdefault(t.submit_time_s, []).append(t)
-        self._pending_batches = len(batches)
         for when, specs in sorted(batches.items()):
             self.schedule(when, EventKind.SUBMIT_BATCH, (self._on_submit_batch, specs))
         for ep_id, trace in sc.capacity_traces.items():
@@ -170,9 +165,6 @@ class Simulation:
                 self.schedule(ev.time_s, EventKind.CAPACITY_CHANGE, payload)
         if sc.defaults.elastic:
             self.schedule(0.0, EventKind.SCALE_TICK, (self._on_scale_tick,))
-        self.schedule(
-            sc.defaults.refresh_tick_s, EventKind.REFRESH_TICK, (self._on_refresh_tick,)
-        )
         if sc.defaults.probe_at_init:
             for job in self.data.issue_probes(PROBE_SIZE_BYTES, 0.0):
                 self._schedule_transfer(job)
@@ -185,8 +177,6 @@ class Simulation:
         """Queue `payload`, a `(callback, *args)` tuple, to run at `when`.
         Events at the same time run in kind order, then in scheduling order."""
         self._seq += 1
-        if kind not in _TICKS:
-            self._queued_work += 1
         heapq.heappush(self._events, (when, kind, self._seq, payload))
 
     def _schedule_transfer(self, job: TransferJob):
@@ -540,17 +530,27 @@ class Simulation:
 
     @property
     def finished(self) -> bool:
-        return self._pending_batches == 0 and self._live_count() == 0
+        """No task is live and no batch is still to be submitted."""
+        return self._live_count() == 0 and all(
+            e[1] != EventKind.SUBMIT_BATCH for e in self._events
+        )
+
+    def _work_queued(self) -> bool:
+        """Whether an event other than the scale tick is queued. At most
+        one scale tick is ever queued, so a longer queue holds work."""
+        events = self._events
+        return len(events) > 1 or (bool(events) and events[0][1] != EventKind.SCALE_TICK)
 
     def _ticks_can_help(self) -> bool:
-        """Whether periodic ticks can still lead to forward progress: while
-        another event is queued, or, in an elastic run, while the next scale
-        tick would grow a pool or a pool with workers has no running or
-        waiting work and so can still idle out. Without this guard a stuck
-        run would re-arm its ticks forever instead of draining the queue and
-        raising a deadlock.
+        """Whether the scale tick can still lead to forward progress, and
+        so re-arms: while other work is queued, or, in an elastic run, while
+        the next tick would grow a pool or a pool with workers has no
+        running or waiting work and so can still idle out. Without this
+        guard a stuck run would re-arm its tick forever instead of draining
+        the queue and raising a deadlock; after the last task, the tick
+        lives on while a pool still has workers to release.
         """
-        if self._queued_work:
+        if self._work_queued():
             return True
         if not self.scenario.defaults.elastic:
             return False
@@ -605,7 +605,6 @@ class Simulation:
     # -- event handlers: callbacks named by event payloads -----------------
 
     def _on_submit_batch(self, specs: list):
-        self._pending_batches -= 1
         task_ids, dead_deps = self._register_batch(specs)
         self._hook(self.strategy.on_batch_submitted, task_ids)
         # Between events a FAILED task has failed for good, so a task that
@@ -675,30 +674,20 @@ class Simulation:
         for ep, delta in decisions:
             if delta > 0:
                 self._hook(self.strategy.on_worker_free, ep.endpoint_id)
-        rearm = (not self.finished and self._ticks_can_help()) or (
-            self.finished and any(ep.active_workers > 0 for ep in self.endpoints)
-        )
-        if rearm:
+        if self._ticks_can_help():
             self.schedule(
                 self.clock + self.scenario.defaults.scale_tick_s,
                 EventKind.SCALE_TICK,
                 (self._on_scale_tick,),
             )
 
-    def _on_refresh_tick(self):
-        self.exec_profiler.refresh()
-        self.transfer_profiler.refresh()
-        if not self.finished and self._ticks_can_help():
-            self.schedule(
-                self.clock + self.scenario.defaults.refresh_tick_s,
-                EventKind.REFRESH_TICK,
-                (self._on_refresh_tick,),
-            )
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> MetricsLog:
-        """Run the events to the end and return the metrics.
+        """Run the events until none is queued and return the metrics, or
+        raise `DeadlockError` if tasks are still live then. The queue
+        drains: profiler refits need no event, and the scale and
+        re-scheduling ticks re-arm only while they can still help.
 
         The cyclic garbage collector is paused for the run, and left as the
         caller had it, however the run ends. A run makes no reference
@@ -723,19 +712,28 @@ class Simulation:
 
     def _loop(self):
         """Handle the queued events in (time, kind, sequence) order until
-        none is left."""
+        none is left. Both profilers refit when the clock first moves past
+        a refresh boundary, a multiple of `refresh_tick_s`: after every
+        event at the boundary, before any later one. A refit is idempotent,
+        so one serves every boundary the clock skips."""
         events = self._events
         heappop = heapq.heappop
         metrics = self.metrics
         clock = self.clock
+        period = boundary = self.scenario.defaults.refresh_tick_s
         while events:
-            when, kind, _, payload = heappop(events)
-            if kind not in _TICKS:
-                self._queued_work -= 1
+            when, _, _, payload = heappop(events)
             if when < clock - 1e-9:
                 raise RuntimeError("event time moved backwards")
             if when > clock:
                 self.clock = clock = when
+                if when > boundary:
+                    self.exec_profiler.refresh()
+                    self.transfer_profiler.refresh()
+                    # Repeated sums, not `k * period`, which can differ in the
+                    # last bit and so move a refit across an event at a boundary.
+                    while boundary < when:
+                        boundary += period
             metrics.event_count += 1
             payload[0](*payload[1:])
 

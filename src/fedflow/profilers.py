@@ -2,12 +2,13 @@
 
 Each observed task record and transfer is folded, as it arrives, into the
 running co-moments of its key (`_Moments`); both profilers refit at refresh
-ticks (`refresh_tick_s`) and only then, so a prediction between two ticks
-reads the fit of the last one. The default execution model is an ordinary
-least-squares fit of execution time on input size, per (function, endpoint);
-the model family is pluggable behind `exec_row`. A refresh refits only
-the keys observed since the last one, and each refit reads O(1) state, so a
-refresh costs O(keys changed), whatever the length of the history.
+boundaries (multiples of `refresh_tick_s`) and only then, so a prediction
+between two boundaries reads the fit of the last one. The default execution
+model is an ordinary least-squares fit of execution time on input size, per
+(function, endpoint); the model family is pluggable behind `exec_row`. A
+refresh refits only the keys observed since the last one, and each refit
+reads O(1) state, so a refresh costs O(keys changed), whatever the length
+of the history.
 """
 
 from __future__ import annotations

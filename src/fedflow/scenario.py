@@ -222,6 +222,20 @@ def _raise_bad_dep(doc: dict, m: int, tid: int, deps, seen_tasks: set):
             raise ScenarioError(f"{where}: dangling reference to task {d}")
 
 
+def _check_dep_order(workflow: list):
+    """Raise the error for the first task of `workflow`, in file order, with
+    a dep that is not submitted before it, if there is one: tasks are
+    submitted in (submit_time_s, id) order."""
+    order = {t.id: (t.submit_time_s, t.id) for t in workflow}
+    for m, t in enumerate(workflow):
+        for d in t.deps:
+            if order[d] > order[t.id]:
+                raise ScenarioError(
+                    f"workflow[{m}]: task {t.id} depends on task {d}, which is not"
+                    " submitted before it (tasks are submitted in (submit_time_s, id) order)"
+                )
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     name = _object(doc, "scenario").get("name", "scenario")
 
@@ -341,6 +355,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     data: dict = {}
     workflow: list = []
     seen_tasks: set = set()
+    # Whether the entries so far are in (submit_time_s, id) order; in such
+    # a file a dep that comes earlier is also submitted earlier.
+    in_order = True
+    last_submit = last_tid = -1
     # A scenario has one entry per task, so each check tests the common
     # valid form inline and hands anything else to the helper that coerces
     # it or raises the field's error; the location text is formatted only
@@ -387,6 +405,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 _id(_require(fd, "data_id", f"workflow[{m}]"), "data_id", f"workflow[{m}]")
             if did not in data:
                 data[did] = _declared_data(fd, did, m, seen_eps)
+            else:
+                again, first = _declared_data(fd, did, m, seen_eps), data[did]
+                if again.size_MB != first.size_MB or {*again.locations} != {*first.locations}:
+                    raise ScenarioError(
+                        f"workflow[{m}]: data '{did}' declared again with another size"
+                        " or other locations"
+                    )
             file_deps.append(did)
         inline = entry.get("inline_args_B", 0)
         if type(inline) is not int or not 0 <= inline <= INLINE_ARGS_LIMIT:
@@ -399,8 +424,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         submit = entry.get("submit_time_s", 0.0)
         if type(submit) is not float or not 0.0 <= submit < math.inf:
             submit = _nonneg(submit, "submit_time_s", f"workflow[{m}]")
+        if submit < last_submit or submit == last_submit and tid < last_tid:
+            in_order = False
+        last_submit, last_tid = submit, tid
         workflow.append(TaskSpec(tid, fname, deps, tuple(file_deps), inline, submit))
         seen_tasks.add(tid)
+    if not in_order:
+        _check_dep_order(workflow)
 
     defaults_doc = dict(_object(doc.get("defaults", {}), "defaults"))
     deprecated = {k: defaults_doc.pop(k) for k in DEPRECATED_DEFAULTS if k in defaults_doc}
@@ -445,8 +475,8 @@ def _checked_defaults(defaults: Defaults) -> Defaults:
     defaults = replace(defaults, **ints)
     for key in ("scale_tick_s", "refresh_tick_s", "reschedule_period_s", "mock_sync_lag_s"):
         _nonneg(getattr(defaults, key), key, "defaults")
-    # A tick re-arms itself one period on, so a period of 0 never advances
-    # the clock.
+    # A scale tick re-arms itself one period on, and a refresh boundary
+    # advances one period at a time, so a period of 0 never advances either.
     for key in ("scale_tick_s", "refresh_tick_s"):
         if getattr(defaults, key) == 0:
             raise ScenarioError(f"defaults: '{key}' must be positive")

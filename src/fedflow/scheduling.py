@@ -421,7 +421,7 @@ class DhaStrategy(BaseStrategy):
         self.reschedule_pass()
         for ep in sim.endpoints:
             self.delay_dispatch(ep.endpoint_id)
-        if sim._queued_work and any(ep.committed for ep in sim.endpoints):
+        if sim._work_queued() and any(ep.committed for ep in sim.endpoints):
             sim.arm_reschedule(sim.scenario.defaults.reschedule_period_s)
 
     def _decision_class(self, node) -> tuple:

@@ -412,6 +412,14 @@ class TestStateBookkeeping:
             assert {s: getattr(node, s) for s in stamps} == stamped
             assert sim.metrics.staging_series == staging
 
+    @pytest.mark.parametrize("scheduler", ["capacity", "locality", "dha"])
+    def test_a_simulation_keeps_its_attributes_under_the_key_sharing_limit(self, scheduler):
+        # CPython 3.11 stops sharing an instance dict's keys at its 30th
+        # attribute, and every attribute read of a run then gets slower.
+        sim = Simulation(generate_builtin_scenario("dynamic-drug", 0.02), scheduler_kind=scheduler)
+        sim.run()
+        assert len(vars(sim)) < 30
+
 
 class TestDeadlock:
     def test_no_workers_and_no_elasticity_deadlocks(self):

@@ -3,8 +3,9 @@ replace, after every event of every golden run.
 
 The counters are `Simulation.finished`, `Simulation._pending_count()`, the
 per-state task counts, the last staging-series sample, each endpoint's
-committed set and predicted backlog, the count of queued events other than
-ticks, each node's remaining-deps count, the data manager's table of open
+committed set and predicted backlog, `Simulation._work_queued()`, which
+reads the queue's length on the rule that at most one scale tick is ever
+queued, each node's remaining-deps count, the data manager's table of open
 jobs (one per item and destination), each item's set of destinations with
 an open job, its per-task index of the jobs a task waits on, which must
 invert each job's record of its waiting tasks, its waiting heaps, which
@@ -34,7 +35,6 @@ from test_golden import CASES, SEED, _scenario
 
 OPEN = (JobState.WAITING, JobState.ACTIVE)
 UNDISPATCHED = (TaskState.PENDING, TaskState.STAGING, TaskState.READY)
-TICKS = (EventKind.SCALE_TICK, EventKind.REFRESH_TICK)
 # `EndpointModel.backlog_s` is a running sum of adds and subtracts, so it drifts from a
 # fresh sum by float rounding: under 1e-10 s over the runs below.
 BACKLOG_TOLERANCE_S = 1e-6
@@ -62,7 +62,8 @@ def check_counters(sim):
             if state not in (TaskState.FAILED, TaskState.UNRUNNABLE):
                 live += 1
                 pending += state is not TaskState.RUNNING
-    assert sim.finished == (sim._pending_batches == 0 and live == 0)
+    kinds = Counter(e[1] for e in sim._events)
+    assert sim.finished == (kinds[EventKind.SUBMIT_BATCH] == 0 and live == 0)
     assert sim._pending_count() == pending
     states = Counter(node.state for node in nodes.values())
     assert sim._state_counts == [states[s] for s in TaskState]
@@ -78,7 +79,8 @@ def check_counters(sim):
     assert all(a < b for succ in successors.values() for a, b in pairwise(succ))
     deps_left = Counter(s for t in not_done for s in successors[t])
     assert all(node.deps_left == deps_left[tid] for tid, node in nodes.items())
-    assert sim._queued_work == sum(1 for e in sim._events if e[1] not in TICKS)
+    assert kinds[EventKind.SCALE_TICK] <= 1
+    assert sim._work_queued() == any(kind != EventKind.SCALE_TICK for kind in kinds)
 
     data = sim.data
     open_jobs = [j for j in data.jobs.values() if j.state in OPEN]

@@ -236,6 +236,22 @@ class TestDiagnostics:
         d["endpoints"] = []
         self.named(d, "at least one endpoint")
 
+    def test_deps_in_submission_order_load_in_any_file_order(self):
+        d = doc()
+        d["workflow"] = [
+            {"id": 5, "function": "f", "submit_time_s": 3.0},
+            {"id": 2, "function": "f"},
+            {"id": 9, "function": "f", "deps": [5, 2], "submit_time_s": 3.0},
+        ]
+        assert [t.id for t in scenario_from_dict(d).workflow] == [2, 5, 9]
+
+    def test_repeated_declaration_loads(self):
+        d = doc()
+        d["workflow"][0]["file_deps"][0]["locations"] = ["a", "b"]
+        d["workflow"][1]["file_deps"] = [{"data_id": "d", "size_MB": 5, "locations": ["b", "a"]}]
+        data = scenario_from_dict(d).data
+        assert list(data) == ["d"] and data["d"].locations == ("a", "b")
+
     def test_undeclared_data_without_locations(self):
         d = doc()
         d["workflow"][0]["file_deps"][0].pop("locations")
@@ -324,10 +340,48 @@ BAD_SHAPES = [
 ]
 
 
+# The same for a dep that is not submitted before its task, which loaded
+# and then crashed every run with a KeyError, and for a data item declared
+# again with another size or other locations, which loaded as declared first.
+BAD_REFERENCES = [
+    (("workflow", 0, "submit_time_s"), 10.0, "workflow[1]: task 1 depends on task 0"),
+    (
+        ("workflow",),
+        [{"id": 7, "function": "f"}, {"id": 5, "function": "f", "deps": [7]}],
+        "workflow[1]: task 5 depends on task 7",
+    ),
+    (
+        ("workflow", 1, "file_deps"),
+        [{"data_id": "d", "size_MB": 500.0, "locations": ["a"]}],
+        "workflow[1]: data 'd' declared again",
+    ),
+    (
+        ("workflow", 1, "file_deps"),
+        [{"data_id": "d", "size_MB": 5.0, "locations": ["b"]}],
+        "workflow[1]: data 'd' declared again",
+    ),
+    (
+        ("workflow", 1, "file_deps"),
+        [{"data_id": "d", "size_MB": 5.0, "locations": ["a", "b"]}],
+        "workflow[1]: data 'd' declared again",
+    ),
+    (
+        ("workflow", 1, "file_deps"),
+        [{"data_id": "d", "size_MB": 5.0, "locations": ["zz"]}],
+        "dangling reference to endpoint 'zz'",
+    ),
+    (
+        ("workflow", 1, "file_deps"),
+        [{"data_id": "d", "size_MB": -3.0, "locations": ["a"]}],
+        "'size_MB'",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "path, value, field",
-    BAD_NUMBERS + BAD_SHAPES,
-    ids=[f"{p[-1]}={v!r}" for p, v, _ in BAD_NUMBERS + BAD_SHAPES],
+    BAD_NUMBERS + BAD_SHAPES + BAD_REFERENCES,
+    ids=[f"{p[-1]}={v!r}" for p, v, _ in BAD_NUMBERS + BAD_SHAPES + BAD_REFERENCES],
 )
 def test_bad_number_is_rejected_at_load(path, value, field, tmp_path):
     d = doc_with(path, value)

@@ -1,5 +1,6 @@
-"""Runs end, ticks live exactly as long as work is queued, and a task that
-stops releases what it holds.
+"""Runs end, ticks live exactly as long as work is queued, profilers refit
+at every refresh boundary the run passes, and a task that stops releases
+what it holds.
 
 Every run here is bounded in events, so a run that would spin forever fails
 instead of hanging the suite.
@@ -10,12 +11,13 @@ import logging
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedflow.builtins import BUILTIN_NAMES, generate_builtin_scenario
 from fedflow.dag import TaskState
 from fedflow.endpoints import CapacityEvent
 from fedflow.engine import DeadlockError, Simulation
-from fedflow.scenario import scenario_from_dict
+from fedflow.scenario import ScenarioError, scenario_from_dict
 
 SEED = 7
 MAX_EVENTS = 50_000
@@ -23,22 +25,28 @@ MAX_EVENTS = 50_000
 
 class BoundedSimulation(Simulation):
     """Fails once it has handled `MAX_EVENTS` events, and records every
-    refresh tick, task completion and task outcome."""
+    event handled and profiler refresh, in order, with the clock at each,
+    and every task completion and task outcome."""
 
     def __init__(self, *args, **kwargs):
-        self.refresh_ticks = []
+        self.timeline = []  # ("event" | "exec" | "xfer", clock)
         self.completions = []
         self.outcomes = []  # (task_id, endpoint, success), one per attempt
         super().__init__(*args, **kwargs)
+        for name, profiler in (("exec", self.exec_profiler), ("xfer", self.transfer_profiler)):
+            profiler.refresh = self._logged(name, profiler.refresh)
+
+    def _logged(self, name, callback):
+        def logged(*args):
+            self.timeline.append((name, self.clock))
+            return callback(*args)
+
+        return logged
 
     def schedule(self, when, kind, payload):
         if self.metrics.event_count > MAX_EVENTS:
             pytest.fail(f"no end after {MAX_EVENTS} events (t={self.clock:.0f} s)")
-        super().schedule(when, kind, payload)
-
-    def _on_refresh_tick(self):
-        self.refresh_ticks.append(self.clock)
-        super()._on_refresh_tick()
+        super().schedule(when, kind, (self._logged("event", payload[0]), *payload[1:]))
 
     def _on_task_complete(self, task_id, exec_time):
         self.completions.append(self.clock)
@@ -47,6 +55,26 @@ class BoundedSimulation(Simulation):
     def _record_task_outcome(self, task_id, endpoint_id, success, exec_time=0.0):
         self.outcomes.append((task_id, endpoint_id, success))
         super()._record_task_outcome(task_id, endpoint_id, success, exec_time)
+
+
+def check_refits(sim):
+    """No event runs past a refresh boundary, a multiple of
+    `refresh_tick_s`, unless both profilers have refreshed past that
+    boundary, and a refresh comes only when the clock first passes one."""
+    period = sim.scenario.defaults.refresh_tick_s
+    boundary = period  # the first boundary no event has run past
+    refreshed = {"exec": -1.0, "xfer": -1.0}
+    for what, clock in sim.timeline:
+        if what != "event":
+            assert clock > boundary, f"{what} refresh at {clock} s passes no boundary"
+            refreshed[what] = clock
+            continue
+        passed = None
+        while boundary < clock:
+            passed = boundary
+            boundary += period
+        if passed is not None:
+            assert min(refreshed.values()) > passed, f"event at {clock} s, no refit past {passed} s"
 
 
 def lossy(name, scale, **defaults):
@@ -76,18 +104,23 @@ def test_every_builtin_ends_under_every_scheduler(name, scheduler):
         return
     metrics = sim.run()
     assert sim.finished and metrics.tasks_failed == 0
+    check_refits(sim)
     if name.startswith("dynamic") and scheduler == "dha":
         assert metrics.pass_scores > 0
 
 
 def test_refresh_ticks_run_until_the_last_task_completes():
     # With a 30 s poll interval, results wait in queued RESULT_OBSERVED
-    # events while no worker is busy and no transfer is open.
+    # events while no worker is busy and no transfer is open; the profilers
+    # still refit at every boundary up to the last event.
     sc = generate_builtin_scenario("montage-like", 0.02)
     sc.network = dataclasses.replace(sc.network, poll_interval_s=30.0)
     sim = BoundedSimulation(sc, scheduler_kind="dha", seed=SEED)
     sim.run()
-    assert sim.refresh_ticks[-1] >= max(sim.completions)
+    check_refits(sim)
+    last_event = max(clock for what, clock in sim.timeline if what == "event")
+    assert last_event > max(sim.completions) + sc.defaults.refresh_tick_s
+    assert max(clock for what, clock in sim.timeline if what == "exec") > max(sim.completions)
 
 
 def test_elastic_run_with_unrunnable_tasks_ends(quiet):
@@ -239,3 +272,96 @@ def test_elastic_run_lives_until_an_idle_pool_releases_its_workers():
     assert metrics.tasks_failed == 0
     assert metrics.makespan == pytest.approx(71.0)
     assert sim.completions[-1] > 50.0  # a ran its tasks after b idled out
+
+
+ENDPOINTS = ("a", "b")
+
+
+@st.composite
+def workflow_documents(draw):
+    """Small scenario documents: 1-25 tasks listed in any id order, each
+    submitted at one of a few times, with deps on other tasks and optional
+    inline data declarations; one capacity change, possibly to 0 workers,
+    and `elastic` on or off. In about half of them a task may depend on any
+    task, which mostly fails to load; in the rest only on tasks listed
+    before it, which loads unless a dep is submitted later."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True))
+    any_order = draw(st.booleans())
+    # Each item has one declaration that most entries repeat; the rest may
+    # contradict it.
+    items = {
+        "x": {"data_id": "x", "size_MB": 5.0, "locations": ["a"]},
+        "y": {"data_id": "y", "size_MB": 50.0, "locations": ["b", "a"]},
+    }
+    declaration = st.fixed_dictionaries({
+        "data_id": st.sampled_from(list(items)),
+        "size_MB": st.sampled_from([0.0, 5.0, 50.0]),
+        "locations": st.lists(st.sampled_from(ENDPOINTS), min_size=1, unique=True),
+    })
+    declared = []
+    workflow = []
+    for i, tid in enumerate(ids):
+        file_deps = []
+        for form in draw(st.lists(st.sampled_from(["ref", "repeat", "repeat", "any"]), max_size=2)):
+            if form == "ref" and declared:
+                file_deps.append(draw(st.sampled_from(declared)))
+                continue
+            fd = draw(declaration) if form == "any" else draw(st.sampled_from(list(items.values())))
+            declared.append(fd["data_id"])
+            file_deps.append(fd)
+        others = ids if any_order else ids[:i]
+        workflow.append({
+            "id": tid,
+            "function": draw(st.sampled_from(["f", "g"])),
+            "deps": draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+            if others else [],
+            "file_deps": file_deps,
+            "submit_time_s": draw(st.sampled_from([0.0, 3.0, 10.0])),
+        })
+    event = {
+        "time_s": draw(st.sampled_from([0.0, 2.0, 7.0])),
+        "delta_workers": draw(st.sampled_from([-10_000, -1, 2])),
+    }
+    changed = draw(st.sampled_from(ENDPOINTS))
+    return {
+        "name": "generated",
+        "endpoints": [
+            {
+                "endpoint_id": ep,
+                "workers_per_node": 2,
+                "max_nodes": 2,
+                "initial_nodes": draw(st.integers(0, 1)),
+                "idle_timeout_s": 5.0,
+                "capacity_trace": [event] if ep == changed else [],
+            }
+            for ep in ENDPOINTS
+        ],
+        "network": {"default": {"bandwidth_MBps": 10.0, "latency_s": 0.1}},
+        "functions": [
+            {"name": "f", "true_fixed_s": 2.0, "output_ratio": 0.5},
+            {"name": "g", "true_fixed_s": 0.5, "true_rate_s_per_MB": 0.1, "noise": 0.2},
+        ],
+        "workflow": workflow,
+        "defaults": {"elastic": draw(st.booleans())},
+    }
+
+
+@settings(max_examples=150)
+@given(workflow_documents())
+def test_a_scenario_that_loads_runs_to_an_end_under_every_scheduler(doc):
+    # A document is rejected at load, or each run ends with every task in a
+    # terminal state or with a deadlock; any other exception is a fault.
+    try:
+        sc = scenario_from_dict(doc)
+    except ScenarioError:
+        return
+    for scheduler in ("capacity", "locality", "dha"):
+        sim = BoundedSimulation(sc, scheduler_kind=scheduler, seed=SEED)
+        try:
+            sim.run()
+        except DeadlockError:
+            pass
+        else:
+            assert sim.finished and len(sim.dag.nodes) == len(sc.workflow)
+            assert all(node.terminal for node in sim.dag.nodes.values())
+        check_refits(sim)
