@@ -543,17 +543,15 @@ class Simulation:
 
     def _ticks_can_help(self) -> bool:
         """Whether the scale tick can still lead to forward progress, and
-        so re-arms: while other work is queued, or, in an elastic run, while
-        the next tick would grow a pool or a pool with workers has no
-        running or waiting work and so can still idle out. Without this
-        guard a stuck run would re-arm its tick forever instead of draining
-        the queue and raising a deadlock; after the last task, the tick
-        lives on while a pool still has workers to release.
+        so re-arms: while other work is queued, or while the next tick would
+        grow a pool or a pool with workers has no running or waiting work
+        and so can still idle out. Only an elastic run queues a scale tick.
+        Without this guard a stuck run would re-arm its tick forever instead
+        of draining the queue and raising a deadlock; after the last task,
+        the tick lives on while a pool still has workers to release.
         """
         if self._work_queued():
             return True
-        if not self.scenario.defaults.elastic:
-            return False
         decisions = scale_decision(self.clock, self.endpoints, self._pending_count())
         return any(delta > 0 for _, delta in decisions) or any(
             ep.active_workers > 0 and ep.busy_workers == 0 and ep.waiting_work == 0

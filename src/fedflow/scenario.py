@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -31,15 +31,6 @@ MB = 1_000_000
 DEPRECATED_DEFAULTS = (
     "batch_size", "file_transfer_type", "poll_interval_s", "sched_time_factor"
 )
-
-# `defaults` keys that hold integers, with the least value each may take
-# (None: any).
-_INT_DEFAULTS = {
-    "seed": None,
-    "max_transfer_retries": 0,
-    "max_task_attempts": 0,
-    "transfer_concurrency": 1,
-}
 
 _INT_ONLY = {int}
 
@@ -88,13 +79,16 @@ class NetworkSpec:
         raise ScenarioError(f"network: missing network pair {src}->{dst}")
 
 
+# Each value is checked at load by the kind its field declares
+# (`_checked_defaults`); an int field's "least" metadata is the least value
+# it may take.
 @dataclass(frozen=True)
 class Defaults:
     scheduler: str = "dha"
     seed: int = 0
-    max_transfer_retries: int = 3
-    max_task_attempts: int = 0  # 0: one attempt per endpoint
-    transfer_concurrency: int = 4
+    max_transfer_retries: int = field(default=3, metadata={"least": 0})
+    max_task_attempts: int = field(default=0, metadata={"least": 0})  # 0: one attempt per endpoint
+    transfer_concurrency: int = field(default=4, metadata={"least": 1})
     transfer_failure_rate: float = 0.0
     elastic: bool = False
     scale_tick_s: float = 1.0
@@ -202,42 +196,34 @@ def _declared_data(fd: dict, did, m: int, seen_eps: set) -> DataSpec:
     return DataSpec(did, size, tuple(locations))
 
 
-def _raise_bad_dep(doc: dict, m: int, tid: int, deps, seen_tasks: set):
-    """Raise the error for the first of `deps`, the integer deps of
-    `workflow[m]`, that is not an earlier task."""
-    where = f"workflow[{m}]"
-    for d in deps:
-        if d == tid:
-            raise ScenarioError(f"{where}: cycle in workflow (task {tid} depends on itself)")
-        if d not in seen_tasks:
-            all_ids = {
-                _int(t["id"], "id", f"workflow[{k}]")
-                for k, t in enumerate(doc["workflow"])
-                if isinstance(t, dict) and "id" in t
-            }
-            if d in all_ids:
-                raise ScenarioError(
-                    f"{where}: cycle in workflow (task {tid} depends on later task {d})"
-                )
-            raise ScenarioError(f"{where}: dangling reference to task {d}")
-
-
-def _check_dep_order(workflow: list):
+def _check_deps(workflow: list):
     """Raise the error for the first task of `workflow`, in file order, with
-    a dep that is not submitted before it, if there is one: tasks are
-    submitted in (submit_time_s, id) order."""
+    a dep that is not a task submitted before it, if there is one. Tasks are
+    submitted in (submit_time_s, id) order, so this one rule keeps every
+    accepted workflow acyclic."""
     order = {t.id: (t.submit_time_s, t.id) for t in workflow}
     for m, t in enumerate(workflow):
         for d in t.deps:
-            if order[d] > order[t.id]:
+            if d not in order:
+                raise ScenarioError(f"workflow[{m}]: dangling reference to task {d}")
+            if order[d] >= order[t.id]:
                 raise ScenarioError(
                     f"workflow[{m}]: task {t.id} depends on task {d}, which is not"
                     " submitted before it (tasks are submitted in (submit_time_s, id) order)"
                 )
 
 
+def _link(obj: dict, where: str) -> LinkSpec:
+    """The link that `obj`, `network.default` or a `network.pairs` entry,
+    declares."""
+    bandwidth = _nonneg(obj.get("bandwidth_MBps"), "bandwidth_MBps", where)
+    if bandwidth == 0:
+        raise ScenarioError(f"{where}: bandwidth must be positive")
+    return LinkSpec(bandwidth, _nonneg(obj.get("latency_s", 0.0), "latency_s", where))
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    name = _object(doc, "scenario").get("name", "scenario")
+    name = _id(_object(doc, "scenario").get("name", "scenario"), "name", "scenario")
 
     endpoints = []
     traces: dict = {}
@@ -284,13 +270,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     net = _object(doc.get("network", {}), "network")
     default = None
     if "default" in net:
-        d = _object(net["default"], "network.default")
-        default = LinkSpec(
-            bandwidth_MBps=_nonneg(d.get("bandwidth_MBps"), "bandwidth_MBps", "network.default"),
-            latency_s=_nonneg(d.get("latency_s", 0.0), "latency_s", "network.default"),
-        )
-        if default.bandwidth_MBps == 0:
-            raise ScenarioError("network.default: bandwidth must be positive")
+        default = _link(_object(net["default"], "network.default"), "network.default")
     pairs = {}
     for j, p in enumerate(_list(net.get("pairs", []), "pairs", "network")):
         where = f"network.pairs[{j}]"
@@ -299,13 +279,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         for ep in (src, dst):
             if ep not in seen_eps:
                 raise ScenarioError(f"{where}: dangling reference to endpoint '{ep}'")
-        bw = _nonneg(p.get("bandwidth_MBps"), "bandwidth_MBps", where)
-        if bw == 0:
-            raise ScenarioError(f"{where}: bandwidth must be positive")
-        pairs[(src, dst)] = LinkSpec(
-            bandwidth_MBps=bw,
-            latency_s=_nonneg(p.get("latency_s", 0.0), "latency_s", where),
-        )
+        pairs[(src, dst)] = _link(p, where)
     client = _object(net.get("client", {}), "network.client")
     network = NetworkSpec(
         default=default,
@@ -355,8 +329,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     data: dict = {}
     workflow: list = []
     seen_tasks: set = set()
-    # Whether the entries so far are in (submit_time_s, id) order; in such
-    # a file a dep that comes earlier is also submitted earlier.
+    # Whether the entries so far are in (submit_time_s, id) order and each
+    # of their deps is an earlier entry, and so submitted earlier; if not,
+    # `_check_deps` checks every dep after the loop.
     in_order = True
     last_submit = last_tid = -1
     # A scenario has one entry per task, so each check tests the common
@@ -384,7 +359,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if not set(map(type, deps)) <= _INT_ONLY:
                 deps = [_int(d, "deps", f"workflow[{m}]") for d in deps]
             if not seen_tasks.issuperset(deps):
-                _raise_bad_dep(doc, m, tid, deps, seen_tasks)
+                in_order = False
         deps = tuple(deps)
         fds = entry.get("file_deps", ())
         if type(fds) is not list and fds != ():
@@ -430,7 +405,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         workflow.append(TaskSpec(tid, fname, deps, tuple(file_deps), inline, submit))
         seen_tasks.add(tid)
     if not in_order:
-        _check_dep_order(workflow)
+        _check_deps(workflow)
 
     defaults_doc = dict(_object(doc.get("defaults", {}), "defaults"))
     deprecated = {k: defaults_doc.pop(k) for k in DEPRECATED_DEFAULTS if k in defaults_doc}
@@ -464,25 +439,33 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def _checked_defaults(defaults: Defaults) -> Defaults:
-    """`defaults` with its integer keys as ints, if every value is in bounds."""
-    if defaults.scheduler not in STRATEGIES:
-        raise ScenarioError(f"defaults.scheduler: unknown scheduler '{defaults.scheduler}'")
+    """`defaults` with its integer keys as ints, if every value has the kind
+    its field declares and is in bounds."""
     ints = {}
-    for key, least in _INT_DEFAULTS.items():
-        value = ints[key] = _int(getattr(defaults, key), key, "defaults")
-        if least is not None and value < least:
-            raise ScenarioError(f"defaults: '{key}' must be at least {least} ({value})")
-    defaults = replace(defaults, **ints)
-    for key in ("scale_tick_s", "refresh_tick_s", "reschedule_period_s", "mock_sync_lag_s"):
-        _nonneg(getattr(defaults, key), key, "defaults")
+    for f in fields(Defaults):
+        key = f.name
+        value = getattr(defaults, key)
+        if f.type == "str":
+            if type(value) is not str or value not in STRATEGIES:
+                raise ScenarioError(f"defaults.{key}: unknown scheduler '{value}'")
+        elif f.type == "bool":
+            if type(value) is not bool:
+                raise ScenarioError(f"defaults: '{key}' must be true or false ({value!r})")
+        elif f.type == "int":
+            value = ints[key] = _int(value, key, "defaults")
+            least = f.metadata.get("least")
+            if least is not None and value < least:
+                raise ScenarioError(f"defaults: '{key}' must be at least {least} ({value})")
+        else:
+            _nonneg(value, key, "defaults")
     # A scale tick re-arms itself one period on, and a refresh boundary
     # advances one period at a time, so a period of 0 never advances either.
     for key in ("scale_tick_s", "refresh_tick_s"):
         if getattr(defaults, key) == 0:
             raise ScenarioError(f"defaults: '{key}' must be positive")
-    if _nonneg(defaults.transfer_failure_rate, "transfer_failure_rate", "defaults") > 1:
+    if defaults.transfer_failure_rate > 1:
         raise ScenarioError("defaults: 'transfer_failure_rate' must be in [0, 1]")
-    return defaults
+    return replace(defaults, **ints)
 
 
 def apply_overrides(sc: Scenario, poll_interval_s=None, **defaults):

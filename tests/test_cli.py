@@ -70,6 +70,16 @@ class TestRun:
         assert result.exit_code == 1
         assert "dangling reference" in result.output
 
+    def test_scheduler_of_another_kind_exits_1(self, runner, tmp_path):
+        # A list here escaped as a TypeError traceback.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SMALL, defaults={"scheduler": []})))
+        result = runner.invoke(
+            main, ["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("error: defaults.scheduler")
+
     def test_deadlock_exits_2(self, runner, tmp_path):
         doc = dict(
             SMALL,

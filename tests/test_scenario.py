@@ -9,7 +9,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from fedflow.builtins import generate_builtin_scenario
+from fedflow.builtins import BUILTIN_NAMES, generate_builtin_scenario
 from fedflow.cli import main
 from fedflow.engine import Simulation
 from fedflow.scenario import (
@@ -160,12 +160,12 @@ class TestDiagnostics:
     def test_self_cycle(self):
         d = doc()
         d["workflow"][1]["deps"] = [1]
-        self.named(d, "cycle in workflow")
+        self.named(d, re.escape("workflow[1]: task 1 depends on task 1, which is not submitted"))
 
     def test_forward_cycle(self):
         d = doc()
         d["workflow"][0]["deps"] = [1]
-        self.named(d, "cycle in workflow")
+        self.named(d, re.escape("workflow[0]: task 0 depends on task 1, which is not submitted"))
 
     def test_dangling_task(self):
         d = doc()
@@ -244,6 +244,35 @@ class TestDiagnostics:
             {"id": 9, "function": "f", "deps": [5, 2], "submit_time_s": 3.0},
         ]
         assert [t.id for t in scenario_from_dict(d).workflow] == [2, 5, 9]
+
+    def test_a_dep_listed_after_its_task_loads_when_submitted_first(self, tmp_path):
+        # Each task depends on the two listed after it, which have greater
+        # ids and are submitted earlier; each declares its own input.
+        listed = [
+            {
+                "id": k,
+                "function": "f",
+                "deps": [j for j in (k + 1, k + 2) if j < 6],
+                "file_deps": [
+                    {"data_id": f"d{k}", "size_MB": 10.0 * k, "locations": ["ab"[k % 2]]}
+                ],
+                "submit_time_s": 2.0 * (5 - k),
+            }
+            for k in range(6)
+        ]
+        d = doc_with(("workflow",), listed)
+        twin = doc_with(
+            ("workflow",), sorted(listed, key=lambda t: (t["submit_time_s"], t["id"]))
+        )
+        sc = scenario_from_dict(d)
+        assert sc == scenario_from_dict(twin)
+        for scheduler in ("capacity", "locality", "dha"):
+            csvs = []
+            for n, scenario in enumerate((sc, scenario_from_dict(twin))):
+                out = tmp_path / f"{scheduler}-{n}"
+                Simulation(scenario, scheduler_kind=scheduler, seed=3).run().emit(out)
+                csvs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert csvs[0] == csvs[1]
 
     def test_repeated_declaration_loads(self):
         d = doc()
@@ -332,18 +361,37 @@ BAD_SHAPES = [
     (("endpoints", 0, "endpoint_id"), ["a"], "'endpoint_id'"),
     (("functions", 0, "name"), ["f"], "'name'"),
     (("network", "pairs"), [{"src": ["a"], "dst": "b", "bandwidth_MBps": 1.0}], "'src'"),
+    # This one loaded as given, and `fedflow run` printed it as a list.
+    (("name",), ["x"], "'name'"),
     # Only a missing key, null or {} means no hint.
     (("functions", 0, "cost_hint"), 0, "functions[0].cost_hint: must be an object"),
     (("functions", 0, "cost_hint"), False, "functions[0].cost_hint: must be an object"),
     (("functions", 0, "cost_hint"), "", "functions[0].cost_hint: must be an object"),
     (("functions", 0, "cost_hint"), [], "functions[0].cost_hint: must be an object"),
+    # A `defaults` value takes the kind its field declares. The first four
+    # loaded as given, so "no" turned elasticity on; the two schedulers
+    # after them escaped as a TypeError. The last keeps its message.
+    (("defaults", "elastic"), "no", "'elastic'"),
+    (("defaults", "elastic"), 0, "'elastic'"),
+    (("defaults", "elastic"), None, "'elastic'"),
+    (("defaults", "probe_at_init"), "false", "'probe_at_init'"),
+    (("defaults", "scheduler"), [], "defaults.scheduler"),
+    (("defaults", "scheduler"), {}, "defaults.scheduler"),
+    (("defaults", "scheduler"), 7, "defaults.scheduler: unknown scheduler '7'"),
 ]
 
 
 # The same for a dep that is not submitted before its task, which loaded
 # and then crashed every run with a KeyError, and for a data item declared
 # again with another size or other locations, which loaded as declared first.
+# A dangling dep is named whether or not the file is in submission order.
 BAD_REFERENCES = [
+    (("workflow", 1, "deps"), [0, 99], "workflow[1]: dangling reference to task 99"),
+    (
+        ("workflow",),
+        [{"id": 7, "function": "f"}, {"id": 5, "function": "f", "deps": [9]}],
+        "workflow[1]: dangling reference to task 9",
+    ),
     (("workflow", 0, "submit_time_s"), 10.0, "workflow[1]: task 1 depends on task 0"),
     (
         ("workflow",),
@@ -496,6 +544,16 @@ class TestBuiltins:
         sc = generate_builtin_scenario(name, scale)
         # Validates again after serialization.
         assert scenario_from_dict(scenario_to_dict(sc)).name == sc.name
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_load_without_the_full_dep_check(self, name, monkeypatch):
+        # A builtin, and a file `fedflow gen` writes, lists its tasks in
+        # submission order, so its load pays nothing for the dep rule.
+        def full_check(workflow):
+            raise AssertionError("_check_deps called")
+
+        monkeypatch.setattr("fedflow.scenario._check_deps", full_check)
+        scenario_from_dict(scenario_to_dict(generate_builtin_scenario(name, 1.0)))
 
     def test_reference_task_counts(self):
         from fedflow.builtins import generate_builtin_scenario
