@@ -1,6 +1,9 @@
 """Data items, replica tracking, and staging: which inputs move to an
 endpoint and from which replica, their transfers with retry, and what moving
-them costs, all read from one rule (`DataManager._source`).
+them costs, all read from one rule. `DataManager._source` is that rule;
+`staging_estimate`, which DHA calls for each candidate it stages, applies it
+inline, and `TestOneRule` in tests/test_data_manager.py pins the two to
+each other.
 
 At most one transfer job is open (waiting or active) per item and
 destination, and every task that needs the item there waits on that job.
@@ -144,20 +147,35 @@ class DataManager:
         wait on that job. Any other moved input adds its predicted transfer,
         and, when its link has every slot busy, its share of the link's
         queue: the predicted seconds of the WAITING jobs over the cap.
+
+        The `_source` rule is applied inline, in its order: an item with no
+        replica raises before its open jobs are looked at.
         """
         items = self.items
-        link = self.transfer_profiler.link
+        order = self.endpoint_order
+        links = self.transfer_profiler.links
         active = self._active
         cap = self.concurrency_cap
         total = 0.0
         for data_id in file_deps:
             item = items[data_id]
-            src = self._source(item, target)
-            if src is None or target in item.inbound:
+            size = item.size
+            locations = item.locations
+            if target in locations or size == 0:
                 continue
-            latency, bandwidth = link(src, target)
-            total += latency + item.size / bandwidth
+            for src in order:
+                if src in locations:
+                    break
+            else:
+                raise DataError(f"{data_id}: no replica available")
+            if target in item.inbound:
+                continue
             pair = (src, target)
+            try:
+                latency, bandwidth = links[pair]
+            except KeyError:  # `link` raises the profiler's error for it
+                latency, bandwidth = self.transfer_profiler.link(src, target)
+            total += latency + size / bandwidth
             if active.get(pair, 0) >= cap:
                 count = len(self._waiting[pair])
                 total += (count * latency + self._waiting_bytes[pair] / bandwidth) / cap

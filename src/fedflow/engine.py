@@ -28,7 +28,7 @@ from .profilers import (
     TransferProfiler,
 )
 from .scenario import MB, Scenario
-from .scheduling import STRATEGIES, idle_estimate, reassignment_endpoint
+from .scheduling import STRATEGIES, reassignment_endpoint
 
 logger = logging.getLogger(__name__)
 
@@ -147,9 +147,6 @@ class Simulation:
 
     # -- construction ------------------------------------------------------
 
-    def endpoint_by_id(self, endpoint_id: str) -> EndpointModel:
-        return self._by_id[endpoint_id]
-
     def _build_initial_events(self):
         sc = self.scenario
         for did, d in sc.data.items():
@@ -234,38 +231,40 @@ class Simulation:
     def staging_time_estimate(self, task_id: int, endpoint_id: str) -> float:
         return self.data.staging_estimate(self.dag.nodes[task_id].file_deps, endpoint_id)
 
-    def idle_terms(self, endpoint_id: str) -> tuple:
-        """The terms of the endpoint's idle estimate, for `idle_estimate`:
-        (idle workers less waiting work, when the first running task is
-        predicted to finish but not before now, predicted backlog seconds,
-        active workers)."""
-        ep = self._by_id[endpoint_id]
-        clock = self.clock
-        if ep.active_workers == 0:
-            return (0, clock if self.scenario.defaults.elastic else math.inf, 0.0, 0)
-        heap = ep.finish_heap
-        # A task runs at most once (only staging fails), so an entry whose
-        # task is no longer RUNNING is stale.
-        while heap and self.dag.nodes[heap[0][1]].state is not _RUNNING:
-            heapq.heappop(heap)
-        first = heap[0][0] if heap else clock
-        return (
-            ep.idle_workers - ep.waiting_work,
-            first if first > clock else clock,
-            ep.backlog_s,
-            ep.active_workers,
-        )
-
-    def earliest_idle_estimate(self, endpoint_id: str) -> float:
+    def earliest_idle_estimate(self, endpoint_id: str,
+                               left_out_s: Optional[float] = None) -> float:
         """When the endpoint is next expected to have an idle worker.
 
-        Uses the proxy's live counts plus predicted remaining runtimes; the
-        backlog of queued and staged-but-undispatched work is spread evenly
-        over the pool. An endpoint with zero workers is available now when
-        the scenario is elastic, on the assumption that elasticity will
-        provision it, and never otherwise.
+        Uses the proxy's live counts plus predicted remaining runtimes: now,
+        while idle workers outnumber the waiting work (tasks committed or
+        queued there); otherwise when the first running task is predicted
+        to finish, but not before now, plus the backlog of work not running
+        yet spread evenly over the pool. With `left_out_s`, one committed
+        task whose backlog is `left_out_s` seconds is left out of the
+        waiting work and the backlog. An endpoint with zero workers is
+        available now when the scenario is elastic, on the assumption that
+        elasticity will provision it, and never otherwise.
         """
-        return idle_estimate(self.clock, self.idle_terms(endpoint_id))
+        ep = self._by_id[endpoint_id]
+        clock = self.clock
+        workers = ep.active_workers
+        if not workers:
+            return clock if self.scenario.defaults.elastic else math.inf
+        spare = workers - ep.busy_workers - len(ep.committed) - len(ep.queued)
+        backlog_s = ep.backlog_s
+        if left_out_s is not None:
+            spare += 1
+            backlog_s -= left_out_s
+        if spare > 0:
+            return clock
+        heap = ep.finish_heap
+        nodes = self.dag.nodes
+        # A task runs at most once (only staging fails), so an entry whose
+        # task is no longer RUNNING is stale.
+        while heap and nodes[heap[0][1]].state is not _RUNNING:
+            heapq.heappop(heap)
+        first = heap[0][0] if heap else clock
+        return (first if first > clock else clock) + backlog_s / workers
 
     # -- task graph construction ------------------------------------------
 

@@ -244,7 +244,9 @@ class TransferProfiler:
         # (src, dst) -> the moments of its observed (size, duration) points
         self._observations: dict = defaultdict(_Moments)
         self._dirty: set = set()  # pairs observed since the last refit
-        self._fits: dict = {}
+        # (src, dst) -> (latency_s, bandwidth_Bps) that queries read: the
+        # pair's fit as of the last refresh, its fallback until it has one.
+        self.links: dict = dict(self.fallback)
 
     @property
     def _stale(self) -> bool:
@@ -261,20 +263,19 @@ class TransferProfiler:
         for pair in self._dirty:
             intercept, slope = self._observations[pair].fit()
             if slope > 0:
-                self._fits[pair] = (max(intercept, 0.0), 1.0 / slope)
+                self.links[pair] = (max(intercept, 0.0), 1.0 / slope)
             elif pair in self.fallback:
-                self._fits[pair] = self.fallback[pair]
+                self.links[pair] = self.fallback[pair]
         self._dirty.clear()
 
     def needs_probe(self, src: str, dst: str) -> bool:
         return (src, dst) not in self._observations
 
     def link(self, src: str, dst: str) -> tuple:
-        if (src, dst) in self._fits:
-            return self._fits[(src, dst)]
-        if (src, dst) in self.fallback:
-            return self.fallback[(src, dst)]
-        raise ProfilerError(f"no transfer model or fallback for {src}->{dst}")
+        try:
+            return self.links[(src, dst)]
+        except KeyError:
+            raise ProfilerError(f"no transfer model or fallback for {src}->{dst}") from None
 
     def predict_transfer(self, src: str, dst: str, size: int) -> float:
         if src == dst:

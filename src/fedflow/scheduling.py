@@ -109,22 +109,6 @@ def earliest_finish_time(
     return max(clock + staging_time, earliest_idle) + exec_time
 
 
-def idle_estimate(clock: float, terms: tuple, left_out_s: Optional[float] = None) -> float:
-    """When an endpoint is next expected to have an idle worker, from the
-    terms `Simulation.idle_terms` reads. With `left_out_s`, one committed
-    task whose backlog is `left_out_s` seconds is left out of the waiting
-    work and the backlog."""
-    spare, start, backlog_s, workers = terms
-    if not workers:
-        return start
-    if left_out_s is not None:
-        spare += 1
-        backlog_s -= left_out_s
-    if spare > 0:
-        return clock
-    return start + backlog_s / workers
-
-
 def reassignment_endpoint(
     attempt_count: int,
     failed_endpoints: set,
@@ -280,9 +264,9 @@ class DhaStrategy(BaseStrategy):
     def __init__(self, sim):
         super().__init__(sim)
         self.priorities: dict = {}
-        self.delay_queues: dict = {}  # endpoint_id -> heap of (-priority, tid)
-        # Per incumbent, every other endpoint: candidates to steal a task.
         order = sim.endpoint_order
+        self.delay_queues = {ep: [] for ep in order}  # endpoint_id -> heap of (-priority, tid)
+        # Per incumbent, every other endpoint: candidates to steal a task.
         self._others = {ep: tuple(e for e in order if e != ep) for ep in order}
         # The committed tasks by decision class, kept up to date from the
         # changes the engine and the data manager record (`_flush`), each
@@ -340,8 +324,9 @@ class DhaStrategy(BaseStrategy):
         """
         sim = self.sim
         clock = sim.clock
-        task_id = node.task_id
-        row = sim.exec_row(task_id)
+        file_deps = node.file_deps
+        staging_estimate = sim.data.staging_estimate
+        row = sim.exec_row(node.task_id)
         for ep_id in candidates:
             ready = idle.get(ep_id)
             if ready is None:
@@ -349,9 +334,9 @@ class DhaStrategy(BaseStrategy):
             exec_s = row[ep_id]
             if best_ep is not None and (ready if ready > clock else clock) + exec_s >= best_eft:
                 continue
-            eft = earliest_finish_time(
-                clock, sim.staging_time_estimate(task_id, ep_id), ready, exec_s
-            )
+            # `earliest_finish_time` inline (`max` keeps its first argument on a tie)
+            staged = clock + staging_estimate(file_deps, ep_id)
+            eft = (staged if staged >= ready else ready) + exec_s
             if best_ep is None or eft < best_eft:
                 best_ep, best_eft = ep_id, eft
         return best_ep
@@ -369,7 +354,7 @@ class DhaStrategy(BaseStrategy):
         # changes the committed work, backlog and workers of its target only
         # (a first placement has no incumbent).
         idle: dict = {}
-        for tid in sorted(task_ids, key=lambda t: (-priorities.get(t, 0.0), t)):
+        for _, tid in sorted([(-priorities.get(t, 0.0), t) for t in task_ids]):
             target = self.select_endpoint(tid, idle)
             sim.assign(tid, target)
             sim.begin_staging(tid)
@@ -378,22 +363,19 @@ class DhaStrategy(BaseStrategy):
     # -- delayed dispatch --------------------------------------------------
 
     def on_staging_complete(self, task_id: int):
-        node = self.sim.dag.nodes[task_id]
-        ep = node.assigned_endpoint
-        heapq.heappush(
-            self.delay_queues.setdefault(ep, []),
-            (-self.priorities.get(task_id, 0.0), task_id),
-        )
+        ep = self.sim.dag.nodes[task_id].assigned_endpoint
+        heapq.heappush(self.delay_queues[ep], (-self.priorities.get(task_id, 0.0), task_id))
         self.delay_dispatch(ep)
 
     def delay_dispatch(self, endpoint_id: str):
         """Dispatch staged tasks, highest priority first, while workers idle."""
         sim = self.sim
-        ep = sim.endpoint_by_id(endpoint_id)
-        queue = self.delay_queues.get(endpoint_id, [])
-        while queue and ep.idle_workers > 0:
+        ep = sim._by_id[endpoint_id]
+        queue = self.delay_queues[endpoint_id]
+        nodes = sim.dag.nodes
+        while queue and ep.active_workers > ep.busy_workers:
             _, tid = heapq.heappop(queue)
-            node = sim.dag.nodes[tid]
+            node = nodes[tid]
             # Lazy deletion: skip entries invalidated by re-scheduling.
             if node.state is not _READY or node.assigned_endpoint != endpoint_id:
                 continue
@@ -547,13 +529,12 @@ class DhaStrategy(BaseStrategy):
         class_of = self._class_of
         clock = sim.clock
         moves = scores = 0
-        # One table of idle terms and one of estimates for the whole pass:
-        # the clock is fixed, and a move changes the committed work and
-        # backlog of its two endpoints only. The staging it finishes and
-        # the dispatches that follow land on the target too: its admitted
-        # jobs all go there, and an orphaned job finishes no task.
-        terms = {ep: sim.idle_terms(ep) for ep in sim.endpoint_order}
-        idle = {ep: idle_estimate(clock, t) for ep, t in terms.items()}
+        # One table of idle estimates for the whole pass: the clock is
+        # fixed, and a move changes the committed work and backlog of its
+        # two endpoints only. The staging it finishes and the dispatches
+        # that follow land on the target too: its admitted jobs all go
+        # there, and an orphaned job finishes no task.
+        idle = {ep: sim.earliest_idle_estimate(ep) for ep in sim.endpoint_order}
         heap = []
         for cls in classes.values():
             entry = cls.members[0]
@@ -574,8 +555,8 @@ class DhaStrategy(BaseStrategy):
             scores += 1
             eft = earliest_finish_time(
                 clock,
-                sim.staging_time_estimate(tid, incumbent),
-                idle_estimate(clock, terms[incumbent], node.backlog_s),
+                sim.data.staging_estimate(node.file_deps, incumbent),
+                sim.earliest_idle_estimate(incumbent, node.backlog_s),
                 sim.exec_row(tid)[incumbent],
             )
             best_ep = self._earliest_finishing(node, self._others[incumbent], idle, incumbent, eft)
@@ -583,8 +564,7 @@ class DhaStrategy(BaseStrategy):
                 continue
             sim.move_assignment(tid, best_ep)
             for ep in (incumbent, best_ep):
-                terms[ep] = sim.idle_terms(ep)
-                idle[ep] = idle_estimate(clock, terms[ep])
+                idle[ep] = sim.earliest_idle_estimate(ep)
             moves += 1
             # Classes the heap holds and the move left alone keep their next
             # member; every other class comes back at its next member after

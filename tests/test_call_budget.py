@@ -1,0 +1,56 @@
+"""A deterministic guard against per-task regressions: the Python and C
+function calls made during `Simulation.run()`, counted with `sys.setprofile`,
+stay under a ceiling pinned about 2% above the count measured when it was
+set.
+
+The count is the same from run to run and under any `PYTHONHASHSEED`, so a
+run past its ceiling has taken on more interpreter work per task, not noise.
+It does not see work done inside a C call or the garbage collector, so it
+stands beside the benchmark's wall time, never in its place. The counts
+belong to CPython 3.11, whose builtins and call paths they count. A change
+that adds work on purpose re-pins the ceiling it crosses, and says why.
+"""
+
+import sys
+
+import pytest
+
+from fedflow.builtins import generate_builtin_scenario
+from fedflow.engine import Simulation
+
+# (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
+# 7; the count when pinned, on CPython 3.11.7, is in the comment.
+CEILINGS = {
+    ("montage-like", 0.05, "dha"): 104_000,  # 101,972
+    ("drug-like", 0.05, "capacity"): 140_100,  # 137,324
+    ("dynamic-drug", 0.02, "dha"): 147_400,  # 144,459
+}
+
+
+def calls_during_run(sim) -> int:
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
+@pytest.mark.parametrize("case", CEILINGS, ids=lambda c: "-".join(map(str, c)))
+def test_calls_during_run_stay_under_the_ceiling(case):
+    name, scale, scheduler = case
+    sim = Simulation(generate_builtin_scenario(name, scale), scheduler_kind=scheduler, seed=7)
+    calls = calls_during_run(sim)
+    tasks = len(sim.dag.nodes)
+    assert calls <= CEILINGS[case], (
+        f"{calls:,} calls during run() ({calls / tasks:.1f} per task), "
+        f"over the ceiling of {CEILINGS[case]:,}"
+    )

@@ -351,3 +351,73 @@ class TestOneRule:
         for j in jobs:
             predicted += dm.transfer_profiler.predict_transfer(j.src, target, j.size)
         assert estimate == predicted
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_estimate_prices_the_jobs_stage_opens_on_loaded_links(self, data):
+        """Under a cap of 1, with other tasks' jobs already open: some
+        items on their way to some endpoints (their `inbound`), and filler
+        items that hold links and queue behind them. `staging_estimate` is
+        the `file_deps`-ordered sum, over the jobs `stage` then opens, of
+        `predict_transfer` plus, where the job's link had its one slot
+        busy, that link's queue share. An item with no replica makes both
+        raise `DataError`, whether or not a job to the target is open."""
+        order, items, file_deps, target = data.draw(placements())
+        dm = new_manager(order, concurrency_cap=1)
+        for data_id, size, where in items:
+            dm.register_item(data_id, size, where)
+        task = 100  # the other tasks' ids
+        for data_id, size, where in items:
+            for dst in sorted(data.draw(st.sets(st.sampled_from(order)))):
+                if size and dst not in where:
+                    dm.stage(task, [data_id], dst, 0.0)
+                    task += 1
+        links = st.tuples(st.sampled_from(order), st.sampled_from(order))
+        fillers = data.draw(st.lists(st.tuples(links, st.integers(1, 10**6)), max_size=6))
+        for k, ((src, dst), size) in enumerate(fillers):
+            if src != dst:
+                dm.register_item(f"f{k}", size, {src})
+                dm.stage(task, [f"f{k}"], dst, 0.0)
+                task += 1
+        lost = data.draw(st.sampled_from([None, "plain", "inbound"]))
+        if lost:
+            dm.register_item("lost", data.draw(st.integers(1, 10**6)))
+            if lost == "inbound":
+                dm._open_job("lost", order[0], target, dm.items["lost"].size, 0.0)
+            file_deps.insert(data.draw(st.integers(0, len(file_deps))), "lost")
+            with pytest.raises(DataError):
+                dm.staging_estimate(file_deps, target)
+            with pytest.raises(DataError):
+                dm.stage(0, file_deps, target, 0.0)
+            return
+        # Each link's (active jobs, waiting jobs, waiting bytes), from the
+        # job table, and each item's inbound, before `stage` adds to them.
+        queues = {}
+        for job in dm.jobs.values():
+            active, waiting, waiting_bytes = queues.get((job.src, job.dst), (0, 0, 0))
+            if job.state is JobState.ACTIVE:
+                active += 1
+            elif job.state is JobState.WAITING:
+                waiting, waiting_bytes = waiting + 1, waiting_bytes + job.size
+            queues[(job.src, job.dst)] = (active, waiting, waiting_bytes)
+        inbound = {d: dm.items[d].inbound for d in file_deps}
+        estimate = dm.staging_estimate(file_deps, target)
+        first_new = dm._next_job_id
+        jobs, _ = dm.stage(0, file_deps, target, 0.0)
+        opened = [j for j in jobs if j.job_id >= first_new]
+        expected = [
+            (d, next(ep for ep in order if ep in where))
+            for d in file_deps
+            for data_id, size, where in items
+            if d == data_id and size > 0 and target not in where | inbound[d]
+        ]
+        assert [(j.data_id, j.src) for j in opened] == expected
+        tp = dm.transfer_profiler
+        predicted = 0.0
+        for j in opened:
+            predicted += tp.predict_transfer(j.src, target, j.size)
+            active, waiting, waiting_bytes = queues.get((j.src, target), (0, 0, 0))
+            if active >= dm.concurrency_cap:
+                latency, bandwidth = tp.link(j.src, target)
+                predicted += (waiting * latency + waiting_bytes / bandwidth) / dm.concurrency_cap
+        assert estimate == predicted

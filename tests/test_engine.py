@@ -203,7 +203,7 @@ class TestDraw:
         sim.run()
         node = sim.dag.nodes[0]
         fn = node.function
-        base = sim.endpoint_by_id("b").spec.perf_factor * fn.true_seconds(node.input_bytes)
+        base = sim._by_id["b"].spec.perf_factor * fn.true_seconds(node.input_bytes)
         noise = [
             sim.sample_exec_duration(0, "b", attempt) / base - 1.0
             for attempt in range(20_000)

@@ -410,19 +410,26 @@ def assert_exec_fits(p, points):
 
 def assert_transfer_fits(tp, points, fallback):
     """Every observed pair's raw fit is the least-squares line of its points,
-    and its link is that fit when the slope is positive, else the fallback.
-    The branch is read from the moments' own fit, so a slope near 0 cannot
-    take one side in the profiler and the other in `_ols`."""
-    assert tp._observations.keys() == points.keys() == tp._fits.keys()
-    for pair, pts in points.items():
+    and its link is that fit when the slope is positive, else the fallback;
+    a pair never observed reads its fallback. The branch is read from the
+    moments' own fit, so a slope near 0 cannot take one side in the
+    profiler and the other in `_ols`."""
+    assert tp._observations.keys() == points.keys()
+    assert tp.links.keys() == fallback.keys() | points.keys()
+    for pair, link in tp.links.items():
+        assert tp.link(*pair) == link
+        if pair not in points:
+            assert link == fallback[pair]
+            continue
+        pts = points[pair]
         moments = tp._observations[pair]
         assert len(moments) == len(pts)
         intercept, slope = moments.fit()
         assert_fit_close((intercept, slope), pts)
         if slope > 0:
-            assert tp._fits[pair] == (max(intercept, 0.0), 1.0 / slope)
+            assert link == (max(intercept, 0.0), 1.0 / slope)
         else:
-            assert tp._fits[pair] == fallback[pair]
+            assert link == fallback[pair]
 
 
 class TestIncrementalRefit:

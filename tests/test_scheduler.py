@@ -25,7 +25,6 @@ from fedflow.scheduling import (
     capacity_partition,
     compute_priorities,
     earliest_finish_time,
-    idle_estimate,
     locality_select,
     reassignment_endpoint,
 )
@@ -158,7 +157,7 @@ def test_locality_picks_only_uncommitted_idle_workers(name, scale, monkeypatch):
     def checked_select(self, task_id):
         choice = select(self, task_id)
         if choice is not None:
-            ep = self.sim.endpoint_by_id(choice)
+            ep = self.sim._by_id[choice]
             picks.append(ep.idle_workers > len(ep.committed))
         return choice
 
@@ -177,9 +176,45 @@ class TestEarliestFinishTime:
         assert earliest_finish_time(10.0, 1.0, 20.0, 3.0) == 23.0
 
 
-# Idle terms (see `idle_estimate`) of an endpoint with an idle worker and no
-# waiting work, and of one whose single worker is predicted busy until t=10
-# with one more task waiting than it has idle workers.
+def idle_terms(sim, endpoint_id: str) -> tuple:
+    """The terms of an endpoint's idle estimate, read from the engine's
+    counts without changing them: (idle workers less waiting work, when the
+    first running task is predicted to finish but not before now, predicted
+    backlog seconds, active workers)."""
+    ep = sim._by_id[endpoint_id]
+    clock = sim.clock
+    if ep.active_workers == 0:
+        return (0, clock if sim.scenario.defaults.elastic else math.inf, 0.0, 0)
+    nodes = sim.dag.nodes
+    running = [f for f, tid in ep.finish_heap if nodes[tid].state is TaskState.RUNNING]
+    first = min(running, default=clock)
+    return (
+        ep.idle_workers - ep.waiting_work,
+        first if first > clock else clock,
+        ep.backlog_s,
+        ep.active_workers,
+    )
+
+
+def idle_from_terms(clock: float, terms: tuple, left_out_s=None) -> float:
+    """The idle rule over its terms, with one committed task whose backlog
+    is `left_out_s` seconds left out: the reference that
+    `Simulation.earliest_idle_estimate` is checked against, as
+    `reference_pass` is for the pass."""
+    spare, start, backlog_s, workers = terms
+    if not workers:
+        return start
+    if left_out_s is not None:
+        spare += 1
+        backlog_s -= left_out_s
+    if spare > 0:
+        return clock
+    return start + backlog_s / workers
+
+
+# Idle terms (see `idle_from_terms`) of an endpoint with an idle worker and
+# no waiting work, and of one whose single worker is predicted busy until
+# t=10 with one more task waiting than it has idle workers.
 IDLE_NOW = (1, 0.0, 0.0, 1)
 BUSY_TO_10 = (-1, 10.0, 0.0, 1)
 
@@ -187,7 +222,8 @@ BUSY_TO_10 = (-1, 10.0, 0.0, 1)
 class FakeSim:
     """One READY task, assigned to `incumbent`, whose finish time on each
     endpoint is its predicted execution time there; records the endpoints
-    whose idle estimates or idle terms are read and the endpoints staged."""
+    whose idle estimates are read (`idle_reads`, and `left_out_reads` for
+    the reads that leave a task out) and the endpoints staged."""
 
     def __init__(self, exec_s: dict, incumbent: str):
         self.clock = 0.0
@@ -196,25 +232,29 @@ class FakeSim:
         self.data = DataManager(
             self.endpoint_order, TransferProfiler(), concurrency_cap=1, max_transfer_retries=0
         )
+        # The strategy stages through the data manager: record it there.
+        self.data.staging_estimate = self.staging_estimate
         self.dag = Dag()
         node = self.dag.nodes[self.dag.submit_task(FN)]
         node.state = TaskState.READY
         node.assigned_endpoint = incumbent
         self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes)
         self.idle_reads = []
+        self.left_out_reads = []
         self.staged = []
         self.moves = []
 
-    def staging_time_estimate(self, task_id, endpoint_id):
+    def staging_estimate(self, file_deps, endpoint_id):
         self.staged.append(endpoint_id)
         return 0.0
 
-    def idle_terms(self, endpoint_id):
-        self.idle_reads.append(endpoint_id)
+    def terms(self, endpoint_id):
         return IDLE_NOW
 
-    def earliest_idle_estimate(self, endpoint_id):
-        return idle_estimate(self.clock, self.idle_terms(endpoint_id))
+    def earliest_idle_estimate(self, endpoint_id, left_out_s=None):
+        reads = self.idle_reads if left_out_s is None else self.left_out_reads
+        reads.append(endpoint_id)
+        return idle_from_terms(self.clock, self.terms(endpoint_id), left_out_s)
 
     def exec_row(self, task_id):
         return self.exec_s
@@ -238,6 +278,7 @@ class TestDhaEndpointChoice:
         assert DhaStrategy(sim).reschedule_pass() == 0
         assert sim.moves == []
         assert sim.idle_reads == ["a", "b", "c"]
+        assert sim.left_out_reads == ["b"]
         assert sim.staged == ["b"]
 
     def test_reschedule_moves_on_strict_gain(self):
@@ -249,7 +290,8 @@ class TestDhaEndpointChoice:
 
 class TableSim:
     """One task whose staging, idle and execution times on each endpoint
-    come from a table; records the endpoints it stages."""
+    come from a table; records the endpoints it stages. It is its own data
+    manager."""
 
     def __init__(self, clock: float, table: dict):
         self.clock = clock
@@ -257,13 +299,14 @@ class TableSim:
         self.endpoint_order = list(table)
         self.dag = Dag()
         self.dag.submit_task(FN)
+        self.data = self
         self.staged = []
 
-    def staging_time_estimate(self, task_id, endpoint_id):
+    def staging_estimate(self, file_deps, endpoint_id):
         self.staged.append(endpoint_id)
         return self.table[endpoint_id][0]
 
-    def earliest_idle_estimate(self, endpoint_id):
+    def earliest_idle_estimate(self, endpoint_id, left_out_s=None):
         return self.table[endpoint_id][1]
 
     def exec_row(self, task_id):
@@ -318,8 +361,7 @@ class PassSim(FakeSim):
         node.assigned_endpoint = "a"
         self.b_idle = True
 
-    def idle_terms(self, endpoint_id):
-        self.idle_reads.append(endpoint_id)
+    def terms(self, endpoint_id):
         if endpoint_id == "b" and self.b_idle:
             return IDLE_NOW
         return BUSY_TO_10
@@ -342,12 +384,14 @@ class TestReschedulePass:
         assert DhaStrategy(sim).reschedule_pass() == 1
         assert sim.moves == [(0, "b")]
         assert sim.idle_reads == ["a", "b", "a", "b"]
+        assert sim.left_out_reads == ["a", "a"]
 
     def test_idle_estimates_reused_without_a_move(self):
         sim = PassSim()
         sim.b_idle = False
         assert DhaStrategy(sim).reschedule_pass() == 0
         assert sim.idle_reads == ["a", "b"]
+        assert sim.left_out_reads == ["a"]
 
     def test_staged_set_rule_holds_in_a_pass(self):
         """Equal priorities go in task id order; the second task's bound on
@@ -367,7 +411,7 @@ class ClassSim(FakeSim):
 
     def __init__(self, terms: dict, tasks: list, items=()):
         super().__init__(dict.fromkeys(terms, 5.0), incumbent=tasks[0][0])
-        self.terms = terms
+        self.table = terms
         for data_id, size, where, inbound in items:
             self.data.register_item(data_id, size, [where])
             for dst in inbound:
@@ -379,16 +423,15 @@ class ClassSim(FakeSim):
             node.backlog_s = backlog_s
             node.file_deps = file_deps
 
-    def idle_terms(self, endpoint_id):
-        return self.terms[endpoint_id]
+    def terms(self, endpoint_id):
+        return self.table[endpoint_id]
 
-    def staging_time_estimate(self, task_id, endpoint_id):
+    def staging_estimate(self, file_deps, endpoint_id):
         items = self.data.items
-        deps = self.dag.nodes[task_id].file_deps
         return float(
             sum(
                 items[d].size
-                for d in deps
+                for d in file_deps
                 if endpoint_id not in items[d].locations | items[d].inbound
             )
         )
@@ -438,17 +481,19 @@ def test_decision_class_tells_tasks_apart(terms, tasks, items, target):
 
 
 def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
-    """A pass reads each endpoint's idle terms once, and again only for the
-    two endpoints of each move."""
+    """A pass reads each endpoint's idle estimate once, and again only for
+    the two endpoints of each move; the reads that score an incumbent with
+    its task left out are not counted."""
     sc = generate_builtin_scenario("dynamic-drug", 0.02)
     reads = []
-    passes = []  # (idle terms read, moves) per pass
-    terms = Simulation.idle_terms
+    passes = []  # (idle estimates read, moves) per pass
+    estimate = Simulation.earliest_idle_estimate
     reschedule = DhaStrategy.reschedule_pass
 
-    def counted_terms(self, endpoint_id):
-        reads.append(endpoint_id)
-        return terms(self, endpoint_id)
+    def counted_estimate(self, endpoint_id, left_out_s=None):
+        if left_out_s is None:
+            reads.append(endpoint_id)
+        return estimate(self, endpoint_id, left_out_s)
 
     def counted_pass(self):
         before = len(reads)
@@ -456,7 +501,7 @@ def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
         passes.append((len(reads) - before, moves))
         return moves
 
-    monkeypatch.setattr(Simulation, "idle_terms", counted_terms)
+    monkeypatch.setattr(Simulation, "earliest_idle_estimate", counted_estimate)
     monkeypatch.setattr(DhaStrategy, "reschedule_pass", counted_pass)
     sim = Simulation(sc, scheduler_kind="dha", seed=7)
     sim.run()
@@ -468,8 +513,9 @@ def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
 def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
     """Each idle estimate a placement or a pass reuses from its table equals
     the engine's estimate at that moment, each incumbent a pass scores is
-    scored with `idle_estimate` over the engine's idle terms, the task left
-    out, and each cost row read equals `predicted_exec` on every endpoint."""
+    scored with the reference idle rule over the engine's idle terms, the
+    task left out, and each cost row read equals `predicted_exec` on every
+    endpoint."""
     sc = generate_builtin_scenario("dynamic-drug", 0.02)
     score = DhaStrategy._earliest_finishing
     reused = Counter()
@@ -488,7 +534,7 @@ def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
             assert best_eft == earliest_finish_time(
                 sim.clock,
                 sim.staging_time_estimate(node.task_id, best_ep),
-                idle_estimate(sim.clock, sim.idle_terms(best_ep), node.backlog_s),
+                idle_from_terms(sim.clock, idle_terms(sim, best_ep), node.backlog_s),
                 row[best_ep],
             )
             reused["incumbent"] += 1
@@ -514,8 +560,7 @@ def reference_pass(self) -> int:
         return 0
     clock = sim.clock
     moves = 0
-    terms = {ep: sim.idle_terms(ep) for ep in sim.endpoint_order}
-    idle = {ep: idle_estimate(clock, t) for ep, t in terms.items()}
+    idle = {ep: sim.earliest_idle_estimate(ep) for ep in sim.endpoint_order}
     stays: set = set()
     for _, tid in movable:
         node = nodes[tid]
@@ -530,8 +575,8 @@ def reference_pass(self) -> int:
         sim.metrics.pass_scores += 1
         eft = earliest_finish_time(
             clock,
-            sim.staging_time_estimate(tid, incumbent),
-            idle_estimate(clock, terms[incumbent], node.backlog_s),
+            sim.data.staging_estimate(node.file_deps, incumbent),
+            sim.earliest_idle_estimate(incumbent, node.backlog_s),
             sim.exec_row(tid)[incumbent],
         )
         best_ep = self._earliest_finishing(node, self._others[incumbent], idle, incumbent, eft)
@@ -540,8 +585,7 @@ def reference_pass(self) -> int:
             continue
         sim.move_assignment(tid, best_ep)
         for ep in (incumbent, best_ep):
-            terms[ep] = sim.idle_terms(ep)
-            idle[ep] = idle_estimate(clock, terms[ep])
+            idle[ep] = sim.earliest_idle_estimate(ep)
         stays.clear()
         moves += 1
     return moves
@@ -662,10 +706,58 @@ def test_second_pass_at_one_clock_moves_nothing():
     assert [sim.dag.nodes[t].assigned_endpoint for t in range(3)] == ["a", "b", "b"]
     assert node.state is TaskState.READY
     assert sim.earliest_idle_estimate("b") == 15.0
-    assert idle_estimate(sim.clock, sim.idle_terms("b"), node.backlog_s) == 10.0
+    assert sim.earliest_idle_estimate("b", node.backlog_s) == 10.0
     dha = sim.strategy
     assert [dha.reschedule_pass(), dha.reschedule_pass()] == [0, 0]
     assert sim.metrics.move_count == 0 and node.assigned_endpoint == "b"
+
+
+class IdleCheckedSimulation(Simulation):
+    """After each event's callback, checks every endpoint's idle estimate,
+    whole and with each committed task left out, against the reference rule
+    over freshly read terms; counts the checks by the branch the terms
+    take ("freed" when leaving one task out is what frees a worker)."""
+
+    def __init__(self, *args, **kwargs):
+        self.branches = Counter()
+        super().__init__(*args, **kwargs)
+
+    def schedule(self, when, kind, payload):
+        super().schedule(when, kind, (self._run_then_check, *payload))
+
+    def _run_then_check(self, callback, *args):
+        callback(*args)
+        clock = self.clock
+        nodes = self.dag.nodes
+        for ep in self.endpoints:
+            ep_id = ep.endpoint_id
+            terms = idle_terms(self, ep_id)
+            spare, _, _, workers = terms
+            self.branches["no workers" if not workers else "idle" if spare > 0 else "busy"] += 1
+            assert self.earliest_idle_estimate(ep_id) == idle_from_terms(clock, terms), ep_id
+            for tid in ep.committed:
+                left_out_s = nodes[tid].backlog_s
+                expected = idle_from_terms(clock, terms, left_out_s)
+                assert self.earliest_idle_estimate(ep_id, left_out_s) == expected, (ep_id, tid)
+                self.branches["freed" if workers and spare == 0 else "left out"] += 1
+
+
+@pytest.mark.parametrize(
+    "name,scale,variant,branches",
+    [
+        ("dynamic-drug", 0.02, "", ("idle", "busy", "left out")),
+        ("dynamic-drug", 0.02, "sync-lag", ("idle", "busy", "freed")),
+        ("elasticity", 0.05, "", ("idle", "no workers", "left out")),
+    ],
+)
+def test_idle_estimate_equals_the_terms_rule_after_every_event(name, scale, variant, branches):
+    """The one-frame idle estimate equals the rule over its terms, whole
+    and with each committed task left out, after every event; the elastic
+    run takes the zero-worker branch, and the sync-lag run has endpoints
+    where leaving one task out frees a worker."""
+    sim = IdleCheckedSimulation(_scenario(name, scale, variant), "dha", seed=7)
+    sim.run()
+    assert all(sim.branches[b] for b in branches), sim.branches
 
 
 def topological_priorities(dag, costs):
