@@ -52,7 +52,7 @@ for _state in TaskState:
 # MOVES[old.index][new.index]: None for an illegal move; for a legal one,
 # what the move does beyond the state itself: (the TaskNode time that
 # entering `new` stamps, or None; whether the move changes the STAGING
-# count). Indexes, not Enum attribute reads: TaskNode.set_state reads it on
+# count). Indexes, not Enum attribute reads: Simulation._enter reads it on
 # every state change of a run.
 MOVES = tuple(
     tuple(
@@ -113,17 +113,6 @@ class TaskNode:
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     observed_time: Optional[float] = None
-
-    def set_state(self, new: TaskState) -> tuple:
-        """Move to `new` and return the move's entry in MOVES; an illegal
-        move raises and changes nothing."""
-        move = MOVES[self.state.index][new.index]
-        if move is None:
-            raise WorkflowError(
-                f"task {self.task_id}: illegal transition {self.state.value} -> {new.value}"
-            )
-        self.state = new
-        return move
 
     @property
     def terminal(self) -> bool:

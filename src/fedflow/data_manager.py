@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .scenario import PROBE_PREFIX
+
 logger = logging.getLogger(__name__)
 
 
@@ -223,7 +225,7 @@ class DataManager:
             for dst in self.endpoint_order:
                 if src == dst or not needs_probe(src, dst):
                     continue
-                item = self.register_item(f"__probe__{src}__{dst}", size, {src})
+                item = self.register_item(f"{PROBE_PREFIX}{src}__{dst}", size, {src})
                 started.extend(self._open_job(item.data_id, src, dst, size, clock)[1])
         return started
 

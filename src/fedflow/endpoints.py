@@ -51,7 +51,8 @@ class EndpointModel:
     simulation the proxy and the genuine endpoint coincide, so the scheduler
     reads queue and worker counts directly (an optional sync lag is injected
     by the engine, not here). `committed`, `backlog_s` and `finish_heap` are
-    the client's own facts about the endpoint; the engine keeps them.
+    the client's own facts about the endpoint; the engine keeps them, and
+    fills `finish_heap` only for DHA, whose idle estimate reads it.
     """
 
     __slots__ = (
@@ -74,8 +75,8 @@ class EndpointModel:
         # Predicted seconds of the work here that is not running yet, kept
         # as a running sum so the idle estimate stays O(1) per query.
         self.backlog_s = 0.0
-        # Heap of (predicted finish, task_id) of tasks started here; the
-        # idle estimate pops the entries of finished tasks.
+        # Heap of (predicted finish, task_id) of tasks started here, under
+        # DHA only; the idle estimate pops the entries of finished tasks.
         self.finish_heap: list = []
 
     @property
@@ -91,7 +92,7 @@ class EndpointModel:
         """Hand a task to the endpoint: run it if a worker is idle, else queue."""
         if self.busy_workers > self.active_workers:
             raise EndpointError(f"{self.endpoint_id}: busy exceeds active")
-        if self.idle_workers > 0:
+        if self.active_workers > self.busy_workers:
             self.busy_workers += 1
             return "accepted"
         self.queued.append(task_id)

@@ -17,7 +17,7 @@ from _blake2 import blake2b
 from enum import IntEnum
 from typing import Optional
 
-from .dag import Dag, TaskState, WorkflowError
+from .dag import MOVES, Dag, TaskState, WorkflowError
 from .data_manager import DataManager, TransferJob
 from .endpoints import CapacityEvent, EndpointModel, scale_decision
 from .metrics import MetricsLog
@@ -27,7 +27,7 @@ from .profilers import (
     TaskRecord,
     TransferProfiler,
 )
-from .scenario import MB, Scenario
+from .scenario import MB, OUTPUT_PREFIX, Scenario
 from .scheduling import STRATEGIES, reassignment_endpoint
 
 logger = logging.getLogger(__name__)
@@ -51,9 +51,6 @@ class EventKind(IntEnum):
     REFRESH_TICK = 7  # never queued: `_loop` refits at refresh boundaries
 
 
-# A task's output item is named after the task (`Simulation.producer`).
-_OUTPUT_PREFIX = "out:"
-
 # An attribute of an Enum class takes about ten times as long to read as a
 # module global on CPython 3.11, so the engine reads the states from here.
 _PENDING, _STAGING, _READY, _QUEUED, _RUNNING, _DONE, _FAILED, _UNRUNNABLE = TaskState
@@ -61,8 +58,7 @@ _PENDING, _STAGING, _READY, _QUEUED, _RUNNING, _DONE, _FAILED, _UNRUNNABLE = Tas
 
 @functools.lru_cache(maxsize=16)
 def _seeded_hash(seed):
-    """A BLAKE2b state fed with the seed and its ':' separator; `_draw`
-    copies it for each draw."""
+    """The BLAKE2b state of the seed and ':'; `_draw` copies it per draw."""
     return blake2b(f"{seed}:".encode(), digest_size=8)
 
 
@@ -184,13 +180,12 @@ class Simulation:
 
     # -- deterministic randomness -----------------------------------------
 
-    def _draw(self, *key) -> float:
-        """A uniform draw on [0, 1) for `key`: the top 53 bits of the
-        8-byte BLAKE2b hash of the seed and the key, joined by ':', times
-        2**-53, the resolution of `random.random()`. One keyed hash costs
-        about a sixth of seeding a generator for the draw."""
+    def _draw(self, key: bytes) -> float:
+        """A uniform draw on [0, 1) for `key`, a quantity's fields joined by
+        ':': the top 53 bits of the 8-byte BLAKE2b hash of the seed, ':' and
+        the key, times 2**-53 (the resolution of `random.random()`)."""
         h = _seeded_hash(self.seed).copy()
-        h.update(":".join(map(str, key)).encode())
+        h.update(key)
         return (int.from_bytes(h.digest(), "big") >> 11) * 2.0**-53
 
     def sample_exec_duration(self, task_id: int, endpoint_id: str, attempt: int) -> float:
@@ -199,7 +194,7 @@ class Simulation:
         ep = self._by_id[endpoint_id].spec
         noise = 0.0
         if fn.noise > 0:
-            noise = fn.noise * (2.0 * self._draw("exec", task_id, attempt) - 1.0)
+            noise = fn.noise * (2.0 * self._draw(b"exec:%d:%d" % (task_id, attempt)) - 1.0)
         return ep.perf_factor * fn.true_seconds(node.input_bytes) * (1.0 + noise)
 
     def _transfer_success(self, job: TransferJob) -> bool:
@@ -212,7 +207,7 @@ class Simulation:
         key = (job.data_id, job.dst)
         attempt = self._landing_attempts.get(key, 0)
         self._landing_attempts[key] = attempt + 1
-        draw = self._draw("xfer", job.data_id, job.src, job.dst, attempt)
+        draw = self._draw(f"xfer:{job.data_id}:{job.src}:{job.dst}:{attempt}".encode())
         return draw >= self.failure_rate
 
     # -- sizes and predictions --------------------------------------------
@@ -295,7 +290,7 @@ class Simulation:
             node.file_bytes = file_bytes
             node.input_bytes = input_bytes = file_bytes + t.inline_args_B
             if fn.output_ratio > 0:
-                out_id = f"{_OUTPUT_PREFIX}{tid}"
+                out_id = f"{OUTPUT_PREFIX}{tid}"
                 out_size = int(round(fn.output_ratio * input_bytes))
                 if out_size > 0:
                     data.register_item(out_id, out_size)
@@ -316,19 +311,29 @@ class Simulation:
     # -- task state --------------------------------------------------------
 
     def _enter(self, node, new: TaskState):
-        """Move a task to `new`, the only way the simulation changes a
-        task's state: TaskNode.set_state checks the move, and this keeps the
-        per-state counts, stamps the time the state is entered and samples
-        the staging series whenever the STAGING count changes."""
+        """Move a task to `new`, the only way a task's state changes, in one
+        frame: check the move in MOVES (an illegal one raises and changes
+        nothing), keep the per-state counts, stamp the entry time and, when
+        the STAGING count changes, keep its last sample at this clock."""
         old = node.state
-        stamp, staging_changes = node.set_state(new)
+        move = MOVES[old.index][new.index]
+        if move is None:
+            raise WorkflowError(
+                f"task {node.task_id}: illegal transition {old.value} -> {new.value}"
+            )
+        node.state = new
         counts = self._state_counts
         counts[old.index] -= 1
         counts[new.index] += 1
+        stamp, staging_changes = move
         if stamp is not None:
             setattr(node, stamp, self.clock)
         if staging_changes:
-            self.metrics.record_staging_count(self.clock, counts[_STAGING.index])
+            series = self.metrics.staging_series
+            if series and series[-1][0] == self.clock:
+                series[-1] = (self.clock, counts[_STAGING.index])
+            else:
+                series.append((self.clock, counts[_STAGING.index]))
 
     # -- scheduler callbacks ----------------------------------------------
 
@@ -411,8 +416,9 @@ class Simulation:
         duration = self.sample_exec_duration(task_id, ep.endpoint_id, attempt)
         self._drop_backlog(node)
         end = self.clock + self.dispatch_latency + duration
-        row = self.exec_profiler.exec_row(node.function, node.input_bytes)
-        heapq.heappush(ep.finish_heap, (self.clock + row[ep.endpoint_id], task_id))
+        if self.strategy.reads_finish_heap:
+            row = self.exec_profiler.exec_row(node.function, node.input_bytes)
+            heapq.heappush(ep.finish_heap, (self.clock + row[ep.endpoint_id], task_id))
         self.schedule(end, EventKind.TASK_COMPLETE, (self._on_task_complete, task_id, duration))
 
     # -- failure handling --------------------------------------------------
@@ -493,9 +499,9 @@ class Simulation:
     def producer(self, data_id: str) -> Optional[int]:
         """The task whose output the item is; None for an item the scenario
         declares, or a probe."""
-        if data_id in self.scenario.data or not data_id.startswith(_OUTPUT_PREFIX):
+        if data_id in self.scenario.data or not data_id.startswith(OUTPUT_PREFIX):
             return None
-        return int(data_id[len(_OUTPUT_PREFIX):])
+        return int(data_id[len(OUTPUT_PREFIX):])
 
     def undispatched_tasks(self) -> list:
         """Tasks assigned and not yet dispatched, in no particular order."""
@@ -592,7 +598,7 @@ class Simulation:
         batch = []
         for tid in candidates:
             node = self.dag.nodes[tid]
-            if node.announced or node.deps_left or node.terminal:
+            if node.announced or node.deps_left or node.state.terminal:
                 continue
             node.announced = True
             batch.append(tid)
@@ -633,12 +639,12 @@ class Simulation:
         if node.output is not None:
             self.data.add_replica(node.output, ep.endpoint_id)
         self._start_queued(ep, ep.complete(self.clock))
-        observed = next_poll(self.clock, self.poll_interval)
-        if observed > self.clock:
+        interval = self.poll_interval
+        if interval > 0 and (observed := next_poll(self.clock, interval)) > self.clock:
             self.schedule(observed, EventKind.RESULT_OBSERVED, (self._result_seen, task_id))
         else:
             self._result_seen(task_id)
-        if ep.idle_workers > 0:
+        if ep.active_workers > ep.busy_workers:
             if self.sync_lag > 0:
                 self.schedule(
                     self.clock + self.sync_lag,

@@ -37,7 +37,7 @@ class MetricsLog:
         self.endpoint_ids = list(endpoint_ids)
         self.tasks = tasks  # task_id -> TaskNode, timestamps included
         self.utilization: list = []  # (time, endpoint, busy, active)
-        self.staging_series: list = []  # (time, tasks_in_staging)
+        self.staging_series: list = []  # (time, tasks_in_staging), one per time
         self.transfers: list = []  # rows matching TRANSFERS_COLUMNS
         self.makespan: float = 0.0
         self.transfer_bytes: int = 0
@@ -48,12 +48,6 @@ class MetricsLog:
         self.move_count: int = 0  # re-scheduling moves
         self.pass_scores: int = 0  # tasks a re-scheduling pass scored
         self.event_count: int = 0
-
-    def record_staging_count(self, time: float, count: int):
-        if self.staging_series and self.staging_series[-1][0] == time:
-            self.staging_series[-1] = (time, count)
-        else:
-            self.staging_series.append((time, count))
 
     @property
     def mean_decision_seconds(self) -> float:

@@ -33,6 +33,9 @@ DEPRECATED_DEFAULTS = (
 )
 
 _INT_ONLY = {int}
+# The engine names a task's output item OUTPUT_PREFIX + task id, and a link
+# probe PROBE_PREFIX + "<src>__<dst>"; a declared item may start with neither.
+OUTPUT_PREFIX, PROBE_PREFIX = "out:", "__probe__"
 
 
 class ScenarioError(ValueError):
@@ -175,6 +178,8 @@ def _int(value, name: str, where: str) -> int:
 
 def _declared_data(fd: dict, did, m: int, seen_eps: set) -> DataSpec:
     """The item that the `file_deps` entry `fd` of `workflow[m]` declares."""
+    if did.startswith((OUTPUT_PREFIX, PROBE_PREFIX)):
+        raise ScenarioError(f"workflow[{m}]: data id '{did}' starts with a reserved prefix")
     size = fd.get("size_MB")
     if type(size) is not float or not 0.0 <= size < math.inf:
         size = _nonneg(size, "size_MB", f"workflow[{m}].file_deps")

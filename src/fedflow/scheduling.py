@@ -141,6 +141,7 @@ def reassignment_endpoint(
 
 class BaseStrategy:
     name = "base"
+    reads_finish_heap = False  # the engine fills EndpointModel.finish_heap only if so
 
     def __init__(self, sim):
         self.sim = sim
@@ -260,6 +261,7 @@ class DhaStrategy(BaseStrategy):
     """Priority-ordered earliest-finish-time selection with delayed dispatch."""
 
     name = "dha"
+    reads_finish_heap = True
 
     def __init__(self, sim):
         super().__init__(sim)

@@ -70,6 +70,20 @@ class TestRun:
         assert result.exit_code == 1
         assert "dangling reference" in result.output
 
+    @pytest.mark.parametrize("did,defaults", [("out:0", {}), ("__probe__a__b", {"probe_at_init": True})])
+    def test_reserved_data_id_exits_1(self, runner, tmp_path, did, defaults):
+        # Both loaded, then crashed the run with a duplicate-item traceback.
+        doc = copy.deepcopy(SMALL)
+        doc["functions"][0]["output_ratio"] = 0.5
+        doc["workflow"][0]["file_deps"][0]["data_id"] = did
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(doc, defaults=defaults)))
+        result = runner.invoke(
+            main, ["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: workflow[0]: data id '{did}' starts with")
+
     def test_scheduler_of_another_kind_exits_1(self, runner, tmp_path):
         # A list here escaped as a TypeError traceback.
         bad = tmp_path / "bad.json"

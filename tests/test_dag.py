@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedflow.dag import (
     INLINE_ARGS_LIMIT,
+    MOVES,
     Dag,
     FunctionDef,
     TaskNode,
@@ -14,6 +15,8 @@ from fedflow.dag import (
     WorkflowError,
     dfs_order,
 )
+from fedflow.engine import Simulation
+from fedflow.scenario import scenario_from_dict
 
 FN = FunctionDef("f", true_fixed_s=1.0)
 
@@ -69,11 +72,24 @@ class TestSubmit:
         assert dag.successors[0] == [1, 2]
 
 
+ONE_ENDPOINT = {
+    "name": "moves",
+    "endpoints": [{"endpoint_id": "a", "workers_per_node": 1, "max_nodes": 1, "initial_nodes": 1}],
+    "functions": [{"name": "f", "true_fixed_s": 1.0}],
+    "workflow": [{"id": 0, "function": "f"}],
+}
+
+
+def move_rule():
+    """`Simulation._enter`, the one rule that moves a task between states,
+    bound to a one-endpoint simulation; it moves any node handed to it."""
+    return Simulation(scenario_from_dict(ONE_ENDPOINT))._enter
+
+
 class TestStateMachine:
     def test_happy_path(self):
-        dag = Dag()
-        t = dag.submit_task(FN)
-        node = dag.nodes[t]
+        move = move_rule()
+        node = TaskNode(0, FN)
         for s in (
             TaskState.STAGING,
             TaskState.READY,
@@ -81,53 +97,60 @@ class TestStateMachine:
             TaskState.RUNNING,
             TaskState.DONE,
         ):
-            node.set_state(s)
+            move(node, s)
         assert node.terminal
 
     def test_illegal_transition_raises(self):
-        dag = Dag()
-        node = dag.nodes[dag.submit_task(FN)]
-        with pytest.raises(WorkflowError, match="illegal transition"):
-            node.set_state(TaskState.RUNNING)
+        node = TaskNode(0, FN)
+        with pytest.raises(WorkflowError, match="task 0: illegal transition pending -> running"):
+            move_rule()(node, TaskState.RUNNING)
 
     def test_retry_cycle(self):
-        dag = Dag()
-        node = dag.nodes[dag.submit_task(FN)]
-        node.set_state(TaskState.STAGING)
-        node.set_state(TaskState.FAILED)
-        node.set_state(TaskState.STAGING)  # retry path
-        node.set_state(TaskState.READY)
-        node.set_state(TaskState.STAGING)  # re-scheduling path
+        move = move_rule()
+        node = TaskNode(0, FN)
+        move(node, TaskState.STAGING)
+        move(node, TaskState.FAILED)
+        move(node, TaskState.STAGING)  # retry path
+        move(node, TaskState.READY)
+        move(node, TaskState.STAGING)  # re-scheduling path
 
     def test_done_is_final(self):
-        dag = Dag()
-        node = dag.nodes[dag.submit_task(FN)]
+        move = move_rule()
+        node = TaskNode(0, FN)
         for s in (TaskState.STAGING, TaskState.READY, TaskState.QUEUED,
                   TaskState.RUNNING, TaskState.DONE):
-            node.set_state(s)
+            move(node, s)
         with pytest.raises(WorkflowError):
-            node.set_state(TaskState.STAGING)
-
+            move(node, TaskState.STAGING)
 
     def test_every_pair_of_states(self):
+        """A legal move changes the state; an illegal one raises and changes
+        nothing: not the state, the per-state counts or the staging series."""
+        sim = Simulation(scenario_from_dict(ONE_ENDPOINT))
         for old in TaskState:
             for new in TaskState:
                 node = TaskNode(0, FN, state=old)
+                assert (MOVES[old.index][new.index] is not None) == ((old, new) in LEGAL)
                 if (old, new) in LEGAL:
-                    node.set_state(new)
+                    sim._enter(node, new)
                     assert node.state is new
                 else:
+                    counts = list(sim._state_counts)
+                    series = list(sim.metrics.staging_series)
                     with pytest.raises(WorkflowError, match="illegal transition"):
-                        node.set_state(new)
+                        sim._enter(node, new)
                     assert node.state is old
+                    assert sim._state_counts == counts
+                    assert sim.metrics.staging_series == series
 
     def test_unrunnable_is_final(self):
+        move = move_rule()
         node = TaskNode(0, FN)
-        node.set_state(TaskState.UNRUNNABLE)
+        move(node, TaskState.UNRUNNABLE)
         assert node.terminal
         for s in TaskState:
             with pytest.raises(WorkflowError):
-                node.set_state(s)
+                move(node, s)
 
     def test_state_facts(self):
         assert [s.index for s in TaskState] == list(range(len(TaskState)))

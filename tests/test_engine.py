@@ -1,6 +1,7 @@
 """End-to-end simulation oracles with hand-computed timing arithmetic."""
 
 import dataclasses
+import hashlib
 import logging
 import math
 import os
@@ -10,10 +11,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedflow import engine
 from fedflow.builtins import generate_builtin_scenario
-from fedflow.dag import TaskState, WorkflowError
+from fedflow.dag import TaskNode, TaskState, WorkflowError
 from fedflow.data_manager import JobState
 from fedflow.endpoints import CapacityEvent
 from fedflow.engine import (
@@ -174,29 +176,92 @@ class TestExecutionSampling:
         assert recorded_exec_time(a) != recorded_exec_time(b)
 
 
+def joined_key_draw(seed, *key) -> float:
+    """The draw by its defining formula, the reference `Simulation._draw`
+    and its callers are checked against: the seed and the key's fields,
+    each through `str`, joined by ':' and hashed with BLAKE2b."""
+    text = ":".join(map(str, (seed,) + key))
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return (int.from_bytes(digest, "big") >> 11) * 2.0**-53
+
+
+def keys_drawn(sim, call) -> list:
+    """The keys `call()` passes to `sim._draw`, in order."""
+    keys = []
+    draw = sim._draw
+    sim._draw = lambda key: keys.append(key) or draw(key)
+    try:
+        call()
+    finally:
+        del sim._draw
+    return keys
+
+
+# Ids as a scenario may name them: any text, with ':' common among them.
+IDS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12) | st.text(":ab", max_size=6)
+
+
 class TestDraw:
     """`Simulation._draw`, the keyed hash behind every noisy or lossy draw."""
 
     def test_same_key_same_value_in_unit_interval(self):
         a, b = Simulation(oracle(), seed=7), Simulation(oracle(), seed=7)
-        for key in [("exec", 0, 0), ("exec", 1, 3), ("xfer", "d1", "a", "b", 0)]:
-            assert a._draw(*key) == a._draw(*key) == b._draw(*key)
-        values = [a._draw("exec", tid, 0) for tid in range(1000)]
+        for key in [b"exec:0:0", b"exec:1:3", b"xfer:d1:a:b:0"]:
+            assert a._draw(key) == a._draw(key) == b._draw(key)
+        values = [a._draw(b"exec:%d:0" % tid) for tid in range(1000)]
         assert all(0.0 <= u < 1.0 for u in values)
 
     def test_keys_differing_in_one_field_differ(self):
         sim = Simulation(oracle(), seed=7)
-        base = ("xfer", "d1", "a", "b", 0)
-        variants = [
-            ("exec", "d1", "a", "b", 0),
-            ("xfer", "d2", "a", "b", 0),
-            ("xfer", "d1", "b", "b", 0),
-            ("xfer", "d1", "a", "a", 0),
-            ("xfer", "d1", "a", "b", 1),
-        ]
-        values = {sim._draw(*key) for key in [base] + variants}
-        values.add(Simulation(oracle(), seed=8)._draw(*base))
+        base = b"xfer:d1:a:b:0"
+        variants = [b"exec:d1:a:b:0", b"xfer:d2:a:b:0", b"xfer:d1:b:b:0", b"xfer:d1:a:a:0",
+                    b"xfer:d1:a:b:1"]
+        values = {sim._draw(key) for key in [base] + variants}
+        values.add(Simulation(oracle(), seed=8)._draw(base))
         assert len(values) == len(variants) + 2
+
+    @pytest.mark.parametrize(
+        "seed,key,value",
+        [
+            (7, ("exec", 0, 0), 0.26072383805712496),
+            (7, ("exec", 1, 3), 0.32227606512853435),
+            (7, ("exec", 12000, 1), 0.4439106121149031),
+            (3, ("exec", 5, 0), 0.22631041350778858),
+            (7, ("xfer", "d1", "a", "b", 0), 0.21458151715995932),
+            (7, ("xfer", "out:17", "taiyi", "qiming", 2), 0.3741436553739915),
+            (7, ("xfer", "__probe__a__b", "a", "b", 0), 0.8449269499413524),
+        ],
+    )
+    def test_recorded_values(self, seed, key, value):
+        """Draws recorded when the key was first defined; a change to them
+        changes every noisy and lossy run's outputs."""
+        sim = Simulation(oracle(), seed=seed)
+        assert sim._draw(":".join(map(str, key)).encode()) == value
+        assert joined_key_draw(seed, *key) == value
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**64), task_id=st.integers(0, 10**9), attempt=st.integers(0, 99))
+    def test_exec_draw_is_the_joined_key_draw(self, seed, task_id, attempt):
+        sim = Simulation(oracle(**NOISY), seed=seed)
+        fn = sim.scenario.functions["f"]
+        sim.dag.nodes[task_id] = TaskNode(task_id, fn)
+        u = joined_key_draw(seed, "exec", task_id, attempt)
+        (key,) = keys_drawn(sim, lambda: sim.sample_exec_duration(task_id, "b", attempt))
+        assert sim._draw(key) == u
+        noise = fn.noise * (2.0 * u - 1.0)
+        assert sim.sample_exec_duration(task_id, "b", attempt) == fn.true_fixed_s * (1.0 + noise)
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**64), data_id=IDS, src=IDS, dst=IDS)
+    def test_transfer_draw_is_the_joined_key_draw(self, seed, data_id, src, dst):
+        sim = Simulation(oracle(defaults={"transfer_failure_rate": 0.5}), seed=seed)
+        job = SimpleNamespace(data_id=data_id, src=src, dst=dst)
+        outcomes = []
+        keys = keys_drawn(sim, lambda: outcomes.extend(sim._transfer_success(job) for _ in "ab"))
+        for attempt, (key, success) in enumerate(zip(keys, outcomes, strict=True)):
+            u = joined_key_draw(seed, "xfer", data_id, src, dst, attempt)
+            assert sim._draw(key) == u
+            assert success == (u >= 0.5)
 
     def test_exec_noise_is_bounded_and_centred(self):
         sim = Simulation(oracle(**NOISY), seed=7)

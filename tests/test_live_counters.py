@@ -9,7 +9,10 @@ queued, each node's remaining-deps count, the data manager's table of open
 jobs (one per item and destination), each item's set of destinations with
 an open job, its per-task index of the jobs a task waits on, which must
 invert each job's record of its waiting tasks, its waiting heaps, which
-hold only WAITING jobs, and each link's byte sum of the jobs in its heap. A
+hold only WAITING jobs, and each link's byte sum of the jobs in its heap.
+Each endpoint's finish heap is filled only for DHA, the one strategy that
+reads it: capacity and locality leave every heap empty, and under DHA every
+RUNNING task has an entry on its endpoint's heap. A
 subclass of `Simulation` checks them against scans of the task graph, the
 endpoints and the job table after each event, together with the rule that
 no endpoint holds a queued task beside an idle worker; the run itself is
@@ -75,6 +78,16 @@ def check_counters(sim):
         assert ep.committed == undispatched[ep.endpoint_id], ep.endpoint_id
         assert abs(ep.backlog_s - backlog[ep.endpoint_id]) <= BACKLOG_TOLERANCE_S, ep.endpoint_id
         assert not ep.queued or ep.idle_workers == 0, f"{ep.endpoint_id}: queued beside idle"
+    if sim.scheduler_kind == "dha":
+        on_heap = {(ep.endpoint_id, tid) for ep in sim.endpoints for _, tid in ep.finish_heap}
+        running = {
+            (node.assigned_endpoint, tid)
+            for tid, node in nodes.items()
+            if node.state is TaskState.RUNNING
+        }
+        assert running <= on_heap, "a running task missing from its finish heap"
+    else:
+        assert not any(ep.finish_heap for ep in sim.endpoints), "finish heap filled"
     successors = sim.dag.successors
     assert all(a < b for succ in successors.values() for a, b in pairwise(succ))
     deps_left = Counter(s for t in not_done for s in successors[t])

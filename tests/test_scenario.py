@@ -206,6 +206,14 @@ class TestDiagnostics:
         }
         self.named(d, "missing network pair b->a")
 
+    @pytest.mark.parametrize("did", ["out:0", "__probe__a__b"])
+    def test_reserved_data_prefix(self, did):
+        """Ids the engine makes for task outputs and link probes cannot be
+        declared: the run would register the item twice."""
+        d = doc_with(("workflow", 0, "file_deps", 0, "data_id"), did)
+        d["workflow"][1]["file_deps"] = [did]
+        self.named(d, re.escape(f"workflow[0]: data id '{did}' starts with a reserved prefix"))
+
     def test_duplicate_task_id(self):
         d = doc()
         d["workflow"][1]["id"] = 0
