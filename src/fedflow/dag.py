@@ -18,6 +18,15 @@ class WorkflowError(ValueError):
     """Raised on malformed graph construction or illegal state transitions."""
 
 
+def check_inline_args(size: int):
+    """Raise `WorkflowError` unless `size` bytes may travel inline."""
+    if size > INLINE_ARGS_LIMIT:
+        raise WorkflowError(f"inline arguments of {size} bytes exceed the 10 MB limit "
+                            f"({INLINE_ARGS_LIMIT} bytes); use a data item")
+    if size < 0:
+        raise WorkflowError("inline argument size must be non-negative")
+
+
 class TaskState(Enum):
     """A task's states, with what a state change reads: `index`, the
     position in the per-state counts; `stamp`, the TaskNode time that
@@ -88,26 +97,27 @@ class FunctionDef:
 @dataclass(slots=True)
 class TaskNode:
     """The one record of a task: its place in the graph, its run-time state
-    and the times it entered each state. The simulation owns every field
-    below `assigned_endpoint`."""
+    and the times it entered each state. The fields through `submit_time`
+    are set at submit, in the order `Simulation._register_batch` passes
+    them; the simulation owns every field from `state` on."""
 
     task_id: int
     function: FunctionDef
     deps: tuple = ()  # task ids, ascending and unique
     file_deps: tuple = ()  # data ids, sorted
     output: Optional[str] = None
-    state: TaskState = TaskState.PENDING
-    assigned_endpoint: Optional[str] = None
     file_bytes: int = 0  # sum of the sizes of file_deps
     input_bytes: int = 0  # file_bytes plus the inline arguments
     deps_left: int = 0  # deps not yet DONE
+    submit_time: float = 0.0
+    state: TaskState = TaskState.PENDING
+    assigned_endpoint: Optional[str] = None
     announced: bool = False  # handed to the scheduler as ready
     # Endpoints the task failed on, one per failed attempt.
     failed_endpoints: frozenset = frozenset()
     # Predicted seconds this task adds to its assigned endpoint's backlog
     # until it starts running.
     backlog_s: float = 0.0
-    submit_time: float = 0.0
     staging_end: Optional[float] = None
     dispatch_time: Optional[float] = None
     start_time: Optional[float] = None
@@ -130,7 +140,6 @@ class Dag:
         self.nodes: dict[int, TaskNode] = {}
         # Ascending, append-only lists: a task joins its deps' lists at submit.
         self.successors: dict[int, list] = {}
-        self._next_id = 0
 
     def submit_task(
         self,
@@ -139,19 +148,14 @@ class Dag:
         file_deps: Iterable[str] = (),
         inline_args_size: int = 0,
     ) -> int:
+        """Add a task and return its id. The checked builder of one task;
+        `Simulation._register_batch` builds a batch to the same rules."""
         deps = set(dep_handles)
         for dep in deps:
             if dep not in self.nodes:
                 raise WorkflowError(f"unknown dependency handle {dep}")
-        if inline_args_size > INLINE_ARGS_LIMIT:
-            raise WorkflowError(
-                f"inline arguments of {inline_args_size} bytes exceed the "
-                f"10 MB limit ({INLINE_ARGS_LIMIT} bytes); use a data item"
-            )
-        if inline_args_size < 0:
-            raise WorkflowError("inline argument size must be non-negative")
-        task_id = self._next_id
-        self._next_id += 1
+        check_inline_args(inline_args_size)
+        task_id = len(self.nodes)
         node = TaskNode(
             task_id=task_id,
             function=function,

@@ -17,8 +17,10 @@ from _blake2 import blake2b
 from enum import IntEnum
 from typing import Optional
 
-from .dag import MOVES, Dag, TaskState, WorkflowError
-from .data_manager import DataManager, TransferJob
+from .dag import (
+    INLINE_ARGS_LIMIT, MOVES, Dag, TaskNode, TaskState, WorkflowError, check_inline_args,
+)
+from .data_manager import DataError, DataItem, DataManager, TransferJob
 from .endpoints import CapacityEvent, EndpointModel, scale_decision
 from .metrics import MetricsLog
 from .profilers import (
@@ -264,47 +266,59 @@ class Simulation:
     # -- task graph construction ------------------------------------------
 
     def _register_batch(self, specs: list) -> tuple:
+        """Register a batch's tasks in ascending spec id in one pass: each
+        node built and checked as `Dag.submit_task` builds it, with its sizes,
+        its output item (checked as `register_item` checks) and unmet deps."""
         task_ids = []
         dead_deps = []  # deps met FAILED or UNRUNNABLE, in the order met
         functions = self.scenario.functions
         spec_by_tid = self._spec_by_tid
         nodes = self.dag.nodes
-        submit_task = self.dag.submit_task
-        data = self.data
-        items = data.items
+        successors = self.dag.successors
+        items = self.data.items
         clock = self.clock
+        tid = len(nodes)
         for t in sorted(specs, key=operator.attrgetter("id")):
             fn = functions[t.function]
-            file_deps = list(t.file_deps)
-            dep_tids = [spec_by_tid[d] for d in t.deps]
-            for dep in dep_tids:
-                out = nodes[dep].output
-                if out is not None:
-                    file_deps.append(out)
-            tid = submit_task(fn, dep_tids, file_deps, t.inline_args_B)
-            spec_by_tid[t.id] = tid
-            node = nodes[tid]
+            inline = t.inline_args_B
+            if not 0 <= inline <= INLINE_ARGS_LIMIT:
+                check_inline_args(inline)
+            # Most tasks have one dep or one file dep, and one needs no sort.
+            file_deps = t.file_deps
+            deps, deps_left = (), 0
+            if t.deps:
+                deps = ((spec_by_tid[t.deps[0]],) if len(t.deps) == 1
+                        else tuple(sorted({spec_by_tid[d] for d in t.deps})))
+                file_deps = [*file_deps]
+                for d in deps:
+                    successors[d].append(tid)
+                    dep = nodes[d]
+                    if dep.output is not None:
+                        file_deps.append(dep.output)
+                    state = dep.state
+                    if state is not _DONE:
+                        deps_left += 1
+                        if state is _FAILED or state is _UNRUNNABLE:
+                            dead_deps.append(d)
+            file_deps = tuple(sorted(set(file_deps)) if len(file_deps) > 1 else file_deps)
             file_bytes = 0
-            for d in node.file_deps:
+            for d in file_deps:
                 file_bytes += items[d].size
-            node.file_bytes = file_bytes
-            node.input_bytes = input_bytes = file_bytes + t.inline_args_B
+            input_bytes = file_bytes + inline
+            output = None
             if fn.output_ratio > 0:
-                out_id = f"{OUTPUT_PREFIX}{tid}"
                 out_size = int(round(fn.output_ratio * input_bytes))
                 if out_size > 0:
-                    data.register_item(out_id, out_size)
-                    node.output = out_id
-            node.submit_time = clock
-            deps_left = 0
-            for d in node.deps:
-                state = nodes[d].state
-                if state is not _DONE:
-                    deps_left += 1
-                    if state is _FAILED or state is _UNRUNNABLE:
-                        dead_deps.append(d)
-            node.deps_left = deps_left
+                    output = f"{OUTPUT_PREFIX}{tid}"
+                    if output in items:
+                        raise DataError(f"duplicate data item {output}")
+                    items[output] = DataItem(output, out_size)
+            nodes[tid] = TaskNode(tid, fn, deps, file_deps, output, file_bytes, input_bytes,
+                                  deps_left, clock)
+            successors[tid] = []
+            spec_by_tid[t.id] = tid
             task_ids.append(tid)
+            tid += 1
         self._state_counts[_PENDING.index] += len(task_ids)
         return task_ids, dead_deps
 
@@ -487,14 +501,13 @@ class Simulation:
         out_size = 0
         if success and node.output is not None:
             out_size = self.data.items[node.output].size
-        # Positional, in TaskRecord's field order: function, endpoint,
-        # input_size, exec_time, output_size, success, timestamp.
-        self.exec_profiler.record(
-            TaskRecord(
-                node.function.name, endpoint_id, node.input_bytes, exec_time,
-                out_size, success, self.clock,
-            )
-        )
+        # TaskRecord's fields in order, with no call to its Python-level
+        # constructor: function, endpoint, input_size, exec_time,
+        # output_size, success, timestamp.
+        self.exec_profiler.record(tuple.__new__(TaskRecord, (
+            node.function.name, endpoint_id, node.input_bytes, exec_time,
+            out_size, success, self.clock,
+        )))
 
     def producer(self, data_id: str) -> Optional[int]:
         """The task whose output the item is; None for an item the scenario

@@ -13,6 +13,7 @@ of the history.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from collections import defaultdict
@@ -43,13 +44,6 @@ class TaskRecord(NamedTuple):
     output_size: int
     success: bool
     timestamp: float
-
-    def validate(self):
-        if self.exec_time < 0 or self.input_size < 0 or self.output_size < 0:
-            raise ProfilerError(f"negative field in record for {self.function}")
-        # A running sum never washes a non-finite value out again.
-        if not (math.isfinite(self.exec_time) and math.isfinite(self.timestamp)):
-            raise ProfilerError(f"non-finite field in record for {self.function}")
 
 
 class _Moments:
@@ -120,14 +114,21 @@ class ExecutionProfiler:
         self._truth_fallback_logged: set = set()
 
     def record(self, rec: TaskRecord):
-        rec.validate()
+        """Fold in one record; a negative field or a non-finite time raises."""
+        function, endpoint, input_size, exec_time, output_size, success, timestamp = rec
+        if not (0 <= exec_time < math.inf and -math.inf < timestamp < math.inf
+                and input_size >= 0 and output_size >= 0):
+            # A running sum never washes a non-finite value out again.
+            negative = exec_time < 0 or input_size < 0 or output_size < 0
+            raise ProfilerError(
+                f"{'negative' if negative else 'non-finite'} field in record for {function}")
         self.history.append(rec)
-        tally = self._tallies.setdefault(rec.function, {}).setdefault(rec.endpoint, [0, 0])
+        tally = self._tallies.setdefault(function, {}).setdefault(endpoint, [0, 0])
         tally[0] += 1
-        if rec.success:
+        if success:
             tally[1] += 1
-            key = (rec.function, rec.endpoint)
-            self._moments[key].add(rec.input_size, rec.exec_time)
+            key = (function, endpoint)
+            self._moments[key].add(input_size, exec_time)
             self._dirty.add(key)
 
     @property
@@ -196,36 +197,36 @@ class ExecutionProfiler:
         return max(time_s, 0.0)
 
     def save(self, path):
-        with open(path, "w") as fh:
+        """Write the history as CSV, quoting only a name with ',', '"' or a line break."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            # The writer quotes "\r" only where the line terminator has one.
+            quoting = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
             for r in self.history:
-                fh.write(
-                    f"{r.function},{r.endpoint},{r.input_size},{r.exec_time!r},"
-                    f"{r.output_size},{int(r.success)},{r.timestamp!r}\n"
-                )
+                (quoting if "\r" in r.function + r.endpoint else writer).writerow((
+                    r.function, r.endpoint, r.input_size, repr(r.exec_time),
+                    r.output_size, int(r.success), repr(r.timestamp),
+                ))
 
     def load(self, path):
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 7:
-                    raise ProfilerError(f"{path}:{lineno}: expected 7 fields")
-                try:
-                    self.record(
-                        TaskRecord(
-                            function=parts[0],
-                            endpoint=parts[1],
-                            input_size=int(parts[2]),
-                            exec_time=float(parts[3]),
-                            output_size=int(parts[4]),
-                            success=bool(int(parts[5])),
-                            timestamp=float(parts[6]),
-                        )
-                    )
-                except ValueError as exc:  # a parse error or a ProfilerError
-                    raise ProfilerError(f"{path}:{lineno}: {exc}") from exc
+        """Record each row `save` wrote; a bad row raises, naming the line it ends on."""
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                for parts in reader:
+                    if not parts or len(parts) == 1 and parts[0].isspace():
+                        continue
+                    if len(parts) != 7:
+                        raise ValueError("expected 7 fields")
+                    success = int(parts[5])
+                    if success not in (0, 1):
+                        raise ValueError(f"success flag {parts[5]!r} is not 0 or 1")
+                    self.record(TaskRecord(
+                        parts[0], parts[1], int(parts[2]), float(parts[3]),
+                        int(parts[4]), success == 1, float(parts[6]),
+                    ))
+            except (ValueError, csv.Error) as exc:  # a parse error, a ProfilerError or a bad row
+                raise ProfilerError(f"{path}:{reader.line_num}: {exc}") from exc
         self.refresh()
 
 

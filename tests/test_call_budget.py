@@ -21,10 +21,10 @@ from fedflow.engine import Simulation
 # (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
 # 7; the count when pinned, on CPython 3.11.7, is in the comment.
 CEILINGS = {
-    ("montage-like", 0.05, "dha"): 96_500,  # 94,582
-    ("drug-like", 0.05, "capacity"): 116_300,  # 113,987
-    ("dynamic-drug", 0.02, "dha"): 143_900,  # 141,012
-    ("dynamic-montage", 0.02, "locality"): 43_400,  # 42,479
+    ("montage-like", 0.05, "dha"): 92_200,  # 90,386
+    ("drug-like", 0.05, "capacity"): 105_400,  # 103,335
+    ("dynamic-drug", 0.02, "dha"): 141_700,  # 138,892
+    ("dynamic-montage", 0.02, "locality"): 41_600,  # 40,792
 }
 
 

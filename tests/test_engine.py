@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from fedflow import engine
 from fedflow.builtins import generate_builtin_scenario
-from fedflow.dag import TaskNode, TaskState, WorkflowError
-from fedflow.data_manager import JobState
+from fedflow.dag import INLINE_ARGS_LIMIT, Dag, TaskNode, TaskState, WorkflowError
+from fedflow.data_manager import DataError, DataManager, JobState
 from fedflow.endpoints import CapacityEvent
 from fedflow.engine import (
     DeadlockError,
@@ -25,7 +25,7 @@ from fedflow.engine import (
     next_poll,
     run_scenario,
 )
-from fedflow.scenario import scenario_from_dict
+from fedflow.scenario import MB, OUTPUT_PREFIX, DataSpec, scenario_from_dict
 
 # Two endpoints over a symmetric 100 MB/s / 0.5 s link.  Endpoint "a" runs
 # everything at 2x the base cost, "b" at 1x.
@@ -620,3 +620,122 @@ class TestSchedulerCounters:
         metrics = sim.run()
         assert moved and metrics.move_count == len(moved)
         assert metrics.decision_count == len(sim.dag.nodes)
+
+
+def reference_batch(dag, data, spec_by_tid, functions, specs, clock):
+    """A batch registered through the checked builders, one call each per
+    task: `Dag.submit_task`, then the sizes, the output item through
+    `DataManager.register_item`, and the unmet and dead deps. The reference
+    `Simulation._register_batch` is held to."""
+    task_ids, dead_deps = [], []
+    for t in sorted(specs, key=lambda s: s.id):
+        fn = functions[t.function]
+        dep_tids = [spec_by_tid[d] for d in t.deps]
+        outputs = [dag.nodes[d].output for d in dep_tids if dag.nodes[d].output is not None]
+        tid = dag.submit_task(fn, dep_tids, [*t.file_deps, *outputs], t.inline_args_B)
+        spec_by_tid[t.id] = tid
+        node = dag.nodes[tid]
+        node.file_bytes = sum(data.items[d].size for d in node.file_deps)
+        node.input_bytes = node.file_bytes + t.inline_args_B
+        out_size = int(round(fn.output_ratio * node.input_bytes))
+        if fn.output_ratio > 0 and out_size > 0:
+            node.output = data.register_item(f"{OUTPUT_PREFIX}{tid}", out_size).data_id
+        node.submit_time = clock
+        unmet = [d for d in node.deps if dag.nodes[d].state is not TaskState.DONE]
+        node.deps_left = len(unmet)
+        dead_deps += [d for d in unmet if dag.nodes[d].state in (TaskState.FAILED,
+                                                                 TaskState.UNRUNNABLE)]
+        task_ids.append(tid)
+    return task_ids, dead_deps
+
+
+@st.composite
+def batched_workflows(draw):
+    """A scenario document whose tasks are split into batches, with spec ids
+    that do not follow submission order, deps (repeats included) on any
+    task submitted before, repeated file deps, and functions with no
+    output, an output and an output that rounds to 0 bytes."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(n)))
+    batch_of = {tid: draw(st.integers(0, 2)) for tid in ids}
+    order = sorted(ids, key=lambda t: (batch_of[t], t))
+    sizes = [0.0, 0.5, 2.0]
+    workflow = []
+    for k, tid in enumerate(order):
+        deps = draw(st.lists(st.sampled_from(order[:k]), max_size=4)) if k else []
+        fds = draw(st.lists(st.integers(0, len(sizes) - 1), max_size=3))
+        workflow.append({
+            "id": tid,
+            "function": draw(st.sampled_from(["plain", "out", "tiny"])),
+            "deps": deps,
+            "file_deps": [
+                {"data_id": f"d{i}", "size_MB": sizes[i], "locations": ["a"]} for i in fds
+            ],
+            "inline_args_B": draw(st.sampled_from([0, 1, 1000, INLINE_ARGS_LIMIT])),
+            "submit_time_s": 10.0 * batch_of[tid],
+        })
+    draw(st.randoms()).shuffle(workflow)
+    return {
+        "name": "batches",
+        "endpoints": [{"endpoint_id": "a", "workers_per_node": 1, "max_nodes": 1,
+                       "initial_nodes": 1}],
+        "functions": [
+            {"name": "plain", "true_fixed_s": 1.0},
+            {"name": "out", "true_fixed_s": 1.0, "output_ratio": 0.5},
+            {"name": "tiny", "true_fixed_s": 1.0, "output_ratio": 1e-9},
+        ],
+        "workflow": workflow,
+    }
+
+
+class TestRegisterBatch:
+    """`_register_batch` builds each task in one pass; the graph it builds
+    is the one the checked builders build (`reference_batch`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batched_workflows(), st.data())
+    def test_one_pass_graph_equals_the_reference(self, doc, data):
+        sc = scenario_from_dict(doc)
+        sim = Simulation(sc, scheduler_kind="capacity")
+        ref_dag = Dag()
+        ref_data = DataManager(sim.endpoint_order, sim.transfer_profiler)
+        for did, d in sc.data.items():
+            ref_data.register_item(did, int(round(d.size_MB * MB)), d.locations)
+        ref_spec_by_tid = {}
+        batches = {}
+        for t in sc.workflow:
+            batches.setdefault(t.submit_time_s, []).append(t)
+        for when, specs in sorted(batches.items()):
+            # Earlier tasks may have run, failed for good or be under way.
+            for tid in sim.dag.nodes:
+                state = data.draw(st.sampled_from(TaskState))
+                sim.dag.nodes[tid].state = ref_dag.nodes[tid].state = state
+            sim.clock = when
+            before = sim._state_counts[TaskState.PENDING.index]
+            got = sim._register_batch(specs)
+            want = reference_batch(ref_dag, ref_data, ref_spec_by_tid, sc.functions,
+                                   specs, when)
+            assert got == want
+            assert sim._state_counts[TaskState.PENDING.index] == before + len(specs)
+        assert sim.dag.nodes == ref_dag.nodes
+        assert sim.dag.successors == ref_dag.successors
+        assert sim.data.items == ref_data.items
+        assert sim._spec_by_tid == ref_spec_by_tid
+
+    @pytest.mark.parametrize("size, message", [
+        (INLINE_ARGS_LIMIT + 1, "exceed the 10 MB limit"),
+        (-1, "must be non-negative"),
+    ])
+    def test_hand_built_inline_arguments_out_of_range_raise(self, size, message):
+        """The loader rejects both sizes; a `Scenario` built by hand still
+        meets the builder's check."""
+        sc = oracle()
+        sc.workflow[1].inline_args_B = size
+        with pytest.raises(WorkflowError, match=message):
+            Simulation(sc).run()
+
+    def test_hand_built_duplicate_output_item_raises(self):
+        sc = oracle()
+        sc.data["out:0"] = DataSpec("out:0", 1.0, ("a",))
+        with pytest.raises(DataError, match="duplicate data item out:0"):
+            Simulation(sc).run()

@@ -259,6 +259,17 @@ class TestExecutionProfiler:
         with pytest.raises(ProfilerError):
             ExecutionProfiler().record(rec(exec_time=-1.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("exec_time", -1.0), ("exec_time", -math.inf), ("input_size", -1), ("output_size", -1),
+    ])
+    def test_each_negative_field_is_named_negative(self, field, value):
+        """A negative field is reported as negative, even -inf, which is
+        also not finite."""
+        p = ExecutionProfiler()
+        with pytest.raises(ProfilerError, match="negative field in record for f"):
+            p.record(rec(**{field: value}))
+        assert p.history == [] and p._moments == {}
+
     @pytest.mark.parametrize("field", ["exec_time", "timestamp"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_record_rejected(self, field, value):
@@ -278,6 +289,9 @@ class TestExecutionProfiler:
         "f,a,100,slow,0,1,0.0",
         "f,a,100,1.0,0,yes,0.0",
         "f,a,100,1.0,0,1,",
+        "f,a,100,1.0,0,7,0.0",  # a success flag is 0 or 1
+        "f,a,100,1.0,0,-3,0.0",
+        pytest.param("x" * 200_000 + ",a,100,1.0,0,1,0.0", id="name-over-the-csv-field-limit"),
     ])
     def test_unparsable_history_field_names_its_line(self, tmp_path, line):
         path = tmp_path / "history.csv"
@@ -296,6 +310,21 @@ class TestExecutionProfiler:
         q.load(path)
         assert q.history == p.history
         assert path.read_text().splitlines()[0].startswith("f,a,123,4.5,9,0,")
+
+    @pytest.mark.parametrize("name", ["dock,v2", 'say "hi"', "two\nlines", "cr\rlf", " pad "])
+    def test_any_name_round_trips(self, tmp_path, name):
+        """A function or endpoint name that holds the separator, a quote or
+        a line break is quoted, and loads back as it was; the rows around
+        it keep their line numbers' meaning."""
+        p = ExecutionProfiler()
+        p.record(rec(function=name, endpoint=name, exec_time=2.5))
+        p.record(rec(function="g", endpoint="b", exec_time=-0.0, success=False))
+        path = tmp_path / "history.csv"
+        p.save(path)
+        q = ExecutionProfiler()
+        q.load(path)
+        assert q.history == p.history
+        assert path.read_bytes().endswith(b"\ng,b,100,-0.0,0,0,0.0\n")
 
 
 class TestTransferProfiler:
