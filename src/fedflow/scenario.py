@@ -8,6 +8,7 @@ in seconds.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import math
@@ -575,11 +576,17 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
+    # A load makes no reference cycles (tests/test_collector.py), so the
+    # collector is paused for it and left as the caller had it, as in `run()`.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(path.read_text())
+        return scenario_from_dict(json.loads(path.read_text()))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(doc)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def save_scenario(sc: Scenario, path):

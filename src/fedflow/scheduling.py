@@ -247,12 +247,14 @@ class LocalityStrategy(BaseStrategy):
 class _DecisionClass:
     """The committed tasks of one decision class, as (-priority, task id)
     in the order a pass takes them, and the member a pass's heap holds for
-    the class (None when it holds none)."""
+    the class (None when it holds none). `prefix`, the key's first four
+    fields, is all a pass's bound reads of a task."""
 
-    __slots__ = ("key", "members", "head")
+    __slots__ = ("key", "prefix", "members", "head")
 
     def __init__(self, key: tuple):
         self.key = key
+        self.prefix = key[:4]
         self.members: list = []
         self.head: Optional[int] = None
 
@@ -311,11 +313,11 @@ class DhaStrategy(BaseStrategy):
     # -- endpoint selection ------------------------------------------------
 
     def _earliest_finishing(
-        self, node, candidates, idle: dict, best_ep=None, best_eft=None
+        self, node, row: dict, candidates, idle: dict, best_ep=None, best_eft=None
     ) -> str:
-        """The candidate endpoint with the earliest finish time for the task;
-        ties go to the candidate listed first, and to `best_ep`, already
-        scored at `best_eft`, before any candidate.
+        """The candidate endpoint with the earliest finish time for the task,
+        whose cost row is `row`; ties go to the candidate listed first, and
+        to `best_ep`, already scored at `best_eft`, before any candidate.
 
         `idle` maps endpoints to idle estimates already read, and is filled
         with each candidate's; the caller drops the entries whose inputs
@@ -328,7 +330,6 @@ class DhaStrategy(BaseStrategy):
         clock = sim.clock
         file_deps = node.file_deps
         staging_estimate = sim.data.staging_estimate
-        row = sim.exec_row(node.task_id)
         for ep_id in candidates:
             ready = idle.get(ep_id)
             if ready is None:
@@ -347,7 +348,8 @@ class DhaStrategy(BaseStrategy):
         """`idle` as in `_earliest_finishing`; a fresh table when None."""
         sim = self.sim
         node = sim.dag.nodes[task_id]
-        return self._earliest_finishing(node, sim.endpoint_order, {} if idle is None else idle)
+        idle = {} if idle is None else idle
+        return self._earliest_finishing(node, sim.exec_row(task_id), sim.endpoint_order, idle)
 
     def on_deps_done(self, task_ids: list):
         sim = self.sim
@@ -511,6 +513,11 @@ class DhaStrategy(BaseStrategy):
         class that keeps its incumbent retires until the next move, and
         after a move the retired classes and those whose members changed
         come back at their next member.
+
+        A head is first bounded with free staging, exact for its incumbent:
+        when no other endpoint beats the incumbent so, its class retires
+        with nothing staged, as does every class of its `prefix` until the
+        next move.
         """
         sim = self.sim
         # Taking in the changes since the last pass costs a step per change,
@@ -544,6 +551,7 @@ class DhaStrategy(BaseStrategy):
             heap.append(entry)
         heapq.heapify(heap)
         stays: set = set()  # classes retired since the last move
+        bounded: set = set()  # class prefixes the bound retired since the last move
         while heap:
             entry = heapq.heappop(heap)
             tid = entry[1]
@@ -552,22 +560,32 @@ class DhaStrategy(BaseStrategy):
                 continue  # dispatched, or its class came back at another member
             cls.head = None
             stays.add(cls)
+            scores += 1
+            if cls.prefix in bounded:
+                continue
             node = nodes[tid]
             incumbent = node.assigned_endpoint
-            scores += 1
-            eft = earliest_finish_time(
-                clock,
-                sim.data.staging_estimate(node.file_deps, incumbent),
-                sim.earliest_idle_estimate(incumbent, node.backlog_s),
-                sim.exec_row(tid)[incumbent],
-            )
-            best_ep = self._earliest_finishing(node, self._others[incumbent], idle, incumbent, eft)
+            row = sim.exec_row(tid)
+            # Each input of a committed task is on its incumbent, is empty
+            # or has an open job there, so it stages there in 0 s.
+            ready = sim.earliest_idle_estimate(incumbent, node.backlog_s)
+            eft = (ready if ready > clock else clock) + row[incumbent]
+            others = self._others[incumbent]
+            for ep in others:
+                ready = idle[ep]
+                if (ready if ready > clock else clock) + row[ep] < eft:
+                    break
+            else:  # a verdict on the prefix, the clock and `idle` alone
+                bounded.add(cls.prefix)
+                continue
+            best_ep = self._earliest_finishing(node, row, others, idle, incumbent, eft)
             if best_ep == incumbent:
                 continue
             sim.move_assignment(tid, best_ep)
             for ep in (incumbent, best_ep):
                 idle[ep] = sim.earliest_idle_estimate(ep)
             moves += 1
+            bounded.clear()
             # Classes the heap holds and the move left alone keep their next
             # member; every other class comes back at its next member after
             # this task.

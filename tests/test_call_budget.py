@@ -23,7 +23,7 @@ from fedflow.engine import Simulation
 CEILINGS = {
     ("montage-like", 0.05, "dha"): 92_200,  # 90,386
     ("drug-like", 0.05, "capacity"): 105_400,  # 103,335
-    ("dynamic-drug", 0.02, "dha"): 141_700,  # 138,892
+    ("dynamic-drug", 0.02, "dha"): 92_200,  # 90,383
     ("dynamic-montage", 0.02, "locality"): 41_600,  # 40,792
 }
 

@@ -1,11 +1,13 @@
-"""`Simulation.run()` pauses CPython's cyclic garbage collector.
+"""`Simulation.run()` and `load_scenario` pause CPython's cyclic garbage
+collector.
 
 The pause is safe because a run makes no reference cycles: every object it
 frees goes by reference count alone, so a collector pass during the run
 would find nothing. The first tests pin that over every builtin ×
 scheduler and the variants that take the failure, probe, poll and sync-lag
 paths. The others pin the pause itself: no collection runs inside `run()`,
-and the caller's setting is back however the run ends.
+and the caller's setting is back however the run ends. The last pin the
+same for a load.
 """
 
 import gc
@@ -15,6 +17,7 @@ import pytest
 import test_termination
 from fedflow.builtins import BUILTIN_NAMES, generate_builtin_scenario
 from fedflow.engine import DeadlockError, Simulation
+from fedflow.scenario import ScenarioError, load_scenario, save_scenario
 from test_golden import _scenario
 from test_termination import BoundedSimulation, lossy, quiet  # noqa: F401 (quiet is a fixture)
 
@@ -146,4 +149,40 @@ class TestCollectorSetting:
         gc.enable() if enabled else gc.disable()
         with pytest.raises(pytest.fail.Exception, match="no end after 10 events"):
             sim.run()
+        assert gc.isenabled() is enabled
+
+
+# The builtins of the three benchmark workloads.
+@pytest.mark.parametrize("name", ["drug-like", "montage-like", "dynamic-drug"])
+def test_a_load_makes_no_cyclic_garbage_and_no_collection(name, tmp_path, collector):
+    path = tmp_path / "scenario.json"
+    save_scenario(generate_builtin_scenario(name, 0.1), path)
+    gc.enable()
+    gc.collect()
+    assert count_collections(lambda: load_scenario(path)) == 0
+    assert gc.isenabled()
+    assert gc.collect() == 0  # the loaded scenario is already dropped
+
+
+class TestCollectorSettingAfterALoad:
+    """`load_scenario` leaves the collector on or off, as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "text, raises",
+        [(None, None), ("{", "not valid JSON"), ("{}", "at least one endpoint")],
+        ids=["loads", "invalid-json", "scenario-error"],
+    )
+    def test_however_the_load_ends(self, text, raises, enabled, tmp_path, collector):
+        path = tmp_path / "scenario.json"
+        if text is None:
+            save_scenario(generate_builtin_scenario("drug-like", 0.01), path)
+        else:
+            path.write_text(text)
+        gc.enable() if enabled else gc.disable()
+        if raises is None:
+            load_scenario(path)
+        else:
+            with pytest.raises(ScenarioError, match=raises):
+                load_scenario(path)
         assert gc.isenabled() is enabled

@@ -19,6 +19,10 @@ no endpoint holds a queued task beside an idle worker; the run itself is
 unchanged. Under DHA, once a pass has started it, the index of
 committed tasks by decision class is checked against one built afresh.
 
+Every input of a STAGING or READY task is on its endpoint, is empty, or has
+an open job there, so the data manager prices staging it there at exactly
+0 s; DHA's re-scheduling pass prices each incumbent on that rule.
+
 Each task's successor list must stay strictly ascending, since the
 readiness, cascade and placement walks over it no longer sort; the lossy
 dynamic-drug DHA run takes that through retries, unrunnable cascades and
@@ -96,6 +100,9 @@ def check_counters(sim):
     assert sim._work_queued() == any(kind != EventKind.SCALE_TICK for kind in kinds)
 
     data = sim.data
+    for tid, node in nodes.items():
+        if node.state in (TaskState.STAGING, TaskState.READY):
+            assert data.staging_estimate(node.file_deps, node.assigned_endpoint) == 0.0, tid
     open_jobs = [j for j in data.jobs.values() if j.state in OPEN]
     assert len({(j.data_id, j.dst) for j in open_jobs}) == len(open_jobs), "one open job per key"
     assert data._open == {(j.data_id, j.dst): j for j in open_jobs}

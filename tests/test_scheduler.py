@@ -274,18 +274,20 @@ class TestDhaEndpointChoice:
         assert sim.staged == ["a"]
 
     def test_reschedule_keeps_incumbent_on_tie(self):
+        """No other endpoint beats the incumbent even with free staging, so
+        the pass stages nothing: the incumbent holds the task's inputs."""
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 6.0}, incumbent="b")
         assert DhaStrategy(sim).reschedule_pass() == 0
         assert sim.moves == []
         assert sim.idle_reads == ["a", "b", "c"]
         assert sim.left_out_reads == ["b"]
-        assert sim.staged == ["b"]
+        assert sim.staged == []
 
     def test_reschedule_moves_on_strict_gain(self):
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 4.0}, incumbent="b")
         assert DhaStrategy(sim).reschedule_pass() == 1
         assert sim.moves == [(0, "c")]
-        assert sim.staged == ["b", "c"]
+        assert sim.staged == ["c"]
 
 
 class TableSim:
@@ -336,7 +338,8 @@ class TestEarliestFinishingBound:
         for candidates in (declared, incumbent_first):
             sim = TableSim(clock, table)
             idle = {}
-            got = DhaStrategy(sim)._earliest_finishing(sim.dag.nodes[0], tuple(candidates), idle)
+            node, row = sim.dag.nodes[0], sim.exec_row(0)
+            got = DhaStrategy(sim)._earliest_finishing(node, row, tuple(candidates), idle)
             efts = [earliest_finish_time(clock, *table[e]) for e in candidates]
             assert got == candidates[efts.index(min(efts))]
             expect_staged = [
@@ -394,11 +397,12 @@ class TestReschedulePass:
         assert sim.left_out_reads == ["a"]
 
     def test_staged_set_rule_holds_in_a_pass(self):
-        """Equal priorities go in task id order; the second task's bound on
-        "b" (10 + 5) ties its incumbent's finish time, so "b" is not staged."""
+        """Equal priorities go in task id order; no incumbent is staged, and
+        the second task's bound on "b" (10 + 5) ties its incumbent's finish
+        time, so "b" is not staged for it."""
         sim = PassSim()
         DhaStrategy(sim).reschedule_pass()
-        assert sim.staged == ["a", "b", "a"]
+        assert sim.staged == ["b"]
 
 
 class ClassSim(FakeSim):
@@ -406,14 +410,15 @@ class ClassSim(FakeSim):
     row (5 s everywhere), given as (incumbent, own backlog, file deps);
     `terms` gives each endpoint's idle terms, and a task's staging time on
     an endpoint is the size of its file deps held elsewhere and not on
-    their way there, in seconds. Each item is (data id, size, endpoint
-    holding it, endpoints another task's open job lands it on)."""
+    their way there, in seconds. Each item is (data id, size, endpoints
+    holding it, endpoints another task's open job lands it on); each task's
+    inputs are on its incumbent, as a committed task's are."""
 
     def __init__(self, terms: dict, tasks: list, items=()):
         super().__init__(dict.fromkeys(terms, 5.0), incumbent=tasks[0][0])
         self.table = terms
         for data_id, size, where, inbound in items:
-            self.data.register_item(data_id, size, [where])
+            self.data.register_item(data_id, size, where)
             for dst in inbound:
                 self.data.stage(99, [data_id], dst, 0.0)
         self.dag.submit_task(FN)
@@ -452,11 +457,12 @@ class ClassSim(FakeSim):
             (),
             "b",
         ),
-        # Task 0's input is on "a", task 1's on "b", 20 s away.
+        # Both wait on "a" until 10; task 0's input is 20 s from "b", and
+        # task 1's is on "b" too.
         (
-            {"a": IDLE_NOW, "b": (0, 3.0, 0.0, 1)},
+            {"a": BUSY_TO_10, "b": (0, 3.0, 0.0, 1)},
             [("a", 0.0, ("x",)), ("a", 0.0, ("y",))],
-            (("x", 20, "a", ()), ("y", 20, "b", ())),
+            (("x", 20, ("a",), ()), ("y", 20, ("a", "b"), ())),
             "b",
         ),
         # Both inputs are on "a", busy until 10; task 1's is already on its
@@ -464,7 +470,7 @@ class ClassSim(FakeSim):
         (
             {"a": BUSY_TO_10, "b": IDLE_NOW},
             [("a", 0.0, ("x",)), ("a", 0.0, ("y",))],
-            (("x", 20, "a", ()), ("y", 20, "a", ("b",))),
+            (("x", 20, ("a",), ()), ("y", 20, ("a",), ("b",))),
             "b",
         ),
     ],
@@ -478,6 +484,21 @@ def test_decision_class_tells_tasks_apart(terms, tasks, items, target):
         sim = ClassSim(terms, tasks, items)
         assert walk(DhaStrategy(sim)) == 1
         assert sim.moves == [(1, target)]
+
+
+def test_a_bound_verdict_serves_every_class_of_its_prefix():
+    """Two tasks that differ only in the size of their input, so in two
+    classes of one prefix: the first retires on the staging-free bound, and
+    the second on that verdict, with no left-out idle read of its own. Both
+    count as scored."""
+    sim = ClassSim(
+        {"a": IDLE_NOW, "b": BUSY_TO_10},
+        [("a", 0.0, ("x",)), ("a", 0.0, ("y",))],
+        (("x", 20, ("a",), ()), ("y", 30, ("a",), ())),
+    )
+    assert DhaStrategy(sim).reschedule_pass() == 0
+    assert sim.left_out_reads == ["a"]
+    assert sim.metrics.pass_scores == 2
 
 
 def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
@@ -520,14 +541,13 @@ def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
     score = DhaStrategy._earliest_finishing
     reused = Counter()
 
-    def checked_score(self, node, candidates, idle, best_ep=None, best_eft=None):
+    def checked_score(self, node, row, candidates, idle, best_ep=None, best_eft=None):
         sim = self.sim
         kind = "pass" if node.assigned_endpoint is not None else "placement"
         for ep_id in candidates:
             if ep_id in idle:
                 assert idle[ep_id] == sim.earliest_idle_estimate(ep_id), (kind, ep_id)
                 reused[kind] += 1
-        row = sim.exec_row(node.task_id)
         assert row == {ep: sim.predicted_exec(node.task_id, ep) for ep in sim.endpoint_order}
         if best_ep is not None:
             assert best_ep == node.assigned_endpoint
@@ -538,7 +558,7 @@ def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
                 row[best_ep],
             )
             reused["incumbent"] += 1
-        return score(self, node, candidates, idle, best_ep, best_eft)
+        return score(self, node, row, candidates, idle, best_ep, best_eft)
 
     monkeypatch.setattr(DhaStrategy, "_earliest_finishing", checked_score)
     sim = Simulation(sc, scheduler_kind="dha", seed=7)
@@ -573,13 +593,14 @@ def reference_pass(self) -> int:
             continue
         incumbent = node.assigned_endpoint
         sim.metrics.pass_scores += 1
+        row = sim.exec_row(tid)
         eft = earliest_finish_time(
             clock,
             sim.data.staging_estimate(node.file_deps, incumbent),
             sim.earliest_idle_estimate(incumbent, node.backlog_s),
-            sim.exec_row(tid)[incumbent],
+            row[incumbent],
         )
-        best_ep = self._earliest_finishing(node, self._others[incumbent], idle, incumbent, eft)
+        best_ep = self._earliest_finishing(node, row, self._others[incumbent], idle, incumbent, eft)
         if best_ep == incumbent:
             stays.add(decision)
             continue
@@ -604,12 +625,13 @@ def _case_scenario(name, scale, variant):
     return sc
 
 
-def _run_recording_moves(monkeypatch, tmp_path, case=("dynamic-drug", 0.02, "")):
-    """Run a case under DHA; returns (moves in order, tasks the passes
-    scored, bytes of each CSV). A task counts as scored when its incumbent
-    is passed to `_earliest_finishing`, which is the engine's
-    `pass_scores` too."""
-    moves, scores = [], []
+def _run_recording_moves(monkeypatch, tmp_path, case=("dynamic-drug", 0.02, ""), walk=None):
+    """Run a case under DHA, its passes made by `walk` when given; returns
+    (moves in order, tasks the passes scored, bytes of each CSV). Tasks
+    scored are the engine's `pass_scores`. `reference_pass` scores each in
+    full, passing its incumbent to `_earliest_finishing`; the class index's
+    pass retires some on a bound first."""
+    moves, full = [], []
     move_assignment = Simulation.move_assignment
     score = DhaStrategy._earliest_finishing
 
@@ -617,19 +639,24 @@ def _run_recording_moves(monkeypatch, tmp_path, case=("dynamic-drug", 0.02, ""))
         moves.append((self.clock, task_id, endpoint_id))
         return move_assignment(self, task_id, endpoint_id)
 
-    def counted_score(self, node, candidates, idle, best_ep=None, best_eft=None):
+    def counted_score(self, node, row, candidates, idle, best_ep=None, best_eft=None):
         if best_ep is not None:
-            scores.append(node.task_id)
-        return score(self, node, candidates, idle, best_ep, best_eft)
+            full.append(node.task_id)
+        return score(self, node, row, candidates, idle, best_ep, best_eft)
 
     monkeypatch.setattr(Simulation, "move_assignment", recorded_move)
     monkeypatch.setattr(DhaStrategy, "_earliest_finishing", counted_score)
+    if walk is not None:
+        monkeypatch.setattr(DhaStrategy, "reschedule_pass", walk)
     metrics = Simulation(_case_scenario(*case), scheduler_kind="dha", seed=7).run()
     metrics.emit(tmp_path)
     monkeypatch.undo()
-    assert metrics.pass_scores == len(scores)
+    if walk is reference_pass:
+        assert metrics.pass_scores == len(full)
+    else:
+        assert metrics.pass_scores >= len(full)
     csvs = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
-    return moves, len(scores), csvs
+    return moves, metrics.pass_scores, csvs
 
 
 def test_decision_memo_is_exact(monkeypatch, tmp_path):
@@ -638,7 +665,7 @@ def test_decision_memo_is_exact(monkeypatch, tmp_path):
     each is scored in full, the run makes the same moves and the same
     CSVs, byte for byte."""
     memo = _run_recording_moves(monkeypatch, tmp_path / "memo")
-    monkeypatch.setattr(DhaStrategy, "_decision_class", lambda self, node: node.task_id)
+    monkeypatch.setattr(DhaStrategy, "_decision_class", lambda self, node: (node.task_id,))
     full = _run_recording_moves(monkeypatch, tmp_path / "full")
     assert memo[0] and memo[0] == full[0]
     assert memo[2] == full[2]
@@ -663,8 +690,7 @@ def test_class_index_walk_equals_reference_walk(case, monkeypatch, tmp_path):
     """The pass over the class index makes the moves, scores the tasks and
     writes the CSVs of the reference walk, byte for byte."""
     indexed = _run_recording_moves(monkeypatch, tmp_path / "index", case)
-    monkeypatch.setattr(DhaStrategy, "reschedule_pass", reference_pass)
-    reference = _run_recording_moves(monkeypatch, tmp_path / "reference", case)
+    reference = _run_recording_moves(monkeypatch, tmp_path / "reference", case, reference_pass)
     assert indexed == reference
     if case[0].startswith("dynamic"):
         assert indexed[0], "no move to compare"

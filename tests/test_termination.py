@@ -8,7 +8,9 @@ instead of hanging the suite.
 
 import dataclasses
 import logging
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from fedflow.dag import TaskState
 from fedflow.endpoints import CapacityEvent
 from fedflow.engine import DeadlockError, Simulation
 from fedflow.scenario import ScenarioError, scenario_from_dict
+from fedflow.scheduling import DhaStrategy
+from test_scheduler import reference_pass
 
 SEED = 7
 MAX_EVENTS = 50_000
@@ -55,6 +59,37 @@ class BoundedSimulation(Simulation):
     def _record_task_outcome(self, task_id, endpoint_id, success, exec_time=0.0):
         self.outcomes.append((task_id, endpoint_id, success))
         super()._record_task_outcome(task_id, endpoint_id, success, exec_time)
+
+
+class MoveRecordingSimulation(BoundedSimulation):
+    """Records each re-scheduling move as (clock, task, target)."""
+
+    def __init__(self, *args, **kwargs):
+        self.moves = []
+        super().__init__(*args, **kwargs)
+
+    def move_assignment(self, task_id, endpoint_id):
+        self.moves.append((self.clock, task_id, endpoint_id))
+        super().move_assignment(task_id, endpoint_id)
+
+
+class ReferenceDhaStrategy(DhaStrategy):
+    reschedule_pass = reference_pass
+
+
+def dha_outputs(sc, walk_class=DhaStrategy) -> tuple:
+    """A DHA run whose passes `walk_class` makes: (moves, tasks the passes
+    scored, bytes of each CSV, or None when the run deadlocks)."""
+    sim = MoveRecordingSimulation(sc, scheduler_kind="dha", seed=SEED)
+    sim.strategy = walk_class(sim)
+    try:
+        metrics = sim.run()
+    except DeadlockError:
+        return sim.moves, sim.metrics.pass_scores, None
+    with tempfile.TemporaryDirectory() as out:
+        metrics.emit(out)
+        csvs = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+    return sim.moves, metrics.pass_scores, csvs
 
 
 def check_refits(sim):
@@ -278,15 +313,20 @@ ENDPOINTS = ("a", "b")
 
 
 @st.composite
-def workflow_documents(draw):
+def workflow_documents(draw, loadable=False):
     """Small scenario documents: 1-25 tasks listed in any id order, each
     submitted at one of a few times, with deps on other tasks and optional
     inline data declarations; one capacity change, possibly to 0 workers,
     and `elastic` on or off. In about half of them a task may depend on any
     task, which mostly fails to load; in the rest only on tasks listed
-    before it, which loads unless a dep is submitted later."""
-    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True))
-    any_order = draw(st.booleans())
+    before it, which loads unless a dep is submitted later. With
+    `loadable`, 10-25 tasks all submitted at 0 s depend only on tasks
+    listed before them."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=10 if loadable else 1, max_size=25,
+                        unique=True))
+    if loadable:
+        ids.sort()
+    any_order = not loadable and draw(st.booleans())
     # Each item has one declaration that most entries repeat; the rest may
     # contradict it.
     items = {
@@ -302,7 +342,8 @@ def workflow_documents(draw):
     workflow = []
     for i, tid in enumerate(ids):
         file_deps = []
-        for form in draw(st.lists(st.sampled_from(["ref", "repeat", "repeat", "any"]), max_size=2)):
+        forms = ["ref", "repeat"] if loadable else ["ref", "repeat", "repeat", "any"]
+        for form in draw(st.lists(st.sampled_from(forms), max_size=2)):
             if form == "ref" and declared:
                 file_deps.append(draw(st.sampled_from(declared)))
                 continue
@@ -316,11 +357,11 @@ def workflow_documents(draw):
             "deps": draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
             if others else [],
             "file_deps": file_deps,
-            "submit_time_s": draw(st.sampled_from([0.0, 3.0, 10.0])),
+            "submit_time_s": 0.0 if loadable else draw(st.sampled_from([0.0, 3.0, 10.0])),
         })
     event = {
         "time_s": draw(st.sampled_from([0.0, 2.0, 7.0])),
-        "delta_workers": draw(st.sampled_from([-10_000, -1, 2])),
+        "delta_workers": draw(st.sampled_from([-1, 2] if loadable else [-10_000, -1, 2])),
     }
     changed = draw(st.sampled_from(ENDPOINTS))
     return {
@@ -351,10 +392,13 @@ def workflow_documents(draw):
 def test_a_scenario_that_loads_runs_to_an_end_under_every_scheduler(doc):
     # A document is rejected at load, or each run ends with every task in a
     # terminal state or with a deadlock; any other exception is a fault.
+    # Every document has a capacity change, so DHA runs passes: the class
+    # index's pass makes the moves, scores and CSVs of `reference_pass`.
     try:
         sc = scenario_from_dict(doc)
     except ScenarioError:
         return
+    assert dha_outputs(sc) == dha_outputs(sc, ReferenceDhaStrategy)
     for scheduler in ("capacity", "locality", "dha"):
         sim = BoundedSimulation(sc, scheduler_kind=scheduler, seed=SEED)
         try:
@@ -365,3 +409,12 @@ def test_a_scenario_that_loads_runs_to_an_end_under_every_scheduler(doc):
             assert sim.finished and len(sim.dag.nodes) == len(sc.workflow)
             assert all(node.terminal for node in sim.dag.nodes.values())
         check_refits(sim)
+
+
+@settings(max_examples=150)
+@given(workflow_documents(loadable=True))
+def test_the_class_index_pass_walks_as_the_reference_pass(doc):
+    # Documents that load, with 10-25 tasks waiting at once, so that passes
+    # move tasks; about one in eight moves one.
+    sc = scenario_from_dict(doc)
+    assert dha_outputs(sc) == dha_outputs(sc, ReferenceDhaStrategy)
