@@ -100,12 +100,6 @@ class DataManager:
         # One object per endpoint set value, which many items share as
         # their replica and inbound sets.
         self._replica_sets: dict = {}
-        # Ids of the items whose locations or inbound changed since a
-        # watcher last read them; None while nobody watches. A job records
-        # its item as it opens and as it closes, which covers the replica
-        # it lands; a task's output gets its first replica before any
-        # reader of it can be committed, so that change needs no record.
-        self.changed_items: Optional[set] = None
 
     # -- items -------------------------------------------------------------
 
@@ -238,8 +232,6 @@ class DataManager:
         self._open[(data_id, dst)] = job
         item = self.items[data_id]
         item.inbound = self._replica_set(item.inbound | {dst})
-        if self.changed_items is not None:
-            self.changed_items.add(data_id)
         return job, self._start_waiting(self._enqueue(job), clock)
 
     def _enqueue(self, job: TransferJob) -> tuple:
@@ -312,8 +304,6 @@ class DataManager:
         del self._open[(job.data_id, job.dst)]
         item = self.items[job.data_id]
         item.inbound = self._replica_set(item.inbound - {job.dst})
-        if self.changed_items is not None:
-            self.changed_items.add(job.data_id)
 
     def cancel_task_jobs(self, task_id: int):
         """Forget bookkeeping for a task being re-staged elsewhere or failed.

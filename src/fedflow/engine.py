@@ -129,8 +129,9 @@ class Simulation:
         self._spec_by_tid: dict = {}
         # Ids of the tasks committed, un-assigned or dispatched since a
         # strategy last read them (`_unassign`, which `_commit` calls, adds
-        # them), like the data manager's `changed_items`; None while no
-        # strategy watches.
+        # them); None while no strategy watches. DHA's index files each
+        # committed task under fields only `_commit` changes, so this set
+        # is all it reads.
         self.changed_tasks: Optional[set] = None
         # With the one set below, the instance holds 27 attributes. A 30th
         # makes CPython 3.11 stop sharing its dict's keys, and every
@@ -508,13 +509,6 @@ class Simulation:
             node.function.name, endpoint_id, node.input_bytes, exec_time,
             out_size, success, self.clock,
         )))
-
-    def producer(self, data_id: str) -> Optional[int]:
-        """The task whose output the item is; None for an item the scenario
-        declares, or a probe."""
-        if data_id in self.scenario.data or not data_id.startswith(OUTPUT_PREFIX):
-            return None
-        return int(data_id[len(OUTPUT_PREFIX):])
 
     def undispatched_tasks(self) -> list:
         """Tasks assigned and not yet dispatched, in no particular order."""

@@ -46,7 +46,7 @@ class MetricsLog:
         self.resched_seconds: float = 0.0  # the re-scheduling hooks among them
         self.decision_count: int = 0  # first placements and retries
         self.move_count: int = 0  # re-scheduling moves
-        self.pass_scores: int = 0  # tasks a re-scheduling pass scored
+        self.pass_scores: int = 0  # tasks a re-scheduling pass priced, one left-out idle read each
         self.event_count: int = 0
 
     @property

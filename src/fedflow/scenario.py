@@ -177,7 +177,7 @@ def _int(value, name: str, where: str) -> int:
     raise ScenarioError(f"{where}: '{name}' must be an integer ({value!r})")
 
 
-def _declared_data(fd: dict, did, m: int, seen_eps: set) -> DataSpec:
+def _data_from_declaration(fd: dict, did, m: int, seen_eps: set) -> DataSpec:
     """The item that the `file_deps` entry `fd` of `workflow[m]` declares."""
     if did.startswith((OUTPUT_PREFIX, PROBE_PREFIX)):
         raise ScenarioError(f"workflow[{m}]: data id '{did}' starts with a reserved prefix")
@@ -385,9 +385,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if type(did) is not str:
                 _id(_require(fd, "data_id", f"workflow[{m}]"), "data_id", f"workflow[{m}]")
             if did not in data:
-                data[did] = _declared_data(fd, did, m, seen_eps)
+                data[did] = _data_from_declaration(fd, did, m, seen_eps)
             else:
-                again, first = _declared_data(fd, did, m, seen_eps), data[did]
+                again, first = _data_from_declaration(fd, did, m, seen_eps), data[did]
                 if again.size_MB != first.size_MB or {*again.locations} != {*first.locations}:
                     raise ScenarioError(
                         f"workflow[{m}]: data '{did}' declared again with another size"

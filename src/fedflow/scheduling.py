@@ -244,19 +244,15 @@ class LocalityStrategy(BaseStrategy):
         return self._select(task_id)
 
 
-class _DecisionClass:
-    """The committed tasks of one decision class, as (-priority, task id)
-    in the order a pass takes them, and the member a pass's heap holds for
-    the class (None when it holds none). `prefix`, the key's first four
-    fields, is all a pass's bound reads of a task."""
+class _PrefixClass:
+    """The committed tasks of one decision prefix (`DhaStrategy._prefix`),
+    as (-priority, task id) in the order a pass takes them."""
 
-    __slots__ = ("key", "prefix", "members", "head")
+    __slots__ = ("key", "members")
 
     def __init__(self, key: tuple):
         self.key = key
-        self.prefix = key[:4]
         self.members: list = []
-        self.head: Optional[int] = None
 
 
 class DhaStrategy(BaseStrategy):
@@ -272,13 +268,12 @@ class DhaStrategy(BaseStrategy):
         self.delay_queues = {ep: [] for ep in order}  # endpoint_id -> heap of (-priority, tid)
         # Per incumbent, every other endpoint: candidates to steal a task.
         self._others = {ep: tuple(e for e in order if e != ep) for ep in order}
-        # The committed tasks by decision class, kept up to date from the
-        # changes the engine and the data manager record (`_flush`), each
-        # filed under its class. Started at the first pass, so a run without
-        # one never starts it.
-        self._classes: Optional[dict] = None  # decision class key -> _DecisionClass
-        self._class_of: dict = {}  # committed task id -> its _DecisionClass
-        self._declared: Optional[dict] = None  # see `_readers`
+        # The committed tasks by decision prefix, kept up to date from the
+        # changes the engine records (`_flush`), each filed under its
+        # prefix. Started at the first pass, so a run without one never
+        # starts it.
+        self._classes: Optional[dict] = None  # prefix -> _PrefixClass
+        self._class_of: dict = {}  # committed task id -> its _PrefixClass
 
     # -- priorities --------------------------------------------------------
 
@@ -410,53 +405,44 @@ class DhaStrategy(BaseStrategy):
         if sim._work_queued() and any(ep.committed for ep in sim.endpoints):
             sim.arm_reschedule(sim.scenario.defaults.reschedule_period_s)
 
+    def _prefix(self, node) -> tuple:
+        """What a pass's staging-free bound reads of an undispatched task:
+        its cost row (function and input bytes), incumbent and own backlog.
+        Only `Simulation._commit` changes these fields of a committed task."""
+        return (node.function.name, node.input_bytes, node.assigned_endpoint, node.backlog_s)
+
     def _decision_class(self, node) -> tuple:
         """What a pass's decision for an undispatched task reads besides the
-        idle estimates and the link queues: its cost row (function and input
-        bytes), incumbent, own backlog, and the size, locations and open
-        destinations (`inbound`) of each file dependency, in order. An
-        item's locations and inbound are frozensets that a change replaces,
-        so they serve as a key as they stand."""
+        idle estimates and the link queues: its prefix, and the size,
+        locations and open destinations (`inbound`) of each file dependency,
+        in order. An item's locations and inbound are frozensets that a
+        change replaces, so they serve as a key as they stand."""
         items = self.sim.data.items
-        key = (node.function.name, node.input_bytes, node.assigned_endpoint, node.backlog_s)
+        key = self._prefix(node)
         for data_id in node.file_deps:
             item = items[data_id]
             key += (item.size, item.locations, item.inbound)
         return key
 
-    # -- the index of committed tasks by decision class ----------------------
+    # -- the index of committed tasks by decision prefix ---------------------
 
     def _drop_index(self):
         """Forget the index and stop watching: member order reads the
         priorities, so the next pass starts it again."""
-        sim = self.sim
         self._classes = None
         self._class_of = {}
-        self._declared = None
-        sim.changed_tasks = sim.data.changed_items = None
+        self.sim.changed_tasks = None
 
-    def _flush(self) -> list:
-        """Take in what changed since the last flush; returns the classes
-        whose members changed.
-
-        A task is unfiled when it was committed, un-assigned or dispatched,
-        or when an item it reads changed its locations or inbound, and is
-        filed again under its class while it stays committed.
-        """
+    def _flush(self):
+        """Take in the tasks committed, un-assigned or dispatched since the
+        last flush: each is unfiled, and filed again under its prefix while
+        it stays committed."""
         sim = self.sim
         tids = sim.changed_tasks
-        class_of = self._class_of
-        changed_items = sim.data.changed_items
-        if changed_items:
-            for data_id in changed_items:
-                for tid in self._readers(data_id):
-                    if tid in class_of:
-                        tids.add(tid)
-            changed_items.clear()
         classes = self._classes
+        class_of = self._class_of
         nodes = sim.dag.nodes
         priorities = self.priorities
-        touched: list = []
         for tid in tids:
             cls = class_of.pop(tid, None)
             entry = (-priorities.get(tid, 0.0), tid)
@@ -465,39 +451,29 @@ class DhaStrategy(BaseStrategy):
                 del members[bisect.bisect_left(members, entry)]
                 if not members:
                     del classes[cls.key]
-                touched.append(cls)
             # DHA commits a task as it starts staging.
             node = nodes[tid]
             state = node.state
             if state is _STAGING or state is _READY:
-                key = self._decision_class(node)
+                key = self._prefix(node)
                 cls = classes.get(key)
                 if cls is None:
-                    cls = classes[key] = _DecisionClass(key)
+                    cls = classes[key] = _PrefixClass(key)
                 bisect.insort(cls.members, entry)
                 class_of[tid] = cls
-                touched.append(cls)
         tids.clear()
-        return touched
 
-    def _readers(self, data_id: str):
-        """Ids of the tasks that read the item: a task output's are its
-        producer's successors. The readers of an item the scenario declares
-        come from a table of the tasks not done, made at the first call
-        after the last batch."""
-        sim = self.sim
-        producer = sim.producer(data_id)
-        if producer is not None:
-            return sim.dag.successors[producer]
-        if self._declared is None:
-            self._declared = {}
-            declared = sim.scenario.data
-            for tid, node in sim.dag.nodes.items():
-                if node.state is not _DONE:
-                    for d in node.file_deps:
-                        if d in declared:
-                            self._declared.setdefault(d, []).append(tid)
-        return self._declared.get(data_id, ())
+    def _heap_after(self, entry: tuple) -> list:
+        """A pass's heap of (-priority, task id, position, members), each
+        prefix at its first member after `entry`."""
+        heap = []
+        for cls in self._classes.values():
+            members = cls.members
+            j = bisect.bisect_right(members, entry)
+            if j < len(members):
+                heap.append((*members[j], j, members))
+        heapq.heapify(heap)
+        return heap
 
     def reschedule_pass(self) -> int:
         """Re-run endpoint selection for undispatched tasks; steal when the
@@ -508,34 +484,27 @@ class DhaStrategy(BaseStrategy):
 
         Tasks are taken in priority order, and a task is scored unless a
         task of its decision class has kept its incumbent since the last
-        move: while the tables stand, it would too. A task keeps its class
-        until it changes, so the pass walks one heap of class heads: a
-        class that keeps its incumbent retires until the next move, and
-        after a move the retired classes and those whose members changed
-        come back at their next member.
-
-        A head is first bounded with free staging, exact for its incumbent:
-        when no other endpoint beats the incumbent so, its class retires
-        with nothing staged, as does every class of its `prefix` until the
-        next move.
+        move: while the tables stand, it would too. The pass walks one heap
+        entry per prefix, the prefix's next member. A member is first
+        bounded with free staging, exact for its incumbent: when no other
+        endpoint beats the incumbent so, the verdict reads only the prefix,
+        the clock and the idle table, and the prefix leaves the heap until
+        the next move. After a move, every prefix comes back at its first
+        member after the moved task.
         """
         sim = self.sim
         # Taking in the changes since the last pass costs a step per change,
         # starting over a step per committed task: the pass takes the cheaper.
-        if self._classes is None or (
-            len(sim.changed_tasks) + len(sim.data.changed_items)
-            > sum(len(ep.committed) for ep in sim.endpoints)
+        if self._classes is None or len(sim.changed_tasks) > sum(
+            len(ep.committed) for ep in sim.endpoints
         ):
             self._classes = {}
             self._class_of = {}
             sim.changed_tasks = set(sim.undispatched_tasks())
-            sim.data.changed_items = set()
         self._flush()
-        classes = self._classes
-        if not classes:
+        if not self._classes:
             return 0
         nodes = sim.dag.nodes
-        class_of = self._class_of
         clock = sim.clock
         moves = scores = 0
         # One table of idle estimates for the whole pass: the clock is
@@ -544,61 +513,48 @@ class DhaStrategy(BaseStrategy):
         # that follow land on the target too: its admitted jobs all go
         # there, and an orphaned job finishes no task.
         idle = {ep: sim.earliest_idle_estimate(ep) for ep in sim.endpoint_order}
-        heap = []
-        for cls in classes.values():
-            entry = cls.members[0]
-            cls.head = entry[1]
-            heap.append(entry)
+        # As `_heap_after` builds it, each prefix at its first member.
+        heap = [(*cls.members[0], 0, cls.members) for cls in self._classes.values()]
         heapq.heapify(heap)
-        stays: set = set()  # classes retired since the last move
-        bounded: set = set()  # class prefixes the bound retired since the last move
+        stays: set = set()  # decision classes that kept their incumbent since the last move
         while heap:
-            entry = heapq.heappop(heap)
-            tid = entry[1]
-            cls = class_of.get(tid)
-            if cls is None or cls.head != tid:
-                continue  # dispatched, or its class came back at another member
-            cls.head = None
-            stays.add(cls)
-            scores += 1
-            if cls.prefix in bounded:
-                continue
+            neg_priority, tid, position, members = heapq.heappop(heap)
             node = nodes[tid]
-            incumbent = node.assigned_endpoint
-            row = sim.exec_row(tid)
-            # Each input of a committed task is on its incumbent, is empty
-            # or has an open job there, so it stages there in 0 s.
-            ready = sim.earliest_idle_estimate(incumbent, node.backlog_s)
-            eft = (ready if ready > clock else clock) + row[incumbent]
-            others = self._others[incumbent]
-            for ep in others:
-                ready = idle[ep]
-                if (ready if ready > clock else clock) + row[ep] < eft:
-                    break
-            else:  # a verdict on the prefix, the clock and `idle` alone
-                bounded.add(cls.prefix)
-                continue
-            best_ep = self._earliest_finishing(node, row, others, idle, incumbent, eft)
-            if best_ep == incumbent:
-                continue
-            sim.move_assignment(tid, best_ep)
-            for ep in (incumbent, best_ep):
-                idle[ep] = sim.earliest_idle_estimate(ep)
-            moves += 1
-            bounded.clear()
-            # Classes the heap holds and the move left alone keep their next
-            # member; every other class comes back at its next member after
-            # this task.
-            stays.update(self._flush())
-            for back in stays:
-                members = back.members
-                j = bisect.bisect_right(members, entry)
-                head = members[j][1] if j < len(members) else None
-                if head != back.head:
-                    back.head = head
-                    if head is not None:
-                        heapq.heappush(heap, members[j])
-            stays.clear()
+            key = self._decision_class(node)
+            if key not in stays:
+                scores += 1
+                incumbent = node.assigned_endpoint
+                row = sim.exec_row(tid)
+                # Each input of a committed task is on its incumbent, is empty
+                # or has an open job there, so it stages there in 0 s.
+                ready = sim.earliest_idle_estimate(incumbent, node.backlog_s)
+                eft = (ready if ready > clock else clock) + row[incumbent]
+                others = self._others[incumbent]
+                for ep in others:
+                    ready = idle[ep]
+                    if (ready if ready > clock else clock) + row[ep] < eft:
+                        break
+                else:
+                    # A verdict on the prefix, the clock and `idle` alone:
+                    # the prefix leaves the heap until the next move.
+                    continue
+                best_ep = self._earliest_finishing(node, row, others, idle, incumbent, eft)
+                if best_ep != incumbent:
+                    sim.move_assignment(tid, best_ep)
+                    for ep in (incumbent, best_ep):
+                        idle[ep] = sim.earliest_idle_estimate(ep)
+                    moves += 1
+                    # The move may change any decision after it, so every
+                    # prefix, the moved task's new one too, comes back at its
+                    # first member after the moved task.
+                    stays.clear()
+                    self._flush()
+                    heap = self._heap_after((neg_priority, tid))
+                    continue
+                stays.add(key)
+            position += 1
+            if position < len(members):
+                heapq.heappush(heap, (*members[position], position, members))
         sim.metrics.pass_scores += scores
         if moves:
             logger.debug("re-scheduling moved %d tasks", moves)

@@ -23,7 +23,8 @@ from fedflow.engine import Simulation
 CEILINGS = {
     ("montage-like", 0.05, "dha"): 92_200,  # 90,386
     ("drug-like", 0.05, "capacity"): 105_400,  # 103,335
-    ("dynamic-drug", 0.02, "dha"): 92_200,  # 90,383
+    ("dynamic-drug", 0.02, "dha"): 78_900,  # 77,387
+    ("dynamic-montage", 0.1, "dha"): 185_800,  # 182,138
     ("dynamic-montage", 0.02, "locality"): 41_600,  # 40,792
 }
 

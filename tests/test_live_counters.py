@@ -17,7 +17,7 @@ subclass of `Simulation` checks them against scans of the task graph, the
 endpoints and the job table after each event, together with the rule that
 no endpoint holds a queued task beside an idle worker; the run itself is
 unchanged. Under DHA, once a pass has started it, the index of
-committed tasks by decision class is checked against one built afresh.
+committed tasks by decision prefix is checked against one built afresh.
 
 Every input of a STAGING or READY task is on its endpoint, is empty, or has
 an open job there, so the data manager prices staging it there at exactly
@@ -46,7 +46,7 @@ UNDISPATCHED = (TaskState.PENDING, TaskState.STAGING, TaskState.READY)
 # fresh sum by float rounding: under 1e-10 s over the runs below.
 BACKLOG_TOLERANCE_S = 1e-6
 # Lossy runs (see `_scenario`): tasks fail, are retried and leave unrunnable
-# successors. Under DHA the dynamic ones also re-schedule, so the class index
+# successors. Under DHA the dynamic ones also re-schedule, so the prefix index
 # sees tasks leave it by failure.
 LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "locality", "dha")]
 LOSSY_CASES += [("dynamic-drug", 0.02, "dha", "lossy"), ("dynamic-montage", 0.02, "dha", "lossy")]
@@ -127,9 +127,10 @@ def check_counters(sim):
 
 def check_class_index(sim):
     """DHA's index, with the changes since its last flush taken in, holds
-    the committed tasks under the classes a fresh build gives them, each
-    class in walk order. Taking the changes in early changes nothing a
-    pass decides: a pass takes them in first."""
+    the committed tasks under the prefixes a fresh build gives them, each
+    member list sorted in walk order, and each task's prefix holds it.
+    Taking the changes in early changes nothing a pass decides: a pass
+    takes them in first."""
     dha = sim.strategy
     if getattr(dha, "_classes", None) is None:
         return
@@ -139,7 +140,10 @@ def check_class_index(sim):
     for ep in sim.endpoints:
         for tid in ep.committed:
             entry = (-dha.priorities.get(tid, 0.0), tid)
-            rebuilt.setdefault(dha._decision_class(nodes[tid]), []).append(entry)
+            rebuilt.setdefault(dha._prefix(nodes[tid]), []).append(entry)
+    for key, cls in dha._classes.items():
+        assert cls.key == key
+        assert all(a < b for a, b in pairwise(cls.members)), key
     assert {key: cls.members for key, cls in dha._classes.items()} == {
         key: sorted(members) for key, members in rebuilt.items()
     }

@@ -479,7 +479,7 @@ class ClassSim(FakeSim):
 def test_decision_class_tells_tasks_apart(terms, tasks, items, target):
     """Two tasks that differ only in one part of their decision class:
     task 0 keeps its incumbent, and task 1 must still be scored and moved,
-    by the class index's walk and by the reference walk."""
+    by the prefix index's walk and by the reference walk."""
     for walk in (DhaStrategy.reschedule_pass, reference_pass):
         sim = ClassSim(terms, tasks, items)
         assert walk(DhaStrategy(sim)) == 1
@@ -489,8 +489,8 @@ def test_decision_class_tells_tasks_apart(terms, tasks, items, target):
 def test_a_bound_verdict_serves_every_class_of_its_prefix():
     """Two tasks that differ only in the size of their input, so in two
     classes of one prefix: the first retires on the staging-free bound, and
-    the second on that verdict, with no left-out idle read of its own. Both
-    count as scored."""
+    its prefix with it, so the second is never priced. Only the first
+    counts as scored."""
     sim = ClassSim(
         {"a": IDLE_NOW, "b": BUSY_TO_10},
         [("a", 0.0, ("x",)), ("a", 0.0, ("y",))],
@@ -498,7 +498,7 @@ def test_a_bound_verdict_serves_every_class_of_its_prefix():
     )
     assert DhaStrategy(sim).reschedule_pass() == 0
     assert sim.left_out_reads == ["a"]
-    assert sim.metrics.pass_scores == 2
+    assert sim.metrics.pass_scores == 1
 
 
 def test_idle_estimates_per_pass_bounded_by_moves(monkeypatch):
@@ -568,7 +568,7 @@ def test_reused_idle_estimates_equal_fresh_ones(monkeypatch):
 
 def reference_pass(self) -> int:
     """`DhaStrategy.reschedule_pass` as one walk over every undispatched
-    task: the reference the class index is checked against. Tasks go in
+    task: the reference the prefix index is checked against. Tasks go in
     priority order, each is keyed by `_decision_class` when reached, and a
     task is skipped when a task of its class has kept its incumbent since
     the last move."""
@@ -628,16 +628,24 @@ def _case_scenario(name, scale, variant):
 def _run_recording_moves(monkeypatch, tmp_path, case=("dynamic-drug", 0.02, ""), walk=None):
     """Run a case under DHA, its passes made by `walk` when given; returns
     (moves in order, tasks the passes scored, bytes of each CSV). Tasks
-    scored are the engine's `pass_scores`. `reference_pass` scores each in
-    full, passing its incumbent to `_earliest_finishing`; the class index's
-    pass retires some on a bound first."""
-    moves, full = [], []
+    scored are the engine's `pass_scores`: a pass prices each with one
+    left-out idle read of its incumbent. `reference_pass` scores each in
+    full, passing its incumbent to `_earliest_finishing`; the index's pass
+    retires some on a bound first, and leaves out the rest of a bounded
+    prefix unpriced."""
+    moves, full, left_out = [], [], []
     move_assignment = Simulation.move_assignment
+    estimate = Simulation.earliest_idle_estimate
     score = DhaStrategy._earliest_finishing
 
     def recorded_move(self, task_id, endpoint_id):
         moves.append((self.clock, task_id, endpoint_id))
         return move_assignment(self, task_id, endpoint_id)
+
+    def counted_estimate(self, endpoint_id, left_out_s=None):
+        if left_out_s is not None:
+            left_out.append(endpoint_id)
+        return estimate(self, endpoint_id, left_out_s)
 
     def counted_score(self, node, row, candidates, idle, best_ep=None, best_eft=None):
         if best_ep is not None:
@@ -645,12 +653,14 @@ def _run_recording_moves(monkeypatch, tmp_path, case=("dynamic-drug", 0.02, ""),
         return score(self, node, row, candidates, idle, best_ep, best_eft)
 
     monkeypatch.setattr(Simulation, "move_assignment", recorded_move)
+    monkeypatch.setattr(Simulation, "earliest_idle_estimate", counted_estimate)
     monkeypatch.setattr(DhaStrategy, "_earliest_finishing", counted_score)
     if walk is not None:
         monkeypatch.setattr(DhaStrategy, "reschedule_pass", walk)
     metrics = Simulation(_case_scenario(*case), scheduler_kind="dha", seed=7).run()
     metrics.emit(tmp_path)
     monkeypatch.undo()
+    assert metrics.pass_scores == len(left_out)
     if walk is reference_pass:
         assert metrics.pass_scores == len(full)
     else:
@@ -663,10 +673,13 @@ def test_decision_memo_is_exact(monkeypatch, tmp_path):
     """A pass reuses a "stays" verdict for every task of the same decision
     class until a move; with every task in a class of its own, so that
     each is scored in full, the run makes the same moves and the same
-    CSVs, byte for byte."""
-    memo = _run_recording_moves(monkeypatch, tmp_path / "memo")
+    CSVs, byte for byte. At seed 7 the memo saves 26 of dynamic-montage
+    0.3's 378 scores, and none on dynamic-montage 0.1 or dynamic-drug
+    0.02."""
+    case = ("dynamic-montage", 0.3, "")
+    memo = _run_recording_moves(monkeypatch, tmp_path / "memo", case)
     monkeypatch.setattr(DhaStrategy, "_decision_class", lambda self, node: (node.task_id,))
-    full = _run_recording_moves(monkeypatch, tmp_path / "full")
+    full = _run_recording_moves(monkeypatch, tmp_path / "full", case)
     assert memo[0] and memo[0] == full[0]
     assert memo[2] == full[2]
     assert memo[1] < full[1], "the memo saved no score"
@@ -687,13 +700,14 @@ REFERENCE_CASES += [
 
 @pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda c: "-".join(str(p) for p in c if p))
 def test_class_index_walk_equals_reference_walk(case, monkeypatch, tmp_path):
-    """The pass over the class index makes the moves, scores the tasks and
-    writes the CSVs of the reference walk, byte for byte."""
-    indexed = _run_recording_moves(monkeypatch, tmp_path / "index", case)
+    """The pass over the prefix index makes the moves and writes the CSVs
+    of the reference walk, byte for byte, and prices no more tasks."""
+    moves, scores, csvs = _run_recording_moves(monkeypatch, tmp_path / "index", case)
     reference = _run_recording_moves(monkeypatch, tmp_path / "reference", case, reference_pass)
-    assert indexed == reference
+    assert (moves, csvs) == (reference[0], reference[2])
+    assert scores <= reference[1]
     if case[0].startswith("dynamic"):
-        assert indexed[0], "no move to compare"
+        assert moves, "no move to compare"
 
 
 # Two endpoints with one worker each. Task 0 (12 s) starts on "a" and task 1
