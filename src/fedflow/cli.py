@@ -80,6 +80,9 @@ def main(verbose: bool):
 @click.option("--history", "history_path", type=click.Path(), default=None,
               help="Execution-profile history: loaded if the file exists, "
                    "written after the CSVs.")
+@click.option("--timings", is_flag=True,
+              help="Time the scheduler's hooks and print the mean wall time "
+                   "per placement decision (decision_ms).")
 def run(
     scenario_path,
     scheduler,
@@ -91,6 +94,7 @@ def run(
     max_transfer_retries,
     poll_interval,
     history_path,
+    timings,
 ):
     """Simulate one scenario and write metrics CSVs to --out."""
     try:
@@ -103,7 +107,7 @@ def run(
             transfer_concurrency=transfer_concurrency,
             max_transfer_retries=max_transfer_retries,
         )
-        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed)
+        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed, timings=timings)
         if history_path and os.path.exists(history_path):
             sim.exec_profiler.load(history_path)
         metrics = sim.run()
@@ -124,7 +128,8 @@ def run(
     click.echo(f"makespan_s:    {metrics.makespan:.3f}")
     click.echo(f"transfer_GB:   {metrics.transfer_bytes / 1e9:.3f}")
     click.echo(f"tasks_failed:  {metrics.tasks_failed}")
-    click.echo(f"decision_ms:   {metrics.mean_decision_seconds * 1e3:.4f}")
+    if timings:
+        click.echo(f"decision_ms:   {metrics.mean_decision_seconds * 1e3:.4f}")
     click.echo(f"moves:         {metrics.move_count}")
     click.echo(f"scored:        {metrics.pass_scores}")
 

@@ -100,6 +100,10 @@ class DataManager:
         # One object per endpoint set value, which many items share as
         # their replica and inbound sets.
         self._replica_sets: dict = {}
+        # endpoint -> its interned one-endpoint set: an item's first replica.
+        self._first_replica = {
+            ep: self._replica_set(frozenset((ep,))) for ep in self.endpoint_order
+        }
 
     # -- items -------------------------------------------------------------
 
@@ -117,7 +121,10 @@ class DataManager:
 
     def add_replica(self, data_id: str, endpoint: str):
         item = self.items[data_id]
-        item.locations = self._replica_set(item.locations | {endpoint})
+        if item.locations:
+            item.locations = self._replica_set(item.locations | {endpoint})
+        else:
+            item.locations = self._first_replica[endpoint]
 
     # -- staging -----------------------------------------------------------
 

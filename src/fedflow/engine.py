@@ -57,6 +57,11 @@ class EventKind(IntEnum):
 # module global on CPython 3.11, so the engine reads the states from here.
 _PENDING, _STAGING, _READY, _QUEUED, _RUNNING, _DONE, _FAILED, _UNRUNNABLE = TaskState
 
+# The strategy hooks `Simulation(timings=True)` times: first placement, and
+# re-scheduling, whose time `resched_seconds` also keeps apart.
+_PLACE_HOOKS = ("on_batch_submitted", "on_deps_done", "on_staging_complete", "on_worker_free")
+_RESCHED_HOOKS = ("on_capacity_change", "on_reschedule_tick")
+
 
 @functools.lru_cache(maxsize=16)
 def _seeded_hash(seed):
@@ -72,13 +77,18 @@ def next_poll(t: float, interval: float) -> float:
 
 
 class Simulation:
-    """One deterministic run of a scenario under one scheduling algorithm."""
+    """One deterministic run of a scenario under one scheduling algorithm.
+
+    With `timings`, the strategy hooks are timed into the metrics'
+    `sched_seconds` and `resched_seconds`; without, both stay 0.0 and the
+    hooks are plain calls."""
 
     def __init__(
         self,
         scenario: Scenario,
         scheduler_kind: Optional[str] = None,
         seed: Optional[int] = None,
+        timings: bool = False,
     ):
         self.scenario = scenario
         d = scenario.defaults
@@ -140,7 +150,14 @@ class Simulation:
 
         if self.scheduler_kind not in STRATEGIES:
             raise WorkflowError(f"unknown scheduler '{self.scheduler_kind}'")
-        self.strategy = STRATEGIES[self.scheduler_kind](self)
+        self.strategy = strategy = STRATEGIES[self.scheduler_kind](self)
+        if timings:
+            # Shadow the hooks on the instance, so an untimed run calls the
+            # strategy with no wrapper frame at all.
+            for names, wrapper in ((_PLACE_HOOKS, self._hook),
+                                   (_RESCHED_HOOKS, self._resched_hook)):
+                for name in names:
+                    setattr(strategy, name, functools.partial(wrapper, getattr(strategy, name)))
 
         self._build_initial_events()
 
@@ -368,8 +385,12 @@ class Simulation:
         """Point the task at the endpoint, moving its committed work and
         backlog there."""
         node = self.dag.nodes[task_id]
-        self._unassign(node)
-        self._drop_backlog(node)
+        if node.assigned_endpoint is not None:
+            self._unassign(node)
+            self._drop_backlog(node)
+        elif self.changed_tasks is not None:
+            # A first commit: no incumbent to release.
+            self.changed_tasks.add(task_id)
         ep = self._by_id[endpoint_id]
         row = self.exec_profiler.exec_row(node.function, node.input_bytes)
         node.backlog_s = row[endpoint_id]
@@ -400,7 +421,7 @@ class Simulation:
 
     def _staging_finished(self, task_id: int):
         self._enter(self.dag.nodes[task_id], _READY)
-        self._hook(self.strategy.on_staging_complete, task_id)
+        self.strategy.on_staging_complete(task_id)
 
     def move_assignment(self, task_id: int, endpoint_id: str):
         """Re-scheduling: point an undispatched task at a new endpoint and
@@ -523,7 +544,7 @@ class Simulation:
         a tick does not re-arm."""
         if self._resched_armed_until <= self.clock:
             self._resched_armed_until = when = self.clock + period
-            payload = (self._resched_hook, self.strategy.on_reschedule_tick)
+            payload = (self.strategy.on_reschedule_tick,)
             self.schedule(when, EventKind.RESCHEDULE_TICK, payload)
 
     @property
@@ -571,8 +592,10 @@ class Simulation:
         )
 
     def _hook(self, fn, *args):
-        """Run a strategy hook. Hooks nest (a re-scheduling tick moves a task
-        whose staging completes), so only the outermost one is timed, into
+        """Run a strategy hook, timed: the wrapper `Simulation(timings=True)`
+        installs on each placement hook (an untimed run calls the strategy
+        directly). Hooks nest (a re-scheduling tick moves a task whose
+        staging completes), so only the outermost one is timed, into
         `sched_seconds`."""
         if self._in_hook:
             return fn(*args)
@@ -586,8 +609,9 @@ class Simulation:
 
     def _resched_hook(self, fn, *args):
         """Run a re-scheduling hook (`on_capacity_change`,
-        `on_reschedule_tick`) as `_hook` does; when it is the outermost
-        hook, its time also counts into `resched_seconds`."""
+        `on_reschedule_tick`) as `_hook` does, the wrapper timing installs
+        on them; when it is the outermost hook, its time also counts into
+        `resched_seconds`."""
         if self._in_hook:
             return fn(*args)
         m = self.metrics
@@ -610,13 +634,13 @@ class Simulation:
             node.announced = True
             batch.append(tid)
         if batch:
-            self._hook(self.strategy.on_deps_done, batch)
+            self.strategy.on_deps_done(batch)
 
     # -- event handlers: callbacks named by event payloads -----------------
 
     def _on_submit_batch(self, specs: list):
         task_ids, dead_deps = self._register_batch(specs)
-        self._hook(self.strategy.on_batch_submitted, task_ids)
+        self.strategy.on_batch_submitted(task_ids)
         # Between events a FAILED task has failed for good, so a task that
         # depends on one, or on an unrunnable one, can never run (no hook
         # fails a task, so the states read at registration still hold).
@@ -656,10 +680,10 @@ class Simulation:
                 self.schedule(
                     self.clock + self.sync_lag,
                     EventKind.RESULT_OBSERVED,
-                    (self._hook, self.strategy.on_worker_free, ep.endpoint_id),
+                    (self.strategy.on_worker_free, ep.endpoint_id),
                 )
             else:
-                self._hook(self.strategy.on_worker_free, ep.endpoint_id)
+                self.strategy.on_worker_free(ep.endpoint_id)
 
     def _result_seen(self, task_id: int):
         self.dag.nodes[task_id].observed_time = self.clock
@@ -675,7 +699,7 @@ class Simulation:
     def _on_capacity_change(self, endpoint_id: str, event: CapacityEvent):
         ep = self._by_id[endpoint_id]
         self._start_queued(ep, ep.apply_capacity_event(event))
-        self._resched_hook(self.strategy.on_capacity_change, endpoint_id)
+        self.strategy.on_capacity_change(endpoint_id)
 
     def _on_scale_tick(self):
         decisions = scale_decision(self.clock, self.endpoints, self._pending_count())
@@ -683,7 +707,7 @@ class Simulation:
             self._start_queued(ep, ep.apply_capacity_event(CapacityEvent(self.clock, delta)))
         for ep, delta in decisions:
             if delta > 0:
-                self._hook(self.strategy.on_worker_free, ep.endpoint_id)
+                self.strategy.on_worker_free(ep.endpoint_id)
         if self._ticks_can_help():
             self.schedule(
                 self.clock + self.scenario.defaults.scale_tick_s,

@@ -42,7 +42,7 @@ class MetricsLog:
         self.makespan: float = 0.0
         self.transfer_bytes: int = 0
         self.tasks_failed: int = 0
-        self.sched_seconds: float = 0.0  # all strategy hooks
+        self.sched_seconds: float = 0.0  # all strategy hooks, in a timed run only
         self.resched_seconds: float = 0.0  # the re-scheduling hooks among them
         self.decision_count: int = 0  # first placements and retries
         self.move_count: int = 0  # re-scheduling moves

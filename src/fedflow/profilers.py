@@ -51,12 +51,14 @@ class _Moments:
 
     Each point is folded in once, with Welford's update (Technometrics 4(3),
     1962); `fit()` reads O(1) state. Equal x values leave `sxx` exactly 0.
+    `attempts` is the execution profiler's count of a key's records, of
+    which the `n` points are the successes.
     """
 
-    __slots__ = ("n", "mx", "my", "sxx", "sxy")
+    __slots__ = ("n", "mx", "my", "sxx", "sxy", "attempts")
 
     def __init__(self):
-        self.n = 0
+        self.n = self.attempts = 0
         self.mx = self.my = self.sxx = self.sxy = 0.0
 
     def __len__(self) -> int:
@@ -97,12 +99,10 @@ class ExecutionProfiler:
         self.endpoints = tuple(endpoints)
         self._perf_factors = {ep.endpoint_id: ep.perf_factor for ep in self.endpoints}
         self.history: list = []
-        # (function, endpoint) -> the moments of its successful records;
-        # failures carry no duration signal.
+        # (function, endpoint) -> the moments of its successful records
+        # (failures carry no duration signal) and its count of attempts.
         self._moments: dict = defaultdict(_Moments)
-        self._dirty: set = set()  # keys recorded since the last refit
-        # function -> {endpoint: [attempts, successes]}
-        self._tallies: dict = {}
+        self._dirty: set = set()  # keys with a success since the last refit
         self._fits: dict = {}
         # function -> its donor endpoint. Fits are never dropped, so a donor
         # only ever gives way to a smaller id, set at refresh.
@@ -123,12 +123,11 @@ class ExecutionProfiler:
             raise ProfilerError(
                 f"{'negative' if negative else 'non-finite'} field in record for {function}")
         self.history.append(rec)
-        tally = self._tallies.setdefault(function, {}).setdefault(endpoint, [0, 0])
-        tally[0] += 1
+        key = (function, endpoint)
+        moments = self._moments[key]
+        moments.attempts += 1
         if success:
-            tally[1] += 1
-            key = (function, endpoint)
-            self._moments[key].add(input_size, exec_time)
+            moments.add(input_size, exec_time)
             self._dirty.add(key)
 
     @property
@@ -153,9 +152,10 @@ class ExecutionProfiler:
 
     def success_rates(self, function_name: str) -> dict:
         """Fraction of recorded attempts of a function that succeeded, per
-        endpoint that has any."""
-        tallies = self._tallies.get(function_name, {})
-        return {ep: wins / n for ep, (n, wins) in tallies.items()}
+        endpoint that has any. A walk over every key: it is read only after
+        a failed attempt."""
+        return {ep: m.n / m.attempts
+                for (name, ep), m in self._moments.items() if name == function_name}
 
     def predict_exec(self, function: FunctionDef, endpoint_id: str, input_size: int) -> float:
         """Predicted execution seconds on one endpoint of the federation, read

@@ -209,10 +209,14 @@ def test_scheduler_decision_overhead():
         scale = 2500 / 6000
         means = {}
         for kind in ("capacity", "locality", "dha"):
-            sim = run("drug-like", scale, kind)
+            # Hook times are kept only when asked for; untimed, every mean
+            # reads 0.0 and the bounds below would hold on nothing.
+            sim = Simulation(generate_builtin_scenario("drug-like", scale),
+                             scheduler_kind=kind, seed=0, timings=True)
+            sim.run()
             assert len(sim.dag.nodes) == 10001
             means[kind] = sim.metrics.mean_decision_seconds
-        assert all(m < 0.010 for m in means.values()), means
+        assert all(0.0 < m < 0.010 for m in means.values()), means
         assert means["capacity"] == min(means.values()), means
 
 

@@ -21,11 +21,11 @@ from fedflow.engine import Simulation
 # (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
 # 7; the count when pinned, on CPython 3.11.7, is in the comment.
 CEILINGS = {
-    ("montage-like", 0.05, "dha"): 92_200,  # 90,386
-    ("drug-like", 0.05, "capacity"): 105_400,  # 103,335
-    ("dynamic-drug", 0.02, "dha"): 78_900,  # 77,387
-    ("dynamic-montage", 0.1, "dha"): 185_800,  # 182,138
-    ("dynamic-montage", 0.02, "locality"): 41_600,  # 40,792
+    ("montage-like", 0.05, "dha"): 85_000,  # 83,365
+    ("drug-like", 0.05, "capacity"): 94_300,  # 92,496
+    ("dynamic-drug", 0.02, "dha"): 75_000,  # 73,555
+    ("dynamic-montage", 0.1, "dha"): 171_900,  # 168,496
+    ("dynamic-montage", 0.02, "locality"): 38_800,  # 38,029
 }
 
 

@@ -60,6 +60,25 @@ class TestRun:
                      "staging.csv"):
             assert (out / name).exists()
 
+    def test_decision_time_only_with_timings(self, runner, scenario_file, tmp_path):
+        """Without --timings the summary holds no wall-clock figure, so two
+        runs print the same text."""
+        outputs = {}
+        for options in ((), (), ("--timings",)):
+            result = runner.invoke(
+                main,
+                ["run", "--scenario", str(scenario_file), "--scheduler", "dha",
+                 "--seed", "1", "--out", str(tmp_path / "out"), *options],
+            )
+            assert result.exit_code == 0, result.output
+            outputs.setdefault(options, []).append(result.output)
+        untimed, timed = outputs[()], outputs[("--timings",)]
+        assert untimed[0] == untimed[1]
+        assert "decision_ms" not in untimed[0]
+        assert re.search(r"^decision_ms: +\d+\.\d{4}$", timed[0], re.M)
+        assert [line for line in timed[0].splitlines()
+                if not line.startswith("decision_ms")] == untimed[0].splitlines()
+
     def test_invalid_scenario_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         doc = dict(SMALL, workflow=[{"id": 0, "function": "missing"}])
@@ -409,7 +428,7 @@ def test_schema_doc_maps_each_default_to_its_run_flag():
     doc = (Path(__file__).parents[1] / "docs" / "scenario-schema.md").read_text()
     table = dict(re.findall(r"^\| `(\w+)` \| `(--[\w-]+)` \|$", doc, re.M))
     flags = {opt for param in main.commands["run"].params for opt in param.opts}
-    not_defaults = {"--scenario", "--out", "--poll-interval", "--history"}
+    not_defaults = {"--scenario", "--out", "--poll-interval", "--history", "--timings"}
     assert set(table.values()) == flags - not_defaults
     file_only = doc.split("The rest (", 1)[1].split(")", 1)[0]
     keys = {f.name for f in dataclasses.fields(Defaults)}

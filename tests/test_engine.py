@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -481,9 +482,11 @@ class TestStateBookkeeping:
     def test_a_simulation_keeps_its_attributes_under_the_key_sharing_limit(self, scheduler):
         # CPython 3.11 stops sharing an instance dict's keys at its 30th
         # attribute, and every attribute read of a run then gets slower.
-        sim = Simulation(generate_builtin_scenario("dynamic-drug", 0.02), scheduler_kind=scheduler)
-        sim.run()
-        assert len(vars(sim)) < 30
+        for timings in (False, True):
+            sc = generate_builtin_scenario("dynamic-drug", 0.02)
+            sim = Simulation(sc, scheduler_kind=scheduler, timings=timings)
+            sim.run()
+            assert len(vars(sim)) < 30
 
 
 class TestDeadlock:
@@ -571,7 +574,7 @@ class TestSchedulerCounters:
         reads = iter(range(100))
         clock = SimpleNamespace(perf_counter=lambda: float(next(reads)))
         monkeypatch.setattr(engine, "_time", clock)
-        sim = Simulation(oracle(), scheduler_kind="dha")
+        sim = Simulation(oracle(), scheduler_kind="dha", timings=True)
         sim._hook(sim._hook, lambda: None)
         assert sim.metrics.sched_seconds == 1.0
 
@@ -582,7 +585,7 @@ class TestSchedulerCounters:
         reads = iter(range(100))
         clock = SimpleNamespace(perf_counter=lambda: float(next(reads)))
         monkeypatch.setattr(engine, "_time", clock)
-        sim = Simulation(oracle(), scheduler_kind="dha")
+        sim = Simulation(oracle(), scheduler_kind="dha", timings=True)
         strategy = sim.strategy
         sim._on_capacity_change("a", CapacityEvent(0.0, 1))
         sim.arm_reschedule(5.0)
@@ -601,8 +604,31 @@ class TestSchedulerCounters:
     def test_a_run_times_rescheduling(self):
         # dynamic-drug's capacity events and DHA's ticks re-schedule.
         sc = generate_builtin_scenario("dynamic-drug", 0.02)
-        m = Simulation(sc, scheduler_kind="dha", seed=7).run()
+        m = Simulation(sc, scheduler_kind="dha", seed=7, timings=True).run()
         assert 0.0 < m.resched_seconds < m.sched_seconds
+
+    @pytest.mark.parametrize("name, scheduler", [
+        ("dynamic-drug", "dha"), ("drug-like", "capacity"),
+    ])
+    def test_timing_changes_no_output(self, tmp_path, name, scheduler):
+        """A timed run and an untimed one write the same CSVs and counts;
+        the untimed one times nothing."""
+        runs = {}
+        for timings in (False, True):
+            sc = generate_builtin_scenario(name, 0.02)
+            m = Simulation(sc, scheduler_kind=scheduler, seed=7, timings=timings).run()
+            out = tmp_path / str(timings)
+            m.emit(out)
+            runs[timings] = m, {
+                csv: (out / csv).read_bytes()
+                for csv in ("summary.csv", "utilization.csv", "transfers.csv", "staging.csv")
+            }
+        (untimed, untimed_csvs), (timed, timed_csvs) = runs[False], runs[True]
+        assert untimed_csvs == timed_csvs
+        counts = operator.attrgetter("decision_count", "move_count", "pass_scores", "event_count")
+        assert counts(untimed) == counts(timed)
+        assert untimed.sched_seconds == untimed.resched_seconds == 0.0
+        assert timed.sched_seconds > 0.0
 
     def test_moves_are_not_decisions(self):
         # dynamic-drug moves tasks off an endpoint that loses most of its
