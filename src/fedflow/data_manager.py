@@ -1,24 +1,26 @@
 """Data items, replica tracking, and staging: which inputs move to an
 endpoint and from which replica, their transfers with retry, and what moving
-them costs, all read from one rule. `DataManager._source` is that rule;
-`staging_estimate`, which DHA calls for each candidate it stages, applies it
-inline, and `TestOneRule` in tests/test_data_manager.py pins the two to
-each other.
+them costs, all read from one rule: an input moves unless it is empty or on
+the target, from its first replica in declaration order, which `_Sources`
+picks once per replica set. `stage` and `staging_estimate` (which DHA calls
+for each candidate) apply it inline; `TestOneRule` in
+tests/test_data_manager.py pins them to `_source` and to each other.
 
 At most one transfer job is open (waiting or active) per item and
 destination, and every task that needs the item there waits on that job.
-Transfers between each ordered endpoint pair run under a concurrency cap;
-jobs past the cap wait FIFO by job id, and the staging estimate charges for
-that queue. The bytes moved are those of the jobs that finished a transfer
-(failed attempts contribute nothing).
+Each ordered endpoint pair's `_Lane` runs its transfers under a concurrency
+cap; jobs past the cap wait FIFO by job id, and the staging estimate charges
+for that queue. The bytes moved are those of the jobs that finished a
+transfer (failed attempts contribute nothing).
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 from .scenario import PROBE_PREFIX
@@ -37,6 +39,13 @@ class JobState(Enum):
     FAILED = "failed"
 
 
+# Module globals read faster than Enum attributes on CPython 3.11.
+_WAITING, _ACTIVE, _DONE, _FAILED = JobState
+_job_id = attrgetter("job_id")
+# Every DataItem's sets start as this one object, and each manager interns it.
+_EMPTY = frozenset()
+
+
 # The run makes one per task output and keeps it to the end, so it is a
 # slotted record, like TransferJob.
 @dataclass(slots=True)
@@ -44,9 +53,9 @@ class DataItem:
     data_id: str
     size: int
     # A new replica replaces the set, so a reader may keep it as a key.
-    locations: frozenset = frozenset()
+    locations: frozenset = _EMPTY
     # The destinations with an open job for the item; replaced the same way.
-    inbound: frozenset = frozenset()
+    inbound: frozenset = _EMPTY
 
 
 @dataclass(slots=True)
@@ -61,7 +70,7 @@ class TransferJob:
     # Every job lives to the end of the run, so it is kept small: a slotted
     # record, and a tuple (most jobs hold one task), not a list.
     tasks: tuple = ()
-    state: JobState = JobState.WAITING
+    state: JobState = _WAITING
     retries_used: int = 0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -70,6 +79,42 @@ class TransferJob:
     def task_id(self) -> Optional[int]:
         """The first task waiting on the job, or None when none is."""
         return self.tasks[0] if self.tasks else None
+
+
+# One ordered endpoint pair's transfers under the concurrency cap.
+@dataclass(slots=True)
+class _Lane:
+    active: int = 0
+    waiting: list = field(default_factory=list)  # heap of WAITING job ids
+    waiting_bytes: int = 0  # bytes of the jobs in `waiting`
+
+
+class _Sources(dict):
+    """Replica set -> its first location in declaration order (None when
+    empty): the replica staging copies from, picked on first read."""
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, locations):
+        src = self[locations] = next((ep for ep in self.order if ep in locations), None)
+        return src
+
+
+class _SetSteps(dict):
+    """(interned set, endpoint) -> the interned result of `step` on them
+    (`frozenset.__or__` or `frozenset.__sub__` with the one endpoint): once
+    warm, changing an item's replica or inbound set builds no set."""
+
+    def __init__(self, step, intern):
+        super().__init__()
+        self.step = step
+        self.intern = intern
+
+    def __missing__(self, key):
+        result = self[key] = self.intern(self.step(key[0], {key[1]}))
+        return result
 
 
 class DataManager:
@@ -87,10 +132,9 @@ class DataManager:
         self.items: dict = {}
         self.jobs: dict = {}
         self._next_job_id = 0
-        self._active: dict = {}  # (src, dst) -> count
-        self._waiting: dict = {}  # (src, dst) -> heap of job ids
-        # (src, dst) -> bytes of the WAITING jobs in that heap.
-        self._waiting_bytes: dict = {}
+        order = self.endpoint_order
+        # dst -> src -> the pair's lane, for every ordered pair.
+        self._lanes = {dst: {src: _Lane() for src in order} for dst in order}
         # (data_id, dst) -> the one WAITING or ACTIVE job landing that item
         # on that endpoint.
         self._open: dict = {}
@@ -99,11 +143,10 @@ class DataManager:
         self._task_jobs: dict = {}
         # One object per endpoint set value, which many items share as
         # their replica and inbound sets.
-        self._replica_sets: dict = {}
-        # endpoint -> its interned one-endpoint set: an item's first replica.
-        self._first_replica = {
-            ep: self._replica_set(frozenset((ep,))) for ep in self.endpoint_order
-        }
+        self._replica_sets: dict = {_EMPTY: _EMPTY}
+        self._sources = _Sources(self.endpoint_order)
+        self._added = _SetSteps(frozenset.__or__, self._replica_set)
+        self._removed = _SetSteps(frozenset.__sub__, self._replica_set)
 
     # -- items -------------------------------------------------------------
 
@@ -121,19 +164,16 @@ class DataManager:
 
     def add_replica(self, data_id: str, endpoint: str):
         item = self.items[data_id]
-        if item.locations:
-            item.locations = self._replica_set(item.locations | {endpoint})
-        else:
-            item.locations = self._first_replica[endpoint]
+        item.locations = self._added[(item.locations, endpoint)]
 
     # -- staging -----------------------------------------------------------
 
     def choose_source(self, item: DataItem) -> str:
         """Deterministic replica choice: first location in declaration order."""
-        for ep in self.endpoint_order:
-            if ep in item.locations:
-                return ep
-        raise DataError(f"{item.data_id}: no replica available")
+        src = self._sources[item.locations]
+        if src is None:
+            raise DataError(f"{item.data_id}: no replica available")
+        return src
 
     def _source(self, item: DataItem, target: str) -> Optional[str]:
         """The replica `item` is copied from to `target`, or None when it is
@@ -155,9 +195,9 @@ class DataManager:
         replica raises before its open jobs are looked at.
         """
         items = self.items
-        order = self.endpoint_order
+        sources = self._sources
         links = self.transfer_profiler.links
-        active = self._active
+        lanes = self._lanes[target]
         cap = self.concurrency_cap
         total = 0.0
         for data_id in file_deps:
@@ -166,22 +206,19 @@ class DataManager:
             locations = item.locations
             if target in locations or size == 0:
                 continue
-            for src in order:
-                if src in locations:
-                    break
-            else:
+            src = sources[locations]
+            if src is None:
                 raise DataError(f"{data_id}: no replica available")
             if target in item.inbound:
                 continue
-            pair = (src, target)
             try:
-                latency, bandwidth = links[pair]
+                latency, bandwidth = links[(src, target)]
             except KeyError:  # `link` raises the profiler's error for it
                 latency, bandwidth = self.transfer_profiler.link(src, target)
             total += latency + size / bandwidth
-            if active.get(pair, 0) >= cap:
-                count = len(self._waiting[pair])
-                total += (count * latency + self._waiting_bytes[pair] / bandwidth) / cap
+            lane = lanes[src]
+            if lane.active >= cap:
+                total += (len(lane.waiting) * latency + lane.waiting_bytes / bandwidth) / cap
         return total
 
     def bytes_to_move(self, file_deps, target: str) -> int:
@@ -199,12 +236,17 @@ class DataManager:
         the jobs admitted under the concurrency cap right away. An empty
         `waited_on` means staging for this task is already complete.
         """
+        items = self.items
+        sources = self._sources
         waited_on, started = [], []
         for data_id in file_deps:
-            item = self.items[data_id]
-            src = self._source(item, target)
-            if src is None:
+            item = items[data_id]
+            locations = item.locations
+            if target in locations or item.size == 0:
                 continue
+            src = sources[locations]
+            if src is None:
+                raise DataError(f"{data_id}: no replica available")
             job = self._open.get((data_id, target))
             if job is None:
                 job, admitted = self._open_job(data_id, src, target, item.size, clock)
@@ -214,7 +256,7 @@ class DataManager:
         if waited_on:
             # Re-staging always follows cancel_task_jobs, so these are the
             # task's only open jobs.
-            self._task_jobs[task_id] = {job.job_id for job in waited_on}
+            self._task_jobs[task_id] = set(map(_job_id, waited_on))
         return waited_on, started
 
     def issue_probes(self, size: int, clock: float) -> list:
@@ -238,28 +280,29 @@ class DataManager:
         self.jobs[job.job_id] = job
         self._open[(data_id, dst)] = job
         item = self.items[data_id]
-        item.inbound = self._replica_set(item.inbound | {dst})
+        item.inbound = self._added[(item.inbound, dst)]
         return job, self._start_waiting(self._enqueue(job), clock)
 
-    def _enqueue(self, job: TransferJob) -> tuple:
-        """Queue a WAITING job on its link; returns the link, (src, dst)."""
-        pair = (job.src, job.dst)
-        heapq.heappush(self._waiting.setdefault(pair, []), job.job_id)
-        self._waiting_bytes[pair] = self._waiting_bytes.get(pair, 0) + job.size
-        return pair
+    def _enqueue(self, job: TransferJob) -> _Lane:
+        """Queue a WAITING job on its link's lane; returns the lane."""
+        lane = self._lanes[job.dst][job.src]
+        heapq.heappush(lane.waiting, job.job_id)
+        lane.waiting_bytes += job.size
+        return lane
 
-    def _start_waiting(self, pair, clock: float) -> list:
-        """Admit the link's waiting jobs under the cap, FIFO by job id;
+    def _start_waiting(self, lane: _Lane, clock: float) -> list:
+        """Admit the lane's waiting jobs under the cap, FIFO by job id;
         returns them. Every job in a waiting heap is WAITING: cancelling a
         task leaves its jobs open."""
         started = []
-        waiting = self._waiting.get(pair, [])
-        while waiting and self._active.get(pair, 0) < self.concurrency_cap:
+        waiting = lane.waiting
+        cap = self.concurrency_cap
+        while waiting and lane.active < cap:
             job = self.jobs[heapq.heappop(waiting)]
-            self._waiting_bytes[pair] -= job.size
-            job.state = JobState.ACTIVE
+            lane.waiting_bytes -= job.size
+            job.state = _ACTIVE
             job.started_at = clock
-            self._active[pair] = self._active.get(pair, 0) + 1
+            lane.active += 1
             started.append(job)
         return started
 
@@ -270,13 +313,13 @@ class DataManager:
         last open job just landed, the tasks that waited on a job that ran
         out of retries, and jobs newly admitted under the cap.
         """
-        if job.state != JobState.ACTIVE:
+        if job.state is not _ACTIVE:
             raise DataError(f"job {job.job_id} is not active")
-        pair = (job.src, job.dst)
-        self._active[pair] -= 1
+        lane = self._lanes[job.dst][job.src]
+        lane.active -= 1
         completed, failed = [], []
         if success:
-            job.state = JobState.DONE
+            job.state = _DONE
             job.finished_at = clock
             self._close(job)
             self.add_replica(job.data_id, job.dst)
@@ -288,11 +331,11 @@ class DataManager:
                     completed.append(task_id)
         elif job.retries_used < self.max_transfer_retries:
             job.retries_used += 1
-            job.state = JobState.WAITING
+            job.state = _WAITING
             job.started_at = None
             self._enqueue(job)
         else:
-            job.state = JobState.FAILED
+            job.state = _FAILED
             job.finished_at = clock
             self._close(job)
             failed = list(job.tasks)
@@ -304,13 +347,13 @@ class DataManager:
                 job.dst,
                 job.retries_used,
             )
-        return completed, failed, self._start_waiting(pair, clock)
+        return completed, failed, self._start_waiting(lane, clock)
 
     def _close(self, job: TransferJob):
         """Forget a job that ended DONE or FAILED as its item's open one."""
         del self._open[(job.data_id, job.dst)]
         item = self.items[job.data_id]
-        item.inbound = self._replica_set(item.inbound - {job.dst})
+        item.inbound = self._removed[(item.inbound, job.dst)]
 
     def cancel_task_jobs(self, task_id: int):
         """Forget bookkeeping for a task being re-staged elsewhere or failed.
@@ -321,10 +364,10 @@ class DataManager:
         """
         for job_id in self._task_jobs.pop(task_id, ()):
             job = self.jobs[job_id]
-            if job.state in (JobState.WAITING, JobState.ACTIVE):
+            if job.state is _WAITING or job.state is _ACTIVE:
                 job.tasks = tuple(t for t in job.tasks if t != task_id)
 
     def transfer_bytes_total(self) -> int:
         """Bytes of the DONE jobs: each moved its bytes once (a retry
         restarts the transfer)."""
-        return sum(job.size for job in self.jobs.values() if job.state is JobState.DONE)
+        return sum(job.size for job in self.jobs.values() if job.state is _DONE)

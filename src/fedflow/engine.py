@@ -56,6 +56,8 @@ class EventKind(IntEnum):
 # An attribute of an Enum class takes about ten times as long to read as a
 # module global on CPython 3.11, so the engine reads the states from here.
 _PENDING, _STAGING, _READY, _QUEUED, _RUNNING, _DONE, _FAILED, _UNRUNNABLE = TaskState
+_TRANSFER_COMPLETE = EventKind.TRANSFER_COMPLETE
+_TASK_COMPLETE = EventKind.TASK_COMPLETE
 
 # The strategy hooks `Simulation(timings=True)` times: first placement, and
 # re-scheduling, whose time `resched_seconds` also keeps apart.
@@ -196,7 +198,7 @@ class Simulation:
         latency, bandwidth = self.links[(job.src, job.dst)]
         duration = latency + job.size / bandwidth
         payload = (self._on_transfer_complete, job, duration)
-        self.schedule(self.clock + duration, EventKind.TRANSFER_COMPLETE, payload)
+        self.schedule(self.clock + duration, _TRANSFER_COMPLETE, payload)
 
     # -- deterministic randomness -----------------------------------------
 
@@ -306,7 +308,7 @@ class Simulation:
             deps, deps_left = (), 0
             if t.deps:
                 deps = ((spec_by_tid[t.deps[0]],) if len(t.deps) == 1
-                        else tuple(sorted({spec_by_tid[d] for d in t.deps})))
+                        else tuple(sorted(set(map(spec_by_tid.__getitem__, t.deps)))))
                 file_deps = [*file_deps]
                 for d in deps:
                     successors[d].append(tid)
@@ -455,7 +457,7 @@ class Simulation:
         if self.strategy.reads_finish_heap:
             row = self.exec_profiler.exec_row(node.function, node.input_bytes)
             heapq.heappush(ep.finish_heap, (self.clock + row[ep.endpoint_id], task_id))
-        self.schedule(end, EventKind.TASK_COMPLETE, (self._on_task_complete, task_id, duration))
+        self.schedule(end, _TASK_COMPLETE, (self._on_task_complete, task_id, duration))
 
     # -- failure handling --------------------------------------------------
 

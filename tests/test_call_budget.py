@@ -21,11 +21,11 @@ from fedflow.engine import Simulation
 # (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
 # 7; the count when pinned, on CPython 3.11.7, is in the comment.
 CEILINGS = {
-    ("montage-like", 0.05, "dha"): 85_000,  # 83,365
-    ("drug-like", 0.05, "capacity"): 94_300,  # 92,496
-    ("dynamic-drug", 0.02, "dha"): 75_000,  # 73,555
-    ("dynamic-montage", 0.1, "dha"): 171_900,  # 168,496
-    ("dynamic-montage", 0.02, "locality"): 38_800,  # 38,029
+    ("montage-like", 0.05, "dha"): 75_100,  # 73,626
+    ("drug-like", 0.05, "capacity"): 91_000,  # 89,225
+    ("dynamic-drug", 0.02, "dha"): 71_300,  # 69,937
+    ("dynamic-montage", 0.1, "dha"): 153_200,  # 150,219
+    ("dynamic-montage", 0.02, "locality"): 35_800,  # 35,069
 }
 
 

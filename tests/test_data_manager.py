@@ -57,6 +57,14 @@ class TestItems:
         with pytest.raises(DataError):
             dm.choose_source(item)
 
+    def test_an_input_with_no_replica_is_named_not_a_key_error(self):
+        dm = new_manager()
+        dm.register_item("q", 1)
+        with pytest.raises(DataError, match="^q: no replica"):
+            dm.staging_estimate(["q"], "b")
+        with pytest.raises(DataError, match="^q: no replica"):
+            dm.stage(1, ["q"], "b", 0.0)
+
 
 class TestStage:
     def test_resident_and_empty_items_skipped(self):
@@ -259,19 +267,19 @@ class TestQueueEstimate:
         dm.register_item("Y", 30, {"a"})
         jx, _ = dm.stage(1, ["X"], "b", 0.0)
         dm.stage(2, ["Y"], "b", 0.0)
-        pair = ("a", "b")
-        assert (len(dm._waiting[pair]), dm._waiting_bytes[pair]) == (1, 30)
+        lane = dm._lanes["b"]["a"]
+        assert (lane.active, len(lane.waiting), lane.waiting_bytes) == (1, 1, 30)
         seen = []
         start_waiting = dm._start_waiting
 
-        def spy(pair, clock):
-            seen.append((len(dm._waiting[pair]), dm._waiting_bytes[pair]))
-            return start_waiting(pair, clock)
+        def spy(lane, clock):
+            seen.append((lane.active, len(lane.waiting), lane.waiting_bytes))
+            return start_waiting(lane, clock)
 
         dm._start_waiting = spy
         _, _, started = dm.on_transfer_finished(jx[0], False, 1.0)
-        assert seen == [(2, 40)]
-        assert started == jx and (len(dm._waiting[pair]), dm._waiting_bytes[pair]) == (1, 30)
+        assert seen == [(0, 2, 40)]
+        assert started == jx and (lane.active, len(lane.waiting), lane.waiting_bytes) == (1, 1, 30)
 
 
 class TestCancel:

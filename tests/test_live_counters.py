@@ -8,8 +8,12 @@ reads the queue's length on the rule that at most one scale tick is ever
 queued, each node's remaining-deps count, the data manager's table of open
 jobs (one per item and destination), each item's set of destinations with
 an open job, its per-task index of the jobs a task waits on, which must
-invert each job's record of its waiting tasks, its waiting heaps, which
-hold only WAITING jobs, and each link's byte sum of the jobs in its heap.
+invert each job's record of its waiting tasks, and each link's lane: its
+count of ACTIVE jobs, never over the concurrency cap, its waiting heap,
+which holds exactly the link's WAITING jobs, and the byte sum of that heap.
+Every item's replica and inbound set is the interned object, each memoized
+set step gives the interned result of its step, and the source table gives
+each replica set its first location in declaration order.
 Each endpoint's finish heap is filled only for DHA, the one strategy that
 reads it: capacity and locality leave every heap empty, and under DHA every
 RUNNING task has an entry on its endpoint's heap. A
@@ -118,11 +122,33 @@ def check_counters(sim):
     for data_id, dst in data._open:
         inbound.setdefault(data_id, set()).add(dst)
     assert all(item.inbound == inbound.get(d, set()) for d, item in data.items.items())
-    queued = [jid for heap in data._waiting.values() for jid in heap]
-    assert all(data.jobs[jid].state is JobState.WAITING for jid in queued)
-    assert data._waiting_bytes.keys() == data._waiting.keys()
-    for pair, heap in data._waiting.items():
-        assert data._waiting_bytes[pair] == sum(data.jobs[j].size for j in heap), pair
+    # Each link's ACTIVE count and WAITING jobs, scanned in job-id order.
+    active = Counter((j.src, j.dst) for j in open_jobs if j.state is JobState.ACTIVE)
+    waiting = {}
+    for j in open_jobs:
+        if j.state is JobState.WAITING:
+            waiting.setdefault((j.src, j.dst), []).append(j)
+    order = data.endpoint_order
+    assert list(data._lanes) == list(order)
+    for dst, row in data._lanes.items():
+        assert list(row) == list(order), dst
+        for src, lane in row.items():
+            pair, heap = (src, dst), lane.waiting
+            queued = waiting.get(pair, [])
+            assert lane.active == active[pair] <= data.concurrency_cap, pair
+            assert sorted(heap) == [j.job_id for j in queued], pair
+            assert all(heap[(i - 1) // 2] < heap[i] for i in range(1, len(heap))), pair
+            assert lane.waiting_bytes == sum(j.size for j in queued), pair
+    interned = data._replica_sets
+    for item in data.items.values():
+        assert interned[item.locations] is item.locations, item.data_id
+        assert interned[item.inbound] is item.inbound, item.data_id
+    for locations, src in data._sources.items():
+        assert src == next((ep for ep in order if ep in locations), None), locations
+    for steps, step in ((data._added, frozenset.__or__), (data._removed, frozenset.__sub__)):
+        for (s, ep), result in steps.items():
+            assert interned[s] is s and interned[result] is result, (s, ep)
+            assert result == step(s, {ep}), (s, ep)
 
 
 def check_class_index(sim):
