@@ -142,7 +142,8 @@ class DataManager:
         # entry goes when the set empties or the task is cancelled.
         self._task_jobs: dict = {}
         # One object per endpoint set value, which many items share as
-        # their replica and inbound sets.
+        # their replica and inbound sets; each location tuple given to
+        # `register_item` maps to its set too (no tuple equals a frozenset).
         self._replica_sets: dict = {_EMPTY: _EMPTY}
         self._sources = _Sources(self.endpoint_order)
         self._added = _SetSteps(frozenset.__or__, self._replica_set)
@@ -155,7 +156,13 @@ class DataManager:
             raise DataError(f"{data_id}: negative size")
         if data_id in self.items:
             raise DataError(f"duplicate data item {data_id}")
-        item = DataItem(data_id, size, self._replica_set(frozenset(locations)))
+        # Thousands of declared items share a few location tuples, and only
+        # a new one builds a set.
+        key = tuple(locations)
+        replicas = self._replica_sets.get(key)
+        if replicas is None:
+            replicas = self._replica_sets[key] = self._replica_set(frozenset(key))
+        item = DataItem(data_id, size, replicas)
         self.items[data_id] = item
         return item
 

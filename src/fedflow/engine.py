@@ -169,9 +169,15 @@ class Simulation:
         sc = self.scenario
         for did, d in sc.data.items():
             self.data.register_item(did, int(round(d.size_MB * MB)), d.locations)
+        # One lookup per run of equal submit times: a loaded workflow is one
+        # run per batch, and a hand-built one in any order still groups.
         batches: dict = {}
+        when = None
         for t in sc.workflow:
-            batches.setdefault(t.submit_time_s, []).append(t)
+            if t.submit_time_s != when:
+                when = t.submit_time_s
+                batch = batches.setdefault(when, [])
+            batch.append(t)
         for when, specs in sorted(batches.items()):
             self.schedule(when, EventKind.SUBMIT_BATCH, (self._on_submit_batch, specs))
         for ep_id, trace in sc.capacity_traces.items():

@@ -110,7 +110,9 @@ class Scenario:
     network: NetworkSpec
     functions: dict  # name -> FunctionDef
     data: dict  # data_id -> DataSpec
-    workflow: list  # TaskSpec, ordered by (submit_time_s, id)
+    # TaskSpec; a loaded scenario lists them in (submit_time_s, id) order,
+    # but `Simulation` does not rely on it.
+    workflow: list
     defaults: Defaults = field(default_factory=Defaults)
 
 
@@ -337,7 +339,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     seen_tasks: set = set()
     # Whether the entries so far are in (submit_time_s, id) order and each
     # of their deps is an earlier entry, and so submitted earlier; if not,
-    # `_check_deps` checks every dep after the loop.
+    # `_check_deps` checks every dep after the loop and the workflow is
+    # sorted. If so, it is already in strictly ascending order: ids are
+    # unique.
     in_order = True
     last_submit = last_tid = -1
     # A scenario has one entry per task, so each check tests the common
@@ -362,7 +366,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if type(deps) is not list and deps != ():
             _list(deps, "deps", f"workflow[{m}]")
         if deps:
-            if not set(map(type, deps)) <= _INT_ONLY:
+            if not _INT_ONLY.issuperset(map(type, deps)):
                 deps = [_int(d, "deps", f"workflow[{m}]") for d in deps]
             if not seen_tasks.issuperset(deps):
                 in_order = False
@@ -370,7 +374,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         fds = entry.get("file_deps", ())
         if type(fds) is not list and fds != ():
             _list(fds, "file_deps", f"workflow[{m}]")
-        file_deps = []
+        file_deps = [] if fds else ()
         for fd in fds:
             if isinstance(fd, str):
                 if fd not in data:
@@ -412,6 +416,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         seen_tasks.add(tid)
     if not in_order:
         _check_deps(workflow)
+        workflow.sort(key=attrgetter("submit_time_s", "id"))
 
     defaults_doc = dict(_object(doc.get("defaults", {}), "defaults"))
     deprecated = {k: defaults_doc.pop(k) for k in DEPRECATED_DEFAULTS if k in defaults_doc}
@@ -430,8 +435,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if unknown:
         raise ScenarioError(f"defaults: unknown fields {sorted(unknown)}")
     defaults = _checked_defaults(Defaults(**defaults_doc))
-
-    workflow.sort(key=attrgetter("submit_time_s", "id"))
     return Scenario(
         name=name,
         endpoints=endpoints,
@@ -576,12 +579,16 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
+    try:  # JSON text is UTF-8 (RFC 8259), whatever the locale.
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from exc
     # A load makes no reference cycles (tests/test_collector.py), so the
     # collector is paused for it and left as the caller had it, as in `run()`.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return scenario_from_dict(json.loads(path.read_text()))
+        return scenario_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     finally:

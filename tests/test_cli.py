@@ -147,6 +147,14 @@ class TestRun:
         )
         assert result.exit_code == 1
 
+    def test_scenario_not_in_utf8_exits_1(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + json.dumps(SMALL).encode())
+        result = runner.invoke(main, ["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {bad}: not UTF-8 text")
+        assert isinstance(result.exception, SystemExit)
+
     def test_option_overrides_are_applied(self, runner, tmp_path):
         def summary(file_poll_s, *options):
             client = {"poll_interval_s": file_poll_s}

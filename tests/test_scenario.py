@@ -253,6 +253,16 @@ class TestDiagnostics:
         ]
         assert [t.id for t in scenario_from_dict(d).workflow] == [2, 5, 9]
 
+    def test_equal_submit_times_load_in_id_order(self):
+        # Listed with ids descending at one submit time, after an earlier
+        # task: sorted on the id alone.
+        d = doc()
+        d["workflow"] = [
+            {"id": 1, "function": "f"},
+            *({"id": k, "function": "f", "submit_time_s": 4.0} for k in (8, 6, 3)),
+        ]
+        assert [t.id for t in scenario_from_dict(d).workflow] == [1, 3, 6, 8]
+
     def test_a_dep_listed_after_its_task_loads_when_submitted_first(self, tmp_path):
         # Each task depends on the two listed after it, which have greater
         # ids and are submitted earlier; each declares its own input.
@@ -474,6 +484,12 @@ class TestRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ScenarioError, match="not valid JSON"):
+            load_scenario(path)
+
+    def test_file_not_in_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + json.dumps(doc()).encode())
+        with pytest.raises(ScenarioError, match=f"{re.escape(str(path))}: not UTF-8 text"):
             load_scenario(path)
 
 

@@ -345,7 +345,9 @@ def workflow_documents(draw, loadable=False):
     `loadable`, 10-25 tasks all submitted at 0 s depend only on tasks
     listed before them, followed by up to 12 copies of one task with no
     inputs: they share a function, an input size and often an incumbent,
-    so one pass can move several tasks of one decision prefix."""
+    so one pass can move several tasks of one decision prefix. Any of them
+    may probe every link at start, and lose three transfer attempts in
+    ten."""
     ids = draw(st.lists(st.integers(0, 40), min_size=10 if loadable else 1, max_size=25,
                         unique=True))
     if loadable:
@@ -410,8 +412,21 @@ def workflow_documents(draw, loadable=False):
             {"name": "g", "true_fixed_s": 0.5, "true_rate_s_per_MB": 0.1, "noise": 0.2},
         ],
         "workflow": workflow,
-        "defaults": {"elastic": draw(st.booleans())},
+        "defaults": {
+            "elastic": draw(st.booleans()),
+            "probe_at_init": draw(st.booleans()),
+            "transfer_failure_rate": draw(st.sampled_from([0.0, 0.3])),
+        },
     }
+
+
+def load_in_order(doc):
+    """The scenario `doc` describes; its workflow comes back in
+    (submit_time_s, id) order, whatever order the file lists it in."""
+    sc = scenario_from_dict(doc)
+    keys = [(t.submit_time_s, t.id) for t in sc.workflow]
+    assert keys == sorted(keys)
+    return sc
 
 
 @settings(max_examples=150)
@@ -422,7 +437,7 @@ def test_a_scenario_that_loads_runs_to_an_end_under_every_scheduler(doc):
     # Every document has a capacity change, so DHA runs passes: the prefix
     # index's pass makes the moves and CSVs of `reference_pass`.
     try:
-        sc = scenario_from_dict(doc)
+        sc = load_in_order(doc)
     except ScenarioError:
         return
     check_index_walk(sc)
@@ -442,5 +457,5 @@ def test_a_scenario_that_loads_runs_to_an_end_under_every_scheduler(doc):
 @given(workflow_documents(loadable=True))
 def test_the_class_index_pass_walks_as_the_reference_pass(doc):
     # Documents that load, with 10-37 tasks waiting at once, so that passes
-    # move tasks; 42 of the 150 runs move one.
-    check_index_walk(scenario_from_dict(doc))
+    # move tasks; 32 of the 150 runs move one.
+    check_index_walk(load_in_order(doc))
