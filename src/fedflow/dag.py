@@ -116,7 +116,8 @@ class TaskNode:
     # Endpoints the task failed on, one per failed attempt.
     failed_endpoints: frozenset = frozenset()
     # Predicted seconds this task adds to its assigned endpoint's backlog
-    # until it starts running.
+    # until it starts running; kept only for a strategy that reads idle
+    # estimates.
     backlog_s: float = 0.0
     staging_end: Optional[float] = None
     dispatch_time: Optional[float] = None

@@ -52,7 +52,8 @@ class EndpointModel:
     reads queue and worker counts directly (an optional sync lag is injected
     by the engine, not here). `committed`, `backlog_s` and `finish_heap` are
     the client's own facts about the endpoint; the engine keeps them, and
-    fills `finish_heap` only for DHA, whose idle estimate reads it.
+    fills `backlog_s` and `finish_heap` only for DHA, whose idle estimate
+    reads them.
     """
 
     __slots__ = (

@@ -66,9 +66,9 @@ _RESCHED_HOOKS = ("on_capacity_change", "on_reschedule_tick")
 
 
 @functools.lru_cache(maxsize=16)
-def _seeded_hash(seed):
-    """The BLAKE2b state of the seed and ':'; `_draw` copies it per draw."""
-    return blake2b(f"{seed}:".encode(), digest_size=8)
+def _seed_prefix(seed) -> bytes:
+    """The seed and ':', which `_draw` hashes before its key."""
+    return f"{seed}:".encode()
 
 
 def next_poll(t: float, interval: float) -> float:
@@ -212,9 +212,8 @@ class Simulation:
         """A uniform draw on [0, 1) for `key`, a quantity's fields joined by
         ':': the top 53 bits of the 8-byte BLAKE2b hash of the seed, ':' and
         the key, times 2**-53 (the resolution of `random.random()`)."""
-        h = _seeded_hash(self.seed).copy()
-        h.update(key)
-        return (int.from_bytes(h.digest(), "big") >> 11) * 2.0**-53
+        digest = blake2b(_seed_prefix(self.seed) + key, digest_size=8).digest()
+        return (int.from_bytes(digest, "big") >> 11) * 2.0**-53
 
     def sample_exec_duration(self, task_id: int, endpoint_id: str, attempt: int) -> float:
         node = self.dag.nodes[task_id]
@@ -390,8 +389,8 @@ class Simulation:
             self.changed_tasks.add(node.task_id)
 
     def _commit(self, task_id: int, endpoint_id: str):
-        """Point the task at the endpoint, moving its committed work and
-        backlog there."""
+        """Point the task at the endpoint, moving its committed work there,
+        and its backlog when the strategy reads idle estimates."""
         node = self.dag.nodes[task_id]
         if node.assigned_endpoint is not None:
             self._unassign(node)
@@ -400,9 +399,10 @@ class Simulation:
             # A first commit: no incumbent to release.
             self.changed_tasks.add(task_id)
         ep = self._by_id[endpoint_id]
-        row = self.exec_profiler.exec_row(node.function, node.input_bytes)
-        node.backlog_s = row[endpoint_id]
-        ep.backlog_s += node.backlog_s
+        if self.strategy.reads_idle_estimate:
+            row = self.exec_profiler.exec_row(node.function, node.input_bytes)
+            node.backlog_s = row[endpoint_id]
+            ep.backlog_s += node.backlog_s
         node.assigned_endpoint = endpoint_id
         ep.committed.add(task_id)
 
@@ -460,7 +460,7 @@ class Simulation:
         duration = self.sample_exec_duration(task_id, ep.endpoint_id, attempt)
         self._drop_backlog(node)
         end = self.clock + self.dispatch_latency + duration
-        if self.strategy.reads_finish_heap:
+        if self.strategy.reads_idle_estimate:
             row = self.exec_profiler.exec_row(node.function, node.input_bytes)
             heapq.heappush(ep.finish_heap, (self.clock + row[ep.endpoint_id], task_id))
         self.schedule(end, _TASK_COMPLETE, (self._on_task_complete, task_id, duration))

@@ -12,7 +12,7 @@ import gc
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -179,8 +179,10 @@ def _int(value, name: str, where: str) -> int:
     raise ScenarioError(f"{where}: '{name}' must be an integer ({value!r})")
 
 
-def _data_from_declaration(fd: dict, did, m: int, seen_eps: set) -> DataSpec:
-    """The item that the `file_deps` entry `fd` of `workflow[m]` declares."""
+def _data_from_declaration(fd: dict, did, m: int, seen_eps: set, shared: dict) -> DataSpec:
+    """The item that the `file_deps` entry `fd` of `workflow[m]` declares.
+    Its `locations` is the tuple in `shared` equal to the entry's list, which
+    is added there if new: items declared alike share one tuple."""
     if did.startswith((OUTPUT_PREFIX, PROBE_PREFIX)):
         raise ScenarioError(f"workflow[{m}]: data id '{did}' starts with a reserved prefix")
     size = fd.get("size_MB")
@@ -201,7 +203,12 @@ def _data_from_declaration(fd: dict, did, m: int, seen_eps: set) -> DataSpec:
                 raise ScenarioError(
                     f"workflow[{m}]: dangling reference to endpoint '{loc}' in data '{did}'"
                 )
-    return DataSpec(did, size, tuple(locations))
+    locations = tuple(locations)
+    try:  # not `setdefault`: set-up's calls per task are pinned (test_call_budget.py)
+        locations = shared[locations]
+    except KeyError:
+        shared[locations] = locations
+    return DataSpec(did, size, locations)
 
 
 def _check_deps(workflow: list):
@@ -335,6 +342,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
 
     data: dict = {}
+    location_tuples: dict = {}
     workflow: list = []
     seen_tasks: set = set()
     # Whether the entries so far are in (submit_time_s, id) order and each
@@ -389,9 +397,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if type(did) is not str:
                 _id(_require(fd, "data_id", f"workflow[{m}]"), "data_id", f"workflow[{m}]")
             if did not in data:
-                data[did] = _data_from_declaration(fd, did, m, seen_eps)
+                data[did] = _data_from_declaration(fd, did, m, seen_eps, location_tuples)
             else:
-                again, first = _data_from_declaration(fd, did, m, seen_eps), data[did]
+                again = _data_from_declaration(fd, did, m, seen_eps, location_tuples)
+                first = data[did]
                 if again.size_MB != first.size_MB or {*again.locations} != {*first.locations}:
                     raise ScenarioError(
                         f"workflow[{m}]: data '{did}' declared again with another size"
@@ -488,28 +497,33 @@ def apply_overrides(sc: Scenario, poll_interval_s=None, **defaults):
         sc.network = replace(sc.network, poll_interval_s=poll)
 
 
+# `TaskSpec`'s default for each optional field. A workflow entry leaves out a
+# field that holds its default, and the loader reads a missing field as it.
+_TASK_DEFAULTS = {f.name: f.default for f in fields(TaskSpec) if f.default is not MISSING}
+
+
 def scenario_to_dict(sc: Scenario) -> dict:
     declared: set = set()
 
+    def file_dep(did: str):
+        """The item's declaration at its first use, its id after that."""
+        if did in declared:
+            return did
+        declared.add(did)
+        d = sc.data[did]
+        return {"data_id": did, "size_MB": d.size_MB, "locations": list(d.locations)}
+
     def task_entry(t: TaskSpec) -> dict:
-        fds = []
-        for did in t.file_deps:
-            if did in declared:
-                fds.append(did)
-            else:
-                declared.add(did)
-                d = sc.data[did]
-                fds.append(
-                    {"data_id": did, "size_MB": d.size_MB, "locations": list(d.locations)}
-                )
-        return {
-            "id": t.id,
-            "function": t.function,
-            "deps": list(t.deps),
-            "file_deps": fds,
-            "inline_args_B": t.inline_args_B,
-            "submit_time_s": t.submit_time_s,
-        }
+        entry = {"id": t.id, "function": t.function}
+        for key, default in _TASK_DEFAULTS.items():
+            value = getattr(t, key)
+            if value != default:
+                entry[key] = value
+        if "deps" in entry:
+            entry["deps"] = list(t.deps)
+        if "file_deps" in entry:
+            entry["file_deps"] = [file_dep(did) for did in t.file_deps]
+        return entry
 
     def func_entry(f: FunctionDef) -> dict:
         entry = {
@@ -597,4 +611,16 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(sc: Scenario, path):
-    Path(path).write_text(json.dumps(scenario_to_dict(sc), indent=2) + "\n")
+    """Write `scenario_to_dict(sc)` as indented JSON, but each workflow entry
+    as one compact object on a line of its own: a workflow holds one entry
+    per task, and indenting their fields would about double the file."""
+    doc = scenario_to_dict(sc)
+    tasks = [json.dumps(entry, separators=(",", ":")) for entry in doc["workflow"]]
+    doc["workflow"] = []
+    text = json.dumps(doc, indent=2)
+    if tasks:
+        # Only the top-level key starts a line at this indent: JSON escapes
+        # any newline or quote within a string.
+        head, tail = text.split('\n  "workflow": []', 1)
+        text = head + '\n  "workflow": [\n    ' + ",\n    ".join(tasks) + "\n  ]" + tail
+    Path(path).write_text(text + "\n")

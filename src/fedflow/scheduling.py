@@ -141,7 +141,9 @@ def reassignment_endpoint(
 
 class BaseStrategy:
     name = "base"
-    reads_finish_heap = False  # the engine fills EndpointModel.finish_heap only if so
+    # Whether the strategy reads `earliest_idle_estimate`. Only if so does the
+    # engine keep its inputs: each endpoint's `finish_heap` and `backlog_s`.
+    reads_idle_estimate = False
 
     def __init__(self, sim):
         self.sim = sim
@@ -259,7 +261,7 @@ class DhaStrategy(BaseStrategy):
     """Priority-ordered earliest-finish-time selection with delayed dispatch."""
 
     name = "dha"
-    reads_finish_heap = True
+    reads_idle_estimate = True
 
     def __init__(self, sim):
         super().__init__(sim)

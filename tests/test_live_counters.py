@@ -14,9 +14,10 @@ which holds exactly the link's WAITING jobs, and the byte sum of that heap.
 Every item's replica and inbound set is the interned object, each memoized
 set step gives the interned result of its step, and the source table gives
 each replica set its first location in declaration order.
-Each endpoint's finish heap is filled only for DHA, the one strategy that
-reads it: capacity and locality leave every heap empty, and under DHA every
-RUNNING task has an entry on its endpoint's heap. A
+Each endpoint's finish heap and backlog are kept only for DHA, the one
+strategy whose idle estimate reads them: capacity and locality leave every
+heap empty and every backlog at 0, and under DHA every RUNNING task has an
+entry on its endpoint's heap. A
 subclass of `Simulation` checks them against scans of the task graph, the
 endpoints and the job table after each event, together with the rule that
 no endpoint holds a queued task beside an idle worker; the run itself is
@@ -96,6 +97,8 @@ def check_counters(sim):
         assert running <= on_heap, "a running task missing from its finish heap"
     else:
         assert not any(ep.finish_heap for ep in sim.endpoints), "finish heap filled"
+        assert all(ep.backlog_s == 0.0 for ep in sim.endpoints), "backlog kept"
+        assert all(node.backlog_s == 0.0 for node in nodes.values()), "task backlog kept"
     successors = sim.dag.successors
     assert all(a < b for succ in successors.values() for a, b in pairwise(succ))
     deps_left = Counter(s for t in not_done for s in successors[t])

@@ -5,16 +5,18 @@ import json
 import logging
 import math
 import re
+from dataclasses import MISSING, fields
 
 import pytest
 from click.testing import CliRunner
 
 from fedflow.builtins import BUILTIN_NAMES, generate_builtin_scenario
 from fedflow.cli import main
-from fedflow.engine import Simulation
+from fedflow.engine import DeadlockError, Simulation
 from fedflow.scenario import (
     MB,
     ScenarioError,
+    TaskSpec,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -299,6 +301,12 @@ class TestDiagnostics:
         data = scenario_from_dict(d).data
         assert list(data) == ["d"] and data["d"].locations == ("a", "b")
 
+    def test_equal_locations_share_one_tuple(self):
+        d = doc()
+        d["workflow"][1]["file_deps"] = [{"data_id": "e", "size_MB": 1.0, "locations": ["a"]}]
+        data = scenario_from_dict(d).data
+        assert data["d"].locations is data["e"].locations
+
     def test_undeclared_data_without_locations(self):
         d = doc()
         d["workflow"][0]["file_deps"][0].pop("locations")
@@ -492,6 +500,99 @@ class TestRoundTrip:
         with pytest.raises(ScenarioError, match=f"{re.escape(str(path))}: not UTF-8 text"):
             load_scenario(path)
 
+
+
+# A workflow entry's optional fields and `TaskSpec`'s defaults for them, as
+# JSON reads them back.
+TASK_DEFAULTS = {
+    f.name: json.loads(json.dumps(f.default)) for f in fields(TaskSpec) if f.default is not MISSING
+}
+
+
+def verbose_text(sc) -> str:
+    """`sc` in the verbose form that `save_scenario` once wrote: the whole
+    document indented, and every workflow entry with all six fields."""
+    d = scenario_to_dict(sc)
+    every_field = {"id": None, "function": None, **TASK_DEFAULTS}  # in `TaskSpec`'s order
+    d["workflow"] = [{k: e.get(k, v) for k, v in every_field.items()} for e in d["workflow"]]
+    return json.dumps(d, indent=2) + "\n"
+
+
+def outcome(sc, scheduler, out):
+    """The CSVs of a run of `sc` at seed 3, or its deadlock message."""
+    try:
+        Simulation(sc, scheduler_kind=scheduler, seed=3).run().emit(out)
+    except DeadlockError as exc:
+        return str(exc)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestWriter:
+    """`save_scenario` writes a task's non-default fields only, one task per
+    line; files in the verbose form load and run the same."""
+
+    # Non-default `deps`, `file_deps`, `inline_args_B` and `submit_time_s`,
+    # and an item declared with two locations.
+    HAND = dict(
+        BASE,
+        workflow=[
+            *BASE["workflow"],
+            {
+                "id": 2,
+                "function": "f",
+                "deps": [0],
+                "file_deps": [{"data_id": "e", "size_MB": 2.5, "locations": ["b", "a"]}, "d"],
+                "inline_args_B": 4096,
+                "submit_time_s": 30.0,
+            },
+            {"id": 3, "function": "f", "inline_args_B": 100, "submit_time_s": 12.5},
+        ],
+    )
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_saves_one_lean_task_per_line(self, name, tmp_path):
+        sc = generate_builtin_scenario(name, 0.1)
+        path = tmp_path / "s.json"
+        save_scenario(sc, path)
+        text = path.read_text()
+        d = scenario_to_dict(sc)
+        assert json.loads(text) == d
+        for entry in d["workflow"]:
+            for key, default in TASK_DEFAULTS.items():
+                assert key not in entry or entry[key] != default, (entry["id"], key)
+        lines = text.split("\n")
+        start = lines.index('  "workflow": [') + 1
+        end = lines.index("  ],", start)
+        assert len(lines[start:end]) == len(sc.workflow)
+        for line, entry in zip(lines[start:end], d["workflow"]):
+            assert line.startswith("    {") and json.loads(line.rstrip(",")) == entry
+        # Everything else is indented as `json.dumps(..., indent=2)` has it.
+        rest = lines[: start - 1] + ['  "workflow": [],'] + lines[end + 1 :]
+        assert "\n".join(rest) == json.dumps(dict(d, workflow=[]), indent=2) + "\n"
+
+    def test_empty_workflow_saves_and_loads(self, tmp_path):
+        sc = scenario_from_dict(dict(BASE, workflow=[]))
+        path = tmp_path / "s.json"
+        save_scenario(sc, path)
+        assert path.read_text() == json.dumps(scenario_to_dict(sc), indent=2) + "\n"
+        assert load_scenario(path) == sc
+
+    @pytest.mark.parametrize("source", ["elasticity", "hand"])
+    def test_verbose_and_lean_files_load_and_run_the_same(self, source, tmp_path):
+        if source == "hand":
+            sc = scenario_from_dict(self.HAND)
+        else:  # two batches, at 10 s and 70 s
+            sc = generate_builtin_scenario("elasticity", 0.1)
+        lean, verbose = tmp_path / "lean.json", tmp_path / "verbose.json"
+        save_scenario(sc, lean)
+        verbose.write_text(verbose_text(sc))
+        assert lean.stat().st_size < verbose.stat().st_size
+        sc_lean, sc_verbose = load_scenario(lean), load_scenario(verbose)
+        assert sc_lean == sc_verbose == sc
+        for scheduler in ("capacity", "locality", "dha"):
+            assert outcome(sc_lean, scheduler, tmp_path / f"lean-{scheduler}") == outcome(
+                sc_verbose, scheduler, tmp_path / f"verbose-{scheduler}"
+            ), scheduler
 
 
 class TestDeprecatedFields:
