@@ -9,6 +9,7 @@ the published workflow shapes; they are not claimed to be exact.
 from __future__ import annotations
 
 import logging
+import math
 
 from .scenario import Scenario, ScenarioError, scenario_from_dict, scenario_to_dict
 
@@ -346,8 +347,8 @@ def generate_builtin_scenario(name: str, scale: float = 1.0) -> Scenario:
         raise ScenarioError(
             f"unknown builtin scenario '{name}' (choose from {', '.join(BUILTIN_NAMES)})"
         )
-    if not 0.0 < scale <= 1.0:
-        raise ScenarioError(f"scale must be in (0, 1], got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ScenarioError(f"scale must be positive and finite, got {scale}")
     return scenario_from_dict(_GENERATORS[name](scale))
 
 

@@ -107,7 +107,8 @@ def run(
             transfer_concurrency=transfer_concurrency,
             max_transfer_retries=max_transfer_retries,
         )
-        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed, timings=timings)
+        sim = Simulation(sc, scheduler_kind=scheduler, seed=seed, timings=timings,
+                         history=bool(history_path))
         if history_path and os.path.exists(history_path):
             sim.exec_profiler.load(history_path)
         metrics = sim.run()

@@ -83,7 +83,9 @@ class Simulation:
 
     With `timings`, the strategy hooks are timed into the metrics'
     `sched_seconds` and `resched_seconds`; without, both stay 0.0 and the
-    hooks are plain calls."""
+    hooks are plain calls. With `history`, the execution profiler keeps
+    every task record in its `history`, for `ExecutionProfiler.save`;
+    without, it only folds them into its fits."""
 
     def __init__(
         self,
@@ -91,6 +93,7 @@ class Simulation:
         scheduler_kind: Optional[str] = None,
         seed: Optional[int] = None,
         timings: bool = False,
+        history: bool = False,
     ):
         self.scenario = scenario
         d = scenario.defaults
@@ -118,7 +121,7 @@ class Simulation:
                     link = scenario.network.link(a, b)
                     self.links[(a, b)] = (link.latency_s, link.bandwidth_MBps * MB)
 
-        self.exec_profiler = ExecutionProfiler(scenario.endpoints)
+        self.exec_profiler = ExecutionProfiler(scenario.endpoints, keep_history=history)
         self.transfer_profiler = TransferProfiler(fallback=self.links)
         self.data = DataManager(
             self.endpoint_order,
@@ -326,10 +329,14 @@ class Simulation:
                         if state is _FAILED or state is _UNRUNNABLE:
                             dead_deps.append(d)
             file_deps = tuple(sorted(set(file_deps)) if len(file_deps) > 1 else file_deps)
+            # With one file dep the sum is that item's own size object, and
+            # with no inline args the input size is the sum itself, so the
+            # node holds no copied ints.
             file_bytes = 0
             for d in file_deps:
-                file_bytes += items[d].size
-            input_bytes = file_bytes + inline
+                size = items[d].size
+                file_bytes = file_bytes + size if file_bytes else size
+            input_bytes = file_bytes + inline if inline else file_bytes
             output = None
             if fn.output_ratio > 0:
                 out_size = int(round(fn.output_ratio * input_bytes))
@@ -520,8 +527,8 @@ class Simulation:
     # -- bookkeeping -------------------------------------------------------
 
     def _record_workers(self, ep: EndpointModel):
-        self.metrics.utilization.append(
-            (self.clock, ep.endpoint_id, ep.busy_workers, ep.active_workers)
+        self.metrics.utilization_flat += (
+            self.clock, ep.endpoint_id, ep.busy_workers, ep.active_workers
         )
 
     def _record_task_outcome(
@@ -735,7 +742,7 @@ class Simulation:
         caller had it, however the run ends. A run makes no reference
         cycles, so a collector pass finds nothing to free; yet each task
         adds tracked objects that live to the end of the run, and with the
-        collector on a drug-like 0.5 run starts 165 passes, about a tenth
+        collector on a drug-like 0.5 run starts 92 passes, about a twentieth
         of its time (tests/test_collector.py pins both facts). Those
         objects are still young when the run returns, so the caller's next
         collection scans them once: the pause defers that part of the

@@ -32,11 +32,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _rows_of_four(flat: list):
+    """Consecutive four-field rows of a flat list, as tuples, one at a time."""
+    return zip(*[iter(flat)] * 4)
+
+
 class MetricsLog:
     def __init__(self, endpoint_ids: list, tasks: dict):
         self.endpoint_ids = list(endpoint_ids)
         self.tasks = tasks  # task_id -> TaskNode, timestamps included
-        self.utilization: list = []  # (time, endpoint, busy, active)
+        # Utilization rows laid end to end, four fields each (time,
+        # endpoint, busy, active): a row costs four slots, not a tuple.
+        self.utilization_flat: list = []
         self.staging_series: list = []  # (time, tasks_in_staging), one per time
         self.transfers: list = []  # rows matching TRANSFERS_COLUMNS
         self.makespan: float = 0.0
@@ -48,6 +55,11 @@ class MetricsLog:
         self.move_count: int = 0  # re-scheduling moves
         self.pass_scores: int = 0  # tasks a re-scheduling pass priced, one left-out idle read each
         self.event_count: int = 0
+
+    @property
+    def utilization(self) -> list:
+        """The utilization rows, as (time, endpoint, busy, active) tuples."""
+        return list(_rows_of_four(self.utilization_flat))
 
     @property
     def mean_decision_seconds(self) -> float:
@@ -73,7 +85,7 @@ class MetricsLog:
             self._write_rows(
                 out / "utilization.csv",
                 UTILIZATION_COLUMNS,
-                self.utilization,
+                _rows_of_four(self.utilization_flat),
             )
             self._write_rows(out / "transfers.csv", TRANSFERS_COLUMNS, self.transfers)
             self._write_rows(

@@ -93,11 +93,16 @@ class ExecutionProfiler:
     endpoint never donate. The one cache is the cost row (`exec_row`): a
     function's predictions on every endpoint of the federation, computed
     once per (function, input size) between two refits.
+
+    With `keep_history`, every record is also kept, in order, in `history`,
+    which `save` writes; without, `history` stays empty and a record is
+    only folded into its moments.
     """
 
-    def __init__(self, endpoints: tuple = ()):
+    def __init__(self, endpoints: tuple = (), keep_history: bool = True):
         self.endpoints = tuple(endpoints)
         self._perf_factors = {ep.endpoint_id: ep.perf_factor for ep in self.endpoints}
+        self.keep_history = keep_history
         self.history: list = []
         # (function, endpoint) -> the moments of its successful records
         # (failures carry no duration signal) and its count of attempts.
@@ -122,7 +127,8 @@ class ExecutionProfiler:
             negative = exec_time < 0 or input_size < 0 or output_size < 0
             raise ProfilerError(
                 f"{'negative' if negative else 'non-finite'} field in record for {function}")
-        self.history.append(rec)
+        if self.keep_history:
+            self.history.append(rec)
         key = (function, endpoint)
         moments = self._moments[key]
         moments.attempts += 1

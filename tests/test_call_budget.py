@@ -2,17 +2,24 @@
 function calls made during `Simulation.run()`, and during set-up
 (`load_scenario` on a saved file plus `Simulation(...)`), counted with
 `sys.setprofile`, stay under a ceiling pinned about 2% above the count
-measured when it was set.
+measured when it was set. Beside them, the bytes `tracemalloc` counts as
+kept by `run()` and at the peak over set-up and `run()` stay under ceilings
+pinned the same way.
 
-The count is the same from run to run and under any `PYTHONHASHSEED`, so a
-run past its ceiling has taken on more interpreter work per task, not noise.
-It does not see work done inside a C call or the garbage collector, so it
-stands beside the benchmark's wall time, never in its place. The counts
-belong to CPython 3.11, whose builtins and call paths they count. A change
-that adds work on purpose re-pins the ceiling it crosses, and says why.
+The call count is the same from run to run and under any `PYTHONHASHSEED`,
+so a run past its ceiling has taken on more interpreter work per task, not
+noise. It does not see work done inside a C call or the garbage collector,
+so it stands beside the benchmark's wall time, never in its place. The
+byte counts repeat to within a few hundred bytes (what an earlier test left
+in CPython's caches and free lists), far inside their 2%. The counts belong
+to CPython 3.11, whose builtins, call paths and object sizes they count. A
+change that adds work or memory on purpose re-pins the ceiling it crosses,
+and says why.
 """
 
+import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -23,18 +30,18 @@ from fedflow.scenario import load_scenario, save_scenario
 # (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
 # 7; the count when pinned, on CPython 3.11.7, is in the comment.
 CEILINGS = {
-    ("montage-like", 0.05, "dha"): 75_100,  # 73,626
-    ("drug-like", 0.05, "capacity"): 86_000,  # 84,323
-    ("dynamic-drug", 0.02, "dha"): 71_300,  # 69,937
-    ("dynamic-montage", 0.1, "dha"): 153_200,  # 150,219
-    ("dynamic-montage", 0.02, "locality"): 35_800,  # 35,069
+    ("montage-like", 0.05, "dha"): 72_200,  # 70,788
+    ("drug-like", 0.05, "capacity"): 82_300,  # 80,720
+    ("dynamic-drug", 0.02, "dha"): 70_100,  # 68,732
+    ("dynamic-montage", 0.1, "dha"): 147_400,  # 144,544
+    ("dynamic-montage", 0.02, "locality"): 33_600,  # 32,955
 }
 
 # The same for set-up, on the builtins of the three benchmark workloads.
 SETUP_CEILINGS = {
-    ("drug-like", 0.05, "capacity"): 18_800,  # 18,440
-    ("montage-like", 0.05, "dha"): 9_870,  # 9,681
-    ("dynamic-drug", 0.02, "dha"): 4_160,  # 4,081
+    ("drug-like", 0.05, "capacity"): 18_800,  # 18,433
+    ("montage-like", 0.05, "dha"): 9_870,  # 9,674
+    ("dynamic-drug", 0.02, "dha"): 4_160,  # 4,074
 }
 
 
@@ -80,3 +87,39 @@ def test_calls_during_setup_stay_under_the_ceiling(case, tmp_path):
     assert calls <= SETUP_CEILINGS[case], (
         f"{calls:,} calls during set-up, over the ceiling of {SETUP_CEILINGS[case]:,}"
     )
+
+
+# (builtin, scale, scheduler) -> ceilings on the bytes `tracemalloc` counts
+# at seed 7: (kept by `run()`, peak over set-up and `run()`); the counts when
+# pinned, on CPython 3.11.7, are in the comment.
+MEMORY_CEILINGS = {
+    ("drug-like", 0.05, "capacity"): (1_072_000, 1_521_000),  # 1,051,034, 1,490,822
+    ("montage-like", 0.05, "dha"): (725_000, 975_300),  # 710,754, 956,111
+}
+
+
+def traced_bytes(path, scheduler: str) -> tuple:
+    """(bytes `run()` keeps, peak bytes over set-up and `run()`) of one
+    seeded run of the scenario file at `path`."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = Simulation(load_scenario(path), scheduler_kind=scheduler, seed=7)
+        before = tracemalloc.get_traced_memory()[0]
+        sim.run()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before, peak
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
+@pytest.mark.parametrize("case", MEMORY_CEILINGS, ids=lambda c: "-".join(map(str, c)))
+def test_bytes_of_setup_and_run_stay_under_the_ceiling(case, tmp_path):
+    name, scale, scheduler = case
+    path = tmp_path / "scenario.json"
+    save_scenario(generate_builtin_scenario(name, scale), path)
+    kept, peak = traced_bytes(path, scheduler)
+    kept_ceiling, peak_ceiling = MEMORY_CEILINGS[case]
+    assert kept <= kept_ceiling, f"run() kept {kept:,} bytes, over the ceiling of {kept_ceiling:,}"
+    assert peak <= peak_ceiling, f"peak of {peak:,} bytes, over the ceiling of {peak_ceiling:,}"

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -302,6 +303,28 @@ class TestHistory:
         assert history.read_text().splitlines()[: len(lines)] == lines
         assert len(history.read_text().splitlines()) == len(second.exec_profiler.history)
 
+    def test_two_runs_write_the_pinned_history_bytes(self, runner, tmp_path):
+        # SHA-256 of the history file after each run, pinned when the
+        # profiler kept every record whether asked to or not.
+        pinned = [
+            (241, "fab60ea095ac1fd45950fca6b665f1596d00ead3ae52a965dccb81e2577fbf65"),
+            (482, "34d5436708d75e686b8f27920891ebe96b29f44d2838ec7ed1fec2224ae6118b"),
+        ]
+        scenario = tmp_path / "drug.json"
+        save_scenario(generate_builtin_scenario("drug-like", 0.01), scenario)
+        history = tmp_path / "history.csv"
+        written = []
+        for i, scheduler in enumerate(("capacity", "dha")):
+            result = runner.invoke(
+                main,
+                ["run", "--scenario", str(scenario), "--scheduler", scheduler,
+                 "--seed", "3", "--out", str(tmp_path / f"o{i}"), "--history", str(history)],
+            )
+            assert result.exit_code == 0, result.output
+            data = history.read_bytes()
+            written.append((len(data.splitlines()), hashlib.sha256(data).hexdigest()))
+        assert written == pinned
+
     def test_unwritable_history_keeps_the_csvs(self, runner, scenario_file, tmp_path):
         out = tmp_path / "o"
         result = runner.invoke(
@@ -355,6 +378,28 @@ class TestGen:
              "--out", str(tmp_path / "g.json")],
         )
         assert result.exit_code == 1
+        assert result.output.startswith("error:")
+
+    @pytest.mark.parametrize("scale", ["-1", "inf", "nan"])
+    def test_gen_scale_not_positive_and_finite_writes_nothing(self, runner, tmp_path, scale):
+        result = runner.invoke(
+            main,
+            ["gen", "--name", "drug-like", "--scale", scale,
+             "--out", str(tmp_path / "g.json")],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("error:")
+        assert not (tmp_path / "g.json").exists()
+
+    def test_gen_scale_above_one(self, runner, tmp_path):
+        path = tmp_path / "g.json"
+        result = runner.invoke(
+            main, ["gen", "--name", "elasticity", "--scale", "2.5", "--out", str(path)],
+        )
+        assert result.exit_code == 0, result.output
+        from fedflow.scenario import load_scenario
+
+        assert len(load_scenario(path).workflow) == 1000  # 400 at scale 1
 
 
 class TestCompare:

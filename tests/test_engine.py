@@ -162,7 +162,7 @@ class TestExecutionSampling:
     def test_noise_bounds_and_determinism(self):
         durations = set()
         for _ in range(2):
-            sim = Simulation(oracle(**NOISY), seed=7)
+            sim = Simulation(oracle(**NOISY), seed=7, history=True)
             sim.run()
             d = recorded_exec_time(sim)
             assert 2.0 * 10.0 * 0.8 <= d <= 2.0 * 10.0 * 1.2
@@ -170,11 +170,27 @@ class TestExecutionSampling:
         assert len(durations) == 1  # same seed, same draw
 
     def test_different_seeds_differ(self):
-        a = Simulation(oracle(**NOISY), seed=1)
+        a = Simulation(oracle(**NOISY), seed=1, history=True)
         a.run()
-        b = Simulation(oracle(**NOISY), seed=2)
+        b = Simulation(oracle(**NOISY), seed=2, history=True)
         b.run()
         assert recorded_exec_time(a) != recorded_exec_time(b)
+
+
+class TestHistoryOptIn:
+    @pytest.mark.parametrize("scheduler", ["capacity", "dha"])
+    def test_a_default_run_keeps_no_history_and_fits_the_same(self, scheduler):
+        sims = {}
+        for history in (False, True):
+            sc = generate_builtin_scenario("dynamic-drug", 0.02)
+            sims[history] = Simulation(sc, scheduler_kind=scheduler, seed=7, history=history)
+            sims[history].run()
+        bare, kept = sims[False].exec_profiler, sims[True].exec_profiler
+        assert bare.history == []
+        assert len(kept.history) == sum(m.attempts for m in kept._moments.values()) > 0
+        assert bare._fits and bare._fits == kept._fits
+        tasks = sims[True].dag.nodes
+        assert [sims[False].exec_row(t) for t in tasks] == [sims[True].exec_row(t) for t in tasks]
 
 
 def joined_key_draw(seed, *key) -> float:

@@ -5,15 +5,28 @@ Each case pins the full `summary.csv` text and a SHA-256 of
 to keep behaviour must leave every value here untouched; a change that moves
 one on purpose re-pins it and records the before and after values, with the
 reason, in CHANGES.md.
+
+The module needs nothing outside the standard library and `fedflow`, so the
+same cases can be checked under an interpreter that has no pytest:
+
+    python tests/test_golden.py
+
+runs every case and prints `ok` or `DIFFERS` for each; it exits 1 if any
+case differs.
 """
 
 import dataclasses
 import hashlib
+import logging
+import sys
+import tempfile
+from pathlib import Path
 
-import pytest
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fedflow.builtins import BUILTIN_NAMES, generate_builtin_scenario
-from fedflow.engine import Simulation
+from fedflow.builtins import BUILTIN_NAMES, generate_builtin_scenario  # noqa: E402
+from fedflow.engine import Simulation  # noqa: E402
 
 SEED = 7
 HASHED = ("utilization.csv", "transfers.csv", "staging.csv")
@@ -241,9 +254,36 @@ def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(str(p) for p in c if p))
+def case_id(case) -> str:
+    return "-".join(str(p) for p in case if p)
+
+
+def pytest_generate_tests(metafunc):
+    # The parametrization `pytest.mark.parametrize` would give, without
+    # importing pytest.
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", CASES, ids=case_id)
+
+
 def test_outputs_match_golden(case, tmp_path):
     summary, digests = run_case(*case, tmp_path)
     want_summary, want_digests = GOLDEN[case]
     assert summary == want_summary
     assert digests == want_digests
+
+
+def main() -> int:
+    logging.disable(logging.CRITICAL)  # cases with transfer failures log each one
+    failed = 0
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            ok = run_case(*case, Path(tmp)) == GOLDEN[case]
+        failed += not ok
+        print(f"{'ok' if ok else 'DIFFERS':8}{case_id(case)}")
+    print(f"{len(CASES) - failed} of {len(CASES)} cases match, "
+          f"Python {sys.version.split()[0]}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

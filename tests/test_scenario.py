@@ -688,6 +688,13 @@ class TestBuiltins:
         n = len(generate_builtin_scenario("drug-like", 0.01).workflow)
         assert 230 <= n <= 250  # stage ratios preserved
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_a_scale_above_one_grows_the_task_count_in_proportion(self, name):
+        base = len(generate_builtin_scenario(name, 0.3).workflow)
+        n = len(generate_builtin_scenario(name, 1.5).workflow)
+        # Each stage's count is rounded on its own.
+        assert n == pytest.approx(5 * base, rel=1e-3)
+
     def test_unknown_name_and_bad_scale(self):
         from fedflow.builtins import generate_builtin_scenario
 
