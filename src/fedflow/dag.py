@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -97,9 +97,10 @@ class FunctionDef:
 @dataclass(slots=True)
 class TaskNode:
     """The one record of a task: its place in the graph, its run-time state
-    and the times it entered each state. The fields through `submit_time`
+    and the times it entered each state. The fields through `successors`
     are set at submit, in the order `Simulation._register_batch` passes
-    them; the simulation owns every field from `state` on."""
+    them, and `successors` then grows as later tasks name this one as a
+    dep; the simulation owns every field from `state` on."""
 
     task_id: int
     function: FunctionDef
@@ -110,6 +111,9 @@ class TaskNode:
     input_bytes: int = 0  # file_bytes plus the inline arguments
     deps_left: int = 0  # deps not yet DONE
     submit_time: float = 0.0
+    # Ids of the tasks that depend on this one, ascending: a task joins its
+    # deps' lists when it is submitted, and a list only grows.
+    successors: list = field(default_factory=list)
     state: TaskState = TaskState.PENDING
     assigned_endpoint: Optional[str] = None
     announced: bool = False  # handed to the scheduler as ready
@@ -134,13 +138,13 @@ class Dag:
     """A workflow DAG that can grow at any time during execution.
 
     Edges may only point at tasks that already exist, so the graph is acyclic
-    by construction.
+    by construction. `nodes` maps each task id, its index in submission
+    order, to its `TaskNode`; each node holds both directions of its edges,
+    its `deps` and its `successors`.
     """
 
     def __init__(self):
         self.nodes: dict[int, TaskNode] = {}
-        # Ascending, append-only lists: a task joins its deps' lists at submit.
-        self.successors: dict[int, list] = {}
 
     def submit_task(
         self,
@@ -164,9 +168,8 @@ class Dag:
             file_deps=tuple(sorted(set(file_deps))),
         )
         self.nodes[task_id] = node
-        self.successors[task_id] = []
         for dep in deps:
-            self.successors[dep].append(task_id)
+            self.nodes[dep].successors.append(task_id)
         return task_id
 
     def topological_order(self) -> list:
@@ -178,7 +181,7 @@ class Dag:
         while frontier:
             t = heapq.heappop(frontier)
             order.append(t)
-            for s in self.successors[t]:
+            for s in self.nodes[t].successors:
                 indegree[s] -= 1
                 if indegree[s] == 0:
                     heapq.heappush(frontier, s)
@@ -196,9 +199,10 @@ def dfs_order(dag: Dag) -> list:
     """
     if not dag.nodes:
         raise WorkflowError("dfs_order on empty graph")
+    nodes = dag.nodes
     visited: set = set()
     order: list = []
-    for root in [t for t, node in dag.nodes.items() if not node.deps]:
+    for root in [t for t, node in nodes.items() if not node.deps]:
         stack = [root]
         while stack:
             t = stack.pop()
@@ -206,7 +210,7 @@ def dfs_order(dag: Dag) -> list:
                 continue
             visited.add(t)
             order.append(t)
-            for child in reversed(dag.successors[t]):
+            for child in reversed(nodes[t].successors):
                 if child not in visited:
                     stack.append(child)
     return order

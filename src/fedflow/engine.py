@@ -135,12 +135,13 @@ class Simulation:
         self.clock = 0.0
         self._events: list = []
         self._seq = 0
-        self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes)
+        self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes, self.data.jobs)
 
         # Registered tasks per TaskState.index; _enter moves a task between them.
         self._state_counts: list = [0] * len(TaskState)
         self._resched_armed_until = -1.0
         self._in_hook = False
+        # Spec id -> task id, for the spec ids that are not their task's id.
         self._spec_by_tid: dict = {}
         # Ids of the tasks committed, un-assigned or dispatched since a
         # strategy last read them (`_unassign`, which `_commit` calls, adds
@@ -296,17 +297,27 @@ class Simulation:
     def _register_batch(self, specs: list) -> tuple:
         """Register a batch's tasks in ascending spec id in one pass: each
         node built and checked as `Dag.submit_task` builds it, with its sizes,
-        its output item (checked as `register_item` checks) and unmet deps."""
+        its output item (checked as `register_item` checks) and unmet deps.
+
+        A task's id is its index in submission order. A task whose spec id
+        is that index holds the spec's own int, and `_spec_by_tid` maps
+        only the spec ids that are not, so a dep it does not map names its
+        task by itself. In a batch, equal sums of several input sizes, and
+        equal output sizes, are one int object."""
         task_ids = []
         dead_deps = []  # deps met FAILED or UNRUNNABLE, in the order met
         functions = self.scenario.functions
         spec_by_tid = self._spec_by_tid
         nodes = self.dag.nodes
-        successors = self.dag.successors
         items = self.data.items
         clock = self.clock
+        sizes: dict = {}  # each fresh size int of the batch, by value
         tid = len(nodes)
         for t in sorted(specs, key=operator.attrgetter("id")):
+            if t.id == tid:
+                tid = t.id
+            else:
+                spec_by_tid[t.id] = tid
             fn = functions[t.function]
             inline = t.inline_args_B
             if not 0 <= inline <= INLINE_ARGS_LIMIT:
@@ -315,12 +326,21 @@ class Simulation:
             file_deps = t.file_deps
             deps, deps_left = (), 0
             if t.deps:
-                deps = ((spec_by_tid[t.deps[0]],) if len(t.deps) == 1
-                        else tuple(sorted(set(map(spec_by_tid.__getitem__, t.deps)))))
+                deps = t.deps
+                if len(deps) == 1:
+                    d = deps[0]
+                    deps = (spec_by_tid[d] if d in spec_by_tid else d,)
+                elif spec_by_tid:
+                    deps = tuple(sorted({spec_by_tid[d] if d in spec_by_tid else d
+                                         for d in deps}))
+                else:  # no spec id moved, as in a scenario numbered by index
+                    deps = tuple(sorted(set(deps)))
+                if deps == t.deps:  # a tuple of task ids already: keep the spec's
+                    deps = t.deps
                 file_deps = [*file_deps]
                 for d in deps:
-                    successors[d].append(tid)
                     dep = nodes[d]
+                    dep.successors.append(tid)
                     if dep.output is not None:
                         file_deps.append(dep.output)
                     state = dep.state
@@ -331,24 +351,31 @@ class Simulation:
             file_deps = tuple(sorted(set(file_deps)) if len(file_deps) > 1 else file_deps)
             # With one file dep the sum is that item's own size object, and
             # with no inline args the input size is the sum itself, so the
-            # node holds no copied ints.
-            file_bytes = 0
+            # node holds no copied ints; a sum of several sizes is a new int.
+            file_bytes = size = 0
             for d in file_deps:
                 size = items[d].size
                 file_bytes = file_bytes + size if file_bytes else size
+            if file_bytes is not size:
+                if file_bytes in sizes:
+                    file_bytes = sizes[file_bytes]
+                else:
+                    sizes[file_bytes] = file_bytes
             input_bytes = file_bytes + inline if inline else file_bytes
             output = None
             if fn.output_ratio > 0:
                 out_size = int(round(fn.output_ratio * input_bytes))
                 if out_size > 0:
+                    if out_size in sizes:
+                        out_size = sizes[out_size]
+                    else:
+                        sizes[out_size] = out_size
                     output = f"{OUTPUT_PREFIX}{tid}"
                     if output in items:
                         raise DataError(f"duplicate data item {output}")
                     items[output] = DataItem(output, out_size)
             nodes[tid] = TaskNode(tid, fn, deps, file_deps, output, file_bytes, input_bytes,
-                                  deps_left, clock)
-            successors[tid] = []
-            spec_by_tid[t.id] = tid
+                                  deps_left, clock, [])
             task_ids.append(tid)
             tid += 1
         self._state_counts[_PENDING.index] += len(task_ids)
@@ -509,7 +536,7 @@ class Simulation:
         stack = [root]
         while stack:
             t = stack.pop()
-            for s in self.dag.successors[t]:
+            for s in self.dag.nodes[t].successors:
                 node = self.dag.nodes[s]
                 if node.state is not _UNRUNNABLE:
                     # Its chain never finishes, so it never left PENDING;
@@ -679,8 +706,9 @@ class Simulation:
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
         self._enter(node, _DONE)
-        for s in self.dag.successors[task_id]:
-            self.dag.nodes[s].deps_left -= 1
+        nodes = self.dag.nodes
+        for s in node.successors:
+            nodes[s].deps_left -= 1
         self._record_task_outcome(task_id, ep.endpoint_id, True, exec_time)
         if node.output is not None:
             self.data.add_replica(node.output, ep.endpoint_id)
@@ -701,8 +729,9 @@ class Simulation:
                 self.strategy.on_worker_free(ep.endpoint_id)
 
     def _result_seen(self, task_id: int):
-        self.dag.nodes[task_id].observed_time = self.clock
-        self._announce_ready(self.dag.successors[task_id])
+        node = self.dag.nodes[task_id]
+        node.observed_time = self.clock
+        self._announce_ready(node.successors)
 
     def _start_queued(self, ep: EndpointModel, started: list):
         """Record the endpoint's workers after a change to them, then run
@@ -814,20 +843,6 @@ class Simulation:
         m.transfer_bytes = self.data.transfer_bytes_total()
         # Gave up (FAILED is terminal only then) or never ran.
         m.tasks_failed = self._state_counts[_FAILED.index] + self._state_counts[_UNRUNNABLE.index]
-        for job in self.data.jobs.values():
-            m.transfers.append(
-                (
-                    job.job_id,
-                    job.data_id,
-                    job.src,
-                    job.dst,
-                    job.size,
-                    job.state.value,
-                    job.retries_used,
-                    -1.0 if job.started_at is None else job.started_at,
-                    -1.0 if job.finished_at is None else job.finished_at,
-                )
-            )
 
 
 def run_scenario(

@@ -27,6 +27,8 @@ STAGING_COLUMNS = ["time_s", "tasks_in_staging"]
 
 
 def _fmt(value) -> str:
+    """A value as the CSVs write it: a float with six decimals, anything
+    else (an int time from a scenario file, None) as `str` writes it."""
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
@@ -37,15 +39,42 @@ def _rows_of_four(flat: list):
     return zip(*[iter(flat)] * 4)
 
 
+# The row formatters of the series CSVs, one per series, each a generator:
+# a row's time columns go through `_fmt`, and its ints and strings go to the
+# `csv` writer as they are, which writes them as `str` does.
+
+
+def _utilization_rows(flat: list):
+    return ((_fmt(t), ep, busy, active) for t, ep, busy, active in _rows_of_four(flat))
+
+
+def _staging_rows(series: list):
+    return ((_fmt(t), count) for t, count in series)
+
+
+def _transfer_row(job) -> tuple:
+    """A transfers row of a job: its fields in TRANSFERS_COLUMNS order, and
+    -1.0 for a time it did not reach."""
+    return (job.job_id, job.data_id, job.src, job.dst, job.size, job.state.value,
+            job.retries_used, -1.0 if job.started_at is None else job.started_at,
+            -1.0 if job.finished_at is None else job.finished_at)
+
+
+def _transfer_rows(jobs):
+    return ((*row[:7], _fmt(row[7]), _fmt(row[8])) for row in map(_transfer_row, jobs))
+
+
 class MetricsLog:
-    def __init__(self, endpoint_ids: list, tasks: dict):
+    def __init__(self, endpoint_ids: list, tasks: dict, jobs: dict):
         self.endpoint_ids = list(endpoint_ids)
         self.tasks = tasks  # task_id -> TaskNode, timestamps included
+        # job_id -> TransferJob, every transfer job of the run: the data
+        # manager's own table, which `transfers` and `emit` read.
+        self.jobs = jobs
         # Utilization rows laid end to end, four fields each (time,
         # endpoint, busy, active): a row costs four slots, not a tuple.
         self.utilization_flat: list = []
         self.staging_series: list = []  # (time, tasks_in_staging), one per time
-        self.transfers: list = []  # rows matching TRANSFERS_COLUMNS
         self.makespan: float = 0.0
         self.transfer_bytes: int = 0
         self.tasks_failed: int = 0
@@ -60,6 +89,12 @@ class MetricsLog:
     def utilization(self) -> list:
         """The utilization rows, as (time, endpoint, busy, active) tuples."""
         return list(_rows_of_four(self.utilization_flat))
+
+    @property
+    def transfers(self) -> list:
+        """The transfers rows, one per job in the order opened, as tuples
+        matching TRANSFERS_COLUMNS."""
+        return [_transfer_row(job) for job in self.jobs.values()]
 
     @property
     def mean_decision_seconds(self) -> float:
@@ -78,19 +113,18 @@ class MetricsLog:
     # -- export ------------------------------------------------------------
 
     def emit(self, out_dir):
+        """Write the four CSVs to `out_dir`, each series row by row from
+        what the run keeps."""
         out = Path(out_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
             self._write_summary(out / "summary.csv")
-            self._write_rows(
-                out / "utilization.csv",
-                UTILIZATION_COLUMNS,
-                _rows_of_four(self.utilization_flat),
-            )
-            self._write_rows(out / "transfers.csv", TRANSFERS_COLUMNS, self.transfers)
-            self._write_rows(
-                out / "staging.csv", STAGING_COLUMNS, self.staging_series
-            )
+            self._write_rows(out / "utilization.csv", UTILIZATION_COLUMNS,
+                             _utilization_rows(self.utilization_flat))
+            self._write_rows(out / "transfers.csv", TRANSFERS_COLUMNS,
+                             _transfer_rows(self.jobs.values()))
+            self._write_rows(out / "staging.csv", STAGING_COLUMNS,
+                             _staging_rows(self.staging_series))
         except OSError as exc:
             raise MetricsIOError(str(exc)) from exc
 
@@ -112,8 +146,7 @@ class MetricsLog:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(rows)
 
 
 class MetricsIOError(OSError):

@@ -313,6 +313,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     raise ScenarioError(f"network: missing network pair {a}->{b}")
 
     functions: dict = {}
+    # Each function's name by itself: a task holds its FunctionDef's name
+    # object, not the copy the JSON decoder makes for every entry.
+    names: dict = {}
     for k, entry in enumerate(_list(doc.get("functions", []), "functions", "scenario")):
         where = f"functions[{k}]"
         fname = _id(_require(_object(entry, where), "name", where), "name", where)
@@ -340,6 +343,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             cost_hint_fixed_s=hint_fixed,
             cost_hint_rate_s_per_B=hint_rate,
         )
+        names[fname] = fname
 
     data: dict = {}
     location_tuples: dict = {}
@@ -365,11 +369,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
             tid = _int(_require(entry, "id", where), "id", where)
         if tid in seen_tasks:
             raise ScenarioError(f"workflow[{m}]: duplicate task id {tid}")
-        fname = entry.get("function")
-        if type(fname) is not str or fname not in functions:
+        try:
+            fname = names[entry.get("function")]
+        except (KeyError, TypeError):  # missing, not a string, unhashable or unknown
+            fname = entry.get("function")
             where = f"workflow[{m}]"
             _id(_require(entry, "function", where), "function", where)
-            raise ScenarioError(f"{where}: dangling reference to function '{fname}'")
+            raise ScenarioError(f"{where}: dangling reference to function '{fname}'") from None
         deps = entry.get("deps", ())
         if type(deps) is not list and deps != ():
             _list(deps, "deps", f"workflow[{m}]")

@@ -70,20 +70,20 @@ def capacity_blocks(dag: Dag, task_ids: list, capacities: list) -> list:
     return blocks
 
 
-def compute_priorities(dag: Dag, costs: dict) -> dict:
-    """Recursive upward cost of each task in `costs`: own staging + execution
-    means plus the largest successor priority. `costs` holds every successor
-    of every task it holds. Tasks are visited in reverse submission order,
+def compute_priorities(dag: Dag, costs: list) -> list:
+    """Recursive upward cost of each task, as a list indexed by task id:
+    own staging + execution means, `costs[t]`, plus the largest successor
+    priority; 0.0 for a task whose cost is None. Every successor of a task
+    with a cost has one. Tasks are visited in reverse submission order,
     which is reverse topological, since a task's deps exist when it is
     submitted."""
-    priority: dict = {}
-    successors = dag.successors
-    for t in reversed(dag.nodes):
-        cost = costs.get(t)
-        if cost is None:
-            continue
-        succ_max = max(map(priority.__getitem__, successors[t]), default=0.0)
-        priority[t] = cost[0] + cost[1] + succ_max
+    priority = [0.0] * len(costs)
+    nodes = dag.nodes
+    for t in reversed(range(len(costs))):
+        cost = costs[t]
+        if cost is not None:
+            succ_max = max(map(priority.__getitem__, nodes[t].successors), default=0.0)
+            priority[t] = cost[0] + cost[1] + succ_max
     return priority
 
 
@@ -265,7 +265,9 @@ class DhaStrategy(BaseStrategy):
 
     def __init__(self, sim):
         super().__init__(sim)
-        self.priorities: dict = {}
+        # Upward rank by task id (`compute_priorities`), 0.0 for a task
+        # DONE when the ranks were last computed.
+        self.priorities: list = []
         order = sim.endpoint_order
         self.delay_queues = {ep: [] for ep in order}  # endpoint_id -> heap of (-priority, tid)
         # Per incumbent, every other endpoint: candidates to steal a task.
@@ -286,8 +288,9 @@ class DhaStrategy(BaseStrategy):
         once: the profilers do not change during the call."""
         sim = self.sim
         by_class: dict = {}
-        costs = {}
-        for tid, node in sim.dag.nodes.items():
+        nodes = sim.dag.nodes
+        costs = [None] * len(nodes)
+        for tid, node in nodes.items():
             if node.state is _DONE:
                 continue
             key = (node.function.name, node.input_bytes, node.file_bytes)
@@ -355,7 +358,7 @@ class DhaStrategy(BaseStrategy):
         # changes the committed work, backlog and workers of its target only
         # (a first placement has no incumbent).
         idle: dict = {}
-        for _, tid in sorted([(-priorities.get(t, 0.0), t) for t in task_ids]):
+        for _, tid in sorted([(-priorities[t], t) for t in task_ids]):
             target = self.select_endpoint(tid, idle)
             sim.assign(tid, target)
             sim.begin_staging(tid)
@@ -365,7 +368,7 @@ class DhaStrategy(BaseStrategy):
 
     def on_staging_complete(self, task_id: int):
         ep = self.sim.dag.nodes[task_id].assigned_endpoint
-        heapq.heappush(self.delay_queues[ep], (-self.priorities.get(task_id, 0.0), task_id))
+        heapq.heappush(self.delay_queues[ep], (-self.priorities[task_id], task_id))
         self.delay_dispatch(ep)
 
     def delay_dispatch(self, endpoint_id: str):
@@ -447,7 +450,7 @@ class DhaStrategy(BaseStrategy):
         priorities = self.priorities
         for tid in tids:
             cls = class_of.pop(tid, None)
-            entry = (-priorities.get(tid, 0.0), tid)
+            entry = (-priorities[tid], tid)
             if cls is not None:
                 members = cls.members
                 del members[bisect.bisect_left(members, entry)]

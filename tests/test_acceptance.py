@@ -89,10 +89,11 @@ def test_priority_oracle_equivalence():
             dag = Dag()
             for t in range(n):
                 dag.submit_task(fn, [d for d in range(t) if rng.random() < 0.25])
-            costs = {t: (rng.uniform(0, 50), rng.uniform(0, 50)) for t in range(n)}
+            costs = [(rng.uniform(0, 50), rng.uniform(0, 50)) for t in range(n)]
             pr = compute_priorities(dag, costs)
+            succ = [node.successors for node in dag.nodes.values()]
             for t in range(n):
-                expect = _brute_force(dag.successors, costs, t)
+                expect = _brute_force(succ, costs, t)
                 assert math.isclose(pr[t], expect, rel_tol=1e-9, abs_tol=1e-9)
 
 

@@ -30,11 +30,11 @@ from fedflow.scenario import load_scenario, save_scenario
 # (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
 # 7; the count when pinned, on CPython 3.11.7, is in the comment.
 CEILINGS = {
-    ("montage-like", 0.05, "dha"): 72_200,  # 70,788
-    ("drug-like", 0.05, "capacity"): 82_300,  # 80,720
-    ("dynamic-drug", 0.02, "dha"): 70_100,  # 68,732
-    ("dynamic-montage", 0.1, "dha"): 147_400,  # 144,544
-    ("dynamic-montage", 0.02, "locality"): 33_600,  # 32,955
+    ("montage-like", 0.05, "dha"): 69_000,  # 67,550
+    ("drug-like", 0.05, "capacity"): 82_100,  # 80,443
+    ("dynamic-drug", 0.02, "dha"): 68_300,  # 66,900
+    ("dynamic-montage", 0.1, "dha"): 140_700,  # 137,860
+    ("dynamic-montage", 0.02, "locality"): 33_100,  # 32,405
 }
 
 # The same for set-up, on the builtins of the three benchmark workloads.
@@ -93,8 +93,8 @@ def test_calls_during_setup_stay_under_the_ceiling(case, tmp_path):
 # at seed 7: (kept by `run()`, peak over set-up and `run()`); the counts when
 # pinned, on CPython 3.11.7, are in the comment.
 MEMORY_CEILINGS = {
-    ("drug-like", 0.05, "capacity"): (1_072_000, 1_521_000),  # 1,051,034, 1,490,822
-    ("montage-like", 0.05, "dha"): (725_000, 975_300),  # 710,754, 956,111
+    ("drug-like", 0.05, "capacity"): (871_700, 1_254_300),  # 854,570, 1,229,678
+    ("montage-like", 0.05, "dha"): (552_800, 771_400),  # 541,938, 756,253
 }
 
 

@@ -69,7 +69,8 @@ class TestSubmit:
 
     def test_successors_tracked(self):
         dag = build([(0, 1), (0, 2)], 3)
-        assert dag.successors[0] == [1, 2]
+        assert dag.nodes[0].successors == [1, 2]
+        assert dag.nodes[1].successors == dag.nodes[2].successors == []
 
 
 ONE_ENDPOINT = {
@@ -175,7 +176,7 @@ class TestTopologicalOrder:
     def test_cycle_detected(self):
         dag = build([(0, 1)], 2)
         dag.nodes[0].deps = (1,)  # force a cycle behind the API's back
-        dag.successors[1].append(0)
+        dag.nodes[1].successors.append(0)
         with pytest.raises(WorkflowError, match="cycle"):
             dag.topological_order()
 
@@ -232,7 +233,7 @@ def parent_dfs_order(dag):
                 continue
             visited.add(t)
             order.append(t)
-            for child in sorted(set(dag.successors[t]), reverse=True):
+            for child in sorted(set(dag.nodes[t].successors), reverse=True):
                 if child not in visited:
                     stack.append(child)
     return order
@@ -259,9 +260,11 @@ class TestGraphShape:
             assert type(node.deps) is tuple
             assert node.deps == tuple(sorted(set(handles[t])))
             edges.update((d, t) for d in node.deps)
-        inverse = [(t, s) for t, succ in dag.successors.items() for s in succ]
-        assert all(type(succ) is list for succ in dag.successors.values())
-        assert all(a < b for succ in dag.successors.values() for a, b in pairwise(succ))
+        successors = [node.successors for node in dag.nodes.values()]
+        inverse = [(t, s) for t, succ in enumerate(successors) for s in succ]
+        assert all(type(succ) is list for succ in successors)
+        assert len({id(succ) for succ in successors}) == n  # a list of its own each
+        assert all(a < b for succ in successors for a, b in pairwise(succ))
         assert len(inverse) == len(edges) and set(inverse) == edges
         assert dfs_order(dag) == parent_dfs_order(dag)
         # Every edge points from a lower id to a higher one, so Kahn's walk

@@ -730,6 +730,49 @@ def batched_workflows(draw):
     }
 
 
+# Spec id -> (submit time, function, deps, file deps), listed by batch, the
+# first in descending id. Submission order is (submit time, id), so task
+# indexes go to ids 0, 2, 40, 1, 3, 5.
+GAPPED_IDS = {
+    40: (0.0, "f", [0, 2], ["d0"]),
+    2: (0.0, "f", [0], ["d1"]),
+    0: (0.0, "f", [], ["d0", "d1"]),
+    1: (5.0, "f", [2, 40], []),
+    3: (5.0, "g", [0, 2], ["d1"]),
+    5: (5.0, "f", [1], []),
+}
+RENUMBER = {0: 0, 2: 1, 40: 2, 1: 3, 3: 4, 5: 5}
+RENUMBERED = {
+    RENUMBER[sid]: (when, fn, [RENUMBER[d] for d in deps], fds)
+    for sid, (when, fn, deps, fds) in GAPPED_IDS.items()
+}
+# (task id, deps) by task index, as both numberings register them.
+TASKS_BY_INDEX = [(0, ()), (1, (0,)), (2, (0, 1)), (3, (1, 2)), (4, (0, 1)), (5, (3,))]
+CSV_NAMES = ("summary.csv", "utilization.csv", "transfers.csv", "staging.csv")
+
+
+def gapped_ids_doc(tasks: dict) -> dict:
+    """A two-batch scenario whose workflow is `tasks`, in the order given,
+    on the two endpoints of ORACLE, one of which changes capacity mid-run."""
+    declared = set()
+    workflow = []
+    for sid, (when, fn, deps, fds) in tasks.items():
+        file_deps = []
+        for did in fds:
+            if did in declared:
+                file_deps.append(did)
+            else:
+                declared.add(did)
+                where = ["a"] if did == "d0" else ["b"]
+                file_deps.append({"data_id": did, "size_MB": 40.0, "locations": where})
+        workflow.append({"id": sid, "function": fn, "deps": deps, "file_deps": file_deps,
+                         "submit_time_s": when})
+    endpoints = [dict(ep) for ep in ORACLE["endpoints"]]
+    endpoints[1]["capacity_trace"] = [{"time_s": 7.0, "delta_workers": -1}]
+    return dict(ORACLE, endpoints=endpoints, workflow=workflow,
+                defaults={"reschedule_period_s": 2.0})
+
+
 class TestRegisterBatch:
     """`_register_batch` builds each task in one pass; the graph it builds
     is the one the checked builders build (`reference_batch`)."""
@@ -760,9 +803,54 @@ class TestRegisterBatch:
             assert got == want
             assert sim._state_counts[TaskState.PENDING.index] == before + len(specs)
         assert sim.dag.nodes == ref_dag.nodes
-        assert sim.dag.successors == ref_dag.successors
+        assert [n.successors for n in sim.dag.nodes.values()] == [
+            n.successors for n in ref_dag.nodes.values()
+        ]
         assert sim.data.items == ref_data.items
-        assert sim._spec_by_tid == ref_spec_by_tid
+        # Only the spec ids that are not their task's id are mapped, and a
+        # task whose spec id is its id holds the spec's own int.
+        assert sim._spec_by_tid == {
+            sid: tid for sid, tid in ref_spec_by_tid.items() if sid != tid
+        }
+        for t in sc.workflow:
+            if t.id not in sim._spec_by_tid:
+                assert sim.dag.nodes[t.id].task_id is t.id
+
+    @pytest.mark.parametrize("scheduler", ["capacity", "locality", "dha"])
+    def test_spec_ids_that_are_not_task_indexes_run_as_their_renumbered_twin(
+        self, scheduler, tmp_path
+    ):
+        """Spec ids with gaps, a batch listed in descending id, and deps on
+        ids that are other tasks' indexes (spec 1 is task 3, and task 1 is
+        spec 2) give the CSVs of the same workflow numbered by index."""
+        csvs = {}
+        for twin, doc in (("gapped", gapped_ids_doc(GAPPED_IDS)),
+                          ("renumbered", gapped_ids_doc(RENUMBERED))):
+            sim = Simulation(scenario_from_dict(doc), scheduler_kind=scheduler, seed=3)
+            sim.run().emit(tmp_path / twin)
+            assert [(n.task_id, n.deps) for n in sim.dag.nodes.values()] == TASKS_BY_INDEX
+            assert sim.dag.nodes[5].file_deps == ("out:3",)
+            csvs[twin] = {name: (tmp_path / twin / name).read_bytes() for name in CSV_NAMES}
+        assert csvs["gapped"] == csvs["renumbered"]
+        assert csvs["gapped"]["transfers.csv"].count(b"\n") > 1
+
+    def test_equal_input_sums_and_output_sizes_share_one_int_in_a_batch(self):
+        sim = Simulation(generate_builtin_scenario("montage-like", 0.05), scheduler_kind="dha")
+        sim.run()
+        fits = [n for n in sim.dag.nodes.values() if n.function.name == "fit"]
+        assert len(fits) > 1 and all(len(n.file_deps) == 2 for n in fits)
+        items = sim.data.items
+        first = fits[0]
+        assert all(n.file_bytes is first.file_bytes for n in fits)
+        assert all(items[n.output].size is items[first.output].size for n in fits)
+
+    def test_a_hand_built_batch_in_descending_id_is_registered_in_ascending_id(self):
+        sc = scenario_from_dict(gapped_ids_doc(GAPPED_IDS))
+        sc.workflow.reverse()
+        sim = Simulation(sc, scheduler_kind="dha", seed=3)
+        sim.run()
+        assert [(n.task_id, n.deps) for n in sim.dag.nodes.values()] == TASKS_BY_INDEX
+        assert sim._spec_by_tid == {2: 1, 40: 2, 1: 3, 3: 4}
 
     @pytest.mark.parametrize("size, message", [
         (INLINE_ARGS_LIMIT + 1, "exceed the 10 MB limit"),

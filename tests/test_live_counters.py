@@ -99,9 +99,8 @@ def check_counters(sim):
         assert not any(ep.finish_heap for ep in sim.endpoints), "finish heap filled"
         assert all(ep.backlog_s == 0.0 for ep in sim.endpoints), "backlog kept"
         assert all(node.backlog_s == 0.0 for node in nodes.values()), "task backlog kept"
-    successors = sim.dag.successors
-    assert all(a < b for succ in successors.values() for a, b in pairwise(succ))
-    deps_left = Counter(s for t in not_done for s in successors[t])
+    assert all(a < b for node in nodes.values() for a, b in pairwise(node.successors))
+    deps_left = Counter(s for t in not_done for s in nodes[t].successors)
     assert all(node.deps_left == deps_left[tid] for tid, node in nodes.items())
     assert kinds[EventKind.SCALE_TICK] <= 1
     assert sim._work_queued() == any(kind != EventKind.SCALE_TICK for kind in kinds)
@@ -168,7 +167,7 @@ def check_class_index(sim):
     rebuilt = {}
     for ep in sim.endpoints:
         for tid in ep.committed:
-            entry = (-dha.priorities.get(tid, 0.0), tid)
+            entry = (-dha.priorities[tid], tid)
             rebuilt.setdefault(dha._prefix(nodes[tid]), []).append(entry)
     for key, cls in dha._classes.items():
         assert cls.key == key

@@ -307,6 +307,14 @@ class TestDiagnostics:
         data = scenario_from_dict(d).data
         assert data["d"].locations is data["e"].locations
 
+    def test_a_task_holds_its_functions_own_name(self):
+        # json.loads makes a new string for each entry's "function" of more
+        # than one character.
+        text = json.dumps(scenario_to_dict(generate_builtin_scenario("drug-like", 0.02)))
+        sc = scenario_from_dict(json.loads(text))
+        assert sc.workflow
+        assert all(t.function is sc.functions[t.function].name for t in sc.workflow)
+
     def test_undeclared_data_without_locations(self):
         d = doc()
         d["workflow"][0]["file_deps"][0].pop("locations")

@@ -97,7 +97,8 @@ class TestPriorities:
         dag = Dag()
         a = dag.submit_task(FN)
         b = dag.submit_task(FN, [a])
-        pr = compute_priorities(dag, {a: (1.0, 2.0), b: (0.5, 4.0)})
+        pr = compute_priorities(dag, [(1.0, 2.0), (0.5, 4.0)])
+        assert type(pr) is list and len(pr) == 2
         assert math.isclose(pr[b], 4.5)
         assert math.isclose(pr[a], 3.0 + 4.5)
 
@@ -109,12 +110,11 @@ class TestPriorities:
             for t in range(n):
                 deps = [d for d in range(t) if rng.random() < 0.25]
                 dag.submit_task(FN, deps)
-            costs = {
-                t: (rng.uniform(0, 50), rng.uniform(0, 50)) for t in range(n)
-            }
+            costs = [(rng.uniform(0, 50), rng.uniform(0, 50)) for t in range(n)]
             pr = compute_priorities(dag, costs)
+            succ = [node.successors for node in dag.nodes.values()]
             for t in range(n):
-                expect = brute_force_priority(dag.successors, costs, t)
+                expect = brute_force_priority(succ, costs, t)
                 assert math.isclose(pr[t], expect, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -219,6 +219,15 @@ IDLE_NOW = (1, 0.0, 0.0, 1)
 BUSY_TO_10 = (-1, 10.0, 0.0, 1)
 
 
+def dha(sim) -> DhaStrategy:
+    """DHA on a fake simulation, with every task of its graph ranked 0.0:
+    a real run ranks a batch's tasks when it is submitted, and the fakes
+    submit no batch."""
+    strategy = DhaStrategy(sim)
+    strategy.priorities = [0.0] * len(sim.dag.nodes)
+    return strategy
+
+
 class FakeSim:
     """One READY task, assigned to `incumbent`, whose finish time on each
     endpoint is its predicted execution time there; records the endpoints
@@ -238,7 +247,7 @@ class FakeSim:
         node = self.dag.nodes[self.dag.submit_task(FN)]
         node.state = TaskState.READY
         node.assigned_endpoint = incumbent
-        self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes)
+        self.metrics = MetricsLog(self.endpoint_order, self.dag.nodes, self.data.jobs)
         self.idle_reads = []
         self.left_out_reads = []
         self.staged = []
@@ -269,7 +278,7 @@ class FakeSim:
 class TestDhaEndpointChoice:
     def test_select_tie_prefers_declaration_order(self):
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 5.0}, incumbent="b")
-        assert DhaStrategy(sim).select_endpoint(0) == "a"
+        assert dha(sim).select_endpoint(0) == "a"
         assert sim.idle_reads == ["a", "b", "c"]
         assert sim.staged == ["a"]
 
@@ -277,7 +286,7 @@ class TestDhaEndpointChoice:
         """No other endpoint beats the incumbent even with free staging, so
         the pass stages nothing: the incumbent holds the task's inputs."""
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 6.0}, incumbent="b")
-        assert DhaStrategy(sim).reschedule_pass() == 0
+        assert dha(sim).reschedule_pass() == 0
         assert sim.moves == []
         assert sim.idle_reads == ["a", "b", "c"]
         assert sim.left_out_reads == ["b"]
@@ -285,7 +294,7 @@ class TestDhaEndpointChoice:
 
     def test_reschedule_moves_on_strict_gain(self):
         sim = FakeSim({"a": 5.0, "b": 5.0, "c": 4.0}, incumbent="b")
-        assert DhaStrategy(sim).reschedule_pass() == 1
+        assert dha(sim).reschedule_pass() == 1
         assert sim.moves == [(0, "c")]
         assert sim.staged == ["c"]
 
@@ -339,7 +348,7 @@ class TestEarliestFinishingBound:
             sim = TableSim(clock, table)
             idle = {}
             node, row = sim.dag.nodes[0], sim.exec_row(0)
-            got = DhaStrategy(sim)._earliest_finishing(node, row, tuple(candidates), idle)
+            got = dha(sim)._earliest_finishing(node, row, tuple(candidates), idle)
             efts = [earliest_finish_time(clock, *table[e]) for e in candidates]
             assert got == candidates[efts.index(min(efts))]
             expect_staged = [
@@ -384,7 +393,7 @@ class TestReschedulePass:
         going there and keeps its incumbent on the tie. The move drops the
         estimates of its two endpoints only."""
         sim = PassSim()
-        assert DhaStrategy(sim).reschedule_pass() == 1
+        assert dha(sim).reschedule_pass() == 1
         assert sim.moves == [(0, "b")]
         assert sim.idle_reads == ["a", "b", "a", "b"]
         assert sim.left_out_reads == ["a", "a"]
@@ -392,7 +401,7 @@ class TestReschedulePass:
     def test_idle_estimates_reused_without_a_move(self):
         sim = PassSim()
         sim.b_idle = False
-        assert DhaStrategy(sim).reschedule_pass() == 0
+        assert dha(sim).reschedule_pass() == 0
         assert sim.idle_reads == ["a", "b"]
         assert sim.left_out_reads == ["a"]
 
@@ -401,7 +410,7 @@ class TestReschedulePass:
         the second task's bound on "b" (10 + 5) ties its incumbent's finish
         time, so "b" is not staged for it."""
         sim = PassSim()
-        DhaStrategy(sim).reschedule_pass()
+        dha(sim).reschedule_pass()
         assert sim.staged == ["b"]
 
 
@@ -482,7 +491,7 @@ def test_decision_class_tells_tasks_apart(terms, tasks, items, target):
     by the prefix index's walk and by the reference walk."""
     for walk in (DhaStrategy.reschedule_pass, reference_pass):
         sim = ClassSim(terms, tasks, items)
-        assert walk(DhaStrategy(sim)) == 1
+        assert walk(dha(sim)) == 1
         assert sim.moves == [(1, target)]
 
 
@@ -496,7 +505,7 @@ def test_a_bound_verdict_serves_every_class_of_its_prefix():
         [("a", 0.0, ("x",)), ("a", 0.0, ("y",))],
         (("x", 20, ("a",), ()), ("y", 30, ("a",), ())),
     )
-    assert DhaStrategy(sim).reschedule_pass() == 0
+    assert dha(sim).reschedule_pass() == 0
     assert sim.left_out_reads == ["a"]
     assert sim.metrics.pass_scores == 1
 
@@ -575,7 +584,7 @@ def reference_pass(self) -> int:
     sim = self.sim
     nodes = sim.dag.nodes
     priorities = self.priorities
-    movable = sorted((-priorities.get(t, 0.0), t) for t in sim.undispatched_tasks())
+    movable = sorted((-priorities[t], t) for t in sim.undispatched_tasks())
     if not movable:
         return 0
     clock = sim.clock
@@ -806,7 +815,7 @@ def topological_priorities(dag, costs):
     priority = {}
     for t in reversed(dag.topological_order()):
         d_bar, w_bar = costs[t]
-        succ_max = max((priority[s] for s in dag.successors[t]), default=0.0)
+        succ_max = max((priority[s] for s in dag.nodes[t].successors), default=0.0)
         priority[t] = d_bar + w_bar + succ_max
     return priority
 
@@ -828,12 +837,15 @@ class TestPriorityWalk:
             dag.submit_task(FN, deps)
             if deps <= done and data.draw(st.booleans()):
                 done.add(t)
-        costs = {t: (data.draw(costs_st), data.draw(costs_st)) for t in range(n)}
+        costs = [(data.draw(costs_st), data.draw(costs_st)) for t in range(n)]
         reference = topological_priorities(dag, costs)
-        assert compute_priorities(dag, costs) == reference
-        live = {t: c for t, c in costs.items() if t not in done}
-        assert all(s in live for t in live for s in dag.successors[t])
-        assert compute_priorities(dag, live) == {t: reference[t] for t in live}
+        assert compute_priorities(dag, costs) == [reference[t] for t in range(n)]
+        live = [None if t in done else c for t, c in enumerate(costs)]
+        assert all(live[s] is not None
+                   for t in range(n) if live[t] is not None for s in dag.nodes[t].successors)
+        assert compute_priorities(dag, live) == [
+            0.0 if t in done else reference[t] for t in range(n)
+        ]
 
 
 @pytest.mark.parametrize(
@@ -872,7 +884,10 @@ def test_average_costs_once_per_cost_class(name, scale, monkeypatch):
             for tid, n in sim.dag.nodes.items()
         }
         reference = topological_priorities(sim.dag, costs)
-        assert self.priorities == {n.task_id: reference[n.task_id] for n in live}
+        assert self.priorities == [
+            0.0 if n.state is TaskState.DONE else reference[tid]
+            for tid, n in sim.dag.nodes.items()
+        ]
         checked.append(len(sim.dag.nodes) - len(live))
 
     monkeypatch.setattr(scheduling, "average_costs", counted)
