@@ -8,36 +8,39 @@ the published workflow shapes; they are not claimed to be exact.
 
 from __future__ import annotations
 
-import logging
 import math
 
 from .scenario import Scenario, ScenarioError, scenario_from_dict, scenario_to_dict
 
-logger = logging.getLogger(__name__)
-
-BUILTIN_NAMES = (
-    "drug-like",
-    "montage-like",
-    "dynamic-drug",
-    "dynamic-montage",
-    "elasticity",
-)
-
 
 def _count(base: int, scale: float) -> int:
-    return max(1, round(base * scale))
+    """`base` workers or tasks at `scale`: rounded, at least 1 in magnitude,
+    and of the sign of `base`."""
+    n = max(1, round(abs(base) * scale))
+    return n if base > 0 else -n
 
 
-def _screening_workflow(scale: float, stage_a: int, in_mb: float) -> tuple:
+def _task(workflow: list, function: str, **fields) -> int:
+    """Append a task entry, whose id is its index, to `workflow` and return
+    that id."""
+    tid = len(workflow)
+    workflow.append({"id": tid, "function": function, **fields})
+    return tid
+
+
+def _item(data_id: str, size_MB: float, location: str) -> dict:
+    """The declaration of an item resident at `location`."""
+    return {"data_id": data_id, "size_MB": size_MB, "locations": [location]}
+
+
+def _screening_workflow(scale: float, stage_a: int) -> dict:
     """Four-stage screening pipeline: A -> 2xB -> C (fan-in 4) -> D -> final.
 
-    Returns (functions, workflow) entries. Stage bases at scale 1 follow the
+    Returns its functions and workflow entries. Stage bases at scale 1 follow the
     ratio 6000:12000:3000:3000 (+1 aggregate).
     """
     a = _count(stage_a, scale)
-    b = 2 * a
     c = max(1, a // 2)
-    d = c
     functions = [
         {"name": "prepare", "true_fixed_s": 180.0, "noise": 0.05, "output_ratio": 0.5},
         {"name": "dock", "true_fixed_s": 300.0, "noise": 0.05, "output_ratio": 0.5},
@@ -45,53 +48,25 @@ def _screening_workflow(scale: float, stage_a: int, in_mb: float) -> tuple:
         {"name": "refine", "true_fixed_s": 60.0, "noise": 0.05, "output_ratio": 0.2},
         {"name": "aggregate", "true_fixed_s": 30.0, "noise": 0.0, "output_ratio": 0.0},
     ]
-    workflow = []
-    nid = 0
-    a_ids, b_ids, c_ids, d_ids = [], [], [], []
-    for i in range(a):
-        workflow.append(
-            {
-                "id": nid,
-                "function": "prepare",
-                "file_deps": [
-                    {
-                        "data_id": f"ligand-{i}",
-                        "size_MB": in_mb,
-                        "locations": ["taiyi"],
-                    }
-                ],
-            }
-        )
-        a_ids.append(nid)
-        nid += 1
-    for i in range(b):
-        workflow.append({"id": nid, "function": "dock", "deps": [a_ids[i // 2]]})
-        b_ids.append(nid)
-        nid += 1
-    for j in range(c):
-        deps = b_ids[4 * j : 4 * j + 4]
-        workflow.append({"id": nid, "function": "score", "deps": deps})
-        c_ids.append(nid)
-        nid += 1
-    for k in range(d):
-        workflow.append({"id": nid, "function": "refine", "deps": [c_ids[k]]})
-        d_ids.append(nid)
-        nid += 1
-    leftover_b = b_ids[4 * c :]
-    workflow.append(
-        {"id": nid, "function": "aggregate", "deps": d_ids + leftover_b}
-    )
-    return functions, workflow
+    workflow: list = []
+    a_ids = [
+        _task(workflow, "prepare", file_deps=[_item(f"ligand-{i}", 20.0, "taiyi")])
+        for i in range(a)
+    ]
+    b_ids = [_task(workflow, "dock", deps=[a_ids[i // 2]]) for i in range(2 * a)]
+    c_ids = [_task(workflow, "score", deps=b_ids[4 * j : 4 * j + 4]) for j in range(c)]
+    d_ids = [_task(workflow, "refine", deps=[cid]) for cid in c_ids]
+    _task(workflow, "aggregate", deps=d_ids + b_ids[4 * c :])
+    return {"functions": functions, "workflow": workflow}
 
 
-def _mosaic_workflow(scale: float) -> tuple:
+def _mosaic_workflow(scale: float) -> dict:
     """Five-stage mosaicking pipeline with overlapping-pair fan-in.
 
     Stage bases at scale 1: 4000 project, 4000 fit (pairing neighbors),
     3000 background, 300 collect, 39 combine, 1 final = 11340 tasks.
     """
     p = _count(4000, scale)
-    f = p
     bg = _count(3000, scale)
     ag = _count(300, scale)
     cm = _count(39, scale)
@@ -103,166 +78,80 @@ def _mosaic_workflow(scale: float) -> tuple:
         {"name": "combine", "true_fixed_s": 60.0, "noise": 0.05, "output_ratio": 0.2},
         {"name": "publish", "true_fixed_s": 10.0, "noise": 0.0, "output_ratio": 0.0},
     ]
-    workflow = []
-    nid = 0
-    p_ids, f_ids, bg_ids, ag_ids, cm_ids = [], [], [], [], []
-    for i in range(p):
-        workflow.append(
-            {
-                "id": nid,
-                "function": "project",
-                "file_deps": [
-                    {
-                        "data_id": f"tile-{i}",
-                        "size_MB": 25.0,
-                        "locations": ["qiming"],
-                    }
-                ],
-            }
-        )
-        p_ids.append(nid)
-        nid += 1
-    for i in range(f):
-        deps = sorted({p_ids[i], p_ids[(i + 1) % p]})
-        workflow.append({"id": nid, "function": "fit", "deps": deps})
-        f_ids.append(nid)
-        nid += 1
-    for j in range(bg):
-        lo = j * f // bg
-        deps = sorted({f_ids[lo], f_ids[(lo + 1) % f]})
-        workflow.append({"id": nid, "function": "background", "deps": deps})
-        bg_ids.append(nid)
-        nid += 1
-    for k in range(ag):
-        deps = bg_ids[k * bg // ag : (k + 1) * bg // ag] or [bg_ids[-1]]
-        workflow.append({"id": nid, "function": "collect", "deps": deps})
-        ag_ids.append(nid)
-        nid += 1
-    for m in range(cm):
-        deps = ag_ids[m * ag // cm : (m + 1) * ag // cm] or [ag_ids[-1]]
-        workflow.append({"id": nid, "function": "combine", "deps": deps})
-        cm_ids.append(nid)
-        nid += 1
-    workflow.append({"id": nid, "function": "publish", "deps": cm_ids})
-    return functions, workflow
+
+    def pair(ids: list, i: int) -> list:
+        """Entry `i` of `ids` and its neighbor, wrapping around."""
+        return sorted({ids[i], ids[(i + 1) % len(ids)]})
+
+    def chunk(ids: list, k: int, n: int) -> list:
+        """Part `k` of `ids` cut into `n` parts, or its last entry if empty."""
+        return ids[k * len(ids) // n : (k + 1) * len(ids) // n] or [ids[-1]]
+
+    workflow: list = []
+    p_ids = [
+        _task(workflow, "project", file_deps=[_item(f"tile-{i}", 25.0, "qiming")])
+        for i in range(p)
+    ]
+    f_ids = [_task(workflow, "fit", deps=pair(p_ids, i)) for i in range(p)]
+    bg_ids = [_task(workflow, "background", deps=pair(f_ids, j * p // bg)) for j in range(bg)]
+    ag_ids = [_task(workflow, "collect", deps=chunk(bg_ids, k, ag)) for k in range(ag)]
+    cm_ids = [_task(workflow, "combine", deps=chunk(ag_ids, m, cm)) for m in range(cm)]
+    _task(workflow, "publish", deps=cm_ids)
+    return {"functions": functions, "workflow": workflow}
 
 
-def _static_endpoint(ep_id: str, workers: int, perf: float) -> dict:
-    return {
-        "endpoint_id": ep_id,
-        "workers_per_node": workers,
-        "max_nodes": 1,
-        "initial_nodes": 1,
-        "perf_factor": perf,
-    }
-
-
-def _dynamic_endpoint(ep_id: str, workers: int, perf: float, trace: list) -> dict:
-    # max_nodes 4 leaves headroom for the grow events in the trace.
-    return {
-        "endpoint_id": ep_id,
-        "workers_per_node": workers,
-        "max_nodes": 4,
-        "initial_nodes": 1,
-        "perf_factor": perf,
-        "capacity_trace": trace,
-    }
-
-
-_NETWORK = {
-    "default": {"bandwidth_MBps": 100.0, "latency_s": 0.5},
-    "client": {"dispatch_latency_s": 0.0, "poll_interval_s": 0.0},
+# The federations the paper's workflows run on, one row per endpoint: its
+# id, its workers at scale 1, its perf factor and its capacity trace as
+# (time_s, delta_workers at scale 1) steps. A trace of None marks a static
+# endpoint of one node; an endpoint with a trace, even an empty one, gets
+# max_nodes 4, which leaves headroom for the trace's grow events.
+_FEDERATIONS = {
+    "drug-like": (
+        ("taiyi", 2000, 1.0, None),
+        ("qiming", 384, 1.5, None),
+        ("dept", 48, 1.2, None),
+        ("lab", 52, 1.4, None),
+    ),
+    "montage-like": (
+        ("taiyi", 120, 1.2, None),
+        ("qiming", 240, 1.0, None),
+        ("dept", 48, 1.4, None),
+        ("lab", 52, 1.3, None),
+    ),
+    # The second endpoint doubles early, the first loses most of its
+    # workers mid-run.
+    "dynamic-drug": (
+        ("taiyi", 400, 1.0, ((540.0, -280),)),
+        ("qiming", 600, 1.5, ((120.0, 600),)),
+        ("dept", 48, 1.2, ()),
+        ("lab", 52, 1.4, ()),
+    ),
+    "dynamic-montage": (
+        ("taiyi", 40, 1.2, ((120.0, 80),)),
+        ("qiming", 240, 1.0, ((300.0, -168),)),
+        ("dept", 48, 1.4, ()),
+        ("lab", 52, 1.3, ()),
+    ),
 }
 
 
-def _drug_like(scale: float) -> dict:
-    functions, workflow = _screening_workflow(scale, 6000, in_mb=20.0)
-    return {
-        "name": f"drug-like@{scale:g}",
-        "endpoints": [
-            _static_endpoint("taiyi", _count(2000, scale), 1.0),
-            _static_endpoint("qiming", _count(384, scale), 1.5),
-            _static_endpoint("dept", _count(48, scale), 1.2),
-            _static_endpoint("lab", _count(52, scale), 1.4),
-        ],
-        "network": _NETWORK,
-        "functions": functions,
-        "workflow": workflow,
-        "defaults": {"scheduler": "dha", "seed": 7},
-    }
-
-
-def _montage_like(scale: float) -> dict:
-    functions, workflow = _mosaic_workflow(scale)
-    return {
-        "name": f"montage-like@{scale:g}",
-        "endpoints": [
-            _static_endpoint("taiyi", _count(120, scale), 1.2),
-            _static_endpoint("qiming", _count(240, scale), 1.0),
-            _static_endpoint("dept", _count(48, scale), 1.4),
-            _static_endpoint("lab", _count(52, scale), 1.3),
-        ],
-        "network": _NETWORK,
-        "functions": functions,
-        "workflow": workflow,
-        "defaults": {"scheduler": "dha", "seed": 7},
-    }
-
-
-def _dynamic_drug(scale: float) -> dict:
-    # Half-size screening run under a capacity trace: the second endpoint
-    # doubles early, the first loses most of its workers mid-run.
-    functions, workflow = _screening_workflow(scale, 3000, in_mb=20.0)
-    return {
-        "name": f"dynamic-drug@{scale:g}",
-        "endpoints": [
-            _dynamic_endpoint(
-                "taiyi",
-                _count(400, scale),
-                1.0,
-                [{"time_s": 540.0, "delta_workers": -_count(280, scale)}],
-            ),
-            _dynamic_endpoint(
-                "qiming",
-                _count(600, scale),
-                1.5,
-                [{"time_s": 120.0, "delta_workers": _count(600, scale)}],
-            ),
-            _dynamic_endpoint("dept", _count(48, scale), 1.2, []),
-            _dynamic_endpoint("lab", _count(52, scale), 1.4, []),
-        ],
-        "network": _NETWORK,
-        "functions": functions,
-        "workflow": workflow,
-        "defaults": {"scheduler": "dha", "seed": 7},
-    }
-
-
-def _dynamic_montage(scale: float) -> dict:
-    functions, workflow = _mosaic_workflow(scale)
-    return {
-        "name": f"dynamic-montage@{scale:g}",
-        "endpoints": [
-            _dynamic_endpoint(
-                "taiyi",
-                _count(40, scale),
-                1.2,
-                [{"time_s": 120.0, "delta_workers": _count(80, scale)}],
-            ),
-            _dynamic_endpoint(
-                "qiming",
-                _count(240, scale),
-                1.0,
-                [{"time_s": 300.0, "delta_workers": -_count(168, scale)}],
-            ),
-            _dynamic_endpoint("dept", _count(48, scale), 1.4, []),
-            _dynamic_endpoint("lab", _count(52, scale), 1.3, []),
-        ],
-        "network": _NETWORK,
-        "functions": functions,
-        "workflow": workflow,
-        "defaults": {"scheduler": "dha", "seed": 7},
-    }
+def _federation(name: str, scale: float) -> list:
+    """The endpoint entries of federation `name` at `scale`."""
+    endpoints = []
+    for ep_id, workers, perf, trace in _FEDERATIONS[name]:
+        entry = {
+            "endpoint_id": ep_id,
+            "workers_per_node": _count(workers, scale),
+            "max_nodes": 1 if trace is None else 4,
+            "initial_nodes": 1,
+            "perf_factor": perf,
+        }
+        if trace is not None:
+            entry["capacity_trace"] = [
+                {"time_s": t, "delta_workers": _count(d, scale)} for t, d in trace
+            ]
+        endpoints.append(entry)
+    return endpoints
 
 
 def _elasticity(scale: float) -> dict:
@@ -288,57 +177,42 @@ def _elasticity(scale: float) -> dict:
         {"name": "task2", "true_fixed_s": 30.0, "noise": 0.0},
         {"name": "task3", "true_fixed_s": 10.0, "noise": 0.0},
     ]
-    pin = {
-        f"task{i + 1}": {
-            "data_id": f"pin-ep{i + 1}",
-            "size_MB": 100000.0,
-            "locations": [f"ep{i + 1}"],
-        }
-        for i in range(3)
-    }
-    workflow = []
-    nid = 0
+    # The first reference to each pin item declares it inline; later ones
+    # name it.
+    pins = {f"ep{i}": _item(f"pin-ep{i}", 100000.0, f"ep{i}") for i in (1, 2, 3)}
+    workflow: list = []
     for when, counts in ((10.0, (50, 20, 10)), (70.0, (200, 80, 40))):
         for fam, n in enumerate(counts):
-            fname = f"task{fam + 1}"
+            home = f"ep{fam + 1}"
             for _ in range(_count(n, scale)):
-                workflow.append(
-                    {
-                        "id": nid,
-                        "function": fname,
-                        "file_deps": [pin[fname]["data_id"]],
-                        "submit_time_s": when,
-                    }
-                )
-                nid += 1
-    # The first reference to each pin item must declare it inline.
-    declared: set = set()
-    for entry in workflow:
-        did = entry["file_deps"][0]
-        if did not in declared:
-            declared.add(did)
-            entry["file_deps"] = [pin[entry["function"]]]
+                pin = pins.pop(home, f"pin-{home}")
+                _task(workflow, f"task{fam + 1}", file_deps=[pin], submit_time_s=when)
     return {
-        "name": f"elasticity@{scale:g}",
         "endpoints": endpoints,
-        "network": _NETWORK,
         "functions": functions,
         "workflow": workflow,
-        "defaults": {
-            "scheduler": "dha",
-            "seed": 7,
-            "elastic": True,
-            "scale_tick_s": 1.0,
-        },
+        "defaults": {"elastic": True, "scale_tick_s": 1.0},
     }
 
 
+# Each builtin's generator: the functions and workflow entries of its
+# scenario at a given scale. A builtin that runs on no federation of
+# `_FEDERATIONS` gives its endpoints as well, and any defaults beyond the
+# common ones.
 _GENERATORS = {
-    "drug-like": _drug_like,
-    "montage-like": _montage_like,
-    "dynamic-drug": _dynamic_drug,
-    "dynamic-montage": _dynamic_montage,
+    "drug-like": lambda scale: _screening_workflow(scale, 6000),
+    "montage-like": _mosaic_workflow,
+    # A half-size screening run under a capacity trace.
+    "dynamic-drug": lambda scale: _screening_workflow(scale, 3000),
+    "dynamic-montage": _mosaic_workflow,
     "elasticity": _elasticity,
+}
+
+BUILTIN_NAMES = tuple(_GENERATORS)
+
+_NETWORK = {
+    "default": {"bandwidth_MBps": 100.0, "latency_s": 0.5},
+    "client": {"dispatch_latency_s": 0.0, "poll_interval_s": 0.0},
 }
 
 
@@ -349,7 +223,11 @@ def generate_builtin_scenario(name: str, scale: float = 1.0) -> Scenario:
         )
     if not 0.0 < scale < math.inf:
         raise ScenarioError(f"scale must be positive and finite, got {scale}")
-    return scenario_from_dict(_GENERATORS[name](scale))
+    doc = {"name": f"{name}@{scale:g}", "network": _NETWORK, **_GENERATORS[name](scale)}
+    if name in _FEDERATIONS:
+        doc["endpoints"] = _federation(name, scale)
+    doc["defaults"] = {"scheduler": "dha", "seed": 7, **doc.get("defaults", {})}
+    return scenario_from_dict(doc)
 
 
 def single_endpoint_variant(sc: Scenario, endpoint_id: str) -> Scenario:

@@ -141,8 +141,10 @@ class Simulation:
         self._state_counts: list = [0] * len(TaskState)
         self._resched_armed_until = -1.0
         self._in_hook = False
-        # Spec id -> task id, for the spec ids that are not their task's id.
+        # Spec id -> task id, for the spec ids that are not their task's id,
+        # and the inverse: task id -> spec id for those tasks.
         self._spec_by_tid: dict = {}
+        self._spec_of_moved: dict = {}
         # Ids of the tasks committed, un-assigned or dispatched since a
         # strategy last read them (`_unassign`, which `_commit` calls, adds
         # them); None while no strategy watches. DHA's index files each
@@ -302,12 +304,15 @@ class Simulation:
         A task's id is its index in submission order. A task whose spec id
         is that index holds the spec's own int, and `_spec_by_tid` maps
         only the spec ids that are not, so a dep it does not map names its
-        task by itself. In a batch, equal sums of several input sizes, and
+        task by itself, unless that index is another spec's task
+        (`_spec_of_moved`). A dep on no registered spec id raises
+        `WorkflowError`. In a batch, equal sums of several input sizes, and
         equal output sizes, are one int object."""
         task_ids = []
         dead_deps = []  # deps met FAILED or UNRUNNABLE, in the order met
         functions = self.scenario.functions
         spec_by_tid = self._spec_by_tid
+        moved = self._spec_of_moved
         nodes = self.dag.nodes
         items = self.data.items
         clock = self.clock
@@ -318,6 +323,7 @@ class Simulation:
                 tid = t.id
             else:
                 spec_by_tid[t.id] = tid
+                moved[tid] = t.id
             fn = functions[t.function]
             inline = t.inline_args_B
             if not 0 <= inline <= INLINE_ARGS_LIMIT:
@@ -327,19 +333,25 @@ class Simulation:
             deps, deps_left = (), 0
             if t.deps:
                 deps = t.deps
-                if len(deps) == 1:
-                    d = deps[0]
-                    deps = (spec_by_tid[d] if d in spec_by_tid else d,)
-                elif spec_by_tid:
-                    deps = tuple(sorted({spec_by_tid[d] if d in spec_by_tid else d
-                                         for d in deps}))
-                else:  # no spec id moved, as in a scenario numbered by index
+                if spec_by_tid:  # some spec id moved: resolve each dep
+                    resolved = set()
+                    for d in deps:
+                        if d in spec_by_tid:
+                            d = spec_by_tid[d]
+                        elif d in moved:
+                            raise WorkflowError(f"task {t.id}: unknown dependency handle {d}")
+                        resolved.add(d)
+                    deps = tuple(sorted(resolved))
+                elif len(deps) > 1:  # no spec id moved, as in a scenario numbered by index
                     deps = tuple(sorted(set(deps)))
                 if deps == t.deps:  # a tuple of task ids already: keep the spec's
                     deps = t.deps
                 file_deps = [*file_deps]
                 for d in deps:
-                    dep = nodes[d]
+                    try:
+                        dep = nodes[d]
+                    except KeyError:  # no task registered yet has spec id d
+                        raise WorkflowError(f"task {t.id}: unknown dependency handle {d}") from None
                     dep.successors.append(tid)
                     if dep.output is not None:
                         file_deps.append(dep.output)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import gc
 import json
-import logging
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from operator import attrgetter
@@ -21,17 +20,7 @@ from .dag import INLINE_ARGS_LIMIT, FunctionDef
 from .endpoints import CapacityEvent, EndpointSpec
 from .scheduling import STRATEGIES
 
-logger = logging.getLogger(__name__)
-
 MB = 1_000_000
-
-# Removed `defaults` keys that older scenario files still carry. They are
-# accepted with one warning and dropped, whatever their value; a nonzero
-# `poll_interval_s` moves to `network.client.poll_interval_s` when that is
-# unset.
-DEPRECATED_DEFAULTS = (
-    "batch_size", "file_transfer_type", "poll_interval_s", "sched_time_factor"
-)
 
 _INT_ONLY = {int}
 # The engine names a task's output item OUTPUT_PREFIX + task id, and a link
@@ -433,20 +422,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _check_deps(workflow)
         workflow.sort(key=attrgetter("submit_time_s", "id"))
 
-    defaults_doc = dict(_object(doc.get("defaults", {}), "defaults"))
-    deprecated = {k: defaults_doc.pop(k) for k in DEPRECATED_DEFAULTS if k in defaults_doc}
-    if deprecated:
-        note = ""
-        if "poll_interval_s" in deprecated:
-            note = (
-                " (a nonzero poll_interval_s is used as network.client.poll_interval_s"
-                " when that is 0)"
-            )
-        logger.warning("defaults: deprecated fields %s are dropped%s", sorted(deprecated), note)
-        if not network.poll_interval_s and deprecated.get("poll_interval_s"):
-            network = replace(network, poll_interval_s=deprecated["poll_interval_s"])
-    known = set(Defaults.__dataclass_fields__)
-    unknown = set(defaults_doc) - known
+    defaults_doc = _object(doc.get("defaults", {}), "defaults")
+    unknown = set(defaults_doc) - set(Defaults.__dataclass_fields__)
     if unknown:
         raise ScenarioError(f"defaults: unknown fields {sorted(unknown)}")
     defaults = _checked_defaults(Defaults(**defaults_doc))
@@ -532,67 +509,39 @@ def scenario_to_dict(sc: Scenario) -> dict:
         return entry
 
     def func_entry(f: FunctionDef) -> dict:
-        entry = {
-            "name": f.name,
-            "true_fixed_s": f.true_fixed_s,
-            "true_rate_s_per_MB": f.true_rate_s_per_MB,
-            "output_ratio": f.output_ratio,
-            "noise": f.noise,
-        }
-        if f.cost_hint_fixed_s is not None:
-            entry["cost_hint"] = {
-                "fixed_s": f.cost_hint_fixed_s,
-                "rate_s_per_B": f.cost_hint_rate_s_per_B,
-            }
+        entry = asdict(f)
+        fixed, rate = entry.pop("cost_hint_fixed_s"), entry.pop("cost_hint_rate_s_per_B")
+        if fixed is not None:
+            entry["cost_hint"] = {"fixed_s": fixed, "rate_s_per_B": rate}
         return entry
 
-    doc = {
+    network = sc.network
+    return {
         "name": sc.name,
         "endpoints": [
             {
-                "endpoint_id": ep.endpoint_id,
-                "workers_per_node": ep.workers_per_node,
-                "max_nodes": ep.max_nodes,
-                "initial_nodes": ep.initial_nodes,
-                "idle_timeout_s": ep.idle_timeout_s,
-                "perf_factor": ep.perf_factor,
+                **asdict(ep),
                 "capacity_trace": [
-                    {"time_s": ev.time_s, "delta_workers": ev.delta_workers}
-                    for ev in sc.capacity_traces.get(ep.endpoint_id, [])
+                    asdict(ev) for ev in sc.capacity_traces.get(ep.endpoint_id, [])
                 ],
             }
             for ep in sc.endpoints
         ],
         "network": {
-            **(
-                {
-                    "default": {
-                        "bandwidth_MBps": sc.network.default.bandwidth_MBps,
-                        "latency_s": sc.network.default.latency_s,
-                    }
-                }
-                if sc.network.default
-                else {}
-            ),
+            **({"default": asdict(network.default)} if network.default else {}),
             "pairs": [
-                {
-                    "src": src,
-                    "dst": dst,
-                    "bandwidth_MBps": link.bandwidth_MBps,
-                    "latency_s": link.latency_s,
-                }
-                for (src, dst), link in sorted(sc.network.pairs.items())
+                {"src": src, "dst": dst, **asdict(link)}
+                for (src, dst), link in sorted(network.pairs.items())
             ],
             "client": {
-                "dispatch_latency_s": sc.network.dispatch_latency_s,
-                "poll_interval_s": sc.network.poll_interval_s,
+                "dispatch_latency_s": network.dispatch_latency_s,
+                "poll_interval_s": network.poll_interval_s,
             },
         },
         "functions": [func_entry(f) for f in sc.functions.values()],
         "workflow": [task_entry(t) for t in sc.workflow],
         "defaults": asdict(sc.defaults),
     }
-    return doc
 
 
 def load_scenario(path) -> Scenario:

@@ -6,6 +6,7 @@ import logging
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -851,6 +852,21 @@ class TestRegisterBatch:
         sim.run()
         assert [(n.task_id, n.deps) for n in sim.dag.nodes.values()] == TASKS_BY_INDEX
         assert sim._spec_by_tid == {2: 1, 40: 2, 1: 3, 3: 4}
+
+    @pytest.mark.parametrize("ids, dep", [
+        ((10, 11), 0),  # index 0 is spec 10's task, and no task has spec id 0
+        ((10, 11), 12),  # no spec id 12, and no index 12
+        ((0, 1), 2),  # ids that are their indexes: a dep on a later id
+        ((0, 1), 1),  # ... and on the task itself
+    ])
+    def test_a_hand_built_dep_on_no_registered_spec_id_raises(self, ids, dep):
+        """The loader rejects each of these deps; a `Scenario` built by
+        hand meets the builder's check, as `Dag.submit_task` raises it."""
+        sc = scenario_from_dict(gapped_ids_doc({sid: (0.0, "f", [], []) for sid in ids}))
+        sc.workflow[1].deps = (dep,)
+        message = f"task {ids[1]}: unknown dependency handle {dep}"
+        with pytest.raises(WorkflowError, match=re.escape(message)):
+            Simulation(sc, scheduler_kind="dha").run()
 
     @pytest.mark.parametrize("size, message", [
         (INLINE_ARGS_LIMIT + 1, "exceed the 10 MB limit"),

@@ -1,8 +1,8 @@
 """Scenario parsing, validation diagnostics, and round-tripping."""
 
 import copy
+import hashlib
 import json
-import logging
 import math
 import re
 from dataclasses import MISSING, fields
@@ -603,67 +603,49 @@ class TestWriter:
             ), scheduler
 
 
-class TestDeprecatedFields:
-    """Files written before the inert knobs were removed still load."""
+# `defaults` keys that older files carry, each with a value it had there.
+REMOVED_DEFAULTS = {
+    "batch_size": 5,
+    "file_transfer_type": "local-copy",
+    "poll_interval_s": 7.0,
+    "sched_time_factor": 5.0,
+}
 
-    @staticmethod
-    def legacy(new_doc, poll_interval_s):
-        """`new_doc` in the older format: 16 `defaults` keys, and the removed
-        endpoint and function fields. `file_transfer_type` is dropped whatever
-        its value, so it is given the one that never completed a transfer."""
-        old = copy.deepcopy(new_doc)
-        old["defaults"].update(
-            poll_interval_s=poll_interval_s,
-            batch_size=5,
-            sched_time_factor=5.0,
-            file_transfer_type="local-copy",
+
+class TestRemovedFields:
+    """A removed `defaults` key is an unknown key; the extra endpoint and
+    function fields of older files still load and change nothing."""
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_DEFAULTS))
+    def test_removed_defaults_key_is_rejected(self, key, tmp_path):
+        d = doc_with(("defaults", key), REMOVED_DEFAULTS[key])
+        with pytest.raises(ScenarioError, match=re.escape(f"defaults: unknown fields ['{key}']")):
+            scenario_from_dict(d)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(d))
+        result = CliRunner().invoke(
+            main, ["run", "--scenario", str(path), "--out", str(tmp_path / "o")]
         )
-        assert len(old["defaults"]) == 16
+        assert result.exit_code == 1
+        assert result.output.startswith("error: defaults: unknown fields")
+        assert key in result.output
+
+    def test_extra_endpoint_and_function_fields_load_and_run_the_same(self, tmp_path):
+        new = scenario_to_dict(generate_builtin_scenario("montage-like", 0.02))
+        old = copy.deepcopy(new)
         for ep in old["endpoints"]:
             ep.update(cores_per_worker=4, cpu_freq_ghz=3.1, ram_gb=128.0)
         for fn in old["functions"]:
             fn["resource_kind"] = "gpu"
-        return old
-
-    @staticmethod
-    def csvs(sc, out):
-        Simulation(sc, scheduler_kind="dha", seed=3).run().emit(out)
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    def test_legacy_file_loads_and_runs_the_same(self, tmp_path, caplog):
-        new = scenario_to_dict(generate_builtin_scenario("montage-like", 0.02))
-        new["network"]["client"]["poll_interval_s"] = 7.0
-        # The same interval as a legacy `defaults` key, with the client's unset.
-        old = self.legacy(new, poll_interval_s=7.0)
-        old["network"]["client"]["poll_interval_s"] = 0.0
-        with caplog.at_level(logging.WARNING, logger="fedflow.scenario"):
-            sc_old = scenario_from_dict(old)
-        warnings = [r.getMessage() for r in caplog.records]
-        assert len(warnings) == 1
-        for key in (
-            "batch_size", "file_transfer_type", "poll_interval_s", "sched_time_factor"
-        ):
-            assert key in warnings[0]
-        sc_new = scenario_from_dict(new)
+        sc_old, sc_new = scenario_from_dict(old), scenario_from_dict(new)
         assert sc_old == sc_new
-        assert self.csvs(sc_old, tmp_path / "old") == self.csvs(sc_new, tmp_path / "new")
+        csvs = {}
+        for name, sc in (("old", sc_old), ("new", sc_new)):
+            out = tmp_path / name
+            Simulation(sc, scheduler_kind="dha", seed=3).run().emit(out)
+            csvs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert csvs["old"] == csvs["new"]
 
-    def test_warning_notes_poll_interval_only_when_present(self, caplog):
-        d = scenario_to_dict(scenario_from_dict(doc()))
-        d["defaults"]["file_transfer_type"] = "simulated"
-        with caplog.at_level(logging.WARNING, logger="fedflow.scenario"):
-            scenario_from_dict(d)
-        warnings = [r.getMessage() for r in caplog.records]
-        assert len(warnings) == 1
-        assert "file_transfer_type" in warnings[0]
-        assert "poll_interval_s" not in warnings[0]
-
-    def test_client_poll_interval_wins_over_legacy(self):
-        d = self.legacy(scenario_to_dict(scenario_from_dict(doc())), poll_interval_s=7.0)
-        d["network"]["client"] = {"poll_interval_s": 3.0}
-        assert scenario_from_dict(d).network.poll_interval_s == 3.0
-        d["network"]["client"] = {}
-        assert scenario_from_dict(d).network.poll_interval_s == 7.0
 
 class TestBuiltins:
     @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01])
@@ -702,6 +684,50 @@ class TestBuiltins:
         n = len(generate_builtin_scenario(name, 1.5).workflow)
         # Each stage's count is rounded on its own.
         assert n == pytest.approx(5 * base, rel=1e-3)
+
+    # SHA-256 of the file `fedflow gen` writes for each builtin at each of
+    # GEN_SCALES. `setup_s` in the benchmark parses exactly these files, so
+    # a refactor of the generators must leave every byte as it is.
+    GEN_SCALES = (0.02, 0.37, 1.0)
+    GEN_SHA256 = {
+        "drug-like": (
+            "a0a976315e71dfb5322116908e098b59c806b3a311ab376221a856edbe371bad",
+            "708392a5834a2cf2e3eca00244e56b90f72576672111be37995f4aee8936e0db",
+            "e3044640bc73f33f88fa51713bf2943d20d415f6afb16756a8341e9dd7c5d8eb",
+        ),
+        "montage-like": (
+            "0abbb8ea3d6f8e0b0eaf7672de5f4f18478af9aa0222989a071e5e14ad4d7ddd",
+            "d87e494b1c4814f875ae6f89701af6c7deb9b8b1004cde775117051f21ea2e7e",
+            "78168a3d3d91da37d3b5a15786046995eb9011ef4dd319f767b0869482852974",
+        ),
+        "dynamic-drug": (
+            "2428f081123f3a2be47a066c3534dd508865f0bf9a6027ae8a938759e21edf4f",
+            "e81446eeec212178f1f5cfd17c6715b0b9c8e6da71bb2766e0c6c094a6725f10",
+            "3643e8e4a58d0e2aa6c3f2fa60effa7d384b48d7b93ac4ac5b43ebfc906cd187",
+        ),
+        "dynamic-montage": (
+            "db88dc3b9f8aeac5b20781fbf732ed436b41e4e06e2a752184e263fa205ed965",
+            "1a6e52dd4dedcdf8368048dc48d3a22534df05d3e1249de204653725430e6d07",
+            "d309a4e028d0874327b3a3d27a1112901de68288ed980ba57f832b18007d7ad0",
+        ),
+        "elasticity": (
+            "23ccacf98023457c74986c4eeb4ce87426a664bac16b998a6b760d9404f4566c",
+            "7f68de3b3534cfcde0d7b2d4a9e0859daa2df5beebb6b7e41a6ffce93dd89a64",
+            "905ffafe65710bb888a7ee8c025a2acb92d0aaf470d9fa8ca0310e764c93f0d3",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("scale", GEN_SCALES)
+    def test_generated_file_bytes_are_pinned(self, name, scale, tmp_path):
+        path = tmp_path / "sc.json"
+        save_scenario(generate_builtin_scenario(name, scale), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.GEN_SHA256[name][self.GEN_SCALES.index(scale)]
+
+    def test_builtin_names_keep_their_order(self):
+        # `fedflow gen --help` and the unknown-name error list them in this order.
+        assert BUILTIN_NAMES == tuple(self.GEN_SHA256)
 
     def test_unknown_name_and_bad_scale(self):
         from fedflow.builtins import generate_builtin_scenario
