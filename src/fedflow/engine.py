@@ -162,10 +162,10 @@ class Simulation:
         if timings:
             # Shadow the hooks on the instance, so an untimed run calls the
             # strategy with no wrapper frame at all.
-            for names, wrapper in ((_PLACE_HOOKS, self._hook),
-                                   (_RESCHED_HOOKS, self._resched_hook)):
+            for names, resched in ((_PLACE_HOOKS, False), (_RESCHED_HOOKS, True)):
                 for name in names:
-                    setattr(strategy, name, functools.partial(wrapper, getattr(strategy, name)))
+                    hook = functools.partial(self._hook, resched, getattr(strategy, name))
+                    setattr(strategy, name, hook)
 
         self._build_initial_events()
 
@@ -645,12 +645,14 @@ class Simulation:
             for ep in self.endpoints
         )
 
-    def _hook(self, fn, *args):
+    def _hook(self, resched: bool, fn, *args):
         """Run a strategy hook, timed: the wrapper `Simulation(timings=True)`
-        installs on each placement hook (an untimed run calls the strategy
-        directly). Hooks nest (a re-scheduling tick moves a task whose
-        staging completes), so only the outermost one is timed, into
-        `sched_seconds`."""
+        installs on each hook (an untimed run calls the strategy directly).
+        Hooks nest (a re-scheduling tick moves a task whose staging
+        completes), so only the outermost one is timed, into
+        `sched_seconds`, and also into `resched_seconds` when `resched`
+        marks it a re-scheduling hook (`on_capacity_change`,
+        `on_reschedule_tick`)."""
         if self._in_hook:
             return fn(*args)
         self._in_hook = True
@@ -658,22 +660,11 @@ class Simulation:
         try:
             return fn(*args)
         finally:
-            self.metrics.sched_seconds += _time.perf_counter() - t0
+            elapsed = _time.perf_counter() - t0
+            self.metrics.sched_seconds += elapsed
+            if resched:
+                self.metrics.resched_seconds += elapsed
             self._in_hook = False
-
-    def _resched_hook(self, fn, *args):
-        """Run a re-scheduling hook (`on_capacity_change`,
-        `on_reschedule_tick`) as `_hook` does, the wrapper timing installs
-        on them; when it is the outermost hook, its time also counts into
-        `resched_seconds`."""
-        if self._in_hook:
-            return fn(*args)
-        m = self.metrics
-        before = m.sched_seconds
-        try:
-            return self._hook(fn, *args)
-        finally:
-            m.resched_seconds += m.sched_seconds - before
 
     # -- readiness ---------------------------------------------------------
 

@@ -272,10 +272,10 @@ class DhaStrategy(BaseStrategy):
         self.delay_queues = {ep: [] for ep in order}  # endpoint_id -> heap of (-priority, tid)
         # Per incumbent, every other endpoint: candidates to steal a task.
         self._others = {ep: tuple(e for e in order if e != ep) for ep in order}
-        # The committed tasks by decision prefix, kept up to date from the
-        # changes the engine records (`_flush`), each filed under its
-        # prefix. Started at the first pass, so a run without one never
-        # starts it.
+        # The committed tasks by decision prefix, brought up to date at the
+        # start of each pass from the changes the engine records (`_flush`),
+        # each filed under its prefix. Started at the first pass, so a run
+        # without one never starts it.
         self._classes: Optional[dict] = None  # prefix -> _PrefixClass
         self._class_of: dict = {}  # committed task id -> its _PrefixClass
 
@@ -308,7 +308,11 @@ class DhaStrategy(BaseStrategy):
 
     def on_batch_submitted(self, task_ids: list):
         self._recompute_priorities()
-        self._drop_index()
+        # Forget the index and stop watching: member order reads the
+        # priorities, so the next pass starts it again.
+        self._classes = None
+        self._class_of = {}
+        self.sim.changed_tasks = None
 
     # -- endpoint selection ------------------------------------------------
 
@@ -431,13 +435,6 @@ class DhaStrategy(BaseStrategy):
 
     # -- the index of committed tasks by decision prefix ---------------------
 
-    def _drop_index(self):
-        """Forget the index and stop watching: member order reads the
-        priorities, so the next pass starts it again."""
-        self._classes = None
-        self._class_of = {}
-        self.sim.changed_tasks = None
-
     def _flush(self):
         """Take in the tasks committed, un-assigned or dispatched since the
         last flush: each is unfiled, and filed again under its prefix while
@@ -468,18 +465,6 @@ class DhaStrategy(BaseStrategy):
                 class_of[tid] = cls
         tids.clear()
 
-    def _heap_after(self, entry: tuple) -> list:
-        """A pass's heap of (-priority, task id, position, members), each
-        prefix at its first member after `entry`."""
-        heap = []
-        for cls in self._classes.values():
-            members = cls.members
-            j = bisect.bisect_right(members, entry)
-            if j < len(members):
-                heap.append((*members[j], j, members))
-        heapq.heapify(heap)
-        return heap
-
     def reschedule_pass(self) -> int:
         """Re-run endpoint selection for undispatched tasks; steal when the
         earliest finish time strictly improves even after paying for the
@@ -494,17 +479,17 @@ class DhaStrategy(BaseStrategy):
         bounded with free staging, exact for its incumbent: when no other
         endpoint beats the incumbent so, the verdict reads only the prefix,
         the clock and the idle table, and the prefix leaves the heap until
-        the next move. After a move, every prefix comes back at its first
-        member after the moved task.
+        the next move. After a move, the prefixes that left since the last
+        one, and the moved task's own, come back at their first member
+        after the moved task; every other prefix is there already.
+
+        The index takes in the engine's changes once, at the start, and
+        stands still until the pass ends: a member that a move's target has
+        dispatched since is passed over.
         """
         sim = self.sim
-        # Taking in the changes since the last pass costs a step per change,
-        # starting over a step per committed task: the pass takes the cheaper.
-        if self._classes is None or len(sim.changed_tasks) > sum(
-            len(ep.committed) for ep in sim.endpoints
-        ):
+        if self._classes is None:
             self._classes = {}
-            self._class_of = {}
             sim.changed_tasks = set(sim.undispatched_tasks())
         self._flush()
         if not self._classes:
@@ -518,15 +503,17 @@ class DhaStrategy(BaseStrategy):
         # that follow land on the target too: its admitted jobs all go
         # there, and an orphaned job finishes no task.
         idle = {ep: sim.earliest_idle_estimate(ep) for ep in sim.endpoint_order}
-        # As `_heap_after` builds it, each prefix at its first member.
+        # (-priority, task id, position, members): each prefix at its next member.
         heap = [(*cls.members[0], 0, cls.members) for cls in self._classes.values()]
         heapq.heapify(heap)
         stays: set = set()  # decision classes that kept their incumbent since the last move
+        left: list = []  # member lists of the prefixes that left the heap since the last move
         while heap:
             neg_priority, tid, position, members = heapq.heappop(heap)
             node = nodes[tid]
-            key = self._decision_class(node)
-            if key not in stays:
+            if node.state is not _STAGING and node.state is not _READY:
+                pass  # a move's target dispatched it: passed over
+            elif (key := self._decision_class(node)) not in stays:
                 scores += 1
                 incumbent = node.assigned_endpoint
                 row = sim.exec_row(tid)
@@ -542,6 +529,7 @@ class DhaStrategy(BaseStrategy):
                 else:
                     # A verdict on the prefix, the clock and `idle` alone:
                     # the prefix leaves the heap until the next move.
+                    left.append(members)
                     continue
                 best_ep = self._earliest_finishing(node, row, others, idle, incumbent, eft)
                 if best_ep != incumbent:
@@ -549,12 +537,14 @@ class DhaStrategy(BaseStrategy):
                     for ep in (incumbent, best_ep):
                         idle[ep] = sim.earliest_idle_estimate(ep)
                     moves += 1
-                    # The move may change any decision after it, so every
-                    # prefix, the moved task's new one too, comes back at its
-                    # first member after the moved task.
+                    # The move may change any decision after it.
                     stays.clear()
-                    self._flush()
-                    heap = self._heap_after((neg_priority, tid))
+                    left.append(members)
+                    for back in left:
+                        j = bisect.bisect_right(back, (neg_priority, tid))
+                        if j < len(back):
+                            heapq.heappush(heap, (*back[j], j, back))
+                    left.clear()
                     continue
                 stays.add(key)
             position += 1

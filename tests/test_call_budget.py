@@ -32,8 +32,10 @@ from fedflow.scenario import load_scenario, save_scenario
 CEILINGS = {
     ("montage-like", 0.05, "dha"): 69_000,  # 67,550
     ("drug-like", 0.05, "capacity"): 82_100,  # 80,443
-    ("dynamic-drug", 0.02, "dha"): 68_300,  # 66,900
-    ("dynamic-montage", 0.1, "dha"): 140_700,  # 137,860
+    ("dynamic-drug", 0.02, "dha"): 66_200,  # 64,883
+    ("dynamic-montage", 0.1, "dha"): 139_100,  # 136,374
+    # The scale at which a per-move cost over every prefix shows.
+    ("dynamic-drug", 0.2, "dha"): 409_500,  # 401,441
     ("dynamic-montage", 0.02, "locality"): 33_100,  # 32,405
 }
 

@@ -592,7 +592,7 @@ class TestSchedulerCounters:
         clock = SimpleNamespace(perf_counter=lambda: float(next(reads)))
         monkeypatch.setattr(engine, "_time", clock)
         sim = Simulation(oracle(), scheduler_kind="dha", timings=True)
-        sim._hook(sim._hook, lambda: None)
+        sim._hook(False, sim._hook, False, lambda: None)
         assert sim.metrics.sched_seconds == 1.0
 
     def test_decision_time_leaves_out_rescheduling(self, monkeypatch):
@@ -608,11 +608,11 @@ class TestSchedulerCounters:
         sim.arm_reschedule(5.0)
         [tick] = [p for _, kind, _, p in sim._events if kind == EventKind.RESCHEDULE_TICK]
         tick[0](*tick[1:])
-        sim._hook(strategy.on_deps_done, [])
-        sim._hook(strategy.on_worker_free, "a")
+        sim._hook(False, strategy.on_deps_done, [])
+        sim._hook(False, strategy.on_worker_free, "a")
         # Nested: only the outermost hook is timed, and it names the kind.
-        sim._resched_hook(sim._hook, strategy.on_worker_free, "a")
-        sim._hook(sim._resched_hook, strategy.on_reschedule_tick)
+        sim._hook(True, sim._hook, False, strategy.on_worker_free, "a")
+        sim._hook(False, sim._hook, True, strategy.on_reschedule_tick)
         m = sim.metrics
         assert (m.sched_seconds, m.resched_seconds) == (6.0, 3.0)
         m.decision_count = 6

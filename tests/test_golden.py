@@ -54,6 +54,9 @@ CASES.append(("drug-like", 0.02, "dha", "cost-hint"))
 # Transfers queue behind the concurrency cap long enough that DHA's staging
 # estimate, which charges for each link's queue, changes where tasks go.
 CASES.append(("montage-like", 0.1, "dha", ""))
+# Full-size re-scheduling: thousands of moves (dynamic-drug) and hundreds
+# over many prefixes (dynamic-montage).
+CASES += [("dynamic-drug", 1.0, "dha", ""), ("dynamic-montage", 1.0, "dha", "")]
 
 
 def _scenario(name, scale, variant):
@@ -245,6 +248,22 @@ GOLDEN = {
             'utilization.csv': '9e0920ecb2e5288b750ab937bf0c13793cc10a80ec450547dc60f6a1e096d104',
             'transfers.csv': '610472871dc6c51cb0c3f17827dc1f8a3b75f698c26f4bf2635bfbcb2b02c5a4',
             'staging.csv': '2206d493a9c83ff1d310e3346540202ebc0fbf9b5e41bcbb3ffc40acd55a89fc',
+        },
+    ),
+    ('dynamic-drug', 1.0, 'dha', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2792.830188,98.157000,0,2242,8821,488,450\n',
+        {
+            'utilization.csv': '3ea1a390722b4d104adcc21e8c822e67cb509fbd36eaba799adc82e48121efba',
+            'transfers.csv': '950d86eb435d5d235287db1c6148dfe5137f7880cff600eab3cd3c28495ee2ad',
+            'staging.csv': '4e9cb9d8a420728cb038b2d760d4a2bddc30e837e30e52396c2686b1fc545469',
+        },
+    ),
+    ('dynamic-montage', 1.0, 'dha', ''): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n296.623800,118.425000,0,1220,7884,1011,1225\n',
+        {
+            'utilization.csv': 'dbb5f174ab6c3e375a172755fd77c14b863f50d6c0b3f4d49ae5a8b179a80a8e',
+            'transfers.csv': 'ffec06b15d498a3a59130b1559f6bfed88f94a0170a98f6d362abdac07ec0214',
+            'staging.csv': 'b5825136920c1c14e080ed733a7c3f2e45086bb262fdea6991c3a325c6163bc4',
         },
     ),
 }

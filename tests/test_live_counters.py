@@ -55,6 +55,8 @@ BACKLOG_TOLERANCE_S = 1e-6
 # sees tasks leave it by failure.
 LOSSY_CASES = [("montage-like", 0.02, s, "lossy") for s in ("capacity", "locality", "dha")]
 LOSSY_CASES += [("dynamic-drug", 0.02, "dha", "lossy"), ("dynamic-montage", 0.02, "dha", "lossy")]
+# Each check scans every task, so the full-size golden cases are left out.
+SCANNED_CASES = [case for case in CASES if case[1] < 1.0] + LOSSY_CASES
 
 
 def check_counters(sim):
@@ -196,7 +198,7 @@ class ScanCheckedSimulation(Simulation):
 
 
 @pytest.mark.parametrize(
-    "case", CASES + LOSSY_CASES, ids=lambda c: "-".join(str(p) for p in c if p)
+    "case", SCANNED_CASES, ids=lambda c: "-".join(str(p) for p in c if p)
 )
 def test_counters_equal_scans_after_every_event(case):
     name, scale, scheduler, variant = case

@@ -5,6 +5,7 @@ import heapq
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -622,6 +623,12 @@ def reference_pass(self) -> int:
 
 
 def _case_scenario(name, scale, variant):
+    if variant == "sync-lag-3":
+        # A freed worker is heard of 3 s late, so a move's target can
+        # dispatch a task the same pass has yet to reach.
+        sc = generate_builtin_scenario(name, scale)
+        sc.defaults = dataclasses.replace(sc.defaults, mock_sync_lag_s=3.0)
+        return sc
     if variant != "two-batch":
         return _scenario(name, scale, variant)
     # The last two stages arrive at 600 s, after both capacity changes, so
@@ -702,6 +709,7 @@ REFERENCE_CASES += [
     ("dynamic-drug", 0.02, "lossy"),
     ("dynamic-drug", 0.1, ""),
     ("dynamic-drug", 0.1, "two-batch"),
+    ("dynamic-drug", 0.1, "sync-lag-3"),
     ("dynamic-montage", 0.1, ""),
     ("elasticity", 0.1, ""),
 ]
@@ -717,6 +725,30 @@ def test_class_index_walk_equals_reference_walk(case, monkeypatch, tmp_path):
     assert scores <= reference[1]
     if case[0].startswith("dynamic"):
         assert moves, "no move to compare"
+
+
+def test_a_pass_meets_tasks_its_moves_dispatched(monkeypatch):
+    """The "sync-lag-3" reference case reaches the pass-over path: a pass
+    pops from its index a task that one of its moves has let the target
+    dispatch, and passes it over. The golden "sync-lag" case does not."""
+    sim = Simulation(_case_scenario("dynamic-drug", 0.1, "sync-lag-3"), scheduler_kind="dha", seed=7)
+    nodes = sim.dag.nodes
+    passed_over = []
+
+    def recorded_pop(heap):
+        entry = heapq.heappop(heap)
+        # A pass's entries have four fields, a delay queue's two.
+        if len(entry) == 4 and nodes[entry[1]].state not in (TaskState.STAGING, TaskState.READY):
+            passed_over.append(entry[1])
+        return entry
+
+    monkeypatch.setattr(
+        scheduling,
+        "heapq",
+        SimpleNamespace(heapify=heapq.heapify, heappush=heapq.heappush, heappop=recorded_pop),
+    )
+    sim.run()
+    assert passed_over
 
 
 # Two endpoints with one worker each. Task 0 (12 s) starts on "a" and task 1
