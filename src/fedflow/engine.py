@@ -65,12 +65,6 @@ _PLACE_HOOKS = ("on_batch_submitted", "on_deps_done", "on_staging_complete", "on
 _RESCHED_HOOKS = ("on_capacity_change", "on_reschedule_tick")
 
 
-@functools.lru_cache(maxsize=16)
-def _seed_prefix(seed) -> bytes:
-    """The seed and ':', which `_draw` hashes before its key."""
-    return f"{seed}:".encode()
-
-
 def next_poll(t: float, interval: float) -> float:
     """The first poll tick at or after t (t itself when interval is 0)."""
     if interval <= 0:
@@ -99,6 +93,8 @@ class Simulation:
         d = scenario.defaults
         self.scheduler_kind = scheduler_kind or d.scheduler
         self.seed = d.seed if seed is None else seed
+        # The hash of the seed and ':', which `_draw` copies before its key.
+        self._seed_hash = blake2b(f"{self.seed}:".encode(), digest_size=8)
         self.poll_interval = scenario.network.poll_interval_s
         self.dispatch_latency = scenario.network.dispatch_latency_s
         self.failure_rate = d.transfer_failure_rate
@@ -151,7 +147,7 @@ class Simulation:
         # committed task under fields only `_commit` changes, so this set
         # is all it reads.
         self.changed_tasks: Optional[set] = None
-        # With the one set below, the instance holds 27 attributes. A 30th
+        # With the one set below, the instance holds 29 attributes. A 30th
         # makes CPython 3.11 stop sharing its dict's keys, and every
         # attribute read of a run gets slower (dynamic-montage 1.0 DHA
         # measured 3% slower in all); tests/test_engine.py checks the count.
@@ -217,18 +213,20 @@ class Simulation:
     def _draw(self, key: bytes) -> float:
         """A uniform draw on [0, 1) for `key`, a quantity's fields joined by
         ':': the top 53 bits of the 8-byte BLAKE2b hash of the seed, ':' and
-        the key, times 2**-53 (the resolution of `random.random()`)."""
-        digest = blake2b(_seed_prefix(self.seed) + key, digest_size=8).digest()
-        return (int.from_bytes(digest, "big") >> 11) * 2.0**-53
+        the key, times 2**-53 (the resolution of `random.random()`). The
+        hash of the seed and ':' is made once; each draw feeds its key to a
+        copy, which gives the digest of hashing all of it in one call."""
+        h = self._seed_hash.copy()
+        h.update(key)
+        return (int.from_bytes(h.digest(), "big") >> 11) * 2.0**-53
 
-    def sample_exec_duration(self, task_id: int, endpoint_id: str, attempt: int) -> float:
-        node = self.dag.nodes[task_id]
+    def sample_exec_duration(self, node: TaskNode, ep: EndpointModel, attempt: int) -> float:
+        """The task's execution seconds on the endpoint at this attempt."""
         fn = node.function
-        ep = self._by_id[endpoint_id].spec
         noise = 0.0
         if fn.noise > 0:
-            noise = fn.noise * (2.0 * self._draw(b"exec:%d:%d" % (task_id, attempt)) - 1.0)
-        return ep.perf_factor * fn.true_seconds(node.input_bytes) * (1.0 + noise)
+            noise = fn.noise * (2.0 * self._draw(b"exec:%d:%d" % (node.task_id, attempt)) - 1.0)
+        return ep.spec.perf_factor * fn.true_seconds(node.input_bytes) * (1.0 + noise)
 
     def _transfer_success(self, job: TransferJob) -> bool:
         """Whether a finished transfer attempt succeeded. The draw is keyed
@@ -414,11 +412,11 @@ class Simulation:
         if stamp is not None:
             setattr(node, stamp, self.clock)
         if staging_changes:
-            series = self.metrics.staging_series
-            if series and series[-1][0] == self.clock:
-                series[-1] = (self.clock, counts[_STAGING.index])
+            flat = self.metrics.staging_flat
+            if flat and flat[-2] == self.clock:
+                flat[-1] = counts[_STAGING.index]
             else:
-                series.append((self.clock, counts[_STAGING.index]))
+                flat += (self.clock, counts[_STAGING.index])
 
     # -- scheduler callbacks ----------------------------------------------
 
@@ -458,24 +456,24 @@ class Simulation:
         self.metrics.decision_count += 1
 
     def begin_staging(self, task_id: int):
-        self._enter(self.dag.nodes[task_id], _STAGING)
-        self._stage(task_id)
+        node = self.dag.nodes[task_id]
+        self._enter(node, _STAGING)
+        self._stage(node)
 
-    def _stage(self, task_id: int):
+    def _stage(self, node):
         """Start transfers of the task's inputs to its assigned endpoint, or
         finish its staging when it waits on none."""
-        node = self.dag.nodes[task_id]
         waited_on, started = self.data.stage(
-            task_id, node.file_deps, node.assigned_endpoint, self.clock
+            node.task_id, node.file_deps, node.assigned_endpoint, self.clock
         )
         for job in started:
             self._schedule_transfer(job)
         if not waited_on:
-            self._staging_finished(task_id)
+            self._staging_finished(node)
 
-    def _staging_finished(self, task_id: int):
-        self._enter(self.dag.nodes[task_id], _READY)
-        self.strategy.on_staging_complete(task_id)
+    def _staging_finished(self, node):
+        self._enter(node, _READY)
+        self.strategy.on_staging_complete(node.task_id)
 
     def move_assignment(self, task_id: int, endpoint_id: str):
         """Re-scheduling: point an undispatched task at a new endpoint and
@@ -487,29 +485,36 @@ class Simulation:
         self.data.cancel_task_jobs(task_id)
         self._commit(task_id, endpoint_id)
         self.metrics.move_count += 1
-        self._stage(task_id)
+        self._stage(node)
 
     def dispatch_task(self, task_id: int):
+        """Release the task's commitment and hand it to its endpoint, which
+        starts it or queues it; record the endpoint's workers."""
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
         self._enter(node, _QUEUED)
-        self._unassign(node)
-        outcome = ep.dispatch(task_id)
-        if outcome == "accepted":
-            self._start_running(task_id, ep)
-        self._record_workers(ep)
+        ep.committed.discard(task_id)
+        if self.changed_tasks is not None:
+            self.changed_tasks.add(task_id)
+        if ep.dispatch(task_id) == "accepted":
+            self._start_running(node, ep)
+        self.metrics.utilization_flat += (
+            self.clock, ep.endpoint_id, ep.busy_workers, ep.active_workers
+        )
 
-    def _start_running(self, task_id: int, ep: EndpointModel):
-        node = self.dag.nodes[task_id]
+    def _start_running(self, node, ep: EndpointModel):
+        """Run the task on a worker of `ep`, its assigned endpoint, and queue
+        its completion."""
         self._enter(node, _RUNNING)
         attempt = len(node.failed_endpoints)  # each earlier one failed on its own endpoint
-        duration = self.sample_exec_duration(task_id, ep.endpoint_id, attempt)
-        self._drop_backlog(node)
+        duration = self.sample_exec_duration(node, ep, attempt)
+        if node.backlog_s:  # only under a strategy that reads idle estimates
+            self._drop_backlog(node)
         end = self.clock + self.dispatch_latency + duration
         if self.strategy.reads_idle_estimate:
             row = self.exec_profiler.exec_row(node.function, node.input_bytes)
-            heapq.heappush(ep.finish_heap, (self.clock + row[ep.endpoint_id], task_id))
-        self.schedule(end, _TASK_COMPLETE, (self._on_task_complete, task_id, duration))
+            heapq.heappush(ep.finish_heap, (self.clock + row[ep.endpoint_id], node.task_id))
+        self.schedule(end, _TASK_COMPLETE, (self._on_task_complete, node, duration))
 
     # -- failure handling --------------------------------------------------
 
@@ -523,7 +528,10 @@ class Simulation:
         failed = node.failed_endpoints = node.failed_endpoints | {ep_id}
         self._unassign(node)
         self._drop_backlog(node)
-        self._record_task_outcome(task_id, ep_id, success=False)
+        self.exec_profiler.record(TaskRecord(
+            function=node.function.name, endpoint=ep_id, input_size=node.input_bytes,
+            exec_time=0.0, output_size=0, success=False, timestamp=self.clock,
+        ))
         if len(failed) >= self.max_task_attempts:
             logger.error(
                 "task %d failed on all attempted endpoints (%s); giving up",
@@ -569,21 +577,6 @@ class Simulation:
         self.metrics.utilization_flat += (
             self.clock, ep.endpoint_id, ep.busy_workers, ep.active_workers
         )
-
-    def _record_task_outcome(
-        self, task_id: int, endpoint_id: str, success: bool, exec_time: float = 0.0
-    ):
-        node = self.dag.nodes[task_id]
-        out_size = 0
-        if success and node.output is not None:
-            out_size = self.data.items[node.output].size
-        # TaskRecord's fields in order, with no call to its Python-level
-        # constructor: function, endpoint, input_size, exec_time,
-        # output_size, success, timestamp.
-        self.exec_profiler.record(tuple.__new__(TaskRecord, (
-            node.function.name, endpoint_id, node.input_bytes, exec_time,
-            out_size, success, self.clock,
-        )))
 
     def undispatched_tasks(self) -> list:
         """Tasks assigned and not yet dispatched, in no particular order."""
@@ -700,48 +693,66 @@ class Simulation:
             self.transfer_profiler.observe(job.src, job.dst, job.size, duration)
         for j in started:
             self._schedule_transfer(j)
+        nodes = self.dag.nodes
         for task_id in completed:
-            self._staging_finished(task_id)
+            self._staging_finished(nodes[task_id])
         for task_id in failed:
             self._fail_task(task_id)
 
-    def _on_task_complete(self, task_id: int, exec_time: float):
-        node = self.dag.nodes[task_id]
+    def _on_task_complete(self, node, exec_time: float):
+        """Finish the task on its endpoint: record it with the execution
+        profiler, land its output there, start what the freed worker takes
+        from the queue, and announce its successors as ready once its
+        result is observed, at once when there is no poll interval."""
+        clock = self.clock
         ep = self._by_id[node.assigned_endpoint]
         self._enter(node, _DONE)
         nodes = self.dag.nodes
-        for s in node.successors:
+        successors = node.successors
+        for s in successors:
             nodes[s].deps_left -= 1
-        self._record_task_outcome(task_id, ep.endpoint_id, True, exec_time)
-        if node.output is not None:
-            self.data.add_replica(node.output, ep.endpoint_id)
-        self._start_queued(ep, ep.complete(self.clock))
+        output = node.output
+        # TaskRecord's fields in order, with no call to its Python-level
+        # constructor: function, endpoint, input_size, exec_time,
+        # output_size, success, timestamp.
+        self.exec_profiler.record(tuple.__new__(TaskRecord, (
+            node.function.name, ep.endpoint_id, node.input_bytes, exec_time,
+            0 if output is None else self.data.items[output].size, True, clock,
+        )))
+        if output is not None:
+            self.data.add_replica(output, ep.endpoint_id)
+        started = ep.complete(clock)
+        self.metrics.utilization_flat += (
+            clock, ep.endpoint_id, ep.busy_workers, ep.active_workers
+        )
+        for task_id in started:
+            self._start_running(nodes[task_id], ep)
+        # The observed time is stamped here, for the poll tick that its
+        # event runs at; nothing reads it before the run ends.
         interval = self.poll_interval
-        if interval > 0 and (observed := next_poll(self.clock, interval)) > self.clock:
-            self.schedule(observed, EventKind.RESULT_OBSERVED, (self._result_seen, task_id))
+        if interval > 0 and (observed := next_poll(clock, interval)) > clock:
+            node.observed_time = observed
+            self.schedule(observed, EventKind.RESULT_OBSERVED, (self._announce_ready, successors))
         else:
-            self._result_seen(task_id)
+            node.observed_time = clock
+            self._announce_ready(successors)
         if ep.active_workers > ep.busy_workers:
             if self.sync_lag > 0:
                 self.schedule(
-                    self.clock + self.sync_lag,
+                    clock + self.sync_lag,
                     EventKind.RESULT_OBSERVED,
                     (self.strategy.on_worker_free, ep.endpoint_id),
                 )
             else:
                 self.strategy.on_worker_free(ep.endpoint_id)
 
-    def _result_seen(self, task_id: int):
-        node = self.dag.nodes[task_id]
-        node.observed_time = self.clock
-        self._announce_ready(node.successors)
-
     def _start_queued(self, ep: EndpointModel, started: list):
         """Record the endpoint's workers after a change to them, then run
         the queued tasks that the change started."""
         self._record_workers(ep)
+        nodes = self.dag.nodes
         for task_id in started:
-            self._start_running(task_id, ep)
+            self._start_running(nodes[task_id], ep)
 
     def _on_capacity_change(self, endpoint_id: str, event: CapacityEvent):
         ep = self._by_id[endpoint_id]

@@ -34,9 +34,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_of_four(flat: list):
-    """Consecutive four-field rows of a flat list, as tuples, one at a time."""
-    return zip(*[iter(flat)] * 4)
+def _rows_of(flat: list, width: int):
+    """Consecutive rows of `width` fields of a flat list, as tuples, one at
+    a time."""
+    return zip(*[iter(flat)] * width)
 
 
 # The row formatters of the series CSVs, one per series, each a generator:
@@ -45,11 +46,11 @@ def _rows_of_four(flat: list):
 
 
 def _utilization_rows(flat: list):
-    return ((_fmt(t), ep, busy, active) for t, ep, busy, active in _rows_of_four(flat))
+    return ((_fmt(t), ep, busy, active) for t, ep, busy, active in _rows_of(flat, 4))
 
 
-def _staging_rows(series: list):
-    return ((_fmt(t), count) for t, count in series)
+def _staging_rows(flat: list):
+    return ((_fmt(t), count) for t, count in _rows_of(flat, 2))
 
 
 def _transfer_row(job) -> tuple:
@@ -74,7 +75,9 @@ class MetricsLog:
         # Utilization rows laid end to end, four fields each (time,
         # endpoint, busy, active): a row costs four slots, not a tuple.
         self.utilization_flat: list = []
-        self.staging_series: list = []  # (time, tasks_in_staging), one per time
+        # Staging samples laid end to end the same way, two fields each
+        # (time, tasks_in_staging), one sample per time.
+        self.staging_flat: list = []
         self.makespan: float = 0.0
         self.transfer_bytes: int = 0
         self.tasks_failed: int = 0
@@ -88,7 +91,12 @@ class MetricsLog:
     @property
     def utilization(self) -> list:
         """The utilization rows, as (time, endpoint, busy, active) tuples."""
-        return list(_rows_of_four(self.utilization_flat))
+        return list(_rows_of(self.utilization_flat, 4))
+
+    @property
+    def staging_series(self) -> list:
+        """The staging samples, as (time, tasks_in_staging) tuples."""
+        return list(_rows_of(self.staging_flat, 2))
 
     @property
     def transfers(self) -> list:
@@ -124,7 +132,7 @@ class MetricsLog:
             self._write_rows(out / "transfers.csv", TRANSFERS_COLUMNS,
                              _transfer_rows(self.jobs.values()))
             self._write_rows(out / "staging.csv", STAGING_COLUMNS,
-                             _staging_rows(self.staging_series))
+                             _staging_rows(self.staging_flat))
         except OSError as exc:
             raise MetricsIOError(str(exc)) from exc
 

@@ -15,35 +15,47 @@ in CPython's caches and free lists), far inside their 2%. The counts belong
 to CPython 3.11, whose builtins, call paths and object sizes they count. A
 change that adds work or memory on purpose re-pins the ceiling it crosses,
 and says why.
+
+    python tests/test_call_budget.py
+
+prints, for every pinned case, its count now, its ceiling, and the ceiling
+a re-pin sets: 2% above the count, rounded up to a multiple of 100 (of 10
+below 10,000).
 """
 
 import gc
+import math
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from fedflow.builtins import generate_builtin_scenario
-from fedflow.engine import Simulation
-from fedflow.scenario import load_scenario, save_scenario
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fedflow.builtins import generate_builtin_scenario  # noqa: E402
+from fedflow.engine import Simulation  # noqa: E402
+from fedflow.scenario import load_scenario, save_scenario  # noqa: E402
 
 # (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
 # 7; the count when pinned, on CPython 3.11.7, is in the comment.
 CEILINGS = {
-    ("montage-like", 0.05, "dha"): 69_000,  # 67,550
-    ("drug-like", 0.05, "capacity"): 82_100,  # 80,443
-    ("dynamic-drug", 0.02, "dha"): 66_200,  # 64,883
-    ("dynamic-montage", 0.1, "dha"): 139_100,  # 136,374
+    ("montage-like", 0.05, "dha"): 66_100,  # 64,772
+    ("drug-like", 0.05, "capacity"): 75_300,  # 73,818
+    ("dynamic-drug", 0.02, "dha"): 65_000,  # 63,666
+    ("dynamic-montage", 0.1, "dha"): 133_600,  # 130,916
     # The scale at which a per-move cost over every prefix shows.
-    ("dynamic-drug", 0.2, "dha"): 409_500,  # 401,441
-    ("dynamic-montage", 0.02, "locality"): 33_100,  # 32,405
+    ("dynamic-drug", 0.2, "dha"): 397_500,  # 389,674
+    ("dynamic-montage", 0.02, "locality"): 31_600,  # 30,933
 }
 
 # The same for set-up, on the builtins of the three benchmark workloads.
 SETUP_CEILINGS = {
-    ("drug-like", 0.05, "capacity"): 18_800,  # 18,433
-    ("montage-like", 0.05, "dha"): 9_870,  # 9,674
-    ("dynamic-drug", 0.02, "dha"): 4_160,  # 4,074
+    ("drug-like", 0.05, "capacity"): 18_800,  # 18,430
+    ("montage-like", 0.05, "dha"): 9_870,  # 9,671
+    ("dynamic-drug", 0.02, "dha"): 4_160,  # 4,071
 }
 
 
@@ -64,13 +76,32 @@ def calls_during(fn) -> int:
     return count
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
-@pytest.mark.parametrize("case", CEILINGS, ids=lambda c: "-".join(map(str, c)))
-def test_calls_during_run_stay_under_the_ceiling(case):
+def run_calls(case) -> tuple:
+    """(calls during `run()`, tasks) of the case's seeded run."""
     name, scale, scheduler = case
     sim = Simulation(generate_builtin_scenario(name, scale), scheduler_kind=scheduler, seed=7)
     calls = calls_during(sim.run)
-    tasks = len(sim.dag.nodes)
+    return calls, len(sim.dag.nodes)
+
+
+def saved_scenario(case, directory) -> Path:
+    """The case's builtin scenario, saved to a file in `directory`."""
+    name, scale, _ = case
+    path = Path(directory) / "scenario.json"
+    save_scenario(generate_builtin_scenario(name, scale), path)
+    return path
+
+
+def setup_calls(case, path) -> int:
+    """The calls made loading the scenario file at `path` and building the
+    case's seeded `Simulation` from it."""
+    return calls_during(lambda: Simulation(load_scenario(path), scheduler_kind=case[2], seed=7))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
+@pytest.mark.parametrize("case", CEILINGS, ids=lambda c: "-".join(map(str, c)))
+def test_calls_during_run_stay_under_the_ceiling(case):
+    calls, tasks = run_calls(case)
     assert calls <= CEILINGS[case], (
         f"{calls:,} calls during run() ({calls / tasks:.1f} per task), "
         f"over the ceiling of {CEILINGS[case]:,}"
@@ -80,12 +111,7 @@ def test_calls_during_run_stay_under_the_ceiling(case):
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
 @pytest.mark.parametrize("case", SETUP_CEILINGS, ids=lambda c: "-".join(map(str, c)))
 def test_calls_during_setup_stay_under_the_ceiling(case, tmp_path):
-    name, scale, scheduler = case
-    path = tmp_path / "scenario.json"
-    save_scenario(generate_builtin_scenario(name, scale), path)
-    calls = calls_during(
-        lambda: Simulation(load_scenario(path), scheduler_kind=scheduler, seed=7)
-    )
+    calls = setup_calls(case, saved_scenario(case, tmp_path))
     assert calls <= SETUP_CEILINGS[case], (
         f"{calls:,} calls during set-up, over the ceiling of {SETUP_CEILINGS[case]:,}"
     )
@@ -95,8 +121,8 @@ def test_calls_during_setup_stay_under_the_ceiling(case, tmp_path):
 # at seed 7: (kept by `run()`, peak over set-up and `run()`); the counts when
 # pinned, on CPython 3.11.7, are in the comment.
 MEMORY_CEILINGS = {
-    ("drug-like", 0.05, "capacity"): (871_700, 1_254_300),  # 854,570, 1,229,678
-    ("montage-like", 0.05, "dha"): (552_800, 771_400),  # 541,938, 756,253
+    ("drug-like", 0.05, "capacity"): (841_100, 1_224_100),  # 824,530, 1,200,030
+    ("montage-like", 0.05, "dha"): (537_400, 756_400),  # 526,802, 741,477
 }
 
 
@@ -118,10 +144,37 @@ def traced_bytes(path, scheduler: str) -> tuple:
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
 @pytest.mark.parametrize("case", MEMORY_CEILINGS, ids=lambda c: "-".join(map(str, c)))
 def test_bytes_of_setup_and_run_stay_under_the_ceiling(case, tmp_path):
-    name, scale, scheduler = case
-    path = tmp_path / "scenario.json"
-    save_scenario(generate_builtin_scenario(name, scale), path)
-    kept, peak = traced_bytes(path, scheduler)
+    kept, peak = traced_bytes(saved_scenario(case, tmp_path), case[2])
     kept_ceiling, peak_ceiling = MEMORY_CEILINGS[case]
     assert kept <= kept_ceiling, f"run() kept {kept:,} bytes, over the ceiling of {kept_ceiling:,}"
     assert peak <= peak_ceiling, f"peak of {peak:,} bytes, over the ceiling of {peak_ceiling:,}"
+
+
+def repinned(count: int) -> int:
+    """The ceiling a re-pin sets for `count`: 2% above it, rounded up."""
+    step = 100 if count >= 10_000 else 10
+    return math.ceil(count * 1.02 / step) * step
+
+
+def main():
+    """Print each pinned case's count, its ceiling and the re-pinned ceiling."""
+    if sys.version_info[:2] != (3, 11):
+        print(f"note: the ceilings are pinned on CPython 3.11, this is {sys.version.split()[0]}")
+    rows = []
+    for case, ceiling in CEILINGS.items():
+        rows.append(("run() calls", case, run_calls(case)[0], ceiling))
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, ceiling in SETUP_CEILINGS.items():
+            rows.append(("set-up calls", case, setup_calls(case, saved_scenario(case, tmp)), ceiling))
+        for case, ceilings in MEMORY_CEILINGS.items():
+            counts = traced_bytes(saved_scenario(case, tmp), case[2])
+            for what, count, ceiling in zip(("bytes kept", "peak bytes"), counts, ceilings):
+                rows.append((what, case, count, ceiling))
+    for what, case, count, ceiling in rows:
+        name = "-".join(map(str, case))
+        print(f"{what:13}{name:34}{count:>12,} ceiling {ceiling:>10,} re-pinned {repinned(count):>10,}"
+              + ("  OVER" if count > ceiling else ""))
+
+
+if __name__ == "__main__":
+    main()

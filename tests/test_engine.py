@@ -257,17 +257,30 @@ class TestDraw:
         assert sim._draw(":".join(map(str, key)).encode()) == value
         assert joined_key_draw(seed, *key) == value
 
+    def test_interleaved_draws_of_two_seeds_share_no_state(self):
+        """Each draw feeds its key to a copy of its simulation's seeded hash,
+        so draws of two simulations, taken in turn, each give the draw of
+        the defining formula for their own seed."""
+        sims = {seed: Simulation(oracle(), seed=seed) for seed in (7, 8)}
+        for task_id in range(50):
+            for attempt in range(2):
+                for seed, sim in sims.items():
+                    key = b"exec:%d:%d" % (task_id, attempt)
+                    assert sim._draw(key) == joined_key_draw(seed, "exec", task_id, attempt)
+
     @settings(max_examples=200)
-    @given(seed=st.integers(0, 2**64), task_id=st.integers(0, 10**9), attempt=st.integers(0, 99))
+    @given(seed=st.integers(-(2**70), 2**70), task_id=st.integers(0, 10**9),
+           attempt=st.integers(0, 99))
     def test_exec_draw_is_the_joined_key_draw(self, seed, task_id, attempt):
         sim = Simulation(oracle(**NOISY), seed=seed)
         fn = sim.scenario.functions["f"]
         sim.dag.nodes[task_id] = TaskNode(task_id, fn)
         u = joined_key_draw(seed, "exec", task_id, attempt)
-        (key,) = keys_drawn(sim, lambda: sim.sample_exec_duration(task_id, "b", attempt))
+        node, ep = sim.dag.nodes[task_id], sim._by_id["b"]
+        (key,) = keys_drawn(sim, lambda: sim.sample_exec_duration(node, ep, attempt))
         assert sim._draw(key) == u
         noise = fn.noise * (2.0 * u - 1.0)
-        assert sim.sample_exec_duration(task_id, "b", attempt) == fn.true_fixed_s * (1.0 + noise)
+        assert sim.sample_exec_duration(node, ep, attempt) == fn.true_fixed_s * (1.0 + noise)
 
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2**64), data_id=IDS, src=IDS, dst=IDS)
@@ -288,7 +301,7 @@ class TestDraw:
         fn = node.function
         base = sim._by_id["b"].spec.perf_factor * fn.true_seconds(node.input_bytes)
         noise = [
-            sim.sample_exec_duration(0, "b", attempt) / base - 1.0
+            sim.sample_exec_duration(node, sim._by_id["b"], attempt) / base - 1.0
             for attempt in range(20_000)
         ]
         assert all(-fn.noise <= x < fn.noise for x in noise)

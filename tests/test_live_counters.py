@@ -83,8 +83,8 @@ def check_counters(sim):
     assert sim._state_counts == [states[s] for s in TaskState]
     running = sum(ep.busy_workers for ep in sim.endpoints)
     assert states[TaskState.RUNNING] == running
-    series = sim.metrics.staging_series
-    assert (series[-1][1] if series else 0) == states[TaskState.STAGING]
+    flat = sim.metrics.staging_flat  # (time, count) pairs end to end
+    assert (flat[-1] if flat else 0) == states[TaskState.STAGING]
     for ep in sim.endpoints:
         assert ep.committed == undispatched[ep.endpoint_id], ep.endpoint_id
         assert abs(ep.backlog_s - backlog[ep.endpoint_id]) <= BACKLOG_TOLERANCE_S, ep.endpoint_id

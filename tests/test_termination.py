@@ -53,13 +53,14 @@ class BoundedSimulation(Simulation):
             pytest.fail(f"no end after {MAX_EVENTS} events (t={self.clock:.0f} s)")
         super().schedule(when, kind, (self._logged("event", payload[0]), *payload[1:]))
 
-    def _on_task_complete(self, task_id, exec_time):
+    def _on_task_complete(self, node, exec_time):
         self.completions.append(self.clock)
-        super()._on_task_complete(task_id, exec_time)
+        self.outcomes.append((node.task_id, node.assigned_endpoint, True))
+        super()._on_task_complete(node, exec_time)
 
-    def _record_task_outcome(self, task_id, endpoint_id, success, exec_time=0.0):
-        self.outcomes.append((task_id, endpoint_id, success))
-        super()._record_task_outcome(task_id, endpoint_id, success, exec_time)
+    def _fail_task(self, task_id):
+        self.outcomes.append((task_id, self.dag.nodes[task_id].assigned_endpoint, False))
+        super()._fail_task(task_id)
 
 
 class MoveRecordingSimulation(BoundedSimulation, ScanCheckedSimulation):
