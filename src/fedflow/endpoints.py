@@ -50,15 +50,17 @@ class EndpointModel:
     This object doubles as the client-side proxy of the endpoint: in
     simulation the proxy and the genuine endpoint coincide, so the scheduler
     reads queue and worker counts directly (an optional sync lag is injected
-    by the engine, not here). `committed`, `backlog_s` and `finish_heap` are
-    the client's own facts about the endpoint; the engine keeps them, and
-    fills `backlog_s` and `finish_heap` only for DHA, whose idle estimate
-    reads them.
+    by the engine, not here). `waiting_work`, `backlog_s` and `finish_heap`
+    are the client's own facts about the endpoint; the engine keeps them,
+    and fills `backlog_s` and `finish_heap` only for DHA, whose idle
+    estimate reads them. `dispatch` leaves `waiting_work` as it is: the
+    engine takes a task's claim when it assigns the task and gives it back
+    when the task starts, moves, fails or can never run.
     """
 
     __slots__ = (
         "spec", "endpoint_id", "active_workers", "busy_workers", "queued",
-        "last_busy_time", "pending_reduction", "committed", "backlog_s", "finish_heap",
+        "last_busy_time", "pending_reduction", "waiting_work", "backlog_s", "finish_heap",
     )
 
     def __init__(self, spec: EndpointSpec):
@@ -71,8 +73,9 @@ class EndpointModel:
         # Capacity reduction that could not be applied while workers are busy;
         # drains one worker at a time as tasks complete.
         self.pending_reduction = 0
-        # Tasks assigned here and not yet dispatched, a retry included.
-        self.committed: set = set()
+        # Tasks assigned here that have not started: a retry included, and
+        # the queued ones.
+        self.waiting_work = 0
         # Predicted seconds of the work here that is not running yet, kept
         # as a running sum so the idle estimate stays O(1) per query.
         self.backlog_s = 0.0
@@ -83,11 +86,6 @@ class EndpointModel:
     @property
     def idle_workers(self) -> int:
         return self.active_workers - self.busy_workers
-
-    @property
-    def waiting_work(self) -> int:
-        """Tasks waiting on this endpoint: committed or queued."""
-        return len(self.committed) + len(self.queued)
 
     def dispatch(self, task_id: int) -> str:
         """Hand a task to the endpoint: run it if a worker is idle, else queue."""

@@ -141,11 +141,11 @@ class Simulation:
         # and the inverse: task id -> spec id for those tasks.
         self._spec_by_tid: dict = {}
         self._spec_of_moved: dict = {}
-        # Ids of the tasks committed, un-assigned or dispatched since a
-        # strategy last read them (`_unassign`, which `_commit` calls, adds
+        # Ids of the tasks whose claim on an endpoint was taken or given
+        # back since a strategy last read them (`_claim` and `_release` add
         # them); None while no strategy watches. DHA's index files each
-        # committed task under fields only `_commit` changes, so this set
-        # is all it reads.
+        # claiming task under fields only `_claim` changes, so this set is
+        # all it reads.
         self.changed_tasks: Optional[set] = None
         # With the one set below, the instance holds 29 attributes. A 30th
         # makes CPython 3.11 stop sharing its dict's keys, and every
@@ -262,12 +262,12 @@ class Simulation:
         """When the endpoint is next expected to have an idle worker.
 
         Uses the proxy's live counts plus predicted remaining runtimes: now,
-        while idle workers outnumber the waiting work (tasks committed or
-        queued there); otherwise when the first running task is predicted
-        to finish, but not before now, plus the backlog of work not running
-        yet spread evenly over the pool. With `left_out_s`, one committed
-        task whose backlog is `left_out_s` seconds is left out of the
-        waiting work and the backlog. An endpoint with zero workers is
+        while idle workers outnumber the waiting work (tasks assigned there
+        that have not started); otherwise when the first running task is
+        predicted to finish, but not before now, plus the backlog of work
+        not running yet spread evenly over the pool. With `left_out_s`, one
+        waiting task whose backlog is `left_out_s` seconds is left out of
+        the waiting work and the backlog. An endpoint with zero workers is
         available now when the scenario is elastic, on the assumption that
         elasticity will provision it, and never otherwise.
         """
@@ -276,7 +276,7 @@ class Simulation:
         workers = ep.active_workers
         if not workers:
             return clock if self.scenario.defaults.elastic else math.inf
-        spare = workers - ep.busy_workers - len(ep.committed) - len(ep.queued)
+        spare = workers - ep.busy_workers - ep.waiting_work
         backlog_s = ep.backlog_s
         if left_out_s is not None:
             spare += 1
@@ -374,7 +374,13 @@ class Simulation:
             input_bytes = file_bytes + inline if inline else file_bytes
             output = None
             if fn.output_ratio > 0:
-                out_size = int(round(fn.output_ratio * input_bytes))
+                try:
+                    out_size = int(round(fn.output_ratio * input_bytes))
+                except OverflowError:  # the product is inf
+                    raise WorkflowError(
+                        f"task {t.id}: output size ({fn.output_ratio} x {input_bytes} bytes) "
+                        "is not finite"
+                    ) from None
                 if out_size > 0:
                     if out_size in sizes:
                         out_size = sizes[out_size]
@@ -420,39 +426,34 @@ class Simulation:
 
     # -- scheduler callbacks ----------------------------------------------
 
-    def _drop_backlog(self, node):
-        if node.backlog_s:
-            self._by_id[node.assigned_endpoint].backlog_s -= node.backlog_s
-            node.backlog_s = 0.0
-
-    def _unassign(self, node):
-        """Release the task's claim on its endpoint's committed work."""
-        if node.assigned_endpoint is not None:
-            self._by_id[node.assigned_endpoint].committed.discard(node.task_id)
-        if self.changed_tasks is not None:
-            self.changed_tasks.add(node.task_id)
-
-    def _commit(self, task_id: int, endpoint_id: str):
-        """Point the task at the endpoint, moving its committed work there,
-        and its backlog when the strategy reads idle estimates."""
-        node = self.dag.nodes[task_id]
-        if node.assigned_endpoint is not None:
-            self._unassign(node)
-            self._drop_backlog(node)
-        elif self.changed_tasks is not None:
-            # A first commit: no incumbent to release.
-            self.changed_tasks.add(task_id)
+    def _claim(self, node, endpoint_id: str):
+        """Point the task at the endpoint and take its claim there: one task
+        of waiting work, and its backlog when the strategy reads idle
+        estimates. `_release` gives both back."""
         ep = self._by_id[endpoint_id]
         if self.strategy.reads_idle_estimate:
             row = self.exec_profiler.exec_row(node.function, node.input_bytes)
             node.backlog_s = row[endpoint_id]
             ep.backlog_s += node.backlog_s
         node.assigned_endpoint = endpoint_id
-        ep.committed.add(task_id)
+        ep.waiting_work += 1
+        if self.changed_tasks is not None:
+            self.changed_tasks.add(node.task_id)
+
+    def _release(self, node):
+        """Give back the claim `_claim` took on the task's endpoint: when the
+        task starts, moves, fails or can never run."""
+        ep = self._by_id[node.assigned_endpoint]
+        ep.waiting_work -= 1
+        if node.backlog_s:  # only under a strategy that reads idle estimates
+            ep.backlog_s -= node.backlog_s
+            node.backlog_s = 0.0
+        if self.changed_tasks is not None:
+            self.changed_tasks.add(node.task_id)
 
     def assign(self, task_id: int, endpoint_id: str):
         """A scheduling decision: a first placement or a retry."""
-        self._commit(task_id, endpoint_id)
+        self._claim(self.dag.nodes[task_id], endpoint_id)
         self.metrics.decision_count += 1
 
     def begin_staging(self, task_id: int):
@@ -483,19 +484,18 @@ class Simulation:
             # Back into STAGING for the new target.
             self._enter(node, _STAGING)
         self.data.cancel_task_jobs(task_id)
-        self._commit(task_id, endpoint_id)
+        self._release(node)
+        self._claim(node, endpoint_id)
         self.metrics.move_count += 1
         self._stage(node)
 
     def dispatch_task(self, task_id: int):
-        """Release the task's commitment and hand it to its endpoint, which
-        starts it or queues it; record the endpoint's workers."""
+        """Hand the task to its endpoint, which starts it or queues it;
+        record the endpoint's workers. A queued task keeps its claim until
+        it starts."""
         node = self.dag.nodes[task_id]
         ep = self._by_id[node.assigned_endpoint]
         self._enter(node, _QUEUED)
-        ep.committed.discard(task_id)
-        if self.changed_tasks is not None:
-            self.changed_tasks.add(task_id)
         if ep.dispatch(task_id) == "accepted":
             self._start_running(node, ep)
         self.metrics.utilization_flat += (
@@ -506,10 +506,9 @@ class Simulation:
         """Run the task on a worker of `ep`, its assigned endpoint, and queue
         its completion."""
         self._enter(node, _RUNNING)
+        self._release(node)
         attempt = len(node.failed_endpoints)  # each earlier one failed on its own endpoint
         duration = self.sample_exec_duration(node, ep, attempt)
-        if node.backlog_s:  # only under a strategy that reads idle estimates
-            self._drop_backlog(node)
         end = self.clock + self.dispatch_latency + duration
         if self.strategy.reads_idle_estimate:
             row = self.exec_profiler.exec_row(node.function, node.input_bytes)
@@ -526,8 +525,7 @@ class Simulation:
         self.data.cancel_task_jobs(task_id)
         self._enter(node, _FAILED)
         failed = node.failed_endpoints = node.failed_endpoints | {ep_id}
-        self._unassign(node)
-        self._drop_backlog(node)
+        self._release(node)
         self.exec_profiler.record(TaskRecord(
             function=node.function.name, endpoint=ep_id, input_size=node.input_bytes,
             exec_time=0.0, output_size=0, success=False, timestamp=self.clock,
@@ -560,10 +558,10 @@ class Simulation:
                 node = self.dag.nodes[s]
                 if node.state is not _UNRUNNABLE:
                     # Its chain never finishes, so it never left PENDING;
-                    # give back the assignment capacity made at submit.
+                    # give back the claim capacity took at submit.
                     self._enter(node, _UNRUNNABLE)
-                    self._unassign(node)
-                    self._drop_backlog(node)
+                    if node.assigned_endpoint is not None:
+                        self._release(node)
                     logger.error(
                         "task %d is unrunnable: dependency chain failed at task %d",
                         s,
@@ -577,13 +575,6 @@ class Simulation:
         self.metrics.utilization_flat += (
             self.clock, ep.endpoint_id, ep.busy_workers, ep.active_workers
         )
-
-    def undispatched_tasks(self) -> list:
-        """Tasks assigned and not yet dispatched, in no particular order."""
-        out = []
-        for ep in self.endpoints:
-            out.extend(ep.committed)
-        return out
 
     def arm_reschedule(self, period: float):
         """Queue a re-scheduling tick one period from now, unless one is
@@ -807,7 +798,8 @@ class Simulation:
         none is left. Both profilers refit when the clock first moves past
         a refresh boundary, a multiple of `refresh_tick_s`: after every
         event at the boundary, before any later one. A refit is idempotent,
-        so one serves every boundary the clock skips."""
+        so one serves every boundary the clock skips, and the boundary
+        advances in a bounded number of steps however far the clock jumps."""
         events = self._events
         heappop = heapq.heappop
         metrics = self.metrics
@@ -824,8 +816,18 @@ class Simulation:
                     self.transfer_profiler.refresh()
                     # Repeated sums, not `k * period`, which can differ in the
                     # last bit and so move a refit across an event at a boundary.
+                    # A jump over more than 2**16 periods, which no builtin run
+                    # makes, first takes all but one of them as a product, so
+                    # the sums that finish it are few. A period below the
+                    # boundary's float spacing no longer moves it (nor a
+                    # product that overflows), and then the boundary takes
+                    # the event's time.
+                    gap = when - boundary
+                    if gap > 65536.0 * period:
+                        boundary = min(boundary + (gap // period - 1.0) * period, when)
                     while boundary < when:
-                        boundary += period
+                        step = boundary + period
+                        boundary = step if step > boundary else when
             metrics.event_count += 1
             payload[0](*payload[1:])
 

@@ -201,7 +201,7 @@ class LocalityStrategy(BaseStrategy):
     """Real-time minimum-transfer placement, gated on idle workers.
 
     An endpoint is feasible while it has more idle workers than waiting
-    work: tasks committed to it (a retry included) or queued there.
+    work: tasks assigned there that have not started, a retry included.
     """
 
     name = "locality"
@@ -359,7 +359,7 @@ class DhaStrategy(BaseStrategy):
         sim = self.sim
         priorities = self.priorities
         # One table for the whole call: the clock is fixed, and a placement
-        # changes the committed work, backlog and workers of its target only
+        # changes the waiting work, backlog and workers of its target only
         # (a first placement has no incumbent).
         idle: dict = {}
         for _, tid in sorted([(-priorities[t], t) for t in task_ids]):
@@ -411,13 +411,13 @@ class DhaStrategy(BaseStrategy):
         self.reschedule_pass()
         for ep in sim.endpoints:
             self.delay_dispatch(ep.endpoint_id)
-        if sim._work_queued() and any(ep.committed for ep in sim.endpoints):
+        if sim._work_queued() and any(ep.waiting_work > len(ep.queued) for ep in sim.endpoints):
             sim.arm_reschedule(sim.scenario.defaults.reschedule_period_s)
 
     def _prefix(self, node) -> tuple:
         """What a pass's staging-free bound reads of an undispatched task:
         its cost row (function and input bytes), incumbent and own backlog.
-        Only `Simulation._commit` changes these fields of a committed task."""
+        Only `Simulation._claim` changes these fields of a committed task."""
         return (node.function.name, node.input_bytes, node.assigned_endpoint, node.backlog_s)
 
     def _decision_class(self, node) -> tuple:
@@ -436,9 +436,9 @@ class DhaStrategy(BaseStrategy):
     # -- the index of committed tasks by decision prefix ---------------------
 
     def _flush(self):
-        """Take in the tasks committed, un-assigned or dispatched since the
+        """Take in the tasks whose claim was taken or given back since the
         last flush: each is unfiled, and filed again under its prefix while
-        it stays committed."""
+        it is STAGING or READY."""
         sim = self.sim
         tids = sim.changed_tasks
         classes = self._classes
@@ -490,7 +490,10 @@ class DhaStrategy(BaseStrategy):
         sim = self.sim
         if self._classes is None:
             self._classes = {}
-            sim.changed_tasks = set(sim.undispatched_tasks())
+            sim.changed_tasks = {
+                tid for tid, node in sim.dag.nodes.items()
+                if node.state is _STAGING or node.state is _READY
+            }
         self._flush()
         if not self._classes:
             return 0
@@ -498,7 +501,7 @@ class DhaStrategy(BaseStrategy):
         clock = sim.clock
         moves = scores = 0
         # One table of idle estimates for the whole pass: the clock is
-        # fixed, and a move changes the committed work and backlog of its
+        # fixed, and a move changes the waiting work and backlog of its
         # two endpoints only. The staging it finishes and the dispatches
         # that follow land on the target too: its admitted jobs all go
         # there, and an orphaned job finishes no task.

@@ -104,6 +104,20 @@ class TestRun:
         assert result.exit_code == 1
         assert result.output.startswith(f"error: workflow[0]: data id '{did}' starts with")
 
+    def test_output_size_that_overflows_exits_1(self, runner, tmp_path):
+        # 1e305 times a 5 MB input is inf bytes; it escaped as an
+        # OverflowError traceback.
+        doc = copy.deepcopy(SMALL)
+        doc["functions"][0]["output_ratio"] = 1e305
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("error: task 0: output size")
+        assert "Traceback" not in result.output
+
     def test_scheduler_of_another_kind_exits_1(self, runner, tmp_path):
         # A list here escaped as a TypeError traceback.
         bad = tmp_path / "bad.json"

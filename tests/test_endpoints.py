@@ -108,7 +108,7 @@ class TestGrowRelease:
     def test_grow_caps_at_max_nodes(self):
         # A share beyond max_nodes grows the pool to max_nodes only.
         ep = make(20, 2, 0)
-        ep.committed.update(range(500))
+        ep.waiting_work = 500
         decisions = scale_decision(0.0, [ep], 500)
         assert decisions == [(ep, 40)]
         ep.apply_capacity_event(CapacityEvent(0.0, decisions[0][1]))
@@ -132,20 +132,26 @@ class TestScaleDecision:
     def test_burst_grows_to_share(self):
         # 50 pending thirty-second tasks on a 20-per-node endpoint: 3 nodes.
         ep = make(20, 5, 0)
-        ep.committed.update(range(50))
+        ep.waiting_work = 50
         decisions = scale_decision(0.0, [ep], 50)
         assert decisions == [(ep, 60)]
 
     def test_queued_work_counts_toward_share(self):
-        # 25 queued beside 20 busy workers on one node: grow to 2 nodes.
+        # 25 queued beside 20 busy workers on one node: grow to 2 nodes. As
+        # the engine does, each task claims a unit of waiting work when it
+        # is assigned and gives it back when it starts, so a queued task
+        # keeps its claim.
         ep = make(20, 5, 1)
         for t in range(45):
-            ep.dispatch(t)
+            ep.waiting_work += 1
+            if ep.dispatch(t) == "accepted":
+                ep.waiting_work -= 1
+        assert ep.waiting_work == len(ep.queued) == 25
         assert scale_decision(0.0, [ep], 45) == [(ep, 20)]
 
     def test_no_scale_out_when_workers_cover_pending(self):
         ep = make(20, 5, 2)
-        ep.committed.update(range(30))
+        ep.waiting_work = 30
         assert scale_decision(0.0, [ep], 30) == []
 
     def test_scale_in_after_idle_timeout(self):
@@ -157,7 +163,7 @@ class TestScaleDecision:
     def test_scale_in_blocked_by_share(self):
         ep = make(20, 5, 1, idle_timeout_s=30.0)
         ep.last_busy_time = 0.0
-        ep.committed.update(range(5))
+        ep.waiting_work = 5
         assert scale_decision(100.0, [ep], 5) == []
 
     def test_per_endpoint_independence(self):

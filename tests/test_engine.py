@@ -399,7 +399,7 @@ class TestFailures:
         m = sim.run()
         assert m.tasks_failed == 2
         assert m.tasks[1].state is TaskState.UNRUNNABLE
-        assert not any(ep.committed for ep in sim.endpoints)
+        assert not any(ep.waiting_work for ep in sim.endpoints)
 
     def test_transfer_rows_record_retries(self):
         m = run_scenario(scenario_from_dict(self.failure_doc()))

@@ -3,7 +3,8 @@ replace, after every event of every golden run.
 
 The counters are `Simulation.finished`, `Simulation._pending_count()`, the
 per-state task counts, the last staging-series sample, each endpoint's
-committed set and predicted backlog, `Simulation._work_queued()`, which
+claim count (`waiting_work`: the tasks assigned there that have not
+started) and predicted backlog, `Simulation._work_queued()`, which
 reads the queue's length on the rule that at most one scale tick is ever
 queued, each node's remaining-deps count, the data manager's table of open
 jobs (one per item and destination), each item's set of destinations with
@@ -59,18 +60,27 @@ LOSSY_CASES += [("dynamic-drug", 0.02, "dha", "lossy"), ("dynamic-montage", 0.02
 SCANNED_CASES = [case for case in CASES if case[1] < 1.0] + LOSSY_CASES
 
 
+def undispatched_by_endpoint(sim) -> dict:
+    """Endpoint id -> the tasks assigned there and not yet dispatched, a
+    retry included, recounted from the nodes: with the endpoint's queued
+    tasks, the tasks whose claim it holds."""
+    undispatched = {ep: set() for ep in sim.endpoint_order}
+    for tid, node in sim.dag.nodes.items():
+        if node.state in UNDISPATCHED and node.assigned_endpoint is not None:
+            undispatched[node.assigned_endpoint].add(tid)
+    return undispatched
+
+
 def check_counters(sim):
     nodes = sim.dag.nodes
     live = pending = 0
     not_done = []
-    undispatched = {ep: set() for ep in sim.endpoint_order}
+    undispatched = undispatched_by_endpoint(sim)
     backlog = {ep: 0.0 for ep in sim.endpoint_order}
     for tid, node in nodes.items():
         state = node.state
         if node.backlog_s:
             backlog[node.assigned_endpoint] += node.backlog_s
-        if state in UNDISPATCHED and node.assigned_endpoint is not None:
-            undispatched[node.assigned_endpoint].add(tid)
         if state is not TaskState.DONE:
             not_done.append(tid)
             if state not in (TaskState.FAILED, TaskState.UNRUNNABLE):
@@ -86,7 +96,12 @@ def check_counters(sim):
     flat = sim.metrics.staging_flat  # (time, count) pairs end to end
     assert (flat[-1] if flat else 0) == states[TaskState.STAGING]
     for ep in sim.endpoints:
-        assert ep.committed == undispatched[ep.endpoint_id], ep.endpoint_id
+        claims = len(undispatched[ep.endpoint_id]) + len(ep.queued)
+        assert ep.waiting_work == claims, ep.endpoint_id
+        assert all(
+            nodes[tid].state is TaskState.QUEUED and nodes[tid].assigned_endpoint == ep.endpoint_id
+            for tid in ep.queued
+        ), ep.endpoint_id
         assert abs(ep.backlog_s - backlog[ep.endpoint_id]) <= BACKLOG_TOLERANCE_S, ep.endpoint_id
         assert not ep.queued or ep.idle_workers == 0, f"{ep.endpoint_id}: queued beside idle"
     if sim.scheduler_kind == "dha":
@@ -167,8 +182,8 @@ def check_class_index(sim):
     dha._flush()
     nodes = sim.dag.nodes
     rebuilt = {}
-    for ep in sim.endpoints:
-        for tid in ep.committed:
+    for tids in undispatched_by_endpoint(sim).values():
+        for tid in tids:
             entry = (-dha.priorities[tid], tid)
             rebuilt.setdefault(dha._prefix(nodes[tid]), []).append(entry)
     for key, cls in dha._classes.items():

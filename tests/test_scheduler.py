@@ -30,6 +30,7 @@ from fedflow.scheduling import (
     reassignment_endpoint,
 )
 from test_golden import CASES, _scenario
+from test_live_counters import undispatched_by_endpoint
 
 FN = FunctionDef("f", true_fixed_s=1.0)
 
@@ -159,7 +160,7 @@ def test_locality_picks_only_uncommitted_idle_workers(name, scale, monkeypatch):
         choice = select(self, task_id)
         if choice is not None:
             ep = self.sim._by_id[choice]
-            picks.append(ep.idle_workers > len(ep.committed))
+            picks.append(ep.idle_workers > len(undispatched_by_endpoint(self.sim)[choice]))
         return choice
 
     monkeypatch.setattr(LocalityStrategy, "_select", checked_select)
@@ -269,9 +270,6 @@ class FakeSim:
     def exec_row(self, task_id):
         return self.exec_s
 
-    def undispatched_tasks(self):
-        return [0]
-
     def move_assignment(self, task_id, endpoint_id):
         self.moves.append((task_id, endpoint_id))
 
@@ -379,9 +377,6 @@ class PassSim(FakeSim):
             return IDLE_NOW
         return BUSY_TO_10
 
-    def undispatched_tasks(self):
-        return [1, 0]
-
     def move_assignment(self, task_id, endpoint_id):
         super().move_assignment(task_id, endpoint_id)
         self.dag.nodes[task_id].assigned_endpoint = endpoint_id
@@ -450,9 +445,6 @@ class ClassSim(FakeSim):
                 if endpoint_id not in items[d].locations | items[d].inbound
             )
         )
-
-    def undispatched_tasks(self):
-        return list(self.dag.nodes)
 
 
 @pytest.mark.parametrize(
@@ -585,7 +577,8 @@ def reference_pass(self) -> int:
     sim = self.sim
     nodes = sim.dag.nodes
     priorities = self.priorities
-    movable = sorted((-priorities[t], t) for t in sim.undispatched_tasks())
+    undispatched = undispatched_by_endpoint(sim).values()
+    movable = sorted((-priorities[t], t) for tids in undispatched for t in tids)
     if not movable:
         return 0
     clock = sim.clock
@@ -810,13 +803,14 @@ class IdleCheckedSimulation(Simulation):
         callback(*args)
         clock = self.clock
         nodes = self.dag.nodes
+        undispatched = undispatched_by_endpoint(self)
         for ep in self.endpoints:
             ep_id = ep.endpoint_id
             terms = idle_terms(self, ep_id)
             spare, _, _, workers = terms
             self.branches["no workers" if not workers else "idle" if spare > 0 else "busy"] += 1
             assert self.earliest_idle_estimate(ep_id) == idle_from_terms(clock, terms), ep_id
-            for tid in ep.committed:
+            for tid in undispatched[ep_id]:
                 left_out_s = nodes[tid].backlog_s
                 expected = idle_from_terms(clock, terms, left_out_s)
                 assert self.earliest_idle_estimate(ep_id, left_out_s) == expected, (ep_id, tid)

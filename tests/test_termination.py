@@ -8,6 +8,7 @@ instead of hanging the suite.
 
 import dataclasses
 import logging
+import signal
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -21,7 +22,7 @@ from fedflow.endpoints import CapacityEvent
 from fedflow.engine import DeadlockError, Simulation
 from fedflow.scenario import ScenarioError, scenario_from_dict
 from fedflow.scheduling import DhaStrategy
-from test_live_counters import ScanCheckedSimulation
+from test_live_counters import ScanCheckedSimulation, undispatched_by_endpoint
 from test_scheduler import reference_pass
 
 SEED = 7
@@ -181,6 +182,54 @@ def test_refresh_ticks_run_until_the_last_task_completes():
     assert max(clock for what, clock in sim.timeline if what == "exec") > max(sim.completions)
 
 
+@pytest.fixture
+def wall_bound():
+    """Fails the test once it has run for 2 s of wall time: a refresh
+    boundary that spins does so inside one event, so no event bound sees it."""
+
+    def expire(signum, frame):
+        pytest.fail("no end within 2 s of wall time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("scheduler", ["capacity", "locality", "dha"])
+@pytest.mark.parametrize("long_s", [1e9, 1e15])
+def test_a_long_jump_of_the_clock_advances_the_refresh_boundary_at_once(
+    long_s, scheduler, wall_bound
+):
+    # A chain of a long task, then 3 s and 1 s ones. The first completion
+    # jumps the clock over 2e8 or 2e14 refresh periods of 5 s. The boundary
+    # then stands at that completion, a multiple of 5 s, so the profilers
+    # refit at it and again at the 3 s task's completion, and the 1 s task
+    # ends before the next boundary.
+    doc = {
+        "name": "long-task",
+        "endpoints": [{"endpoint_id": "a", "workers_per_node": 1, "max_nodes": 1, "initial_nodes": 1}],
+        "network": {"default": {"bandwidth_MBps": 100.0, "latency_s": 0.1}},
+        "functions": [
+            {"name": "long", "true_fixed_s": long_s},
+            {"name": "three", "true_fixed_s": 3.0},
+            {"name": "one", "true_fixed_s": 1.0},
+        ],
+        "workflow": [
+            {"id": 0, "function": "long"},
+            {"id": 1, "function": "three", "deps": [0]},
+            {"id": 2, "function": "one", "deps": [1]},
+        ],
+        "defaults": {"refresh_tick_s": 5.0},
+    }
+    sim = BoundedSimulation(scenario_from_dict(doc), scheduler_kind=scheduler, seed=SEED)
+    metrics = sim.run()
+    assert metrics.tasks_failed == 0
+    assert metrics.makespan == long_s + 4.0
+    assert [clock for what, clock in sim.timeline if what == "exec"] == [long_s, long_s + 3.0]
+
+
 def test_elastic_run_with_unrunnable_tasks_ends(quiet):
     # Capacity assigns every task at submit; an unrunnable task must give
     # that claim back, or its endpoint is never idle and scale ticks go on.
@@ -196,7 +245,7 @@ def test_elastic_run_with_unrunnable_tasks_ends(quiet):
     metrics = sim.run()
     assert sim.finished and sim.unrunnable
     assert metrics.tasks_failed > 0
-    assert not any(ep.committed for ep in sim.endpoints)
+    assert not any(ep.waiting_work for ep in sim.endpoints)
 
 
 def test_each_failed_attempt_is_recorded_once(caplog):
@@ -279,7 +328,8 @@ def test_dha_deadlocks_when_every_endpoint_loses_its_workers():
     sim = BoundedSimulation(sc, scheduler_kind="dha", seed=SEED)
     with pytest.raises(DeadlockError, match=r"\[ready\]"):
         sim.run()
-    assert any(ep.committed for ep in sim.endpoints)
+    assert any(undispatched_by_endpoint(sim).values())
+    assert any(ep.waiting_work > len(ep.queued) for ep in sim.endpoints)
     assert all(ep.active_workers == 0 for ep in sim.endpoints)
 
 
