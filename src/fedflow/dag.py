@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
+
+if TYPE_CHECKING:
+    from .data_manager import DataItem
 
 logger = logging.getLogger(__name__)
 
@@ -99,21 +102,26 @@ class TaskNode:
     """The one record of a task: its place in the graph, its run-time state
     and the times it entered each state. The fields through `successors`
     are set at submit, in the order `Simulation._register_batch` passes
-    them, and `successors` then grows as later tasks name this one as a
-    dep; the simulation owns every field from `state` on."""
+    them; the simulation owns every field from `state` on."""
 
     task_id: int
     function: FunctionDef
     deps: tuple = ()  # task ids, ascending and unique
-    file_deps: tuple = ()  # data ids, sorted
-    output: Optional[str] = None
+    # The input DataItems: declared items and the outputs of deps, unique
+    # and sorted by data id.
+    file_deps: tuple = ()
+    # The task's output DataItem, or None when it writes none. The node is
+    # the item's only holder: its data id, `out:<task id>`, is built only
+    # where it is written, hashed or sorted.
+    output: Optional[DataItem] = None
     file_bytes: int = 0  # sum of the sizes of file_deps
     input_bytes: int = 0  # file_bytes plus the inline arguments
     deps_left: int = 0  # deps not yet DONE
     submit_time: float = 0.0
-    # Ids of the tasks that depend on this one, ascending: a task joins its
-    # deps' lists when it is submitted, and a list only grows.
-    successors: list = field(default_factory=list)
+    # Ids of the tasks that depend on this one, ascending. A batch that
+    # submits some replaces the tuple, never changes it, so nodes may share
+    # one: the deps of a task that had no successor share its 1-tuple.
+    successors: tuple = ()
     state: TaskState = TaskState.PENDING
     assigned_endpoint: Optional[str] = None
     announced: bool = False  # handed to the scheduler as ready
@@ -134,49 +142,68 @@ class TaskNode:
         return self.state.terminal
 
 
+class TaskList(list):
+    """The run's TaskNodes, indexed by task id: ids are dense, so a list
+    slot (8 B) holds what a dict entry held in about 55. `items()` and
+    `values()` read it as the `{task id: node}` dict it replaces."""
+
+    __slots__ = ()
+
+    def items(self):
+        """(task id, node) pairs, in id order."""
+        return enumerate(self)
+
+    def values(self):
+        """The nodes, in id order: the list itself."""
+        return self
+
+
 class Dag:
     """A workflow DAG that can grow at any time during execution.
 
     Edges may only point at tasks that already exist, so the graph is acyclic
-    by construction. `nodes` maps each task id, its index in submission
-    order, to its `TaskNode`; each node holds both directions of its edges,
-    its `deps` and its `successors`.
+    by construction. `nodes` is a `TaskList`: the node of each task at its
+    id, its index in submission order. Each node holds both directions of
+    its edges, its `deps` and its `successors`.
     """
 
     def __init__(self):
-        self.nodes: dict[int, TaskNode] = {}
+        self.nodes: TaskList = TaskList()
 
     def submit_task(
         self,
         function: FunctionDef,
         dep_handles: Iterable[int] = (),
-        file_deps: Iterable[str] = (),
+        file_deps: Iterable[DataItem] = (),
         inline_args_size: int = 0,
     ) -> int:
         """Add a task and return its id. The checked builder of one task;
-        `Simulation._register_batch` builds a batch to the same rules."""
+        `Simulation._register_batch` builds a batch to the same rules.
+        `file_deps` are DataItems, sorted here by data id. Each dep's
+        successors grow by one new tuple."""
+        task_id = len(self.nodes)
         deps = set(dep_handles)
         for dep in deps:
-            if dep not in self.nodes:
-                raise WorkflowError(f"unknown dependency handle {dep}")
+            if not 0 <= dep < task_id:
+                raise WorkflowError(f"task {task_id}: unknown dependency handle {dep}")
         check_inline_args(inline_args_size)
-        task_id = len(self.nodes)
+        named = {item.data_id: item for item in file_deps}
         node = TaskNode(
             task_id=task_id,
             function=function,
             deps=tuple(sorted(deps)),
-            file_deps=tuple(sorted(set(file_deps))),
+            file_deps=tuple(map(named.__getitem__, sorted(named))),
         )
-        self.nodes[task_id] = node
+        self.nodes.append(node)
         for dep in deps:
-            self.nodes[dep].successors.append(task_id)
+            self.nodes[dep].successors += (task_id,)
         return task_id
 
     def topological_order(self) -> list:
         """Kahn's algorithm with a min-heap frontier (ascending ids on ties)."""
         order = []
-        indegree = {t: len(n.deps) for t, n in self.nodes.items()}
-        frontier = [t for t, d in indegree.items() if d == 0]
+        indegree = [len(n.deps) for n in self.nodes]
+        frontier = [t for t, d in enumerate(indegree) if d == 0]
         heapq.heapify(frontier)
         while frontier:
             t = heapq.heappop(frontier)

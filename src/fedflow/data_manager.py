@@ -23,7 +23,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Optional
 
-from .scenario import PROBE_PREFIX
+from .scenario import OUTPUT_PREFIX, PROBE_PREFIX
 
 logger = logging.getLogger(__name__)
 
@@ -44,24 +44,39 @@ _WAITING, _ACTIVE, _DONE, _FAILED = JobState
 _job_id = attrgetter("job_id")
 # Every DataItem's sets start as this one object, and each manager interns it.
 _EMPTY = frozenset()
+_OUTPUT_PREFIX_LEN = len(OUTPUT_PREFIX)
 
 
 # The run makes one per task output and keeps it to the end, so it is a
-# slotted record, like TransferJob.
-@dataclass(slots=True)
+# slotted record, like TransferJob. It hashes and compares by identity
+# (`eq=False`): the data manager keys its open jobs on the item itself.
+@dataclass(slots=True, eq=False)
 class DataItem:
-    data_id: str
+    """A data item: a declared one, which `DataManager.items` holds under its
+    data id, or a task's output, which only its task's node holds. `key` is
+    the declared data id, or the producing task's id."""
+
+    key: str | int
     size: int
     # A new replica replaces the set, so a reader may keep it as a key.
     locations: frozenset = _EMPTY
     # The destinations with an open job for the item; replaced the same way.
     inbound: frozenset = _EMPTY
 
+    @property
+    def data_id(self) -> str:
+        """The item's name: its declared data id, or `out:<task id>`."""
+        key = self.key
+        return key if key.__class__ is str else f"{OUTPUT_PREFIX}{key}"
+
 
 @dataclass(slots=True)
 class TransferJob:
+    """One job landing its item on `dst`, copied from `src`. It holds the
+    item itself; `data_id`, the item's name, is built when read."""
+
     job_id: int
-    data_id: str
+    item: DataItem
     src: str
     dst: str
     size: int
@@ -79,6 +94,11 @@ class TransferJob:
     def task_id(self) -> Optional[int]:
         """The first task waiting on the job, or None when none is."""
         return self.tasks[0] if self.tasks else None
+
+    @property
+    def data_id(self) -> str:
+        """The data id of the job's item."""
+        return self.item.data_id
 
 
 # One ordered endpoint pair's transfers under the concurrency cap.
@@ -129,14 +149,16 @@ class DataManager:
         self.transfer_profiler = transfer_profiler
         self.concurrency_cap = concurrency_cap
         self.max_transfer_retries = max_transfer_retries
+        # Data id -> DataItem, for the declared items and the link probes;
+        # a task's output is held by its node alone.
         self.items: dict = {}
         self.jobs: dict = {}
         self._next_job_id = 0
         order = self.endpoint_order
         # dst -> src -> the pair's lane, for every ordered pair.
         self._lanes = {dst: {src: _Lane() for src in order} for dst in order}
-        # (data_id, dst) -> the one WAITING or ACTIVE job landing that item
-        # on that endpoint.
+        # (item, dst) -> the one WAITING or ACTIVE job landing that item on
+        # that endpoint.
         self._open: dict = {}
         # task_id -> ids of the open jobs its latest stage() waits on; the
         # entry goes when the set empties or the task is cancelled.
@@ -156,6 +178,8 @@ class DataManager:
             raise DataError(f"{data_id}: negative size")
         if data_id in self.items:
             raise DataError(f"duplicate data item {data_id}")
+        if data_id[:_OUTPUT_PREFIX_LEN] == OUTPUT_PREFIX:
+            raise DataError(f"{data_id}: '{OUTPUT_PREFIX}<task id>' names a task's output")
         # Thousands of declared items share a few location tuples, and only
         # a new one builds a set.
         key = tuple(locations)
@@ -169,8 +193,7 @@ class DataManager:
     def _replica_set(self, locations: frozenset) -> frozenset:
         return self._replica_sets.setdefault(locations, locations)
 
-    def add_replica(self, data_id: str, endpoint: str):
-        item = self.items[data_id]
+    def add_replica(self, item: DataItem, endpoint: str):
         item.locations = self._added[(item.locations, endpoint)]
 
     # -- staging -----------------------------------------------------------
@@ -190,8 +213,8 @@ class DataManager:
         return self.choose_source(item)
 
     def staging_estimate(self, file_deps, target: str) -> float:
-        """Predicted seconds to move the inputs `stage` would move to
-        `target`, summed in `file_deps` order.
+        """Predicted seconds to move the inputs, DataItems, that `stage`
+        would move to `target`, summed in `file_deps` order.
 
         An input with an open job to `target` adds nothing: the task would
         wait on that job. Any other moved input adds its predicted transfer,
@@ -201,21 +224,19 @@ class DataManager:
         The `_source` rule is applied inline, in its order: an item with no
         replica raises before its open jobs are looked at.
         """
-        items = self.items
         sources = self._sources
         links = self.transfer_profiler.links
         lanes = self._lanes[target]
         cap = self.concurrency_cap
         total = 0.0
-        for data_id in file_deps:
-            item = items[data_id]
+        for item in file_deps:
             size = item.size
             locations = item.locations
             if target in locations or size == 0:
                 continue
             src = sources[locations]
             if src is None:
-                raise DataError(f"{data_id}: no replica available")
+                raise DataError(f"{item.data_id}: no replica available")
             if target in item.inbound:
                 continue
             try:
@@ -229,34 +250,30 @@ class DataManager:
         return total
 
     def bytes_to_move(self, file_deps, target: str) -> int:
-        """Bytes of the inputs `stage` would move to `target`."""
-        items = self.items
-        deps = (items[d] for d in file_deps)
-        return sum(item.size for item in deps if self._source(item, target) is not None)
+        """Bytes of the inputs, DataItems, that `stage` would move to `target`."""
+        return sum(item.size for item in file_deps if self._source(item, target) is not None)
 
     def stage(self, task_id: int, file_deps, target: str, clock: float) -> tuple:
-        """Make the task wait on the open transfer of each input that moves
-        (`_source`) to `target`, opening one where none is, in the order of
-        `file_deps` (a task's are sorted at submit).
+        """Make the task wait on the open transfer of each input, a
+        DataItem, that moves (`_source`) to `target`, opening one where none
+        is, in the order of `file_deps` (a task's are sorted at submit).
 
         Returns (waited_on, started): the jobs the task now waits on, and
         the jobs admitted under the concurrency cap right away. An empty
         `waited_on` means staging for this task is already complete.
         """
-        items = self.items
         sources = self._sources
         waited_on, started = [], []
-        for data_id in file_deps:
-            item = items[data_id]
+        for item in file_deps:
             locations = item.locations
             if target in locations or item.size == 0:
                 continue
             src = sources[locations]
             if src is None:
-                raise DataError(f"{data_id}: no replica available")
-            job = self._open.get((data_id, target))
+                raise DataError(f"{item.data_id}: no replica available")
+            job = self._open.get((item, target))
             if job is None:
-                job, admitted = self._open_job(data_id, src, target, item.size, clock)
+                job, admitted = self._open_job(item, src, target, clock)
                 started.extend(admitted)
             job.tasks += (task_id,)
             waited_on.append(job)
@@ -276,17 +293,16 @@ class DataManager:
                 if src == dst or not needs_probe(src, dst):
                     continue
                 item = self.register_item(f"{PROBE_PREFIX}{src}__{dst}", size, {src})
-                started.extend(self._open_job(item.data_id, src, dst, size, clock)[1])
+                started.extend(self._open_job(item, src, dst, clock)[1])
         return started
 
-    def _open_job(self, data_id: str, src: str, dst: str, size: int, clock: float) -> tuple:
-        """Open a job under the next job id and queue it on its link;
-        returns (job, jobs admitted on that link)."""
-        job = TransferJob(self._next_job_id, data_id, src, dst, size)
+    def _open_job(self, item: DataItem, src: str, dst: str, clock: float) -> tuple:
+        """Open a job landing `item` on `dst` under the next job id and queue
+        it on its link; returns (job, jobs admitted on that link)."""
+        job = TransferJob(self._next_job_id, item, src, dst, item.size)
         self._next_job_id += 1
         self.jobs[job.job_id] = job
-        self._open[(data_id, dst)] = job
-        item = self.items[data_id]
+        self._open[(item, dst)] = job
         item.inbound = self._added[(item.inbound, dst)]
         return job, self._start_waiting(self._enqueue(job), clock)
 
@@ -329,7 +345,7 @@ class DataManager:
             job.state = _DONE
             job.finished_at = clock
             self._close(job)
-            self.add_replica(job.data_id, job.dst)
+            self.add_replica(job.item, job.dst)
             for task_id in job.tasks:
                 pending = self._task_jobs[task_id]
                 pending.remove(job.job_id)
@@ -358,8 +374,8 @@ class DataManager:
 
     def _close(self, job: TransferJob):
         """Forget a job that ended DONE or FAILED as its item's open one."""
-        del self._open[(job.data_id, job.dst)]
-        item = self.items[job.data_id]
+        del self._open[(job.item, job.dst)]
+        item = job.item
         item.inbound = self._removed[(item.inbound, job.dst)]
 
     def cancel_task_jobs(self, task_id: int):

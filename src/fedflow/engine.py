@@ -20,7 +20,7 @@ from typing import Optional
 from .dag import (
     INLINE_ARGS_LIMIT, MOVES, Dag, TaskNode, TaskState, WorkflowError, check_inline_args,
 )
-from .data_manager import DataError, DataItem, DataManager, TransferJob
+from .data_manager import DataItem, DataManager, TransferJob
 from .endpoints import CapacityEvent, EndpointModel, scale_decision
 from .metrics import MetricsLog
 from .profilers import (
@@ -29,7 +29,7 @@ from .profilers import (
     TaskRecord,
     TransferProfiler,
 )
-from .scenario import MB, OUTPUT_PREFIX, Scenario
+from .scenario import MB, OUTPUT_PREFIX, Scenario, ScenarioError
 from .scheduling import STRATEGIES, reassignment_endpoint
 
 logger = logging.getLogger(__name__)
@@ -98,12 +98,19 @@ class Simulation:
         self.poll_interval = scenario.network.poll_interval_s
         self.dispatch_latency = scenario.network.dispatch_latency_s
         self.failure_rate = d.transfer_failure_rate
-        # (data_id, dst) -> transfer attempts made so far to land the item there.
+        # (item, dst) -> transfer attempts made so far to land the item there.
         self._landing_attempts: dict = {}
         # Attempts per task, each on an endpoint the task has not failed on.
         n_eps = len(scenario.endpoints)
         self.max_task_attempts = min(d.max_task_attempts or n_eps, n_eps)
         self.sync_lag = d.mock_sync_lag_s
+        # `_loop` steps refresh boundaries by this period: 0 would divide by
+        # zero there, and NaN or inf would never refit. The loader rejects
+        # these values; a `Defaults` built in code meets the same rule here.
+        if not 0 < d.refresh_tick_s < math.inf:
+            raise ScenarioError(
+                f"defaults: 'refresh_tick_s' must be a positive finite number ({d.refresh_tick_s!r})"
+            )
 
         self.endpoints = [EndpointModel(spec) for spec in scenario.endpoints]
         self.endpoint_order = [ep.endpoint_id for ep in self.endpoints]
@@ -235,7 +242,7 @@ class Simulation:
         it does not depend on how many other jobs were opened."""
         if self.failure_rate <= 0:
             return True
-        key = (job.data_id, job.dst)
+        key = (job.item, job.dst)
         attempt = self._landing_attempts.get(key, 0)
         self._landing_attempts[key] = attempt + 1
         draw = self._draw(f"xfer:{job.data_id}:{job.src}:{job.dst}:{attempt}".encode())
@@ -297,25 +304,35 @@ class Simulation:
     def _register_batch(self, specs: list) -> tuple:
         """Register a batch's tasks in ascending spec id in one pass: each
         node built and checked as `Dag.submit_task` builds it, with its sizes,
-        its output item (checked as `register_item` checks) and unmet deps.
+        its output item and unmet deps. `register_item` rejects a declared
+        item named as an output, so no two inputs share a data id.
 
         A task's id is its index in submission order. A task whose spec id
         is that index holds the spec's own int, and `_spec_by_tid` maps
         only the spec ids that are not, so a dep it does not map names its
         task by itself, unless that index is another spec's task
-        (`_spec_of_moved`). A dep on no registered spec id raises
-        `WorkflowError`. In a batch, equal sums of several input sizes, and
-        equal output sizes, are one int object."""
+        (`_spec_of_moved`). A dep that is negative or on no registered spec
+        id raises `WorkflowError`. In a batch, equal sums of several input
+        sizes, and equal output sizes, are one int object.
+
+        No successors tuple is copied per edge. A dep's first new successor
+        in the batch makes one new tuple; a dep that had none takes the 1-tuple
+        its new successor shares with its other such deps (most tasks of a
+        fan-in share theirs). A second one in the batch turns the tuple into
+        a list that the batch's later edges append to, and the batch ends by
+        making each such list a tuple again."""
         task_ids = []
         dead_deps = []  # deps met FAILED or UNRUNNABLE, in the order met
+        grown = []  # nodes whose successors are lists until the batch ends
         functions = self.scenario.functions
         spec_by_tid = self._spec_by_tid
         moved = self._spec_of_moved
         nodes = self.dag.nodes
         items = self.data.items
+        item_of = items.__getitem__
         clock = self.clock
         sizes: dict = {}  # each fresh size int of the batch, by value
-        tid = len(nodes)
+        tid = first = len(nodes)  # `first`: the batch's lowest task id
         for t in sorted(specs, key=operator.attrgetter("id")):
             if t.id == tid:
                 tid = t.id
@@ -326,8 +343,7 @@ class Simulation:
             inline = t.inline_args_B
             if not 0 <= inline <= INLINE_ARGS_LIMIT:
                 check_inline_args(inline)
-            # Most tasks have one dep or one file dep, and one needs no sort.
-            file_deps = t.file_deps
+            names = t.file_deps  # the data ids of its declared inputs
             deps, deps_left = (), 0
             if t.deps:
                 deps = t.deps
@@ -344,27 +360,48 @@ class Simulation:
                     deps = tuple(sorted(set(deps)))
                 if deps == t.deps:  # a tuple of task ids already: keep the spec's
                     deps = t.deps
-                file_deps = [*file_deps]
+                # Its inputs as (data id, item) pairs: the declared ones, then
+                # each dep's output, whose data id is built here and nowhere
+                # else in the run path. Several go in data id order, which no
+                # two items share; one, the most common case, needs no sort.
+                inputs = [*zip(names, map(item_of, names))] if names else []
+                single = (tid,)
                 for d in deps:
-                    try:
-                        dep = nodes[d]
-                    except KeyError:  # no task registered yet has spec id d
-                        raise WorkflowError(f"task {t.id}: unknown dependency handle {d}") from None
-                    dep.successors.append(tid)
+                    if not 0 <= d < tid:  # negative, or no task registered yet has it
+                        raise WorkflowError(f"task {t.id}: unknown dependency handle {d}")
+                    dep = nodes[d]
+                    successors = dep.successors
+                    if successors.__class__ is list:
+                        successors.append(tid)
+                    elif not successors:
+                        dep.successors = single
+                    elif successors[-1] < first:
+                        dep.successors = successors + single
+                    else:
+                        dep.successors = [*successors, tid]
+                        grown += (dep,)
                     if dep.output is not None:
-                        file_deps.append(dep.output)
+                        inputs.append((f"{OUTPUT_PREFIX}{d}", dep.output))
                     state = dep.state
                     if state is not _DONE:
                         deps_left += 1
                         if state is _FAILED or state is _UNRUNNABLE:
                             dead_deps.append(d)
-            file_deps = tuple(sorted(set(file_deps)) if len(file_deps) > 1 else file_deps)
+                if len(inputs) > 1:
+                    inputs = dict(inputs)  # data id -> item
+                    file_deps = tuple(map(inputs.__getitem__, sorted(inputs)))
+                else:
+                    file_deps = (inputs[0][1],) if inputs else ()
+            elif len(names) > 1:
+                file_deps = tuple(map(item_of, sorted(set(names))))
+            else:
+                file_deps = (items[names[0]],) if names else ()
             # With one file dep the sum is that item's own size object, and
             # with no inline args the input size is the sum itself, so the
             # node holds no copied ints; a sum of several sizes is a new int.
             file_bytes = size = 0
-            for d in file_deps:
-                size = items[d].size
+            for item in file_deps:
+                size = item.size
                 file_bytes = file_bytes + size if file_bytes else size
             if file_bytes is not size:
                 if file_bytes in sizes:
@@ -386,14 +423,14 @@ class Simulation:
                         out_size = sizes[out_size]
                     else:
                         sizes[out_size] = out_size
-                    output = f"{OUTPUT_PREFIX}{tid}"
-                    if output in items:
-                        raise DataError(f"duplicate data item {output}")
-                    items[output] = DataItem(output, out_size)
-            nodes[tid] = TaskNode(tid, fn, deps, file_deps, output, file_bytes, input_bytes,
-                                  deps_left, clock, [])
+                    output = DataItem(tid, out_size)
+            # `+=`, not `append`: no call per task.
+            nodes += (TaskNode(tid, fn, deps, file_deps, output, file_bytes, input_bytes,
+                               deps_left, clock),)
             task_ids.append(tid)
             tid += 1
+        for dep in grown:
+            dep.successors = tuple(dep.successors)
         self._state_counts[_PENDING.index] += len(task_ids)
         return task_ids, dead_deps
 
@@ -654,7 +691,7 @@ class Simulation:
 
     def _announce_ready(self, candidates):
         """Announce, in order, the candidates that are ready; they must be
-        unique and ascending (a new batch's ids, or one successor list)."""
+        unique and ascending (a new batch's ids, or one task's successors)."""
         batch = []
         for tid in candidates:
             node = self.dag.nodes[tid]
@@ -708,7 +745,7 @@ class Simulation:
         # output_size, success, timestamp.
         self.exec_profiler.record(tuple.__new__(TaskRecord, (
             node.function.name, ep.endpoint_id, node.input_bytes, exec_time,
-            0 if output is None else self.data.items[output].size, True, clock,
+            0 if output is None else output.size, True, clock,
         )))
         if output is not None:
             self.data.add_replica(output, ep.endpoint_id)
@@ -723,7 +760,7 @@ class Simulation:
         interval = self.poll_interval
         if interval > 0 and (observed := next_poll(clock, interval)) > clock:
             node.observed_time = observed
-            self.schedule(observed, EventKind.RESULT_OBSERVED, (self._announce_ready, successors))
+            self.schedule(observed, EventKind.RESULT_OBSERVED, (self._on_result_observed, node))
         else:
             node.observed_time = clock
             self._announce_ready(successors)
@@ -736,6 +773,11 @@ class Simulation:
                 )
             else:
                 self.strategy.on_worker_free(ep.endpoint_id)
+
+    def _on_result_observed(self, node):
+        """The client observes the task's result at a poll tick: announce
+        its successors, those a batch registered since it finished too."""
+        self._announce_ready(node.successors)
 
     def _start_queued(self, ep: EndpointModel, started: list):
         """Record the endpoint's workers after a change to them, then run

@@ -55,7 +55,8 @@ def _staging_rows(flat: list):
 
 def _transfer_row(job) -> tuple:
     """A transfers row of a job: its fields in TRANSFERS_COLUMNS order, and
-    -1.0 for a time it did not reach."""
+    -1.0 for a time it did not reach. A task output's data id is built
+    here, as the row is written."""
     return (job.job_id, job.data_id, job.src, job.dst, job.size, job.state.value,
             job.retries_used, -1.0 if job.started_at is None else job.started_at,
             -1.0 if job.finished_at is None else job.finished_at)
@@ -66,9 +67,11 @@ def _transfer_rows(jobs):
 
 
 class MetricsLog:
-    def __init__(self, endpoint_ids: list, tasks: dict, jobs: dict):
+    def __init__(self, endpoint_ids: list, tasks: list, jobs: dict):
         self.endpoint_ids = list(endpoint_ids)
-        self.tasks = tasks  # task_id -> TaskNode, timestamps included
+        # The run's TaskNodes, timestamps included, indexed by task id: the
+        # graph's own `TaskList`.
+        self.tasks = tasks
         # job_id -> TransferJob, every transfer job of the run: the data
         # manager's own table, which `transfers` and `emit` read.
         self.jobs = jobs
@@ -113,7 +116,7 @@ class MetricsLog:
 
     def per_endpoint_task_counts(self) -> dict:
         counts = {ep: 0 for ep in self.endpoint_ids}
-        for node in self.tasks.values():
+        for node in self.tasks:
             if node.state is TaskState.DONE:
                 counts[node.assigned_endpoint] += 1
         return counts

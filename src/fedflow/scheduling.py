@@ -426,10 +426,8 @@ class DhaStrategy(BaseStrategy):
         locations and open destinations (`inbound`) of each file dependency,
         in order. An item's locations and inbound are frozensets that a
         change replaces, so they serve as a key as they stand."""
-        items = self.sim.data.items
         key = self._prefix(node)
-        for data_id in node.file_deps:
-            item = items[data_id]
+        for item in node.file_deps:
             key += (item.size, item.locations, item.inbound)
         return key
 

@@ -43,13 +43,13 @@ from fedflow.scenario import load_scenario, save_scenario  # noqa: E402
 # (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
 # 7; the count when pinned, on CPython 3.11.7, is in the comment.
 CEILINGS = {
-    ("montage-like", 0.05, "dha"): 62_100,  # 60,826
-    ("drug-like", 0.05, "capacity"): 74_100,  # 72,617
-    ("dynamic-drug", 0.02, "dha"): 57_100,  # 55,963
-    ("dynamic-montage", 0.1, "dha"): 124_800,  # 122,286
+    ("montage-like", 0.05, "dha"): 61_200,  # 59,959
+    ("drug-like", 0.05, "capacity"): 72_600,  # 71,117
+    ("dynamic-drug", 0.02, "dha"): 56_800,  # 55,663
+    ("dynamic-montage", 0.1, "dha"): 123_000,  # 120,552
     # The scale at which a per-move cost over every prefix shows.
-    ("dynamic-drug", 0.2, "dha"): 361_800,  # 354,699
-    ("dynamic-montage", 0.02, "locality"): 25_100,  # 24,513
+    ("dynamic-drug", 0.2, "dha"): 358_800,  # 351,699
+    ("dynamic-montage", 0.02, "locality"): 23_900,  # 23,415
 }
 
 # The same for set-up, on the builtins of the three benchmark workloads.
@@ -122,8 +122,8 @@ def test_calls_during_setup_stay_under_the_ceiling(case, tmp_path):
 # at seed 7: (kept by `run()`, peak over set-up and `run()`); the counts when
 # pinned, on CPython 3.11.7, are in the comment.
 MEMORY_CEILINGS = {
-    ("drug-like", 0.05, "capacity"): (795_100, 1_177_300),  # 779,498, 1,154,134
-    ("montage-like", 0.05, "dha"): (521_700, 739_800),  # 511,466, 725,277
+    ("drug-like", 0.05, "capacity"): (596_900, 979_000),  # 585,136, 959,788
+    ("montage-like", 0.05, "dha"): (443_200, 661_300),  # 434,496, 648,323
 }
 
 

@@ -69,8 +69,19 @@ class TestSubmit:
 
     def test_successors_tracked(self):
         dag = build([(0, 1), (0, 2)], 3)
-        assert dag.nodes[0].successors == [1, 2]
-        assert dag.nodes[1].successors == dag.nodes[2].successors == []
+        assert dag.nodes[0].successors == (1, 2)
+        assert dag.nodes[1].successors == dag.nodes[2].successors == ()
+
+    @pytest.mark.parametrize("dep", [-1, 2, 3])
+    def test_a_dep_on_no_registered_task_id_names_the_task(self, dep):
+        """A negative handle, or one no task has yet (the task's own id
+        included), raises before anything is added: a list index would
+        wrap on -1 and wire an edge from the last task."""
+        dag = build([(0, 1)], 2)
+        with pytest.raises(WorkflowError, match=f"^task 2: unknown dependency handle {dep}$"):
+            dag.submit_task(FN, [0, dep])
+        assert len(dag.nodes) == 2
+        assert [node.successors for node in dag.nodes] == [(1,), ()]
 
 
 ONE_ENDPOINT = {
@@ -176,7 +187,7 @@ class TestTopologicalOrder:
     def test_cycle_detected(self):
         dag = build([(0, 1)], 2)
         dag.nodes[0].deps = (1,)  # force a cycle behind the API's back
-        dag.nodes[1].successors.append(0)
+        dag.nodes[1].successors += (0,)
         with pytest.raises(WorkflowError, match="cycle"):
             dag.topological_order()
 
@@ -241,8 +252,8 @@ def parent_dfs_order(dag):
 
 class TestGraphShape:
     """The graph is kept as ascending id sequences: each task's deps a
-    sorted tuple without duplicates, each successor list strictly ascending
-    and the exact inverse of the deps, so no walk needs to sort."""
+    sorted tuple without duplicates, each successors tuple strictly
+    ascending and the exact inverse of the deps, so no walk needs to sort."""
 
     @given(st.data())
     def test_submitted_graph_is_sorted_and_inverse(self, data):
@@ -262,8 +273,7 @@ class TestGraphShape:
             edges.update((d, t) for d in node.deps)
         successors = [node.successors for node in dag.nodes.values()]
         inverse = [(t, s) for t, succ in enumerate(successors) for s in succ]
-        assert all(type(succ) is list for succ in successors)
-        assert len({id(succ) for succ in successors}) == n  # a list of its own each
+        assert all(type(succ) is tuple for succ in successors)
         assert all(a < b for succ in successors for a, b in pairwise(succ))
         assert len(inverse) == len(edges) and set(inverse) == edges
         assert dfs_order(dag) == parent_dfs_order(dag)

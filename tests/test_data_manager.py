@@ -23,6 +23,12 @@ def new_manager(order=ORDER, **kw):
     return DataManager(order, TransferProfiler(fallback=links), **kw)
 
 
+def inputs(dm, data_ids) -> list:
+    """The registered items of `data_ids`, in order, as a task's
+    `file_deps` hold them."""
+    return [dm.items[d] for d in data_ids]
+
+
 def manager(**kw):
     dm = new_manager(**kw)
     dm.register_item("x", 100, {"a"})
@@ -37,18 +43,27 @@ class TestItems:
         with pytest.raises(DataError):
             dm.register_item("x", 1)
 
+    def test_a_task_output_name_is_rejected(self):
+        """A task's output is named `out:<task id>` and held by its node
+        only, so a declared item may not take such a name."""
+        dm = new_manager()
+        with pytest.raises(DataError, match="^out:3: 'out:<task id>' names a task's output$"):
+            dm.register_item("out:3", 1)
+        assert "out:3" not in dm.items
+        assert dm.register_item("output:3", 1).data_id == "output:3"
+
     def test_negative_size_rejected(self):
         with pytest.raises(DataError):
             new_manager().register_item("n", -1)
 
     def test_replicas_only_grow(self):
         dm = manager()
-        dm.add_replica("x", "b")
+        dm.add_replica(dm.items["x"], "b")
         assert dm.items["x"].locations == {"a", "b"}
 
     def test_choose_source_declaration_order(self):
         dm = manager()
-        dm.add_replica("y", "a")
+        dm.add_replica(dm.items["y"], "a")
         assert dm.choose_source(dm.items["y"]) == "a"
 
     def test_choose_source_no_replica(self):
@@ -61,21 +76,21 @@ class TestItems:
         dm = new_manager()
         dm.register_item("q", 1)
         with pytest.raises(DataError, match="^q: no replica"):
-            dm.staging_estimate(["q"], "b")
+            dm.staging_estimate(inputs(dm, ["q"]), "b")
         with pytest.raises(DataError, match="^q: no replica"):
-            dm.stage(1, ["q"], "b", 0.0)
+            dm.stage(1, inputs(dm, ["q"]), "b", 0.0)
 
 
 class TestStage:
     def test_resident_and_empty_items_skipped(self):
         dm = manager()
-        waited_on, started = dm.stage(1, ["x", "z"], "a", 0.0)
+        waited_on, started = dm.stage(1, inputs(dm, ["x", "z"]), "a", 0.0)
         # No jobs: staging of task 1 is already complete.
         assert waited_on == [] and started == []
 
     def test_nonresident_item_creates_job(self):
         dm = manager()
-        jobs, started = dm.stage(1, ["x", "y"], "a", 0.0)
+        jobs, started = dm.stage(1, inputs(dm, ["x", "y"]), "a", 0.0)
         assert len(jobs) == 1 and jobs[0].data_id == "y"
         assert started == jobs
         assert jobs[0].tasks == (1,) and jobs[0].task_id == 1
@@ -83,7 +98,7 @@ class TestStage:
 
     def test_completion_releases_task(self):
         dm = manager()
-        jobs, _ = dm.stage(1, ["y"], "a", 0.0)
+        jobs, _ = dm.stage(1, inputs(dm, ["y"]), "a", 0.0)
         completed, failed, _ = dm.on_transfer_finished(jobs[0], True, 2.0)
         assert completed == [1] and failed == []
         assert dm.items["y"].locations == {"a", "b"}
@@ -91,7 +106,7 @@ class TestStage:
 
     def test_bytes_counted_only_on_success(self):
         dm = manager()
-        jobs, _ = dm.stage(1, ["y"], "a", 0.0)
+        jobs, _ = dm.stage(1, inputs(dm, ["y"]), "a", 0.0)
         _, _, started = dm.on_transfer_finished(jobs[0], False, 1.0)
         assert dm.transfer_bytes_total() == 0
         # The retry re-enters the (uncontended) link immediately.
@@ -106,7 +121,7 @@ class TestConcurrencyCap:
             dm.register_item(f"d{i}", 10, {"a"})
         all_jobs, all_started = [], []
         for i in range(5):
-            jobs, started = dm.stage(i, [f"d{i}"], "b", 0.0)
+            jobs, started = dm.stage(i, inputs(dm, [f"d{i}"]), "b", 0.0)
             all_jobs.extend(jobs)
             all_started.extend(started)
         assert len(all_started) == 2
@@ -118,7 +133,7 @@ class TestConcurrencyCap:
             dm.register_item(f"d{i}", 10, {"a"})
         jobs = []
         for i in range(3):
-            j, started = dm.stage(i, [f"d{i}"], "b", 0.0)
+            j, started = dm.stage(i, inputs(dm, [f"d{i}"]), "b", 0.0)
             jobs.extend(j)
         _, _, started = dm.on_transfer_finished(jobs[0], True, 1.0)
         assert [j.job_id for j in started] == [jobs[1].job_id]
@@ -127,8 +142,8 @@ class TestConcurrencyCap:
         dm = new_manager(concurrency_cap=1)
         dm.register_item("p", 10, {"a"})
         dm.register_item("q", 10, {"b"})
-        _, s1 = dm.stage(0, ["p"], "c", 0.0)
-        _, s2 = dm.stage(1, ["q"], "c", 0.0)
+        _, s1 = dm.stage(0, inputs(dm, ["p"]), "c", 0.0)
+        _, s2 = dm.stage(1, inputs(dm, ["q"]), "c", 0.0)
         assert len(s1) == len(s2) == 1
 
     def test_cap_must_be_positive(self):
@@ -140,7 +155,7 @@ class TestRetries:
     def test_exhaustion_fails_task(self):
         dm = new_manager(max_transfer_retries=2)
         dm.register_item("d", 10, {"a"})
-        jobs, _ = dm.stage(7, ["d"], "b", 0.0)
+        jobs, _ = dm.stage(7, inputs(dm, ["d"]), "b", 0.0)
         job = jobs[0]
         for _ in range(2):
             completed, failed, _ = dm.on_transfer_finished(job, False, 1.0)
@@ -154,8 +169,8 @@ class TestDuplicateSuppression:
     def test_concurrent_requests_share_one_transfer(self):
         dm = new_manager()
         dm.register_item("d", 10, {"a"})
-        j1, s1 = dm.stage(1, ["d"], "b", 0.0)
-        j2, s2 = dm.stage(2, ["d"], "b", 0.0)
+        j1, s1 = dm.stage(1, inputs(dm, ["d"]), "b", 0.0)
+        j2, s2 = dm.stage(2, inputs(dm, ["d"]), "b", 0.0)
         assert len(s1) == 1 and s2 == []
         assert j2 == j1 and j1[0].tasks == (1, 2) and len(dm.jobs) == 1
         completed, _, started = dm.on_transfer_finished(j1[0], True, 1.0)
@@ -166,13 +181,13 @@ class TestDuplicateSuppression:
     def test_exhausted_shared_transfer_fails_every_waiting_task(self):
         dm = new_manager(max_transfer_retries=0)
         dm.register_item("d", 10, {"a"})
-        j1, _ = dm.stage(1, ["d"], "b", 0.0)
-        dm.stage(2, ["d"], "b", 0.0)
+        j1, _ = dm.stage(1, inputs(dm, ["d"]), "b", 0.0)
+        dm.stage(2, inputs(dm, ["d"]), "b", 0.0)
         completed, failed, started = dm.on_transfer_finished(j1[0], False, 1.0)
         assert failed == [1, 2] and completed == [] and started == []
         assert j1[0].state is JobState.FAILED
         # The failed job is closed: the next stage of the item opens a new one.
-        j3, s3 = dm.stage(3, ["d"], "b", 1.0)
+        j3, s3 = dm.stage(3, inputs(dm, ["d"]), "b", 1.0)
         assert j3 == s3 and j3[0].job_id != j1[0].job_id
 
     def test_landing_releases_a_task_that_joined_behind_a_queue(self):
@@ -181,9 +196,9 @@ class TestDuplicateSuppression:
         dm = new_manager(concurrency_cap=1)
         dm.register_item("X", 10, {"a"})
         dm.register_item("Y", 10, {"a"})
-        jx, sx = dm.stage(1, ["X"], "b", 0.0)
-        _, sy = dm.stage(3, ["Y"], "b", 0.0)
-        dm.stage(2, ["X"], "b", 0.5)
+        jx, sx = dm.stage(1, inputs(dm, ["X"]), "b", 0.0)
+        _, sy = dm.stage(3, inputs(dm, ["Y"]), "b", 0.0)
+        dm.stage(2, inputs(dm, ["X"]), "b", 0.5)
         assert sx == jx and sy == []
         completed, failed, started = dm.on_transfer_finished(jx[0], True, 1.0)
         assert completed == [1, 2] and failed == []
@@ -192,8 +207,8 @@ class TestDuplicateSuppression:
     def test_cancelled_task_stops_waiting_and_the_job_stays_open(self):
         dm = new_manager()
         dm.register_item("d", 10, {"a"})
-        jobs, _ = dm.stage(1, ["d"], "b", 0.0)
-        dm.stage(2, ["d"], "b", 0.0)
+        jobs, _ = dm.stage(1, inputs(dm, ["d"]), "b", 0.0)
+        dm.stage(2, inputs(dm, ["d"]), "b", 0.0)
         dm.cancel_task_jobs(1)
         assert jobs[0].tasks == (2,) and jobs[0].state is JobState.ACTIVE
         completed, _, _ = dm.on_transfer_finished(jobs[0], True, 1.0)
@@ -212,13 +227,13 @@ class TestQueueEstimate:
         dm = new_manager(concurrency_cap=cap)
         for i in range(n_jobs):
             dm.register_item(f"d{i}", 10 * (i + 1), {"a"})
-            dm.stage(i, [f"d{i}"], "b", 0.0)
+            dm.stage(i, inputs(dm, [f"d{i}"]), "b", 0.0)
         dm.register_item("q", 1000, {"a"})
         return dm
 
     def test_idle_link_adds_no_queue_term(self):
         dm = self.loaded(cap=2, n_jobs=1)
-        assert dm.staging_estimate(["q"], "b") == dm.transfer_profiler.predict_transfer(
+        assert dm.staging_estimate(inputs(dm, ["q"]), "b") == dm.transfer_profiler.predict_transfer(
             "a", "b", 1000
         )
 
@@ -227,31 +242,31 @@ class TestQueueEstimate:
         n, waiting_bytes = 3, 30 + 40 + 50
         lat, bw = self.LAT, self.BW
         transfer, queue = lat + 1000 / bw, (n * lat + waiting_bytes / bw) / 2
-        assert dm.staging_estimate(["q"], "b") == transfer + queue
+        assert dm.staging_estimate(inputs(dm, ["q"]), "b") == transfer + queue
         # Once per input: a second input on the same link pays it again.
         dm.register_item("r", 1000, {"a"})
-        assert dm.staging_estimate(["q", "r"], "b") == transfer + queue + transfer + queue
+        assert dm.staging_estimate(inputs(dm, ["q", "r"]), "b") == transfer + queue + transfer + queue
 
     def test_full_link_with_an_empty_queue_adds_nothing(self):
         dm = self.loaded(cap=2, n_jobs=2)
-        assert dm.staging_estimate(["q"], "b") == self.LAT + 1000 / self.BW
+        assert dm.staging_estimate(inputs(dm, ["q"]), "b") == self.LAT + 1000 / self.BW
 
     def test_input_with_an_open_job_adds_nothing(self):
         dm = self.loaded(cap=1, n_jobs=3)
         assert dm.items["d0"].inbound == {"b"}
         # d0 is moving and d2 waits behind d1: neither adds anything.
-        assert dm.staging_estimate(["d0", "d2"], "b") == 0.0
-        assert dm.staging_estimate(["d0", "q"], "b") == dm.staging_estimate(["q"], "b")
+        assert dm.staging_estimate(inputs(dm, ["d0", "d2"]), "b") == 0.0
+        assert dm.staging_estimate(inputs(dm, ["d0", "q"]), "b") == dm.staging_estimate(inputs(dm, ["q"]), "b")
         # Elsewhere the item is priced as usual.
-        assert dm.staging_estimate(["d0"], "c") == dm.transfer_profiler.predict_transfer(
+        assert dm.staging_estimate(inputs(dm, ["d0"]), "c") == dm.transfer_profiler.predict_transfer(
             "a", "c", 10
         )
 
     def test_inbound_follows_the_open_jobs(self):
         dm = new_manager(max_transfer_retries=0)
         dm.register_item("d", 10, {"a"})
-        done, _ = dm.stage(1, ["d"], "b", 0.0)
-        failed, _ = dm.stage(2, ["d"], "c", 0.0)
+        done, _ = dm.stage(1, inputs(dm, ["d"]), "b", 0.0)
+        failed, _ = dm.stage(2, inputs(dm, ["d"]), "c", 0.0)
         assert dm.items["d"].inbound == {"b", "c"}
         dm.on_transfer_finished(done[0], True, 1.0)
         assert dm.items["d"].inbound == {"c"}
@@ -265,8 +280,8 @@ class TestQueueEstimate:
         dm = new_manager(concurrency_cap=1)
         dm.register_item("X", 10, {"a"})
         dm.register_item("Y", 30, {"a"})
-        jx, _ = dm.stage(1, ["X"], "b", 0.0)
-        dm.stage(2, ["Y"], "b", 0.0)
+        jx, _ = dm.stage(1, inputs(dm, ["X"]), "b", 0.0)
+        dm.stage(2, inputs(dm, ["Y"]), "b", 0.0)
         lane = dm._lanes["b"]["a"]
         assert (lane.active, len(lane.waiting), lane.waiting_bytes) == (1, 1, 30)
         seen = []
@@ -285,7 +300,7 @@ class TestQueueEstimate:
 class TestCancel:
     def test_active_job_orphaned(self):
         dm = manager()
-        jobs, _ = dm.stage(1, ["y"], "a", 0.0)
+        jobs, _ = dm.stage(1, inputs(dm, ["y"]), "a", 0.0)
         dm.cancel_task_jobs(1)
         assert jobs[0].task_id is None
         completed, failed, _ = dm.on_transfer_finished(jobs[0], True, 1.0)
@@ -343,9 +358,9 @@ class TestOneRule:
         dm = new_manager(order)
         for data_id, size, where in items:
             dm.register_item(data_id, size, where)
-        estimate = dm.staging_estimate(file_deps, target)
-        moved = dm.bytes_to_move(file_deps, target)
-        jobs, _ = dm.stage(0, file_deps, target, 0.0)
+        estimate = dm.staging_estimate(inputs(dm, file_deps), target)
+        moved = dm.bytes_to_move(inputs(dm, file_deps), target)
+        jobs, _ = dm.stage(0, inputs(dm, file_deps), target, 0.0)
         expected = [
             (d, next(ep for ep in order if ep in where))
             for d in file_deps
@@ -378,25 +393,25 @@ class TestOneRule:
         for data_id, size, where in items:
             for dst in sorted(data.draw(st.sets(st.sampled_from(order)))):
                 if size and dst not in where:
-                    dm.stage(task, [data_id], dst, 0.0)
+                    dm.stage(task, inputs(dm, [data_id]), dst, 0.0)
                     task += 1
         links = st.tuples(st.sampled_from(order), st.sampled_from(order))
         fillers = data.draw(st.lists(st.tuples(links, st.integers(1, 10**6)), max_size=6))
         for k, ((src, dst), size) in enumerate(fillers):
             if src != dst:
                 dm.register_item(f"f{k}", size, {src})
-                dm.stage(task, [f"f{k}"], dst, 0.0)
+                dm.stage(task, inputs(dm, [f"f{k}"]), dst, 0.0)
                 task += 1
         lost = data.draw(st.sampled_from([None, "plain", "inbound"]))
         if lost:
             dm.register_item("lost", data.draw(st.integers(1, 10**6)))
             if lost == "inbound":
-                dm._open_job("lost", order[0], target, dm.items["lost"].size, 0.0)
+                dm._open_job(dm.items["lost"], order[0], target, 0.0)
             file_deps.insert(data.draw(st.integers(0, len(file_deps))), "lost")
             with pytest.raises(DataError):
-                dm.staging_estimate(file_deps, target)
+                dm.staging_estimate(inputs(dm, file_deps), target)
             with pytest.raises(DataError):
-                dm.stage(0, file_deps, target, 0.0)
+                dm.stage(0, inputs(dm, file_deps), target, 0.0)
             return
         # Each link's (active jobs, waiting jobs, waiting bytes), from the
         # job table, and each item's inbound, before `stage` adds to them.
@@ -409,9 +424,9 @@ class TestOneRule:
                 waiting, waiting_bytes = waiting + 1, waiting_bytes + job.size
             queues[(job.src, job.dst)] = (active, waiting, waiting_bytes)
         inbound = {d: dm.items[d].inbound for d in file_deps}
-        estimate = dm.staging_estimate(file_deps, target)
+        estimate = dm.staging_estimate(inputs(dm, file_deps), target)
         first_new = dm._next_job_id
-        jobs, _ = dm.stage(0, file_deps, target, 0.0)
+        jobs, _ = dm.stage(0, inputs(dm, file_deps), target, 0.0)
         opened = [j for j in jobs if j.job_id >= first_new]
         expected = [
             (d, next(ep for ep in order if ep in where))

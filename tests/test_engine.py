@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from fedflow import engine
 from fedflow.builtins import generate_builtin_scenario
 from fedflow.dag import INLINE_ARGS_LIMIT, Dag, TaskNode, TaskState, WorkflowError
-from fedflow.data_manager import DataError, DataManager, JobState
+from fedflow.data_manager import DataError, DataItem, DataManager, JobState, TransferJob
 from fedflow.endpoints import CapacityEvent
 from fedflow.engine import (
     DeadlockError,
@@ -27,7 +28,7 @@ from fedflow.engine import (
     next_poll,
     run_scenario,
 )
-from fedflow.scenario import MB, OUTPUT_PREFIX, DataSpec, scenario_from_dict
+from fedflow.scenario import MB, DataSpec, ScenarioError, scenario_from_dict
 
 # Two endpoints over a symmetric 100 MB/s / 0.5 s link.  Endpoint "a" runs
 # everything at 2x the base cost, "b" at 1x.
@@ -116,13 +117,16 @@ class TestTimingOracle:
         assert t1.end_time == pytest.approx(52.6)
         assert t0.assigned_endpoint == t1.assigned_endpoint == "a"
 
-    def test_output_item_registered_with_predicted_size(self):
+    def test_output_item_held_by_its_task_with_predicted_size(self):
         sim = Simulation(oracle())
         sim.run()
-        out = sim.data.items["out:0"]
+        out = sim.dag.nodes[0].output
         assert out.size == 55_000_000
         assert out.locations == {"a"}
-        assert "out:0" in sim.dag.nodes[1].file_deps
+        assert out.data_id == "out:0" and out.key is sim.dag.nodes[0].task_id
+        assert out in sim.dag.nodes[1].file_deps
+        # The manager's table holds the declared items alone.
+        assert "out:0" not in sim.data.items
 
     def test_poll_interval_rounds_observations_up(self):
         # Completions are only seen at 7 s poll ticks: 42.6 -> 49, 59 -> 63.
@@ -191,7 +195,8 @@ class TestHistoryOptIn:
         assert len(kept.history) == sum(m.attempts for m in kept._moments.values()) > 0
         assert bare._fits and bare._fits == kept._fits
         tasks = sims[True].dag.nodes
-        assert [sims[False].exec_row(t) for t in tasks] == [sims[True].exec_row(t) for t in tasks]
+        tids = range(len(tasks))
+        assert [sims[False].exec_row(t) for t in tids] == [sims[True].exec_row(t) for t in tids]
 
 
 def joined_key_draw(seed, *key) -> float:
@@ -274,9 +279,8 @@ class TestDraw:
     def test_exec_draw_is_the_joined_key_draw(self, seed, task_id, attempt):
         sim = Simulation(oracle(**NOISY), seed=seed)
         fn = sim.scenario.functions["f"]
-        sim.dag.nodes[task_id] = TaskNode(task_id, fn)
         u = joined_key_draw(seed, "exec", task_id, attempt)
-        node, ep = sim.dag.nodes[task_id], sim._by_id["b"]
+        node, ep = TaskNode(task_id, fn), sim._by_id["b"]
         (key,) = keys_drawn(sim, lambda: sim.sample_exec_duration(node, ep, attempt))
         assert sim._draw(key) == u
         noise = fn.noise * (2.0 * u - 1.0)
@@ -286,7 +290,7 @@ class TestDraw:
     @given(seed=st.integers(0, 2**64), data_id=IDS, src=IDS, dst=IDS)
     def test_transfer_draw_is_the_joined_key_draw(self, seed, data_id, src, dst):
         sim = Simulation(oracle(defaults={"transfer_failure_rate": 0.5}), seed=seed)
-        job = SimpleNamespace(data_id=data_id, src=src, dst=dst)
+        job = TransferJob(0, DataItem(data_id, 1), src, dst, 1)
         outcomes = []
         keys = keys_drawn(sim, lambda: outcomes.extend(sim._transfer_success(job) for _ in "ab"))
         for attempt, (key, success) in enumerate(zip(keys, outcomes, strict=True)):
@@ -310,10 +314,7 @@ class TestDraw:
     def test_transfer_failure_frequency_matches_rate(self):
         sim = Simulation(oracle(defaults={"transfer_failure_rate": 0.3}), seed=7)
         # 10,000 items, two landing attempts each: 20,000 transfer keys.
-        jobs = [
-            SimpleNamespace(data_id=f"d{i}", src="a", dst="b")
-            for i in range(10_000)
-        ]
+        jobs = [TransferJob(i, DataItem(f"d{i}", 1), "a", "b", 1) for i in range(10_000)]
         failures = sum(not sim._transfer_success(job) for job in jobs + jobs)
         assert abs(failures / 20_000 - 0.3) <= 0.02
 
@@ -428,7 +429,7 @@ class TestFailures:
             seen = []
             for task_id, (data_id, dst) in enumerate((("d1", "a"), ("d2", "b"))):
                 while dst not in sim.data.items[data_id].locations:
-                    (job,), _ = sim.data.stage(task_id, [data_id], dst, 0.0)
+                    (job,), _ = sim.data.stage(task_id, [sim.data.items[data_id]], dst, 0.0)
                     while job.state is JobState.ACTIVE:
                         success = sim._transfer_success(job)
                         seen.append((data_id, job.job_id, success))
@@ -679,23 +680,23 @@ class TestSchedulerCounters:
 
 
 def reference_batch(dag, data, spec_by_tid, functions, specs, clock):
-    """A batch registered through the checked builders, one call each per
-    task: `Dag.submit_task`, then the sizes, the output item through
-    `DataManager.register_item`, and the unmet and dead deps. The reference
-    `Simulation._register_batch` is held to."""
+    """A batch registered through the checked builder, one call per task:
+    `Dag.submit_task`, then the sizes, the output item, and the unmet and
+    dead deps. The reference `Simulation._register_batch` is held to."""
     task_ids, dead_deps = [], []
     for t in sorted(specs, key=lambda s: s.id):
         fn = functions[t.function]
         dep_tids = [spec_by_tid[d] for d in t.deps]
         outputs = [dag.nodes[d].output for d in dep_tids if dag.nodes[d].output is not None]
-        tid = dag.submit_task(fn, dep_tids, [*t.file_deps, *outputs], t.inline_args_B)
+        declared = [data.items[d] for d in t.file_deps]
+        tid = dag.submit_task(fn, dep_tids, [*declared, *outputs], t.inline_args_B)
         spec_by_tid[t.id] = tid
         node = dag.nodes[tid]
-        node.file_bytes = sum(data.items[d].size for d in node.file_deps)
+        node.file_bytes = sum(item.size for item in node.file_deps)
         node.input_bytes = node.file_bytes + t.inline_args_B
         out_size = int(round(fn.output_ratio * node.input_bytes))
         if fn.output_ratio > 0 and out_size > 0:
-            node.output = data.register_item(f"{OUTPUT_PREFIX}{tid}", out_size).data_id
+            node.output = DataItem(tid, out_size)
         node.submit_time = clock
         unmet = [d for d in node.deps if dag.nodes[d].state is not TaskState.DONE]
         node.deps_left = len(unmet)
@@ -703,6 +704,19 @@ def reference_batch(dag, data, spec_by_tid, functions, specs, clock):
                                                                  TaskState.UNRUNNABLE)]
         task_ids.append(tid)
     return task_ids, dead_deps
+
+
+def item_view(item) -> Optional[tuple]:
+    """What a DataItem holds, for comparing items of two runs: items
+    compare by identity."""
+    return None if item is None else (item.data_id, item.size, item.locations, item.inbound)
+
+
+def node_view(node) -> TaskNode:
+    """The node with each of its DataItems as its `item_view`."""
+    return dataclasses.replace(
+        node, file_deps=tuple(map(item_view, node.file_deps)), output=item_view(node.output)
+    )
 
 
 @st.composite
@@ -806,7 +820,7 @@ class TestRegisterBatch:
             batches.setdefault(t.submit_time_s, []).append(t)
         for when, specs in sorted(batches.items()):
             # Earlier tasks may have run, failed for good or be under way.
-            for tid in sim.dag.nodes:
+            for tid in range(len(sim.dag.nodes)):
                 state = data.draw(st.sampled_from(TaskState))
                 sim.dag.nodes[tid].state = ref_dag.nodes[tid].state = state
             sim.clock = when
@@ -816,11 +830,13 @@ class TestRegisterBatch:
                                    specs, when)
             assert got == want
             assert sim._state_counts[TaskState.PENDING.index] == before + len(specs)
-        assert sim.dag.nodes == ref_dag.nodes
+        assert list(map(node_view, sim.dag.nodes)) == list(map(node_view, ref_dag.nodes))
         assert [n.successors for n in sim.dag.nodes.values()] == [
             n.successors for n in ref_dag.nodes.values()
         ]
-        assert sim.data.items == ref_data.items
+        assert {did: item_view(item) for did, item in sim.data.items.items()} == {
+            did: item_view(item) for did, item in ref_data.items.items()
+        }
         # Only the spec ids that are not their task's id are mapped, and a
         # task whose spec id is its id holds the spec's own int.
         assert sim._spec_by_tid == {
@@ -843,7 +859,8 @@ class TestRegisterBatch:
             sim = Simulation(scenario_from_dict(doc), scheduler_kind=scheduler, seed=3)
             sim.run().emit(tmp_path / twin)
             assert [(n.task_id, n.deps) for n in sim.dag.nodes.values()] == TASKS_BY_INDEX
-            assert sim.dag.nodes[5].file_deps == ("out:3",)
+            assert sim.dag.nodes[5].file_deps == (sim.dag.nodes[3].output,)
+            assert sim.dag.nodes[3].output.data_id == "out:3"
             csvs[twin] = {name: (tmp_path / twin / name).read_bytes() for name in CSV_NAMES}
         assert csvs["gapped"] == csvs["renumbered"]
         assert csvs["gapped"]["transfers.csv"].count(b"\n") > 1
@@ -853,10 +870,9 @@ class TestRegisterBatch:
         sim.run()
         fits = [n for n in sim.dag.nodes.values() if n.function.name == "fit"]
         assert len(fits) > 1 and all(len(n.file_deps) == 2 for n in fits)
-        items = sim.data.items
         first = fits[0]
         assert all(n.file_bytes is first.file_bytes for n in fits)
-        assert all(items[n.output].size is items[first.output].size for n in fits)
+        assert all(n.output.size is first.output.size for n in fits)
 
     def test_a_hand_built_batch_in_descending_id_is_registered_in_ascending_id(self):
         sc = scenario_from_dict(gapped_ids_doc(GAPPED_IDS))
@@ -871,6 +887,9 @@ class TestRegisterBatch:
         ((10, 11), 12),  # no spec id 12, and no index 12
         ((0, 1), 2),  # ids that are their indexes: a dep on a later id
         ((0, 1), 1),  # ... and on the task itself
+        ((0, 1, 2), 2),  # ... and on a later task of the same batch
+        ((0, 1), -1),  # a negative id, which a list index would wrap to the last task
+        ((10, 11), -1),  # ... with spec ids that are not their indexes
     ])
     def test_a_hand_built_dep_on_no_registered_spec_id_raises(self, ids, dep):
         """The loader rejects each of these deps; a `Scenario` built by
@@ -893,8 +912,34 @@ class TestRegisterBatch:
         with pytest.raises(WorkflowError, match=message):
             Simulation(sc).run()
 
-    def test_hand_built_duplicate_output_item_raises(self):
+    @pytest.mark.parametrize("dep", [2, -1])
+    def test_a_hand_built_dep_on_a_later_batch_raises(self, dep):
+        """Task 1, in the first batch, names task 2, which the second batch
+        registers, or a negative id; neither reaches the graph."""
+        sc = scenario_from_dict(gapped_ids_doc({0: (0.0, "f", [], []), 1: (0.0, "f", [], []),
+                                                2: (5.0, "f", [], [])}))
+        sc.workflow[1].deps = (dep,)
+        sim = Simulation(sc, scheduler_kind="capacity")
+        with pytest.raises(WorkflowError, match=re.escape(f"task 1: unknown dependency handle {dep}")):
+            sim.run()
+        assert sim.dag.nodes[0].successors == ()
+
+    @pytest.mark.parametrize("period", [0.0, -5.0, math.nan, math.inf])
+    def test_a_refresh_tick_that_is_not_positive_and_finite_raises(self, period):
+        """The loader rejects each value; a `Defaults` built in code meets
+        the same rule when the run is built, where 0 would otherwise divide
+        by zero in the event loop."""
         sc = oracle()
-        sc.data["out:0"] = DataSpec("out:0", 1.0, ("a",))
-        with pytest.raises(DataError, match="duplicate data item out:0"):
-            Simulation(sc).run()
+        sc.defaults = dataclasses.replace(sc.defaults, refresh_tick_s=period)
+        with pytest.raises(ScenarioError, match="'refresh_tick_s' must be a positive finite"):
+            Simulation(sc)
+
+    @pytest.mark.parametrize("did", ["out:0", "out:9"])
+    def test_a_hand_built_item_named_as_an_output_raises(self, did):
+        """The loader rejects both ids. A run holds a task's output by its
+        node, not under its name, so a declared item may not take a name of
+        that form, whether or not a task of that id writes an output."""
+        sc = oracle()
+        sc.data[did] = DataSpec(did, 1.0, ("a",))
+        with pytest.raises(DataError, match=f"^{did}: 'out:<task id>' names a task's output$"):
+            Simulation(sc)

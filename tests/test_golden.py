@@ -57,6 +57,9 @@ CASES.append(("montage-like", 0.1, "dha", ""))
 # Full-size re-scheduling: thousands of moves (dynamic-drug) and hundreds
 # over many prefixes (dynamic-montage).
 CASES += [("dynamic-drug", 1.0, "dha", ""), ("dynamic-montage", 1.0, "dha", "")]
+# The workflow arrives in four batches, so a task's deps and its successors
+# are often registered by different batches.
+CASES += [("drug-like", 0.05, scheduler, "4-batches") for scheduler in ("capacity", "dha")]
 
 
 def _scenario(name, scale, variant):
@@ -75,6 +78,13 @@ def _scenario(name, scale, variant):
             )
             for name, fn in sc.functions.items()
         }
+    elif variant == "4-batches":
+        # Task i of n is submitted at 10 * floor(4i / n) s.
+        n = len(sc.workflow)
+        sc.workflow = [
+            dataclasses.replace(t, submit_time_s=10.0 * (4 * i // n))
+            for i, t in enumerate(sc.workflow)
+        ]
     elif variant == "lossy":
         # Half of all transfer attempts fail and each job retries once, so
         # tasks are retried elsewhere, fail for good and leave unrunnable
@@ -266,6 +276,22 @@ GOLDEN = {
             'staging.csv': 'b5825136920c1c14e080ed733a7c3f2e45086bb262fdea6991c3a325c6163bc4',
         },
     ),
+    ('drug-like', 0.05, 'capacity', '4-batches'): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n3378.058223,2.583000,0,969,184,20,28\n',
+        {
+            'utilization.csv': 'f6da763294e286e094410448a9186ee7e184d6fb9fe86416c6e24efa70b486f2',
+            'transfers.csv': '353e140bc58d89b0407e53056b6ebfcb6b948cb708c5f70c58534e53bd48766c',
+            'staging.csv': '26b0bc8eb2e3edccfafbd92ab2702d4890d4f964d9fa6bb65b04e013c56e17da',
+        },
+    ),
+    ('drug-like', 0.05, 'dha', '4-batches'): (
+        'makespan_s,transfer_GB,tasks_failed,tasks_taiyi,tasks_qiming,tasks_dept,tasks_lab\n2551.107921,2.418000,0,1021,141,15,24\n',
+        {
+            'utilization.csv': 'f4b0ade1b24716917cbb8185a04b581270315a88c2388d7e36a918aacf218c9d',
+            'transfers.csv': 'b5e67f619dd5f9a32f3967a24ab0fdb73e035ccb57183ad6b593129b827383f7',
+            'staging.csv': '761799926f2e23a9d053cdd32ef80a4db30aba2176714527dd4fe13b3a1fc889',
+        },
+    ),
 }
 
 
@@ -289,6 +315,26 @@ def test_outputs_match_golden(case, tmp_path):
     want_summary, want_digests = GOLDEN[case]
     assert summary == want_summary
     assert digests == want_digests
+
+
+def test_successors_across_batches_are_the_tasks_that_name_the_task():
+    """After each multi-batch run, every task's successors are the tasks
+    that name it in their deps, ascending, whichever batch added them."""
+    for case in [c for c in CASES if c[3] == "4-batches"]:
+        name, scale, scheduler, variant = case
+        sim = Simulation(_scenario(name, scale, variant), scheduler_kind=scheduler, seed=SEED)
+        sim.run()
+        nodes = sim.dag.nodes
+        named_by = [[] for _ in nodes]
+        for tid, node in nodes.items():
+            for dep in node.deps:
+                named_by[dep].append(tid)
+        crossing = [
+            (dep, tid) for tid, node in nodes.items() for dep in node.deps
+            if nodes[dep].submit_time != node.submit_time
+        ]
+        assert crossing, f"{case}: no dep crosses a batch"
+        assert [list(node.successors) for node in nodes.values()] == named_by, case
 
 
 def main() -> int:

@@ -128,7 +128,7 @@ def check_counters(sim):
             assert data.staging_estimate(node.file_deps, node.assigned_endpoint) == 0.0, tid
     open_jobs = [j for j in data.jobs.values() if j.state in OPEN]
     assert len({(j.data_id, j.dst) for j in open_jobs}) == len(open_jobs), "one open job per key"
-    assert data._open == {(j.data_id, j.dst): j for j in open_jobs}
+    assert data._open == {(j.item, j.dst): j for j in open_jobs}
     # Between events a task waits only on open jobs: a job that fails for
     # good fails its tasks in the same event.
     waiting_on = {}
@@ -138,9 +138,11 @@ def check_counters(sim):
             waiting_on.setdefault(tid, set()).add(j.job_id)
     assert data._task_jobs == waiting_on
     inbound = {}
-    for data_id, dst in data._open:
-        inbound.setdefault(data_id, set()).add(dst)
-    assert all(item.inbound == inbound.get(d, set()) for d, item in data.items.items())
+    for item, dst in data._open:
+        inbound.setdefault(item, set()).add(dst)
+    # The declared items, and the task outputs that only their nodes hold.
+    items = [*data.items.values(), *(node.output for node in nodes if node.output is not None)]
+    assert all(item.inbound == inbound.get(item, set()) for item in items)
     # Each link's ACTIVE count and WAITING jobs, scanned in job-id order.
     active = Counter((j.src, j.dst) for j in open_jobs if j.state is JobState.ACTIVE)
     waiting = {}
@@ -159,7 +161,7 @@ def check_counters(sim):
             assert all(heap[(i - 1) // 2] < heap[i] for i in range(1, len(heap))), pair
             assert lane.waiting_bytes == sum(j.size for j in queued), pair
     interned = data._replica_sets
-    for item in data.items.values():
+    for item in items:
         assert interned[item.locations] is item.locations, item.data_id
         assert interned[item.inbound] is item.inbound, item.data_id
     for locations, src in data._sources.items():

@@ -129,12 +129,12 @@ class TestLocalitySelect:
 
     def test_prefers_fewest_bytes_moved(self):
         data = self.data(("x", 100, "a"), ("y", 10, "b"))
-        choice = locality_select(["x", "y"], data, [("a", 1, 0), ("b", 1, 1)])
+        choice = locality_select(data.items.values(), data, [("a", 1, 0), ("b", 1, 1)])
         assert choice == "a"
 
     def test_tie_prefers_more_free_workers(self):
         data = self.data(("x", 0, "a"))
-        assert locality_select(["x"], data, [("a", 1, 0), ("b", 5, 1)]) == "b"
+        assert locality_select([data.items["x"]], data, [("a", 1, 0), ("b", 5, 1)]) == "b"
 
     def test_final_tie_prefers_declaration_order(self):
         assert locality_select([], self.data(), [("b", 1, 1), ("a", 1, 0)]) == "a"
@@ -425,24 +425,23 @@ class ClassSim(FakeSim):
         for data_id, size, where, inbound in items:
             self.data.register_item(data_id, size, where)
             for dst in inbound:
-                self.data.stage(99, [data_id], dst, 0.0)
+                self.data.stage(99, [self.data.items[data_id]], dst, 0.0)
         self.dag.submit_task(FN)
         for node, (incumbent, backlog_s, file_deps) in zip(self.dag.nodes.values(), tasks):
             node.state = TaskState.READY
             node.assigned_endpoint = incumbent
             node.backlog_s = backlog_s
-            node.file_deps = file_deps
+            node.file_deps = tuple(self.data.items[d] for d in file_deps)
 
     def terms(self, endpoint_id):
         return self.table[endpoint_id]
 
     def staging_estimate(self, file_deps, endpoint_id):
-        items = self.data.items
         return float(
             sum(
-                items[d].size
-                for d in file_deps
-                if endpoint_id not in items[d].locations | items[d].inbound
+                item.size
+                for item in file_deps
+                if endpoint_id not in item.locations | item.inbound
             )
         )
 
