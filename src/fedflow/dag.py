@@ -135,7 +135,6 @@ class TaskNode:
     dispatch_time: Optional[float] = None
     start_time: Optional[float] = None
     end_time: Optional[float] = None
-    observed_time: Optional[float] = None
 
     @property
     def terminal(self) -> bool:

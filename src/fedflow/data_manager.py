@@ -1,10 +1,13 @@
 """Data items, replica tracking, and staging: which inputs move to an
 endpoint and from which replica, their transfers with retry, and what moving
 them costs, all read from one rule: an input moves unless it is empty or on
-the target, from its first replica in declaration order, which `_Sources`
-picks once per replica set. `stage` and `staging_estimate` (which DHA calls
-for each candidate) apply it inline; `TestOneRule` in
-tests/test_data_manager.py pins them to `_source` and to each other.
+the target, from its first replica in declaration order. An item's replicas,
+and the destinations its open jobs land it on, are endpoint bitmasks: bit i
+stands for `endpoint_order[i]` (`DataManager.bit`), so the first replica is
+the mask's lowest set bit, which `_Sources` reads once per mask. `stage` and
+`staging_estimate` (which DHA calls for each candidate) apply the rule
+inline; `TestOneRule` in tests/test_data_manager.py pins them to `_source`
+and to each other.
 
 At most one transfer job is open (waiting or active) per item and
 destination, and every task that needs the item there waits on that job.
@@ -42,8 +45,6 @@ class JobState(Enum):
 # Module globals read faster than Enum attributes on CPython 3.11.
 _WAITING, _ACTIVE, _DONE, _FAILED = JobState
 _job_id = attrgetter("job_id")
-# Every DataItem's sets start as this one object, and each manager interns it.
-_EMPTY = frozenset()
 _OUTPUT_PREFIX_LEN = len(OUTPUT_PREFIX)
 
 
@@ -58,10 +59,11 @@ class DataItem:
 
     key: str | int
     size: int
-    # A new replica replaces the set, so a reader may keep it as a key.
-    locations: frozenset = _EMPTY
-    # The destinations with an open job for the item; replaced the same way.
-    inbound: frozenset = _EMPTY
+    # Endpoint bitmasks (`DataManager.bit`): the endpoints holding a replica,
+    # and the destinations with an open job for the item. Ints, so a reader
+    # may keep either as a key.
+    locations: int = 0
+    inbound: int = 0
 
     @property
     def data_id(self) -> str:
@@ -110,31 +112,19 @@ class _Lane:
 
 
 class _Sources(dict):
-    """Replica set -> its first location in declaration order (None when
-    empty): the replica staging copies from, picked on first read."""
+    """Replica mask -> the endpoint of its lowest set bit, the first
+    location in declaration order (None when empty): the replica staging
+    copies from, picked on first read."""
 
     def __init__(self, order):
         super().__init__()
         self.order = order
 
     def __missing__(self, locations):
-        src = self[locations] = next((ep for ep in self.order if ep in locations), None)
+        src = self[locations] = (
+            self.order[(locations & -locations).bit_length() - 1] if locations else None
+        )
         return src
-
-
-class _SetSteps(dict):
-    """(interned set, endpoint) -> the interned result of `step` on them
-    (`frozenset.__or__` or `frozenset.__sub__` with the one endpoint): once
-    warm, changing an item's replica or inbound set builds no set."""
-
-    def __init__(self, step, intern):
-        super().__init__()
-        self.step = step
-        self.intern = intern
-
-    def __missing__(self, key):
-        result = self[key] = self.intern(self.step(key[0], {key[1]}))
-        return result
 
 
 class DataManager:
@@ -145,6 +135,8 @@ class DataManager:
             raise DataError("concurrency cap must be >= 1")
         # Endpoint ids in declaration order: the order replicas are chosen in.
         self.endpoint_order = tuple(endpoint_order)
+        # Endpoint id -> its bit in an item's masks: bit i for the i-th.
+        self.bit = {ep: 1 << i for i, ep in enumerate(self.endpoint_order)}
         # Prices staging, and tells which links still need a probe.
         self.transfer_profiler = transfer_profiler
         self.concurrency_cap = concurrency_cap
@@ -163,13 +155,7 @@ class DataManager:
         # task_id -> ids of the open jobs its latest stage() waits on; the
         # entry goes when the set empties or the task is cancelled.
         self._task_jobs: dict = {}
-        # One object per endpoint set value, which many items share as
-        # their replica and inbound sets; each location tuple given to
-        # `register_item` maps to its set too (no tuple equals a frozenset).
-        self._replica_sets: dict = {_EMPTY: _EMPTY}
         self._sources = _Sources(self.endpoint_order)
-        self._added = _SetSteps(frozenset.__or__, self._replica_set)
-        self._removed = _SetSteps(frozenset.__sub__, self._replica_set)
 
     # -- items -------------------------------------------------------------
 
@@ -180,21 +166,18 @@ class DataManager:
             raise DataError(f"duplicate data item {data_id}")
         if data_id[:_OUTPUT_PREFIX_LEN] == OUTPUT_PREFIX:
             raise DataError(f"{data_id}: '{OUTPUT_PREFIX}<task id>' names a task's output")
-        # Thousands of declared items share a few location tuples, and only
-        # a new one builds a set.
-        key = tuple(locations)
-        replicas = self._replica_sets.get(key)
-        if replicas is None:
-            replicas = self._replica_sets[key] = self._replica_set(frozenset(key))
+        bit = self.bit
+        replicas = 0
+        for ep in locations:
+            if ep not in bit:
+                raise DataError(f"{data_id}: location '{ep}' is not an endpoint")
+            replicas |= bit[ep]
         item = DataItem(data_id, size, replicas)
         self.items[data_id] = item
         return item
 
-    def _replica_set(self, locations: frozenset) -> frozenset:
-        return self._replica_sets.setdefault(locations, locations)
-
     def add_replica(self, item: DataItem, endpoint: str):
-        item.locations = self._added[(item.locations, endpoint)]
+        item.locations |= self.bit[endpoint]
 
     # -- staging -----------------------------------------------------------
 
@@ -208,7 +191,7 @@ class DataManager:
     def _source(self, item: DataItem, target: str) -> Optional[str]:
         """The replica `item` is copied from to `target`, or None when it is
         empty or already there: the one rule of what staging moves."""
-        if target in item.locations or item.size == 0:
+        if item.locations & self.bit[target] or item.size == 0:
             return None
         return self.choose_source(item)
 
@@ -227,17 +210,18 @@ class DataManager:
         sources = self._sources
         links = self.transfer_profiler.links
         lanes = self._lanes[target]
+        bit = self.bit[target]
         cap = self.concurrency_cap
         total = 0.0
         for item in file_deps:
             size = item.size
             locations = item.locations
-            if target in locations or size == 0:
+            if locations & bit or size == 0:
                 continue
             src = sources[locations]
             if src is None:
                 raise DataError(f"{item.data_id}: no replica available")
-            if target in item.inbound:
+            if item.inbound & bit:
                 continue
             try:
                 latency, bandwidth = links[(src, target)]
@@ -263,10 +247,11 @@ class DataManager:
         `waited_on` means staging for this task is already complete.
         """
         sources = self._sources
+        bit = self.bit[target]
         waited_on, started = [], []
         for item in file_deps:
             locations = item.locations
-            if target in locations or item.size == 0:
+            if locations & bit or item.size == 0:
                 continue
             src = sources[locations]
             if src is None:
@@ -303,7 +288,7 @@ class DataManager:
         self._next_job_id += 1
         self.jobs[job.job_id] = job
         self._open[(item, dst)] = job
-        item.inbound = self._added[(item.inbound, dst)]
+        item.inbound |= self.bit[dst]
         return job, self._start_waiting(self._enqueue(job), clock)
 
     def _enqueue(self, job: TransferJob) -> _Lane:
@@ -375,8 +360,7 @@ class DataManager:
     def _close(self, job: TransferJob):
         """Forget a job that ended DONE or FAILED as its item's open one."""
         del self._open[(job.item, job.dst)]
-        item = job.item
-        item.inbound = self._removed[(item.inbound, job.dst)]
+        job.item.inbound &= ~self.bit[job.dst]
 
     def cancel_task_jobs(self, task_id: int):
         """Forget bookkeeping for a task being re-staged elsewhere or failed.

@@ -29,7 +29,7 @@ from .profilers import (
     TaskRecord,
     TransferProfiler,
 )
-from .scenario import MB, OUTPUT_PREFIX, Scenario, ScenarioError
+from .scenario import MB, OUTPUT_PREFIX, Scenario, _checked_defaults
 from .scheduling import STRATEGIES, reassignment_endpoint
 
 logger = logging.getLogger(__name__)
@@ -91,6 +91,9 @@ class Simulation:
     ):
         self.scenario = scenario
         d = scenario.defaults
+        # A `Defaults` built in code meets the loader's rules: a tick period
+        # of 0 would never advance the clock, for one.
+        _checked_defaults(d)
         self.scheduler_kind = scheduler_kind or d.scheduler
         self.seed = d.seed if seed is None else seed
         # The hash of the seed and ':', which `_draw` copies before its key.
@@ -104,13 +107,6 @@ class Simulation:
         n_eps = len(scenario.endpoints)
         self.max_task_attempts = min(d.max_task_attempts or n_eps, n_eps)
         self.sync_lag = d.mock_sync_lag_s
-        # `_loop` steps refresh boundaries by this period: 0 would divide by
-        # zero there, and NaN or inf would never refit. The loader rejects
-        # these values; a `Defaults` built in code meets the same rule here.
-        if not 0 < d.refresh_tick_s < math.inf:
-            raise ScenarioError(
-                f"defaults: 'refresh_tick_s' must be a positive finite number ({d.refresh_tick_s!r})"
-            )
 
         self.endpoints = [EndpointModel(spec) for spec in scenario.endpoints]
         self.endpoint_order = [ep.endpoint_id for ep in self.endpoints]
@@ -311,9 +307,10 @@ class Simulation:
         is that index holds the spec's own int, and `_spec_by_tid` maps
         only the spec ids that are not, so a dep it does not map names its
         task by itself, unless that index is another spec's task
-        (`_spec_of_moved`). A dep that is negative or on no registered spec
-        id raises `WorkflowError`. In a batch, equal sums of several input
-        sizes, and equal output sizes, are one int object.
+        (`_spec_of_moved`). A spec id met before, and a dep that is negative
+        or on no registered spec id, raise `WorkflowError`. In a batch, equal
+        sums of several input sizes, and equal output sizes, are one int
+        object.
 
         No successors tuple is copied per edge. A dep's first new successor
         in the batch makes one new tuple; a dep that had none takes the 1-tuple
@@ -334,6 +331,9 @@ class Simulation:
         sizes: dict = {}  # each fresh size int of the batch, by value
         tid = first = len(nodes)  # `first`: the batch's lowest task id
         for t in sorted(specs, key=operator.attrgetter("id")):
+            # Taken already: remapped, or the unremapped id of a lower index.
+            if t.id in spec_by_tid or 0 <= t.id < tid and t.id not in moved:
+                raise WorkflowError(f"task {t.id}: duplicate task id")
             if t.id == tid:
                 tid = t.id
             else:
@@ -755,14 +755,10 @@ class Simulation:
         )
         for task_id in started:
             self._start_running(nodes[task_id], ep)
-        # The observed time is stamped here, for the poll tick that its
-        # event runs at; nothing reads it before the run ends.
         interval = self.poll_interval
         if interval > 0 and (observed := next_poll(clock, interval)) > clock:
-            node.observed_time = observed
             self.schedule(observed, EventKind.RESULT_OBSERVED, (self._on_result_observed, node))
         else:
-            node.observed_time = clock
             self._announce_ready(successors)
         if ep.active_workers > ep.busy_workers:
             if self.sync_lag > 0:
@@ -889,15 +885,17 @@ class Simulation:
         )
 
     def _finalize_metrics(self):
+        """The makespan runs from the first submit to the last observed
+        result: a task's result is observed at its end time's poll tick, or
+        at its end time when that tick is not later. That map never
+        decreases, so the latest end time gives the latest observation."""
         m = self.metrics
-        nodes = self.dag.nodes.values()
-        completions = [
-            n.observed_time if n.observed_time is not None else n.end_time
-            for n in nodes
-            if n.end_time is not None
-        ]
-        submits = [n.submit_time for n in nodes]
-        m.makespan = (max(completions) - min(submits)) if completions else 0.0
+        nodes = self.dag.nodes
+        ends = [n.end_time for n in nodes if n.end_time is not None]
+        if ends:  # else the makespan stays 0.0
+            last = max(ends)
+            observed = max(last, next_poll(last, self.poll_interval))
+            m.makespan = observed - min([n.submit_time for n in nodes])
         m.transfer_bytes = self.data.transfer_bytes_total()
         # Gave up (FAILED is terminal only then) or never ran.
         m.tasks_failed = self._state_counts[_FAILED.index] + self._state_counts[_UNRUNNABLE.index]

@@ -140,7 +140,6 @@ def reassignment_endpoint(
 
 
 class BaseStrategy:
-    name = "base"
     # Whether the strategy reads `earliest_idle_estimate`. Only if so does the
     # engine keep its inputs: each endpoint's `finish_heap` and `backlog_s`.
     reads_idle_estimate = False
@@ -177,8 +176,6 @@ class BaseStrategy:
 class CapacityStrategy(BaseStrategy):
     """Offline proportional partitioning over the DFS order."""
 
-    name = "capacity"
-
     def on_batch_submitted(self, task_ids: list):
         sim = self.sim
         capacities = [ep.active_workers for ep in sim.endpoints]
@@ -203,8 +200,6 @@ class LocalityStrategy(BaseStrategy):
     An endpoint is feasible while it has more idle workers than waiting
     work: tasks assigned there that have not started, a retry included.
     """
-
-    name = "locality"
 
     def __init__(self, sim):
         super().__init__(sim)
@@ -246,21 +241,9 @@ class LocalityStrategy(BaseStrategy):
         return self._select(task_id)
 
 
-class _PrefixClass:
-    """The committed tasks of one decision prefix (`DhaStrategy._prefix`),
-    as (-priority, task id) in the order a pass takes them."""
-
-    __slots__ = ("key", "members")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.members: list = []
-
-
 class DhaStrategy(BaseStrategy):
     """Priority-ordered earliest-finish-time selection with delayed dispatch."""
 
-    name = "dha"
     reads_idle_estimate = True
 
     def __init__(self, sim):
@@ -272,12 +255,12 @@ class DhaStrategy(BaseStrategy):
         self.delay_queues = {ep: [] for ep in order}  # endpoint_id -> heap of (-priority, tid)
         # Per incumbent, every other endpoint: candidates to steal a task.
         self._others = {ep: tuple(e for e in order if e != ep) for ep in order}
-        # The committed tasks by decision prefix, brought up to date at the
-        # start of each pass from the changes the engine records (`_flush`),
-        # each filed under its prefix. Started at the first pass, so a run
-        # without one never starts it.
-        self._classes: Optional[dict] = None  # prefix -> _PrefixClass
-        self._class_of: dict = {}  # committed task id -> its _PrefixClass
+        # The committed tasks by decision prefix (`_prefix`), as (-priority,
+        # task id) in the order a pass takes them, brought up to date at the
+        # start of each pass from the changes the engine records (`_flush`).
+        # Started at the first pass, so a run without one never starts it.
+        self._classes: Optional[dict] = None  # prefix -> its member list
+        self._class_of: dict = {}  # committed task id -> its prefix
 
     # -- priorities --------------------------------------------------------
 
@@ -424,8 +407,8 @@ class DhaStrategy(BaseStrategy):
         """What a pass's decision for an undispatched task reads besides the
         idle estimates and the link queues: its prefix, and the size,
         locations and open destinations (`inbound`) of each file dependency,
-        in order. An item's locations and inbound are frozensets that a
-        change replaces, so they serve as a key as they stand."""
+        in order. An item's locations and inbound are endpoint bitmasks,
+        ints, so they serve as a key as they stand."""
         key = self._prefix(node)
         for item in node.file_deps:
             key += (item.size, item.locations, item.inbound)
@@ -444,23 +427,25 @@ class DhaStrategy(BaseStrategy):
         nodes = sim.dag.nodes
         priorities = self.priorities
         for tid in tids:
-            cls = class_of.pop(tid, None)
+            key = class_of.pop(tid, None)
             entry = (-priorities[tid], tid)
-            if cls is not None:
-                members = cls.members
+            if key is not None:
+                members = classes[key]
                 del members[bisect.bisect_left(members, entry)]
                 if not members:
-                    del classes[cls.key]
+                    del classes[key]
             # DHA commits a task as it starts staging.
             node = nodes[tid]
             state = node.state
             if state is _STAGING or state is _READY:
                 key = self._prefix(node)
-                cls = classes.get(key)
-                if cls is None:
-                    cls = classes[key] = _PrefixClass(key)
-                bisect.insort(cls.members, entry)
-                class_of[tid] = cls
+                members = classes.get(key)
+                if members is None:
+                    members = classes[key] = []
+                else:  # file the key its members hold, not one more tuple
+                    key = class_of[members[0][1]]
+                bisect.insort(members, entry)
+                class_of[tid] = key
         tids.clear()
 
     def reschedule_pass(self) -> int:
@@ -505,7 +490,7 @@ class DhaStrategy(BaseStrategy):
         # there, and an orphaned job finishes no task.
         idle = {ep: sim.earliest_idle_estimate(ep) for ep in sim.endpoint_order}
         # (-priority, task id, position, members): each prefix at its next member.
-        heap = [(*cls.members[0], 0, cls.members) for cls in self._classes.values()]
+        heap = [(*members[0], 0, members) for members in self._classes.values()]
         heapq.heapify(heap)
         stays: set = set()  # decision classes that kept their incumbent since the last move
         left: list = []  # member lists of the prefixes that left the heap since the last move

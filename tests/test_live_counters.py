@@ -12,9 +12,9 @@ an open job, its per-task index of the jobs a task waits on, which must
 invert each job's record of its waiting tasks, and each link's lane: its
 count of ACTIVE jobs, never over the concurrency cap, its waiting heap,
 which holds exactly the link's WAITING jobs, and the byte sum of that heap.
-Every item's replica and inbound set is the interned object, each memoized
-set step gives the interned result of its step, and the source table gives
-each replica set its first location in declaration order.
+Every item's replica and inbound masks set no bit outside the federation,
+and the source table gives each replica mask the endpoint of its lowest
+set bit, its first location in declaration order.
 Each endpoint's finish heap and backlog are kept only for DHA, the one
 strategy whose idle estimate reads them: capacity and locality leave every
 heap empty and every backlog at 0, and under DHA every RUNNING task has an
@@ -137,12 +137,12 @@ def check_counters(sim):
         for tid in j.tasks:
             waiting_on.setdefault(tid, set()).add(j.job_id)
     assert data._task_jobs == waiting_on
-    inbound = {}
+    inbound = Counter()
     for item, dst in data._open:
-        inbound.setdefault(item, set()).add(dst)
+        inbound[item] |= data.bit[dst]
     # The declared items, and the task outputs that only their nodes hold.
     items = [*data.items.values(), *(node.output for node in nodes if node.output is not None)]
-    assert all(item.inbound == inbound.get(item, set()) for item in items)
+    assert all(item.inbound == inbound[item] for item in items)
     # Each link's ACTIVE count and WAITING jobs, scanned in job-id order.
     active = Counter((j.src, j.dst) for j in open_jobs if j.state is JobState.ACTIVE)
     waiting = {}
@@ -160,16 +160,13 @@ def check_counters(sim):
             assert sorted(heap) == [j.job_id for j in queued], pair
             assert all(heap[(i - 1) // 2] < heap[i] for i in range(1, len(heap))), pair
             assert lane.waiting_bytes == sum(j.size for j in queued), pair
-    interned = data._replica_sets
+    federation = (1 << len(order)) - 1
     for item in items:
-        assert interned[item.locations] is item.locations, item.data_id
-        assert interned[item.inbound] is item.inbound, item.data_id
+        assert item.locations & ~federation == 0, item.data_id
+        assert item.inbound & ~federation == 0, item.data_id
     for locations, src in data._sources.items():
-        assert src == next((ep for ep in order if ep in locations), None), locations
-    for steps, step in ((data._added, frozenset.__or__), (data._removed, frozenset.__sub__)):
-        for (s, ep), result in steps.items():
-            assert interned[s] is s and interned[result] is result, (s, ep)
-            assert result == step(s, {ep}), (s, ep)
+        first = next((ep for i, ep in enumerate(order) if locations >> i & 1), None)
+        assert src == first, locations
 
 
 def check_class_index(sim):
@@ -188,15 +185,13 @@ def check_class_index(sim):
         for tid in tids:
             entry = (-dha.priorities[tid], tid)
             rebuilt.setdefault(dha._prefix(nodes[tid]), []).append(entry)
-    for key, cls in dha._classes.items():
-        assert cls.key == key
-        assert all(a < b for a, b in pairwise(cls.members)), key
-    assert {key: cls.members for key, cls in dha._classes.items()} == {
-        key: sorted(members) for key, members in rebuilt.items()
-    }
-    filed = {tid: cls for cls in dha._classes.values() for _, tid in cls.members}
-    assert filed.keys() == dha._class_of.keys()
-    assert all(dha._class_of[tid] is cls for tid, cls in filed.items())
+    for key, members in dha._classes.items():
+        assert all(a < b for a, b in pairwise(members)), key
+    assert dha._classes == {key: sorted(members) for key, members in rebuilt.items()}
+    filed = {tid: key for key, members in dha._classes.items() for _, tid in members}
+    assert filed == dha._class_of
+    # Each member files its prefix's key object, not a tuple of its own.
+    assert all(dha._class_of[tid] is key for tid, key in filed.items())
 
 
 class ScanCheckedSimulation(Simulation):

@@ -29,6 +29,7 @@ from fedflow.scheduling import (
     locality_select,
     reassignment_endpoint,
 )
+from test_data_manager import endpoints_of
 from test_golden import CASES, _scenario
 from test_live_counters import undispatched_by_endpoint
 
@@ -441,7 +442,7 @@ class ClassSim(FakeSim):
             sum(
                 item.size
                 for item in file_deps
-                if endpoint_id not in item.locations | item.inbound
+                if endpoint_id not in endpoints_of(self.data, item.locations | item.inbound)
             )
         )
 

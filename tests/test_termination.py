@@ -230,6 +230,16 @@ def test_a_long_jump_of_the_clock_advances_the_refresh_boundary_at_once(
     assert [clock for what, clock in sim.timeline if what == "exec"] == [long_s, long_s + 3.0]
 
 
+def test_a_hand_built_scale_tick_of_zero_raises(wall_bound):
+    # A scale tick re-arms itself one period on, so a period of 0 would
+    # queue it again at the same time forever. The loader rejects it, and
+    # a `Defaults` built in code meets the loader's rules.
+    sc = generate_builtin_scenario("elasticity", 0.05)
+    sc.defaults = dataclasses.replace(sc.defaults, scale_tick_s=0.0)
+    with pytest.raises(ScenarioError, match="'scale_tick_s'"):
+        Simulation(sc, scheduler_kind="dha", seed=SEED).run()
+
+
 def test_elastic_run_with_unrunnable_tasks_ends(quiet):
     # Capacity assigns every task at submit; an unrunnable task must give
     # that claim back, or its endpoint is never idle and scale ticks go on.
